@@ -39,13 +39,7 @@ import numpy as np
 from . import __version__
 from . import dynamics as dyn
 from . import identity_checker as ic
-from .errors import (
-    CheckFailure,
-    ConfigError,
-    EquichkError,
-    InvalidParams,
-    RuntimeFault,
-)
+from .errors import CheckFailure, ConfigError, EquichkError
 from .models import (
     LOSS_NAMES,
     MODEL_NAMES,
@@ -55,7 +49,7 @@ from .models import (
     loss_family,
     make_loss,
 )
-from .transforms import TRANSFORM_NAMES, build_transform
+from .transforms import MUTABLE_CALLBACKS, TRANSFORM_NAMES, build_transform
 
 EXPERIMENTS = ("check_suite", "flow", "sgf_drift", "stationary_spectrum")
 
@@ -202,6 +196,7 @@ _ENTRY_KEYS = (
 
 
 def _validate_entry(v: _V, obj, path: str) -> Optional[ic.PlanEntry]:
+    start = len(v.errors)
     if not v.keys(obj, path, _ENTRY_KEYS, ("model", "loss", "checks")):
         return None
     spec = _validate_model(v, obj["model"], f"{path}.model")
@@ -210,13 +205,8 @@ def _validate_entry(v: _V, obj, path: str) -> Optional[ic.PlanEntry]:
     if "transform" in obj:
         transform = _validate_transform(v, obj["transform"], f"{path}.transform", spec)
     checks = obj.get("checks")
-    if not isinstance(checks, list) or not checks:
+    if not (isinstance(checks, list) and checks and all(isinstance(c, str) for c in checks)):
         v.fail(f"{path}.checks", "expected a non-empty list of check names")
-        return None
-    for i, c in enumerate(checks):
-        if c not in ic._PLAN_CHECKS:
-            v.fail(f"{path}.checks[{i}]",
-                   f"unknown check {c!r} (known: {', '.join(ic._PLAN_CHECKS)})")
     mode = obj.get("mode", "exact")
     if mode not in ("exact", "finite_difference"):
         v.fail(f"{path}.mode", f'expected "exact" or "finite_difference", got {mode!r}')
@@ -224,20 +214,25 @@ def _validate_entry(v: _V, obj, path: str) -> Optional[ic.PlanEntry]:
     if not isinstance(tolerances, dict):
         v.fail(f"{path}.tolerances", "expected an object")
         tolerances = {}
+    for key in tolerances:  # keys are checked against the registry below
+        v.number(tolerances, f"{path}.tolerances", key, positive=True)
     mutation = obj.get("mutation")
-    if mutation is not None:
-        if not (isinstance(mutation, dict) and set(mutation) <= {"callback", "scale"}
-                and "callback" in mutation):
-            v.fail(f"{path}.mutation", 'expected {"callback": name, "scale": factor}')
-            mutation = None
+    if mutation is not None and v.keys(mutation, f"{path}.mutation",
+                                       ("callback", "scale"), ("callback", "scale")):
+        if mutation["callback"] not in MUTABLE_CALLBACKS:
+            v.fail(f"{path}.mutation.callback", f"unknown derivative callback "
+                   f"{mutation['callback']!r} (known: {', '.join(MUTABLE_CALLBACKS)})")
+        scale = v.number(mutation, f"{path}.mutation", "scale")
+        if scale is not None and not np.isfinite(scale):
+            v.fail(f"{path}.mutation.scale", f"must be finite, got {scale}")
     positions = v.number(obj, path, "positions", integer=True, positive=True, default=3)
     seed = v.number(obj, path, "seed", integer=True, nonneg=True, default=0)
     lam_scale = v.number(obj, path, "lam_scale", positive=True, default=0.3)
     margin = v.number(obj, path, "margin", positive=True, default=1e-6)
     trials = v.number(obj, path, "trials", integer=True, positive=True, default=12)
-    if v.errors or spec is None or loss is None:
+    if len(v.errors) > start or spec is None or loss is None:
         return None
-    return ic.PlanEntry(
+    entry = ic.PlanEntry(
         model=spec, loss=loss[0], loss_params=loss[1],
         transform=transform[0] if transform else None,
         transform_params=transform[1] if transform else {},
@@ -245,6 +240,9 @@ def _validate_entry(v: _V, obj, path: str) -> Optional[ic.PlanEntry]:
         mode=mode, lam_scale=float(lam_scale), margin=float(margin),
         tolerances=tolerances, trials=int(trials), mutation=mutation,
     )
+    for where, why in ic.entry_misfits(entry):
+        v.fail(f"{path}.{where}", why)
+    return entry
 
 
 def _validate_dataset(v: _V, obj, path: str) -> Optional[Dataset]:
@@ -303,12 +301,14 @@ def _synthetic_report(check_name: str, anchor: str, rel: float, tol: float,
     )
 
 
-def _run_flow(cfg: dict, out_dir: str) -> Tuple[List[ic.IdentityReport], List[str]]:
+def _gradient_flow(cfg: dict, transforms_required: bool):
+    """Validate a flow or stationary_spectrum config and integrate its
+    gradient flow; returns (model, loss, transforms, trajectory, tolerances)."""
     v = _V()
     v.keys(cfg, "config",
            ("experiment", "output_dir", "model", "loss", "transforms",
             "dynamics", "theta0", "tolerances"),
-           ("model", "loss", "dynamics"))
+           ("model", "loss", "dynamics") + (("transforms",) if transforms_required else ()))
     spec = _validate_model(v, cfg.get("model", {}), "config.model")
     loss_nv = _validate_loss(v, cfg.get("loss", {}), "config.loss")
     dyn_obj = cfg.get("dynamics", {})
@@ -321,10 +321,15 @@ def _run_flow(cfg: dict, out_dir: str) -> Tuple[List[ic.IdentityReport], List[st
         v.fail("config.tolerances", "expected an object")
         tolerances = {}
     transforms = []
-    for i, t in enumerate(cfg.get("transforms", [])):
-        tv = _validate_transform(v, t, f"config.transforms[{i}]", spec)
-        if tv is not None:
-            transforms.append(tv)
+    raw_transforms = cfg.get("transforms", [])
+    if not isinstance(raw_transforms, list) or (transforms_required and not raw_transforms):
+        v.fail("config.transforms", "expected a non-empty list of symmetry transforms"
+               if transforms_required else "expected a list of symmetry transforms")
+    else:
+        for i, t in enumerate(raw_transforms):
+            tv = _validate_transform(v, t, f"config.transforms[{i}]", spec)
+            if tv is not None:
+                transforms.append(tv)
     v.raise_if_failed()
 
     model = build_model(spec)
@@ -333,6 +338,12 @@ def _run_flow(cfg: dict, out_dir: str) -> Tuple[List[ic.IdentityReport], List[st
     th0 = model.init_params if theta0 == "init" else np.asarray(theta0, dtype=float)
     trajectory = dyn.gradient_flow(model, loss, th0, T=float(T), dt=float(dt),
                                    chargelist=built)
+    return model, loss, built, trajectory, tolerances
+
+
+def _run_flow(cfg: dict, out_dir: str) -> Tuple[List[ic.IdentityReport], List[str]]:
+    model, loss, _, trajectory, tolerances = _gradient_flow(cfg, transforms_required=False)
+    T, dt = float(cfg["dynamics"]["T"]), float(cfg["dynamics"]["dt"])
     reports: List[ic.IdentityReport] = []
     drift_tol = float(tolerances.get("charge_drift", 1e-8))
     for name, series in trajectory.charges.items():
@@ -340,23 +351,19 @@ def _run_flow(cfg: dict, out_dir: str) -> Tuple[List[ic.IdentityReport], List[st
         rel = float(np.max(np.abs(series - c0))) / (1.0 + abs(c0))
         reports.append(_synthetic_report(
             "gf_charge_conservation", "Cor. 2", rel, drift_tol,
-            {"charge": name, "C0": c0, "T": float(T), "dt": float(dt)},
+            {"charge": name, "C0": c0, "T": T, "dt": dt},
         ))
     if (loss.name in ("exponential", "logistic") and model.c == 1
             and model.homogeneity_degree is not None):
         growth = dyn.norm_growth_check(model, loss, trajectory)
+        # a settled run whose norm ever shrinks fails outright
+        broken = growth.status == "ok" and not growth.monotone
         reports.append(_synthetic_report(
-            "norm_growth", "§4.2", growth.euler_max_rel_gap,
+            "norm_growth", "§4.2", float("inf") if broken else growth.euler_max_rel_gap,
             float(tolerances.get("euler_relation", 1e-7)),
             {"status": growth.status, "t0": growth.t0, "monotone": growth.monotone,
              "max_decrease": growth.max_decrease},
         ))
-        if growth.status == "ok" and not growth.monotone:
-            reports[-1] = _synthetic_report(
-                "norm_growth", "§4.2", float("inf"),
-                float(tolerances.get("euler_relation", 1e-7)),
-                dict(reports[-1].context),
-            )
     files = _write_report_files(reports, out_dir)
     dyn.write_trajectory_csv(trajectory, os.path.join(out_dir, "flow.csv"))
     return reports, files + ["flow.csv"]
@@ -417,42 +424,9 @@ def _run_sgf_drift(cfg: dict, out_dir: str) -> Tuple[List[ic.IdentityReport], Li
 
 
 def _run_stationary(cfg: dict, out_dir: str) -> Tuple[List[ic.IdentityReport], List[str]]:
-    v = _V()
-    v.keys(cfg, "config",
-           ("experiment", "output_dir", "model", "loss", "transforms",
-            "dynamics", "theta0", "tolerances"),
-           ("model", "loss", "transforms", "dynamics"))
-    spec = _validate_model(v, cfg.get("model", {}), "config.model")
-    loss_nv = _validate_loss(v, cfg.get("loss", {}), "config.loss")
-    dyn_obj = cfg.get("dynamics", {})
-    v.keys(dyn_obj, "config.dynamics", ("T", "dt"), ("T", "dt"))
-    T = v.number(dyn_obj, "config.dynamics", "T", positive=True, default=50.0)
-    dt = v.number(dyn_obj, "config.dynamics", "dt", positive=True, default=0.01)
-    theta0 = _validate_theta0(v, cfg, "config")
-    tolerances = cfg.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        v.fail("config.tolerances", "expected an object")
-        tolerances = {}
-    transforms = []
-    raw_transforms = cfg.get("transforms", [])
-    if not isinstance(raw_transforms, list) or not raw_transforms:
-        v.fail("config.transforms", "expected a non-empty list of symmetry transforms")
-    else:
-        for i, t in enumerate(raw_transforms):
-            tv = _validate_transform(v, t, f"config.transforms[{i}]", spec)
-            if tv is not None:
-                transforms.append(tv)
-    v.raise_if_failed()
-
-    model = build_model(spec)
-    loss = make_loss(loss_nv[0], **loss_nv[1])
-    built = [build_transform(n, p, model) for n, p in transforms]
-    th0 = model.init_params if theta0 == "init" else np.asarray(theta0, dtype=float)
-    trajectory = dyn.gradient_flow(model, loss, th0, T=float(T), dt=float(dt),
-                                   chargelist=built)
-    theta_star = trajectory.states[-1]
+    model, loss, built, trajectory, tolerances = _gradient_flow(cfg, transforms_required=True)
     report = ic.stationary_null_count(
-        model, loss, built, theta_star,
+        model, loss, built, trajectory.states[-1],
         eps_stat=float(tolerances.get("eps_stat", 1e-8)),
         null_tol=float(tolerances.get("null_tol", 1e-7)),
         rank_tol=float(tolerances.get("rank_tol", 1e-8)),
@@ -590,10 +564,14 @@ def _print_catalog(as_json: bool, needle: Optional[str]) -> None:
     if rows:
         lines.append("transforms:")
         lines += [f"  {k:<24} {v}" for k, v in rows]
-    rows = [(k, v) for k, v in data["checks"].items() if keep("checks", k)]
+    plan_rows = {row.function: row for row in ic.CHECK_REGISTRY.values()}
+    rows = [(k, v, plan_rows.get(k)) for k, v in data["checks"].items()
+            if keep("checks", k) or (k in plan_rows and keep("checks", plan_rows[k].name))]
     if rows:
-        lines.append("checks:")
-        lines += [f"  {k} ⇠ {v}" for k, v in rows]
+        lines.append("checks (plan name, check ⇠ anchor, needs):")
+        lines += [f"  {row.name if row else '-':<17} {k + ' ⇠ ' + v:<48} "
+                  f"[{row.requires if row else 'stationary_spectrum experiment'}]"
+                  for k, v, row in rows]
     print("\n".join(lines) if lines else "(no catalog entries match)")
 
 

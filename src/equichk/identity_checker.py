@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -41,13 +39,13 @@ from .errors import (
     NotFixedPoint,
     NotGoodPosition,
     SizeMismatch,
-    UnknownSpec,
 )
 from .models import Loss, Model, ModelSpec, build_model, forward, make_loss, random_params
 from .spectral import SpectralSummary, spectral_summary
 from .tensor_core import Tensor, compose, compose_k, from_array, invert_square
 from .transforms import (
     Transformation,
+    _lam_vec,
     build_transform,
     characteristic_direction,
     characteristic_output,
@@ -60,6 +58,8 @@ __all__ = [
     "DEFAULT_TOL_EXACT",
     "DEFAULT_TOL_FD",
     "CHECK_ANCHORS",
+    "CHECK_REGISTRY",
+    "PlanCheck",
     "IdentityReport",
     "LandscapeEval",
     "evaluate_landscape",
@@ -77,6 +77,7 @@ __all__ = [
     "sample_positions",
     "PlanEntry",
     "SuiteSpec",
+    "entry_misfits",
     "run_suite",
     "default_suite",
     "write_reports_jsonl",
@@ -89,20 +90,79 @@ DEFAULT_TOL_FD = 1e-4
 _FLOOR = 1e-12
 _AGREE_TOL = 1e-12  # internal dual-formulation agreement (term dropping, mirror)
 
-#: public check entry points and the statement each one exercises
-CHECK_ANCHORS = {
-    "check_first_order": "Thm 1 (i)",
-    "check_second_action": "Thm 1 (ii)",
-    "check_second_quadratic": "Thm 1 (iii)",
-    "check_homogeneity_specialization": "Eq. (6)/(7)",
-    "check_eigen_alignment": "Cor. 1",
-    "sharpness_bound": "§5.1",
-    "check_discrete_first": "Thm 2 (i')",
-    "check_discrete_second": "Thm 2 (ii')",
-    "check_mirror": "Cor. 4",
-    "check_last_layer_alignment": "Cor. 3",
-    "stationary_null_count": "§5.4",
+
+# ---------------------------------------------------------------------------
+# the check registry: one row per check a plan entry can list
+# ---------------------------------------------------------------------------
+
+#: what a row needs from its entry, keyed by the phrase a misfit reports
+_REQUIREMENTS: Dict[str, Callable[["PlanEntry", Model, Optional[Transformation]], bool]] = {
+    "continuous transform": lambda e, m, t: t is not None and t.kind == "continuous",
+    "discrete transform": lambda e, m, t: t is not None and t.kind == "discrete",
+    "mirror transform": lambda e, m, t: e.transform == "mirror",
+    # the scalar specializations also need positions clear of l' = 0
+    "scalar homogeneous head": lambda e, m, t: m.c == 1 and m.homogeneity_degree is not None,
+    "factored last layer": lambda e, m, t: m.last_layer_block is not None and m.feature_fn is not None,
 }
+
+
+@dataclass(frozen=True)
+class _Point:
+    """One sampled position of a built plan entry; ``kw`` is for the check."""
+
+    entry: "PlanEntry"
+    model: Model
+    loss: Loss
+    transform: Optional[Transformation]
+    theta: np.ndarray
+    lam: Optional[np.ndarray]
+    seed: int
+    kw: dict
+
+
+@dataclass(frozen=True)
+class PlanCheck:
+    """One check a plan entry can name.  ``run`` calls the public check by its
+    module-level name, so whatever rebinds that name sees every call; it
+    returns one report, or a tuple of ``n_reports`` reports."""
+
+    name: str          # what a plan entry lists under "checks"
+    function: str      # the public check, and the check_name of its reports
+    anchor: str
+    requires: str      # a key of _REQUIREMENTS
+    run: Callable[[_Point], object] = field(repr=False)
+    n_reports: int = 1
+
+
+CHECK_REGISTRY: Dict[str, PlanCheck] = {row.name: row for row in (
+    PlanCheck("first_order", "check_first_order", "Thm 1 (i)", "continuous transform",
+              lambda p: check_first_order(p.model, p.loss, p.transform, p.theta, p.lam, **p.kw)),
+    PlanCheck("second_action", "check_second_action", "Thm 1 (ii)", "continuous transform",
+              lambda p: check_second_action(p.model, p.loss, p.transform, p.theta, p.lam, **p.kw)),
+    PlanCheck("second_quadratic", "check_second_quadratic", "Thm 1 (iii)", "continuous transform",
+              lambda p: check_second_quadratic(p.model, p.loss, p.transform, p.theta, p.lam, **p.kw)),
+    PlanCheck("homogeneity", "check_homogeneity_specialization", "Eq. (6)/(7)", "scalar homogeneous head",
+              lambda p: check_homogeneity_specialization(p.model, p.loss, p.theta, **p.kw),
+              n_reports=2),
+    PlanCheck("eigen_alignment", "check_eigen_alignment", "Cor. 1", "scalar homogeneous head",
+              lambda p: check_eigen_alignment(p.model, p.loss, p.theta, **p.kw)),
+    PlanCheck("sharpness", "sharpness_bound", "§5.1", "scalar homogeneous head",
+              lambda p: sharpness_bound(p.model, p.loss, p.theta, **p.kw)[2]),
+    PlanCheck("discrete_first", "check_discrete_first", "Thm 2 (i')", "discrete transform",
+              lambda p: check_discrete_first(p.model, p.loss, p.transform, p.theta, **p.kw)),
+    PlanCheck("discrete_second", "check_discrete_second", "Thm 2 (ii')", "discrete transform",
+              lambda p: check_discrete_second(p.model, p.loss, p.transform, p.theta, **p.kw)),
+    PlanCheck("mirror", "check_mirror", "Cor. 4", "mirror transform",
+              lambda p: check_mirror(p.model, p.loss, np.stack(p.entry.transform_params["columns"], axis=1),
+                                     p.theta, **p.kw)),
+    PlanCheck("last_layer", "check_last_layer_alignment", "Cor. 3", "factored last layer",
+              lambda p: check_last_layer_alignment(p.model, p.loss, p.theta, p.entry.trials,
+                                                   seed=p.seed ^ 0x5DEECE66D, **p.kw)),
+)}
+
+#: public check entry points and the statement each one exercises
+CHECK_ANCHORS = {row.function: row.anchor for row in CHECK_REGISTRY.values()}
+CHECK_ANCHORS["stationary_null_count"] = "§5.4"  # run by the stationary_spectrum experiment
 
 
 # ---------------------------------------------------------------------------
@@ -247,17 +307,6 @@ def evaluate_landscape(model: Model, loss: Loss, theta, config: Optional[de.Diff
     )
 
 
-def _lam_vector(t: Transformation, lam) -> np.ndarray:
-    if lam is None:
-        return np.zeros(t.p)
-    arr = np.asarray(lam, dtype=float).reshape(-1)
-    if arr.size == 1 and t.p != 1:
-        arr = np.full(t.p, float(arr[0]))
-    if arr.size != t.p:
-        raise SizeMismatch(f"lam has {arr.size} entries, transform {t.name} has p={t.p}")
-    return arr
-
-
 def _require_good_position(t: Transformation, theta, y, lam) -> None:
     rep = good_position(t, theta, y, lam)
     if not rep.ok:
@@ -292,7 +341,7 @@ def check_first_order(
     Y = characteristic_output(transform, ev.y, lam)
     lhs = compose(ev.grad, X).array
     rhs = compose(ev.gl, Y).array
-    ctx = _base_context(model, transform, _lam_vector(transform, lam), extra_context)
+    ctx = _base_context(model, transform, _lam_vec(transform, lam), extra_context)
     ctx["is_symmetry"] = transform.is_symmetry
     ctx["mode"] = cfg.mode
     return _report(
@@ -329,7 +378,7 @@ class _SecondOrder:
 
 
 def _second_order(ev: LandscapeEval, t: Transformation, lam) -> _SecondOrder:
-    lamv = _lam_vector(t, lam)
+    lamv = _lam_vec(t, lam)
     th, y = ev.theta, ev.y
     hinv = invert_square(from_array(t.dh_dtheta(lamv, th)))
     ginv = invert_square(from_array(t.dg_dy(lamv, y)))
@@ -424,7 +473,7 @@ def check_second_action(
     so = _second_order(ev, transform, lam)
     lhs = compose(ev.hess, so.X).array
     rhs, diag = _assemble_rhs(so.action, so.action_scales, transform.is_symmetry)
-    ctx = _base_context(model, transform, _lam_vector(transform, lam), extra_context)
+    ctx = _base_context(model, transform, _lam_vec(transform, lam), extra_context)
     ctx["is_symmetry"] = transform.is_symmetry
     ctx["mode"] = cfg.mode
     ctx.update(diag)
@@ -455,7 +504,7 @@ def check_second_quadratic(
     so = _second_order(ev, transform, lam)
     lhs = compose_k(compose(ev.hess, so.X), so.X, 2).array
     rhs, diag = _assemble_rhs(so.quad, so.quad_scales, transform.is_symmetry)
-    ctx = _base_context(model, transform, _lam_vector(transform, lam), extra_context)
+    ctx = _base_context(model, transform, _lam_vec(transform, lam), extra_context)
     ctx["is_symmetry"] = transform.is_symmetry
     ctx["mode"] = cfg.mode
     ctx.update(diag)
@@ -1081,20 +1130,6 @@ def sample_positions(
 # suite plans
 # ---------------------------------------------------------------------------
 
-_PLAN_CHECKS = (
-    "first_order",
-    "second_action",
-    "second_quadratic",
-    "homogeneity",
-    "eigen_alignment",
-    "sharpness",
-    "discrete_first",
-    "discrete_second",
-    "mirror",
-    "last_layer",
-)
-
-
 @dataclass(frozen=True)
 class PlanEntry:
     """One (model, loss, transform) configuration and the checks to run on it."""
@@ -1126,20 +1161,41 @@ def _entry_seed(plan: SuiteSpec, index: int, entry: PlanEntry) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0] % (2 ** 63))
 
 
-def _run_entry(plan: SuiteSpec, index: int, entry: PlanEntry) -> List[IdentityReport]:
-    unknown = [c for c in entry.checks if c not in _PLAN_CHECKS]
-    if unknown:
-        raise UnknownSpec(f"unknown checks in plan entry {index}: {unknown}")
+def _build_entry(entry: PlanEntry) -> Tuple[Model, Optional[Transformation]]:
     model = build_model(entry.model)
-    loss = make_loss(entry.loss, **dict(entry.loss_params))
     transform: Optional[Transformation] = None
     if entry.transform is not None:
         transform = build_transform(entry.transform, dict(entry.transform_params), model)
         if entry.mutation is not None:
             transform = mutate(transform, entry.mutation["callback"], float(entry.mutation["scale"]))
+    return model, transform
+
+
+def entry_misfits(entry: PlanEntry) -> List[Tuple[str, str]]:
+    """Every check or tolerance key of ``entry`` that its model and transform
+    cannot serve, as (path inside the entry, reason); empty when all fit."""
+    model, transform = _build_entry(entry)
+    known = ", ".join(CHECK_REGISTRY)
+    out: List[Tuple[str, str]] = []
+    for i, name in enumerate(entry.checks):
+        row = CHECK_REGISTRY.get(name)
+        if row is None:
+            out.append((f"checks[{i}]", f"unknown check {name!r} (known: {known})"))
+        elif not _REQUIREMENTS[row.requires](entry, model, transform):
+            out.append((f"checks[{i}]", f"{name} needs a {row.requires} "
+                        f"(model {model.name}, transform {entry.transform})"))
+    for key in entry.tolerances:
+        if key not in CHECK_REGISTRY:
+            out.append((f"tolerances.{key}", f"unknown check {key!r} (known: {known})"))
+    return out
+
+
+def _run_entry(plan: SuiteSpec, index: int, entry: PlanEntry) -> List[IdentityReport]:
+    model, transform = _build_entry(entry)
+    loss = make_loss(entry.loss, **dict(entry.loss_params))
+    rows = [CHECK_REGISTRY[c] for c in entry.checks]
     cfg = de.DiffConfig(mode=entry.mode)
     pos_seed = _entry_seed(plan, index, entry)
-    needs_nondeg = any(c in ("homogeneity", "eigen_alignment") for c in entry.checks)
     margin = entry.margin
     if entry.mode == "finite_difference" and model.kink_margin is not None:
         margin = max(margin, 1e-3)  # keep FD stencils clear of the kink set
@@ -1147,74 +1203,32 @@ def _run_entry(plan: SuiteSpec, index: int, entry: PlanEntry) -> List[IdentityRe
         model, loss, transform,
         count=entry.positions, seed=pos_seed,
         lam_scale=entry.lam_scale, margin=margin,
-        require_nondegenerate=needs_nondeg,
+        require_nondegenerate=any(r.requires == "scalar homogeneous head" for r in rows),
     )
-    tols = dict(entry.tolerances)
     reports: List[IdentityReport] = []
     for pos_idx, (th, lam) in enumerate(positions):
         base = {"theta_seed": pos_seed, "entry": index, "position": pos_idx}
-        for check in entry.checks:
-            tol = tols.get(check)
-            if check == "first_order":
-                reports.append(check_first_order(
-                    model, loss, transform, th, lam,
-                    config=cfg, tolerance=tol, extra_context=base))
-            elif check == "second_action":
-                reports.append(check_second_action(
-                    model, loss, transform, th, lam,
-                    config=cfg, tolerance=tol, extra_context=base))
-            elif check == "second_quadratic":
-                reports.append(check_second_quadratic(
-                    model, loss, transform, th, lam,
-                    config=cfg, tolerance=tol, extra_context=base))
-            elif check == "homogeneity":
-                reports.extend(check_homogeneity_specialization(
-                    model, loss, th, config=cfg, tolerance=tol, extra_context=base))
-            elif check == "eigen_alignment":
-                reports.append(check_eigen_alignment(
-                    model, loss, th, config=cfg, tolerance=tol, extra_context=base))
-            elif check == "sharpness":
-                reports.append(sharpness_bound(
-                    model, loss, th, config=cfg, tolerance=tol, extra_context=base)[2])
-            elif check == "discrete_first":
-                reports.append(check_discrete_first(
-                    model, loss, transform, th,
-                    config=cfg, tolerance=tol, extra_context=base))
-            elif check == "discrete_second":
-                reports.append(check_discrete_second(
-                    model, loss, transform, th,
-                    config=cfg, tolerance=tol, extra_context=base))
-            elif check == "mirror":
-                cols = (entry.transform_params or {}).get("columns")
-                if cols is None:
-                    raise InvalidParams("mirror check needs transform_params['columns']")
-                O = np.stack([np.asarray(c, dtype=float) for c in cols], axis=1)
-                reports.append(check_mirror(
-                    model, loss, O, th, config=cfg, tolerance=tol, extra_context=base))
-            elif check == "last_layer":
-                reports.append(check_last_layer_alignment(
-                    model, loss, th, entry.trials,
-                    seed=pos_seed ^ 0x5DEECE66D, config=cfg, tolerance=tol,
-                    extra_context=base))
+        for row in rows:
+            kw = {"config": cfg, "tolerance": entry.tolerances.get(row.name), "extra_context": base}
+            out = row.run(_Point(entry, model, loss, transform, th, lam, pos_seed, kw))
+            reports.extend(out if row.n_reports > 1 else (out,))
     return reports
 
 
 def run_suite(plan: SuiteSpec) -> List[IdentityReport]:
     """Run every entry of the plan and merge reports in plan order.
 
-    Entries are independent, so they may fan out over threads
-    (``EQUICHK_THREADS``); the merge order never depends on scheduling.
+    Every entry is held against the check registry first, so a check that
+    does not fit its entry raises InvalidParams before anything is sampled.
     """
-    workers = int(os.environ.get("EQUICHK_THREADS", "1") or "1")
-    indexed = list(enumerate(plan.entries))
-    if workers > 1 and len(indexed) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda pair: _run_entry(plan, pair[0], pair[1]), indexed))
-    else:
-        chunks = [_run_entry(plan, i, e) for i, e in indexed]
+    for index, entry in enumerate(plan.entries):
+        misfits = entry_misfits(entry)
+        if misfits:
+            raise InvalidParams(f"plan entry {index}: "
+                                + "; ".join(f"{where}: {why}" for where, why in misfits))
     reports: List[IdentityReport] = []
-    for chunk in chunks:
-        reports.extend(chunk)
+    for index, entry in enumerate(plan.entries):
+        reports.extend(_run_entry(plan, index, entry))
     return reports
 
 

@@ -74,6 +74,7 @@ __all__ = [
     "equivariance_residual",
     "fixed_point_project",
     "noether_charge",
+    "MUTABLE_CALLBACKS",
     "mutate",
 ]
 
@@ -630,15 +631,18 @@ def noether_charge(t: Transformation) -> Charge:
     return t.charge
 
 
+#: the derivative callbacks ``mutate`` can scale
+MUTABLE_CALLBACKS = (
+    "dh_dtheta", "dh_dlambda", "d2h_dtheta2", "d2h_dlambda_dtheta",
+    "d2h_dlambda2", "dg_dy", "dg_dlambda", "d2g_dy2", "d2g_dlambda_dy",
+    "d2g_dlambda2",
+)
+
+
 def mutate(t: Transformation, callback_name: str, scale: float) -> Transformation:
     """Return a copy with one derivative callback scaled — a deliberately
     inconsistent transformation used to confirm the checks have teeth."""
-    mutable = (
-        "dh_dtheta", "dh_dlambda", "d2h_dtheta2", "d2h_dlambda_dtheta",
-        "d2h_dlambda2", "dg_dy", "dg_dlambda", "d2g_dy2", "d2g_dlambda_dy",
-        "d2g_dlambda2",
-    )
-    if callback_name not in mutable:
+    if callback_name not in MUTABLE_CALLBACKS:
         raise UnknownSpec(f"unknown derivative callback {callback_name!r}")
     orig = getattr(t, callback_name)
 

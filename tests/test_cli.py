@@ -48,6 +48,7 @@ def test_catalog_text_lists_checks_with_anchors(capsys):
     assert cli.main(["catalog"]) == 0
     out = capsys.readouterr().out
     assert "check_first_order ⇠ Thm 1 (i)" in out
+    assert "\n  first_order " in out  # the name a plan entry lists
     assert "models:" in out and "transforms:" in out
     assert "homogeneous_relu_mlp" in out and "layer_rescaling" in out
 
@@ -103,6 +104,50 @@ def test_run_unknown_keys_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "config.frobnicate" in err and "config.plan[0].modle" in err
+
+
+def _misfit(model, loss, transform, checks, **extra):
+    entry = {"model": model, "loss": loss, "checks": checks, "positions": 1, **extra}
+    if transform is not None:
+        entry["transform"] = transform
+    return entry
+
+
+_PROBE = {"name": "linear_probe", "params": {"x": [1.0, 2.0]}, "seed": 21}
+_PROBE_LOSS = {"name": "square", "params": {"target": 2.0}}
+_SCALING = {"name": "homogeneity_scaling", "params": {}}
+_DL121 = {"name": "deep_linear", "params": {"widths": [1, 2, 1]}, "seed": 22}
+_SQUARE = {"name": "square", "params": {"target": 0.3}}
+
+
+@pytest.mark.parametrize("entry, where", [
+    (_misfit(_DL121, _SQUARE, {"name": "sign_flip", "params": {"indices": [0, 2]}},
+             ["first_order"]), "checks[0]"),
+    (_misfit(_PROBE, _PROBE_LOSS, _SCALING, ["first_order", "discrete_first"]), "checks[1]"),
+    (_misfit({"name": "homogeneous_relu_mlp", "params": {"widths": [2, 3, 2]}, "seed": 14},
+             {"name": "square", "params": {"target": [0.3, -0.4]}}, _SCALING,
+             ["homogeneity"]), "checks[0]"),
+    (_misfit(_PROBE, _PROBE_LOSS, None, ["first_order"]), "checks[0]"),
+    (_misfit(_DL121, _SQUARE, {"name": "layer_rescaling", "params": {"blocks": ["W1", "W2"]}},
+             ["first_order", "last_layer"]), "checks[1]"),
+    (_misfit({"name": "homogeneous_relu_mlp", "params": {"widths": [2, 2, 1]}, "seed": 23},
+             {"name": "square", "params": {"target": 0.5}},
+             {"name": "permutation", "params": {"perm": [2, 3, 0, 1, 5, 4]}},
+             ["discrete_first", "mirror"]), "checks[1]"),
+    (_misfit(_PROBE, _PROBE_LOSS, _SCALING, ["first_order"],
+             tolerances={"first_ordr": 1e-30}), "tolerances.first_ordr"),
+    (_misfit(_PROBE, _PROBE_LOSS, _SCALING, ["first_order"],
+             mutation={"callback": "dh_dlambdaa", "scale": 1.01}), "mutation.callback"),
+    (_misfit(_PROBE, _PROBE_LOSS, _SCALING, ["first_order"],
+             mutation={"callback": "dh_dlambda", "scale": "big"}), "mutation.scale"),
+], ids=["first_order+sign_flip", "discrete_first+scaling", "homogeneity+vector_head",
+        "first_order+no_transform", "last_layer+deep_linear", "mirror+permutation",
+        "tolerance_key_typo", "mutation_callback_typo", "mutation_scale_not_number"])
+def test_run_misfit_entry_exit_2_before_sampling(tmp_path, capsys, entry, where):
+    cfg = {"experiment": "check_suite", "output_dir": str(tmp_path / "out"), "plan": [entry]}
+    assert cli.main(["run", str(_write(tmp_path, "misfit.json", cfg))]) == 2
+    assert f"config.plan[0].{where}:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "reports.jsonl").exists()
 
 
 def test_run_invalid_json_exit_2(tmp_path, capsys):
@@ -194,17 +239,6 @@ def test_reports_byte_identical_across_runs(tmp_path, capsys):
     assert cli.main(["run", str(cfg)]) == 0
     for f, blob in first.items():
         assert (tmp_path / "out" / f).read_bytes() == blob
-    capsys.readouterr()
-
-
-def test_thread_env_does_not_change_reports(tmp_path, capsys, monkeypatch):
-    cfg = _write(tmp_path, "suite.json", _suite_cfg(tmp_path / "out"))
-    monkeypatch.delenv("EQUICHK_THREADS", raising=False)
-    cli.main(["run", str(cfg)])
-    serial = (tmp_path / "out" / "reports.jsonl").read_bytes()
-    monkeypatch.setenv("EQUICHK_THREADS", "4")
-    cli.main(["run", str(cfg)])
-    assert (tmp_path / "out" / "reports.jsonl").read_bytes() == serial
     capsys.readouterr()
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import equichk.diff_engine as de
+import equichk.identity_checker as ic
 from equichk.errors import (
     DegenerateLoss,
     InvalidParams,
@@ -29,6 +30,7 @@ from equichk.identity_checker import (
     check_second_action,
     check_second_quadratic,
     default_suite,
+    entry_misfits,
     evaluate_landscape,
     run_suite,
     sample_positions,
@@ -240,13 +242,20 @@ def test_default_suite_all_pass_and_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_run_suite_thread_fanout_matches_serial(monkeypatch, tmp_path):
-    plan = default_suite(master_seed=7, positions=1)
-    monkeypatch.delenv("EQUICHK_THREADS", raising=False)
-    serial = run_suite(plan)
-    monkeypatch.setenv("EQUICHK_THREADS", "4")
-    threaded = run_suite(plan)
-    assert [r.to_json_dict() for r in serial] == [r.to_json_dict() for r in threaded]
+def test_run_suite_rejects_misfit_entry_before_sampling(monkeypatch):
+    sampled = []
+    monkeypatch.setattr(ic, "sample_positions", lambda *a, **k: sampled.append(a) or [])
+    good = default_suite(positions=1).entries
+    assert all(entry_misfits(e) == [] for e in good)
+    misfit = PlanEntry(
+        model=ModelSpec("deep_linear", {"widths": [1, 2, 1]}, seed=22),
+        loss="square", loss_params={"target": 0.3},
+        transform="sign_flip", transform_params={"indices": [0, 2]},
+        checks=("discrete_first", "first_order"),
+    )
+    with pytest.raises(InvalidParams, match=r"plan entry 14: checks\[1\]: first_order needs"):
+        run_suite(SuiteSpec(entries=good + (misfit,)))
+    assert sampled == []
 
 
 def test_mutated_entry_fails(relu_mlp):
