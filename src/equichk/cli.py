@@ -177,16 +177,40 @@ def _validate_transform(v: _V, obj, path: str, model_spec: Optional[ModelSpec]):
     return name, params
 
 
-def _validate_theta0(v: _V, obj, path: str, key: str = "theta0"):
-    if key not in obj:
-        return "init"
-    val = obj[key]
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_number_list(val) -> bool:
+    return isinstance(val, list) and all(_is_number(x) for x in val)
+
+
+def _validate_theta0(v: _V, obj, path: str, spec: Optional[ModelSpec]):
+    val = obj.get("theta0", "init")
     if val == "init":
         return "init"
-    if isinstance(val, list) and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in val):
-        return [float(x) for x in val]
-    v.fail(f"{path}.{key}", 'expected "init" or a list of numbers')
-    return "init"
+    if not _is_number_list(val):
+        v.fail(f"{path}.theta0", 'expected "init" or a list of numbers')
+        return "init"
+    d = build_model(spec).d if spec is not None else len(val)
+    if len(val) != d:
+        v.fail(f"{path}.theta0", f"expected {d} numbers (the model's d), got {len(val)}")
+    return [float(x) for x in val]
+
+
+def _validate_tolerances(v: _V, obj, path: str, known: Sequence[str]) -> dict:
+    """A ``tolerances`` object whose keys are in ``known`` and whose values
+    are positive numbers."""
+    tolerances = obj.get("tolerances", {})
+    if not isinstance(tolerances, dict):
+        v.fail(f"{path}.tolerances", "expected an object")
+        return {}
+    for key in tolerances:
+        if key not in known:
+            v.fail(f"{path}.tolerances.{key}", f"unknown tolerance (known: {', '.join(known)})")
+        else:
+            v.number(tolerances, f"{path}.tolerances", key, positive=True)
+    return tolerances
 
 
 _ENTRY_KEYS = (
@@ -257,10 +281,23 @@ def _validate_dataset(v: _V, obj, path: str) -> Optional[Dataset]:
         if not (isinstance(s, dict) and set(s) == {"x", "target"}):
             v.fail(f"{path}.samples[{i}]", 'expected {"x": [...], "target": ...}')
             return None
+        if not _is_number_list(s["x"]):
+            v.fail(f"{path}.samples[{i}].x", "expected a list of numbers")
+            return None
         samples.append((np.asarray(s["x"], dtype=float), s["target"]))
+    weights = obj.get("weights")
+    if weights is not None:
+        if not (isinstance(weights, list) and len(weights) == len(samples)):
+            v.fail(f"{path}.weights", f"expected a list of {len(samples)} numbers, one per sample")
+            return None
+        bad = [i for i, w in enumerate(weights) if not _is_number(w)]
+        for i in bad:
+            v.fail(f"{path}.weights[{i}]", f"expected a number, got {type(weights[i]).__name__}")
+        if bad:
+            return None
     try:
-        if "weights" in obj:
-            return Dataset(samples=tuple(samples), weights=tuple(float(w) for w in obj["weights"]))
+        if weights is not None:
+            return Dataset(samples=tuple(samples), weights=tuple(float(w) for w in weights))
         return Dataset.equal_weight(tuple(samples))
     except EquichkError as exc:
         v.fail(path, str(exc))
@@ -301,9 +338,10 @@ def _synthetic_report(check_name: str, anchor: str, rel: float, tol: float,
     )
 
 
-def _gradient_flow(cfg: dict, transforms_required: bool):
+def _gradient_flow(cfg: dict, transforms_required: bool, tolerance_keys: Sequence[str]):
     """Validate a flow or stationary_spectrum config and integrate its
-    gradient flow; returns (model, loss, transforms, trajectory, tolerances)."""
+    gradient flow; returns (model, loss, transforms, trajectory, tolerances).
+    ``tolerance_keys`` are the keys its ``tolerances`` object may set."""
     v = _V()
     v.keys(cfg, "config",
            ("experiment", "output_dir", "model", "loss", "transforms",
@@ -315,11 +353,8 @@ def _gradient_flow(cfg: dict, transforms_required: bool):
     v.keys(dyn_obj, "config.dynamics", ("T", "dt"), ("T", "dt"))
     T = v.number(dyn_obj, "config.dynamics", "T", positive=True, default=1.0)
     dt = v.number(dyn_obj, "config.dynamics", "dt", positive=True, default=0.01)
-    theta0 = _validate_theta0(v, cfg, "config")
-    tolerances = cfg.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        v.fail("config.tolerances", "expected an object")
-        tolerances = {}
+    theta0 = _validate_theta0(v, cfg, "config", spec)
+    tolerances = _validate_tolerances(v, cfg, "config", tolerance_keys)
     transforms = []
     raw_transforms = cfg.get("transforms", [])
     if not isinstance(raw_transforms, list) or (transforms_required and not raw_transforms):
@@ -342,7 +377,8 @@ def _gradient_flow(cfg: dict, transforms_required: bool):
 
 
 def _run_flow(cfg: dict, out_dir: str) -> Tuple[List[ic.IdentityReport], List[str]]:
-    model, loss, _, trajectory, tolerances = _gradient_flow(cfg, transforms_required=False)
+    model, loss, _, trajectory, tolerances = _gradient_flow(
+        cfg, transforms_required=False, tolerance_keys=("charge_drift", "euler_relation"))
     T, dt = float(cfg["dynamics"]["T"]), float(cfg["dynamics"]["dt"])
     reports: List[ic.IdentityReport] = []
     drift_tol = float(tolerances.get("charge_drift", 1e-8))
@@ -392,7 +428,7 @@ def _run_sgf_drift(cfg: dict, out_dir: str) -> Tuple[List[ic.IdentityReport], Li
     mode = noise_obj.get("mode")
     if mode not in ("exact_sde", "minibatch"):
         v.fail("config.noise.mode", f'expected "exact_sde" or "minibatch", got {mode!r}')
-    theta0 = _validate_theta0(v, cfg, "config")
+    theta0 = _validate_theta0(v, cfg, "config", spec)
     n_save = v.number(cfg, "config", "save_trajectories", integer=True, nonneg=True, default=8)
     v.raise_if_failed()
 
@@ -424,7 +460,8 @@ def _run_sgf_drift(cfg: dict, out_dir: str) -> Tuple[List[ic.IdentityReport], Li
 
 
 def _run_stationary(cfg: dict, out_dir: str) -> Tuple[List[ic.IdentityReport], List[str]]:
-    model, loss, built, trajectory, tolerances = _gradient_flow(cfg, transforms_required=True)
+    model, loss, built, trajectory, tolerances = _gradient_flow(
+        cfg, transforms_required=True, tolerance_keys=("eps_stat", "null_tol", "rank_tol"))
     report = ic.stationary_null_count(
         model, loss, built, trajectory.states[-1],
         eps_stat=float(tolerances.get("eps_stat", 1e-8)),

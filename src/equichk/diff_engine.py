@@ -10,10 +10,13 @@ Propagating ``e1 = u``, ``e2 = w`` through a twice-differentiable map f gives
     f(x).d12 = D^2 f(v)[u, w]    (exact mixed second derivative)
 
 with no truncation error -- the only inaccuracy is ordinary rounding.  Full
-gradients and Hessians are directional sweeps over basis directions: the
-implementation batches the ``e1`` direction (one map evaluation yields all
-d first-order directions), so a full Hessian costs d evaluations each
-carrying d directions, i.e. the usual O(d^2) directional pairs.
+gradients and Hessians are directional sweeps over basis directions, seeded
+all at once: a gradient seeds every ``e1`` direction in one leading axis, and
+a Hessian additionally seeds every ``e2`` direction in a second leading axis,
+so one map evaluation carries all d^2 directional pairs.  Seeds (and
+finite-difference stencils) are walked in blocks under a fixed byte budget,
+``_BLOCK_BYTES``, fixed before anything is allocated; at catalog sizes every
+sweep is a single block, i.e. a single map evaluation.
 
 Components may be scalars or numpy arrays of any broadcast-compatible shape;
 scalar zeros are kept as plain ``0.0`` and short-circuited, so unused
@@ -23,9 +26,10 @@ which accept both plain arrays and hyper-duals -- the same model code is then
 exercised by the exact engine and by the finite-difference oracle.
 
 The finite-difference oracle uses central differences with per-coordinate
-step ``h_i = fd_step_scale * max(1, |x_i|) * eps**(1/3)``.  It exists to
-cross-check the exact engine and to drive every identity check in
-``finite_difference`` mode.
+step ``h_i = fd_step_scale * max(1, |x_i|) * eps**(1/p)`` (p = 3 for first,
+p = 4 for second derivatives), every stencil point stacked into one batched
+map evaluation.  It exists to cross-check the exact engine and to drive every
+identity check in ``finite_difference`` mode.
 
 Convention note: ReLU is differentiated with ``relu'(0) = 0`` and
 ``relu'' = 0`` everywhere; checks sample points away from the kink.
@@ -63,6 +67,10 @@ __all__ = [
 ]
 
 _MODES = ("exact", "finite_difference")
+
+#: bytes one seed or stencil block of a batched sweep may take; sweeps split
+#: their directions or points into blocks of this size before allocating
+_BLOCK_BYTES = 64 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -413,30 +421,61 @@ def jacobian(map_fn: Callable, point, config: Optional[DiffConfig] = None) -> Te
     return from_array(jac)
 
 
+def _blocks(n: int, item_bytes: int):
+    """Consecutive slices of ``range(n)``, each holding as many items of
+    ``item_bytes`` as fit in ``_BLOCK_BYTES`` (at least one)."""
+    step = max(1, _BLOCK_BYTES // item_bytes)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
 def second_derivative(map_fn: Callable, point, config: Optional[DiffConfig] = None) -> Tensor:
     """Second-derivative tensor, shape ``(d, d, *s)``, symmetric in the two
-    leading axes.  One batched evaluation per basis direction of the second
-    perturbation slot."""
+    leading axes.
+
+    The seed carries every first-slot direction along axis 1 and every
+    second-slot direction along axis 0 (``d1 = I[None]``, ``d2 = I[:, None]``),
+    so one map evaluation returns the whole tensor.  Second-slot directions
+    are split into blocks of ``_BLOCK_BYTES`` (a d x d seed product each), one
+    evaluation per block; at catalog sizes that is a single evaluation.
+    """
     cfg = config or _DEFAULT
     x = _as_point(point)
     if cfg.mode == "finite_difference":
         return fd_oracle(map_fn, x, 2, cfg)
     d = x.size
     eye = np.eye(d)
-    rows = []
-    out_shape = None
-    for j in range(d):
-        seed = HyperDual(x, d1=eye, d2=eye[j])
-        out = map_fn(seed)
-        if not isinstance(out, HyperDual):
-            out_shape = np.shape(np.asarray(out))
-            rows.append(np.zeros((d,) + out_shape))
-            continue
-        out_shape = np.shape(np.asarray(out.value))
-        rows.append(_normalize(out.d12, (d,), out_shape))
-    hess = np.stack(rows, axis=0)
+    parts = []
+    for blk in _blocks(d, 8 * d * d):
+        out = map_fn(HyperDual(x, d1=eye[None, :, :], d2=eye[blk, None, :]))
+        lead = (blk.stop - blk.start, d)
+        if not isinstance(out, HyperDual):  # constant map
+            parts.append(np.zeros(lead + np.shape(np.asarray(out))))
+        else:
+            parts.append(_normalize(out.d12, lead, np.shape(np.asarray(out.value))))
+    hess = np.concatenate(parts, axis=0)
     _check_finite(hess, "second-derivative sweep")
     return from_array(hess)
+
+
+def _stencil(order: int, d: int):
+    """Central-difference stencil as per-point offsets: coordinate ``a`` moves
+    by ``sa * h_a`` and coordinate ``b`` by ``sb * h_b`` (index -1: no move).
+
+    Order 1: ``+e_i`` then ``-e_i`` for every i.  Order 2: the centre, ``+e_i``,
+    ``-e_i``, then ``++``, ``+-``, ``-+``, ``--`` over every pair i < j.
+    """
+    idx = np.arange(d)
+    one = np.ones(d)
+    if order == 1:
+        none = np.full(2 * d, -1)
+        return np.concatenate([idx, idx]), np.concatenate([one, -one]), none, np.zeros(2 * d)
+    i, j = np.triu_indices(d, 1)
+    plus, minus, off = np.ones(i.size), -np.ones(i.size), np.full(2 * d + 1, -1)
+    a = np.concatenate([[-1], idx, idx, i, i, i, i])
+    sa = np.concatenate([[0.0], one, -one, plus, plus, minus, minus])
+    b = np.concatenate([off, j, j, j, j])
+    sb = np.concatenate([np.zeros(2 * d + 1), plus, minus, plus, minus])
+    return a, sa, b, sb
 
 
 def fd_oracle(map_fn: Callable, point, order: int, config: Optional[DiffConfig] = None) -> Tensor:
@@ -446,6 +485,12 @@ def fd_oracle(map_fn: Callable, point, order: int, config: Optional[DiffConfig] 
     p = 3 for first and p = 4 for second derivatives — the classical
     truncation/rounding balance for each order (a cube-root step on a second
     difference lets eps/h^2 rounding dominate at ~1e-5).
+
+    Every stencil point is stacked into one ``(n, d)`` batch and the map is
+    evaluated once on it (once per ``_BLOCK_BYTES`` block of points for large
+    d), so ``map_fn`` must accept leading batch axes, as the exact sweeps'
+    hyper-dual seeds already require.  The differences are then combined in
+    the same order of arithmetic as a point-by-point stencil.
     """
     cfg = config or _DEFAULT
     x = _as_point(point)
@@ -455,31 +500,30 @@ def fd_oracle(map_fn: Callable, point, order: int, config: Optional[DiffConfig] 
     exponent = 1.0 / 3.0 if order == 1 else 0.25
     h = cfg.fd_step_scale * np.maximum(1.0, np.abs(x)) * np.finfo(float).eps ** exponent
 
-    def ev(p: np.ndarray) -> np.ndarray:
-        return np.asarray(map_fn(p), dtype=float)
+    a, sa, b, sb = _stencil(order, d)
+    values = []
+    for blk in _blocks(a.size, 8 * d):
+        pts = np.tile(x, (blk.stop - blk.start, 1))
+        rows = np.arange(pts.shape[0])
+        for coord, sign in ((a[blk], sa[blk]), (b[blk], sb[blk])):
+            on = coord >= 0
+            pts[rows[on], coord[on]] += sign[on] * h[coord[on]]
+        values.append(np.asarray(map_fn(pts), dtype=float))
+    f = np.concatenate(values, axis=0)
+    tail = (slice(None),) + (None,) * (f.ndim - 1)   # broadcast steps over the output
 
     if order == 1:
-        cols = []
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = h[i]
-            cols.append((ev(x + e) - ev(x - e)) / (2.0 * h[i]))
-        out = np.stack(cols, axis=0)
-    elif order == 2:
-        f0 = ev(x)
+        out = (f[:d] - f[d:]) / (2.0 * h)[tail]
+    else:
+        f0, fp, fm = f[0], f[1:d + 1], f[d + 1:2 * d + 1]
         out = np.zeros((d, d) + f0.shape)
-        for i in range(d):
-            ei = np.zeros(d)
-            ei[i] = h[i]
-            out[i, i] = (ev(x + ei) - 2.0 * f0 + ev(x - ei)) / (h[i] * h[i])
-            for j in range(i + 1, d):
-                ej = np.zeros(d)
-                ej[j] = h[j]
-                mixed = (
-                    ev(x + ei + ej) - ev(x + ei - ej) - ev(x - ei + ej) + ev(x - ei - ej)
-                ) / (4.0 * h[i] * h[j])
-                out[i, j] = mixed
-                out[j, i] = mixed
+        diag = np.arange(d)
+        out[diag, diag] = (fp - 2.0 * f0 + fm) / (h * h)[tail]
+        i, j = np.triu_indices(d, 1)
+        fpp, fpm, fmp, fmm = np.split(f[2 * d + 1:], 4)
+        mixed = (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])[tail]
+        out[i, j] = mixed
+        out[j, i] = mixed
     _check_finite(out, "finite-difference sweep")
     return from_array(out)
 
@@ -515,21 +559,26 @@ def grad_and_hessian_of_loss(
     hess = second_derivative(composite, x, cfg)
 
     if check_assembly:
-        jac_f = jacobian(model.func, x, cfg)
-        hess_f = second_derivative(model.func, x, cfg)
         y = np.asarray(model.func(x), dtype=float)
-        gl = from_array(loss.grad(y))
-        hl = from_array(loss.hess(y))
-        gauss_newton = tensor_core.compose_k(tensor_core.compose(hl, jac_f), jac_f, 2)
-        assembled = gauss_newton + tensor_core.compose(gl, hess_f)
-        scale = max(hess.norm(), assembled.norm(), 1e-12)
-        tol = 1e-10 if cfg.mode == "exact" else 1e-4
-        gap = (hess - assembled).norm() / scale
-        if gap > tol:
-            raise CheckFailure(
-                f"hessian assembly self-check failed: relative gap {gap:.3e} > {tol:g}"
-            )
+        _check_assembly(hess, jacobian(model.func, x, cfg), second_derivative(model.func, x, cfg),
+                        from_array(loss.grad(y)), from_array(loss.hess(y)), cfg.mode)
     return value, grad, hess
+
+
+def _check_assembly(hess: Tensor, jac_f: Tensor, hess_f: Tensor, gl: Tensor, hl: Tensor,
+                    mode: str) -> None:
+    """Hold the composite Hessian against its chain/product-rule assembly
+    from the model derivatives and the analytic loss derivatives; raises
+    :class:`CheckFailure` past 1e-10 relative (exact) or 1e-4 (FD)."""
+    gauss_newton = tensor_core.compose_k(tensor_core.compose(hl, jac_f), jac_f, 2)
+    assembled = gauss_newton + tensor_core.compose(gl, hess_f)
+    scale = max(hess.norm(), assembled.norm(), 1e-12)
+    tol = 1e-10 if mode == "exact" else 1e-4
+    gap = (hess - assembled).norm() / scale
+    if gap > tol:
+        raise CheckFailure(
+            f"hessian assembly self-check failed: relative gap {gap:.3e} > {tol:g}"
+        )
 
 
 # --- batched sweeps for dynamics ------------------------------------------------

@@ -17,7 +17,11 @@ whole blocks); a literal computed-norm denominator would degenerate to the
 Landscape quantities (gradient, Hessian, loss derivatives) are always taken
 at the base point; transformation tensors are taken at (theta, lam).  The
 identities hold at every good position, so lam defaults to 0 but any vector
-within the good region is accepted.
+within the good region is accepted.  A check handed ``landscape=`` (one
+:func:`evaluate_landscape` result at the same theta and mode) uses it instead
+of evaluating its own; ``run_suite`` evaluates one landscape per position and
+shares it among that position's checks.  Every precondition still runs inside
+each check.
 """
 
 from __future__ import annotations
@@ -270,12 +274,14 @@ def _base_context(model: Model, transform: Optional[Transformation], lam, extra)
 
 @dataclass(frozen=True)
 class LandscapeEval:
-    """All base-point landscape quantities one identity check needs.
+    """All base-point landscape quantities the identity checks need.
 
-    ``grad``/``hess`` come from differentiating the composite loss directly
-    (with the assembly self-check enabled); ``jac_f``/``hess_f`` and the
-    analytic loss derivatives feed the right-hand sides, so the two sides of
-    every identity travel through independent code paths.
+    ``grad``/``hess`` come from differentiating the composite loss directly;
+    ``jac_f``/``hess_f`` and the analytic loss derivatives feed the
+    right-hand sides, so the two sides of every identity travel through
+    independent code paths.  The same ``jac_f``/``hess_f`` also feed the
+    Hessian assembly self-check.  One evaluation serves every check at a
+    position: the checks take it as ``landscape=``.
     """
 
     theta: np.ndarray      # (d,)
@@ -296,15 +302,31 @@ def evaluate_landscape(model: Model, loss: Loss, theta, config: Optional[de.Diff
     if th.size != model.d:
         raise SizeMismatch(f"theta has {th.size} entries, model {model.name} wants {model.d}")
     y = forward(model, th).array
-    value, grad, hess = de.grad_and_hessian_of_loss(model, loss, th, cfg)
+    value, grad, hess = de.grad_and_hessian_of_loss(model, loss, th, cfg, check_assembly=False)
     jac_f = de.jacobian(model.func, th, cfg)
     hess_f = de.second_derivative(model.func, th, cfg)
     gl = from_array(loss.grad(y))
     hl = from_array(loss.hess(y))
+    de._check_assembly(hess, jac_f, hess_f, gl, hl, cfg.mode)
     return LandscapeEval(
         theta=th, y=y, value=value, jac_f=jac_f, hess_f=hess_f,
         gl=gl, hl=hl, grad=grad, hess=hess, mode=cfg.mode,
     )
+
+
+def _landscape(model: Model, loss: Loss, theta, cfg: de.DiffConfig,
+               landscape: Optional[LandscapeEval]) -> LandscapeEval:
+    """``landscape`` if it was evaluated at ``theta`` in ``cfg``'s mode, else
+    a fresh evaluation; a landscape from elsewhere raises InvalidParams."""
+    if landscape is None:
+        return evaluate_landscape(model, loss, theta, cfg)
+    th = np.asarray(theta, dtype=float).reshape(-1)
+    if landscape.mode != cfg.mode or not np.array_equal(landscape.theta, th):
+        raise InvalidParams(
+            f"landscape was evaluated in {landscape.mode} mode at another point than "
+            f"this {cfg.mode} check's theta"
+        )
+    return landscape
 
 
 def _require_good_position(t: Transformation, theta, y, lam) -> None:
@@ -327,6 +349,7 @@ def check_first_order(
     config: Optional[de.DiffConfig] = None,
     tolerance: Optional[float] = None,
     extra_context: Optional[Mapping] = None,
+    landscape: Optional[LandscapeEval] = None,
 ) -> IdentityReport:
     """grad L along the characteristic direction equals grad l along Y.
 
@@ -335,7 +358,7 @@ def check_first_order(
     parameter motion, <gradL, X> = 0.
     """
     cfg = config or de.DiffConfig()
-    ev = evaluate_landscape(model, loss, theta, cfg)
+    ev = _landscape(model, loss, theta, cfg, landscape)
     _require_good_position(transform, ev.theta, ev.y, lam)
     X = characteristic_direction(transform, ev.theta, lam)
     Y = characteristic_output(transform, ev.y, lam)
@@ -465,10 +488,11 @@ def check_second_action(
     config: Optional[de.DiffConfig] = None,
     tolerance: Optional[float] = None,
     extra_context: Optional[Mapping] = None,
+    landscape: Optional[LandscapeEval] = None,
 ) -> IdentityReport:
     """Hessian action identity: hessL o X equals the five-term RHS in T(p, d)."""
     cfg = config or de.DiffConfig()
-    ev = evaluate_landscape(model, loss, theta, cfg)
+    ev = _landscape(model, loss, theta, cfg, landscape)
     _require_good_position(transform, ev.theta, ev.y, lam)
     so = _second_order(ev, transform, lam)
     lhs = compose(ev.hess, so.X).array
@@ -496,10 +520,11 @@ def check_second_quadratic(
     config: Optional[de.DiffConfig] = None,
     tolerance: Optional[float] = None,
     extra_context: Optional[Mapping] = None,
+    landscape: Optional[LandscapeEval] = None,
 ) -> IdentityReport:
     """Hessian quadratic-form identity: hessL o X o_2 X in T(p, p)."""
     cfg = config or de.DiffConfig()
-    ev = evaluate_landscape(model, loss, theta, cfg)
+    ev = _landscape(model, loss, theta, cfg, landscape)
     _require_good_position(transform, ev.theta, ev.y, lam)
     so = _second_order(ev, transform, lam)
     lhs = compose_k(compose(ev.hess, so.X), so.X, 2).array
@@ -542,6 +567,7 @@ def check_homogeneity_specialization(
     config: Optional[de.DiffConfig] = None,
     tolerance: Optional[float] = None,
     extra_context: Optional[Mapping] = None,
+    landscape: Optional[LandscapeEval] = None,
 ) -> Tuple[IdentityReport, IdentityReport]:
     """The two scalar-output specializations of the Hessian identities.
 
@@ -554,7 +580,7 @@ def check_homogeneity_specialization(
     that branch the identity carries no content to measure.
     """
     cfg = config or de.DiffConfig()
-    ev = evaluate_landscape(model, loss, theta, cfg)
+    ev = _landscape(model, loss, theta, cfg, landscape)
     m, y, lp, lpp = _homogeneous_scalars(model, loss, ev)
     A = ev.hess.array
     g = ev.grad.array
@@ -601,6 +627,7 @@ def check_eigen_alignment(
     tolerance: Optional[float] = None,
     null_tol: float = 1e-8,
     extra_context: Optional[Mapping] = None,
+    landscape: Optional[LandscapeEval] = None,
 ) -> IdentityReport:
     """Eigenbasis form of Eq. (6): <g, u_k> = lambda_k alpha(theta) <theta, u_k>.
 
@@ -610,7 +637,7 @@ def check_eigen_alignment(
     ``top_energy_fraction``, never asserted.
     """
     cfg = config or de.DiffConfig()
-    ev = evaluate_landscape(model, loss, theta, cfg)
+    ev = _landscape(model, loss, theta, cfg, landscape)
     m, y, lp, lpp = _homogeneous_scalars(model, loss, ev)
     denom = m * y * lpp + (m - 1.0) * lp
     if abs(denom) <= _FLOOR * max(1.0, abs(lp), abs(lpp)):
@@ -672,6 +699,7 @@ def sharpness_bound(
     config: Optional[de.DiffConfig] = None,
     tolerance: Optional[float] = None,
     extra_context: Optional[Mapping] = None,
+    landscape: Optional[LandscapeEval] = None,
 ) -> Tuple[float, float, IdentityReport]:
     """Computable lower bound on the top Hessian eigenvalue.
 
@@ -682,7 +710,7 @@ def sharpness_bound(
     (bound, lambda_max, report).
     """
     cfg = config or de.DiffConfig()
-    ev = evaluate_landscape(model, loss, theta, cfg)
+    ev = _landscape(model, loss, theta, cfg, landscape)
     m, y, lp, lpp = _homogeneous_scalars(model, loss, ev)
     th = ev.theta
     nth2 = float(th @ th)
@@ -751,13 +779,14 @@ def check_discrete_first(
     config: Optional[de.DiffConfig] = None,
     tolerance: Optional[float] = None,
     extra_context: Optional[Mapping] = None,
+    landscape: Optional[LandscapeEval] = None,
 ) -> IdentityReport:
     """At a fixed point of a discrete realization, P^T gradL = gradL (the
     linear case reads Eq. (12): the gradient is a +1 eigenvector of P^T)."""
     cfg = config or de.DiffConfig()
     th = np.asarray(theta, dtype=float).reshape(-1)
     fp_res = _require_fixed_point(transform, th)
-    ev = evaluate_landscape(model, loss, th, cfg)
+    ev = _landscape(model, loss, th, cfg, landscape)
     S = from_array(transform.dh_dtheta(np.zeros(0), th))
     lhs = compose(ev.grad, S).array
     rhs = ev.grad.array
@@ -781,6 +810,7 @@ def check_discrete_second(
     config: Optional[de.DiffConfig] = None,
     tolerance: Optional[float] = None,
     extra_context: Optional[Mapping] = None,
+    landscape: Optional[LandscapeEval] = None,
 ) -> IdentityReport:
     """Conjugation identity P^T hessL P = hessL - gradL o hess(H); for the
     built-in (theta-linear) catalog the correction term is identically zero
@@ -788,7 +818,7 @@ def check_discrete_second(
     cfg = config or de.DiffConfig()
     th = np.asarray(theta, dtype=float).reshape(-1)
     fp_res = _require_fixed_point(transform, th)
-    ev = evaluate_landscape(model, loss, th, cfg)
+    ev = _landscape(model, loss, th, cfg, landscape)
     S = from_array(transform.dh_dtheta(np.zeros(0), th))
     lhs = compose_k(compose(ev.hess, S), S, 2).array
     correction = compose(ev.grad, from_array(transform.d2h_dtheta2(np.zeros(0), th))).array
@@ -819,6 +849,7 @@ def check_mirror(
     config: Optional[de.DiffConfig] = None,
     tolerance: Optional[float] = None,
     extra_context: Optional[Mapping] = None,
+    landscape: Optional[LandscapeEval] = None,
 ) -> IdentityReport:
     """Mirror fixed-set structure: for theta orthogonal to col(O),
 
@@ -846,7 +877,7 @@ def check_mirror(
             f"theta has a component of norm {overlap:.3e} in col(O); project it out first"
         )
 
-    ev = evaluate_landscape(model, loss, th, cfg)
+    ev = _landscape(model, loss, th, cfg, landscape)
     g = ev.grad.array
     A = ev.hess.array
     B = O @ O.T
@@ -902,6 +933,7 @@ def check_last_layer_alignment(
     config: Optional[de.DiffConfig] = None,
     tolerance: Optional[float] = None,
     extra_context: Optional[Mapping] = None,
+    landscape: Optional[LandscapeEval] = None,
 ) -> IdentityReport:
     """Last-layer Hessian blocks see only the loss curvature, Eq. (11):
 
@@ -917,7 +949,7 @@ def check_last_layer_alignment(
     if trials < 1:
         raise InvalidParams("trials must be >= 1")
     cfg = config or de.DiffConfig()
-    ev = evaluate_landscape(model, loss, theta, cfg)
+    ev = _landscape(model, loss, theta, cfg, landscape)
     th = ev.theta
     blk = model.block(model.last_layer_block)
     W = th[blk.sl].reshape(blk.shape)          # (c, s)
@@ -1208,8 +1240,10 @@ def _run_entry(plan: SuiteSpec, index: int, entry: PlanEntry) -> List[IdentityRe
     reports: List[IdentityReport] = []
     for pos_idx, (th, lam) in enumerate(positions):
         base = {"theta_seed": pos_seed, "entry": index, "position": pos_idx}
+        ev = evaluate_landscape(model, loss, th, cfg)
         for row in rows:
-            kw = {"config": cfg, "tolerance": entry.tolerances.get(row.name), "extra_context": base}
+            kw = {"config": cfg, "tolerance": entry.tolerances.get(row.name),
+                  "extra_context": base, "landscape": ev}
             out = row.run(_Point(entry, model, loss, transform, th, lam, pos_seed, kw))
             reports.extend(out if row.n_reports > 1 else (out,))
     return reports

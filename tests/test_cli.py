@@ -2,6 +2,7 @@
 reproducible report files."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +148,40 @@ def test_run_misfit_entry_exit_2_before_sampling(tmp_path, capsys, entry, where)
     cfg = {"experiment": "check_suite", "output_dir": str(tmp_path / "out"), "plan": [entry]}
     assert cli.main(["run", str(_write(tmp_path, "misfit.json", cfg))]) == 2
     assert f"config.plan[0].{where}:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "reports.jsonl").exists()
+
+
+def _bundled(name, **edits):
+    with open(Path(__file__).parents[1] / "configs" / f"{name}.json", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    for key, value in edits.items():
+        if key == "weights":
+            cfg["dataset"]["weights"] = value
+        elif key == "x":
+            cfg["dataset"]["samples"][0]["x"] = value
+        else:
+            cfg[key] = value
+    return cfg
+
+
+@pytest.mark.parametrize("cfg, where", [
+    (_bundled("flow_conservation", tolerances={"charge_drft": 1e-30}), "config.tolerances.charge_drft"),
+    (_bundled("flow_conservation", tolerances={"charge_drift": "tight"}), "config.tolerances.charge_drift"),
+    (_bundled("flow_conservation", tolerances={"charge_drift": -1}), "config.tolerances.charge_drift"),
+    (_bundled("stationary_spectrum", tolerances={"eps_sta": 1.0}), "config.tolerances.eps_sta"),
+    (_bundled("sgf_drift", weights=["a", "a"]), "config.dataset.weights[0]"),
+    (_bundled("sgf_drift", weights=3), "config.dataset.weights"),
+    (_bundled("sgf_drift", x=["a", "b"]), "config.dataset.samples[0].x"),
+    (_bundled("flow_conservation", theta0=[0.1]), "config.theta0"),
+    (_bundled("stationary_spectrum", theta0=[0.1]), "config.theta0"),
+    (_bundled("sgf_drift", theta0=[0.1]), "config.theta0"),
+], ids=["flow_tolerance_key_typo", "flow_tolerance_not_number", "flow_tolerance_negative",
+        "stationary_tolerance_key_typo", "weights_not_numbers", "weights_not_list",
+        "x_not_numbers", "flow_theta0_length", "stationary_theta0_length", "sgf_theta0_length"])
+def test_run_dynamics_config_errors_exit_2(tmp_path, capsys, cfg, where):
+    cfg = dict(cfg, output_dir=str(tmp_path / "out"))
+    assert cli.main(["run", str(_write(tmp_path, "bad.json", cfg))]) == 2
+    assert f"{where}:" in capsys.readouterr().err
     assert not (tmp_path / "out" / "reports.jsonl").exists()
 
 

@@ -195,3 +195,107 @@ def test_relu_second_derivative_vanishes_off_kink():
 
     h = second_derivative(f, np.array([0.5, -0.5]), EXACT).array
     np.testing.assert_array_equal(h, np.zeros_like(h))
+
+
+# ---------------------------------------------------------------------------
+# batched sweeps against point-by-point references
+# ---------------------------------------------------------------------------
+
+SWEEP_CASES = [
+    (ModelSpec("homogeneous_relu_mlp", {"widths": [2, 4, 3, 1]}, seed=12), ("exponential", {"label": 1.0})),
+    (ModelSpec("deep_linear", {"widths": [2, 3, 1]}, seed=13), ("logistic", {"label": -1.0})),
+    (ModelSpec("deep_linear", {"widths": [2, 3, 2]}, seed=16), ("square", {"target": [0.1, 0.5]})),
+    (ModelSpec("factored_last_layer", {"c": 3, "s": 2, "hidden": [3]}, seed=19),
+     ("softmax_xent", {"n_classes": 3, "label": 1})),
+    (ModelSpec("linear_probe", {"x": [1.0, 2.0]}, seed=21), ("square", {"target": 2.0})),
+]
+
+
+def _sweep_maps(spec, loss_spec):
+    """(map, point) for the model, its composite loss, and the loss alone."""
+    model = build_model(spec)
+    loss = make_loss(loss_spec[0], **loss_spec[1])
+    rng = np.random.default_rng(model.d)
+    theta = model.init_params + 0.1 * rng.standard_normal(model.d)
+    return [
+        (model.func, theta),
+        (lambda th: loss.apply(model.func(th)), theta),
+        (loss.apply, rng.standard_normal(model.c)),
+    ]
+
+
+def _second_derivative_by_direction(map_fn, x):
+    """One hyper-dual evaluation per second-slot direction."""
+    d = x.size
+    eye = np.eye(d)
+    rows = []
+    for j in range(d):
+        out = map_fn(de.HyperDual(x, d1=eye, d2=eye[j]))
+        rows.append(np.broadcast_to(np.asarray(out.d12, dtype=float), (d,) + np.shape(out.value)))
+    return np.stack(rows, axis=0)
+
+
+def _fd_by_point(map_fn, x, order):
+    """Central differences with one map evaluation per stencil point."""
+    d = x.size
+    h = np.maximum(1.0, np.abs(x)) * np.finfo(float).eps ** (1.0 / 3.0 if order == 1 else 0.25)
+
+    def ev(p):
+        return np.asarray(map_fn(p), dtype=float)
+
+    if order == 1:
+        cols = []
+        for i in range(d):
+            e = np.zeros(d)
+            e[i] = h[i]
+            cols.append((ev(x + e) - ev(x - e)) / (2.0 * h[i]))
+        return np.stack(cols, axis=0)
+    f0 = ev(x)
+    out = np.zeros((d, d) + f0.shape)
+    for i in range(d):
+        ei = np.zeros(d)
+        ei[i] = h[i]
+        out[i, i] = (ev(x + ei) - 2.0 * f0 + ev(x - ei)) / (h[i] * h[i])
+        for j in range(i + 1, d):
+            ej = np.zeros(d)
+            ej[j] = h[j]
+            out[i, j] = out[j, i] = (
+                ev(x + ei + ej) - ev(x + ei - ej) - ev(x - ei + ej) + ev(x - ei - ej)
+            ) / (4.0 * h[i] * h[j])
+    return out
+
+
+@pytest.mark.parametrize("spec, loss_spec", SWEEP_CASES, ids=lambda c: getattr(c, "name", None))
+def test_batched_sweeps_equal_pointwise_references(spec, loss_spec):
+    for map_fn, x in _sweep_maps(spec, loss_spec):
+        np.testing.assert_array_equal(second_derivative(map_fn, x, EXACT).array,
+                                      _second_derivative_by_direction(map_fn, x))
+        for order in (1, 2):
+            np.testing.assert_array_equal(fd_oracle(map_fn, x, order, FD).array,
+                                          _fd_by_point(map_fn, x, order))
+
+
+def test_sweeps_are_one_map_call_and_blocks_do_not_change_bits(monkeypatch):
+    spec, loss_spec = SWEEP_CASES[3]  # factored_last_layer, d = 18
+    calls = []
+
+    def counting(map_fn):
+        return lambda th: calls.append(1) or map_fn(th)
+
+    for map_fn, x in _sweep_maps(spec, loss_spec)[:2]:
+        calls.clear()
+        one = [second_derivative(counting(map_fn), x, EXACT).array,
+               fd_oracle(counting(map_fn), x, 1, FD).array,
+               fd_oracle(counting(map_fn), x, 2, FD).array]
+        assert len(calls) == 3
+
+        # 5000 bytes hold one 18 x 18 seed product and 34 stencil points
+        monkeypatch.setattr(de, "_BLOCK_BYTES", 5000)
+        calls.clear()
+        blocked = [second_derivative(counting(map_fn), x, EXACT).array,
+                   fd_oracle(counting(map_fn), x, 1, FD).array,
+                   fd_oracle(counting(map_fn), x, 2, FD).array]
+        assert len(calls) == 18 + 2 + 20  # 18 directions; 36 and 649 points
+        monkeypatch.undo()
+        for a, b in zip(one, blocked):
+            np.testing.assert_array_equal(a, b)

@@ -1,6 +1,7 @@
 """Identity checks: hand-derived probe values, both derivative modes, guard
 errors, suite determinism, serialization formats."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -256,6 +257,52 @@ def test_run_suite_rejects_misfit_entry_before_sampling(monkeypatch):
     with pytest.raises(InvalidParams, match=r"plan entry 14: checks\[1\]: first_order needs"):
         run_suite(SuiteSpec(entries=good + (misfit,)))
     assert sampled == []
+
+
+def test_run_suite_evaluates_one_landscape_per_position(monkeypatch):
+    positions, landscapes = [], []
+    real_sample, real_evaluate = ic.sample_positions, ic.evaluate_landscape
+
+    def sample(*args, **kwargs):
+        out = real_sample(*args, **kwargs)
+        positions.extend(th for th, _ in out)
+        return out
+
+    def evaluate(model, loss, theta, config=None):
+        landscapes.append(theta)
+        return real_evaluate(model, loss, theta, config)
+
+    monkeypatch.setattr(ic, "sample_positions", sample)
+    monkeypatch.setattr(ic, "evaluate_landscape", evaluate)
+    plan = default_suite(positions=2)
+    reports = run_suite(plan)
+    assert reports and all(r.passed for r in reports)
+    assert len(positions) == 2 * len(plan.entries)
+    assert len(landscapes) == len(positions)
+    for th, at in zip(positions, landscapes):
+        np.testing.assert_array_equal(th, at)
+
+
+@pytest.mark.parametrize("other, mode", [("theta", "exact"), ("mode", "finite_difference")])
+def test_checks_reject_a_landscape_from_elsewhere(monkeypatch, other, mode):
+    """Every registry row, handed a landscape at another theta or in the
+    other derivative mode, refuses it."""
+    real_evaluate = ic.evaluate_landscape
+
+    def foreign(model, loss, theta, config=None):
+        if other == "theta":
+            return real_evaluate(model, loss, np.asarray(theta) + 0.01, config)
+        return real_evaluate(model, loss, theta, de.DiffConfig(mode="exact"))
+
+    monkeypatch.setattr(ic, "evaluate_landscape", foreign)
+    tried = set()
+    for entry in default_suite(positions=1, mode=mode).entries:
+        for name in entry.checks:
+            single = SuiteSpec(entries=(dataclasses.replace(entry, checks=(name,)),))
+            with pytest.raises(InvalidParams, match="landscape was evaluated"):
+                run_suite(single)
+            tried.add(name)
+    assert tried == set(ic.CHECK_REGISTRY)
 
 
 def test_mutated_entry_fails(relu_mlp):
