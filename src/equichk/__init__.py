@@ -13,6 +13,7 @@ from .diff_engine import DiffConfig, HyperDual, fd_oracle, grad_and_hessian_of_l
 from .dynamics import (
     CovarianceReport,
     DriftReport,
+    Ensemble,
     NoiseModel,
     NormGrowthReport,
     Trajectory,

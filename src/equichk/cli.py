@@ -39,7 +39,7 @@ import numpy as np
 from . import __version__
 from . import dynamics as dyn
 from . import identity_checker as ic
-from .errors import CheckFailure, ConfigError, EquichkError
+from .errors import CheckFailure, ConfigError, EquichkError, InvalidParams
 from .models import (
     LOSS_NAMES,
     MODEL_NAMES,
@@ -269,20 +269,49 @@ def _validate_entry(v: _V, obj, path: str) -> Optional[ic.PlanEntry]:
     return entry
 
 
-def _validate_dataset(v: _V, obj, path: str) -> Optional[Dataset]:
+def _validate_sample(v: _V, s, path: str, model, family) -> bool:
+    """Check one ``{"x": [...], "target": ...}`` sample against the model's
+    input and output widths and the loss family (either may be None)."""
+    if not (isinstance(s, dict) and set(s) == {"x", "target"}):
+        v.fail(path, 'expected {"x": [...], "target": ...}')
+        return False
+    x, target = s["x"], s["target"]
+    if not _is_number_list(x):
+        v.fail(f"{path}.x", "expected a list of numbers")
+        return False
+    if model is not None and len(x) != model.input_point.size:
+        v.fail(f"{path}.x", f"expected {model.input_point.size} numbers "
+                            f"(the model's input width), got {len(x)}")
+        return False
+    if not (_is_number(target) or _is_number_list(target)):
+        v.fail(f"{path}.target", "expected a number or a list of numbers")
+        return False
+    if family is not None:
+        try:
+            loss = family.bind(target)
+        except (EquichkError, TypeError, ValueError) as exc:
+            v.fail(f"{path}.target", str(exc))
+            return False
+        if model is not None and loss.c != model.c:
+            v.fail(f"{path}.target", f"fits a loss on {loss.c} outputs, "
+                                     f"the model has {model.c}")
+            return False
+    return True
+
+
+def _validate_dataset(v: _V, obj, path: str, spec: Optional[ModelSpec],
+                      loss_nv: Optional[Tuple[str, dict]]) -> Optional[Dataset]:
     if not v.keys(obj, path, ("samples", "weights"), ("samples",)):
         return None
     raw = obj["samples"]
     if not isinstance(raw, list) or not raw:
         v.fail(f"{path}.samples", "expected a non-empty list")
         return None
+    model = build_model(spec) if spec is not None else None
+    family = loss_family(loss_nv[0], **loss_nv[1]) if loss_nv is not None else None
     samples = []
     for i, s in enumerate(raw):
-        if not (isinstance(s, dict) and set(s) == {"x", "target"}):
-            v.fail(f"{path}.samples[{i}]", 'expected {"x": [...], "target": ...}')
-            return None
-        if not _is_number_list(s["x"]):
-            v.fail(f"{path}.samples[{i}].x", "expected a list of numbers")
+        if not _validate_sample(v, s, f"{path}.samples[{i}]", model, family):
             return None
         samples.append((np.asarray(s["x"], dtype=float), s["target"]))
     weights = obj.get("weights")
@@ -413,7 +442,7 @@ def _run_sgf_drift(cfg: dict, out_dir: str) -> Tuple[List[ic.IdentityReport], Li
            ("model", "loss", "dataset", "transform", "dynamics", "noise"))
     spec = _validate_model(v, cfg.get("model", {}), "config.model")
     loss_nv = _validate_loss(v, cfg.get("loss", {}), "config.loss")
-    dataset = _validate_dataset(v, cfg.get("dataset", {}), "config.dataset")
+    dataset = _validate_dataset(v, cfg.get("dataset", {}), "config.dataset", spec, loss_nv)
     transform = _validate_transform(v, cfg.get("transform", {}), "config.transform", spec)
     dyn_obj = cfg.get("dynamics", {})
     v.keys(dyn_obj, "config.dynamics", ("T", "dt", "ensemble"), ("T", "dt", "ensemble"))
@@ -433,6 +462,11 @@ def _run_sgf_drift(cfg: dict, out_dir: str) -> Tuple[List[ic.IdentityReport], Li
     v.raise_if_failed()
 
     model = build_model(spec)
+    try:
+        dyn._check_sgf_bytes(model.d, float(T), float(dt), int(ensemble), mode, n_charges=1)
+    except InvalidParams as exc:
+        v.fail("config.dynamics.ensemble", str(exc))
+    v.raise_if_failed()
     family = loss_family(loss_nv[0], **loss_nv[1])
     t = build_transform(transform[0], transform[1], model)
     noise = dyn.NoiseModel(mode=mode, sigma=float(sigma), seed=int(nseed or 0))

@@ -601,17 +601,21 @@ def gradient_at_points(map_fn: Callable, points: np.ndarray) -> np.ndarray:
 
 
 def hessians_at_points(map_fn: Callable, points: np.ndarray) -> np.ndarray:
-    """Hessians of a scalar map at a batch of points, shape (M, d, d)."""
+    """Hessians of a scalar map at a batch of points, shape (M, d, d).
+
+    Seeded like :func:`second_derivative` (``d1 = I[None]``, ``d2 = I[:, None]``)
+    and vectorized over the batch axis of ``points``, so one map evaluation
+    gives every Hessian.  Points are walked in blocks of ``_BLOCK_BYTES``
+    (d^3 seed entries per point), one evaluation per block.
+    """
     pts = np.asarray(points, dtype=float)
     m, d = pts.shape
     eye = np.eye(d)
     out = np.zeros((m, d, d))
-    for j in range(d):
-        seed = HyperDual(pts, d1=eye[:, None, :], d2=eye[j])
-        res = map_fn(seed)
-        if not isinstance(res, HyperDual):
-            continue
-        col = _normalize(res.d12, (d,), np.shape(np.asarray(res.value)))
-        out[:, :, j] = col.T
+    for blk in _blocks(m, 8 * d * d * d):
+        res = map_fn(HyperDual(pts[blk], d1=eye[None, :, None, :], d2=eye[:, None, None, :]))
+        if isinstance(res, HyperDual):
+            hess = _normalize(res.d12, (d, d), np.shape(np.asarray(res.value)))  # (j, i, M)
+            out[blk] = np.transpose(hess, (2, 1, 0))
     _check_finite(out, "batched hessian sweep")
     return out

@@ -7,6 +7,11 @@ Euler--Maruyama over an ensemble with counter-based per-trajectory RNG
 streams).  Charges are evaluated at every record point so conservation and
 drift statements become array assertions downstream.
 
+A single run records a :class:`Trajectory`.  An SGF ensemble is one
+:class:`Ensemble` holding arrays over (record, member): states, losses and
+every charge, each charge evaluated by one batched call on the whole state
+stack.  A member's :class:`Trajectory` is built on demand by ``ens[i]``.
+
 Noise convention: ``exact_sde`` injects covariance ``2 sigma^2 Sigma(theta)``
 per unit time, i.e. the step is
 
@@ -45,6 +50,7 @@ from .transforms import Charge, Transformation, characteristic_direction, noethe
 
 __all__ = [
     "Trajectory",
+    "Ensemble",
     "NoiseModel",
     "CovarianceReport",
     "NormGrowthReport",
@@ -62,6 +68,8 @@ __all__ = [
 _LOSS_SLACK = 64.0 * np.finfo(float).eps  # descent acceptance slack per unit loss scale
 _MAX_HALVINGS = 20
 _RECORD_BUDGET = 1000
+#: bytes an SGF run may hold in pre-drawn randomness and recorded arrays
+_SGF_MAX_BYTES = 1 << 30
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +176,50 @@ class Trajectory:
         return int(self.times.shape[0])
 
 
+@dataclass(frozen=True)
+class Ensemble:
+    """Recorded motion of an M-member SGF ensemble on one shared record grid.
+
+    ``times`` has shape (n,), ``states`` (n, M, d), ``losses`` (n, M), and
+    every named charge series (n, M).  ``len(ens)`` is M; ``ens[i]`` builds
+    member i's :class:`Trajectory` on demand (a slice gives a list of them).
+    """
+
+    times: np.ndarray
+    states: np.ndarray
+    losses: np.ndarray
+    charges: Dict[str, np.ndarray]
+    meta: Mapping = field(default_factory=dict)
+
+    def __post_init__(self):
+        grid = self.states.shape[:2]
+        series = [("times", self.times, grid[:1]), ("losses", self.losses, grid)]
+        series += [(f"charge {k}", v, grid) for k, v in self.charges.items()]
+        for name, arr, shape in series:
+            if arr.shape != shape:
+                raise SizeMismatch(f"{name} has shape {arr.shape}, states want {shape}")
+
+    def __len__(self) -> int:
+        return int(self.states.shape[1])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        member = self.states[:, i]
+        return Trajectory(
+            times=self.times,
+            states=member.copy(),
+            losses=self.losses[:, i].copy(),
+            charges={k: v[:, i].copy() for k, v in self.charges.items()},
+            diagnostics={"theta_sq": np.einsum("kd,kd->k", member, member)},
+            meta=dict(self.meta, index=i),
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
 class _Recorder:
     def __init__(self, model: Model, obj: _Objective, charges: Sequence[Charge],
                  single_loss: Optional[Loss]):
@@ -191,11 +243,14 @@ class _Recorder:
             self._loss = single_loss
             self._m = float(model.homogeneity_degree)
 
-    def record(self, t: float, theta: np.ndarray, grad: Optional[np.ndarray] = None) -> None:
+    def record(self, t: float, theta: np.ndarray, grad: Optional[np.ndarray] = None,
+               loss: Optional[float] = None) -> None:
+        """Record one row; ``grad`` and ``loss`` at ``theta`` are computed
+        here unless the caller already has them."""
         g = self.obj.grad(theta) if grad is None else grad
         self.times.append(float(t))
         self.states.append(theta.copy())
-        self.losses.append(self.obj.value(theta))
+        self.losses.append(self.obj.value(theta) if loss is None else loss)
         self.diag["grad_norm"].append(float(np.linalg.norm(g)))
         self.diag["theta_sq"].append(float(theta @ theta))
         if self._scalar_head:
@@ -273,11 +328,11 @@ def gradient_flow(
     t = 0.0
     accepted = 0
     cur_loss = obj.value(th)
-    rec.record(0.0, th)
+    k1 = rhs(th)
+    rec.record(0.0, th, grad=-k1, loss=cur_loss)
     while t < T - 1e-12 * max(1.0, T):
         h = min(dt, T - t)
         for _halving in range(_MAX_HALVINGS + 1):
-            k1 = rhs(th)
             k2 = rhs(th + 0.5 * h * k1)
             k3 = rhs(th + 0.5 * h * k2)
             k4 = rhs(th + h * k3)
@@ -293,10 +348,11 @@ def gradient_flow(
             )
         th = cand
         cur_loss = cand_loss
+        k1 = rhs(th)  # the next step's first stage, and the recorded gradient
         t += h
         accepted += 1
         if accepted % stride == 0 or t >= T - 1e-12 * max(1.0, T):
-            rec.record(t, th)
+            rec.record(t, th, grad=-k1, loss=cur_loss)
     return rec.build({"kind": "gradient_flow", "dt": dt, "T": T, "stride": stride})
 
 
@@ -400,16 +456,14 @@ def norm_growth_check(model: Model, loss: Loss, trajectory: Trajectory) -> NormG
         )
     m = float(model.homogeneity_degree)
     n = trajectory.n_records
-    ys = np.empty(n)
-    lps = np.empty(n)
-    inner = np.empty(n)
-    for i in range(n):
-        th = trajectory.states[i]
-        y = forward(model, th).array
-        ys[i] = float(y[0])
-        lps[i] = float(np.asarray(loss.grad(y)).reshape(-1)[0])
-        g = de.gradient_at_points(lambda p: loss.apply(model.func(p)), th[None, :])[0]
-        inner[i] = float(th @ g)
+    states = trajectory.states
+    outputs = np.asarray(model.func(states), dtype=float)  # (n, 1)
+    if not np.all(np.isfinite(outputs)):
+        raise NonFiniteResult("model output along the flow contains NaN or Inf")
+    ys = outputs[:, 0]
+    lps = np.array([float(loss.grad(y)[0]) for y in outputs])
+    grads = de.gradient_at_points(lambda p: loss.apply(model.func(p)), states)
+    inner = np.array([float(th @ g) for th, g in zip(states, grads)])
 
     # Euler relation along the flow: <theta, gradL> = m l'(y) y pointwise
     rhs = m * lps * ys
@@ -520,6 +574,30 @@ def _psd_sqrt_batch(sigmas: np.ndarray) -> np.ndarray:
     return np.einsum("mik,mk,mjk->mij", evecs, root, evecs)
 
 
+def _sgf_grid(T: float, dt: float) -> Tuple[int, int, int]:
+    """(steps, record stride, records) of an SGF run: n = round(T/dt) steps,
+    a record every ``stride`` steps and at the last, plus the start."""
+    n_steps = max(1, int(round(T / dt)))
+    stride = max(1, math.ceil(n_steps / _RECORD_BUDGET))
+    return n_steps, stride, 1 + math.ceil(n_steps / stride)
+
+
+def _check_sgf_bytes(d: int, T: float, dt: float, ensemble: int, mode: str,
+                     n_charges: int) -> None:
+    """Raise :class:`InvalidParams` when an SGF run would hold more than
+    ``_SGF_MAX_BYTES`` in its pre-drawn noise (``exact_sde``) or minibatch
+    indices and its recorded states, losses and charges."""
+    n_steps, _, n_rec = _sgf_grid(T, dt)
+    per_step = d if mode == "exact_sde" else 1
+    needed = 8 * ensemble * (n_steps * per_step + n_rec * (d + 1 + n_charges))
+    if needed > _SGF_MAX_BYTES:
+        raise InvalidParams(
+            f"an ensemble of {ensemble} over {n_steps} steps would hold "
+            f"{needed / 2 ** 30:.1f} GiB (limit {_SGF_MAX_BYTES / 2 ** 30:.0f} GiB); "
+            "reduce ensemble, T/dt, or dimension"
+        )
+
+
 def sgf(
     model: Model,
     family: LossFamily,
@@ -530,12 +608,14 @@ def sgf(
     dt: float,
     ensemble: int,
     chargelist: Sequence = (),
-) -> List[Trajectory]:
-    """Euler--Maruyama ensemble in lockstep.
+) -> Ensemble:
+    """Euler--Maruyama ensemble in lockstep, returned as one :class:`Ensemble`.
 
     Each trajectory owns a Philox stream keyed by (noise.seed, index), so
     results are independent of scheduling and bit-reproducible.  The time
-    grid is uniform with n = round(T/dt) steps of exactly T/n.
+    grid is uniform with n = round(T/dt) steps of exactly T/n.  The memory
+    the run holds (pre-drawn randomness plus recorded arrays) is checked
+    against a fixed 1 GiB limit before anything is drawn.
     """
     if dt <= 0:
         raise InvalidParams(f"dt must be positive, got {dt}")
@@ -549,10 +629,10 @@ def sgf(
     if th0.size != model.d:
         raise SizeMismatch(f"theta0 has {th0.size} entries, model wants {model.d}")
 
-    n_steps = max(1, int(round(T / dt)))
-    h = T / n_steps
-    stride = max(1, math.ceil(n_steps / _RECORD_BUDGET))
     d = model.d
+    _check_sgf_bytes(d, T, dt, ensemble, noise.mode, len(charges))
+    n_steps, stride, n_rec = _sgf_grid(T, dt)
+    h = T / n_steps
     w = obj.weights()
     n_samples = w.size
 
@@ -570,21 +650,22 @@ def sgf(
                 )
             break
 
-    bytes_needed = ensemble * n_steps * d * 8
-    if noise.mode == "exact_sde" and bytes_needed > 1 << 30:
-        raise InvalidParams(
-            f"pre-generated noise would need {bytes_needed / 2 ** 30:.1f} GiB; "
-            "reduce ensemble, T/dt, or dimension"
-        )
-    streams = [np.random.Generator(np.random.Philox(key=(noise.seed, i))) for i in range(ensemble)]
     if noise.mode == "exact_sde":
-        draws = np.stack([g.standard_normal((n_steps, d)) for g in streams])  # (M, n, d)
+        draws = np.empty((ensemble, n_steps, d))
     else:
-        draws = np.stack([g.choice(n_samples, size=n_steps, p=w) for g in streams])  # (M, n)
+        draws = np.empty((ensemble, n_steps), dtype=np.int64)
+    for i in range(ensemble):
+        g = np.random.Generator(np.random.Philox(key=(noise.seed, i)))
+        if noise.mode == "exact_sde":
+            g.standard_normal(out=draws[i])
+        else:
+            draws[i] = g.choice(n_samples, size=n_steps, p=w)
 
     states = np.tile(th0, (ensemble, 1))  # (M, d)
-    rec_times: List[float] = [0.0]
-    rec_states: List[np.ndarray] = [states.copy()]
+    times = np.zeros(n_rec)
+    stack = np.empty((n_rec, ensemble, d))
+    stack[0] = states
+    r = 1
     for step in range(n_steps):
         per_sample = obj.sample_grads(states)           # (K, M, d)
         mean_grad = np.einsum("k,kmd->md", w, per_sample)
@@ -607,34 +688,23 @@ def sgf(
         if not np.all(np.isfinite(states)):
             raise NonFiniteResult(f"SGF state non-finite at step {step + 1}")
         if (step + 1) % stride == 0 or step + 1 == n_steps:
-            rec_times.append((step + 1) * h)
-            rec_states.append(states.copy())
+            times[r] = (step + 1) * h
+            stack[r] = states
+            r += 1
 
-    times = np.asarray(rec_times)
-    stack = np.stack(rec_states)  # (n_rec, M, d)
-    losses = np.stack([obj.value_batch(s) for s in stack])  # (n_rec, M)
-    meta = {
-        "kind": "sgf", "mode": noise.mode, "sigma": noise.sigma, "seed": noise.seed,
-        "dt": h, "T": T, "stride": stride, "ensemble": ensemble,
-    }
-    out: List[Trajectory] = []
-    for i in range(ensemble):
-        charge_vals = {
-            c.name: np.array([float(c.c_eval(stack[k, i])) for k in range(times.size)])
-            for c in charges
-        }
-        diag = {
-            "theta_sq": np.einsum("kd,kd->k", stack[:, i], stack[:, i]),
-        }
-        out.append(Trajectory(
-            times=times,
-            states=stack[:, i].copy(),
-            losses=losses[:, i].copy(),
-            charges=charge_vals,
-            diagnostics=diag,
-            meta=dict(meta, index=i),
-        ))
-    return out
+    losses = np.empty((n_rec, ensemble))
+    for k in range(n_rec):
+        losses[k] = obj.value_batch(stack[k])
+    return Ensemble(
+        times=times,
+        states=stack,
+        losses=losses,
+        charges={c.name: np.asarray(c.c_eval(stack), dtype=float) for c in charges},
+        meta={
+            "kind": "sgf", "mode": noise.mode, "sigma": noise.sigma, "seed": noise.seed,
+            "dt": h, "T": T, "stride": stride, "ensemble": ensemble,
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +744,6 @@ def _drift_terms(
     Returns (mean theory_grad, mean theory_trace, mean EM quadratic-form
     bias rate) over the rows of ``points``.
     """
-    n, d = points.shape
     G = np.stack([de.gradient_at_points(mp, points) for _, mp in parts])   # (K, n, d)
     H = np.stack([de.hessians_at_points(mp, points) for _, mp in parts])   # (K, n, d, d)
     gbar = np.einsum("k,knd->nd", w, G)
@@ -683,8 +752,8 @@ def _drift_terms(
     grad_trace = 2.0 * (
         np.einsum("k,knij,knj->ni", w, H, G) - np.einsum("nij,nj->ni", hbar, gbar)
     )
-    gc = np.stack([np.asarray(charge.grad(points[i]), dtype=float) for i in range(n)])
-    hc = np.stack([np.asarray(charge.hess(points[i]), dtype=float) for i in range(n)])
+    gc = np.asarray(charge.grad(points), dtype=float)   # (n, d)
+    hc = np.asarray(charge.hess(points), dtype=float)   # (n, d, d)
     t_grad = -(sigma_sq / 2.0) * np.einsum("ni,ni->n", gc, grad_trace)
     t_trace = sigma_sq * np.einsum("nij,nij->n", sigma, hc)
     quad = np.einsum("ni,nij,nj->n", gbar, hc, gbar)
@@ -692,7 +761,7 @@ def _drift_terms(
 
 
 def noether_drift_check(
-    ensemble: Sequence[Trajectory],
+    ensemble: Ensemble,
     charge,
     model: Model,
     family: LossFamily,
@@ -710,15 +779,13 @@ def noether_drift_check(
     if not isinstance(charge, Charge):
         raise InvalidParams("charge must be a Charge or a conservative Transformation")
 
-    times = ensemble[0].times
+    times, states = ensemble.times, ensemble.states
     span = float(times[-1] - times[0])
-    dt = float(ensemble[0].meta.get("dt", times[1] - times[0]))
+    dt = float(ensemble.meta.get("dt", times[1] - times[0]))
     sigma_sq = noise.sigma ** 2 if noise.mode == "exact_sde" else dt / 2.0
 
-    deltas = np.array([
-        (float(charge.c_eval(tr.states[-1])) - float(charge.c_eval(tr.states[0]))) / span
-        for tr in ensemble
-    ])
+    c_end = np.asarray(charge.c_eval(states[-1]), dtype=float)
+    deltas = (c_end - np.asarray(charge.c_eval(states[0]), dtype=float)) / span
     empirical = float(deltas.mean())
     std_error = float(deltas.std(ddof=1) / math.sqrt(len(deltas)))
 
@@ -733,10 +800,9 @@ def noether_drift_check(
     t_grad = np.empty(rec_idx.size)
     t_trace = np.empty(rec_idx.size)
     quad = np.empty(rec_idx.size)
-    member_states = np.stack([tr.states for tr in ensemble[:n_members]])  # (N, n_rec, d)
     for j, k in enumerate(rec_idx):
         t_grad[j], t_trace[j], quad[j] = _drift_terms(
-            maps, w, charge, member_states[:, k, :], sigma_sq
+            maps, w, charge, states[k, :n_members], sigma_sq
         )
         gap = abs(t_grad[j] - t_trace[j])
         if gap > 1e-8 * max(1.0, abs(t_grad[j]), abs(t_trace[j])):

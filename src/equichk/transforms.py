@@ -95,7 +95,13 @@ _ORTHONORMAL_TOL = 1e-10
 @dataclass(frozen=True)
 class Charge:
     """Conserved quantity of a one-parameter symmetry: grad C equals the
-    characteristic direction at lam = 0."""
+    characteristic direction at lam = 0.
+
+    The callbacks work on batches: ``c_eval``, ``grad`` and ``hess`` take
+    parameters of shape ``(..., d)`` and return ``(...)``, ``(..., d)`` and
+    ``(..., d, d)``, so a plain ``(d,)`` vector gives a scalar, a vector and
+    a matrix, and a stack of states is evaluated in one call.
+    """
 
     name: str
     c_eval: Callable = field(repr=False)
@@ -216,6 +222,12 @@ def homogeneity_scaling(model: Model, degree: Optional[int] = None) -> Transform
     )
 
 
+def _constant_hessian(hess: np.ndarray) -> Callable:
+    """Charge ``hess`` callback of a quadratic charge: ``hess`` at every
+    point of a ``(..., d)`` batch."""
+    return lambda th: np.broadcast_to(hess, np.shape(th)[:-1] + hess.shape).copy()
+
+
 def layer_rescaling(model: Model, up: str, down: str) -> Transformation:
     """H scales block ``up`` by exp(lam) and block ``down`` by exp(-lam).
 
@@ -249,20 +261,17 @@ def layer_rescaling(model: Model, up: str, down: str) -> Transformation:
 
     def c_eval(th):
         th = np.asarray(th, dtype=float)
-        return 0.5 * (float(np.sum(th[sl1] ** 2)) - float(np.sum(th[sl2] ** 2)))
+        return 0.5 * (np.sum(th[..., sl1] ** 2, axis=-1) - np.sum(th[..., sl2] ** 2, axis=-1))
 
     def c_grad(th):
         th = np.asarray(th, dtype=float)
-        g = np.zeros(d)
-        g[sl1] = th[sl1]
-        g[sl2] = -th[sl2]
+        g = np.zeros(th.shape)
+        g[..., sl1] = th[..., sl1]
+        g[..., sl2] = -th[..., sl2]
         return g
 
-    def c_hess(th):
-        h = np.zeros(d)
-        h[sl1] = 1.0
-        h[sl2] = -1.0
-        return np.diag(h)
+    # C = theta^T diag(+1 on up, -1 on down) theta / 2
+    c_hess = _constant_hessian(np.diag(dscale(np.zeros(1))))
 
     return Transformation(
         name="layer_rescaling",
@@ -312,7 +321,8 @@ def linear_reparam(model: Model, a, up: str, down: str) -> Transformation:
         return _expm(lam[0] * A), _expm(-lam[0] * A)
 
     def split(th):
-        return th[sl1].reshape(h_, n_), th[sl2].reshape(c2, h_)
+        lead = th.shape[:-1]
+        return th[..., sl1].reshape(lead + (h_, n_)), th[..., sl2].reshape(lead + (c2, h_))
 
     def h_eval(lam, th):
         E, Ep = mats(lam)
@@ -357,20 +367,21 @@ def linear_reparam(model: Model, a, up: str, down: str) -> Transformation:
     if np.max(np.abs(A - A.T)) <= 1e-12:
         def c_eval(th):
             W1, W2 = split(np.asarray(th, dtype=float))
-            return 0.5 * float(np.trace(A @ (W1 @ W1.T - W2.T @ W2)))
+            gram = W1 @ np.swapaxes(W1, -1, -2) - np.swapaxes(W2, -1, -2) @ W2
+            return 0.5 * np.trace(A @ gram, axis1=-2, axis2=-1)
 
         def c_grad(th):
-            W1, W2 = split(np.asarray(th, dtype=float))
-            g = np.zeros(d)
-            g[sl1] = (A @ W1).ravel()
-            g[sl2] = -(W2 @ A).ravel()
+            th = np.asarray(th, dtype=float)
+            W1, W2 = split(th)
+            g = np.zeros(th.shape)
+            g[..., sl1] = (A @ W1).reshape(th.shape[:-1] + (-1,))
+            g[..., sl2] = -(W2 @ A).reshape(th.shape[:-1] + (-1,))
             return g
 
-        def c_hess(th):
-            H = np.zeros((d, d))
-            H[sl1, sl1.start:sl1.stop] = np.kron(A, eye_n)
-            H[sl2, sl2.start:sl2.stop] = -np.kron(eye_c2, A)
-            return H
+        hess = np.zeros((d, d))
+        hess[sl1, sl1.start:sl1.stop] = np.kron(A, eye_n)
+        hess[sl2, sl2.start:sl2.stop] = -np.kron(eye_c2, A)
+        c_hess = _constant_hessian(hess)
 
         charge = Charge("inner_width_moment", c_eval, c_grad, c_hess)
         reason = ""

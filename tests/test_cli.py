@@ -157,8 +157,8 @@ def _bundled(name, **edits):
     for key, value in edits.items():
         if key == "weights":
             cfg["dataset"]["weights"] = value
-        elif key == "x":
-            cfg["dataset"]["samples"][0]["x"] = value
+        elif key in ("x", "target"):
+            cfg["dataset"]["samples"][0][key] = value
         else:
             cfg[key] = value
     return cfg
@@ -175,9 +175,15 @@ def _bundled(name, **edits):
     (_bundled("flow_conservation", theta0=[0.1]), "config.theta0"),
     (_bundled("stationary_spectrum", theta0=[0.1]), "config.theta0"),
     (_bundled("sgf_drift", theta0=[0.1]), "config.theta0"),
+    (_bundled("sgf_drift", target="a"), "config.dataset.samples[0].target"),
+    (_bundled("sgf_drift", x=[1.0, 2.0]), "config.dataset.samples[0].x"),
+    # 8 bytes x 10^7 members x 500 steps of noise alone: far past 1 GiB
+    (_bundled("sgf_drift", dynamics={"T": 0.5, "dt": 0.001, "ensemble": 10_000_000}),
+     "config.dynamics.ensemble"),
 ], ids=["flow_tolerance_key_typo", "flow_tolerance_not_number", "flow_tolerance_negative",
         "stationary_tolerance_key_typo", "weights_not_numbers", "weights_not_list",
-        "x_not_numbers", "flow_theta0_length", "stationary_theta0_length", "sgf_theta0_length"])
+        "x_not_numbers", "flow_theta0_length", "stationary_theta0_length", "sgf_theta0_length",
+        "target_not_number", "x_wrong_width", "ensemble_over_memory_limit"])
 def test_run_dynamics_config_errors_exit_2(tmp_path, capsys, cfg, where):
     cfg = dict(cfg, output_dir=str(tmp_path / "out"))
     assert cli.main(["run", str(_write(tmp_path, "bad.json", cfg))]) == 2

@@ -235,6 +235,17 @@ def _second_derivative_by_direction(map_fn, x):
     return np.stack(rows, axis=0)
 
 
+def _hessians_by_direction(map_fn, points):
+    """One batched hyper-dual evaluation per second-slot direction."""
+    m, d = points.shape
+    eye = np.eye(d)
+    out = np.zeros((m, d, d))
+    for j in range(d):
+        res = map_fn(de.HyperDual(points, d1=eye[:, None, :], d2=eye[j]))
+        out[:, :, j] = np.broadcast_to(np.asarray(res.d12, dtype=float), (d, m)).T
+    return out
+
+
 def _fd_by_point(map_fn, x, order):
     """Central differences with one map evaluation per stencil point."""
     d = x.size
@@ -273,6 +284,10 @@ def test_batched_sweeps_equal_pointwise_references(spec, loss_spec):
         for order in (1, 2):
             np.testing.assert_array_equal(fd_oracle(map_fn, x, order, FD).array,
                                           _fd_by_point(map_fn, x, order))
+        if np.ndim(map_fn(x)) == 0:  # scalar maps: a batch of Hessians
+            points = x + 0.05 * np.random.default_rng(x.size).standard_normal((4, x.size))
+            np.testing.assert_array_equal(de.hessians_at_points(map_fn, points),
+                                          _hessians_by_direction(map_fn, points))
 
 
 def test_sweeps_are_one_map_call_and_blocks_do_not_change_bits(monkeypatch):
@@ -299,3 +314,23 @@ def test_sweeps_are_one_map_call_and_blocks_do_not_change_bits(monkeypatch):
         monkeypatch.undo()
         for a, b in zip(one, blocked):
             np.testing.assert_array_equal(a, b)
+
+
+def test_hessians_at_points_one_map_call_and_blocks_do_not_change_bits(monkeypatch):
+    spec, loss_spec = SWEEP_CASES[3]  # factored_last_layer, d = 18
+    map_fn, x = _sweep_maps(spec, loss_spec)[1]
+    points = x + 0.05 * np.random.default_rng(5).standard_normal((5, x.size))
+    calls = []
+
+    def counting(th):
+        calls.append(1)
+        return map_fn(th)
+
+    one = de.hessians_at_points(counting, points)
+    assert len(calls) == 1
+    # room for the 18^3 seed entries of two points per block
+    monkeypatch.setattr(de, "_BLOCK_BYTES", 2 * 8 * 18 ** 3)
+    calls.clear()
+    blocked = de.hessians_at_points(counting, points)
+    assert len(calls) == 3
+    np.testing.assert_array_equal(one, blocked)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from equichk import diff_engine as de
 from equichk import dynamics as dyn
 from equichk.errors import (
     InsufficientEnsemble,
@@ -14,7 +15,17 @@ from equichk.errors import (
     InvalidParams,
     SizeMismatch,
 )
-from equichk.models import Block, Dataset, Model, ModelSpec, build_model, loss_family, make_loss
+from equichk.models import (
+    Block,
+    Dataset,
+    Model,
+    ModelSpec,
+    build_model,
+    expected_loss,
+    loss_family,
+    make_loss,
+    per_sample_losses,
+)
 from equichk.transforms import build_transform
 
 
@@ -255,6 +266,118 @@ def test_drift_check_needs_ensemble(uv_model, square_family, two_sample_dataset)
                   noise, T=0.01, dt=1e-3, ensemble=5, chargelist=[t])
     with pytest.raises(InsufficientEnsemble):
         dyn.noether_drift_check(ens, t, uv_model, square_family, two_sample_dataset, noise)
+
+
+def test_sgf_returns_array_ensemble(uv_model, square_family, two_sample_dataset):
+    noise = dyn.NoiseModel(mode="exact_sde", sigma=0.1, seed=7)
+    t = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, uv_model)
+    ens = dyn.sgf(uv_model, square_family, two_sample_dataset, np.array([1.2, 0.6]),
+                  noise, T=0.02, dt=1e-3, ensemble=3, chargelist=[t])
+    assert isinstance(ens, dyn.Ensemble) and len(ens) == 3
+    n = 21  # the start and 20 steps
+    assert ens.times.shape == (n,) and ens.states.shape == (n, 3, 2)
+    assert ens.losses.shape == (n, 3)
+    assert list(ens.charges) == ["half_norm_gap"]
+    assert ens.charges["half_norm_gap"].shape == (n, 3)
+    for i in range(3):
+        tr = ens[i]
+        assert isinstance(tr, dyn.Trajectory) and tr.meta["index"] == i
+        np.testing.assert_array_equal(tr.times, ens.times)
+        np.testing.assert_array_equal(tr.states, ens.states[:, i])
+        np.testing.assert_array_equal(tr.losses, ens.losses[:, i])
+        np.testing.assert_array_equal(tr.charges["half_norm_gap"],
+                                      [t.charge.c_eval(s) for s in tr.states])
+        np.testing.assert_allclose(tr.diagnostics["theta_sq"], np.sum(tr.states ** 2, axis=1),
+                                   rtol=1e-15)
+        np.testing.assert_allclose(
+            tr.losses, [expected_loss(uv_model, square_family, two_sample_dataset, s)
+                        for s in tr.states], rtol=1e-15)
+    assert [tr.meta["index"] for tr in ens[1:]] == [1, 2]
+    assert [tr.meta["index"] for tr in ens] == [0, 1, 2]
+    with pytest.raises(IndexError):
+        ens[3]
+
+
+def _drift_by_member(ens, charge, model, family, dataset, noise):
+    """Drift statistics as a loop over member trajectories, one scalar charge
+    call per member and state: the reference the array version must equal."""
+    members = list(ens)
+    times = members[0].times
+    span = float(times[-1] - times[0])
+    dt = float(members[0].meta["dt"])
+    sigma_sq = noise.sigma ** 2 if noise.mode == "exact_sde" else dt / 2.0
+    deltas = np.array([
+        (float(charge.c_eval(tr.states[-1])) - float(charge.c_eval(tr.states[0]))) / span
+        for tr in members
+    ])
+    parts = per_sample_losses(model, family, dataset)
+    w = np.array([p[0] for p in parts])
+    maps = [lambda th, m=m, l=l: l.apply(m.func(th)) for _, m, l in parts]
+    rec_idx = np.unique(np.linspace(0, times.size - 1, min(times.size, 65)).astype(int))
+    member_states = np.stack([tr.states for tr in members])  # (N, n_rec, d)
+    terms = []
+    for k in rec_idx:
+        pts = member_states[:, k, :]
+        G = np.stack([de.gradient_at_points(mp, pts) for mp in maps])
+        H = np.stack([de.hessians_at_points(mp, pts) for mp in maps])
+        gbar = np.einsum("k,knd->nd", w, G)
+        hbar = np.einsum("k,knij->nij", w, H)
+        sigma = np.einsum("k,kni,knj->nij", w, G, G) - np.einsum("ni,nj->nij", gbar, gbar)
+        grad_trace = 2.0 * (
+            np.einsum("k,knij,knj->ni", w, H, G) - np.einsum("nij,nj->ni", hbar, gbar)
+        )
+        gc = np.stack([np.asarray(charge.grad(p), dtype=float) for p in pts])
+        hc = np.stack([np.asarray(charge.hess(p), dtype=float) for p in pts])
+        terms.append((
+            float((-(sigma_sq / 2.0) * np.einsum("ni,ni->n", gc, grad_trace)).mean()),
+            float((sigma_sq * np.einsum("nij,nij->n", sigma, hc)).mean()),
+            float(np.einsum("ni,nij,nj->n", gbar, hc, gbar).mean()),
+        ))
+    t_grad, t_trace, quad = (np.array(col) for col in zip(*terms))
+    grid = times[rec_idx]
+    weights = np.gradient(grid) if grid.size > 2 else np.full(grid.size, span / grid.size)
+    theory_trace = float(np.sum(t_trace * weights) / np.sum(weights))
+    em_bias = 0.5 * dt * float(np.sum(quad * weights) / np.sum(weights))
+    slop = 4.0 * dt * dt * max(abs(theory_trace) / max(dt, 1e-300), 1.0)
+    return {
+        "empirical": float(deltas.mean()),
+        "std_error": float(deltas.std(ddof=1) / math.sqrt(len(deltas))),
+        "theory_grad": float(np.sum(t_grad * weights) / np.sum(weights)),
+        "theory_trace": theory_trace,
+        "bias_budget": float(abs(em_bias) + slop),
+    }
+
+
+@pytest.mark.parametrize("mode, sigma", [("exact_sde", 0.1), ("minibatch", 0.0)])
+def test_drift_check_equals_per_member_reference(mode, sigma, uv_model, square_family,
+                                                 two_sample_dataset):
+    noise = dyn.NoiseModel(mode=mode, sigma=sigma, seed=3)
+    t = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, uv_model)
+    ens = dyn.sgf(uv_model, square_family, two_sample_dataset, np.array([1.2, 0.6]),
+                  noise, T=0.05, dt=1e-3, ensemble=150, chargelist=[t])
+    rep = dyn.noether_drift_check(ens, t, uv_model, square_family, two_sample_dataset, noise)
+    ref = _drift_by_member(ens, t.charge, uv_model, square_family, two_sample_dataset, noise)
+    assert {k: getattr(rep, k) for k in ref} == ref
+    assert rep.n_trajectories == 150
+
+
+def test_sgf_byte_guard_raises_before_any_stream(monkeypatch, uv_model, square_family,
+                                                 two_sample_dataset):
+    def no_stream(*args, **kwargs):
+        raise AssertionError("a noise stream was created")
+
+    monkeypatch.setattr(np.random, "Philox", no_stream)
+    # one step, two records: the recorded states outweigh the noise draws,
+    # and minibatch runs are bounded too
+    for mode in ("exact_sde", "minibatch"):
+        noise = dyn.NoiseModel(mode=mode, sigma=0.1, seed=7)
+        with pytest.raises(InvalidParams, match="GiB"):
+            dyn.sgf(uv_model, square_family, two_sample_dataset, np.array([1.2, 0.6]),
+                    noise, T=1e-3, dt=1e-3, ensemble=20_000_000)
+    # 8 bytes x M x (1 index + 2 records x (d + loss + charges))
+    dyn._check_sgf_bytes(2, 1e-3, 1e-3, 16_000_000, "minibatch", n_charges=0)
+    with pytest.raises(InvalidParams):
+        dyn._check_sgf_bytes(2, 1e-3, 1e-3, 16_000_000, "minibatch", n_charges=2)
 
 
 # ---------------------------------------------------------------------------

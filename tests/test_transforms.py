@@ -221,6 +221,29 @@ def test_charge_value_is_half_norm_gap(deep_linear_121):
     assert charge.c_eval(theta) == pytest.approx(0.5 * (up @ up - down @ down), abs=1e-15)
 
 
+_CHARGE_CASES = [c for c in CASES if c[0] in ("layer_rescaling", "linear_reparam")] + [
+    # blocks of 20 and 15 entries: sums past numpy's 8-way unrolled reduction
+    ("layer_rescaling", {"blocks": ["W1", "W2"]},
+     build_model(ModelSpec("deep_linear", {"widths": [4, 5, 3]}, seed=9))),
+]
+
+
+@pytest.mark.parametrize("name,params,model", _CHARGE_CASES,
+                         ids=[c[0] for c in _CHARGE_CASES[:-1]] + ["layer_rescaling_wide"])
+def test_batched_charge_equals_per_row(name, params, model):
+    charge = noether_charge(build_transform(name, params, model))
+    rng = np.random.default_rng(17)
+    for lead in ((6,), (3, 5)):
+        states = rng.uniform(-1.0, 1.0, size=lead + (model.d,))
+        rows = states.reshape(-1, model.d)
+        for fn, tail in ((charge.c_eval, ()), (charge.grad, (model.d,)),
+                         (charge.hess, (model.d, model.d))):
+            batched = np.asarray(fn(states))
+            assert batched.shape == lead + tail
+            per_row = np.stack([np.asarray(fn(row)) for row in rows])
+            np.testing.assert_array_equal(batched.reshape(per_row.shape), per_row)
+
+
 def test_discrete_transform_has_no_charge(deep_linear_121):
     t = build_transform("mirror", {"columns": [[0.0, 1.0, 0.0, 0.0]]}, deep_linear_121)
     with pytest.raises(NotConservative):
