@@ -516,6 +516,9 @@ _RUNNERS: Mapping[str, Callable] = {
 
 
 def _write_report_files(reports: Sequence[ic.IdentityReport], out_dir: str) -> List[str]:
+    """Write the report files, creating ``out_dir`` only now, after the
+    config has passed validation."""
+    os.makedirs(out_dir, exist_ok=True)
     ic.write_reports_jsonl(reports, os.path.join(out_dir, "reports.jsonl"))
     ic.write_summary_csv(reports, os.path.join(out_dir, "summary.csv"))
     return ["reports.jsonl", "summary.csv"]
@@ -559,7 +562,6 @@ def run(config_path: str) -> int:
     if out_dir is None:
         stem = os.path.splitext(os.path.basename(config_path))[0]
         out_dir = os.path.join(os.path.dirname(os.path.abspath(config_path)), stem + "_out")
-    os.makedirs(out_dir, exist_ok=True)
 
     reports, files = _RUNNERS[experiment](cfg, out_dir)
     n_pass = sum(1 for r in reports if r.passed)

@@ -20,16 +20,21 @@ sweep is a single block, i.e. a single map evaluation.
 
 Components may be scalars or numpy arrays of any broadcast-compatible shape;
 scalar zeros are kept as plain ``0.0`` and short-circuited, so unused
-perturbation slots cost nothing.  Maps must be written against the generic
-helpers at the bottom of this module (``matvec``, ``relu``, ``tanh``, ...),
-which accept both plain arrays and hyper-duals -- the same model code is then
-exercised by the exact engine and by the finite-difference oracle.
+perturbation slots cost nothing.  The arithmetic is three rules, each written
+once: the product rule ``_bilinear`` (hyper-dual ``*``, ``matvec``, ``dot``),
+the slot map ``_each`` (a structural op applied to the value and each present
+slot: ``take_last``, ``reshape_tail``, ``sum_last``, ``expand_last``,
+indexing, negation), and the univariate lift ``_unary`` (``exp``, ``log``,
+``log1p``, ``tanh``).  Maps must be written against these generic helpers
+and ``+``, ``-``, ``*`` and ``relu``, which accept both plain arrays and
+hyper-duals -- the same model code is then exercised by the exact engine and
+by the finite-difference oracle.
 
 The finite-difference oracle uses central differences with per-coordinate
-step ``h_i = fd_step_scale * max(1, |x_i|) * eps**(1/p)`` (p = 3 for first,
-p = 4 for second derivatives), every stencil point stacked into one batched
-map evaluation.  It exists to cross-check the exact engine and to drive every
-identity check in ``finite_difference`` mode.
+step ``h_i = max(1, |x_i|) * eps**(1/p)`` (p = 3 for first, p = 4 for second
+derivatives), every stencil point stacked into one batched map evaluation.
+It exists to cross-check the exact engine and to drive every identity check
+in ``finite_difference`` mode.
 
 Convention note: ReLU is differentiated with ``relu'(0) = 0`` and
 ``relu'' = 0`` everywhere; checks sample points away from the kink.
@@ -37,7 +42,9 @@ Convention note: ReLU is differentiated with ``relu'(0) = 0`` and
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -62,7 +69,7 @@ __all__ = [
     "gradient_at_points",
     "hessians_at_points",
     # generic numeric helpers for model code
-    "exp", "log", "log1p", "sqrt", "tanh", "relu",
+    "exp", "log", "log1p", "tanh", "relu",
     "matvec", "dot", "sum_last", "expand_last", "take_last", "reshape_tail",
 ]
 
@@ -78,15 +85,10 @@ class DiffConfig:
     """Differentiation settings shared by every derivative entry point."""
 
     mode: str = "exact"
-    fd_step_scale: float = 1.0
 
     def __post_init__(self):
-        mode = {"fd": "finite_difference"}.get(self.mode, self.mode)
-        if mode not in _MODES:
+        if self.mode not in _MODES:
             raise InvalidParams(f"unknown diff mode {self.mode!r}")
-        object.__setattr__(self, "mode", mode)
-        if not (self.fd_step_scale > 0 and np.isfinite(self.fd_step_scale)):
-            raise InvalidParams("fd_step_scale must be a positive finite number")
 
 
 _DEFAULT = DiffConfig()
@@ -123,8 +125,6 @@ class HyperDual:
         self.d2 = d2
         self.d12 = d12
 
-    # --- ring operations --------------------------------------------------
-
     def __add__(self, other):
         if isinstance(other, HyperDual):
             return HyperDual(
@@ -138,148 +138,78 @@ class HyperDual:
     __radd__ = __add__
 
     def __neg__(self):
-        return HyperDual(
-            -self.value,
-            -self.d1 if not _is_zero(self.d1) else 0.0,
-            -self.d2 if not _is_zero(self.d2) else 0.0,
-            -self.d12 if not _is_zero(self.d12) else 0.0,
-        )
+        return _each(self, operator.neg)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, HyperDual) else -np.asarray(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, HyperDual):
-            return HyperDual(
-                self.value * other.value,
-                _add(_mul(self.d1, other.value), _mul(self.value, other.d1)),
-                _add(_mul(self.d2, other.value), _mul(self.value, other.d2)),
-                _add(
-                    _add(_mul(self.d12, other.value), _mul(self.value, other.d12)),
-                    _add(_mul(self.d1, other.d2), _mul(self.d2, other.d1)),
-                ),
-            )
-        return HyperDual(
-            self.value * other,
-            _mul(self.d1, other),
-            _mul(self.d2, other),
-            _mul(self.d12, other),
-        )
+            return _bilinear(operator.mul, self, other)
+        return HyperDual(self.value * other, _mul(self.d1, other), _mul(self.d2, other),
+                         _mul(self.d12, other))
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, HyperDual):
-            return self * other._reciprocal()
-        return self * (1.0 / np.asarray(other))
-
-    def __rtruediv__(self, other):
-        return self._reciprocal() * other
-
-    def __pow__(self, n):
-        if isinstance(n, int):
-            if n == 0:
-                return HyperDual(np.ones_like(np.asarray(self.value, dtype=float)))
-            if n == 1:
-                return self
-            return self._lift(
-                lambda v: v ** n,
-                lambda v: n * v ** (n - 1),
-                lambda v: n * (n - 1) * v ** (n - 2),
-            )
-        return self._lift(
-            lambda v: v ** n,
-            lambda v: n * v ** (n - 1),
-            lambda v: n * (n - 1) * v ** (n - 2),
-        )
-
-    # --- smooth univariate lifts -------------------------------------------
-
-    def _lift(self, f, df, d2f):
-        v = self.value
-        dv = df(v)
-        d12 = _add(_mul(dv, self.d12), _mul(_mul(d2f(v), self.d1), self.d2))
-        return HyperDual(f(v), _mul(dv, self.d1), _mul(dv, self.d2), d12)
-
-    def _reciprocal(self):
-        return self._lift(
-            lambda v: 1.0 / v, lambda v: -1.0 / v ** 2, lambda v: 2.0 / v ** 3
-        )
-
-    def exp(self):
-        ev = np.exp(self.value)
-        return self._lift(lambda v: ev, lambda v: ev, lambda v: ev)
-
-    def log(self):
-        return self._lift(np.log, lambda v: 1.0 / v, lambda v: -1.0 / v ** 2)
-
-    def log1p(self):
-        return self._lift(
-            np.log1p, lambda v: 1.0 / (1.0 + v), lambda v: -1.0 / (1.0 + v) ** 2
-        )
-
-    def sqrt(self):
-        r = np.sqrt(self.value)
-        return self._lift(
-            lambda v: r, lambda v: 0.5 / r, lambda v: -0.25 / (r * v)
-        )
-
-    def tanh(self):
-        t = np.tanh(self.value)
-        sech2 = 1.0 - t * t
-        return self._lift(
-            lambda v: t, lambda v: sech2, lambda v: -2.0 * t * sech2
-        )
-
-    def relu(self):
-        # relu'(0) = 0 and relu'' = 0 by convention: the sub-gradient slot at
-        # the kink is pinned to the "off" branch.
-        mask = (np.asarray(self.value) > 0.0).astype(float)
-        return HyperDual(
-            np.asarray(self.value) * mask,
-            _mul(self.d1, mask),
-            _mul(self.d2, mask),
-            _mul(self.d12, mask),
-        )
-
-    # --- structural ops -----------------------------------------------------
-
     def __getitem__(self, key):
-        def pick(c):
-            return c if _is_zero(c) else np.asarray(c)[key]
-
-        return HyperDual(np.asarray(self.value)[key], pick(self.d1), pick(self.d2), pick(self.d12))
-
-    def reshape_tail(self, n_tail: int, new_tail: Tuple[int, ...]):
-        """Reshape the trailing ``n_tail`` axes to ``new_tail``, keeping any
-        leading (direction-batch) axes untouched."""
-
-        def rs(c):
-            if _is_zero(c):
-                return c
-            c = np.asarray(c)
-            lead = c.shape[: c.ndim - n_tail]
-            return c.reshape(lead + tuple(new_tail))
-
-        return HyperDual(rs(self.value), rs(self.d1), rs(self.d2), rs(self.d12))
-
-    def sum_last(self):
-        def s(c):
-            return c if _is_zero(c) else np.asarray(c).sum(axis=-1)
-
-        return HyperDual(s(self.value), s(self.d1), s(self.d2), s(self.d12))
-
-    def expand_last(self):
-        def e(c):
-            return c if _is_zero(c) else np.asarray(c)[..., None]
-
-        return HyperDual(e(self.value), e(self.d1), e(self.d2), e(self.d12))
+        return _each(self, lambda c: np.asarray(c)[key])
 
     def __repr__(self):
         return f"HyperDual(value={self.value!r})"
+
+
+# --- the three rules ------------------------------------------------------------
+
+def _bilinear(op: Callable, a, b):
+    """Product rule for a bilinear ``op`` (``*`` or an einsum) whose operands
+    may each be plain or hyper-dual; terms with an absent slot are skipped."""
+    a_hd = isinstance(a, HyperDual)
+    b_hd = isinstance(b, HyperDual)
+    if not a_hd and not b_hd:
+        return op(a, b)
+    av, a1, a2, a12 = (a.value, a.d1, a.d2, a.d12) if a_hd else (a, 0.0, 0.0, 0.0)
+    bv, b1, b2, b12 = (b.value, b.d1, b.d2, b.d12) if b_hd else (b, 0.0, 0.0, 0.0)
+
+    def term(x, y):
+        if _is_zero(x) or _is_zero(y):
+            return 0.0
+        return op(x, y)
+
+    return HyperDual(
+        op(av, bv),
+        _add(term(a1, bv), term(av, b1)),
+        _add(term(a2, bv), term(av, b2)),
+        _add(_add(term(a12, bv), term(av, b12)), _add(term(a1, b2), term(a2, b1))),
+    )
+
+
+def _each(x, fn: Callable):
+    """``fn`` applied to a plain array, or to a hyper-dual's value and to each
+    of its present slots (absent ones stay ``0.0``)."""
+    if not isinstance(x, HyperDual):
+        return fn(x)
+    d1, d2, d12 = x.d1, x.d2, x.d12
+    return HyperDual(
+        fn(x.value),
+        d1 if _is_zero(d1) else fn(d1),
+        d2 if _is_zero(d2) else fn(d2),
+        d12 if _is_zero(d12) else fn(d12),
+    )
+
+
+def _unary(f: Callable, derivs: Callable) -> Callable:
+    """Lift the numpy function ``f`` to hyper-duals; ``derivs(v)`` returns
+    ``(f(v), f'(v), f''(v))``."""
+
+    def lifted(x):
+        if not isinstance(x, HyperDual):
+            return f(x)
+        fv, df, d2f = derivs(x.value)
+        d12 = _add(_mul(df, x.d12), _mul(_mul(d2f, x.d1), x.d2))
+        return HyperDual(fv, _mul(df, x.d1), _mul(df, x.d2), d12)
+
+    lifted.__name__ = lifted.__qualname__ = f.__name__
+    return lifted
 
 
 # --- generic numeric layer ----------------------------------------------------
@@ -288,91 +218,53 @@ class HyperDual:
 # pass runs on plain float arrays (finite differences, trajectory recording)
 # and on hyper-duals (exact derivatives).
 
-def exp(x):
-    return x.exp() if isinstance(x, HyperDual) else np.exp(x)
-
-
-def log(x):
-    return x.log() if isinstance(x, HyperDual) else np.log(x)
-
-
-def log1p(x):
-    return x.log1p() if isinstance(x, HyperDual) else np.log1p(x)
-
-
-def sqrt(x):
-    return x.sqrt() if isinstance(x, HyperDual) else np.sqrt(x)
-
-
-def tanh(x):
-    return x.tanh() if isinstance(x, HyperDual) else np.tanh(x)
+exp = _unary(np.exp, lambda v: (e := np.exp(v), e, e))
+log = _unary(np.log, lambda v: (np.log(v), 1.0 / v, -1.0 / v ** 2))
+log1p = _unary(np.log1p, lambda v: (np.log1p(v), 1.0 / (1.0 + v), -1.0 / (1.0 + v) ** 2))
+tanh = _unary(np.tanh, lambda v: (t := np.tanh(v), s := 1.0 - t * t, -2.0 * t * s))
 
 
 def relu(x):
+    # relu'(0) = 0 and relu'' = 0 by convention: the sub-gradient slot at
+    # the kink is pinned to the "off" branch.
     if isinstance(x, HyperDual):
-        return x.relu()
+        return x * (np.asarray(x.value) > 0.0).astype(float)
     x = np.asarray(x, dtype=float)
     return x * (x > 0.0)
 
 
-def _einsum2(spec: str, a, b):
-    """Bilinear einsum over two operands, either of which may be hyper-dual."""
-    a_hd = isinstance(a, HyperDual)
-    b_hd = isinstance(b, HyperDual)
-    if not a_hd and not b_hd:
-        return np.einsum(spec, a, b)
-
-    def ein(x, y):
-        if _is_zero(x) or _is_zero(y):
-            return 0.0
-        return np.einsum(spec, x, y)
-
-    av, a1, a2, a12 = (
-        (a.value, a.d1, a.d2, a.d12) if a_hd else (a, 0.0, 0.0, 0.0)
-    )
-    bv, b1, b2, b12 = (
-        (b.value, b.d1, b.d2, b.d12) if b_hd else (b, 0.0, 0.0, 0.0)
-    )
-    value = np.einsum(spec, av, bv)
-    d1 = _add(ein(a1, bv), ein(av, b1))
-    d2 = _add(ein(a2, bv), ein(av, b2))
-    d12 = _add(
-        _add(ein(a12, bv), ein(av, b12)),
-        _add(ein(a1, b2), ein(a2, b1)),
-    )
-    return HyperDual(value, d1, d2, d12)
-
-
 def matvec(w, z):
     """Apply a (..., out, in) matrix block to a (..., in) vector."""
-    return _einsum2("...ij,...j->...i", w, z)
+    return _bilinear(partial(np.einsum, "...ij,...j->...i"), w, z)
 
 
 def dot(a, b):
     """Inner product over the last axis."""
-    return _einsum2("...i,...i->...", a, b)
+    return _bilinear(partial(np.einsum, "...i,...i->..."), a, b)
 
 
 def sum_last(x):
-    return x.sum_last() if isinstance(x, HyperDual) else np.asarray(x).sum(axis=-1)
+    return _each(x, lambda c: np.asarray(c).sum(axis=-1))
 
 
 def expand_last(x):
-    return x.expand_last() if isinstance(x, HyperDual) else np.asarray(x)[..., None]
+    return _each(x, lambda c: np.asarray(c)[..., None])
 
 
 def take_last(x, sl: slice):
     """Slice the last axis (parameter unpacking)."""
-    key = (Ellipsis, sl)
-    return x[key] if isinstance(x, HyperDual) else np.asarray(x)[key]
+    return _each(x, lambda c: np.asarray(c)[..., sl])
 
 
 def reshape_tail(x, n_tail: int, new_tail: Tuple[int, ...]):
-    if isinstance(x, HyperDual):
-        return x.reshape_tail(n_tail, new_tail)
-    x = np.asarray(x)
-    lead = x.shape[: x.ndim - n_tail]
-    return x.reshape(lead + tuple(new_tail))
+    """Reshape the trailing ``n_tail`` axes to ``new_tail``, keeping any
+    leading (direction-batch) axes untouched."""
+
+    def rs(c):
+        c = np.asarray(c)
+        return c.reshape(c.shape[: c.ndim - n_tail] + tuple(new_tail))
+
+    return _each(x, rs)
 
 
 # --- derivative sweeps ---------------------------------------------------------
@@ -481,10 +373,12 @@ def _stencil(order: int, d: int):
 def fd_oracle(map_fn: Callable, point, order: int, config: Optional[DiffConfig] = None) -> Tensor:
     """Central finite differences of order 1 or 2 (the independent oracle).
 
-    Steps follow ``h_i = fd_step_scale * max(1, |x_i|) * eps**(1/p)`` with
-    p = 3 for first and p = 4 for second derivatives — the classical
-    truncation/rounding balance for each order (a cube-root step on a second
-    difference lets eps/h^2 rounding dominate at ~1e-5).
+    Steps follow ``h_i = max(1, |x_i|) * eps**(1/p)`` with p = 3 for first
+    and p = 4 for second derivatives — the classical truncation/rounding
+    balance for each order (a cube-root step on a second difference lets
+    eps/h^2 rounding dominate at ~1e-5).  ``config`` is accepted so that
+    every sweep takes the same arguments; none of its settings changes the
+    stencil.
 
     Every stencil point is stacked into one ``(n, d)`` batch and the map is
     evaluated once on it (once per ``_BLOCK_BYTES`` block of points for large
@@ -492,13 +386,12 @@ def fd_oracle(map_fn: Callable, point, order: int, config: Optional[DiffConfig] 
     hyper-dual seeds already require.  The differences are then combined in
     the same order of arithmetic as a point-by-point stencil.
     """
-    cfg = config or _DEFAULT
     x = _as_point(point)
     d = x.size
     if order not in (1, 2):
         raise IndexOutOfRange(f"fd_oracle order must be 1 or 2, got {order}")
     exponent = 1.0 / 3.0 if order == 1 else 0.25
-    h = cfg.fd_step_scale * np.maximum(1.0, np.abs(x)) * np.finfo(float).eps ** exponent
+    h = np.maximum(1.0, np.abs(x)) * np.finfo(float).eps ** exponent
 
     a, sa, b, sb = _stencil(order, d)
     values = []

@@ -392,13 +392,13 @@ def gradient_descent(
     stride = max(1, math.ceil(steps / _RECORD_BUDGET))
     single = loss if isinstance(loss, Loss) else None
     rec = _Recorder(model, obj, charges, single)
-    rec.record(0.0, th)
+    g = obj.grad(th)
+    rec.record(0.0, th, grad=g)
     if symmetries:
         rec.extra("sym_ortho_max", 0.0)
 
     worst_since_record = 0.0
     for k in range(1, steps + 1):
-        g = obj.grad(th)
         delta = -eta * g
         nd = float(np.linalg.norm(delta))
         for s in symmetries:
@@ -414,8 +414,9 @@ def gradient_descent(
                 )
         th = th + delta
         _check_state(th, "GD step")
+        g = obj.grad(th)
         if k % stride == 0 or k == steps:
-            rec.record(float(k), th, grad=None)
+            rec.record(float(k), th, grad=g)
             if symmetries:
                 rec.extra("sym_ortho_max", worst_since_record)
                 worst_since_record = 0.0
@@ -648,7 +649,6 @@ def sgf(
                     f"{c.name}; drift estimates will be dominated by integration error",
                     stacklevel=2,
                 )
-            break
 
     if noise.mode == "exact_sde":
         draws = np.empty((ensemble, n_steps, d))

@@ -149,6 +149,7 @@ def test_run_misfit_entry_exit_2_before_sampling(tmp_path, capsys, entry, where)
     assert cli.main(["run", str(_write(tmp_path, "misfit.json", cfg))]) == 2
     assert f"config.plan[0].{where}:" in capsys.readouterr().err
     assert not (tmp_path / "out" / "reports.jsonl").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def _bundled(name, **edits):
@@ -189,6 +190,7 @@ def test_run_dynamics_config_errors_exit_2(tmp_path, capsys, cfg, where):
     assert cli.main(["run", str(_write(tmp_path, "bad.json", cfg))]) == 2
     assert f"{where}:" in capsys.readouterr().err
     assert not (tmp_path / "out" / "reports.jsonl").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_invalid_json_exit_2(tmp_path, capsys):

@@ -122,6 +122,76 @@ def test_second_derivative_symmetry():
 
 
 # ---------------------------------------------------------------------------
+# every generic helper on plain arrays and on hyper-duals
+# ---------------------------------------------------------------------------
+
+_M = np.array([[0.5, -1.0, 2.0, 0.25], [1.5, 0.0, -0.75, 1.0]])
+
+
+def _linear(v, u, w):
+    return 0.0
+
+
+# name: (map, its numpy expression, Df(v)[u], D^2 f(v)[u, w])
+HELPERS = {
+    "exp": (de.exp, np.exp, lambda v, u: np.exp(v) * u, lambda v, u, w: np.exp(v) * u * w),
+    "log": (de.log, np.log, lambda v, u: u / v, lambda v, u, w: -u * w / v ** 2),
+    "log1p": (de.log1p, np.log1p, lambda v, u: u / (1.0 + v),
+              lambda v, u, w: -u * w / (1.0 + v) ** 2),
+    "tanh": (de.tanh, np.tanh, lambda v, u: u / np.cosh(v) ** 2,
+             lambda v, u, w: -2.0 * np.tanh(v) / np.cosh(v) ** 2 * u * w),
+    "relu": (lambda x: de.relu(x - 1.0), lambda v: np.maximum(v - 1.0, 0.0),
+             lambda v, u: (v > 1.0) * u, _linear),
+    "matvec": (lambda x: de.matvec(_M, x), lambda v: _M @ v, lambda v, u: _M @ u, _linear),
+    "dot": (lambda x: de.dot(x, x), lambda v: v @ v, lambda v, u: 2.0 * v @ u,
+            lambda v, u, w: 2.0 * u @ w),
+    "sum_last": (de.sum_last, lambda v: v.sum(axis=-1), lambda v, u: u.sum(axis=-1), _linear),
+    "expand_last": (de.expand_last, lambda v: v[:, None], lambda v, u: u[:, None], _linear),
+    "take_last": (lambda x: de.take_last(x, slice(1, 3)), lambda v: v[1:3],
+                  lambda v, u: u[1:3], _linear),
+    "reshape_tail": (lambda x: de.reshape_tail(x, 1, (2, 2)), lambda v: v.reshape(2, 2),
+                     lambda v, u: u.reshape(2, 2), _linear),
+    "add": (lambda x: x + x + 0.5, lambda v: v + v + 0.5, lambda v, u: 2.0 * u, _linear),
+    "sub": (lambda x: x - x * x - 0.5, lambda v: v - v * v - 0.5,
+            lambda v, u: u - 2.0 * v * u, lambda v, u, w: -2.0 * u * w),
+    "neg": (lambda x: -x, lambda v: -v, lambda v, u: -u, _linear),
+    "mul": (lambda x: 3.0 * x * x, lambda v: 3.0 * v * v, lambda v, u: 6.0 * v * u,
+            lambda v, u, w: 6.0 * u * w),
+}
+
+
+def _is_absent(slot):
+    return type(slot) is float and slot == 0.0
+
+
+@pytest.mark.parametrize("name", HELPERS)
+def test_generic_helpers_on_arrays_and_hyper_duals(name):
+    fn, numpy_expr, first, second = HELPERS[name]
+    v = np.array([0.3, 0.7, 1.4, 1.9])
+    u = np.array([1.0, -0.5, 0.25, 2.0])
+    w = np.array([-1.5, 0.75, 1.0, 0.5])
+    c = np.array([0.2, 0.4, -0.6, 1.2])
+    assert np.array_equal(fn(v), numpy_expr(v))
+
+    # gradient sweeps seed only d1: no second-order slot may be built
+    grad_only = fn(de.HyperDual(v, d1=u))
+    assert np.array_equal(grad_only.value, numpy_expr(v))
+    np.testing.assert_allclose(grad_only.d1, first(v, u), rtol=1e-14, atol=1e-15)
+    assert _is_absent(grad_only.d2) and _is_absent(grad_only.d12)
+
+    full = fn(de.HyperDual(v, u, w, c))
+    assert np.array_equal(full.value, numpy_expr(v))
+    np.testing.assert_allclose(full.d1, first(v, u), rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(full.d2, first(v, w), rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(full.d12, second(v, u, w) + first(v, c), rtol=1e-14, atol=1e-15)
+
+
+def test_public_names_resolve():
+    for name in de.__all__:
+        assert hasattr(de, name), name
+
+
+# ---------------------------------------------------------------------------
 # exact vs finite differences on every catalog map
 # ---------------------------------------------------------------------------
 

@@ -3,6 +3,7 @@ orthogonality, noise covariance, stochastic flow and its drift law."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from equichk.models import (
     make_loss,
     per_sample_losses,
 )
-from equichk.transforms import build_transform
+from equichk.transforms import Charge, build_transform
 
 
 def _identity_model():
@@ -127,6 +128,23 @@ def test_descent_rejects_nonsymmetry(probe_model, probe_loss):
     with pytest.raises(InvalidParams):
         dyn.gradient_descent(probe_model, probe_loss, np.array([3.0, -1.0]),
                              eta=0.01, steps=2, symmetries=[t])
+
+
+def test_descent_computes_one_gradient_per_state(monkeypatch, relu_mlp):
+    # the gradient taken after each update serves both the record and the
+    # next step: 10 steps at stride 1 sweep 11 states
+    calls = []
+    sweep = de.gradient_at_points
+
+    def counting(map_fn, points):
+        calls.append(1)
+        return sweep(map_fn, points)
+
+    monkeypatch.setattr(de, "gradient_at_points", counting)
+    loss = make_loss("exponential", label=1)
+    trj = dyn.gradient_descent(relu_mlp, loss, relu_mlp.init_params, eta=0.05, steps=10)
+    assert trj.meta["stride"] == 1 and len(trj.times) == 11
+    assert len(calls) == 11
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +396,28 @@ def test_sgf_byte_guard_raises_before_any_stream(monkeypatch, uv_model, square_f
     dyn._check_sgf_bytes(2, 1e-3, 1e-3, 16_000_000, "minibatch", n_charges=0)
     with pytest.raises(InvalidParams):
         dyn._check_sgf_bytes(2, 1e-3, 1e-3, 16_000_000, "minibatch", n_charges=2)
+
+
+def _constant_charge(name, value):
+    return Charge(name, c_eval=lambda th: np.full(np.shape(th)[:-1], value),
+                  grad=lambda th: np.zeros(np.shape(th)),
+                  hess=lambda th: np.zeros(np.shape(th) + np.shape(th)[-1:]))
+
+
+@pytest.mark.parametrize("order", [("small", "big"), ("big", "small")])
+def test_sgf_charge_scale_warning_checks_every_charge(order, uv_model, square_family,
+                                                      two_sample_dataset):
+    # at sigma = 30 the noise budget swamps a zero charge but not a 1e6 one,
+    # whichever comes first in the list
+    values = {"big": 1e6, "small": 0.0}
+    noise = dyn.NoiseModel(mode="exact_sde", sigma=30.0, seed=7)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        dyn.sgf(uv_model, square_family, two_sample_dataset, np.array([1.2, 0.6]), noise,
+                T=4e-3, dt=2e-3, ensemble=2,
+                chargelist=[_constant_charge(n, values[n]) for n in order])
+    messages = [str(w.message) for w in caught if "not small against charge" in str(w.message)]
+    assert len(messages) == 1 and "charge small;" in messages[0]
 
 
 # ---------------------------------------------------------------------------
