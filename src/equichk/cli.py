@@ -30,6 +30,7 @@ import datetime
 import hashlib
 import json
 import os
+import platform
 import sys
 import time
 from typing import Callable, List, Mapping, Optional, Sequence, Tuple
@@ -576,6 +577,8 @@ def run(config_path: str) -> int:
         "wall_time_s": round(time.time() - started, 3),
         "pass_counts": {"passed": n_pass, "failed": n_fail, "total": len(reports)},
         "files": sorted(set(files + ["manifest.json"])),
+        "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                        "cpu_count": os.cpu_count()},
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -97,6 +97,11 @@ class _Objective:
     def value(self, theta: np.ndarray) -> float:
         return float(sum(w * float(np.asarray(mp(theta))) for w, mp in self.maps))
 
+    def value_from_output(self, y: np.ndarray) -> float:
+        """:meth:`value` of a single-loss objective from its model output
+        y = f(theta), summed the same way, so the bits agree."""
+        return float(sum(w * float(np.asarray(l.apply(y))) for w, _, l in self.parts))
+
     def value_batch(self, points: np.ndarray) -> np.ndarray:
         total = np.zeros(points.shape[0])
         for w, mp in self.maps:
@@ -234,27 +239,31 @@ class _Recorder:
         self._scalar_head = model.c == 1
         if self._scalar_head:
             self.diag["f"] = []
+        self._loss = single_loss
         self._sharp = (
             single_loss is not None and self._scalar_head
             and model.homogeneity_degree is not None
         )
         if self._sharp:
             self.diag["sharpness_bound"] = []
-            self._loss = single_loss
             self._m = float(model.homogeneity_degree)
 
     def record(self, t: float, theta: np.ndarray, grad: Optional[np.ndarray] = None,
                loss: Optional[float] = None) -> None:
         """Record one row; ``grad`` and ``loss`` at ``theta`` are computed
-        here unless the caller already has them."""
+        here unless the caller already has them.  A single loss on a scalar
+        head takes its value from the forward pass of the ``f`` diagnostic."""
         g = self.obj.grad(theta) if grad is None else grad
+        y = forward(self.model, theta).array if self._scalar_head else None
+        if loss is None:
+            single = self._loss is not None and y is not None
+            loss = self.obj.value_from_output(y) if single else self.obj.value(theta)
         self.times.append(float(t))
         self.states.append(theta.copy())
-        self.losses.append(self.obj.value(theta) if loss is None else loss)
+        self.losses.append(loss)
         self.diag["grad_norm"].append(float(np.linalg.norm(g)))
         self.diag["theta_sq"].append(float(theta @ theta))
         if self._scalar_head:
-            y = forward(self.model, theta).array
             self.diag["f"].append(float(y[0]))
             if self._sharp:
                 yv = float(y[0])

@@ -20,8 +20,11 @@ identities hold at every good position, so lam defaults to 0 but any vector
 within the good region is accepted.  A check handed ``landscape=`` (one
 :func:`evaluate_landscape` result at the same theta and mode) uses it instead
 of evaluating its own; ``run_suite`` evaluates one landscape per position and
-shares it among that position's checks.  Every precondition still runs inside
-each check.
+shares it among that position's checks.  What the checks derive from a
+landscape -- its Hessian spectrum, and per (transform, lam) the chart
+inverses, X, Y and the second-order right-hand-side terms -- is computed on
+first use and kept with the landscape, so the checks at one position share it
+too.  Every precondition still runs inside each check.
 """
 
 from __future__ import annotations
@@ -46,13 +49,12 @@ from .errors import (
 )
 from .models import Loss, Model, ModelSpec, build_model, forward, make_loss, random_params
 from .spectral import SpectralSummary, spectral_summary
-from .tensor_core import Tensor, compose, compose_k, from_array, invert_square
+from .tensor_core import Tensor, compose, compose_k, from_array
 from .transforms import (
     Transformation,
-    _lam_vec,
+    _chart_inverses,
+    _Charts,
     build_transform,
-    characteristic_direction,
-    characteristic_output,
     fixed_point_project,
     good_position,
     mutate,
@@ -282,6 +284,13 @@ class LandscapeEval:
     independent code paths.  The same ``jac_f``/``hess_f`` also feed the
     Hessian assembly self-check.  One evaluation serves every check at a
     position: the checks take it as ``landscape=``.
+
+    ``_memo`` is the per-position memo of what the checks derive from this
+    landscape: the Hessian spectrum (:func:`_spectrum`) and, per transform
+    object and lam, the chart inverses, good-position report, X, Y and
+    second-order terms (:func:`_transform_eval`).  Each fills on first use.
+    A memo entry holds its transform, so a ``mutate``d copy never reuses the
+    entry of the transform it came from.
     """
 
     theta: np.ndarray      # (d,)
@@ -294,6 +303,7 @@ class LandscapeEval:
     grad: Tensor           # (d,)
     hess: Tensor           # (d, d)
     mode: str
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def evaluate_landscape(model: Model, loss: Loss, theta, config: Optional[de.DiffConfig] = None) -> LandscapeEval:
@@ -329,10 +339,41 @@ def _landscape(model: Model, loss: Loss, theta, cfg: de.DiffConfig,
     return landscape
 
 
-def _require_good_position(t: Transformation, theta, y, lam) -> None:
-    rep = good_position(t, theta, y, lam)
-    if not rep.ok:
-        raise NotGoodPosition(f"({t.name}) not a good position: {rep.reason}")
+def _spectrum(ev: LandscapeEval) -> SpectralSummary:
+    """The spectral summary of ``ev.hess``, computed once per landscape."""
+    summary = ev._memo.get("spectrum")
+    if summary is None:
+        summary = ev._memo["spectrum"] = spectral_summary(ev.hess.array)
+    return summary
+
+
+@dataclass
+class _TransformEval:
+    """One transform's characteristic data at a landscape's position and one
+    lam: the chart inverses and their good-position report, X and Y, and --
+    once a second-order check asks -- the five-term right-hand sides."""
+
+    transform: Transformation   # held so no other object can take the id that keys it
+    charts: _Charts
+    X: Optional[Tensor]
+    Y: Optional[Tensor]
+    second: Optional["_SecondOrder"] = None
+
+
+def _transform_eval(ev: LandscapeEval, t: Transformation, lam) -> _TransformEval:
+    """``t``'s data at ``ev``'s position and ``lam``, from ``ev``'s memo;
+    raises NotGoodPosition when the position is not good."""
+    key = (id(t), None if lam is None else np.asarray(lam, dtype=float).tobytes())
+    te = ev._memo.get(key)
+    if te is None:
+        charts = _chart_inverses(t, ev.theta, ev.y, lam)
+        X = Y = None
+        if charts.report.ok:
+            X, Y = charts.direction(t, ev.theta), charts.output(t, ev.y)
+        te = ev._memo[key] = _TransformEval(t, charts, X, Y)
+    if not te.charts.report.ok:
+        raise NotGoodPosition(f"({t.name}) not a good position: {te.charts.report.reason}")
+    return te
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +400,11 @@ def check_first_order(
     """
     cfg = config or de.DiffConfig()
     ev = _landscape(model, loss, theta, cfg, landscape)
-    _require_good_position(transform, ev.theta, ev.y, lam)
-    X = characteristic_direction(transform, ev.theta, lam)
-    Y = characteristic_output(transform, ev.y, lam)
+    te = _transform_eval(ev, transform, lam)
+    X, Y = te.X, te.Y
     lhs = compose(ev.grad, X).array
     rhs = compose(ev.gl, Y).array
-    ctx = _base_context(model, transform, _lam_vec(transform, lam), extra_context)
+    ctx = _base_context(model, transform, te.charts.lam, extra_context)
     ctx["is_symmetry"] = transform.is_symmetry
     ctx["mode"] = cfg.mode
     return _report(
@@ -382,7 +422,7 @@ def check_first_order(
 
 @dataclass(frozen=True)
 class _SecondOrder:
-    """The shared ingredients of the second-order identities at (theta, lam).
+    """The right-hand-side terms of the second-order identities at (theta, lam).
 
     ``action``/``quad`` hold the five signed right-hand-side terms of the
     Hessian action and quadratic-form identities (already carrying their
@@ -392,21 +432,16 @@ class _SecondOrder:
     theta, which covers the whole built-in catalog.
     """
 
-    X: Tensor
-    Y: Tensor
     action: Tuple[np.ndarray, ...]
     action_scales: Tuple[float, ...]
     quad: Tuple[np.ndarray, ...]
     quad_scales: Tuple[float, ...]
 
 
-def _second_order(ev: LandscapeEval, t: Transformation, lam) -> _SecondOrder:
-    lamv = _lam_vec(t, lam)
+def _second_order(ev: LandscapeEval, te: _TransformEval) -> _SecondOrder:
+    t, lamv = te.transform, te.charts.lam
     th, y = ev.theta, ev.y
-    hinv = invert_square(from_array(t.dh_dtheta(lamv, th)))
-    ginv = invert_square(from_array(t.dg_dy(lamv, y)))
-    X = characteristic_direction(t, th, lamv)
-    Y = characteristic_output(t, y, lamv)
+    hinv, ginv, X, Y = te.charts.hinv, te.charts.ginv, te.X, te.Y
 
     d2h_tt = from_array(t.d2h_dtheta2(lamv, th))        # (d, d, d)
     d2h_lt = from_array(t.d2h_dlambda_dtheta(lamv, th)) # (p, d, d)
@@ -451,8 +486,17 @@ def _second_order(ev: LandscapeEval, t: Transformation, lam) -> _SecondOrder:
         ngl * ngi * _norm(d2g_ll.array),
         ngl * ngi * _norm(d2g_yy.array) * ny * ny,
     )
-    return _SecondOrder(X=X, Y=Y, action=action, action_scales=action_scales,
+    return _SecondOrder(action=action, action_scales=action_scales,
                         quad=quad, quad_scales=quad_scales)
+
+
+def _second_order_terms(ev: LandscapeEval, t: Transformation, lam) -> Tuple[_TransformEval, _SecondOrder]:
+    """``t``'s data at ``ev``'s position with its second-order terms, which
+    are built once per memo entry."""
+    te = _transform_eval(ev, t, lam)
+    if te.second is None:
+        te.second = _second_order(ev, te)
+    return te, te.second
 
 
 def _assemble_rhs(terms: Sequence[np.ndarray], scales: Sequence[float], is_symmetry: bool) -> Tuple[np.ndarray, dict]:
@@ -493,18 +537,17 @@ def check_second_action(
     """Hessian action identity: hessL o X equals the five-term RHS in T(p, d)."""
     cfg = config or de.DiffConfig()
     ev = _landscape(model, loss, theta, cfg, landscape)
-    _require_good_position(transform, ev.theta, ev.y, lam)
-    so = _second_order(ev, transform, lam)
-    lhs = compose(ev.hess, so.X).array
+    te, so = _second_order_terms(ev, transform, lam)
+    lhs = compose(ev.hess, te.X).array
     rhs, diag = _assemble_rhs(so.action, so.action_scales, transform.is_symmetry)
-    ctx = _base_context(model, transform, _lam_vec(transform, lam), extra_context)
+    ctx = _base_context(model, transform, te.charts.lam, extra_context)
     ctx["is_symmetry"] = transform.is_symmetry
     ctx["mode"] = cfg.mode
     ctx.update(diag)
     return _report(
         "check_second_action", CHECK_ANCHORS["check_second_action"],
         lhs, rhs,
-        _norm(ev.hess.array) * _norm(so.X.array),
+        _norm(ev.hess.array) * _norm(te.X.array),
         sum(so.action_scales),
         _tol(cfg, tolerance), ctx,
     )
@@ -525,15 +568,14 @@ def check_second_quadratic(
     """Hessian quadratic-form identity: hessL o X o_2 X in T(p, p)."""
     cfg = config or de.DiffConfig()
     ev = _landscape(model, loss, theta, cfg, landscape)
-    _require_good_position(transform, ev.theta, ev.y, lam)
-    so = _second_order(ev, transform, lam)
-    lhs = compose_k(compose(ev.hess, so.X), so.X, 2).array
+    te, so = _second_order_terms(ev, transform, lam)
+    lhs = compose_k(compose(ev.hess, te.X), te.X, 2).array
     rhs, diag = _assemble_rhs(so.quad, so.quad_scales, transform.is_symmetry)
-    ctx = _base_context(model, transform, _lam_vec(transform, lam), extra_context)
+    ctx = _base_context(model, transform, te.charts.lam, extra_context)
     ctx["is_symmetry"] = transform.is_symmetry
     ctx["mode"] = cfg.mode
     ctx.update(diag)
-    nx = _norm(so.X.array)
+    nx = _norm(te.X.array)
     return _report(
         "check_second_quadratic", CHECK_ANCHORS["check_second_quadratic"],
         lhs, rhs,
@@ -649,7 +691,7 @@ def check_eigen_alignment(
     A = ev.hess.array
     g = ev.grad.array
     th = ev.theta
-    summary = spectral_summary(A)
+    summary = _spectrum(ev)
     lams = summary.eigenvalues
     U = summary.eigenvectors
     g_u = U.T @ g
@@ -719,7 +761,7 @@ def sharpness_bound(
     bound = (m / nth2) * (lpp * m * y * y + lp * (m - 1.0) * y)
 
     A = ev.hess.array
-    summary = spectral_summary(A)
+    summary = _spectrum(ev)
     lam_max = float(summary.lambda_max)
     rayleigh = float(th @ A @ th) / nth2
 
@@ -1044,10 +1086,10 @@ def stationary_null_count(
         if t.kind != "continuous" or not t.is_symmetry:
             raise InvalidParams(f"{t.name} is not a continuous symmetry")
         lamv = np.zeros(t.p)
-        X = characteristic_direction(t, th, lamv)
+        te = _transform_eval(ev, t, lamv)
+        X, hinv = te.X, te.charts.hinv
         rows.append(np.asarray(X.array, dtype=float).reshape(t.p, model.d))
         hx = _norm(compose(ev.hess, X).array)
-        hinv = invert_square(from_array(t.dh_dtheta(lamv, th)))
         m_lt = compose(hinv, from_array(t.d2h_dlambda_dtheta(lamv, th)))
         m_tt = compose(hinv, compose(from_array(t.d2h_dtheta2(lamv, th)), X))
         kappa = _norm(m_lt.array) + _norm(m_tt.array)
@@ -1068,7 +1110,7 @@ def stationary_null_count(
     else:
         rank = 0
 
-    summary = spectral_summary(ev.hess.array)
+    summary = _spectrum(ev)
     nulls = summary.null_count(null_tol)
 
     abs_res = worst_violation

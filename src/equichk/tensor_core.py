@@ -32,7 +32,7 @@ an external solver.  A reciprocal-condition estimate gates the result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -238,19 +238,33 @@ def _gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:
     return aug[:, n:]
 
 
-def rcond_estimate(a: np.ndarray) -> float:
-    """Reciprocal 1-norm condition estimate; 0.0 when elimination breaks down."""
+def _rcond(a: np.ndarray, inv: np.ndarray) -> float:
+    """1 / (||a||_1 ||inv||_1) for an inverse already computed; 0.0 when the
+    product vanishes or is not finite."""
+    denom = _one_norm(a) * _one_norm(inv)
+    if denom == 0.0 or not np.isfinite(denom):
+        return 0.0
+    return 1.0 / denom
+
+
+def _inverse_rcond(a) -> Tuple[Optional[np.ndarray], float]:
+    """The inverse of a square matrix and its reciprocal 1-norm condition
+    estimate, from one elimination; ``(None, 0.0)`` when elimination breaks
+    down.  The inverse is what :func:`invert_square` returns whenever the
+    estimate clears ``RCOND_THRESHOLD``."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise AxisMismatch(f"square matrix required, got shape {a.shape}")
     try:
         inv = _gauss_jordan_inverse(a)
     except Singular:
-        return 0.0
-    denom = _one_norm(a) * _one_norm(inv)
-    if denom == 0.0 or not np.isfinite(denom):
-        return 0.0
-    return 1.0 / denom
+        return None, 0.0
+    return inv, _rcond(a, inv)
+
+
+def rcond_estimate(a: np.ndarray) -> float:
+    """Reciprocal 1-norm condition estimate; 0.0 when elimination breaks down."""
+    return _inverse_rcond(a)[1]
 
 
 def invert_square(a: Tensor) -> Tensor:
@@ -265,8 +279,7 @@ def invert_square(a: Tensor) -> Tensor:
     inv = _gauss_jordan_inverse(a.array)
     if not np.all(np.isfinite(inv)):
         raise Singular("non-finite entries in computed inverse")
-    denom = _one_norm(a.array) * _one_norm(inv)
-    rcond = 0.0 if (denom == 0.0 or not np.isfinite(denom)) else 1.0 / denom
+    rcond = _rcond(a.array, inv)
     if rcond < RCOND_THRESHOLD:
         raise Singular(f"reciprocal condition estimate {rcond:.3e} below 1e-12")
     return Tensor(inv)

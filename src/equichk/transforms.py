@@ -53,7 +53,7 @@ from .errors import (
     UnknownSpec,
 )
 from .models import Model, forward
-from .tensor_core import RCOND_THRESHOLD, Tensor, compose, from_array, invert_square, rcond_estimate
+from .tensor_core import RCOND_THRESHOLD, Tensor, _inverse_rcond, compose, from_array, invert_square
 
 __all__ = [
     "Charge",
@@ -564,6 +564,16 @@ def build_transform(name: str, params: dict, model: Model) -> Transformation:
 
 # --- characteristic data ---------------------------------------------------------
 
+def _direction(t: Transformation, hinv: Tensor, lam: np.ndarray, th: np.ndarray) -> Tensor:
+    return compose(hinv, from_array(t.dh_dlambda(lam, th)))
+
+
+def _output(t: Transformation, ginv: Optional[Tensor], lam: np.ndarray, y: np.ndarray) -> Tensor:
+    if t.is_symmetry:
+        return from_array(np.zeros((t.p, t.c)))
+    return compose(ginv, from_array(t.dg_dlambda(lam, y)))
+
+
 def characteristic_direction(t: Transformation, theta, lam=None) -> Tensor:
     """X = (dH/dtheta)^(-1) dH/dlambda, stored shape (p, d)."""
     if t.kind != "continuous":
@@ -574,7 +584,7 @@ def characteristic_direction(t: Transformation, theta, lam=None) -> Tensor:
         inv = invert_square(from_array(t.dh_dtheta(lam, th)))
     except Singular as err:
         raise NotGoodPosition(f"dH/dtheta is numerically singular: {err}")
-    return compose(inv, from_array(t.dh_dlambda(lam, th)))
+    return _direction(t, inv, lam, th)
 
 
 def characteristic_output(t: Transformation, y, lam=None) -> Tensor:
@@ -584,34 +594,60 @@ def characteristic_output(t: Transformation, y, lam=None) -> Tensor:
         raise NotGoodPosition("discrete transformations have no characteristic output")
     lam = _lam_vec(t, lam)
     yv = _vec(y, t.c, "y")
-    if t.is_symmetry:
-        return from_array(np.zeros((t.p, t.c)))
-    try:
-        inv = invert_square(from_array(t.dg_dy(lam, yv)))
-    except Singular as err:
-        raise NotGoodPosition(f"dG/dy is numerically singular: {err}")
-    return compose(inv, from_array(t.dg_dlambda(lam, yv)))
+    inv = None
+    if not t.is_symmetry:
+        try:
+            inv = invert_square(from_array(t.dg_dy(lam, yv)))
+        except Singular as err:
+            raise NotGoodPosition(f"dG/dy is numerically singular: {err}")
+    return _output(t, inv, lam, yv)
+
+
+@dataclass(frozen=True)
+class _Charts:
+    """Both chart Jacobian inverses at one position and the good-position
+    report their condition estimates give.  Each chart is eliminated once;
+    the inverses are None unless the position is good, and are then the
+    very tensors ``invert_square`` would return."""
+
+    lam: np.ndarray  # the validated lam the charts were taken at
+    report: GoodPositionReport
+    hinv: Optional[Tensor]
+    ginv: Optional[Tensor]
+
+    def direction(self, t: Transformation, th: np.ndarray) -> Tensor:
+        """X here, as :func:`characteristic_direction` gives it."""
+        return _direction(t, self.hinv, self.lam, th)
+
+    def output(self, t: Transformation, y: np.ndarray) -> Tensor:
+        """Y here, as :func:`characteristic_output` gives it."""
+        return _output(t, self.ginv, self.lam, y)
+
+
+def _chart_inverses(t: Transformation, theta, y=None, lam=None) -> _Charts:
+    """Invert dH/dtheta and dG/dy at (theta, y, lam).  Discrete
+    transformations have no lam chart: theirs are taken at the empty lam and
+    never make a good position."""
+    th = _vec(theta, t.d, "theta")
+    yv = np.zeros(t.c) if y is None else _vec(y, t.c, "y")
+    lamv = _lam_vec(t, lam) if t.kind == "continuous" else np.zeros(0)
+    hinv, rh = _inverse_rcond(t.dh_dtheta(lamv, th))
+    ginv, rg = _inverse_rcond(t.dg_dy(lamv, yv))
+    if t.kind != "continuous":
+        reason = "discrete"
+    elif rh > RCOND_THRESHOLD and rg > RCOND_THRESHOLD:
+        return _Charts(lamv, GoodPositionReport(ok=True, rcond_h=rh, rcond_g=rg),
+                       Tensor(hinv), Tensor(ginv))
+    else:
+        reason = "chart Jacobian numerically singular"
+    return _Charts(lamv, GoodPositionReport(ok=False, rcond_h=rh, rcond_g=rg, reason=reason),
+                   None, None)
 
 
 def good_position(t: Transformation, theta, y=None, lam=None) -> GoodPositionReport:
     """Are both chart Jacobians invertible here?  Always negative for
     discrete transformations, which have no lam chart at all."""
-    th = _vec(theta, t.d, "theta")
-    yv = np.zeros(t.c) if y is None else _vec(y, t.c, "y")
-    if t.kind != "continuous":
-        lam0 = np.zeros(0)
-        return GoodPositionReport(
-            ok=False,
-            rcond_h=rcond_estimate(t.dh_dtheta(lam0, th)),
-            rcond_g=rcond_estimate(t.dg_dy(lam0, yv)),
-            reason="discrete",
-        )
-    lam = _lam_vec(t, lam)
-    rh = rcond_estimate(t.dh_dtheta(lam, th))
-    rg = rcond_estimate(t.dg_dy(lam, yv))
-    ok = rh > RCOND_THRESHOLD and rg > RCOND_THRESHOLD
-    reason = "" if ok else "chart Jacobian numerically singular"
-    return GoodPositionReport(ok=ok, rcond_h=rh, rcond_g=rg, reason=reason)
+    return _chart_inverses(t, theta, y, lam).report
 
 
 def equivariance_residual(t: Transformation, model: Model, theta, lam=None) -> float:

@@ -2,8 +2,10 @@
 reproducible report files."""
 
 import json
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from equichk import cli
@@ -312,3 +314,6 @@ def test_manifest_contents(tmp_path, capsys):
     assert manifest["files"] == sorted(manifest["files"])
     assert "manifest.json" in manifest["files"]
     assert manifest["started_at"].endswith("+00:00")
+    env = manifest["environment"]
+    assert set(env) == {"python", "numpy", "cpu_count"}
+    assert env["python"] == platform.python_version() and env["numpy"] == np.__version__

@@ -147,6 +147,30 @@ def test_descent_computes_one_gradient_per_state(monkeypatch, relu_mlp):
     assert len(calls) == 11
 
 
+def test_descent_record_makes_one_plain_forward(monkeypatch, relu_mlp):
+    # a single loss on a scalar head takes the recorded loss from the
+    # forward pass of the f diagnostic, bit for bit what value() gives
+    values, forwards = [], []
+    value, forward = dyn._Objective.value, dyn.forward
+
+    def counting_value(self, theta):
+        values.append(1)
+        return value(self, theta)
+
+    def counting_forward(model, theta):
+        forwards.append(1)
+        return forward(model, theta)
+
+    monkeypatch.setattr(dyn._Objective, "value", counting_value)
+    monkeypatch.setattr(dyn, "forward", counting_forward)
+    loss = make_loss("exponential", label=1)
+    trj = dyn.gradient_descent(relu_mlp, loss, relu_mlp.init_params, eta=0.05, steps=10)
+    assert len(trj.times) == 11
+    assert values == [] and len(forwards) == 11
+    obj = dyn._Objective(relu_mlp, loss)
+    assert [obj.value(th) for th in trj.states] == trj.losses.tolist()
+
+
 # ---------------------------------------------------------------------------
 # norm growth (separable one-homogeneous head)
 # ---------------------------------------------------------------------------

@@ -3,12 +3,14 @@ errors, suite determinism, serialization formats."""
 
 import dataclasses
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import equichk.diff_engine as de
 import equichk.identity_checker as ic
+import equichk.tensor_core as tc
 from equichk.errors import (
     DegenerateLoss,
     InvalidParams,
@@ -41,7 +43,7 @@ from equichk.identity_checker import (
     write_summary_csv,
 )
 from equichk.models import ModelSpec, build_model, make_loss
-from equichk.transforms import build_transform, fixed_point_project
+from equichk.transforms import build_transform, fixed_point_project, mutate
 
 PROBE_THETA = np.array([3.0, -1.0])  # x^T theta = 1, |theta|^2 = 10
 
@@ -281,6 +283,95 @@ def test_run_suite_evaluates_one_landscape_per_position(monkeypatch):
     assert len(landscapes) == len(positions)
     for th, at in zip(positions, landscapes):
         np.testing.assert_array_equal(th, at)
+
+
+def test_run_suite_shares_transform_data_and_spectrum(monkeypatch):
+    """Once sampling is done, each position inverts each chart Jacobian of
+    its transform once, builds the second-order terms once and takes the
+    Hessian spectrum once, however many checks read them."""
+    counts, sampling = Counter(), []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if not sampling:
+                counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def sample(*args, **kwargs):
+        sampling.append(True)
+        try:
+            return real_sample(*args, **kwargs)
+        finally:
+            sampling.pop()
+
+    real_sample = ic.sample_positions
+    monkeypatch.setattr(ic, "sample_positions", sample)
+    monkeypatch.setattr(tc, "_gauss_jordan_inverse", counted("inverse", tc._gauss_jordan_inverse))
+    monkeypatch.setattr(ic, "spectral_summary", counted("spectrum", ic.spectral_summary))
+    monkeypatch.setattr(ic, "_second_order", counted("second_order", ic._second_order))
+    positions = 2
+    plan = default_suite(positions=positions)
+    reports = run_suite(plan)
+    assert reports and all(r.passed for r in reports)
+
+    continuous = sum(ic._build_entry(e)[1].kind == "continuous"
+                     for e in plan.entries if e.transform is not None)
+    scalar = sum("eigen_alignment" in e.checks for e in plan.entries)
+    assert (continuous, scalar) == (11, 4)
+    assert counts == {"inverse": 2 * continuous * positions,
+                      "second_order": continuous * positions,
+                      "spectrum": scalar * positions}
+
+
+def test_standalone_checks_match_the_suite(monkeypatch):
+    """Every registry row, called without ``landscape=`` at the suite's
+    (theta, lam), reports exactly what the suite reported, a mutated
+    transform included; the suite still fails the mutated one."""
+    points = []
+
+    def recording(row):
+        def run(point):
+            out = row.run(point)
+            points.append((row, point, out))
+            return out
+        return dataclasses.replace(row, run=run)
+
+    for name, row in list(ic.CHECK_REGISTRY.items()):
+        monkeypatch.setitem(ic.CHECK_REGISTRY, name, recording(row))
+    mutated = PlanEntry(
+        model=ModelSpec("homogeneous_relu_mlp", {"widths": [2, 3, 1]}, seed=15),
+        loss="square", loss_params={"target": -0.2},
+        transform="layer_rescaling", transform_params={"blocks": ["W1", "W2"]},
+        checks=("first_order", "second_action", "second_quadratic"),
+        positions=1, seed=5, mutation={"callback": "dh_dlambda", "scale": 1.01},
+    )
+    plan = default_suite(positions=1)
+    reports = run_suite(SuiteSpec(entries=plan.entries + (mutated,)))
+    assert not all(r.passed for r in reports[-3:])
+    assert all(r.passed for r in reports[:-3])
+
+    assert {row.name for row, _, _ in points} == set(ic.CHECK_REGISTRY)
+    for row, point, out in points:
+        assert "landscape" in point.kw
+        kw = {k: v for k, v in point.kw.items() if k != "landscape"}
+        alone = row.run(dataclasses.replace(point, kw=kw))
+        suite_reports = out if row.n_reports > 1 else (out,)
+        alone_reports = alone if row.n_reports > 1 else (alone,)
+        for a, b in zip(suite_reports, alone_reports):
+            assert a.to_json_dict() == b.to_json_dict(), row.name
+
+
+def test_mutated_transform_never_reuses_the_clean_entry(relu_mlp):
+    loss = make_loss("square", target=-0.2)
+    t = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, relu_mlp)
+    bad = mutate(t, "dh_dlambda", 1.01)
+    (th, lam), = sample_positions(relu_mlp, loss, t, count=1, seed=5)
+    ev = evaluate_landscape(relu_mlp, loss, th)
+    assert check_second_action(relu_mlp, loss, t, th, lam, landscape=ev).passed
+    shared = check_second_action(relu_mlp, loss, bad, th, lam, landscape=ev)
+    assert not shared.passed
+    assert shared == check_second_action(relu_mlp, loss, bad, th, lam)
 
 
 @pytest.mark.parametrize("other, mode", [("theta", "exact"), ("mode", "finite_difference")])

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equichk.errors import AxisMismatch, InvalidParams
+import equichk.spectral as spectral
+from equichk.errors import AxisMismatch, CheckFailure, InvalidParams
 from equichk.spectral import jacobi_eigh, power_eigs, spectral_summary
 
 
@@ -51,6 +52,17 @@ def test_power_eigs_agrees_with_jacobi():
     np.testing.assert_allclose(top3, vals[:3], atol=1e-9)
 
 
+def test_power_eigs_resolves_close_top_pair():
+    # after the shift the top two eigenvalues differ by 0.03%, which plain
+    # power iteration cannot resolve in its step budget
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    A = q @ np.diag([0.5, 0.4985, 0.2, -0.6, -1.2]) @ q.T
+    A = 0.5 * (A + A.T)
+    assert abs(power_eigs(A)[0] - 0.5) <= 1e-13
+    assert spectral_summary(A).power_gap <= 1e-13
+
+
 def test_power_eigs_negative_dominant():
     # shift handling: the algebraically largest eigenvalue, not |.|-largest
     A = np.diag([-10.0, 1.0, 2.0])
@@ -68,6 +80,14 @@ def test_spectral_summary_diagnostics():
     assert s.lambda_max == s.eigenvalues[0]
     lam, v = s.top_pair()
     np.testing.assert_allclose(A @ v, lam * v, atol=1e-10)
+
+
+def test_power_cross_check_disagreement_raises(monkeypatch):
+    A = np.diag([3.0, 1.0, -2.0])
+    monkeypatch.setattr(spectral, "power_eigs", lambda a, k=1: np.array([3.0 + 1.0]))
+    with pytest.raises(CheckFailure, match="power iteration disagrees"):
+        spectral_summary(A)
+    assert spectral_summary(A, cross_check=False).lambda_max == 3.0
 
 
 def test_null_count():
