@@ -15,8 +15,11 @@ stack.  A member's :class:`Trajectory` is built on demand by ``ens[i]``.
 Noise convention: ``exact_sde`` injects covariance ``2 sigma^2 Sigma(theta)``
 per unit time, i.e. the step is
 
-    theta <- theta - gradL dt + sigma * sqrt(2 dt) * B xi,   B B^T = Sigma,
+    theta <- theta - gradL dt + sigma * sqrt(2 dt) * B xi,
+    B = [sqrt(w_k) (gradL_k - gradL)]_k  (d x K),   xi in R^K,
 
+where gradL_k is sample k's gradient and the weights w_k sum to 1, so
+``B B^T = Sigma`` and the kick has the law of ``Sigma^(1/2) xi``; this is
 the temperature normalization under which the ensemble-mean charge drift
 equals ``sigma^2 Tr(Sigma hess C)`` with no extra factor of 1/2.  In
 ``minibatch`` mode the step is ``theta <- theta - gradL_x dt`` with x drawn
@@ -46,7 +49,7 @@ from .errors import (
     StepFailure,
 )
 from .models import Dataset, Loss, LossFamily, Model, forward, per_sample_losses
-from .transforms import Charge, Transformation, characteristic_direction, noether_charge
+from .transforms import Charge, Transformation, noether_charge
 
 __all__ = [
     "Trajectory",
@@ -411,7 +414,8 @@ def gradient_descent(
         delta = -eta * g
         nd = float(np.linalg.norm(delta))
         for s in symmetries:
-            X = characteristic_direction(s, th).array  # (p, d)
+            # H(0, .) = id, so dH/dtheta = I and X at lam = 0 is dH/dlambda
+            X = s.dh_dlambda(np.zeros(s.p), th)  # (p, d)
             inner = X @ delta
             nx = float(np.linalg.norm(X))
             normalized = float(np.linalg.norm(inner)) / max(nd * nx, 1e-300) if nd > 0 else 0.0
@@ -525,28 +529,30 @@ class CovarianceReport:
     grad_trace: np.ndarray  # (d,)
 
 
+def _moments(obj: _Objective, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean gradient (n, d), gradient covariance Sigma (n, d, d) and
+    d(Tr Sigma)/dtheta (n, d) at each row of ``points``."""
+    w = obj.weights()
+    G = obj.sample_grads(points)                                              # (K, n, d)
+    H = np.stack([de.hessians_at_points(mp, points) for _, mp in obj.maps])   # (K, n, d, d)
+    gbar = np.einsum("k,knd->nd", w, G)
+    hbar = np.einsum("k,knij->nij", w, H)
+    sigma = np.einsum("k,kni,knj->nij", w, G, G) - np.einsum("ni,nj->nij", gbar, gbar)
+    grad_trace = 2.0 * (
+        np.einsum("k,knij,knj->ni", w, H, G) - np.einsum("nij,nj->ni", hbar, gbar)
+    )
+    return gbar, sigma, grad_trace
+
+
 def noise_covariance(model: Model, family: LossFamily, dataset: Dataset, theta) -> CovarianceReport:
     th = np.asarray(theta, dtype=float).reshape(-1)
-    parts = per_sample_losses(model, family, dataset)
-    w = np.array([p[0] for p in parts])
-    grads = []
-    hessians = []
-    for _, m, l in parts:
-        mp = lambda p, m=m, l=l: l.apply(m.func(p))
-        grads.append(de.gradient_at_points(mp, th[None, :])[0])
-        hessians.append(de.hessians_at_points(mp, th[None, :])[0])
-    G = np.stack(grads)        # (K, d)
-    H = np.stack(hessians)     # (K, d, d)
-    gbar = w @ G
-    hbar = np.einsum("k,kij->ij", w, H)
-    sigma = np.einsum("k,ki,kj->ij", w, G, G) - np.outer(gbar, gbar)
-    sigma = 0.5 * (sigma + sigma.T)
+    _, sigmas, grad_traces = _moments(_Objective(model, dataset, family), th[None, :])
+    sigma = 0.5 * (sigmas[0] + sigmas[0].T)
     evals = np.linalg.eigvalsh(sigma)
     scale = max(1.0, float(evals.max()) if evals.size else 0.0)
     if evals.size and float(evals.min()) < -1e-10 * scale:
         raise CheckFailure(f"gradient covariance not PSD (min eigenvalue {evals.min():.3e})")
-    grad_trace = 2.0 * (np.einsum("k,kij,kj->i", w, H, G) - hbar @ gbar)
-    return CovarianceReport(Sigma=sigma, trace=float(np.trace(sigma)), grad_trace=grad_trace)
+    return CovarianceReport(Sigma=sigma, trace=float(np.trace(sigma)), grad_trace=grad_traces[0])
 
 
 # ---------------------------------------------------------------------------
@@ -574,16 +580,6 @@ class NoiseModel:
             raise InvalidNoiseModel(f"sigma must be a finite nonnegative real, got {self.sigma}")
 
 
-def _psd_sqrt_batch(sigmas: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square roots of a batch of covariance matrices."""
-    evals, evecs = np.linalg.eigh(sigmas)
-    scale = max(1.0, float(evals.max()) if evals.size else 0.0)
-    if evals.size and float(evals.min()) < -1e-10 * scale:
-        raise CheckFailure(f"covariance batch not PSD (min eigenvalue {evals.min():.3e})")
-    root = np.sqrt(np.clip(evals, 0.0, None))
-    return np.einsum("mik,mk,mjk->mij", evecs, root, evecs)
-
-
 def _sgf_grid(T: float, dt: float) -> Tuple[int, int, int]:
     """(steps, record stride, records) of an SGF run: n = round(T/dt) steps,
     a record every ``stride`` steps and at the last, plus the start."""
@@ -592,13 +588,14 @@ def _sgf_grid(T: float, dt: float) -> Tuple[int, int, int]:
     return n_steps, stride, 1 + math.ceil(n_steps / stride)
 
 
-def _check_sgf_bytes(d: int, T: float, dt: float, ensemble: int, mode: str,
+def _check_sgf_bytes(d: int, n_samples: int, T: float, dt: float, ensemble: int, mode: str,
                      n_charges: int) -> None:
     """Raise :class:`InvalidParams` when an SGF run would hold more than
-    ``_SGF_MAX_BYTES`` in its pre-drawn noise (``exact_sde``) or minibatch
-    indices and its recorded states, losses and charges."""
+    ``_SGF_MAX_BYTES`` in its pre-drawn noise (``exact_sde``: one draw per
+    sample per step) or minibatch indices and its recorded states, losses
+    and charges."""
     n_steps, _, n_rec = _sgf_grid(T, dt)
-    per_step = d if mode == "exact_sde" else 1
+    per_step = n_samples if mode == "exact_sde" else 1
     needed = 8 * ensemble * (n_steps * per_step + n_rec * (d + 1 + n_charges))
     if needed > _SGF_MAX_BYTES:
         raise InvalidParams(
@@ -624,8 +621,9 @@ def sgf(
     Each trajectory owns a Philox stream keyed by (noise.seed, index), so
     results are independent of scheduling and bit-reproducible.  The time
     grid is uniform with n = round(T/dt) steps of exactly T/n.  The memory
-    the run holds (pre-drawn randomness plus recorded arrays) is checked
-    against a fixed 1 GiB limit before anything is drawn.
+    the run holds (pre-drawn randomness, one draw per sample per step in
+    ``exact_sde`` mode, plus recorded arrays) is checked against a fixed
+    1 GiB limit before anything is drawn.
     """
     if dt <= 0:
         raise InvalidParams(f"dt must be positive, got {dt}")
@@ -640,11 +638,11 @@ def sgf(
         raise SizeMismatch(f"theta0 has {th0.size} entries, model wants {model.d}")
 
     d = model.d
-    _check_sgf_bytes(d, T, dt, ensemble, noise.mode, len(charges))
-    n_steps, stride, n_rec = _sgf_grid(T, dt)
-    h = T / n_steps
     w = obj.weights()
     n_samples = w.size
+    _check_sgf_bytes(d, n_samples, T, dt, ensemble, noise.mode, len(charges))
+    n_steps, stride, n_rec = _sgf_grid(T, dt)
+    h = T / n_steps
 
     # charge-scale warning: the per-unit-time noise budget should sit well
     # below the charge itself or the drift comparison is meaningless
@@ -660,7 +658,7 @@ def sgf(
                 )
 
     if noise.mode == "exact_sde":
-        draws = np.empty((ensemble, n_steps, d))
+        draws = np.empty((ensemble, n_steps, n_samples))
     else:
         draws = np.empty((ensemble, n_steps), dtype=np.int64)
     for i in range(ensemble):
@@ -670,6 +668,7 @@ def sgf(
         else:
             draws[i] = g.choice(n_samples, size=n_steps, p=w)
 
+    root_w = np.sqrt(w)
     states = np.tile(th0, (ensemble, 1))  # (M, d)
     times = np.zeros(n_rec)
     stack = np.empty((n_rec, ensemble, d))
@@ -679,18 +678,12 @@ def sgf(
         per_sample = obj.sample_grads(states)           # (K, M, d)
         mean_grad = np.einsum("k,kmd->md", w, per_sample)
         if noise.mode == "exact_sde":
+            states = states - mean_grad * h
             if noise.sigma > 0:
-                sigmas = (
-                    np.einsum("k,kmi,kmj->mij", w, per_sample, per_sample)
-                    - np.einsum("mi,mj->mij", mean_grad, mean_grad)
+                # the centered factor B = [sqrt(w_k) (g_k - gbar)] has B B^T = Sigma
+                states = states + noise.sigma * math.sqrt(2.0 * h) * np.einsum(
+                    "k,kmd,mk->md", root_w, per_sample - mean_grad, draws[:, step]
                 )
-                roots = _psd_sqrt_batch(sigmas)
-                kick = noise.sigma * math.sqrt(2.0 * h) * np.einsum(
-                    "mij,mj->mi", roots, draws[:, step]
-                )
-            else:
-                kick = 0.0
-            states = states - mean_grad * h + kick
         else:
             picked = per_sample[draws[:, step], np.arange(ensemble)]  # (M, d)
             states = states - picked * h
@@ -746,21 +739,14 @@ class DriftReport:
 
 
 def _drift_terms(
-    parts, w: np.ndarray, charge: Charge, points: np.ndarray, sigma_sq: float,
+    obj: _Objective, charge: Charge, points: np.ndarray, sigma_sq: float,
 ) -> Tuple[float, float, float]:
     """Member-averaged drift terms at a batch of states.
 
     Returns (mean theory_grad, mean theory_trace, mean EM quadratic-form
     bias rate) over the rows of ``points``.
     """
-    G = np.stack([de.gradient_at_points(mp, points) for _, mp in parts])   # (K, n, d)
-    H = np.stack([de.hessians_at_points(mp, points) for _, mp in parts])   # (K, n, d, d)
-    gbar = np.einsum("k,knd->nd", w, G)
-    hbar = np.einsum("k,knij->nij", w, H)
-    sigma = np.einsum("k,kni,knj->nij", w, G, G) - np.einsum("ni,nj->nij", gbar, gbar)
-    grad_trace = 2.0 * (
-        np.einsum("k,knij,knj->ni", w, H, G) - np.einsum("nij,nj->ni", hbar, gbar)
-    )
+    gbar, sigma, grad_trace = _moments(obj, points)
     gc = np.asarray(charge.grad(points), dtype=float)   # (n, d)
     hc = np.asarray(charge.hess(points), dtype=float)   # (n, d, d)
     t_grad = -(sigma_sq / 2.0) * np.einsum("ni,ni->n", gc, grad_trace)
@@ -801,9 +787,7 @@ def noether_drift_check(
     # theory over the ensemble law: average across a member subsample at a
     # grid of record points (evaluating at the mean path alone would carry a
     # Jensen bias of order the ensemble spread squared)
-    parts = per_sample_losses(model, family, dataset)
-    w = np.array([p[0] for p in parts])
-    maps = [(None, (lambda th, m=m, l=l: l.apply(m.func(th)))) for _, m, l in parts]
+    obj = _Objective(model, dataset, family)
     n_members = min(len(ensemble), 2048)
     rec_idx = np.unique(np.linspace(0, times.size - 1, min(times.size, 65)).astype(int))
     t_grad = np.empty(rec_idx.size)
@@ -811,7 +795,7 @@ def noether_drift_check(
     quad = np.empty(rec_idx.size)
     for j, k in enumerate(rec_idx):
         t_grad[j], t_trace[j], quad[j] = _drift_terms(
-            maps, w, charge, states[k, :n_members], sigma_sq
+            obj, charge, states[k, :n_members], sigma_sq
         )
         gap = abs(t_grad[j] - t_trace[j])
         if gap > 1e-8 * max(1.0, abs(t_grad[j]), abs(t_trace[j])):

@@ -55,7 +55,6 @@ __all__ = [
     "compose",
     "compose_k",
     "invert_square",
-    "rcond_estimate",
 ]
 
 #: A tensor shape is an ordered tuple of axis lengths, each >= 1.  Shape
@@ -260,11 +259,6 @@ def _inverse_rcond(a) -> Tuple[Optional[np.ndarray], float]:
     except Singular:
         return None, 0.0
     return inv, _rcond(a, inv)
-
-
-def rcond_estimate(a: np.ndarray) -> float:
-    """Reciprocal 1-norm condition estimate; 0.0 when elimination breaks down."""
-    return _inverse_rcond(a)[1]
 
 
 def invert_square(a: Tensor) -> Tensor:

@@ -5,11 +5,15 @@ propagation through composites must agree exactly with the assembled
 calculus, not just to truncation error.
 """
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import equichk
 from equichk import diff_engine as de
 from equichk.diff_engine import DiffConfig, fd_oracle, jacobian, second_derivative
 from equichk.errors import IndexOutOfRange
@@ -186,9 +190,15 @@ def test_generic_helpers_on_arrays_and_hyper_duals(name):
     np.testing.assert_allclose(full.d12, second(v, u, w) + first(v, c), rtol=1e-14, atol=1e-15)
 
 
-def test_public_names_resolve():
-    for name in de.__all__:
-        assert hasattr(de, name), name
+_MODULES = [importlib.import_module(f"equichk.{m.name}")
+            for m in pkgutil.iter_modules(equichk.__path__)]
+
+
+@pytest.mark.parametrize("module", [m for m in _MODULES if hasattr(m, "__all__")],
+                         ids=lambda m: m.__name__)
+def test_public_names_resolve(module):
+    for name in module.__all__:
+        assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
 # ---------------------------------------------------------------------------

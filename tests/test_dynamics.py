@@ -417,9 +417,50 @@ def test_sgf_byte_guard_raises_before_any_stream(monkeypatch, uv_model, square_f
             dyn.sgf(uv_model, square_family, two_sample_dataset, np.array([1.2, 0.6]),
                     noise, T=1e-3, dt=1e-3, ensemble=20_000_000)
     # 8 bytes x M x (1 index + 2 records x (d + loss + charges))
-    dyn._check_sgf_bytes(2, 1e-3, 1e-3, 16_000_000, "minibatch", n_charges=0)
+    dyn._check_sgf_bytes(2, 2, 1e-3, 1e-3, 16_000_000, "minibatch", n_charges=0)
     with pytest.raises(InvalidParams):
-        dyn._check_sgf_bytes(2, 1e-3, 1e-3, 16_000_000, "minibatch", n_charges=2)
+        dyn._check_sgf_bytes(2, 2, 1e-3, 1e-3, 16_000_000, "minibatch", n_charges=2)
+    # exact_sde draws one normal per sample per step: 15e6 members fit 1 GiB
+    # with d = 2 draws (0.96e9 bytes) but not with K = 4 (1.2e9 bytes)
+    dyn._check_sgf_bytes(2, 2, 1e-3, 1e-3, 15_000_000, "exact_sde", n_charges=0)
+    four = Dataset.equal_weight([(np.array([x]), np.array([0.5 * x]))
+                                 for x in (1.0, 2.0, 3.0, 4.0)])
+    with pytest.raises(InvalidParams, match="GiB"):
+        dyn.sgf(uv_model, square_family, four, np.array([1.2, 0.6]),
+                dyn.NoiseModel(mode="exact_sde", sigma=0.1, seed=7),
+                T=1e-3, dt=1e-3, ensemble=15_000_000)
+
+
+def _centered_factor(model, family, dataset, points):
+    """F = [sqrt(w_k) (g_k - gbar)]_k at each row of ``points``: (n, d, K)."""
+    parts = per_sample_losses(model, family, dataset)
+    w = np.array([p[0] for p in parts])
+    G = np.stack([de.gradient_at_points(lambda th, m=m, l=l: l.apply(m.func(th)), points)
+                  for _, m, l in parts], axis=-1)           # (n, d, K)
+    gbar = G @ w
+    return np.sqrt(w) * (G - gbar[..., None]), gbar
+
+
+def test_sgf_kick_is_the_centered_gradient_factor(uv_model, square_family, two_sample_dataset):
+    points = np.random.default_rng(11).normal(size=(20, 2))
+    th0, h, sigma, seed = np.array([1.2, 0.6]), 1e-3, 0.1, 5
+    three = Dataset(((np.array([1.0]), np.array([0.5])), (np.array([2.0]), np.array([1.55])),
+                     (np.array([-1.5]), np.array([0.2]))), (0.5, 0.3, 0.2))
+    for dataset in (two_sample_dataset, three):
+        # (a) F F^T is the covariance the theory side computes
+        F, _ = _centered_factor(uv_model, square_family, dataset, points)
+        for p, f in zip(points, F):
+            cov = dyn.noise_covariance(uv_model, square_family, dataset, p).Sigma
+            assert np.max(np.abs(f @ f.T - cov)) <= 1e-14 * np.max(np.abs(cov))
+        # (b) one member, one step: the kick is sigma sqrt(2h) F xi with xi in R^K
+        ens = dyn.sgf(uv_model, square_family, dataset, th0,
+                      dyn.NoiseModel(mode="exact_sde", sigma=sigma, seed=seed),
+                      T=h, dt=h, ensemble=1)
+        F, gbar = _centered_factor(uv_model, square_family, dataset, th0[None, :])
+        xi = np.random.Generator(np.random.Philox(key=(seed, 0))).standard_normal(
+            len(dataset.samples))
+        expect = th0 - gbar[0] * h + sigma * math.sqrt(2.0 * h) * (F[0] @ xi)
+        np.testing.assert_allclose(ens.states[-1, 0], expect, rtol=1e-14, atol=0)
 
 
 def _constant_charge(name, value):
