@@ -465,7 +465,7 @@ def _run_sgf_drift(cfg: dict, out_dir: str) -> Tuple[List[ic.IdentityReport], Li
     model = build_model(spec)
     try:
         dyn._check_sgf_bytes(model.d, len(dataset.samples), float(T), float(dt), int(ensemble),
-                             mode, n_charges=1)
+                             mode, float(sigma), n_charges=1)
     except InvalidParams as exc:
         v.fail("config.dynamics.ensemble", str(exc))
     v.raise_if_failed()

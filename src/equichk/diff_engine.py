@@ -20,7 +20,10 @@ sweep is a single block, i.e. a single map evaluation.
 
 Components may be scalars or numpy arrays of any broadcast-compatible shape;
 scalar zeros are kept as plain ``0.0`` and short-circuited, so unused
-perturbation slots cost nothing.  The arithmetic is three rules, each written
+perturbation slots cost nothing.  First-order sweeps (``jacobian``,
+``gradient_at_points``) seed no second-order slot, so their products and sums
+take a first-order branch that computes only the value and ``d1`` and skips
+the second-order product terms.  The arithmetic is three rules, each written
 once: the product rule ``_bilinear`` (hyper-dual ``*``, ``matvec``, ``dot``),
 the slot map ``_each`` (a structural op applied to the value and each present
 slot: ``take_last``, ``reshape_tail``, ``sum_last``, ``expand_last``,
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -127,6 +130,9 @@ class HyperDual:
 
     def __add__(self, other):
         if isinstance(other, HyperDual):
+            if (_is_zero(self.d2) and _is_zero(self.d12)
+                    and _is_zero(other.d2) and _is_zero(other.d12)):  # first order
+                return HyperDual(self.value + other.value, _add(self.d1, other.d1))
             return HyperDual(
                 self.value + other.value,
                 _add(self.d1, other.d1),
@@ -175,6 +181,9 @@ def _bilinear(op: Callable, a, b):
             return 0.0
         return op(x, y)
 
+    if _is_zero(a2) and _is_zero(a12) and _is_zero(b2) and _is_zero(b12):
+        # first-order operands: every second-order term below would be 0.0
+        return HyperDual(op(av, bv), _add(term(a1, bv), term(av, b1)))
     return HyperDual(
         op(av, bv),
         _add(term(a1, bv), term(av, b1)),
@@ -476,21 +485,30 @@ def _check_assembly(hess: Tensor, jac_f: Tensor, hess_f: Tensor, gl: Tensor, hl:
 
 # --- batched sweeps for dynamics ------------------------------------------------
 
-def gradient_at_points(map_fn: Callable, points: np.ndarray) -> np.ndarray:
-    """Gradients of a scalar map at a batch of points, shape (M, d).
+@lru_cache(maxsize=32)
+def _gradient_seed(d: int) -> np.ndarray:
+    """The ``d1`` seed of :func:`gradient_at_points`, ``I[:, None, :]``, built
+    once per d (read-only: every sweep shares it)."""
+    seed = np.eye(d)[:, None, :]
+    seed.flags.writeable = False
+    return seed
+
+
+def gradient_at_points(map_fn: Callable, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Values and gradients of a scalar map at a batch of points:
+    ``(values (M,), grads (M, d))``.
 
     One hyper-dual evaluation carrying all d directions, vectorized over the
-    batch axis of ``points``.
+    batch axis of ``points``; the values are that evaluation's ``.value``.
     """
     pts = np.asarray(points, dtype=float)
     m, d = pts.shape
-    seed = HyperDual(pts, d1=np.eye(d)[:, None, :])
-    out = map_fn(seed)
-    if not isinstance(out, HyperDual):
-        return np.zeros((m, d))
-    grads = _normalize(out.d1, (d,), np.shape(np.asarray(out.value)))
+    out = map_fn(HyperDual(pts, d1=_gradient_seed(d)))
+    if not isinstance(out, HyperDual):  # constant map
+        return np.broadcast_to(np.asarray(out, dtype=float), (m,)).copy(), np.zeros((m, d))
+    grads = np.broadcast_to(out.d1, (d, m)).T.copy()
     _check_finite(grads, "batched gradient sweep")
-    return np.ascontiguousarray(np.moveaxis(grads, 0, -1))
+    return np.array(out.value, dtype=float), grads
 
 
 def hessians_at_points(map_fn: Callable, points: np.ndarray) -> np.ndarray:

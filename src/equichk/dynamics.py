@@ -100,11 +100,6 @@ class _Objective:
     def value(self, theta: np.ndarray) -> float:
         return float(sum(w * float(np.asarray(mp(theta))) for w, mp in self.maps))
 
-    def value_from_output(self, y: np.ndarray) -> float:
-        """:meth:`value` of a single-loss objective from its model output
-        y = f(theta), summed the same way, so the bits agree."""
-        return float(sum(w * float(np.asarray(l.apply(y))) for w, _, l in self.parts))
-
     def value_batch(self, points: np.ndarray) -> np.ndarray:
         total = np.zeros(points.shape[0])
         for w, mp in self.maps:
@@ -117,12 +112,22 @@ class _Objective:
     def grad_batch(self, points: np.ndarray) -> np.ndarray:
         total = np.zeros_like(points)
         for w, mp in self.maps:
-            total += w * de.gradient_at_points(mp, points)
+            total += w * de.gradient_at_points(mp, points)[1]
         return total
+
+    def value_and_grad(self, theta: np.ndarray) -> Tuple[float, np.ndarray]:
+        """:meth:`value` and :meth:`grad` at ``theta`` from one sweep per
+        map, summed in the same order, so the bits agree."""
+        value, grad = 0.0, np.zeros(self.d)
+        for w, mp in self.maps:
+            v, g = de.gradient_at_points(mp, theta[None, :])
+            value += w * float(v[0])
+            grad += w * g[0]
+        return float(value), grad
 
     def sample_grads(self, points: np.ndarray) -> np.ndarray:
         """Unweighted per-sample gradients, shape (K, M, d)."""
-        return np.stack([de.gradient_at_points(mp, points) for _, mp in self.maps])
+        return np.stack([de.gradient_at_points(mp, points)[1] for _, mp in self.maps])
 
     def weights(self) -> np.ndarray:
         return np.array([w for w, _ in self.maps])
@@ -229,10 +234,8 @@ class Ensemble:
 
 
 class _Recorder:
-    def __init__(self, model: Model, obj: _Objective, charges: Sequence[Charge],
-                 single_loss: Optional[Loss]):
+    def __init__(self, model: Model, charges: Sequence[Charge], single_loss: Optional[Loss]):
         self.model = model
-        self.obj = obj
         self.charges = charges
         self.times: List[float] = []
         self.states: List[np.ndarray] = []
@@ -251,22 +254,16 @@ class _Recorder:
             self.diag["sharpness_bound"] = []
             self._m = float(model.homogeneity_degree)
 
-    def record(self, t: float, theta: np.ndarray, grad: Optional[np.ndarray] = None,
-               loss: Optional[float] = None) -> None:
-        """Record one row; ``grad`` and ``loss`` at ``theta`` are computed
-        here unless the caller already has them.  A single loss on a scalar
-        head takes its value from the forward pass of the ``f`` diagnostic."""
-        g = self.obj.grad(theta) if grad is None else grad
-        y = forward(self.model, theta).array if self._scalar_head else None
-        if loss is None:
-            single = self._loss is not None and y is not None
-            loss = self.obj.value_from_output(y) if single else self.obj.value(theta)
+    def record(self, t: float, theta: np.ndarray, grad: np.ndarray, loss: float) -> None:
+        """Record one row from the gradient and loss the caller's sweep at
+        ``theta`` already gave."""
         self.times.append(float(t))
         self.states.append(theta.copy())
         self.losses.append(loss)
-        self.diag["grad_norm"].append(float(np.linalg.norm(g)))
+        self.diag["grad_norm"].append(float(np.linalg.norm(grad)))
         self.diag["theta_sq"].append(float(theta @ theta))
         if self._scalar_head:
+            y = forward(self.model, theta).array
             self.diag["f"].append(float(y[0]))
             if self._sharp:
                 yv = float(y[0])
@@ -332,16 +329,16 @@ def gradient_flow(
     n_steps = max(1, int(math.ceil(T / dt - 1e-12)))
     stride = max(1, math.ceil(n_steps / _RECORD_BUDGET))
     single = loss if isinstance(loss, Loss) else None
-    rec = _Recorder(model, obj, charges, single)
+    rec = _Recorder(model, charges, single)
 
     def rhs(p: np.ndarray) -> np.ndarray:
         return -obj.grad(p)
 
     t = 0.0
     accepted = 0
-    cur_loss = obj.value(th)
-    k1 = rhs(th)
-    rec.record(0.0, th, grad=-k1, loss=cur_loss)
+    cur_loss, g = obj.value_and_grad(th)
+    k1 = -g
+    rec.record(0.0, th, grad=g, loss=cur_loss)
     while t < T - 1e-12 * max(1.0, T):
         h = min(dt, T - t)
         for _halving in range(_MAX_HALVINGS + 1):
@@ -350,7 +347,9 @@ def gradient_flow(
             k4 = rhs(th + h * k3)
             cand = th + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             _check_state(cand, "RK4 step")
-            cand_loss = obj.value(cand)
+            # the candidate's sweep gives the acceptance loss and, once
+            # accepted, the next step's first stage and the recorded gradient
+            cand_loss, g = obj.value_and_grad(cand)
             if cand_loss <= cur_loss + _LOSS_SLACK * max(1.0, abs(cur_loss)):
                 break
             h *= 0.5
@@ -360,11 +359,11 @@ def gradient_flow(
             )
         th = cand
         cur_loss = cand_loss
-        k1 = rhs(th)  # the next step's first stage, and the recorded gradient
+        k1 = -g
         t += h
         accepted += 1
         if accepted % stride == 0 or t >= T - 1e-12 * max(1.0, T):
-            rec.record(t, th, grad=-k1, loss=cur_loss)
+            rec.record(t, th, grad=g, loss=cur_loss)
     return rec.build({"kind": "gradient_flow", "dt": dt, "T": T, "stride": stride})
 
 
@@ -403,9 +402,9 @@ def gradient_descent(
 
     stride = max(1, math.ceil(steps / _RECORD_BUDGET))
     single = loss if isinstance(loss, Loss) else None
-    rec = _Recorder(model, obj, charges, single)
-    g = obj.grad(th)
-    rec.record(0.0, th, grad=g)
+    rec = _Recorder(model, charges, single)
+    loss_k, g = obj.value_and_grad(th)
+    rec.record(0.0, th, grad=g, loss=loss_k)
     if symmetries:
         rec.extra("sym_ortho_max", 0.0)
 
@@ -427,9 +426,9 @@ def gradient_descent(
                 )
         th = th + delta
         _check_state(th, "GD step")
-        g = obj.grad(th)
+        loss_k, g = obj.value_and_grad(th)
         if k % stride == 0 or k == steps:
-            rec.record(float(k), th, grad=g)
+            rec.record(float(k), th, grad=g, loss=loss_k)
             if symmetries:
                 rec.extra("sym_ortho_max", worst_since_record)
                 worst_since_record = 0.0
@@ -476,7 +475,7 @@ def norm_growth_check(model: Model, loss: Loss, trajectory: Trajectory) -> NormG
         raise NonFiniteResult("model output along the flow contains NaN or Inf")
     ys = outputs[:, 0]
     lps = np.array([float(loss.grad(y)[0]) for y in outputs])
-    grads = de.gradient_at_points(lambda p: loss.apply(model.func(p)), states)
+    grads = de.gradient_at_points(lambda p: loss.apply(model.func(p)), states)[1]
     inner = np.array([float(th @ g) for th, g in zip(states, grads)])
 
     # Euler relation along the flow: <theta, gradL> = m l'(y) y pointwise
@@ -589,13 +588,16 @@ def _sgf_grid(T: float, dt: float) -> Tuple[int, int, int]:
 
 
 def _check_sgf_bytes(d: int, n_samples: int, T: float, dt: float, ensemble: int, mode: str,
-                     n_charges: int) -> None:
+                     sigma: float, n_charges: int) -> None:
     """Raise :class:`InvalidParams` when an SGF run would hold more than
     ``_SGF_MAX_BYTES`` in its pre-drawn noise (``exact_sde``: one draw per
-    sample per step) or minibatch indices and its recorded states, losses
-    and charges."""
+    sample per step, none at ``sigma = 0``) or minibatch indices and its
+    recorded states, losses and charges."""
     n_steps, _, n_rec = _sgf_grid(T, dt)
-    per_step = n_samples if mode == "exact_sde" else 1
+    if mode == "exact_sde":
+        per_step = n_samples if sigma > 0 else 0
+    else:
+        per_step = 1
     needed = 8 * ensemble * (n_steps * per_step + n_rec * (d + 1 + n_charges))
     if needed > _SGF_MAX_BYTES:
         raise InvalidParams(
@@ -622,8 +624,8 @@ def sgf(
     results are independent of scheduling and bit-reproducible.  The time
     grid is uniform with n = round(T/dt) steps of exactly T/n.  The memory
     the run holds (pre-drawn randomness, one draw per sample per step in
-    ``exact_sde`` mode, plus recorded arrays) is checked against a fixed
-    1 GiB limit before anything is drawn.
+    ``exact_sde`` mode and none at sigma = 0, plus recorded arrays) is
+    checked against a fixed 1 GiB limit before anything is drawn.
     """
     if dt <= 0:
         raise InvalidParams(f"dt must be positive, got {dt}")
@@ -640,7 +642,7 @@ def sgf(
     d = model.d
     w = obj.weights()
     n_samples = w.size
-    _check_sgf_bytes(d, n_samples, T, dt, ensemble, noise.mode, len(charges))
+    _check_sgf_bytes(d, n_samples, T, dt, ensemble, noise.mode, noise.sigma, len(charges))
     n_steps, stride, n_rec = _sgf_grid(T, dt)
     h = T / n_steps
 
@@ -657,11 +659,12 @@ def sgf(
                     stacklevel=2,
                 )
 
+    # exact_sde draws one normal per sample per step, and none at sigma = 0
     if noise.mode == "exact_sde":
-        draws = np.empty((ensemble, n_steps, n_samples))
+        draws = np.empty((ensemble, n_steps, n_samples if noise.sigma > 0 else 0))
     else:
         draws = np.empty((ensemble, n_steps), dtype=np.int64)
-    for i in range(ensemble):
+    for i in range(ensemble if draws.size else 0):
         g = np.random.Generator(np.random.Philox(key=(noise.seed, i)))
         if noise.mode == "exact_sde":
             g.standard_normal(out=draws[i])

@@ -17,6 +17,7 @@ import equichk
 from equichk import diff_engine as de
 from equichk.diff_engine import DiffConfig, fd_oracle, jacobian, second_derivative
 from equichk.errors import IndexOutOfRange
+from equichk.identity_checker import default_suite
 from equichk.models import ModelSpec, build_model, make_loss
 from equichk.tensor_core import compose
 
@@ -253,7 +254,7 @@ def test_gradient_at_points_matches_jacobian(relu_mlp):
     mp = lambda th: loss.apply(relu_mlp.func(th))
     rng = np.random.default_rng(12)
     pts = rng.uniform(-1.0, 1.0, size=(5, relu_mlp.d))
-    batch = de.gradient_at_points(mp, pts)
+    _, batch = de.gradient_at_points(mp, pts)
     for i in range(5):
         one = jacobian(mp, pts[i], EXACT).array.reshape(-1)
         np.testing.assert_allclose(batch[i], one, atol=1e-14)
@@ -368,6 +369,26 @@ def test_batched_sweeps_equal_pointwise_references(spec, loss_spec):
             points = x + 0.05 * np.random.default_rng(x.size).standard_normal((4, x.size))
             np.testing.assert_array_equal(de.hessians_at_points(map_fn, points),
                                           _hessians_by_direction(map_fn, points))
+
+
+SUITE_ENTRIES = default_suite().entries
+
+
+@pytest.mark.parametrize("entry", SUITE_ENTRIES,
+                         ids=[f"{i}-{e.model.name}-{e.loss}" for i, e in enumerate(SUITE_ENTRIES)])
+def test_first_order_sweep_equals_full_product_rule(entry):
+    # a d1-only seed takes the first-order branch of the product rule; a
+    # zero d2 array forces the full rule, whose extra terms are all zero
+    model = build_model(entry.model)
+    loss = make_loss(entry.loss, **dict(entry.loss_params))
+    pts = model.init_params + np.random.default_rng(entry.seed).standard_normal((50, model.d))
+    eye = np.eye(model.d)[:, None, :]
+    for map_fn in (model.func, lambda th: loss.apply(model.func(th))):
+        fast = map_fn(de.HyperDual(pts, d1=eye))
+        full = map_fn(de.HyperDual(pts, d1=eye, d2=np.zeros(model.d)))
+        assert de._is_zero(fast.d2) and de._is_zero(fast.d12)
+        np.testing.assert_array_equal(fast.value, full.value)
+        np.testing.assert_array_equal(np.broadcast_to(fast.d1, np.shape(full.d1)), full.d1)
 
 
 def test_sweeps_are_one_map_call_and_blocks_do_not_change_bits(monkeypatch):

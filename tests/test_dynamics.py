@@ -16,6 +16,7 @@ from equichk.errors import (
     InvalidParams,
     SizeMismatch,
 )
+from equichk.identity_checker import default_suite
 from equichk.models import (
     Block,
     Dataset,
@@ -130,21 +131,46 @@ def test_descent_rejects_nonsymmetry(probe_model, probe_loss):
                              eta=0.01, steps=2, symmetries=[t])
 
 
+def _count_sweeps_and_values(monkeypatch):
+    """Count ``gradient_at_points`` sweeps and plain ``_Objective.value``
+    calls: returns the two lists the wrappers append to."""
+    sweeps, values = [], []
+    sweep, value = de.gradient_at_points, dyn._Objective.value
+
+    def counting_sweep(map_fn, points):
+        sweeps.append(1)
+        out = sweep(map_fn, points)
+        assert isinstance(out, tuple) and len(out) == 2   # (values, grads)
+        return out
+
+    def counting_value(self, theta):
+        values.append(1)
+        return value(self, theta)
+
+    monkeypatch.setattr(de, "gradient_at_points", counting_sweep)
+    monkeypatch.setattr(dyn._Objective, "value", counting_value)
+    return sweeps, values
+
+
 def test_descent_computes_one_gradient_per_state(monkeypatch, relu_mlp):
     # the gradient taken after each update serves both the record and the
     # next step: 10 steps at stride 1 sweep 11 states
-    calls = []
-    sweep = de.gradient_at_points
-
-    def counting(map_fn, points):
-        calls.append(1)
-        return sweep(map_fn, points)
-
-    monkeypatch.setattr(de, "gradient_at_points", counting)
+    sweeps, values = _count_sweeps_and_values(monkeypatch)
     loss = make_loss("exponential", label=1)
     trj = dyn.gradient_descent(relu_mlp, loss, relu_mlp.init_params, eta=0.05, steps=10)
     assert trj.meta["stride"] == 1 and len(trj.times) == 11
-    assert len(calls) == 11
+    assert len(sweeps) == 11 and values == []
+
+
+def test_flow_one_sweep_per_stage(monkeypatch, relu_mlp):
+    # one sweep at the start state, then per step one at each of the stages
+    # k2, k3, k4 and one at the candidate, which also gives the acceptance
+    # loss and the next k1, so no plain loss is evaluated: 1 + 10 x 4 sweeps
+    sweeps, values = _count_sweeps_and_values(monkeypatch)
+    loss = make_loss("exponential", label=1)
+    trj = dyn.gradient_flow(relu_mlp, loss, relu_mlp.init_params, T=0.1, dt=0.01)
+    assert trj.meta["stride"] == 1 and len(trj.times) == 11
+    assert len(sweeps) == 41 and values == []
 
 
 def test_descent_record_makes_one_plain_forward(monkeypatch, relu_mlp):
@@ -169,6 +195,31 @@ def test_descent_record_makes_one_plain_forward(monkeypatch, relu_mlp):
     assert values == [] and len(forwards) == 11
     obj = dyn._Objective(relu_mlp, loss)
     assert [obj.value(th) for th in trj.states] == trj.losses.tolist()
+
+
+SUITE_ENTRIES = default_suite().entries
+
+
+@pytest.mark.parametrize("entry", SUITE_ENTRIES,
+                         ids=[f"{i}-{e.model.name}-{e.loss}" for i, e in enumerate(SUITE_ENTRIES)])
+def test_sweep_value_is_the_plain_loss(entry):
+    # the flow's recorded losses come from the sweep's value; they must be
+    # the plain forward's bits, at batch 1 as the flow sweeps and batched
+    model = build_model(entry.model)
+    obj = dyn._Objective(model, make_loss(entry.loss, **dict(entry.loss_params)))
+    (_, mp), = obj.maps
+    pts = model.init_params + np.random.default_rng(entry.seed).standard_normal((50, model.d))
+    plain = [obj.value(p) for p in pts]
+    assert [float(de.gradient_at_points(mp, p[None, :])[0][0]) for p in pts] == plain
+    assert de.gradient_at_points(mp, pts)[0].tolist() == plain
+
+
+def test_value_and_grad_equals_value_and_grad_bitwise(uv_model, square_family, two_sample_dataset):
+    obj = dyn._Objective(uv_model, two_sample_dataset, square_family)
+    for th in np.random.default_rng(4).normal(size=(20, 2)):
+        value, grad = obj.value_and_grad(th)
+        assert value == obj.value(th)
+        np.testing.assert_array_equal(grad, obj.grad(th))
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +330,26 @@ def test_sgf_zero_noise_tracks_deterministic_flow(uv_model, square_family, two_s
     assert np.linalg.norm(ens[0].states[-1] - ref.states[-1]) <= 1e-4
 
 
+def test_sgf_zero_noise_draws_nothing_and_is_euler(monkeypatch, uv_model, square_family,
+                                                   two_sample_dataset):
+    def no_stream(*args, **kwargs):
+        raise AssertionError("a noise stream was created")
+
+    monkeypatch.setattr(np.random, "Philox", no_stream)
+    noise = dyn.NoiseModel(mode="exact_sde", sigma=0.0, seed=1)
+    theta0 = np.array([1.0, 0.9])
+    ens = dyn.sgf(uv_model, square_family, two_sample_dataset, theta0, noise,
+                  T=0.05, dt=1e-3, ensemble=3)
+    obj = dyn._Objective(uv_model, two_sample_dataset, square_family)
+    th, path = theta0, [theta0]
+    for _ in range(50):
+        gbar = np.einsum("k,kd->d", obj.weights(), obj.sample_grads(th[None, :])[:, 0])
+        th = th - gbar * 1e-3
+        path.append(th)
+    for member in ens:
+        np.testing.assert_array_equal(member.states, np.array(path))
+
+
 def test_drift_check_exact_sde(uv_model, square_family, two_sample_dataset):
     noise = dyn.NoiseModel(mode="exact_sde", sigma=0.1, seed=7)
     t = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, uv_model)
@@ -360,7 +431,7 @@ def _drift_by_member(ens, charge, model, family, dataset, noise):
     terms = []
     for k in rec_idx:
         pts = member_states[:, k, :]
-        G = np.stack([de.gradient_at_points(mp, pts) for mp in maps])
+        G = np.stack([de.gradient_at_points(mp, pts)[1] for mp in maps])
         H = np.stack([de.hessians_at_points(mp, pts) for mp in maps])
         gbar = np.einsum("k,knd->nd", w, G)
         hbar = np.einsum("k,knij->nij", w, H)
@@ -417,12 +488,17 @@ def test_sgf_byte_guard_raises_before_any_stream(monkeypatch, uv_model, square_f
             dyn.sgf(uv_model, square_family, two_sample_dataset, np.array([1.2, 0.6]),
                     noise, T=1e-3, dt=1e-3, ensemble=20_000_000)
     # 8 bytes x M x (1 index + 2 records x (d + loss + charges))
-    dyn._check_sgf_bytes(2, 2, 1e-3, 1e-3, 16_000_000, "minibatch", n_charges=0)
+    dyn._check_sgf_bytes(2, 2, 1e-3, 1e-3, 16_000_000, "minibatch", 0.1, n_charges=0)
     with pytest.raises(InvalidParams):
-        dyn._check_sgf_bytes(2, 2, 1e-3, 1e-3, 16_000_000, "minibatch", n_charges=2)
+        dyn._check_sgf_bytes(2, 2, 1e-3, 1e-3, 16_000_000, "minibatch", 0.1, n_charges=2)
     # exact_sde draws one normal per sample per step: 15e6 members fit 1 GiB
     # with d = 2 draws (0.96e9 bytes) but not with K = 4 (1.2e9 bytes)
-    dyn._check_sgf_bytes(2, 2, 1e-3, 1e-3, 15_000_000, "exact_sde", n_charges=0)
+    dyn._check_sgf_bytes(2, 2, 1e-3, 1e-3, 15_000_000, "exact_sde", 0.1, n_charges=0)
+    # and none at sigma = 0: 20e6 members need 1.28e9 bytes with K = 2 draws
+    # but only the 0.96e9 bytes of their records without them
+    with pytest.raises(InvalidParams, match="GiB"):
+        dyn._check_sgf_bytes(2, 2, 1e-3, 1e-3, 20_000_000, "exact_sde", 0.1, n_charges=0)
+    dyn._check_sgf_bytes(2, 2, 1e-3, 1e-3, 20_000_000, "exact_sde", 0.0, n_charges=0)
     four = Dataset.equal_weight([(np.array([x]), np.array([0.5 * x]))
                                  for x in (1.0, 2.0, 3.0, 4.0)])
     with pytest.raises(InvalidParams, match="GiB"):
@@ -435,7 +511,7 @@ def _centered_factor(model, family, dataset, points):
     """F = [sqrt(w_k) (g_k - gbar)]_k at each row of ``points``: (n, d, K)."""
     parts = per_sample_losses(model, family, dataset)
     w = np.array([p[0] for p in parts])
-    G = np.stack([de.gradient_at_points(lambda th, m=m, l=l: l.apply(m.func(th)), points)
+    G = np.stack([de.gradient_at_points(lambda th, m=m, l=l: l.apply(m.func(th)), points)[1]
                   for _, m, l in parts], axis=-1)           # (n, d, K)
     gbar = G @ w
     return np.sqrt(w) * (G - gbar[..., None]), gbar
