@@ -85,7 +85,7 @@ from .models import (
     random_params,
 )
 from .spectral import SpectralSummary, jacobi_eigh, power_eigs, spectral_summary
-from .tensor_core import Tensor, compose, compose_k, from_array, identity, invert_square, make_tensor, zeros
+from .tensor_core import compose, compose_k, invert_square
 from .transforms import (
     TRANSFORM_NAMES,
     Charge,

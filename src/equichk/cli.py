@@ -29,6 +29,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -108,6 +109,9 @@ class _V:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             self.fail(f"{path}.{key}", f"expected a number, got {type(v).__name__}")
             return default
+        if isinstance(v, float) and not math.isfinite(v):
+            self.fail(f"{path}.{key}", f"must be finite, got {v}")
+            return default
         if integer and not isinstance(v, int):
             self.fail(f"{path}.{key}", "expected an integer")
             return default
@@ -179,7 +183,10 @@ def _validate_transform(v: _V, obj, path: str, model_spec: Optional[ModelSpec]):
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite JSON number (``json.load`` also reads NaN and Infinity)."""
+    if isinstance(x, float):
+        return math.isfinite(x)
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _is_number_list(val) -> bool:
@@ -191,7 +198,7 @@ def _validate_theta0(v: _V, obj, path: str, spec: Optional[ModelSpec]):
     if val == "init":
         return "init"
     if not _is_number_list(val):
-        v.fail(f"{path}.theta0", 'expected "init" or a list of numbers')
+        v.fail(f"{path}.theta0", 'expected "init" or a list of finite numbers')
         return "init"
     d = build_model(spec).d if spec is not None else len(val)
     if len(val) != d:
@@ -247,9 +254,7 @@ def _validate_entry(v: _V, obj, path: str) -> Optional[ic.PlanEntry]:
         if mutation["callback"] not in MUTABLE_CALLBACKS:
             v.fail(f"{path}.mutation.callback", f"unknown derivative callback "
                    f"{mutation['callback']!r} (known: {', '.join(MUTABLE_CALLBACKS)})")
-        scale = v.number(mutation, f"{path}.mutation", "scale")
-        if scale is not None and not np.isfinite(scale):
-            v.fail(f"{path}.mutation.scale", f"must be finite, got {scale}")
+        v.number(mutation, f"{path}.mutation", "scale")
     positions = v.number(obj, path, "positions", integer=True, positive=True, default=3)
     seed = v.number(obj, path, "seed", integer=True, nonneg=True, default=0)
     lam_scale = v.number(obj, path, "lam_scale", positive=True, default=0.3)
@@ -278,14 +283,14 @@ def _validate_sample(v: _V, s, path: str, model, family) -> bool:
         return False
     x, target = s["x"], s["target"]
     if not _is_number_list(x):
-        v.fail(f"{path}.x", "expected a list of numbers")
+        v.fail(f"{path}.x", "expected a list of finite numbers")
         return False
     if model is not None and len(x) != model.input_point.size:
         v.fail(f"{path}.x", f"expected {model.input_point.size} numbers "
                             f"(the model's input width), got {len(x)}")
         return False
     if not (_is_number(target) or _is_number_list(target)):
-        v.fail(f"{path}.target", "expected a number or a list of numbers")
+        v.fail(f"{path}.target", "expected a finite number or a list of finite numbers")
         return False
     if family is not None:
         try:
@@ -322,7 +327,7 @@ def _validate_dataset(v: _V, obj, path: str, spec: Optional[ModelSpec],
             return None
         bad = [i for i, w in enumerate(weights) if not _is_number(w)]
         for i in bad:
-            v.fail(f"{path}.weights[{i}]", f"expected a number, got {type(weights[i]).__name__}")
+            v.fail(f"{path}.weights[{i}]", f"expected a finite number, got {weights[i]!r}")
         if bad:
             return None
     try:

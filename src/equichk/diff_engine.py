@@ -18,6 +18,12 @@ finite-difference stencils) are walked in blocks under a fixed byte budget,
 ``_BLOCK_BYTES``, fixed before anything is allocated; at catalog sizes every
 sweep is a single block, i.e. a single map evaluation.
 
+Evaluation points are plain float arrays, and every sweep returns a fresh
+float64 ``np.ndarray`` in the ``[input, output]`` layout that
+:mod:`equichk.tensor_core` composes, checked finite before it is returned:
+``(d, *s)`` for first derivatives of a map into shape ``s``, ``(d, d, *s)``
+for second derivatives.
+
 Components may be scalars or numpy arrays of any broadcast-compatible shape;
 scalar zeros are kept as plain ``0.0`` and short-circuited, so unused
 perturbation slots cost nothing.  First-order sweeps (``jacobian``,
@@ -60,7 +66,6 @@ from .errors import (
     NonFiniteResult,
     CheckFailure,
 )
-from .tensor_core import Tensor, from_array
 
 __all__ = [
     "DiffConfig",
@@ -279,8 +284,7 @@ def reshape_tail(x, n_tail: int, new_tail: Tuple[int, ...]):
 # --- derivative sweeps ---------------------------------------------------------
 
 def _as_point(point) -> np.ndarray:
-    arr = point.array if isinstance(point, Tensor) else np.asarray(point, dtype=float)
-    arr = np.asarray(arr, dtype=float).reshape(-1)
+    arr = np.asarray(point, dtype=float).reshape(-1)
     if not np.all(np.isfinite(arr)):
         raise NonFiniteEntry("evaluation point contains NaN or Inf")
     return arr
@@ -298,7 +302,7 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
         raise NonFiniteResult(f"{what} produced NaN or Inf")
 
 
-def jacobian(map_fn: Callable, point, config: Optional[DiffConfig] = None) -> Tensor:
+def jacobian(map_fn: Callable, point, config: Optional[DiffConfig] = None) -> np.ndarray:
     """Gradient tensor of ``map_fn`` at ``point``.
 
     For f: R^d -> tensors of shape s the result has shape ``(d, *s)`` with
@@ -314,12 +318,12 @@ def jacobian(map_fn: Callable, point, config: Optional[DiffConfig] = None) -> Te
     out = map_fn(seed)
     if not isinstance(out, HyperDual):  # constant map
         out_shape = np.shape(np.asarray(out))
-        return from_array(np.zeros((d,) + out_shape))
+        return np.zeros((d,) + out_shape)
     out_shape = np.shape(np.asarray(out.value))
     _check_finite(np.asarray(out.value, dtype=float), "map evaluation")
     jac = _normalize(out.d1, (d,), out_shape)
     _check_finite(jac, "jacobian sweep")
-    return from_array(jac)
+    return jac
 
 
 def _blocks(n: int, item_bytes: int):
@@ -329,7 +333,7 @@ def _blocks(n: int, item_bytes: int):
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def second_derivative(map_fn: Callable, point, config: Optional[DiffConfig] = None) -> Tensor:
+def second_derivative(map_fn: Callable, point, config: Optional[DiffConfig] = None) -> np.ndarray:
     """Second-derivative tensor, shape ``(d, d, *s)``, symmetric in the two
     leading axes.
 
@@ -355,7 +359,7 @@ def second_derivative(map_fn: Callable, point, config: Optional[DiffConfig] = No
             parts.append(_normalize(out.d12, lead, np.shape(np.asarray(out.value))))
     hess = np.concatenate(parts, axis=0)
     _check_finite(hess, "second-derivative sweep")
-    return from_array(hess)
+    return hess
 
 
 def _stencil(order: int, d: int):
@@ -379,7 +383,7 @@ def _stencil(order: int, d: int):
     return a, sa, b, sb
 
 
-def fd_oracle(map_fn: Callable, point, order: int, config: Optional[DiffConfig] = None) -> Tensor:
+def fd_oracle(map_fn: Callable, point, order: int, config: Optional[DiffConfig] = None) -> np.ndarray:
     """Central finite differences of order 1 or 2 (the independent oracle).
 
     Steps follow ``h_i = max(1, |x_i|) * eps**(1/p)`` with p = 3 for first
@@ -427,7 +431,7 @@ def fd_oracle(map_fn: Callable, point, order: int, config: Optional[DiffConfig] 
         out[i, j] = mixed
         out[j, i] = mixed
     _check_finite(out, "finite-difference sweep")
-    return from_array(out)
+    return out
 
 
 def grad_and_hessian_of_loss(
@@ -436,7 +440,7 @@ def grad_and_hessian_of_loss(
     point,
     config: Optional[DiffConfig] = None,
     check_assembly: bool = True,
-) -> Tuple[float, Tensor, Tensor]:
+) -> Tuple[float, np.ndarray, np.ndarray]:
     """Value, gradient, and Hessian of ``L = loss o model`` at ``point``.
 
     The gradient/Hessian are obtained by differentiating the composite map
@@ -463,20 +467,21 @@ def grad_and_hessian_of_loss(
     if check_assembly:
         y = np.asarray(model.func(x), dtype=float)
         _check_assembly(hess, jacobian(model.func, x, cfg), second_derivative(model.func, x, cfg),
-                        from_array(loss.grad(y)), from_array(loss.hess(y)), cfg.mode)
+                        tensor_core._finite(loss.grad(y)), tensor_core._finite(loss.hess(y)), cfg.mode)
     return value, grad, hess
 
 
-def _check_assembly(hess: Tensor, jac_f: Tensor, hess_f: Tensor, gl: Tensor, hl: Tensor,
-                    mode: str) -> None:
+def _check_assembly(hess: np.ndarray, jac_f: np.ndarray, hess_f: np.ndarray, gl: np.ndarray,
+                    hl: np.ndarray, mode: str) -> None:
     """Hold the composite Hessian against its chain/product-rule assembly
     from the model derivatives and the analytic loss derivatives; raises
     :class:`CheckFailure` past 1e-10 relative (exact) or 1e-4 (FD)."""
     gauss_newton = tensor_core.compose_k(tensor_core.compose(hl, jac_f), jac_f, 2)
     assembled = gauss_newton + tensor_core.compose(gl, hess_f)
-    scale = max(hess.norm(), assembled.norm(), 1e-12)
+    scale = max(float(np.linalg.norm(hess.reshape(-1))),
+                float(np.linalg.norm(assembled.reshape(-1))), 1e-12)
     tol = 1e-10 if mode == "exact" else 1e-4
-    gap = (hess - assembled).norm() / scale
+    gap = float(np.linalg.norm((hess - assembled).reshape(-1))) / scale
     if gap > tol:
         raise CheckFailure(
             f"hessian assembly self-check failed: relative gap {gap:.3e} > {tol:g}"

@@ -100,12 +100,6 @@ class _Objective:
     def value(self, theta: np.ndarray) -> float:
         return float(sum(w * float(np.asarray(mp(theta))) for w, mp in self.maps))
 
-    def value_batch(self, points: np.ndarray) -> np.ndarray:
-        total = np.zeros(points.shape[0])
-        for w, mp in self.maps:
-            total += w * np.asarray(mp(points), dtype=float)
-        return total
-
     def grad(self, theta: np.ndarray) -> np.ndarray:
         return self.grad_batch(theta[None, :])[0]
 
@@ -125,18 +119,28 @@ class _Objective:
             grad += w * g[0]
         return float(value), grad
 
-    def sample_grads(self, points: np.ndarray) -> np.ndarray:
-        """Unweighted per-sample gradients, shape (K, M, d)."""
-        return np.stack([de.gradient_at_points(mp, points)[1] for _, mp in self.maps])
+    def sample_sweeps(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Unweighted per-sample losses (K, M) and gradients (K, M, d), one
+        sweep per map."""
+        sweeps = [de.gradient_at_points(mp, points) for _, mp in self.maps]
+        return np.stack([v for v, _ in sweeps]), np.stack([g for _, g in sweeps])
+
+    def weighted_loss(self, values: np.ndarray) -> np.ndarray:
+        """The loss (M,) from :meth:`sample_sweeps` values, summed in map
+        order as :meth:`value` sums the plain forwards."""
+        total = np.zeros(values.shape[1])
+        for (w, _), v in zip(self.maps, values):
+            total += w * v
+        return total
 
     def weights(self) -> np.ndarray:
         return np.array([w for w, _ in self.maps])
 
 
-def _as_objective(model: Model, loss, family) -> _Objective:
+def _as_objective(model: Model, loss) -> _Objective:
     if isinstance(loss, tuple) and len(loss) == 2 and isinstance(loss[1], Dataset):
         return _Objective(model, loss[1], loss[0])
-    return _Objective(model, loss, family)
+    return _Objective(model, loss)
 
 
 def _as_charges(chargelist) -> List[Charge]:
@@ -263,7 +267,7 @@ class _Recorder:
         self.diag["grad_norm"].append(float(np.linalg.norm(grad)))
         self.diag["theta_sq"].append(float(theta @ theta))
         if self._scalar_head:
-            y = forward(self.model, theta).array
+            y = forward(self.model, theta)
             self.diag["f"].append(float(y[0]))
             if self._sharp:
                 yv = float(y[0])
@@ -306,8 +310,6 @@ def gradient_flow(
     T: float,
     dt: float,
     chargelist: Sequence = (),
-    *,
-    family: Optional[LossFamily] = None,
 ) -> Trajectory:
     """Integrate theta' = -gradL(theta) with classical RK4.
 
@@ -320,7 +322,7 @@ def gradient_flow(
         raise InvalidParams(f"dt must be positive, got {dt}")
     if T < dt:
         raise InvalidParams(f"T = {T} is shorter than one step dt = {dt}")
-    obj = _as_objective(model, loss, family)
+    obj = _as_objective(model, loss)
     charges = _as_charges(chargelist)
     th = np.asarray(theta0, dtype=float).reshape(-1)
     if th.size != model.d:
@@ -380,7 +382,6 @@ def gradient_descent(
     chargelist: Sequence = (),
     *,
     symmetries: Sequence[Transformation] = (),
-    family: Optional[LossFamily] = None,
 ) -> Trajectory:
     """Plain GD; every update is checked to be orthogonal to each registered
     symmetry's characteristic directions (the discrete-time orthogonality of
@@ -394,7 +395,7 @@ def gradient_descent(
     for s in symmetries:
         if s.kind != "continuous" or not s.is_symmetry:
             raise InvalidParams(f"{s.name} is not a continuous symmetry")
-    obj = _as_objective(model, loss, family)
+    obj = _as_objective(model, loss)
     charges = _as_charges(chargelist)
     th = np.asarray(theta0, dtype=float).reshape(-1)
     if th.size != model.d:
@@ -532,7 +533,7 @@ def _moments(obj: _Objective, points: np.ndarray) -> Tuple[np.ndarray, np.ndarra
     """Mean gradient (n, d), gradient covariance Sigma (n, d, d) and
     d(Tr Sigma)/dtheta (n, d) at each row of ``points``."""
     w = obj.weights()
-    G = obj.sample_grads(points)                                              # (K, n, d)
+    G = obj.sample_sweeps(points)[1]                                          # (K, n, d)
     H = np.stack([de.hessians_at_points(mp, points) for _, mp in obj.maps])   # (K, n, d, d)
     gbar = np.einsum("k,knd->nd", w, G)
     hbar = np.einsum("k,knij->nij", w, H)
@@ -676,9 +677,12 @@ def sgf(
     times = np.zeros(n_rec)
     stack = np.empty((n_rec, ensemble, d))
     stack[0] = states
+    losses = np.empty((n_rec, ensemble))
     r = 1
     for step in range(n_steps):
-        per_sample = obj.sample_grads(states)           # (K, M, d)
+        values, per_sample = obj.sample_sweeps(states)  # (K, M), (K, M, d)
+        if step % stride == 0:  # states of record step // stride, swept here
+            losses[step // stride] = obj.weighted_loss(values)
         mean_grad = np.einsum("k,kmd->md", w, per_sample)
         if noise.mode == "exact_sde":
             states = states - mean_grad * h
@@ -697,9 +701,8 @@ def sgf(
             stack[r] = states
             r += 1
 
-    losses = np.empty((n_rec, ensemble))
-    for k in range(n_rec):
-        losses[k] = obj.value_batch(stack[k])
+    # the last record is the one state no step sweeps
+    losses[-1] = obj.weighted_loss(obj.sample_sweeps(states)[0])
     return Ensemble(
         times=times,
         states=stack,

@@ -12,12 +12,8 @@ class EquichkError(Exception):
 
 # --- tensor layer -----------------------------------------------------------
 
-class LengthMismatch(EquichkError):
-    """Flat data buffer does not match the product of the axis lengths."""
-
-
 class NonFiniteEntry(EquichkError):
-    """A tensor was constructed from data containing NaN or Inf."""
+    """An input point or derivative-callback output contains NaN or Inf."""
 
 
 class AxisMismatch(EquichkError):

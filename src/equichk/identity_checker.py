@@ -49,7 +49,7 @@ from .errors import (
 )
 from .models import Loss, Model, ModelSpec, build_model, forward, make_loss, random_params
 from .spectral import SpectralSummary, spectral_summary
-from .tensor_core import Tensor, compose, compose_k, from_array
+from .tensor_core import _finite, compose, compose_k
 from .transforms import (
     Transformation,
     _chart_inverses,
@@ -296,12 +296,12 @@ class LandscapeEval:
     theta: np.ndarray      # (d,)
     y: np.ndarray          # (c,)
     value: float
-    jac_f: Tensor          # (d, c)
-    hess_f: Tensor         # (d, d, c)
-    gl: Tensor             # (c,)    analytic loss gradient
-    hl: Tensor             # (c, c)  analytic loss Hessian
-    grad: Tensor           # (d,)
-    hess: Tensor           # (d, d)
+    jac_f: np.ndarray      # (d, c)
+    hess_f: np.ndarray     # (d, d, c)
+    gl: np.ndarray         # (c,)    analytic loss gradient
+    hl: np.ndarray         # (c, c)  analytic loss Hessian
+    grad: np.ndarray       # (d,)
+    hess: np.ndarray       # (d, d)
     mode: str
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -311,12 +311,12 @@ def evaluate_landscape(model: Model, loss: Loss, theta, config: Optional[de.Diff
     th = np.asarray(theta, dtype=float).reshape(-1)
     if th.size != model.d:
         raise SizeMismatch(f"theta has {th.size} entries, model {model.name} wants {model.d}")
-    y = forward(model, th).array
+    y = forward(model, th)
     value, grad, hess = de.grad_and_hessian_of_loss(model, loss, th, cfg, check_assembly=False)
     jac_f = de.jacobian(model.func, th, cfg)
     hess_f = de.second_derivative(model.func, th, cfg)
-    gl = from_array(loss.grad(y))
-    hl = from_array(loss.hess(y))
+    gl = _finite(loss.grad(y))
+    hl = _finite(loss.hess(y))
     de._check_assembly(hess, jac_f, hess_f, gl, hl, cfg.mode)
     return LandscapeEval(
         theta=th, y=y, value=value, jac_f=jac_f, hess_f=hess_f,
@@ -343,7 +343,7 @@ def _spectrum(ev: LandscapeEval) -> SpectralSummary:
     """The spectral summary of ``ev.hess``, computed once per landscape."""
     summary = ev._memo.get("spectrum")
     if summary is None:
-        summary = ev._memo["spectrum"] = spectral_summary(ev.hess.array)
+        summary = ev._memo["spectrum"] = spectral_summary(ev.hess)
     return summary
 
 
@@ -355,8 +355,8 @@ class _TransformEval:
 
     transform: Transformation   # held so no other object can take the id that keys it
     charts: _Charts
-    X: Optional[Tensor]
-    Y: Optional[Tensor]
+    X: Optional[np.ndarray]
+    Y: Optional[np.ndarray]
     second: Optional["_SecondOrder"] = None
 
 
@@ -402,16 +402,16 @@ def check_first_order(
     ev = _landscape(model, loss, theta, cfg, landscape)
     te = _transform_eval(ev, transform, lam)
     X, Y = te.X, te.Y
-    lhs = compose(ev.grad, X).array
-    rhs = compose(ev.gl, Y).array
+    lhs = compose(ev.grad, X)
+    rhs = compose(ev.gl, Y)
     ctx = _base_context(model, transform, te.charts.lam, extra_context)
     ctx["is_symmetry"] = transform.is_symmetry
     ctx["mode"] = cfg.mode
     return _report(
         "check_first_order", CHECK_ANCHORS["check_first_order"],
         lhs, rhs,
-        _norm(ev.grad.array) * _norm(X.array),
-        _norm(ev.gl.array) * _norm(Y.array),
+        _norm(ev.grad) * _norm(X),
+        _norm(ev.gl) * _norm(Y),
         _tol(cfg, tolerance), ctx,
     )
 
@@ -443,48 +443,48 @@ def _second_order(ev: LandscapeEval, te: _TransformEval) -> _SecondOrder:
     th, y = ev.theta, ev.y
     hinv, ginv, X, Y = te.charts.hinv, te.charts.ginv, te.X, te.Y
 
-    d2h_tt = from_array(t.d2h_dtheta2(lamv, th))        # (d, d, d)
-    d2h_lt = from_array(t.d2h_dlambda_dtheta(lamv, th)) # (p, d, d)
-    d2h_ll = from_array(t.d2h_dlambda2(lamv, th))       # (p, p, d)
-    d2g_yy = from_array(t.d2g_dy2(lamv, y))             # (c, c, c)
-    d2g_ly = from_array(t.d2g_dlambda_dy(lamv, y))      # (p, c, c)
-    d2g_ll = from_array(t.d2g_dlambda2(lamv, y))        # (p, p, c)
+    d2h_tt = _finite(t.d2h_dtheta2(lamv, th))        # (d, d, d)
+    d2h_lt = _finite(t.d2h_dlambda_dtheta(lamv, th)) # (p, d, d)
+    d2h_ll = _finite(t.d2h_dlambda2(lamv, th))       # (p, p, d)
+    d2g_yy = _finite(t.d2g_dy2(lamv, y))             # (c, c, c)
+    d2g_ly = _finite(t.d2g_dlambda_dy(lamv, y))      # (p, c, c)
+    d2g_ll = _finite(t.d2g_dlambda2(lamv, y))        # (p, p, c)
 
-    nj, ng, ngl, nhl = _norm(ev.jac_f.array), _norm(ev.grad.array), _norm(ev.gl.array), _norm(ev.hl.array)
-    nhi, ngi, nx, ny = _norm(hinv.array), _norm(ginv.array), _norm(X.array), _norm(Y.array)
+    nj, ng, ngl, nhl = _norm(ev.jac_f), _norm(ev.grad), _norm(ev.gl), _norm(ev.hl)
+    nhi, ngi, nx, ny = _norm(hinv), _norm(ginv), _norm(X), _norm(Y)
 
     hl_y = compose(ev.hl, Y)                            # (p, c)
     tt_x = compose(d2h_tt, X)                           # (p, d, d)
     yy_y = compose(d2g_yy, Y)                           # (p, c, c)
 
-    t1 = compose_k(hl_y, ev.jac_f, 2).array
-    t2 = compose(ev.grad, compose(hinv, d2h_lt)).array
-    t3 = compose(ev.grad, compose(hinv, tt_x)).array
+    t1 = compose_k(hl_y, ev.jac_f, 2)
+    t2 = compose(ev.grad, compose(hinv, d2h_lt))
+    t3 = compose(ev.grad, compose(hinv, tt_x))
     t4 = compose(ev.gl, compose(ginv, d2g_ly))
-    t4 = compose_k(t4, ev.jac_f, 2).array
+    t4 = compose_k(t4, ev.jac_f, 2)
     t5 = compose(ev.gl, compose(ginv, yy_y))
-    t5 = compose_k(t5, ev.jac_f, 2).array
+    t5 = compose_k(t5, ev.jac_f, 2)
     action = (t1, -t2, t3, t4, -t5)
     action_scales = (
         nhl * ny * nj,
-        ng * nhi * _norm(d2h_lt.array),
-        ng * nhi * _norm(d2h_tt.array) * nx,
-        ngl * ngi * _norm(d2g_ly.array) * nj,
-        ngl * ngi * _norm(d2g_yy.array) * ny * nj,
+        ng * nhi * _norm(d2h_lt),
+        ng * nhi * _norm(d2h_tt) * nx,
+        ngl * ngi * _norm(d2g_ly) * nj,
+        ngl * ngi * _norm(d2g_yy) * ny * nj,
     )
 
-    s1 = compose_k(hl_y, Y, 2).array
-    s2 = compose(ev.grad, compose(hinv, d2h_ll)).array
-    s3 = compose(ev.grad, compose(hinv, compose_k(tt_x, X, 2))).array
-    s4 = compose(ev.gl, compose(ginv, d2g_ll)).array
-    s5 = compose(ev.gl, compose(ginv, compose_k(yy_y, Y, 2))).array
+    s1 = compose_k(hl_y, Y, 2)
+    s2 = compose(ev.grad, compose(hinv, d2h_ll))
+    s3 = compose(ev.grad, compose(hinv, compose_k(tt_x, X, 2)))
+    s4 = compose(ev.gl, compose(ginv, d2g_ll))
+    s5 = compose(ev.gl, compose(ginv, compose_k(yy_y, Y, 2)))
     quad = (s1, -s2, s3, s4, -s5)
     quad_scales = (
         nhl * ny * ny,
-        ng * nhi * _norm(d2h_ll.array),
-        ng * nhi * _norm(d2h_tt.array) * nx * nx,
-        ngl * ngi * _norm(d2g_ll.array),
-        ngl * ngi * _norm(d2g_yy.array) * ny * ny,
+        ng * nhi * _norm(d2h_ll),
+        ng * nhi * _norm(d2h_tt) * nx * nx,
+        ngl * ngi * _norm(d2g_ll),
+        ngl * ngi * _norm(d2g_yy) * ny * ny,
     )
     return _SecondOrder(action=action, action_scales=action_scales,
                         quad=quad, quad_scales=quad_scales)
@@ -538,7 +538,7 @@ def check_second_action(
     cfg = config or de.DiffConfig()
     ev = _landscape(model, loss, theta, cfg, landscape)
     te, so = _second_order_terms(ev, transform, lam)
-    lhs = compose(ev.hess, te.X).array
+    lhs = compose(ev.hess, te.X)
     rhs, diag = _assemble_rhs(so.action, so.action_scales, transform.is_symmetry)
     ctx = _base_context(model, transform, te.charts.lam, extra_context)
     ctx["is_symmetry"] = transform.is_symmetry
@@ -547,7 +547,7 @@ def check_second_action(
     return _report(
         "check_second_action", CHECK_ANCHORS["check_second_action"],
         lhs, rhs,
-        _norm(ev.hess.array) * _norm(te.X.array),
+        _norm(ev.hess) * _norm(te.X),
         sum(so.action_scales),
         _tol(cfg, tolerance), ctx,
     )
@@ -569,17 +569,17 @@ def check_second_quadratic(
     cfg = config or de.DiffConfig()
     ev = _landscape(model, loss, theta, cfg, landscape)
     te, so = _second_order_terms(ev, transform, lam)
-    lhs = compose_k(compose(ev.hess, te.X), te.X, 2).array
+    lhs = compose_k(compose(ev.hess, te.X), te.X, 2)
     rhs, diag = _assemble_rhs(so.quad, so.quad_scales, transform.is_symmetry)
     ctx = _base_context(model, transform, te.charts.lam, extra_context)
     ctx["is_symmetry"] = transform.is_symmetry
     ctx["mode"] = cfg.mode
     ctx.update(diag)
-    nx = _norm(te.X.array)
+    nx = _norm(te.X)
     return _report(
         "check_second_quadratic", CHECK_ANCHORS["check_second_quadratic"],
         lhs, rhs,
-        _norm(ev.hess.array) * nx * nx,
+        _norm(ev.hess) * nx * nx,
         sum(so.quad_scales),
         _tol(cfg, tolerance), ctx,
     )
@@ -596,8 +596,8 @@ def _homogeneous_scalars(model: Model, loss: Loss, ev: LandscapeEval) -> Tuple[f
         raise InvalidParams("homogeneity specializations require a scalar-output model")
     m = float(model.homogeneity_degree)
     y = float(ev.y[0])
-    lp = float(ev.gl.array[0])
-    lpp = float(ev.hl.array[0, 0])
+    lp = float(ev.gl[0])
+    lpp = float(ev.hl[0, 0])
     return m, y, lp, lpp
 
 
@@ -624,8 +624,8 @@ def check_homogeneity_specialization(
     cfg = config or de.DiffConfig()
     ev = _landscape(model, loss, theta, cfg, landscape)
     m, y, lp, lpp = _homogeneous_scalars(model, loss, ev)
-    A = ev.hess.array
-    g = ev.grad.array
+    A = ev.hess
+    g = ev.grad
     th = ev.theta
     act = A @ th
     tol = _tol(cfg, tolerance)
@@ -688,8 +688,8 @@ def check_eigen_alignment(
         )
     alpha = lp / denom
 
-    A = ev.hess.array
-    g = ev.grad.array
+    A = ev.hess
+    g = ev.grad
     th = ev.theta
     summary = _spectrum(ev)
     lams = summary.eigenvalues
@@ -760,7 +760,7 @@ def sharpness_bound(
         raise InvalidParams("sharpness bound needs theta != 0")
     bound = (m / nth2) * (lpp * m * y * y + lp * (m - 1.0) * y)
 
-    A = ev.hess.array
+    A = ev.hess
     summary = _spectrum(ev)
     lam_max = float(summary.lambda_max)
     rayleigh = float(th @ A @ th) / nth2
@@ -829,16 +829,16 @@ def check_discrete_first(
     th = np.asarray(theta, dtype=float).reshape(-1)
     fp_res = _require_fixed_point(transform, th)
     ev = _landscape(model, loss, th, cfg, landscape)
-    S = from_array(transform.dh_dtheta(np.zeros(0), th))
-    lhs = compose(ev.grad, S).array
-    rhs = ev.grad.array
+    S = _finite(transform.dh_dtheta(np.zeros(0), th))
+    lhs = compose(ev.grad, S)
+    rhs = ev.grad
     ctx = _base_context(model, transform, None, extra_context)
     ctx.update({"mode": cfg.mode, "fixed_point_residual": fp_res, "linear_case": "Eq. (12)"})
     return _report(
         "check_discrete_first", CHECK_ANCHORS["check_discrete_first"],
         lhs, rhs,
-        _norm(ev.grad.array) * _norm(S.array),
-        _norm(ev.grad.array),
+        _norm(ev.grad) * _norm(S),
+        _norm(ev.grad),
         _tol(cfg, tolerance), ctx,
     )
 
@@ -861,11 +861,11 @@ def check_discrete_second(
     th = np.asarray(theta, dtype=float).reshape(-1)
     fp_res = _require_fixed_point(transform, th)
     ev = _landscape(model, loss, th, cfg, landscape)
-    S = from_array(transform.dh_dtheta(np.zeros(0), th))
-    lhs = compose_k(compose(ev.hess, S), S, 2).array
-    correction = compose(ev.grad, from_array(transform.d2h_dtheta2(np.zeros(0), th))).array
-    rhs = ev.hess.array - correction
-    ns = _norm(S.array)
+    S = _finite(transform.dh_dtheta(np.zeros(0), th))
+    lhs = compose_k(compose(ev.hess, S), S, 2)
+    correction = compose(ev.grad, _finite(transform.d2h_dtheta2(np.zeros(0), th)))
+    rhs = ev.hess - correction
+    ns = _norm(S)
     ctx = _base_context(model, transform, None, extra_context)
     ctx.update({
         "mode": cfg.mode,
@@ -876,8 +876,8 @@ def check_discrete_second(
     return _report(
         "check_discrete_second", CHECK_ANCHORS["check_discrete_second"],
         lhs, rhs,
-        _norm(ev.hess.array) * ns * ns,
-        _norm(ev.hess.array) + _norm(correction),
+        _norm(ev.hess) * ns * ns,
+        _norm(ev.hess) + _norm(correction),
         _tol(cfg, tolerance), ctx,
     )
 
@@ -920,8 +920,8 @@ def check_mirror(
         )
 
     ev = _landscape(model, loss, th, cfg, landscape)
-    g = ev.grad.array
-    A = ev.hess.array
+    g = ev.grad
+    A = ev.hess
     B = O @ O.T
     Q = np.eye(d) - B
 
@@ -996,8 +996,8 @@ def check_last_layer_alignment(
     blk = model.block(model.last_layer_block)
     W = th[blk.sl].reshape(blk.shape)          # (c, s)
     h_vec = np.asarray(model.feature_fn(th), dtype=float)
-    H_ww = ev.hess.array[blk.sl, blk.sl]       # (c*s, c*s), vec in row-major W order
-    hl = ev.hl.array
+    H_ww = ev.hess[blk.sl, blk.sl]             # (c*s, c*s), vec in row-major W order
+    hl = ev.hl
     c = model.c
 
     rng = np.random.default_rng(seed)
@@ -1070,7 +1070,7 @@ def stationary_null_count(
     cfg = config or de.DiffConfig()
     th = np.asarray(theta_star, dtype=float).reshape(-1)
     ev = evaluate_landscape(model, loss, th, cfg)
-    g_norm = _norm(ev.grad.array)
+    g_norm = _norm(ev.grad)
     if g_norm > eps_stat:
         raise NotConverged(
             f"|gradL| = {g_norm:.3e} exceeds eps_stat = {eps_stat:.1e}; "
@@ -1088,11 +1088,11 @@ def stationary_null_count(
         lamv = np.zeros(t.p)
         te = _transform_eval(ev, t, lamv)
         X, hinv = te.X, te.charts.hinv
-        rows.append(np.asarray(X.array, dtype=float).reshape(t.p, model.d))
-        hx = _norm(compose(ev.hess, X).array)
-        m_lt = compose(hinv, from_array(t.d2h_dlambda_dtheta(lamv, th)))
-        m_tt = compose(hinv, compose(from_array(t.d2h_dtheta2(lamv, th)), X))
-        kappa = _norm(m_lt.array) + _norm(m_tt.array)
+        rows.append(X.reshape(t.p, model.d))
+        hx = _norm(compose(ev.hess, X))
+        m_lt = compose(hinv, _finite(t.d2h_dlambda_dtheta(lamv, th)))
+        m_tt = compose(hinv, compose(_finite(t.d2h_dtheta2(lamv, th)), X))
+        kappa = _norm(m_lt) + _norm(m_tt)
         kappas[t.name] = float(kappa)
         bound = kappa * g_norm
         worst_violation = max(worst_violation, max(0.0, hx - bound))
@@ -1172,7 +1172,7 @@ def sample_positions(
                 lam = rng.uniform(-lam_scale, lam_scale, transform.p)
             if model.kink_margin is not None and model.kink_margin(th) < margin:
                 continue
-            y = forward(model, th).array
+            y = forward(model, th)
             if transform is not None and transform.kind == "continuous":
                 if not good_position(transform, th, y, lam).ok:
                     continue

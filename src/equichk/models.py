@@ -46,7 +46,6 @@ from .errors import (
     SizeMismatch,
     UnknownSpec,
 )
-from .tensor_core import Tensor, from_array
 
 __all__ = [
     "Block",
@@ -320,10 +319,9 @@ def build_model(spec: ModelSpec) -> Model:
         raise InvalidParams(f"model {spec.name!r} missing parameter {missing}")
 
 
-def forward(model: Model, theta) -> Tensor:
+def forward(model: Model, theta) -> np.ndarray:
     """Evaluate the model at a flat parameter vector, with validation."""
-    arr = theta.array if isinstance(theta, Tensor) else np.asarray(theta, dtype=float)
-    arr = arr.reshape(-1)
+    arr = np.asarray(theta, dtype=float).reshape(-1)
     if arr.size != model.d:
         raise SizeMismatch(f"theta length {arr.size} != model dim {model.d}")
     if not np.all(np.isfinite(arr)):
@@ -331,7 +329,7 @@ def forward(model: Model, theta) -> Tensor:
     out = np.asarray(model.func(arr), dtype=float)
     if not np.all(np.isfinite(out)):
         raise NonFiniteResult("model output contains NaN or Inf")
-    return from_array(out)
+    return out
 
 
 # --- losses ----------------------------------------------------------------------
@@ -354,8 +352,7 @@ class Loss:
     _hess: Callable = field(repr=False)
 
     def _coerce(self, y) -> np.ndarray:
-        arr = y.array if isinstance(y, Tensor) else np.asarray(y, dtype=float)
-        arr = arr.reshape(-1)
+        arr = np.asarray(y, dtype=float).reshape(-1)
         if arr.size != self.c:
             raise SizeMismatch(f"output length {arr.size} != loss dim {self.c}")
         return arr
@@ -526,6 +523,8 @@ class Dataset:
         if len(self.samples) == 0:
             raise InvalidParams("dataset needs at least one sample")
         w = np.asarray(self.weights, dtype=float)
+        if not np.all(np.isfinite(w)):
+            raise InvalidParams("dataset weights must be finite")
         if np.any(w < 0):
             raise InvalidParams("dataset weights must be nonnegative")
         if abs(float(np.sum(w)) - 1.0) > 1e-12:
@@ -548,7 +547,7 @@ def per_sample_losses(model: Model, family: LossFamily, dataset: Dataset):
 
 def expected_loss(model: Model, family: LossFamily, dataset: Dataset, theta) -> float:
     """Weighted mean loss over the dataset at parameters theta."""
-    arr = theta.array if isinstance(theta, Tensor) else np.asarray(theta, dtype=float)
+    arr = np.asarray(theta, dtype=float)
     total = 0.0
     for w, m, loss in per_sample_losses(model, family, dataset):
         total += w * float(np.asarray(loss.apply(m.func(arr))))

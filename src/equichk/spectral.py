@@ -29,7 +29,7 @@ _POWER_GAP_TOL = 1e-8
 
 
 def _as_symmetric(a) -> np.ndarray:
-    arr = np.asarray(getattr(a, "array", a), dtype=float)
+    arr = np.asarray(a, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise AxisMismatch(f"expected a square matrix, got shape {arr.shape}")
     scale = max(float(np.max(np.abs(arr))), 1.0)
@@ -157,24 +157,22 @@ class SpectralSummary:
         return float(self.eigenvalues[0]), self.eigenvectors[:, 0].copy()
 
 
-def spectral_summary(a, cross_check: bool = True) -> SpectralSummary:
-    """Jacobi spectrum of ``a`` with its self-diagnostics.  With
-    ``cross_check`` the power iteration re-derives lambda_max independently,
-    and a gap above ``1e-8 * max(1, |lambda_max|)`` raises CheckFailure."""
+def spectral_summary(a) -> SpectralSummary:
+    """Jacobi spectrum of ``a`` with its self-diagnostics.  The power
+    iteration re-derives lambda_max independently, and a gap above
+    ``1e-8 * max(1, |lambda_max|)`` raises CheckFailure."""
     A = _as_symmetric(a)
     vals, vecs = jacobi_eigh(A)
     recon = float(np.linalg.norm(vecs @ np.diag(vals) @ vecs.T - A))
     recon /= max(float(np.linalg.norm(A)), 1.0)
     orthon = float(np.max(np.abs(vecs.T @ vecs - np.eye(A.shape[0]))))
-    gap = 0.0
-    if cross_check:
-        lam_pi = float(power_eigs(A, 1)[0])
-        gap = abs(float(vals[0]) - lam_pi)
-        if gap > _POWER_GAP_TOL * max(1.0, abs(float(vals[0]))):
-            raise CheckFailure(
-                f"power iteration disagrees with Jacobi on lambda_max "
-                f"({lam_pi:.17g} vs {float(vals[0]):.17g}, gap {gap:.3e})"
-            )
+    lam_pi = float(power_eigs(A, 1)[0])
+    gap = abs(float(vals[0]) - lam_pi)
+    if gap > _POWER_GAP_TOL * max(1.0, abs(float(vals[0]))):
+        raise CheckFailure(
+            f"power iteration disagrees with Jacobi on lambda_max "
+            f"({lam_pi:.17g} vs {float(vals[0]):.17g}, gap {gap:.3e})"
+        )
     return SpectralSummary(
         eigenvalues=vals,
         eigenvectors=vecs,

@@ -7,10 +7,14 @@ map with ``p = 0`` (no ``lam`` derivatives).  ``is_symmetry`` marks the
 families whose output map is identically the identity, so the loss is
 untouched on the G side.
 
-All derivative callbacks return plain arrays in the stored layout of
-:mod:`equichk.tensor_core` — indexed ``[input axes..., output axes...]`` —
-so a stored Jacobian is the transpose of the textbook matrix and feeds
-directly into ``compose``/``compose_k`` chains.  Shapes:
+All derivative callbacks return plain float64 arrays in the stored layout
+of :mod:`equichk.tensor_core` — indexed ``[input axes..., output axes...]``
+— so a stored Jacobian is the transpose of the textbook matrix and feeds
+directly into ``compose``/``compose_k`` chains; the characteristic data
+built from them (X, Y, the chart inverses) are plain arrays too.  Callback
+outputs are checked finite (NonFiniteEntry) before they enter a composition
+or ``invert_square``; the chart Jacobians that ``good_position`` eliminates
+are judged by their condition estimate instead.  Shapes:
 
 ======================  =============  =========================================
 callback                shape          entry
@@ -53,7 +57,7 @@ from .errors import (
     UnknownSpec,
 )
 from .models import Model, forward
-from .tensor_core import RCOND_THRESHOLD, Tensor, _inverse_rcond, compose, from_array, invert_square
+from .tensor_core import RCOND_THRESHOLD, _finite, _inverse_rcond, compose, invert_square
 
 __all__ = [
     "Charge",
@@ -151,8 +155,7 @@ class Transformation:
 
 
 def _vec(v, n: int, what: str) -> np.ndarray:
-    arr = v.array if isinstance(v, Tensor) else np.asarray(v, dtype=float)
-    arr = arr.reshape(-1)
+    arr = np.asarray(v, dtype=float).reshape(-1)
     if arr.size != n:
         raise SizeMismatch(f"{what} length {arr.size} != expected {n}")
     return arr
@@ -564,30 +567,31 @@ def build_transform(name: str, params: dict, model: Model) -> Transformation:
 
 # --- characteristic data ---------------------------------------------------------
 
-def _direction(t: Transformation, hinv: Tensor, lam: np.ndarray, th: np.ndarray) -> Tensor:
-    return compose(hinv, from_array(t.dh_dlambda(lam, th)))
+def _direction(t: Transformation, hinv: np.ndarray, lam: np.ndarray, th: np.ndarray) -> np.ndarray:
+    return compose(hinv, _finite(t.dh_dlambda(lam, th)))
 
 
-def _output(t: Transformation, ginv: Optional[Tensor], lam: np.ndarray, y: np.ndarray) -> Tensor:
+def _output(t: Transformation, ginv: Optional[np.ndarray], lam: np.ndarray,
+            y: np.ndarray) -> np.ndarray:
     if t.is_symmetry:
-        return from_array(np.zeros((t.p, t.c)))
-    return compose(ginv, from_array(t.dg_dlambda(lam, y)))
+        return np.zeros((t.p, t.c))
+    return compose(ginv, _finite(t.dg_dlambda(lam, y)))
 
 
-def characteristic_direction(t: Transformation, theta, lam=None) -> Tensor:
+def characteristic_direction(t: Transformation, theta, lam=None) -> np.ndarray:
     """X = (dH/dtheta)^(-1) dH/dlambda, stored shape (p, d)."""
     if t.kind != "continuous":
         raise NotGoodPosition("discrete transformations have no characteristic direction")
     lam = _lam_vec(t, lam)
     th = _vec(theta, t.d, "theta")
     try:
-        inv = invert_square(from_array(t.dh_dtheta(lam, th)))
+        inv = invert_square(_finite(t.dh_dtheta(lam, th)))
     except Singular as err:
         raise NotGoodPosition(f"dH/dtheta is numerically singular: {err}")
     return _direction(t, inv, lam, th)
 
 
-def characteristic_output(t: Transformation, y, lam=None) -> Tensor:
+def characteristic_output(t: Transformation, y, lam=None) -> np.ndarray:
     """Y = (dG/dy)^(-1) dG/dlambda, stored shape (p, c); exactly zero for
     symmetries."""
     if t.kind != "continuous":
@@ -597,7 +601,7 @@ def characteristic_output(t: Transformation, y, lam=None) -> Tensor:
     inv = None
     if not t.is_symmetry:
         try:
-            inv = invert_square(from_array(t.dg_dy(lam, yv)))
+            inv = invert_square(_finite(t.dg_dy(lam, yv)))
         except Singular as err:
             raise NotGoodPosition(f"dG/dy is numerically singular: {err}")
     return _output(t, inv, lam, yv)
@@ -608,18 +612,18 @@ class _Charts:
     """Both chart Jacobian inverses at one position and the good-position
     report their condition estimates give.  Each chart is eliminated once;
     the inverses are None unless the position is good, and are then the
-    very tensors ``invert_square`` would return."""
+    very arrays ``invert_square`` would return."""
 
     lam: np.ndarray  # the validated lam the charts were taken at
     report: GoodPositionReport
-    hinv: Optional[Tensor]
-    ginv: Optional[Tensor]
+    hinv: Optional[np.ndarray]
+    ginv: Optional[np.ndarray]
 
-    def direction(self, t: Transformation, th: np.ndarray) -> Tensor:
+    def direction(self, t: Transformation, th: np.ndarray) -> np.ndarray:
         """X here, as :func:`characteristic_direction` gives it."""
         return _direction(t, self.hinv, self.lam, th)
 
-    def output(self, t: Transformation, y: np.ndarray) -> Tensor:
+    def output(self, t: Transformation, y: np.ndarray) -> np.ndarray:
         """Y here, as :func:`characteristic_output` gives it."""
         return _output(t, self.ginv, self.lam, y)
 
@@ -637,7 +641,7 @@ def _chart_inverses(t: Transformation, theta, y=None, lam=None) -> _Charts:
         reason = "discrete"
     elif rh > RCOND_THRESHOLD and rg > RCOND_THRESHOLD:
         return _Charts(lamv, GoodPositionReport(ok=True, rcond_h=rh, rcond_g=rg),
-                       Tensor(hinv), Tensor(ginv))
+                       hinv, ginv)
     else:
         reason = "chart Jacobian numerically singular"
     return _Charts(lamv, GoodPositionReport(ok=False, rcond_h=rh, rcond_g=rg, reason=reason),
@@ -653,8 +657,8 @@ def good_position(t: Transformation, theta, y=None, lam=None) -> GoodPositionRep
 def equivariance_residual(t: Transformation, model: Model, theta, lam=None) -> float:
     """Relative defect of f(H(lam, theta)) = G(lam, f(theta))."""
     th = _vec(theta, t.d, "theta")
-    lhs = forward(model, t.h(lam, th)).array
-    rhs = t.g(lam, forward(model, th).array)
+    lhs = forward(model, t.h(lam, th))
+    rhs = t.g(lam, forward(model, th))
     denom = max(float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)), 1e-12)
     return float(np.linalg.norm(lhs - rhs)) / denom
 

@@ -69,10 +69,10 @@ def test_criterion_02_hand_fixture_values(probe_model, probe_loss):
     theta = np.array([3.0, -1.0])
     ev = evaluate_landscape(probe_model, probe_loss, theta)
 
-    euler = float(ev.grad.array @ theta)
+    euler = float(ev.grad @ theta)
     assert abs(euler - (-1.0)) <= 1e-12
 
-    action = ev.hess.array @ theta
+    action = ev.hess @ theta
     assert np.max(np.abs(action - np.array([1.0, 2.0]))) <= 1e-12
 
     quad = float(theta @ action)
@@ -241,7 +241,7 @@ def test_criterion_08_stationary_null_space():
     trj = dyn.gradient_flow(model, loss, model.init_params, T=800.0, dt=0.05)
     theta_star = trj.states[-1]
     ev = evaluate_landscape(model, loss, theta_star)
-    assert float(np.linalg.norm(ev.grad.array)) <= 1e-10
+    assert float(np.linalg.norm(ev.grad)) <= 1e-10
 
     rep = stationary_null_count(model, loss, [t], theta_star,
                                 eps_stat=1e-10, null_tol=1e-7)
@@ -273,26 +273,26 @@ def test_criterion_09_engine_certificates():
         y = model.func(th)
         jac = de.jacobian(model.func, th)
         hess = de.second_derivative(model.func, th)
-        scale_j = max(1.0, float(np.max(np.abs(jac.array))))
-        scale_h = max(1.0, float(np.max(np.abs(hess.array))))
+        scale_j = max(1.0, float(np.max(np.abs(jac))))
+        scale_h = max(1.0, float(np.max(np.abs(hess))))
 
         # chain rule: derivatives of l(f(theta)) from the pieces
         comp = lambda t_, m=model, l=loss: l.apply(m.func(t_))  # noqa: E731
-        g_direct = de.jacobian(comp, th).array
-        h_direct = de.second_derivative(comp, th).array
+        g_direct = de.jacobian(comp, th)
+        h_direct = de.second_derivative(comp, th)
         gl = np.asarray(loss.grad(y))
         hl = np.asarray(loss.hess(y))
-        g_chain = jac.array @ gl
-        h_chain = jac.array @ hl @ jac.array.T + np.einsum("ijk,k->ij", hess.array, gl)
+        g_chain = jac @ gl
+        h_chain = jac @ hl @ jac.T + np.einsum("ijk,k->ij", hess, gl)
         assert np.max(np.abs(g_direct - g_chain)) <= 1e-12 * scale_j
         assert np.max(np.abs(h_direct - h_chain)) <= 1e-12 * scale_h
 
         # product rule via <f, f>: gradient 2 J^T f, Hessian 2(J^T J + sum f_k H_k)
         sq = lambda t_, m=model: de.dot(m.func(t_), m.func(t_))  # noqa: E731
-        g_sq = de.jacobian(sq, th).array
-        h_sq = de.second_derivative(sq, th).array
-        g_prod = 2.0 * jac.array @ y
-        h_prod = 2.0 * (jac.array @ jac.array.T + np.einsum("ijk,k->ij", hess.array, y))
+        g_sq = de.jacobian(sq, th)
+        h_sq = de.second_derivative(sq, th)
+        g_prod = 2.0 * jac @ y
+        h_prod = 2.0 * (jac @ jac.T + np.einsum("ijk,k->ij", hess, y))
         assert np.max(np.abs(g_sq - g_prod)) <= 1e-12 * scale_j ** 2
         assert np.max(np.abs(h_sq - h_prod)) <= 1e-12 * max(scale_h, scale_j ** 2)
 
@@ -300,8 +300,8 @@ def test_criterion_09_engine_certificates():
         fd = de.DiffConfig(mode="finite_difference")
         jac_fd = de.jacobian(model.func, th, fd)
         hess_fd = de.second_derivative(model.func, th, fd)
-        assert np.max(np.abs(jac.array - jac_fd.array)) <= 1e-6 * scale_j
-        assert np.max(np.abs(hess.array - hess_fd.array)) <= 1e-5 * scale_h
+        assert np.max(np.abs(jac - jac_fd)) <= 1e-6 * scale_j
+        assert np.max(np.abs(hess - hess_fd)) <= 1e-5 * scale_h
 
     # integrator order on the closed-form flow theta' = -theta
     ident = Model(name="identity", d=2, c=2, blocks=(Block("theta", (2,), 0, 2),),

@@ -143,9 +143,11 @@ _SQUARE = {"name": "square", "params": {"target": 0.3}}
              mutation={"callback": "dh_dlambdaa", "scale": 1.01}), "mutation.callback"),
     (_misfit(_PROBE, _PROBE_LOSS, _SCALING, ["first_order"],
              mutation={"callback": "dh_dlambda", "scale": "big"}), "mutation.scale"),
+    (_misfit(_PROBE, _PROBE_LOSS, _SCALING, ["first_order"], lam_scale=float("inf")), "lam_scale"),
 ], ids=["first_order+sign_flip", "discrete_first+scaling", "homogeneity+vector_head",
         "first_order+no_transform", "last_layer+deep_linear", "mirror+permutation",
-        "tolerance_key_typo", "mutation_callback_typo", "mutation_scale_not_number"])
+        "tolerance_key_typo", "mutation_callback_typo", "mutation_scale_not_number",
+        "lam_scale_infinite"])
 def test_run_misfit_entry_exit_2_before_sampling(tmp_path, capsys, entry, where):
     cfg = {"experiment": "check_suite", "output_dir": str(tmp_path / "out"), "plan": [entry]}
     assert cli.main(["run", str(_write(tmp_path, "misfit.json", cfg))]) == 2
@@ -183,10 +185,19 @@ def _bundled(name, **edits):
     # 8 bytes x 10^7 members x 500 steps of noise alone: far past 1 GiB
     (_bundled("sgf_drift", dynamics={"T": 0.5, "dt": 0.001, "ensemble": 10_000_000}),
      "config.dynamics.ensemble"),
+    # json.load reads NaN and Infinity; validation refuses them
+    (_bundled("sgf_drift", weights=[float("nan"), float("nan")]), "config.dataset.weights[0]"),
+    (_bundled("sgf_drift", noise={"mode": "exact_sde", "sigma": float("nan"), "seed": 7}),
+     "config.noise.sigma"),
+    (_bundled("sgf_drift", dynamics={"T": float("inf"), "dt": 0.001, "ensemble": 2000}),
+     "config.dynamics.T"),
+    (_bundled("sgf_drift", x=[float("nan")]), "config.dataset.samples[0].x"),
+    (_bundled("flow_conservation", dynamics={"T": 10.0, "dt": float("inf")}), "config.dynamics.dt"),
 ], ids=["flow_tolerance_key_typo", "flow_tolerance_not_number", "flow_tolerance_negative",
         "stationary_tolerance_key_typo", "weights_not_numbers", "weights_not_list",
         "x_not_numbers", "flow_theta0_length", "stationary_theta0_length", "sgf_theta0_length",
-        "target_not_number", "x_wrong_width", "ensemble_over_memory_limit"])
+        "target_not_number", "x_wrong_width", "ensemble_over_memory_limit",
+        "weights_nan", "sigma_nan", "T_infinite", "x_nan", "flow_dt_infinite"])
 def test_run_dynamics_config_errors_exit_2(tmp_path, capsys, cfg, where):
     cfg = dict(cfg, output_dir=str(tmp_path / "out"))
     assert cli.main(["run", str(_write(tmp_path, "bad.json", cfg))]) == 2

@@ -42,7 +42,7 @@ def test_jacobian_hand_oracle():
     jac = jacobian(_scalar_map, point, EXACT)
     a, b, c = point
     expect = np.array([np.exp(a) * b, np.exp(a), 1.0 / np.cosh(c) ** 2])
-    np.testing.assert_allclose(jac.array.reshape(-1), expect, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(jac.reshape(-1), expect, rtol=1e-15, atol=0)
 
 
 def test_second_derivative_hand_oracle():
@@ -54,14 +54,14 @@ def test_second_derivative_hand_oracle():
     expect[0, 0] = np.exp(a) * b
     expect[0, 1] = expect[1, 0] = np.exp(a)
     expect[2, 2] = -2.0 * t * (1.0 - t * t)
-    np.testing.assert_allclose(hess.array.reshape(3, 3), expect, rtol=1e-14, atol=1e-16)
+    np.testing.assert_allclose(hess.reshape(3, 3), expect, rtol=1e-14, atol=1e-16)
 
 
 def test_vector_map_jacobian_shape_and_values():
     w = np.array([[1.0, 2.0], [-0.5, 0.25], [3.0, -1.0]])
     jac = jacobian(lambda th: de.matvec(w, th), np.array([0.7, -0.3]), EXACT)
     # stored layout: (input axis, output axis) = w^T
-    np.testing.assert_allclose(jac.array, w.T, atol=1e-15)
+    np.testing.assert_allclose(jac, w.T, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -87,16 +87,16 @@ def test_product_rule_first_and_second_order(seed):
     point = rng.uniform(-1.0, 1.0, size=2)
 
     prod = lambda th: _poly(th) * _smooth(th)
-    jac = jacobian(prod, point, EXACT).array.reshape(-1)
+    jac = jacobian(prod, point, EXACT).reshape(-1)
     f = np.asarray(_poly(point)).reshape(())
     g = np.asarray(_smooth(point)).reshape(())
-    jf = jacobian(_poly, point, EXACT).array.reshape(-1)
-    jg = jacobian(_smooth, point, EXACT).array.reshape(-1)
+    jf = jacobian(_poly, point, EXACT).reshape(-1)
+    jg = jacobian(_smooth, point, EXACT).reshape(-1)
     np.testing.assert_allclose(jac, jf * g + f * jg, rtol=1e-13, atol=1e-14)
 
-    hess = second_derivative(prod, point, EXACT).array.reshape(2, 2)
-    hf = second_derivative(_poly, point, EXACT).array.reshape(2, 2)
-    hg = second_derivative(_smooth, point, EXACT).array.reshape(2, 2)
+    hess = second_derivative(prod, point, EXACT).reshape(2, 2)
+    hf = second_derivative(_poly, point, EXACT).reshape(2, 2)
+    hg = second_derivative(_smooth, point, EXACT).reshape(2, 2)
     assembled = hf * g + np.outer(jf, jg) + np.outer(jg, jf) + f * hg
     np.testing.assert_allclose(hess, assembled, rtol=1e-12, atol=1e-13)
 
@@ -111,18 +111,18 @@ def test_chain_rule_through_model_and_loss(seed):
     theta = rng.uniform(-1.0, 1.0, size=model.d)
 
     composite = lambda th: loss.apply(model.func(th))
-    jac_full = jacobian(composite, theta, EXACT).array.reshape(-1)
+    jac_full = jacobian(composite, theta, EXACT).reshape(-1)
     jac_f = jacobian(model.func, theta, EXACT)             # (d, c)
     y = np.asarray(model.func(theta), dtype=float)
     gl = loss.grad(y)                                      # (c,)
-    assembled = jac_f.array @ gl
+    assembled = jac_f @ gl
     np.testing.assert_allclose(jac_full, assembled, rtol=1e-13, atol=1e-15)
 
 
 def test_second_derivative_symmetry():
     model = build_model(ModelSpec("homogeneous_relu_mlp", {"widths": [2, 3, 1]}, seed=9))
     theta = np.random.default_rng(4).uniform(-1.0, 1.0, size=model.d)
-    hess = second_derivative(model.func, theta, EXACT).array
+    hess = second_derivative(model.func, theta, EXACT)
     np.testing.assert_allclose(hess, np.swapaxes(hess, 0, 1), atol=0)
 
 
@@ -220,13 +220,13 @@ def test_exact_vs_fd_on_catalog_maps(spec):
     model = build_model(spec)
     rng = np.random.default_rng(hash(spec.name) % 2 ** 32)
     theta = model.init_params + 0.05 * rng.standard_normal(model.d)
-    exact_jac = jacobian(model.func, theta, EXACT).array
-    fd_jac = jacobian(model.func, theta, FD).array
+    exact_jac = jacobian(model.func, theta, EXACT)
+    fd_jac = jacobian(model.func, theta, FD)
     scale = max(1.0, float(np.abs(exact_jac).max()))
     assert np.abs(exact_jac - fd_jac).max() <= 1e-6 * scale
 
-    exact_h = second_derivative(model.func, theta, EXACT).array
-    fd_h = second_derivative(model.func, theta, FD).array
+    exact_h = second_derivative(model.func, theta, EXACT)
+    fd_h = second_derivative(model.func, theta, FD)
     scale_h = max(1.0, float(np.abs(exact_h).max()))
     assert np.abs(exact_h - fd_h).max() <= 1e-5 * scale_h
 
@@ -245,8 +245,8 @@ def test_grad_and_hessian_of_loss_probe_oracle(probe_model, probe_loss):
     value, grad, hess = de.grad_and_hessian_of_loss(probe_model, probe_loss, theta, EXACT)
     # y = 1, l = 0.5 (1-2)^2 = 0.5, grad = (y-t) x = -(1,2), hess = x x^T
     assert value == pytest.approx(0.5, abs=1e-15)
-    np.testing.assert_allclose(grad.array, [-1.0, -2.0], atol=1e-14)
-    np.testing.assert_allclose(hess.array, np.outer([1, 2], [1, 2]), atol=1e-13)
+    np.testing.assert_allclose(grad, [-1.0, -2.0], atol=1e-14)
+    np.testing.assert_allclose(hess, np.outer([1, 2], [1, 2]), atol=1e-13)
 
 
 def test_gradient_at_points_matches_jacobian(relu_mlp):
@@ -256,7 +256,7 @@ def test_gradient_at_points_matches_jacobian(relu_mlp):
     pts = rng.uniform(-1.0, 1.0, size=(5, relu_mlp.d))
     _, batch = de.gradient_at_points(mp, pts)
     for i in range(5):
-        one = jacobian(mp, pts[i], EXACT).array.reshape(-1)
+        one = jacobian(mp, pts[i], EXACT).reshape(-1)
         np.testing.assert_allclose(batch[i], one, atol=1e-14)
 
 
@@ -266,7 +266,7 @@ def test_hessians_at_points_matches_second_derivative(uv_model):
     pts = np.array([[1.2, 0.6], [0.4, -0.8]])
     batch = de.hessians_at_points(mp, pts)
     for i in range(2):
-        one = second_derivative(mp, pts[i], EXACT).array.reshape(uv_model.d, uv_model.d)
+        one = second_derivative(mp, pts[i], EXACT).reshape(uv_model.d, uv_model.d)
         np.testing.assert_allclose(batch[i], one, atol=1e-13)
 
 
@@ -274,7 +274,7 @@ def test_relu_second_derivative_vanishes_off_kink():
     def f(theta):
         return de.relu(theta)
 
-    h = second_derivative(f, np.array([0.5, -0.5]), EXACT).array
+    h = second_derivative(f, np.array([0.5, -0.5]), EXACT)
     np.testing.assert_array_equal(h, np.zeros_like(h))
 
 
@@ -360,10 +360,10 @@ def _fd_by_point(map_fn, x, order):
 @pytest.mark.parametrize("spec, loss_spec", SWEEP_CASES, ids=lambda c: getattr(c, "name", None))
 def test_batched_sweeps_equal_pointwise_references(spec, loss_spec):
     for map_fn, x in _sweep_maps(spec, loss_spec):
-        np.testing.assert_array_equal(second_derivative(map_fn, x, EXACT).array,
+        np.testing.assert_array_equal(second_derivative(map_fn, x, EXACT),
                                       _second_derivative_by_direction(map_fn, x))
         for order in (1, 2):
-            np.testing.assert_array_equal(fd_oracle(map_fn, x, order, FD).array,
+            np.testing.assert_array_equal(fd_oracle(map_fn, x, order, FD),
                                           _fd_by_point(map_fn, x, order))
         if np.ndim(map_fn(x)) == 0:  # scalar maps: a batch of Hessians
             points = x + 0.05 * np.random.default_rng(x.size).standard_normal((4, x.size))
@@ -400,17 +400,17 @@ def test_sweeps_are_one_map_call_and_blocks_do_not_change_bits(monkeypatch):
 
     for map_fn, x in _sweep_maps(spec, loss_spec)[:2]:
         calls.clear()
-        one = [second_derivative(counting(map_fn), x, EXACT).array,
-               fd_oracle(counting(map_fn), x, 1, FD).array,
-               fd_oracle(counting(map_fn), x, 2, FD).array]
+        one = [second_derivative(counting(map_fn), x, EXACT),
+               fd_oracle(counting(map_fn), x, 1, FD),
+               fd_oracle(counting(map_fn), x, 2, FD)]
         assert len(calls) == 3
 
         # 5000 bytes hold one 18 x 18 seed product and 34 stencil points
         monkeypatch.setattr(de, "_BLOCK_BYTES", 5000)
         calls.clear()
-        blocked = [second_derivative(counting(map_fn), x, EXACT).array,
-                   fd_oracle(counting(map_fn), x, 1, FD).array,
-                   fd_oracle(counting(map_fn), x, 2, FD).array]
+        blocked = [second_derivative(counting(map_fn), x, EXACT),
+                   fd_oracle(counting(map_fn), x, 1, FD),
+                   fd_oracle(counting(map_fn), x, 2, FD)]
         assert len(calls) == 18 + 2 + 20  # 18 directions; 36 and 649 points
         monkeypatch.undo()
         for a, b in zip(one, blocked):

@@ -343,7 +343,7 @@ def test_sgf_zero_noise_draws_nothing_and_is_euler(monkeypatch, uv_model, square
     obj = dyn._Objective(uv_model, two_sample_dataset, square_family)
     th, path = theta0, [theta0]
     for _ in range(50):
-        gbar = np.einsum("k,kd->d", obj.weights(), obj.sample_grads(th[None, :])[:, 0])
+        gbar = np.einsum("k,kd->d", obj.weights(), obj.sample_sweeps(th[None, :])[1][:, 0])
         th = th - gbar * 1e-3
         path.append(th)
     for member in ens:
@@ -381,7 +381,11 @@ def test_drift_check_needs_ensemble(uv_model, square_family, two_sample_dataset)
         dyn.noether_drift_check(ens, t, uv_model, square_family, two_sample_dataset, noise)
 
 
-def test_sgf_returns_array_ensemble(uv_model, square_family, two_sample_dataset):
+def _expected_losses(model, family, dataset, states):
+    return [expected_loss(model, family, dataset, s) for s in states]
+
+
+def test_sgf_returns_array_ensemble(monkeypatch, uv_model, square_family, two_sample_dataset):
     noise = dyn.NoiseModel(mode="exact_sde", sigma=0.1, seed=7)
     t = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, uv_model)
     ens = dyn.sgf(uv_model, square_family, two_sample_dataset, np.array([1.2, 0.6]),
@@ -402,13 +406,22 @@ def test_sgf_returns_array_ensemble(uv_model, square_family, two_sample_dataset)
                                       [t.charge.c_eval(s) for s in tr.states])
         np.testing.assert_allclose(tr.diagnostics["theta_sq"], np.sum(tr.states ** 2, axis=1),
                                    rtol=1e-15)
-        np.testing.assert_allclose(
-            tr.losses, [expected_loss(uv_model, square_family, two_sample_dataset, s)
-                        for s in tr.states], rtol=1e-15)
+        # each record's loss comes from the sweep at its state: bitwise the plain loss
+        np.testing.assert_array_equal(
+            tr.losses, _expected_losses(uv_model, square_family, two_sample_dataset, tr.states))
     assert [tr.meta["index"] for tr in ens[1:]] == [1, 2]
     assert [tr.meta["index"] for tr in ens] == [0, 1, 2]
     with pytest.raises(IndexError):
         ens[3]
+    # a record every 3 steps, the last one after step 20, in both noise modes
+    monkeypatch.setattr(dyn, "_RECORD_BUDGET", 7)
+    for mode in ("exact_sde", "minibatch"):
+        ens = dyn.sgf(uv_model, square_family, two_sample_dataset, np.array([1.2, 0.6]),
+                      dyn.NoiseModel(mode=mode, sigma=0.1, seed=7), T=0.02, dt=1e-3, ensemble=3)
+        assert ens.meta["stride"] == 3 and ens.states.shape == (8, 3, 2)
+        for i in range(3):
+            np.testing.assert_array_equal(ens.losses[:, i], _expected_losses(
+                uv_model, square_family, two_sample_dataset, ens.states[:, i]))
 
 
 def _drift_by_member(ens, charge, model, family, dataset, noise):

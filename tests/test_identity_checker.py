@@ -42,8 +42,16 @@ from equichk.identity_checker import (
     write_reports_jsonl,
     write_summary_csv,
 )
-from equichk.models import ModelSpec, build_model, make_loss
-from equichk.transforms import build_transform, fixed_point_project, mutate
+from equichk.models import ModelSpec, build_model, forward, make_loss
+from equichk.transforms import (
+    MUTABLE_CALLBACKS,
+    _chart_inverses,
+    build_transform,
+    characteristic_direction,
+    characteristic_output,
+    fixed_point_project,
+    mutate,
+)
 
 PROBE_THETA = np.array([3.0, -1.0])  # x^T theta = 1, |theta|^2 = 10
 
@@ -56,8 +64,8 @@ def test_probe_landscape_values(probe_model, probe_loss):
     # y = 1, l' = y - 2 = -1, l'' = 1, gradL = l' x, hessL = x x^T
     ev = evaluate_landscape(probe_model, probe_loss, PROBE_THETA)
     assert ev.value == pytest.approx(0.5, abs=1e-15)
-    np.testing.assert_allclose(ev.grad.array, [-1.0, -2.0], atol=1e-14)
-    np.testing.assert_allclose(ev.hess.array, [[1.0, 2.0], [2.0, 4.0]], atol=1e-14)
+    np.testing.assert_allclose(ev.grad, [-1.0, -2.0], atol=1e-14)
+    np.testing.assert_allclose(ev.hess, [[1.0, 2.0], [2.0, 4.0]], atol=1e-14)
 
 
 def test_probe_first_order_is_euler_relation(probe_model, probe_loss):
@@ -407,6 +415,72 @@ def test_mutated_entry_fails(relu_mlp):
     )
     reports = run_suite(SuiteSpec(entries=(entry,), master_seed=0))
     assert any(not r.passed for r in reports)
+
+
+# ---------------------------------------------------------------------------
+# every layer passes plain float64 arrays; non-finite callback outputs raise
+# ---------------------------------------------------------------------------
+
+def test_every_layer_returns_float64_arrays(relu_mlp):
+    loss = make_loss("square", target=0.7)
+    t = build_transform("homogeneity_scaling", {}, relu_mlp)
+    (th, lam), = sample_positions(relu_mlp, loss, t, count=1, seed=3)
+    y = forward(relu_mlp, th)
+    charts = _chart_inverses(t, th, y, lam)
+    X = characteristic_direction(t, th, lam)
+    _, grad, hess = de.grad_and_hessian_of_loss(relu_mlp, loss, th)
+    ev = evaluate_landscape(relu_mlp, loss, th)
+    fd = de.DiffConfig(mode="finite_difference")
+    outputs = {
+        "jacobian": de.jacobian(relu_mlp.func, th),
+        "second_derivative": de.second_derivative(relu_mlp.func, th),
+        "jacobian_fd": de.jacobian(relu_mlp.func, th, fd),
+        "fd_oracle": de.fd_oracle(relu_mlp.func, th, 2),
+        "loss_grad": grad, "loss_hess": hess,
+        "forward": y,
+        "characteristic_direction": X,
+        "characteristic_output": characteristic_output(t, y, lam),
+        "chart_hinv": charts.hinv, "chart_ginv": charts.ginv,
+        "compose": tc.compose(grad, X),
+        "compose_scalar": tc.compose(np.array(2.0), np.array(3.0)),
+        "compose_k": tc.compose_k(hess, X, 2),
+        "invert_square": tc.invert_square(2.0 * np.eye(3)),
+        **{f"landscape.{f.name}": getattr(ev, f.name) for f in dataclasses.fields(ev)
+           if f.name not in ("value", "mode", "_memo")},
+    }
+    for name, out in outputs.items():
+        assert type(out) is np.ndarray and out.dtype == np.float64, name
+
+
+_NOT_GOOD = ("NotGoodPosition",) * 3
+_NON_FINITE = ("NonFiniteEntry",) * 3
+_SECOND_ORDER_ONLY = ("pass", "NonFiniteEntry", "NonFiniteEntry")  # first order never reads it
+
+
+@pytest.mark.parametrize("name, params, dg_dlambda", [
+    ("homogeneity_scaling", {}, _NON_FINITE),
+    # a symmetry's Y is zero without reading dG/dlambda
+    ("layer_rescaling", {"blocks": ["W1", "W2"]}, ("pass",) * 3),
+])
+def test_nan_callback_outcomes(name, params, dg_dlambda):
+    """Each derivative callback made to return NaN: a chart Jacobian voids
+    the position, any other callback a check reads raises NonFiniteEntry."""
+    model = build_model(ModelSpec("homogeneous_relu_mlp", {"widths": [2, 3, 1]}, seed=11))
+    loss = make_loss("square", target=0.7)
+    t = build_transform(name, params, model)
+    (th, lam), = sample_positions(model, loss, t, count=1, seed=3)
+    expected = {cb: _SECOND_ORDER_ONLY for cb in MUTABLE_CALLBACKS}
+    expected.update(dh_dtheta=_NOT_GOOD, dg_dy=_NOT_GOOD, dh_dlambda=_NON_FINITE,
+                    dg_dlambda=dg_dlambda)
+    for cb in MUTABLE_CALLBACKS:
+        bad = mutate(t, cb, float("nan"))
+        outcomes = []
+        for check in (check_first_order, check_second_action, check_second_quadratic):
+            try:
+                outcomes.append("pass" if check(model, loss, bad, th, lam).passed else "fail")
+            except Exception as exc:  # noqa: BLE001 -- the outcome is the exception type
+                outcomes.append(type(exc).__name__)
+        assert tuple(outcomes) == expected[cb], cb
 
 
 # ---------------------------------------------------------------------------

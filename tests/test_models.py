@@ -54,7 +54,7 @@ def test_forward_shape_and_with_input(relu_mlp):
     other = relu_mlp.with_input(np.array([0.3, -0.9]))
     y2 = forward(other, relu_mlp.init_params)
     assert y2.shape == (1,)
-    assert not np.array_equal(y.array, y2.array)
+    assert not np.array_equal(y, y2)
     with pytest.raises(SizeMismatch):
         relu_mlp.with_input(np.array([1.0, 2.0, 3.0]))
 
@@ -75,8 +75,8 @@ def test_relu_mlp_positively_homogeneous(lam, seed):
     model = build_model(ModelSpec("homogeneous_relu_mlp", {"widths": [2, 3, 1]}, seed=8))
     theta = np.random.default_rng(seed).uniform(-1.0, 1.0, size=model.d)
     m = model.homogeneity_degree
-    lhs = forward(model, lam * theta).array
-    rhs = lam ** m * forward(model, theta).array
+    lhs = forward(model, lam * theta)
+    rhs = lam ** m * forward(model, theta)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
 
 
@@ -87,8 +87,8 @@ def test_deep_linear_homogeneous_all_signs(lam, seed):
     model = build_model(ModelSpec("deep_linear", {"widths": [2, 3, 1]}, seed=9))
     theta = np.random.default_rng(seed).uniform(-1.0, 1.0, size=model.d)
     m = model.homogeneity_degree
-    lhs = forward(model, lam * theta).array
-    rhs = lam ** m * forward(model, theta).array
+    lhs = forward(model, lam * theta)
+    rhs = lam ** m * forward(model, theta)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-11, atol=1e-13)
 
 
@@ -99,7 +99,7 @@ def test_factored_model_structure():
     theta = model.init_params
     W = theta[model.block_slice("W")].reshape(3, 2)
     h = model.feature_fn(theta)
-    np.testing.assert_allclose(forward(model, theta).array, W @ h, atol=1e-14)
+    np.testing.assert_allclose(forward(model, theta), W @ h, atol=1e-14)
 
 
 def test_kink_margin_positive_away_from_kinks(relu_mlp):
@@ -133,8 +133,8 @@ def test_loss_grad_hess_match_engine(name, params, c):
     y = rng.uniform(-2.0, 2.0, size=c)
     grad = np.asarray(loss.grad(y), dtype=float)
     hess = np.asarray(loss.hess(y), dtype=float)
-    jac = de.jacobian(loss.apply, y, EXACT).array.reshape(-1)
-    sd = de.second_derivative(loss.apply, y, EXACT).array.reshape(c, c)
+    jac = de.jacobian(loss.apply, y, EXACT).reshape(-1)
+    sd = de.second_derivative(loss.apply, y, EXACT).reshape(c, c)
     np.testing.assert_allclose(grad, jac, rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(hess, sd, rtol=1e-12, atol=1e-14)
     assert loss.value(y) == pytest.approx(float(np.asarray(loss.apply(y)).reshape(())), abs=1e-14)
@@ -179,6 +179,8 @@ def test_dataset_weights_validation():
         Dataset(samples=s, weights=(0.7,))        # does not sum to 1
     with pytest.raises(InvalidParams):
         Dataset(samples=s + s, weights=(1.5, -0.5))
+    with pytest.raises(InvalidParams):
+        Dataset(samples=s + s, weights=(float("nan"), float("nan")))
     with pytest.raises(SizeMismatch):
         Dataset(samples=s, weights=(0.5, 0.5))
 
@@ -197,7 +199,7 @@ def test_per_sample_losses_bind_targets(uv_model, two_sample_dataset, square_fam
     for (w, m, l), (x, t) in zip(parts, two_sample_dataset.samples):
         assert w == pytest.approx(0.5)
         np.testing.assert_array_equal(m.input_point, x)
-        y = forward(m, np.array([1.2, 0.6])).array
+        y = forward(m, np.array([1.2, 0.6]))
         assert l.value(y) == pytest.approx(0.5 * float(np.sum((y - t) ** 2)), abs=1e-15)
 
 

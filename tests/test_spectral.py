@@ -87,7 +87,6 @@ def test_power_cross_check_disagreement_raises(monkeypatch):
     monkeypatch.setattr(spectral, "power_eigs", lambda a, k=1: np.array([3.0 + 1.0]))
     with pytest.raises(CheckFailure, match="power iteration disagrees"):
         spectral_summary(A)
-    assert spectral_summary(A, cross_check=False).lambda_max == 3.0
 
 
 def test_null_count():

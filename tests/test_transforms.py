@@ -95,7 +95,7 @@ def test_characteristic_direction_matches_fd(name, params, model):
     rng = np.random.default_rng(7)
     theta = random_params(model, rng)
     lam = rng.uniform(-0.3, 0.3, size=t.p)
-    X = characteristic_direction(t, theta, lam).array        # stored (p, d)
+    X = characteristic_direction(t, theta, lam)        # stored (p, d)
     S = t.dh_dtheta(lam, theta)                              # stored [j, i]
     h = 1e-6
     for a in range(t.p):
@@ -108,9 +108,9 @@ def test_characteristic_direction_matches_fd(name, params, model):
 def test_symmetry_characteristic_output_is_zero(relu_mlp):
     t = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, relu_mlp)
     assert t.is_symmetry
-    y = forward(relu_mlp, relu_mlp.init_params).array
+    y = forward(relu_mlp, relu_mlp.init_params)
     Y = characteristic_output(t, y, np.array([0.2]))
-    np.testing.assert_array_equal(Y.array, np.zeros_like(Y.array))
+    np.testing.assert_array_equal(Y, np.zeros_like(Y))
 
 
 def test_homogeneity_characteristic_oracle(relu_mlp):
@@ -118,9 +118,9 @@ def test_homogeneity_characteristic_oracle(relu_mlp):
     t = build_transform(
         "homogeneity_scaling", {"degree": relu_mlp.homogeneity_degree}, relu_mlp)
     theta = relu_mlp.init_params
-    y = forward(relu_mlp, theta).array
-    X = characteristic_direction(t, theta, np.zeros(1)).array
-    Y = characteristic_output(t, y, np.zeros(1)).array
+    y = forward(relu_mlp, theta)
+    X = characteristic_direction(t, theta, np.zeros(1))
+    Y = characteristic_output(t, y, np.zeros(1))
     np.testing.assert_allclose(X.reshape(-1), theta, atol=1e-13)
     np.testing.assert_allclose(Y.reshape(-1), relu_mlp.homogeneity_degree * y, atol=1e-13)
 
@@ -134,7 +134,7 @@ def test_discrete_has_no_characteristic_direction(deep_linear_121):
 def test_good_position_report(relu_mlp):
     t = build_transform(
         "homogeneity_scaling", {"degree": relu_mlp.homogeneity_degree}, relu_mlp)
-    y = forward(relu_mlp, relu_mlp.init_params).array
+    y = forward(relu_mlp, relu_mlp.init_params)
     rep = good_position(t, relu_mlp.init_params, y, np.zeros(1))
     assert rep.ok
     assert rep.rcond_h > 1e-6 and rep.rcond_g > 1e-6
@@ -199,7 +199,7 @@ def test_rescaling_charge_gradient_is_characteristic_direction(seed):
     t = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, model)
     charge = noether_charge(t)
     theta = np.random.default_rng(seed).uniform(-1.0, 1.0, size=model.d)
-    X = characteristic_direction(t, theta, np.zeros(1)).array.reshape(-1)
+    X = characteristic_direction(t, theta, np.zeros(1)).reshape(-1)
     np.testing.assert_allclose(np.asarray(charge.grad(theta)), X, atol=1e-12)
 
 
