@@ -128,6 +128,10 @@ class _V:
             )
 
 
+#: what building a catalog entry from unchecked JSON parameters may raise
+_BUILD_ERRORS = (EquichkError, TypeError, ValueError, OverflowError)
+
+
 def _validate_model(v: _V, obj, path: str) -> Optional[ModelSpec]:
     if not v.keys(obj, path, ("name", "params", "seed"), ("name", "params")):
         return None
@@ -142,13 +146,15 @@ def _validate_model(v: _V, obj, path: str) -> Optional[ModelSpec]:
     spec = ModelSpec(name, obj["params"], int(seed or 0))
     try:
         build_model(spec)
-    except EquichkError as exc:
+    except _BUILD_ERRORS as exc:
         v.fail(f"{path}.params", str(exc))
         return None
     return spec
 
 
-def _validate_loss(v: _V, obj, path: str) -> Optional[Tuple[str, dict]]:
+def _validate_loss_family(v: _V, obj, path: str) -> Optional[Tuple[str, dict]]:
+    """A loss's name and parameter object, its target left open (a dataset
+    binds one per sample)."""
     if not v.keys(obj, path, ("name", "params"), ("name",)):
         return None
     name = obj.get("name")
@@ -160,6 +166,20 @@ def _validate_loss(v: _V, obj, path: str) -> Optional[Tuple[str, dict]]:
         v.fail(f"{path}.params", "expected an object")
         return None
     return name, params
+
+
+def _validate_loss(v: _V, obj, path: str) -> Optional[Tuple[str, dict]]:
+    """:func:`_validate_loss_family`, then the loss is built from its
+    parameters, so a bad parameter fails here with its path."""
+    loss_nv = _validate_loss_family(v, obj, path)
+    if loss_nv is None:
+        return None
+    try:
+        make_loss(loss_nv[0], **loss_nv[1])
+    except _BUILD_ERRORS as exc:
+        v.fail(f"{path}.params", str(exc))
+        return None
+    return loss_nv
 
 
 def _validate_transform(v: _V, obj, path: str, model_spec: Optional[ModelSpec]):
@@ -295,7 +315,7 @@ def _validate_sample(v: _V, s, path: str, model, family) -> bool:
     if family is not None:
         try:
             loss = family.bind(target)
-        except (EquichkError, TypeError, ValueError) as exc:
+        except _BUILD_ERRORS as exc:
             v.fail(f"{path}.target", str(exc))
             return False
         if model is not None and loss.c != model.c:
@@ -447,7 +467,7 @@ def _run_sgf_drift(cfg: dict, out_dir: str) -> Tuple[List[ic.IdentityReport], Li
             "dynamics", "noise", "theta0", "save_trajectories"),
            ("model", "loss", "dataset", "transform", "dynamics", "noise"))
     spec = _validate_model(v, cfg.get("model", {}), "config.model")
-    loss_nv = _validate_loss(v, cfg.get("loss", {}), "config.loss")
+    loss_nv = _validate_loss_family(v, cfg.get("loss", {}), "config.loss")
     dataset = _validate_dataset(v, cfg.get("dataset", {}), "config.dataset", spec, loss_nv)
     transform = _validate_transform(v, cfg.get("transform", {}), "config.transform", spec)
     dyn_obj = cfg.get("dynamics", {})

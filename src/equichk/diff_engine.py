@@ -25,16 +25,17 @@ float64 ``np.ndarray`` in the ``[input, output]`` layout that
 for second derivatives.
 
 Components may be scalars or numpy arrays of any broadcast-compatible shape;
-scalar zeros are kept as plain ``0.0`` and short-circuited, so unused
-perturbation slots cost nothing.  First-order sweeps (``jacobian``,
-``gradient_at_points``) seed no second-order slot, so their products and sums
-take a first-order branch that computes only the value and ``d1`` and skips
-the second-order product terms.  The arithmetic is three rules, each written
-once: the product rule ``_bilinear`` (hyper-dual ``*``, ``matvec``, ``dot``),
-the slot map ``_each`` (a structural op applied to the value and each present
-slot: ``take_last``, ``reshape_tail``, ``sum_last``, ``expand_last``,
-indexing, negation), and the univariate lift ``_unary`` (``exp``, ``log``,
-``log1p``, ``tanh``).  Maps must be written against these generic helpers
+an absent perturbation slot is ``None`` and every rule skips it, so unused
+slots cost nothing, and a sweep reads an absent slot of its result as zeros.
+First-order sweeps (``jacobian``, ``gradient_at_points``) seed no
+second-order slot, so their products and sums take a first-order branch that
+computes only the value and ``d1`` and skips the second-order product terms.
+The arithmetic is three rules, each written once: the product rule
+``_bilinear`` (hyper-dual ``*``, ``matvec``, ``dot``), the slot map ``_each``
+(a structural op applied to the value and each present slot: ``take_last``,
+``reshape_tail``, ``sum_last``, ``expand_last``, indexing, negation, and the
+parameter unpacking of :mod:`equichk.models`), and the univariate lift
+``_unary`` (``exp``, ``log``, ``log1p``, ``tanh``).  Maps must be written against these generic helpers
 and ``+``, ``-``, ``*`` and ``relu``, which accept both plain arrays and
 hyper-duals -- the same model code is then exercised by the exact engine and
 by the finite-difference oracle.
@@ -102,32 +103,29 @@ class DiffConfig:
 _DEFAULT = DiffConfig()
 
 
-def _is_zero(x) -> bool:
-    return isinstance(x, float) and x == 0.0
-
-
 def _add(a, b):
-    if _is_zero(a):
+    if a is None:
         return b
-    if _is_zero(b):
+    if b is None:
         return a
     return a + b
 
 
 def _mul(a, b):
-    if _is_zero(a) or _is_zero(b):
-        return 0.0
+    if a is None or b is None:
+        return None
     return a * b
 
 
 class HyperDual:
-    """Second-order truncated perturbation number; components scalar or array."""
+    """Second-order truncated perturbation number; components scalar or
+    array.  An absent perturbation slot is ``None``."""
 
     __slots__ = ("value", "d1", "d2", "d12")
     # Keep numpy from absorbing us into its own broadcasting machinery.
     __array_ufunc__ = None
 
-    def __init__(self, value, d1=0.0, d2=0.0, d12=0.0):
+    def __init__(self, value, d1=None, d2=None, d12=None):
         self.value = value
         self.d1 = d1
         self.d2 = d2
@@ -135,8 +133,8 @@ class HyperDual:
 
     def __add__(self, other):
         if isinstance(other, HyperDual):
-            if (_is_zero(self.d2) and _is_zero(self.d12)
-                    and _is_zero(other.d2) and _is_zero(other.d12)):  # first order
+            if (self.d2 is None and self.d12 is None
+                    and other.d2 is None and other.d12 is None):  # first order
                 return HyperDual(self.value + other.value, _add(self.d1, other.d1))
             return HyperDual(
                 self.value + other.value,
@@ -171,43 +169,48 @@ class HyperDual:
 
 # --- the three rules ------------------------------------------------------------
 
+def _term(op: Callable, x, y):
+    """One product-rule term ``op(x, y)``; absent if either factor is."""
+    if x is None or y is None:
+        return None
+    return op(x, y)
+
+
 def _bilinear(op: Callable, a, b):
     """Product rule for a bilinear ``op`` (``*`` or an einsum) whose operands
     may each be plain or hyper-dual; terms with an absent slot are skipped."""
-    a_hd = isinstance(a, HyperDual)
-    b_hd = isinstance(b, HyperDual)
-    if not a_hd and not b_hd:
-        return op(a, b)
-    av, a1, a2, a12 = (a.value, a.d1, a.d2, a.d12) if a_hd else (a, 0.0, 0.0, 0.0)
-    bv, b1, b2, b12 = (b.value, b.d1, b.d2, b.d12) if b_hd else (b, 0.0, 0.0, 0.0)
-
-    def term(x, y):
-        if _is_zero(x) or _is_zero(y):
-            return 0.0
-        return op(x, y)
-
-    if _is_zero(a2) and _is_zero(a12) and _is_zero(b2) and _is_zero(b12):
-        # first-order operands: every second-order term below would be 0.0
-        return HyperDual(op(av, bv), _add(term(a1, bv), term(av, b1)))
+    if not isinstance(a, HyperDual):
+        if not isinstance(b, HyperDual):
+            return op(a, b)
+        return _each(b, lambda c: op(a, c))
+    if not isinstance(b, HyperDual):
+        return _each(a, lambda c: op(c, b))
+    av, a1, a2, a12 = a.value, a.d1, a.d2, a.d12
+    bv, b1, b2, b12 = b.value, b.d1, b.d2, b.d12
+    d1 = _add(_term(op, a1, bv), _term(op, av, b1))
+    if a2 is None and a12 is None and b2 is None and b12 is None:
+        # first-order operands: every second-order term below would be absent
+        return HyperDual(op(av, bv), d1)
     return HyperDual(
         op(av, bv),
-        _add(term(a1, bv), term(av, b1)),
-        _add(term(a2, bv), term(av, b2)),
-        _add(_add(term(a12, bv), term(av, b12)), _add(term(a1, b2), term(a2, b1))),
+        d1,
+        _add(_term(op, a2, bv), _term(op, av, b2)),
+        _add(_add(_term(op, a12, bv), _term(op, av, b12)),
+             _add(_term(op, a1, b2), _term(op, a2, b1))),
     )
 
 
 def _each(x, fn: Callable):
     """``fn`` applied to a plain array, or to a hyper-dual's value and to each
-    of its present slots (absent ones stay ``0.0``)."""
+    of its present slots (absent ones stay ``None``)."""
     if not isinstance(x, HyperDual):
         return fn(x)
     d1, d2, d12 = x.d1, x.d2, x.d12
     return HyperDual(
         fn(x.value),
-        d1 if _is_zero(d1) else fn(d1),
-        d2 if _is_zero(d2) else fn(d2),
-        d12 if _is_zero(d12) else fn(d12),
+        None if d1 is None else fn(d1),
+        None if d2 is None else fn(d2),
+        None if d12 is None else fn(d12),
     )
 
 
@@ -219,8 +222,11 @@ def _unary(f: Callable, derivs: Callable) -> Callable:
         if not isinstance(x, HyperDual):
             return f(x)
         fv, df, d2f = derivs(x.value)
-        d12 = _add(_mul(df, x.d12), _mul(_mul(d2f, x.d1), x.d2))
-        return HyperDual(fv, _mul(df, x.d1), _mul(df, x.d2), d12)
+        d1, d2, d12 = x.d1, x.d2, x.d12
+        if d2 is None and d12 is None:  # first order
+            return HyperDual(fv, _mul(df, d1))
+        return HyperDual(fv, _mul(df, d1), _mul(df, d2),
+                         _add(_mul(df, d12), _mul(_mul(d2f, d1), d2)))
 
     lifted.__name__ = lifted.__qualname__ = f.__name__
     return lifted
@@ -247,14 +253,18 @@ def relu(x):
     return x * (x > 0.0)
 
 
+_MATVEC = partial(np.einsum, "...ij,...j->...i")
+_DOT = partial(np.einsum, "...i,...i->...")
+
+
 def matvec(w, z):
     """Apply a (..., out, in) matrix block to a (..., in) vector."""
-    return _bilinear(partial(np.einsum, "...ij,...j->...i"), w, z)
+    return _bilinear(_MATVEC, w, z)
 
 
 def dot(a, b):
     """Inner product over the last axis."""
-    return _bilinear(partial(np.einsum, "...i,...i->..."), a, b)
+    return _bilinear(_DOT, a, b)
 
 
 def sum_last(x):
@@ -285,20 +295,20 @@ def reshape_tail(x, n_tail: int, new_tail: Tuple[int, ...]):
 
 def _as_point(point) -> np.ndarray:
     arr = np.asarray(point, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteEntry("evaluation point contains NaN or Inf")
     return arr
 
 
 def _normalize(component, lead: Tuple[int, ...], out_shape: Tuple[int, ...]) -> np.ndarray:
     target = lead + out_shape
-    if _is_zero(component):
+    if component is None:
         return np.zeros(target)
     return np.broadcast_to(np.asarray(component, dtype=float), target).copy()
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteResult(f"{what} produced NaN or Inf")
 
 
@@ -511,7 +521,13 @@ def gradient_at_points(map_fn: Callable, points: np.ndarray) -> Tuple[np.ndarray
     out = map_fn(HyperDual(pts, d1=_gradient_seed(d)))
     if not isinstance(out, HyperDual):  # constant map
         return np.broadcast_to(np.asarray(out, dtype=float), (m,)).copy(), np.zeros((m, d))
-    grads = np.broadcast_to(out.d1, (d, m)).T.copy()
+    d1 = out.d1
+    if d1 is None:
+        grads = np.zeros((m, d))
+    elif np.shape(d1) == (d, m):
+        grads = d1.T.copy()
+    else:  # a tangent constant over the batch, e.g. (d, 1)
+        grads = np.broadcast_to(d1, (d, m)).T.copy()
     _check_finite(grads, "batched gradient sweep")
     return np.array(out.value, dtype=float), grads
 

@@ -100,18 +100,9 @@ class _Objective:
     def value(self, theta: np.ndarray) -> float:
         return float(sum(w * float(np.asarray(mp(theta))) for w, mp in self.maps))
 
-    def grad(self, theta: np.ndarray) -> np.ndarray:
-        return self.grad_batch(theta[None, :])[0]
-
-    def grad_batch(self, points: np.ndarray) -> np.ndarray:
-        total = np.zeros_like(points)
-        for w, mp in self.maps:
-            total += w * de.gradient_at_points(mp, points)[1]
-        return total
-
     def value_and_grad(self, theta: np.ndarray) -> Tuple[float, np.ndarray]:
-        """:meth:`value` and :meth:`grad` at ``theta`` from one sweep per
-        map, summed in the same order, so the bits agree."""
+        """The loss at ``theta`` (bit for bit :meth:`value`) and its gradient,
+        from one sweep per map, each summed in map order."""
         value, grad = 0.0, np.zeros(self.d)
         for w, mp in self.maps:
             v, g = de.gradient_at_points(mp, theta[None, :])
@@ -295,7 +286,7 @@ class _Recorder:
 
 
 def _check_state(theta: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise NonFiniteResult(f"{what} produced NaN or Inf")
 
 
@@ -334,7 +325,7 @@ def gradient_flow(
     rec = _Recorder(model, charges, single)
 
     def rhs(p: np.ndarray) -> np.ndarray:
-        return -obj.grad(p)
+        return -obj.value_and_grad(p)[1]
 
     t = 0.0
     accepted = 0
@@ -472,7 +463,7 @@ def norm_growth_check(model: Model, loss: Loss, trajectory: Trajectory) -> NormG
     n = trajectory.n_records
     states = trajectory.states
     outputs = np.asarray(model.func(states), dtype=float)  # (n, 1)
-    if not np.all(np.isfinite(outputs)):
+    if not np.isfinite(outputs).all():
         raise NonFiniteResult("model output along the flow contains NaN or Inf")
     ys = outputs[:, 0]
     lps = np.array([float(loss.grad(y)[0]) for y in outputs])
@@ -694,7 +685,7 @@ def sgf(
         else:
             picked = per_sample[draws[:, step], np.arange(ensemble)]  # (M, d)
             states = states - picked * h
-        if not np.all(np.isfinite(states)):
+        if not np.isfinite(states).all():
             raise NonFiniteResult(f"SGF state non-finite at step {step + 1}")
         if (step + 1) % stride == 0 or step + 1 == n_steps:
             times[r] = (step + 1) * h

@@ -166,13 +166,26 @@ def random_params(model: Model, rng: np.random.Generator) -> np.ndarray:
 
 
 def _unpack(theta, block: Block):
-    flat = de.take_last(theta, block.sl)
-    if len(block.shape) == 1:
-        return flat
-    return de.reshape_tail(flat, 1, block.shape)
+    """``block``'s slice of the last axis of ``theta``, shaped
+    ``block.shape`` (leading direction-batch axes kept), in one slot map."""
+    sl, shape = block.sl, block.shape
+
+    def part(c):
+        c = np.asarray(c)[..., sl]
+        return c if len(shape) == 1 else c.reshape(c.shape[:-1] + shape)
+
+    return de._each(theta, part)
 
 
 # --- catalog builders ------------------------------------------------------------
+
+def _input_vector(x, what: str) -> np.ndarray:
+    """A model's input parameter ``what`` as a float array; it must be finite."""
+    arr = np.asarray(x, dtype=float)
+    if not np.isfinite(arr).all():
+        raise InvalidParams(f"model {what} must be finite")
+    return arr
+
 
 def _mlp_like(name, widths, x, seed, use_relu, depth=None):
     widths = [int(w) for w in widths]
@@ -181,7 +194,7 @@ def _mlp_like(name, widths, x, seed, use_relu, depth=None):
     n_layers = len(widths) - 1
     if depth is not None and depth != n_layers:
         raise InvalidParams(f"depth {depth} inconsistent with widths {widths}")
-    x = np.asarray(x, dtype=float)
+    x = _input_vector(x, "input")
     if x.shape != (widths[0],):
         raise SizeMismatch(f"input length {x.shape} != width {widths[0]}")
     blocks = _layout([
@@ -248,7 +261,7 @@ def _build_factored(params: dict, seed: int) -> Model:
     if x is None:
         n = int(params.get("n", max(2, s)))
         x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=n)
-    x = np.asarray(x, dtype=float)
+    x = _input_vector(x, "input")
     feat_widths = [x.size] + hidden + [s]
     shapes = [("W", (c, s))] + [
         (f"V{i + 1}", (feat_widths[i + 1], feat_widths[i]))
@@ -281,7 +294,7 @@ def _build_factored(params: dict, seed: int) -> Model:
 
 
 def _build_linear_probe(params: dict, seed: int) -> Model:
-    x = np.asarray(params["x"], dtype=float)
+    x = _input_vector(params["x"], "x")
     if x.ndim != 1 or x.size < 1:
         raise InvalidParams("linear_probe needs a 1-d input vector x")
     blocks = _layout([("theta", (x.size,))])
@@ -324,10 +337,10 @@ def forward(model: Model, theta) -> np.ndarray:
     arr = np.asarray(theta, dtype=float).reshape(-1)
     if arr.size != model.d:
         raise SizeMismatch(f"theta length {arr.size} != model dim {model.d}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteEntry("theta contains NaN or Inf")
     out = np.asarray(model.func(arr), dtype=float)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFiniteResult("model output contains NaN or Inf")
     return out
 
@@ -373,6 +386,8 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def _make_square(target) -> Loss:
     t = np.atleast_1d(np.asarray(target, dtype=float))
+    if not np.isfinite(t).all():
+        raise InvalidParams("square loss target must be finite")
     c = t.size
 
     def apply(y):
@@ -523,7 +538,7 @@ class Dataset:
         if len(self.samples) == 0:
             raise InvalidParams("dataset needs at least one sample")
         w = np.asarray(self.weights, dtype=float)
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise InvalidParams("dataset weights must be finite")
         if np.any(w < 0):
             raise InvalidParams("dataset weights must be nonnegative")

@@ -54,7 +54,7 @@ def _finite(a) -> np.ndarray:
     Guards the outputs of transform derivative callbacks and of analytic loss
     derivatives, which no sweep has checked."""
     arr = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteEntry("derivative data contains NaN or Inf")
     return arr
 

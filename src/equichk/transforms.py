@@ -314,7 +314,7 @@ def linear_reparam(model: Model, a, up: str, down: str) -> Transformation:
         raise SizeMismatch(
             f"generator {A.shape} must match inner width of {b1.shape} and {b2.shape}"
         )
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise InvalidParams("generator contains NaN or Inf")
     sl1, sl2 = b1.sl, b2.sl
     d, c = model.d, model.c

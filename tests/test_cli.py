@@ -144,10 +144,30 @@ _SQUARE = {"name": "square", "params": {"target": 0.3}}
     (_misfit(_PROBE, _PROBE_LOSS, _SCALING, ["first_order"],
              mutation={"callback": "dh_dlambda", "scale": "big"}), "mutation.scale"),
     (_misfit(_PROBE, _PROBE_LOSS, _SCALING, ["first_order"], lam_scale=float("inf")), "lam_scale"),
+    # the loss is built at validation, so a bad loss parameter fails there
+    (_misfit(_PROBE, {"name": "square", "params": {"target": float("nan")}}, _SCALING,
+             ["first_order"]), "loss.params"),
+    (_misfit(_PROBE, {"name": "square", "params": {"target": "a"}}, _SCALING,
+             ["first_order"]), "loss.params"),
+    (_misfit(_PROBE, {"name": "exponential", "params": {"label": 3}}, _SCALING,
+             ["first_order"]), "loss.params"),
+    # a non-finite model input fails at build
+    (_misfit({"name": "linear_probe", "params": {"x": [float("nan"), 2.0]}, "seed": 21},
+             _PROBE_LOSS, _SCALING, ["first_order"]), "model.params"),
+    (_misfit({"name": "homogeneous_relu_mlp",
+              "params": {"widths": [2, 3, 1], "input": [0.5, float("inf")]}, "seed": 14},
+             _PROBE_LOSS, _SCALING, ["first_order"]), "model.params"),
+    (_misfit({"name": "deep_linear", "params": {"widths": [1, 2, 1], "input": [float("nan")]},
+              "seed": 22}, _PROBE_LOSS, _SCALING, ["first_order"]), "model.params"),
+    (_misfit({"name": "factored_last_layer",
+              "params": {"c": 2, "s": 2, "input": [float("-inf"), 1.0]}, "seed": 5},
+             _PROBE_LOSS, _SCALING, ["first_order"]), "model.params"),
 ], ids=["first_order+sign_flip", "discrete_first+scaling", "homogeneity+vector_head",
         "first_order+no_transform", "last_layer+deep_linear", "mirror+permutation",
         "tolerance_key_typo", "mutation_callback_typo", "mutation_scale_not_number",
-        "lam_scale_infinite"])
+        "lam_scale_infinite", "square_target_nan", "square_target_not_number",
+        "exponential_label_3", "probe_x_nan", "relu_mlp_input_inf", "deep_linear_input_nan",
+        "factored_input_inf"])
 def test_run_misfit_entry_exit_2_before_sampling(tmp_path, capsys, entry, where):
     cfg = {"experiment": "check_suite", "output_dir": str(tmp_path / "out"), "plan": [entry]}
     assert cli.main(["run", str(_write(tmp_path, "misfit.json", cfg))]) == 2
@@ -193,11 +213,14 @@ def _bundled(name, **edits):
      "config.dynamics.T"),
     (_bundled("sgf_drift", x=[float("nan")]), "config.dataset.samples[0].x"),
     (_bundled("flow_conservation", dynamics={"T": 10.0, "dt": float("inf")}), "config.dynamics.dt"),
+    (_bundled("flow_conservation", loss={"name": "exponential", "params": {"label": 3}}),
+     "config.loss.params"),
 ], ids=["flow_tolerance_key_typo", "flow_tolerance_not_number", "flow_tolerance_negative",
         "stationary_tolerance_key_typo", "weights_not_numbers", "weights_not_list",
         "x_not_numbers", "flow_theta0_length", "stationary_theta0_length", "sgf_theta0_length",
         "target_not_number", "x_wrong_width", "ensemble_over_memory_limit",
-        "weights_nan", "sigma_nan", "T_infinite", "x_nan", "flow_dt_infinite"])
+        "weights_nan", "sigma_nan", "T_infinite", "x_nan", "flow_dt_infinite",
+        "flow_loss_label_3"])
 def test_run_dynamics_config_errors_exit_2(tmp_path, capsys, cfg, where):
     cfg = dict(cfg, output_dir=str(tmp_path / "out"))
     assert cli.main(["run", str(_write(tmp_path, "bad.json", cfg))]) == 2

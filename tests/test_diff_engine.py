@@ -131,6 +131,7 @@ def test_second_derivative_symmetry():
 # ---------------------------------------------------------------------------
 
 _M = np.array([[0.5, -1.0, 2.0, 0.25], [1.5, 0.0, -0.75, 1.0]])
+_W = np.array([0.5, -2.0, 1.25, 3.0])
 
 
 def _linear(v, u, w):
@@ -162,11 +163,16 @@ HELPERS = {
     "neg": (lambda x: -x, lambda v: -v, lambda v, u: -u, _linear),
     "mul": (lambda x: 3.0 * x * x, lambda v: 3.0 * v * v, lambda v, u: 6.0 * v * u,
             lambda v, u, w: 6.0 * u * w),
+    "mul_plain_array": (lambda x: x * _W, lambda v: v * _W, lambda v, u: u * _W, _linear),
+    "matvec_weights": (lambda x: de.matvec(de.reshape_tail(x, 1, (2, 2)), _W[:2]),
+                       lambda v: v.reshape(2, 2) @ _W[:2], lambda v, u: u.reshape(2, 2) @ _W[:2],
+                       _linear),
+    "getitem": (lambda x: x[1:3], lambda v: v[1:3], lambda v, u: u[1:3], _linear),
 }
 
 
 def _is_absent(slot):
-    return type(slot) is float and slot == 0.0
+    return slot is None
 
 
 @pytest.mark.parametrize("name", HELPERS)
@@ -189,6 +195,38 @@ def test_generic_helpers_on_arrays_and_hyper_duals(name):
     np.testing.assert_allclose(full.d1, first(v, u), rtol=1e-14, atol=1e-15)
     np.testing.assert_allclose(full.d2, first(v, w), rtol=1e-14, atol=1e-15)
     np.testing.assert_allclose(full.d12, second(v, u, w) + first(v, c), rtol=1e-14, atol=1e-15)
+
+
+def test_hyper_dual_slots_default_to_absent():
+    hd = de.HyperDual(np.array([0.3, 0.7]))
+    assert hd.d1 is None and hd.d2 is None and hd.d12 is None
+
+
+def _probe_scalar():
+    probe = build_model(ModelSpec("linear_probe", {"x": [1.0, -2.0, 0.5]}, seed=3))
+    return probe, lambda th: de.sum_last(probe.func(th))
+
+
+def test_linear_map_second_derivatives_are_exact_zeros():
+    # a linear map never fills d12: the sweeps read the absent slot as zeros
+    probe, scalar = _probe_scalar()
+    hess = second_derivative(probe.func, probe.init_params, EXACT)
+    assert hess.shape == (3, 3, 1)
+    np.testing.assert_array_equal(hess, np.zeros((3, 3, 1)))
+    pts = probe.init_params + np.random.default_rng(5).standard_normal((5, 3))
+    np.testing.assert_array_equal(de.hessians_at_points(scalar, pts), np.zeros((5, 3, 3)))
+
+
+def test_gradient_at_points_broadcasts_a_batch_constant_tangent():
+    probe, scalar = _probe_scalar()
+    pts = probe.init_params + np.random.default_rng(6).standard_normal((5, 3))
+    # the probe's tangent is the same at every point, so d1 has shape (d, 1)
+    assert np.shape(scalar(de.HyperDual(pts, d1=np.eye(3)[:, None, :])).d1) == (3, 1)
+    values, grads = de.gradient_at_points(scalar, pts)
+    assert grads.shape == (5, 3)
+    for p, v, g in zip(pts, values, grads):
+        assert v == float(scalar(p))
+        np.testing.assert_array_equal(g, jacobian(scalar, p, EXACT))
 
 
 _MODULES = [importlib.import_module(f"equichk.{m.name}")
@@ -312,7 +350,8 @@ def _second_derivative_by_direction(map_fn, x):
     rows = []
     for j in range(d):
         out = map_fn(de.HyperDual(x, d1=eye, d2=eye[j]))
-        rows.append(np.broadcast_to(np.asarray(out.d12, dtype=float), (d,) + np.shape(out.value)))
+        d12 = 0.0 if out.d12 is None else out.d12   # an absent slot reads as zeros
+        rows.append(np.broadcast_to(np.asarray(d12, dtype=float), (d,) + np.shape(out.value)))
     return np.stack(rows, axis=0)
 
 
@@ -323,7 +362,8 @@ def _hessians_by_direction(map_fn, points):
     out = np.zeros((m, d, d))
     for j in range(d):
         res = map_fn(de.HyperDual(points, d1=eye[:, None, :], d2=eye[j]))
-        out[:, :, j] = np.broadcast_to(np.asarray(res.d12, dtype=float), (d, m)).T
+        d12 = 0.0 if res.d12 is None else res.d12   # an absent slot reads as zeros
+        out[:, :, j] = np.broadcast_to(np.asarray(d12, dtype=float), (d, m)).T
     return out
 
 
@@ -386,7 +426,7 @@ def test_first_order_sweep_equals_full_product_rule(entry):
     for map_fn in (model.func, lambda th: loss.apply(model.func(th))):
         fast = map_fn(de.HyperDual(pts, d1=eye))
         full = map_fn(de.HyperDual(pts, d1=eye, d2=np.zeros(model.d)))
-        assert de._is_zero(fast.d2) and de._is_zero(fast.d12)
+        assert fast.d2 is None and fast.d12 is None
         np.testing.assert_array_equal(fast.value, full.value)
         np.testing.assert_array_equal(np.broadcast_to(fast.d1, np.shape(full.d1)), full.d1)
 

@@ -165,12 +165,22 @@ def test_descent_computes_one_gradient_per_state(monkeypatch, relu_mlp):
 def test_flow_one_sweep_per_stage(monkeypatch, relu_mlp):
     # one sweep at the start state, then per step one at each of the stages
     # k2, k3, k4 and one at the candidate, which also gives the acceptance
-    # loss and the next k1, so no plain loss is evaluated: 1 + 10 x 4 sweeps
+    # loss and the next k1, so no plain loss is evaluated: 1 + 10 x 4 sweeps,
+    # every one through value_and_grad
     sweeps, values = _count_sweeps_and_values(monkeypatch)
+    calls, value_and_grad = [], dyn._Objective.value_and_grad
+
+    def counting_value_and_grad(self, theta):
+        calls.append(1)
+        return value_and_grad(self, theta)
+
+    monkeypatch.setattr(dyn._Objective, "value_and_grad", counting_value_and_grad)
     loss = make_loss("exponential", label=1)
     trj = dyn.gradient_flow(relu_mlp, loss, relu_mlp.init_params, T=0.1, dt=0.01)
     assert trj.meta["stride"] == 1 and len(trj.times) == 11
     assert len(sweeps) == 41 and values == []
+    assert len(calls) == 41
+    assert not hasattr(dyn._Objective, "grad") and not hasattr(dyn._Objective, "grad_batch")
 
 
 def test_descent_record_makes_one_plain_forward(monkeypatch, relu_mlp):
@@ -219,7 +229,10 @@ def test_value_and_grad_equals_value_and_grad_bitwise(uv_model, square_family, t
     for th in np.random.default_rng(4).normal(size=(20, 2)):
         value, grad = obj.value_and_grad(th)
         assert value == obj.value(th)
-        np.testing.assert_array_equal(grad, obj.grad(th))
+        expected = np.zeros(2)
+        for w, mp in obj.maps:   # one batch-1 sweep per map, summed in map order
+            expected += w * de.gradient_at_points(mp, th[None, :])[1][0]
+        np.testing.assert_array_equal(grad, expected)
 
 
 # ---------------------------------------------------------------------------
