@@ -196,7 +196,7 @@ def _validate_transform(v: _V, obj, path: str, model_spec: Optional[ModelSpec]):
     if model_spec is not None:
         try:
             build_transform(name, params, build_model(model_spec))
-        except EquichkError as exc:
+        except _BUILD_ERRORS as exc:
             v.fail(f"{path}.params", str(exc))
             return None
     return name, params

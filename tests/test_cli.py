@@ -162,12 +162,17 @@ _SQUARE = {"name": "square", "params": {"target": 0.3}}
     (_misfit({"name": "factored_last_layer",
               "params": {"c": 2, "s": 2, "input": [float("-inf"), 1.0]}, "seed": 5},
              _PROBE_LOSS, _SCALING, ["first_order"]), "model.params"),
+    # a transform parameter of the wrong type fails at build
+    (_misfit(_DL121, _SQUARE, {"name": "layer_rescaling", "params": {"blocks": 5}},
+             ["first_order"]), "transform.params"),
+    (_misfit(_DL121, _SQUARE, {"name": "permutation", "params": {"perm": "ab"}},
+             ["discrete_first"]), "transform.params"),
 ], ids=["first_order+sign_flip", "discrete_first+scaling", "homogeneity+vector_head",
         "first_order+no_transform", "last_layer+deep_linear", "mirror+permutation",
         "tolerance_key_typo", "mutation_callback_typo", "mutation_scale_not_number",
         "lam_scale_infinite", "square_target_nan", "square_target_not_number",
         "exponential_label_3", "probe_x_nan", "relu_mlp_input_inf", "deep_linear_input_nan",
-        "factored_input_inf"])
+        "factored_input_inf", "rescaling_blocks_not_list", "perm_not_numbers"])
 def test_run_misfit_entry_exit_2_before_sampling(tmp_path, capsys, entry, where):
     cfg = {"experiment": "check_suite", "output_dir": str(tmp_path / "out"), "plan": [entry]}
     assert cli.main(["run", str(_write(tmp_path, "misfit.json", cfg))]) == 2
