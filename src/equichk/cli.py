@@ -14,8 +14,13 @@ Four experiment kinds:
     Euler--Maruyama ensemble plus the Noether drift comparison.  The first
     few member trajectories are saved with an ``ensemble.json`` manifest.
 ``stationary_spectrum``
-    Gradient flow to (near) stationarity, then the null-direction count of
+    Error-controlled gradient flow (Dormand--Prince 5(4), ``dt`` the first
+    trial step) to (near) stationarity, then the null-direction count of
     the Hessian against the span of symmetry characteristic directions.
+
+The manifest of a flow or stationary_spectrum run also holds a ``flow``
+object: the integrator and its accepted steps, rejected steps and gradient
+sweeps.
 
 Exit codes: 0 all checks passed; 1 at least one check failed; 2 bad
 configuration (unknown keys, bad names, malformed values -- fail closed);
@@ -360,10 +365,13 @@ def _validate_dataset(v: _V, obj, path: str, spec: Optional[ModelSpec],
 
 
 # ---------------------------------------------------------------------------
-# experiment runners (each returns (reports, files-written))
+# experiment runners (each returns (reports, files written, manifest fields))
 # ---------------------------------------------------------------------------
 
-def _run_check_suite(cfg: dict, out_dir: str) -> Tuple[List[ic.IdentityReport], List[str]]:
+_RunResult = Tuple[List[ic.IdentityReport], List[str], dict]
+
+
+def _run_check_suite(cfg: dict, out_dir: str) -> _RunResult:
     v = _V()
     v.keys(cfg, "config", ("experiment", "output_dir", "plan", "master_seed"), ("plan",))
     master_seed = v.number(cfg, "config", "master_seed", integer=True, nonneg=True, default=0)
@@ -379,7 +387,7 @@ def _run_check_suite(cfg: dict, out_dir: str) -> Tuple[List[ic.IdentityReport], 
     v.raise_if_failed()
     reports = ic.run_suite(ic.SuiteSpec(tuple(entries), master_seed=int(master_seed or 0)))
     files = _write_report_files(reports, out_dir)
-    return reports, files
+    return reports, files, {}
 
 
 def _synthetic_report(check_name: str, anchor: str, rel: float, tol: float,
@@ -393,28 +401,35 @@ def _synthetic_report(check_name: str, anchor: str, rel: float, tol: float,
     )
 
 
-def _gradient_flow(cfg: dict, transforms_required: bool, tolerance_keys: Sequence[str]):
-    """Validate a flow or stationary_spectrum config and integrate its
-    gradient flow; returns (model, loss, transforms, trajectory, tolerances).
-    ``tolerance_keys`` are the keys its ``tolerances`` object may set."""
+def _gradient_flow(cfg: dict, stationary: bool, tolerance_keys: Sequence[str]):
+    """Validate a flow or (``stationary``) stationary_spectrum config and
+    integrate its gradient flow, with fixed-step RK4 or to a stationary point
+    with :func:`dyn.stationary_flow`; returns (model, loss, transforms,
+    trajectory, tolerances).  ``tolerance_keys`` are the keys its
+    ``tolerances`` object may set.  A stationary_spectrum config needs at
+    least one transform."""
     v = _V()
     v.keys(cfg, "config",
            ("experiment", "output_dir", "model", "loss", "transforms",
             "dynamics", "theta0", "tolerances"),
-           ("model", "loss", "dynamics") + (("transforms",) if transforms_required else ()))
+           ("model", "loss", "dynamics") + (("transforms",) if stationary else ()))
     spec = _validate_model(v, cfg.get("model", {}), "config.model")
     loss_nv = _validate_loss(v, cfg.get("loss", {}), "config.loss")
     dyn_obj = cfg.get("dynamics", {})
+    start = len(v.errors)
     v.keys(dyn_obj, "config.dynamics", ("T", "dt"), ("T", "dt"))
     T = v.number(dyn_obj, "config.dynamics", "T", positive=True, default=1.0)
     dt = v.number(dyn_obj, "config.dynamics", "dt", positive=True, default=0.01)
+    # the stationary flow clips its first trial step to T; RK4 needs one whole step
+    if not stationary and len(v.errors) == start and T < dt:
+        v.fail("config.dynamics.dt", f"must not exceed T = {T} (one RK4 step), got {dt}")
     theta0 = _validate_theta0(v, cfg, "config", spec)
     tolerances = _validate_tolerances(v, cfg, "config", tolerance_keys)
     transforms = []
     raw_transforms = cfg.get("transforms", [])
-    if not isinstance(raw_transforms, list) or (transforms_required and not raw_transforms):
+    if not isinstance(raw_transforms, list) or (stationary and not raw_transforms):
         v.fail("config.transforms", "expected a non-empty list of symmetry transforms"
-               if transforms_required else "expected a list of symmetry transforms")
+               if stationary else "expected a list of symmetry transforms")
     else:
         for i, t in enumerate(raw_transforms):
             tv = _validate_transform(v, t, f"config.transforms[{i}]", spec)
@@ -426,14 +441,20 @@ def _gradient_flow(cfg: dict, transforms_required: bool, tolerance_keys: Sequenc
     loss = make_loss(loss_nv[0], **loss_nv[1])
     built = [build_transform(n, p, model) for n, p in transforms]
     th0 = model.init_params if theta0 == "init" else np.asarray(theta0, dtype=float)
-    trajectory = dyn.gradient_flow(model, loss, th0, T=float(T), dt=float(dt),
-                                   chargelist=built)
+    integrate = dyn.stationary_flow if stationary else dyn.gradient_flow
+    trajectory = integrate(model, loss, th0, T=float(T), dt=float(dt), chargelist=built)
     return model, loss, built, trajectory, tolerances
 
 
-def _run_flow(cfg: dict, out_dir: str) -> Tuple[List[ic.IdentityReport], List[str]]:
+def _flow_counts(trajectory: dyn.Trajectory) -> dict:
+    """The manifest's ``flow`` object, from the trajectory ``meta``."""
+    keys = ("integrator", "accepted_steps", "rejected_steps", "gradient_sweeps")
+    return {"flow": {k: trajectory.meta[k] for k in keys}}
+
+
+def _run_flow(cfg: dict, out_dir: str) -> _RunResult:
     model, loss, _, trajectory, tolerances = _gradient_flow(
-        cfg, transforms_required=False, tolerance_keys=("charge_drift", "euler_relation"))
+        cfg, stationary=False, tolerance_keys=("charge_drift", "euler_relation"))
     T, dt = float(cfg["dynamics"]["T"]), float(cfg["dynamics"]["dt"])
     reports: List[ic.IdentityReport] = []
     drift_tol = float(tolerances.get("charge_drift", 1e-8))
@@ -457,10 +478,10 @@ def _run_flow(cfg: dict, out_dir: str) -> Tuple[List[ic.IdentityReport], List[st
         ))
     files = _write_report_files(reports, out_dir)
     dyn.write_trajectory_csv(trajectory, os.path.join(out_dir, "flow.csv"))
-    return reports, files + ["flow.csv"]
+    return reports, files + ["flow.csv"], _flow_counts(trajectory)
 
 
-def _run_sgf_drift(cfg: dict, out_dir: str) -> Tuple[List[ic.IdentityReport], List[str]]:
+def _run_sgf_drift(cfg: dict, out_dir: str) -> _RunResult:
     v = _V()
     v.keys(cfg, "config",
            ("experiment", "output_dir", "model", "loss", "dataset", "transform",
@@ -517,12 +538,12 @@ def _run_sgf_drift(cfg: dict, out_dir: str) -> Tuple[List[ic.IdentityReport], Li
     if saved:
         dyn.write_ensemble(saved, out_dir)
         files = files + ["ensemble.json"] + [f"trajectory_{i:04d}.csv" for i in range(len(saved))]
-    return reports, files
+    return reports, files, {}
 
 
-def _run_stationary(cfg: dict, out_dir: str) -> Tuple[List[ic.IdentityReport], List[str]]:
+def _run_stationary(cfg: dict, out_dir: str) -> _RunResult:
     model, loss, built, trajectory, tolerances = _gradient_flow(
-        cfg, transforms_required=True, tolerance_keys=("eps_stat", "null_tol", "rank_tol"))
+        cfg, stationary=True, tolerance_keys=("eps_stat", "null_tol", "rank_tol"))
     report = ic.stationary_null_count(
         model, loss, built, trajectory.states[-1],
         eps_stat=float(tolerances.get("eps_stat", 1e-8)),
@@ -531,7 +552,7 @@ def _run_stationary(cfg: dict, out_dir: str) -> Tuple[List[ic.IdentityReport], L
     )
     files = _write_report_files([report], out_dir)
     dyn.write_trajectory_csv(trajectory, os.path.join(out_dir, "flow.csv"))
-    return [report], files + ["flow.csv"]
+    return [report], files + ["flow.csv"], _flow_counts(trajectory)
 
 
 _RUNNERS: Mapping[str, Callable] = {
@@ -590,7 +611,7 @@ def run(config_path: str) -> int:
         stem = os.path.splitext(os.path.basename(config_path))[0]
         out_dir = os.path.join(os.path.dirname(os.path.abspath(config_path)), stem + "_out")
 
-    reports, files = _RUNNERS[experiment](cfg, out_dir)
+    reports, files, run_record = _RUNNERS[experiment](cfg, out_dir)
     n_pass = sum(1 for r in reports if r.passed)
     n_fail = len(reports) - n_pass
     manifest = {
@@ -605,6 +626,7 @@ def run(config_path: str) -> int:
         "files": sorted(set(files + ["manifest.json"])),
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "cpu_count": os.cpu_count()},
+        **run_record,
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -1,11 +1,15 @@
 """Training-dynamics integrators with symmetry-charge tracking.
 
-Gradient flow (classical RK4 with a loss-descent acceptance rule), plain
-gradient descent (with per-step orthogonality of the update against every
-registered symmetry direction), and stochastic gradient flow (lockstep
-Euler--Maruyama over an ensemble with counter-based per-trajectory RNG
-streams).  Charges are evaluated at every record point so conservation and
-drift statements become array assertions downstream.
+Gradient flow (classical RK4 at a fixed step with a loss-descent acceptance
+rule), gradient flow to a stationary point (the error-controlled
+Dormand--Prince 5(4) pair at a fixed tolerance of 1e-12, with the same
+acceptance rule), plain gradient descent (with per-step orthogonality of the
+update against every registered symmetry direction), and stochastic gradient
+flow (lockstep Euler--Maruyama over an ensemble with counter-based
+per-trajectory RNG streams).  Charges are evaluated at every record point so
+conservation and drift statements become array assertions downstream.  Both
+flows count their accepted and rejected steps and gradient sweeps in the
+trajectory's ``meta``.
 
 A single run records a :class:`Trajectory`.  An SGF ensemble is one
 :class:`Ensemble` holding arrays over (record, member): states, losses and
@@ -59,6 +63,7 @@ __all__ = [
     "NormGrowthReport",
     "DriftReport",
     "gradient_flow",
+    "stationary_flow",
     "gradient_descent",
     "norm_growth_check",
     "noise_covariance",
@@ -97,12 +102,9 @@ class _Objective:
             for w, m, l in self.parts
         ]
 
-    def value(self, theta: np.ndarray) -> float:
-        return float(sum(w * float(np.asarray(mp(theta))) for w, mp in self.maps))
-
     def value_and_grad(self, theta: np.ndarray) -> Tuple[float, np.ndarray]:
-        """The loss at ``theta`` (bit for bit :meth:`value`) and its gradient,
-        from one sweep per map, each summed in map order."""
+        """The loss at ``theta`` and its gradient, from one sweep per map,
+        each summed in map order; a sweep's value is the plain forward's."""
         value, grad = 0.0, np.zeros(self.d)
         for w, mp in self.maps:
             v, g = de.gradient_at_points(mp, theta[None, :])
@@ -118,7 +120,7 @@ class _Objective:
 
     def weighted_loss(self, values: np.ndarray) -> np.ndarray:
         """The loss (M,) from :meth:`sample_sweeps` values, summed in map
-        order as :meth:`value` sums the plain forwards."""
+        order as :meth:`value_and_grad` sums them."""
         total = np.zeros(values.shape[1])
         for (w, _), v in zip(self.maps, values):
             total += w * v
@@ -328,7 +330,7 @@ def gradient_flow(
         return -obj.value_and_grad(p)[1]
 
     t = 0.0
-    accepted = 0
+    accepted = rejected = 0
     cur_loss, g = obj.value_and_grad(th)
     k1 = -g
     rec.record(0.0, th, grad=g, loss=cur_loss)
@@ -346,6 +348,7 @@ def gradient_flow(
             if cand_loss <= cur_loss + _LOSS_SLACK * max(1.0, abs(cur_loss)):
                 break
             h *= 0.5
+            rejected += 1
         else:
             raise StepFailure(
                 f"loss still increases after {_MAX_HALVINGS} halvings at t = {t:.6g}"
@@ -357,7 +360,116 @@ def gradient_flow(
         accepted += 1
         if accepted % stride == 0 or t >= T - 1e-12 * max(1.0, T):
             rec.record(t, th, grad=g, loss=cur_loss)
-    return rec.build({"kind": "gradient_flow", "dt": dt, "T": T, "stride": stride})
+    return rec.build({
+        "kind": "gradient_flow", "dt": dt, "T": T, "stride": stride,
+        "integrator": "rk4", "accepted_steps": accepted, "rejected_steps": rejected,
+        "gradient_sweeps": 1 + 4 * (accepted + rejected),
+    })
+
+
+# ---------------------------------------------------------------------------
+# error-controlled gradient flow to a stationary point (Dormand--Prince 5(4))
+# ---------------------------------------------------------------------------
+
+#: rtol and atol of :func:`stationary_flow`.  The endpoint's |gradL| floor
+#: follows it, not T: on the bundled stationary config 1e-12 ends at 2e-14,
+#: 1e-10 only ~12x under eps_stat = 1e-10, and 1e-8 above it
+_DP_TOL = 1e-12
+
+# Dormand--Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, Table
+# II.5.2).  Row i holds stage i's weights on stages 0..i-1; row 6 is the
+# 5th-order solution, so stage 6 is the candidate's own sweep (first same as
+# last).  _DP_E is the 5th- minus the 4th-order weights over all seven stages.
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
+_DP_E = np.array([
+    71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40,
+])
+
+
+def stationary_flow(
+    model: Model,
+    loss,
+    theta0,
+    T: float,
+    dt: float,
+    chargelist: Sequence = (),
+) -> Trajectory:
+    """Integrate theta' = -gradL(theta) to t = T with the error-controlled
+    Dormand--Prince 5(4) pair, for runs that only need the point reached.
+
+    ``dt`` is the first trial step (clipped to T).  The error norm is the
+    RMS of err / (tol + tol max(|theta|, |theta_new|)) with tol = 1e-12;
+    the step then scales by min(5, max(0.2, 0.9 err^(-1/5))).  A step is
+    accepted only if err <= 1 and the loss did not increase (beyond rounding
+    slack); a loss increase halves the step, and more than 20 consecutive
+    rejections raise StepFailure.  Records fall on accepted steps, at most
+    one per T/1000 of time, plus the start and the end.
+    """
+    if dt <= 0:
+        raise InvalidParams(f"dt must be positive, got {dt}")
+    if T <= 0:
+        raise InvalidParams(f"T must be positive, got {T}")
+    obj = _as_objective(model, loss)
+    charges = _as_charges(chargelist)
+    th = np.asarray(theta0, dtype=float).reshape(-1)
+    if th.size != model.d:
+        raise SizeMismatch(f"theta0 has {th.size} entries, model wants {model.d}")
+
+    single = loss if isinstance(loss, Loss) else None
+    rec = _Recorder(model, charges, single)
+    end = T - 1e-12 * max(1.0, T)
+    t, h = 0.0, min(dt, T)
+    accepted = rejected = failures = 0
+    mark = 1  # the next record falls at the first accepted t >= mark T / budget
+    K = np.empty((7, th.size))
+    cur_loss, g = obj.value_and_grad(th)
+    K[0] = -g
+    rec.record(0.0, th, grad=g, loss=cur_loss)
+    while t < end:
+        h = min(h, T - t)
+        for i in range(1, 6):
+            K[i] = -obj.value_and_grad(th + h * (_DP_A[i, :i] @ K[:i]))[1]
+        cand = th + h * (_DP_A[6, :6] @ K[:6])
+        _check_state(cand, "Dormand-Prince step")
+        # the candidate's sweep gives the acceptance loss, the error
+        # estimate's last stage and, once accepted, the next first stage
+        cand_loss, cand_g = obj.value_and_grad(cand)
+        K[6] = -cand_g
+        scale = _DP_TOL + _DP_TOL * np.maximum(np.abs(th), np.abs(cand))
+        err = math.sqrt(float(np.mean(np.square(h * (_DP_E @ K) / scale))))
+        factor = min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0 else 5.0
+        if err <= 1.0 and cand_loss <= cur_loss + _LOSS_SLACK * max(1.0, abs(cur_loss)):
+            th, cur_loss, g = cand, cand_loss, cand_g
+            K[0] = K[6]
+            t += h
+            accepted += 1
+            failures = 0
+            if t >= mark * T / _RECORD_BUDGET or t >= end:
+                rec.record(t, th, grad=g, loss=cur_loss)
+                while mark * T / _RECORD_BUDGET <= t:
+                    mark += 1
+            h *= factor
+            continue
+        rejected += 1
+        failures += 1
+        if failures > _MAX_HALVINGS:
+            raise StepFailure(
+                f"{failures} consecutive rejected steps at t = {t:.6g} (last h = {h:.3e})"
+            )
+        h *= factor if err > 1.0 else 0.5
+    return rec.build({
+        "kind": "stationary_flow", "dt": dt, "T": T, "tol": _DP_TOL,
+        "integrator": "dormand_prince_5_4", "accepted_steps": accepted,
+        "rejected_steps": rejected, "gradient_sweeps": 1 + 6 * (accepted + rejected),
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -220,12 +220,13 @@ def _bundled(name, **edits):
     (_bundled("flow_conservation", dynamics={"T": 10.0, "dt": float("inf")}), "config.dynamics.dt"),
     (_bundled("flow_conservation", loss={"name": "exponential", "params": {"label": 3}}),
      "config.loss.params"),
+    (_bundled("flow_conservation", dynamics={"T": 0.001, "dt": 0.01}), "config.dynamics.dt"),
 ], ids=["flow_tolerance_key_typo", "flow_tolerance_not_number", "flow_tolerance_negative",
         "stationary_tolerance_key_typo", "weights_not_numbers", "weights_not_list",
         "x_not_numbers", "flow_theta0_length", "stationary_theta0_length", "sgf_theta0_length",
         "target_not_number", "x_wrong_width", "ensemble_over_memory_limit",
         "weights_nan", "sigma_nan", "T_infinite", "x_nan", "flow_dt_infinite",
-        "flow_loss_label_3"])
+        "flow_loss_label_3", "flow_T_shorter_than_dt"])
 def test_run_dynamics_config_errors_exit_2(tmp_path, capsys, cfg, where):
     cfg = dict(cfg, output_dir=str(tmp_path / "out"))
     assert cli.main(["run", str(_write(tmp_path, "bad.json", cfg))]) == 2
@@ -289,6 +290,49 @@ def test_run_flow_experiment(tmp_path, capsys):
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert "flow.csv" in manifest["files"]
     assert manifest["pass_counts"]["failed"] == 0
+    assert manifest["flow"] == {"integrator": "rk4", "accepted_steps": 100,
+                                "rejected_steps": 0, "gradient_sweeps": 401}
+
+
+def test_run_stationary_first_step_may_exceed_T(tmp_path, capsys):
+    # the stationary flow clips its first trial step to T, so T < dt is no
+    # config error; a flow this short is far from stationary (exit 3)
+    cfg = _bundled("stationary_spectrum", dynamics={"T": 0.001, "dt": 0.05},
+                   output_dir=str(tmp_path / "out"))
+    assert cli.main(["run", str(_write(tmp_path, "stat.json", cfg))]) == 3
+    assert "NotConverged" in capsys.readouterr().err
+
+
+# every bundled config: its exit code, report count and manifest flow counts
+BUNDLED_RUNS = {
+    "flow_conservation": (0, 2, {"integrator": "rk4", "accepted_steps": 1000,
+                                 "rejected_steps": 0, "gradient_sweeps": 4001}),
+    "mutation_demo": (1, 9, None),
+    "sgf_drift": (0, 1, None),
+    "stationary_spectrum": (0, 1, {"integrator": "dormand_prince_5_4", "accepted_steps": 308,
+                                   "rejected_steps": 2, "gradient_sweeps": 1861}),
+    "suite_full": (0, 174, None),
+}
+
+
+def test_bundled_configs_are_all_checked():
+    configs = sorted(p.stem for p in (Path(__file__).parents[1] / "configs").glob("*.json"))
+    assert configs == sorted(BUNDLED_RUNS)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_RUNS))
+def test_run_bundled_config(tmp_path, capsys, name):
+    code, n_reports, flow = BUNDLED_RUNS[name]
+    cfg = _bundled(name, output_dir=str(tmp_path / "out"))
+    assert cli.run(str(_write(tmp_path, f"{name}.json", cfg))) == code
+    capsys.readouterr()
+    reports = (tmp_path / "out" / "reports.jsonl").read_text()
+    assert len(reports.splitlines()) == n_reports
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["pass_counts"]["total"] == n_reports
+    assert manifest.get("flow") == flow
+    # the step counts are run records, never report content
+    assert "gradient_sweeps" not in reports and "integrator" not in reports
 
 
 def test_run_sgf_drift_experiment(tmp_path, capsys):

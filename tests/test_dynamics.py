@@ -4,6 +4,7 @@ orthogonality, noise covariance, stochastic flow and its drift law."""
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from equichk.errors import (
     InvalidNoiseModel,
     InvalidParams,
     SizeMismatch,
+    StepFailure,
 )
 from equichk.identity_checker import default_suite
 from equichk.models import (
@@ -88,6 +90,121 @@ def test_flow_accepts_dataset_objective(uv_model, square_family, two_sample_data
     assert trj.losses[-1] < trj.losses[0]
 
 
+# ---------------------------------------------------------------------------
+# error-controlled flow to a stationary point (Dormand--Prince 5(4))
+# ---------------------------------------------------------------------------
+
+def _bundled_stationary():
+    """Model, loss, transform, T and dt of configs/stationary_spectrum.json."""
+    with open(Path(__file__).parents[1] / "configs" / "stationary_spectrum.json",
+              encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    m = cfg["model"]
+    model = build_model(ModelSpec(m["name"], m["params"], m["seed"]))
+    loss = make_loss(cfg["loss"]["name"], **cfg["loss"]["params"])
+    (t,) = cfg["transforms"]
+    return (model, loss, build_transform(t["name"], t["params"], model),
+            cfg["dynamics"]["T"], cfg["dynamics"]["dt"])
+
+
+@pytest.fixture(scope="module")
+def bundled_stationary_run():
+    model, loss, t, T, dt = _bundled_stationary()
+    calls, value_and_grad = [], dyn._Objective.value_and_grad
+
+    def counting_value_and_grad(self, theta):
+        calls.append(1)
+        return value_and_grad(self, theta)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dyn._Objective, "value_and_grad", counting_value_and_grad)
+        trj = dyn.stationary_flow(model, loss, model.init_params, T=T, dt=dt, chargelist=[t])
+    return model, loss, trj, len(calls)
+
+
+def test_stationary_flow_matches_quadratic_closed_form():
+    # L = 0.5 |theta - c|^2 flows to theta(t) = c + e^-t (theta(0) - c)
+    model = _identity_model()
+    c, th0 = np.array([0.3, -0.4]), np.array([1.0, 0.5])
+    loss = make_loss("square", target=c)
+    for T in (0.7, 5.0, 30.0):
+        trj = dyn.stationary_flow(model, loss, th0, T=T, dt=0.05)
+        exact = c + math.exp(-T) * (th0 - c)
+        assert np.linalg.norm(trj.states[-1] - exact) <= 1e-10 * np.linalg.norm(exact)
+        assert trj.times[0] == 0.0 and trj.times[-1] == pytest.approx(T, rel=1e-12)
+
+
+def test_stationary_flow_reaches_the_bundled_stationary_point(bundled_stationary_run):
+    # pinned counts: one start sweep plus six per attempted step
+    model, loss, trj, calls = bundled_stationary_run
+    meta = trj.meta
+    assert meta["integrator"] == "dormand_prince_5_4"
+    assert (meta["accepted_steps"], meta["rejected_steps"], meta["gradient_sweeps"]) \
+        == (308, 2, 1861)
+    assert calls == meta["gradient_sweeps"]
+    assert trj.diagnostics["grad_norm"][-1] <= 1e-12
+    assert trj.times[-1] == pytest.approx(800.0, rel=1e-12)
+    (cs,) = trj.charges.values()
+    assert np.max(np.abs(cs - cs[0])) <= 1e-12 * (1.0 + abs(cs[0]))
+
+
+def test_stationary_flow_losses_are_monotone(bundled_stationary_run):
+    losses = bundled_stationary_run[2].losses
+    slack = dyn._LOSS_SLACK * np.maximum(1.0, np.abs(losses[:-1]))
+    assert np.all(np.diff(losses) <= slack)
+    assert losses[-1] < losses[0]
+
+
+def test_stationary_flow_counts_a_rejected_step(monkeypatch):
+    # a first trial step of 10 on theta' = -theta misses the tolerance and
+    # is retried; every attempt costs six sweeps
+    sweeps = _count_sweeps(monkeypatch)
+    model = _identity_model()
+    loss = make_loss("square", target=np.zeros(2))
+    trj = dyn.stationary_flow(model, loss, np.array([1.0, 0.5]), T=20.0, dt=10.0)
+    meta = trj.meta
+    assert meta["rejected_steps"] >= 1
+    assert meta["gradient_sweeps"] == 1 + 6 * (meta["accepted_steps"] + meta["rejected_steps"])
+    assert len(sweeps) == meta["gradient_sweeps"]
+    # |theta(20)| ~ 2e-9 sits near the absolute tolerance of 1e-12
+    np.testing.assert_allclose(trj.states[-1], math.exp(-20.0) * np.array([1.0, 0.5]),
+                               rtol=0, atol=1e-11)
+
+
+def test_stationary_flow_gives_up_after_consecutive_rejections(monkeypatch):
+    # a negative slack refuses every candidate as a loss increase
+    monkeypatch.setattr(dyn, "_LOSS_SLACK", -1.0)
+    model = _identity_model()
+    loss = make_loss("square", target=np.zeros(2))
+    with pytest.raises(StepFailure, match="consecutive rejected steps"):
+        dyn.stationary_flow(model, loss, np.array([1.0, 0.5]), T=1.0, dt=0.1)
+
+
+def test_stationary_flow_clips_the_first_step_to_T():
+    model = _identity_model()
+    loss = make_loss("square", target=np.zeros(2))
+    trj = dyn.stationary_flow(model, loss, np.array([1.0, 0.0]), T=0.01, dt=0.05)
+    assert trj.times.tolist() == [0.0, 0.01] and trj.meta["accepted_steps"] == 1
+    np.testing.assert_allclose(trj.states[-1], [math.exp(-0.01), 0.0], rtol=1e-12)
+
+
+def test_stationary_flow_records_stay_within_budget(monkeypatch, tmp_path):
+    # a budget of 40 records against ~100 accepted steps: rows thin to a
+    # grid of T / 40, and the start and the end are kept
+    monkeypatch.setattr(dyn, "_RECORD_BUDGET", 40)
+    model = _identity_model()
+    loss = make_loss("square", target=np.array([0.3, -0.4]))
+    trj = dyn.stationary_flow(model, loss, np.array([1.0, 0.5]), T=300.0, dt=0.05)
+    assert trj.meta["accepted_steps"] > 2 * 40
+    path = tmp_path / "flow.csv"
+    dyn.write_trajectory_csv(trj, path)
+    rows = path.read_text().splitlines()[1:]
+    assert 0.5 * 40 <= len(rows) <= 40 + 1
+    assert trj.times[0] == 0.0 and trj.times[-1] == pytest.approx(300.0, rel=1e-12)
+    # one record per grid cell at most, but for the end
+    assert np.all(np.diff(np.floor(trj.times[:-1] / (300.0 / 40))) >= 1)
+
+
 def test_trajectory_validation():
     good = dict(states=np.zeros((3, 2)), losses=np.zeros(3),
                 charges={}, diagnostics={})
@@ -131,11 +248,10 @@ def test_descent_rejects_nonsymmetry(probe_model, probe_loss):
                              eta=0.01, steps=2, symmetries=[t])
 
 
-def _count_sweeps_and_values(monkeypatch):
-    """Count ``gradient_at_points`` sweeps and plain ``_Objective.value``
-    calls: returns the two lists the wrappers append to."""
-    sweeps, values = [], []
-    sweep, value = de.gradient_at_points, dyn._Objective.value
+def _count_sweeps(monkeypatch):
+    """Count ``gradient_at_points`` sweeps: returns the list the wrapper
+    appends to."""
+    sweeps, sweep = [], de.gradient_at_points
 
     def counting_sweep(map_fn, points):
         sweeps.append(1)
@@ -143,23 +259,24 @@ def _count_sweeps_and_values(monkeypatch):
         assert isinstance(out, tuple) and len(out) == 2   # (values, grads)
         return out
 
-    def counting_value(self, theta):
-        values.append(1)
-        return value(self, theta)
-
     monkeypatch.setattr(de, "gradient_at_points", counting_sweep)
-    monkeypatch.setattr(dyn._Objective, "value", counting_value)
-    return sweeps, values
+    return sweeps
+
+
+def _plain_loss(obj, theta):
+    """The loss at ``theta`` from plain forwards: each map's value weighted
+    and summed in map order, as the sweeps sum them."""
+    return float(sum(w * float(np.asarray(mp(theta))) for w, mp in obj.maps))
 
 
 def test_descent_computes_one_gradient_per_state(monkeypatch, relu_mlp):
     # the gradient taken after each update serves both the record and the
     # next step: 10 steps at stride 1 sweep 11 states
-    sweeps, values = _count_sweeps_and_values(monkeypatch)
+    sweeps = _count_sweeps(monkeypatch)
     loss = make_loss("exponential", label=1)
     trj = dyn.gradient_descent(relu_mlp, loss, relu_mlp.init_params, eta=0.05, steps=10)
     assert trj.meta["stride"] == 1 and len(trj.times) == 11
-    assert len(sweeps) == 11 and values == []
+    assert len(sweeps) == 11
 
 
 def test_flow_one_sweep_per_stage(monkeypatch, relu_mlp):
@@ -167,7 +284,7 @@ def test_flow_one_sweep_per_stage(monkeypatch, relu_mlp):
     # k2, k3, k4 and one at the candidate, which also gives the acceptance
     # loss and the next k1, so no plain loss is evaluated: 1 + 10 x 4 sweeps,
     # every one through value_and_grad
-    sweeps, values = _count_sweeps_and_values(monkeypatch)
+    sweeps = _count_sweeps(monkeypatch)
     calls, value_and_grad = [], dyn._Objective.value_and_grad
 
     def counting_value_and_grad(self, theta):
@@ -178,33 +295,30 @@ def test_flow_one_sweep_per_stage(monkeypatch, relu_mlp):
     loss = make_loss("exponential", label=1)
     trj = dyn.gradient_flow(relu_mlp, loss, relu_mlp.init_params, T=0.1, dt=0.01)
     assert trj.meta["stride"] == 1 and len(trj.times) == 11
-    assert len(sweeps) == 41 and values == []
-    assert len(calls) == 41
-    assert not hasattr(dyn._Objective, "grad") and not hasattr(dyn._Objective, "grad_batch")
+    assert len(sweeps) == 41 and len(calls) == 41
+    assert trj.meta["gradient_sweeps"] == 41
+    assert (trj.meta["integrator"], trj.meta["accepted_steps"], trj.meta["rejected_steps"]) \
+        == ("rk4", 10, 0)
+    for gone in ("value", "grad", "grad_batch"):
+        assert not hasattr(dyn._Objective, gone)
 
 
 def test_descent_record_makes_one_plain_forward(monkeypatch, relu_mlp):
-    # a single loss on a scalar head takes the recorded loss from the
-    # forward pass of the f diagnostic, bit for bit what value() gives
-    values, forwards = [], []
-    value, forward = dyn._Objective.value, dyn.forward
-
-    def counting_value(self, theta):
-        values.append(1)
-        return value(self, theta)
+    # a single loss on a scalar head makes one plain forward per record, for
+    # the f diagnostic; the recorded loss is the sweep's, bit for bit the
+    # plain loss
+    forwards, forward = [], dyn.forward
 
     def counting_forward(model, theta):
         forwards.append(1)
         return forward(model, theta)
 
-    monkeypatch.setattr(dyn._Objective, "value", counting_value)
     monkeypatch.setattr(dyn, "forward", counting_forward)
     loss = make_loss("exponential", label=1)
     trj = dyn.gradient_descent(relu_mlp, loss, relu_mlp.init_params, eta=0.05, steps=10)
-    assert len(trj.times) == 11
-    assert values == [] and len(forwards) == 11
+    assert len(trj.times) == 11 and len(forwards) == 11
     obj = dyn._Objective(relu_mlp, loss)
-    assert [obj.value(th) for th in trj.states] == trj.losses.tolist()
+    assert [_plain_loss(obj, th) for th in trj.states] == trj.losses.tolist()
 
 
 SUITE_ENTRIES = default_suite().entries
@@ -219,7 +333,7 @@ def test_sweep_value_is_the_plain_loss(entry):
     obj = dyn._Objective(model, make_loss(entry.loss, **dict(entry.loss_params)))
     (_, mp), = obj.maps
     pts = model.init_params + np.random.default_rng(entry.seed).standard_normal((50, model.d))
-    plain = [obj.value(p) for p in pts]
+    plain = [_plain_loss(obj, p) for p in pts]
     assert [float(de.gradient_at_points(mp, p[None, :])[0][0]) for p in pts] == plain
     assert de.gradient_at_points(mp, pts)[0].tolist() == plain
 
@@ -228,7 +342,7 @@ def test_value_and_grad_equals_value_and_grad_bitwise(uv_model, square_family, t
     obj = dyn._Objective(uv_model, two_sample_dataset, square_family)
     for th in np.random.default_rng(4).normal(size=(20, 2)):
         value, grad = obj.value_and_grad(th)
-        assert value == obj.value(th)
+        assert value == _plain_loss(obj, th)
         expected = np.zeros(2)
         for w, mp in obj.maps:   # one batch-1 sweep per map, summed in map order
             expected += w * de.gradient_at_points(mp, th[None, :])[1][0]
