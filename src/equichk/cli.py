@@ -46,6 +46,8 @@ import numpy as np
 from . import __version__
 from . import dynamics as dyn
 from . import identity_checker as ic
+from . import models
+from . import transforms as tr
 from .errors import CheckFailure, ConfigError, EquichkError, InvalidParams
 from .models import (
     LOSS_NAMES,
@@ -55,27 +57,11 @@ from .models import (
     build_model,
     loss_family,
     make_loss,
+    signature,
 )
 from .transforms import MUTABLE_CALLBACKS, TRANSFORM_NAMES, build_transform
 
 EXPERIMENTS = ("check_suite", "flow", "sgf_drift", "stationary_spectrum")
-
-_MODEL_HINTS = {
-    "homogeneous_relu_mlp": "widths [n0..nk], optional depth/input/kink scale",
-    "deep_linear": "widths [n0..nk], optional input",
-    "factored_last_layer": "c, s, hidden, optional input",
-    "linear_probe": "x (input vector)",
-}
-
-_TRANSFORM_HINTS = {
-    "homogeneity_scaling": "degree (continuous equivariance)",
-    "layer_rescaling": "blocks [up, down] (continuous symmetry)",
-    "linear_reparam": "A matrix, blocks [up, down] (continuous symmetry)",
-    "last_layer_left_action": "no params (continuous equivariance)",
-    "mirror": "columns: orthonormal set O (discrete symmetry)",
-    "sign_flip": "indices (discrete symmetry)",
-    "permutation": "perm (discrete symmetry)",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +94,8 @@ class _V:
 
     def number(self, obj, path: str, key: str, *, positive=False, nonneg=False,
                integer=False, default=None):
-        if key not in obj:
+        # a non-object ``obj`` has already failed ``keys``
+        if not isinstance(obj, dict) or key not in obj:
             return default
         v = obj[key]
         if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -157,9 +144,10 @@ def _validate_model(v: _V, obj, path: str) -> Optional[ModelSpec]:
     return spec
 
 
-def _validate_loss_family(v: _V, obj, path: str) -> Optional[Tuple[str, dict]]:
-    """A loss's name and parameter object, its target left open (a dataset
-    binds one per sample)."""
+def _validate_loss(v: _V, obj, path: str, build: Callable = make_loss) -> Optional[Tuple[str, dict]]:
+    """A loss's name and parameter object, checked by building it with
+    ``build`` (``loss_family`` when a dataset binds the target per sample),
+    so a bad parameter fails here with its path."""
     if not v.keys(obj, path, ("name", "params"), ("name",)):
         return None
     name = obj.get("name")
@@ -170,21 +158,12 @@ def _validate_loss_family(v: _V, obj, path: str) -> Optional[Tuple[str, dict]]:
     if not isinstance(params, dict):
         v.fail(f"{path}.params", "expected an object")
         return None
-    return name, params
-
-
-def _validate_loss(v: _V, obj, path: str) -> Optional[Tuple[str, dict]]:
-    """:func:`_validate_loss_family`, then the loss is built from its
-    parameters, so a bad parameter fails here with its path."""
-    loss_nv = _validate_loss_family(v, obj, path)
-    if loss_nv is None:
-        return None
     try:
-        make_loss(loss_nv[0], **loss_nv[1])
+        build(name, **params)
     except _BUILD_ERRORS as exc:
         v.fail(f"{path}.params", str(exc))
         return None
-    return loss_nv
+    return name, params
 
 
 def _validate_transform(v: _V, obj, path: str, model_spec: Optional[ModelSpec]):
@@ -488,7 +467,7 @@ def _run_sgf_drift(cfg: dict, out_dir: str) -> _RunResult:
             "dynamics", "noise", "theta0", "save_trajectories"),
            ("model", "loss", "dataset", "transform", "dynamics", "noise"))
     spec = _validate_model(v, cfg.get("model", {}), "config.model")
-    loss_nv = _validate_loss_family(v, cfg.get("loss", {}), "config.loss")
+    loss_nv = _validate_loss(v, cfg.get("loss", {}), "config.loss", build=loss_family)
     dataset = _validate_dataset(v, cfg.get("dataset", {}), "config.dataset", spec, loss_nv)
     transform = _validate_transform(v, cfg.get("transform", {}), "config.transform", spec)
     dyn_obj = cfg.get("dynamics", {})
@@ -501,7 +480,7 @@ def _run_sgf_drift(cfg: dict, out_dir: str) -> _RunResult:
     v.keys(noise_obj, "config.noise", ("mode", "sigma", "seed"), ("mode", "sigma"))
     sigma = v.number(noise_obj, "config.noise", "sigma", nonneg=True, default=0.1)
     nseed = v.number(noise_obj, "config.noise", "seed", integer=True, nonneg=True, default=0)
-    mode = noise_obj.get("mode")
+    mode = noise_obj.get("mode") if isinstance(noise_obj, dict) else None
     if mode not in ("exact_sde", "minibatch"):
         v.fail("config.noise.mode", f'expected "exact_sde" or "minibatch", got {mode!r}')
     theta0 = _validate_theta0(v, cfg, "config", spec)
@@ -644,10 +623,11 @@ def run(config_path: str) -> int:
 # ---------------------------------------------------------------------------
 
 def catalog_data() -> dict:
+    """Every catalog entry with the parameters its builder takes."""
     return {
-        "models": {n: _MODEL_HINTS.get(n, "") for n in MODEL_NAMES},
-        "losses": list(LOSS_NAMES),
-        "transforms": {n: _TRANSFORM_HINTS.get(n, "") for n in TRANSFORM_NAMES},
+        "models": {n: signature(b, skip=("seed",)) for n, b in models._BUILDERS.items()},
+        "losses": {n: signature(b) for n, (b, _) in models._LOSSES.items()},
+        "transforms": {n: signature(b, skip=("model",)) for n, b in tr._BUILDERS.items()},
         "checks": dict(ic.CHECK_ANCHORS),
         "experiments": list(EXPERIMENTS),
     }
@@ -665,29 +645,19 @@ def _print_catalog(as_json: bool, needle: Optional[str]) -> None:
             return False
         return (needle or "") in name
 
+    entries = ("models", "losses", "transforms")
     if as_json:
-        out = {
-            "models": {k: v for k, v in data["models"].items() if keep("models", k)},
-            "losses": [k for k in data["losses"] if keep("losses", k)],
-            "transforms": {k: v for k, v in data["transforms"].items() if keep("transforms", k)},
-            "checks": {k: v for k, v in data["checks"].items() if keep("checks", k)},
-            "experiments": data["experiments"],
-        }
+        out = {section: {k: v for k, v in data[section].items() if keep(section, k)}
+               for section in entries + ("checks",)}
+        out["experiments"] = data["experiments"]
         print(json.dumps(out, indent=2, sort_keys=True))
         return
     lines: List[str] = []
-    rows = [(k, v) for k, v in data["models"].items() if keep("models", k)]
-    if rows:
-        lines.append("models:")
-        lines += [f"  {k:<24} {v}" for k, v in rows]
-    rows = [k for k in data["losses"] if keep("losses", k)]
-    if rows:
-        lines.append("losses:")
-        lines += [f"  {k}" for k in rows]
-    rows = [(k, v) for k, v in data["transforms"].items() if keep("transforms", k)]
-    if rows:
-        lines.append("transforms:")
-        lines += [f"  {k:<24} {v}" for k, v in rows]
+    for section in entries:
+        rows = [(k, v) for k, v in data[section].items() if keep(section, k)]
+        if rows:
+            lines.append(f"{section}:")
+            lines += [f"  {k:<24} {v}" for k, v in rows]
     plan_rows = {row.function: row for row in ic.CHECK_REGISTRY.values()}
     rows = [(k, v, plan_rows.get(k)) for k, v in data["checks"].items()
             if keep("checks", k) or (k in plan_rows and keep("checks", plan_rows[k].name))]

@@ -33,8 +33,8 @@ computes only the value and ``d1`` and skips the second-order product terms.
 The arithmetic is three rules, each written once: the product rule
 ``_bilinear`` (hyper-dual ``*``, ``matvec``, ``dot``), the slot map ``_each``
 (a structural op applied to the value and each present slot: ``take_last``,
-``reshape_tail``, ``sum_last``, ``expand_last``, indexing, negation, and the
-parameter unpacking of :mod:`equichk.models`), and the univariate lift
+``sum_last``, ``expand_last``, indexing, negation, and the parameter
+unpacking of :mod:`equichk.models`), and the univariate lift
 ``_unary`` (``exp``, ``log``, ``log1p``, ``tanh``).  Maps must be written against these generic helpers
 and ``+``, ``-``, ``*`` and ``relu``, which accept both plain arrays and
 hyper-duals -- the same model code is then exercised by the exact engine and
@@ -79,7 +79,7 @@ __all__ = [
     "hessians_at_points",
     # generic numeric helpers for model code
     "exp", "log", "log1p", "tanh", "relu",
-    "matvec", "dot", "sum_last", "expand_last", "take_last", "reshape_tail",
+    "matvec", "dot", "sum_last", "expand_last", "take_last",
 ]
 
 _MODES = ("exact", "finite_difference")
@@ -278,17 +278,6 @@ def expand_last(x):
 def take_last(x, sl: slice):
     """Slice the last axis (parameter unpacking)."""
     return _each(x, lambda c: np.asarray(c)[..., sl])
-
-
-def reshape_tail(x, n_tail: int, new_tail: Tuple[int, ...]):
-    """Reshape the trailing ``n_tail`` axes to ``new_tail``, keeping any
-    leading (direction-batch) axes untouched."""
-
-    def rs(c):
-        c = np.asarray(c)
-        return c.reshape(c.shape[: c.ndim - n_tail] + tuple(new_tail))
-
-    return _each(x, rs)
 
 
 # --- derivative sweeps ---------------------------------------------------------

@@ -7,15 +7,16 @@ passes are written against the generic helpers in :mod:`equichk.diff_engine`
 so that a single code path serves plain evaluation, hyper-dual sweeps, and
 the finite-difference oracle, including batched leading axes.
 
-Catalog:
+Catalog (``equichk catalog`` prints each entry's parameters, read from its
+builder's keyword signature):
 
-``homogeneous_relu_mlp(depth, widths)``
+``homogeneous_relu_mlp``
     Bias-free ReLU network, positively homogeneous of degree m = depth.
-``deep_linear(widths)``
+``deep_linear``
     Bias-free linear chain f(x) = W_m ... W_1 x (degree m = depth).
-``factored_last_layer(c, s, hidden)``
+``factored_last_layer``
     f(W, theta') = W h(theta') with a tanh feature extractor h.
-``linear_probe(x)``
+``linear_probe``
     f(theta) = <theta, x>, the degree-1 workhorse for hand-checked fixtures.
 
 Parameters are initialized uniform in [-1, 1] scaled by 1/sqrt(fan_in),
@@ -31,9 +32,12 @@ takes a class index.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import inspect
+import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,15 +66,9 @@ __all__ = [
     "expected_loss",
     "MODEL_NAMES",
     "LOSS_NAMES",
+    "call_builder",
+    "signature",
 ]
-
-MODEL_NAMES = (
-    "homogeneous_relu_mlp",
-    "deep_linear",
-    "factored_last_layer",
-    "linear_probe",
-)
-LOSS_NAMES = ("square", "exponential", "logistic", "softmax_xent")
 
 
 @dataclass(frozen=True)
@@ -120,9 +118,6 @@ class Model:
             if b.name == name:
                 return b
         raise UnknownSpec(f"model {self.name!r} has no block {name!r}")
-
-    def block_slice(self, name: str) -> slice:
-        return self.block(name).sl
 
     def with_input(self, x: Sequence[float]) -> "Model":
         """Same architecture and weights layout, rebound to a new input."""
@@ -178,6 +173,44 @@ def _unpack(theta, block: Block):
 
 
 # --- catalog builders ------------------------------------------------------------
+#
+# A catalog entry's parameters are its builder's keyword parameters, declared
+# nowhere else; the leading positional ones (a model's seed, a transform's
+# model) come from the caller, never from a config's ``params`` object.
+
+#: ``inspect.signature`` once per builder: uncached, it was ~40 of the ~50 µs
+#: that binding a config's params took
+_signature = functools.lru_cache(maxsize=None)(inspect.signature)
+
+
+def signature(builder: Callable, skip: Sequence[str] = ()) -> str:
+    """The parameters ``builder`` takes, less those named in ``skip``: each
+    as ``key`` (required) or ``key=default`` (default written as JSON)."""
+    parts = [
+        p.name if p.default is p.empty else f"{p.name}={json.dumps(p.default)}"
+        for p in _signature(builder).parameters.values() if p.name not in skip
+    ]
+    return ", ".join(parts) or "no parameters"
+
+
+def _bind(kind: str, name: str, builder: Callable, params: Mapping, args: tuple):
+    """``params`` and ``args`` bound to ``builder``'s parameters; an unknown or
+    missing key raises InvalidParams naming the parameters that the ``kind``
+    entry ``name`` takes."""
+    sig = _signature(builder)
+    try:
+        return sig.bind(*args, **params)
+    except TypeError as exc:
+        taken = signature(builder, skip=list(sig.parameters)[:len(args)])
+        raise InvalidParams(f"{kind} {name!r} takes {taken}: {exc}") from None
+
+
+def call_builder(kind: str, name: str, builder: Callable, params: Mapping, *args):
+    """``builder(*args, **params)``, once the keys of ``params`` are known to
+    be the builder's (see :func:`_bind`)."""
+    _bind(kind, name, builder, params, args)
+    return builder(*args, **params)
+
 
 def _input_vector(x, what: str) -> np.ndarray:
     """A model's input parameter ``what`` as a float array; it must be finite."""
@@ -187,13 +220,15 @@ def _input_vector(x, what: str) -> np.ndarray:
     return arr
 
 
-def _mlp_like(name, widths, x, seed, use_relu, depth=None):
+def _mlp_like(name, seed, widths, x, use_relu, depth=None):
     widths = [int(w) for w in widths]
     if len(widths) < 2 or any(w < 1 for w in widths):
         raise InvalidParams(f"widths must be >= 2 entries of positive ints, got {widths}")
     n_layers = len(widths) - 1
     if depth is not None and depth != n_layers:
         raise InvalidParams(f"depth {depth} inconsistent with widths {widths}")
+    if x is None:
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=widths[0])
     x = _input_vector(x, "input")
     if x.shape != (widths[0],):
         raise SizeMismatch(f"input length {x.shape} != width {widths[0]}")
@@ -222,10 +257,7 @@ def _mlp_like(name, widths, x, seed, use_relu, depth=None):
             return worst
 
     def rebind(new_x):
-        params = {"widths": widths, "input": new_x}
-        if name == "homogeneous_relu_mlp":
-            params["depth"] = n_layers
-        return build_model(ModelSpec(name, params, seed))
+        return build_model(ModelSpec(name, {"widths": widths, "input": new_x}, seed))
 
     return Model(
         name=name, d=d, c=c, blocks=blocks, func=func,
@@ -234,34 +266,25 @@ def _mlp_like(name, widths, x, seed, use_relu, depth=None):
     )
 
 
-def _build_relu_mlp(params: dict, seed: int) -> Model:
-    widths = params["widths"]
-    depth = params.get("depth", len(widths) - 1)
-    x = params.get("input")
-    if x is None:
-        x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=int(widths[0]))
-    return _mlp_like("homogeneous_relu_mlp", widths, x, seed, use_relu=True, depth=depth)
+def _build_relu_mlp(seed, widths, depth=None, input=None) -> Model:
+    return _mlp_like("homogeneous_relu_mlp", seed, widths, input, use_relu=True, depth=depth)
 
 
-def _build_deep_linear(params: dict, seed: int) -> Model:
-    widths = params["widths"]
-    x = params.get("input")
-    if x is None:
-        x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=int(widths[0]))
-    return _mlp_like("deep_linear", widths, x, seed, use_relu=False)
+def _build_deep_linear(seed, widths, input=None) -> Model:
+    return _mlp_like("deep_linear", seed, widths, input, use_relu=False)
 
 
-def _build_factored(params: dict, seed: int) -> Model:
-    c = int(params["c"])
-    s = int(params["s"])
-    hidden = [int(h) for h in params.get("hidden", [])]
+def _build_factored(seed, c, s, hidden=(), input=None, n=None) -> Model:
+    c, s = int(c), int(s)
+    hidden = [int(h) for h in hidden]
     if c < 1 or s < 1 or any(h < 1 for h in hidden):
         raise InvalidParams(f"factored_last_layer sizes must be positive, got c={c} s={s} hidden={hidden}")
-    x = params.get("input")
-    if x is None:
-        n = int(params.get("n", max(2, s)))
-        x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=n)
-    x = _input_vector(x, "input")
+    if input is None:
+        size = max(2, s) if n is None else int(n)
+        input = np.random.default_rng(seed).uniform(-1.0, 1.0, size=size)
+    elif n is not None:
+        raise InvalidParams("factored_last_layer takes input or n (the width of a random input), not both")
+    x = _input_vector(input, "input")
     feat_widths = [x.size] + hidden + [s]
     shapes = [("W", (c, s))] + [
         (f"V{i + 1}", (feat_widths[i + 1], feat_widths[i]))
@@ -293,8 +316,8 @@ def _build_factored(params: dict, seed: int) -> Model:
     )
 
 
-def _build_linear_probe(params: dict, seed: int) -> Model:
-    x = _input_vector(params["x"], "x")
+def _build_linear_probe(seed, x) -> Model:
+    x = _input_vector(x, "x")
     if x.ndim != 1 or x.size < 1:
         raise InvalidParams("linear_probe needs a 1-d input vector x")
     blocks = _layout([("theta", (x.size,))])
@@ -318,6 +341,7 @@ _BUILDERS = {
     "factored_last_layer": _build_factored,
     "linear_probe": _build_linear_probe,
 }
+MODEL_NAMES = tuple(_BUILDERS)
 
 
 def build_model(spec: ModelSpec) -> Model:
@@ -326,10 +350,7 @@ def build_model(spec: ModelSpec) -> Model:
         builder = _BUILDERS[spec.name]
     except KeyError:
         raise UnknownSpec(f"unknown model {spec.name!r}; catalog: {sorted(_BUILDERS)}")
-    try:
-        return builder(dict(spec.params), int(spec.seed))
-    except KeyError as missing:
-        raise InvalidParams(f"model {spec.name!r} missing parameter {missing}")
+    return call_builder("model", spec.name, builder, spec.params, int(spec.seed))
 
 
 def forward(model: Model, theta) -> np.ndarray:
@@ -482,20 +503,26 @@ def _make_softmax_xent(n_classes, label) -> Loss:
     )
 
 
+#: loss name -> (builder, the parameter a sample's target binds)
+_LOSSES = {
+    "square": (_make_square, "target"),
+    "exponential": (_make_exponential, "label"),
+    "logistic": (_make_logistic, "label"),
+    "softmax_xent": (_make_softmax_xent, "label"),
+}
+LOSS_NAMES = tuple(_LOSSES)
+
+
+def _loss_entry(name: str):
+    try:
+        return _LOSSES[name]
+    except KeyError:
+        raise UnknownSpec(f"unknown loss {name!r}; catalog: {sorted(LOSS_NAMES)}") from None
+
+
 def make_loss(name: str, **params) -> Loss:
     """Build a catalog loss; see ``LOSS_NAMES``."""
-    try:
-        if name == "square":
-            return _make_square(params["target"])
-        if name == "exponential":
-            return _make_exponential(params["label"])
-        if name == "logistic":
-            return _make_logistic(params["label"])
-        if name == "softmax_xent":
-            return _make_softmax_xent(params["n_classes"], params["label"])
-    except KeyError as missing:
-        raise InvalidParams(f"loss {name!r} missing parameter {missing}")
-    raise UnknownSpec(f"unknown loss {name!r}; catalog: {sorted(LOSS_NAMES)}")
+    return call_builder("loss", name, _loss_entry(name)[0], params)
 
 
 @dataclass(frozen=True)
@@ -506,20 +533,16 @@ class LossFamily:
     fixed: dict = field(default_factory=dict)
 
     def bind(self, target) -> Loss:
-        if self.name == "square":
-            return make_loss("square", target=target)
-        if self.name == "exponential":
-            return make_loss("exponential", label=target)
-        if self.name == "logistic":
-            return make_loss("logistic", label=target)
-        if self.name == "softmax_xent":
-            return make_loss("softmax_xent", label=target, **self.fixed)
-        raise UnknownSpec(f"unknown loss family {self.name!r}")
+        return make_loss(self.name, **self.fixed, **{_loss_entry(self.name)[1]: target})
 
 
 def loss_family(name: str, **fixed) -> LossFamily:
-    if name not in LOSS_NAMES:
-        raise UnknownSpec(f"unknown loss family {name!r}; catalog: {sorted(LOSS_NAMES)}")
+    """The loss ``name`` with ``fixed`` parameters and the per-sample one
+    (``target`` or ``label``) left open; ``fixed`` may not set that one."""
+    builder, key = _loss_entry(name)
+    if key in fixed:
+        raise InvalidParams(f"loss {name!r} takes {key} from each sample, not from its params")
+    _bind("loss", name, builder, {**fixed, key: None}, ())
     return LossFamily(name, fixed)
 
 

@@ -153,9 +153,6 @@ class SpectralSummary:
     def null_count(self, tol: float) -> int:
         return int(np.sum(np.abs(self.eigenvalues) <= tol))
 
-    def top_pair(self):
-        return float(self.eigenvalues[0]), self.eigenvectors[:, 0].copy()
-
 
 def spectral_summary(a) -> SpectralSummary:
     """Jacobi spectrum of ``a`` with its self-diagnostics.  The power

@@ -56,7 +56,7 @@ from .errors import (
     SizeMismatch,
     UnknownSpec,
 )
-from .models import Model, forward
+from .models import Model, call_builder, forward
 from .tensor_core import RCOND_THRESHOLD, _finite, _inverse_rcond, compose, invert_square
 
 __all__ = [
@@ -81,16 +81,6 @@ __all__ = [
     "MUTABLE_CALLBACKS",
     "mutate",
 ]
-
-TRANSFORM_NAMES = (
-    "homogeneity_scaling",
-    "layer_rescaling",
-    "linear_reparam",
-    "last_layer_left_action",
-    "mirror",
-    "sign_flip",
-    "permutation",
-)
 
 _INVOLUTION_TOL = 1e-12
 _ORTHONORMAL_TOL = 1e-10
@@ -540,29 +530,27 @@ def permutation(model: Model, perm) -> Transformation:
 
 # --- factory dispatch ------------------------------------------------------------
 
+# name -> builder whose parameters after ``model`` are the config keys; the
+# adapters split a ``blocks`` pair into the constructor's two block names
+_BUILDERS = {
+    "homogeneity_scaling": homogeneity_scaling,
+    "layer_rescaling": lambda model, blocks: layer_rescaling(model, *blocks),
+    "linear_reparam": lambda model, A, blocks: linear_reparam(model, A, *blocks),
+    "last_layer_left_action": last_layer_left_action,
+    "mirror": mirror,
+    "sign_flip": sign_flip,
+    "permutation": permutation,
+}
+TRANSFORM_NAMES = tuple(_BUILDERS)
+
+
 def build_transform(name: str, params: dict, model: Model) -> Transformation:
     """Instantiate a catalog transformation against a concrete model."""
-    params = dict(params or {})
     try:
-        if name == "homogeneity_scaling":
-            return homogeneity_scaling(model, params.get("degree"))
-        if name == "layer_rescaling":
-            up, down = params["blocks"]
-            return layer_rescaling(model, up, down)
-        if name == "linear_reparam":
-            up, down = params["blocks"]
-            return linear_reparam(model, params["A"], up, down)
-        if name == "last_layer_left_action":
-            return last_layer_left_action(model)
-        if name == "mirror":
-            return mirror(model, params["columns"])
-        if name == "sign_flip":
-            return sign_flip(model, params["indices"])
-        if name == "permutation":
-            return permutation(model, params["perm"])
-    except KeyError as missing:
-        raise InvalidParams(f"transform {name!r} missing parameter {missing}")
-    raise UnknownSpec(f"unknown transform {name!r}; catalog: {sorted(TRANSFORM_NAMES)}")
+        builder = _BUILDERS[name]
+    except KeyError:
+        raise UnknownSpec(f"unknown transform {name!r}; catalog: {sorted(TRANSFORM_NAMES)}") from None
+    return call_builder("transform", name, builder, params or {}, model)
 
 
 # --- characteristic data ---------------------------------------------------------

@@ -1,19 +1,25 @@
-"""The benchmark tracer's contract with ``src/``.
+"""The benchmark's contract with ``src/``.
 
 ``perfbench/tracer.py`` wraps equichk functions by module and name.  A
 rename or deletion of one of them breaks every traced benchmark run, so each
 name its ``LAYERS`` table lists must resolve to a callable.  The table is
-read from the tracer's source; nothing under ``perfbench/`` is imported or
-written.
+read from the tracer's source.  ``perfbench/workloads.py`` writes the suite
+plans as JSON configs; each of their entries must still validate, so that a
+stricter builder fails here and not in the benchmark.  Nothing under
+``perfbench/`` is written.
 """
 
 import ast
 import importlib
+import json
 from pathlib import Path
 
 import pytest
 
-_TRACER = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+from equichk import cli
+
+_ROOT = Path(__file__).parents[1]
+_TRACER = _ROOT / "perfbench" / "tracer.py"
 
 
 def _traced_functions():
@@ -42,3 +48,23 @@ def test_traced_function_resolves(layer, module, func):
 def test_traced_charge_factory_resolves():
     # the tracer also wraps the Charge objects handed out by noether_charge
     assert callable(importlib.import_module("equichk.transforms").noether_charge)
+
+
+def _make_configs():
+    """``perfbench/workloads.py``'s ``make_configs``, run from its source so
+    that no bytecode cache is written beside it."""
+    path = _ROOT / "perfbench" / "workloads.py"
+    namespace = {"__name__": "perfbench_workloads"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), namespace)
+    return namespace["make_configs"]
+
+
+@pytest.mark.parametrize("workload", ["suite_exact", "suite_fd"])
+def test_suite_workload_entries_validate(workload):
+    (cfg,) = _make_configs()(workload, seed=0, root=str(_ROOT))
+    plan = json.loads(json.dumps(cfg))["plan"]  # the form cli.run reads
+    assert plan
+    v = cli._V()
+    for i, entry in enumerate(plan):
+        assert cli._validate_entry(v, entry, f"config.plan[{i}]") is not None
+    assert v.errors == []

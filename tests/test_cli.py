@@ -62,6 +62,11 @@ def test_catalog_json_parses(capsys):
     assert set(data) == {"models", "losses", "transforms", "checks", "experiments"}
     assert data["checks"]["check_mirror"] == "Cor. 4"
     assert "sgf_drift" in data["experiments"]
+    # parameters are read from the builders: n is listed, no "kink scale" is
+    assert "n=null" in data["models"]["factored_last_layer"].split(", ")
+    assert not any("kink" in sig for sig in data["models"].values())
+    assert data["losses"] == {"square": "target", "exponential": "label",
+                              "logistic": "label", "softmax_xent": "n_classes, label"}
 
 
 def test_catalog_filter_plain_and_sectioned(capsys):
@@ -162,6 +167,21 @@ _SQUARE = {"name": "square", "params": {"target": 0.3}}
     (_misfit({"name": "factored_last_layer",
               "params": {"c": 2, "s": 2, "input": [float("-inf"), 1.0]}, "seed": 5},
              _PROBE_LOSS, _SCALING, ["first_order"]), "model.params"),
+    # an unknown parameter key fails with the keys the entry takes
+    (_misfit({"name": "deep_linear", "params": {"widths": [1, 2, 1], "widht": [1, 2, 1]},
+              "seed": 22}, _SQUARE, _SCALING, ["first_order"]),
+     "model.params: model 'deep_linear' takes widths, input=null"),
+    (_misfit(_DL121, {"name": "square", "params": {"target": 0.3, "tagret": 0.5}}, _SCALING,
+             ["first_order"]), "loss.params: loss 'square' takes target"),
+    (_misfit(_DL121, _SQUARE, {"name": "homogeneity_scaling", "params": {"lam": "x"}},
+             ["first_order"]), "transform.params: transform 'homogeneity_scaling' takes degree=null"),
+    # no width to draw a random input from
+    (_misfit({"name": "deep_linear", "params": {"widths": []}, "seed": 22}, _SQUARE, _SCALING,
+             ["first_order"]), "model.params"),
+    # input and n both size a factored model's input
+    (_misfit({"name": "factored_last_layer",
+              "params": {"c": 2, "s": 2, "input": [0.1, 0.2, 0.3], "n": 7}, "seed": 5},
+             _SQUARE, _SCALING, ["first_order"]), "model.params"),
     # a transform parameter of the wrong type fails at build
     (_misfit(_DL121, _SQUARE, {"name": "layer_rescaling", "params": {"blocks": 5}},
              ["first_order"]), "transform.params"),
@@ -172,7 +192,9 @@ _SQUARE = {"name": "square", "params": {"target": 0.3}}
         "tolerance_key_typo", "mutation_callback_typo", "mutation_scale_not_number",
         "lam_scale_infinite", "square_target_nan", "square_target_not_number",
         "exponential_label_3", "probe_x_nan", "relu_mlp_input_inf", "deep_linear_input_nan",
-        "factored_input_inf", "rescaling_blocks_not_list", "perm_not_numbers"])
+        "factored_input_inf", "model_key_typo", "loss_key_typo", "transform_key_typo",
+        "widths_empty", "factored_input_and_n", "rescaling_blocks_not_list",
+        "perm_not_numbers"])
 def test_run_misfit_entry_exit_2_before_sampling(tmp_path, capsys, entry, where):
     cfg = {"experiment": "check_suite", "output_dir": str(tmp_path / "out"), "plan": [entry]}
     assert cli.main(["run", str(_write(tmp_path, "misfit.json", cfg))]) == 2
@@ -221,12 +243,23 @@ def _bundled(name, **edits):
     (_bundled("flow_conservation", loss={"name": "exponential", "params": {"label": 3}}),
      "config.loss.params"),
     (_bundled("flow_conservation", dynamics={"T": 0.001, "dt": 0.01}), "config.dynamics.dt"),
+    # blocks that are not objects
+    (_bundled("sgf_drift", noise=[]), "config.noise"),
+    (_bundled("sgf_drift", noise="sigma"), "config.noise"),
+    (_bundled("sgf_drift", dynamics="T"), "config.dynamics"),
+    (_bundled("flow_conservation", dynamics="T"), "config.dynamics"),
+    # a loss family binds its target per sample and takes no unknown key
+    (_bundled("sgf_drift", loss={"name": "square", "params": {"target": [9.0]}}),
+     "config.loss.params"),
+    (_bundled("sgf_drift", loss={"name": "square", "params": {"zz": 1}}), "config.loss.params"),
 ], ids=["flow_tolerance_key_typo", "flow_tolerance_not_number", "flow_tolerance_negative",
         "stationary_tolerance_key_typo", "weights_not_numbers", "weights_not_list",
         "x_not_numbers", "flow_theta0_length", "stationary_theta0_length", "sgf_theta0_length",
         "target_not_number", "x_wrong_width", "ensemble_over_memory_limit",
         "weights_nan", "sigma_nan", "T_infinite", "x_nan", "flow_dt_infinite",
-        "flow_loss_label_3", "flow_T_shorter_than_dt"])
+        "flow_loss_label_3", "flow_T_shorter_than_dt", "noise_list", "noise_string",
+        "sgf_dynamics_string", "flow_dynamics_string", "family_fixes_target",
+        "family_unknown_key"])
 def test_run_dynamics_config_errors_exit_2(tmp_path, capsys, cfg, where):
     cfg = dict(cfg, output_dir=str(tmp_path / "out"))
     assert cli.main(["run", str(_write(tmp_path, "bad.json", cfg))]) == 2

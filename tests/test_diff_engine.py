@@ -138,6 +138,12 @@ def _linear(v, u, w):
     return 0.0
 
 
+def _reshape_tail(x):
+    """The last axis of ``x`` as (2, 2), mapped over the value and every slot
+    (the way ``models._unpack`` shapes a matrix block)."""
+    return de._each(x, lambda c: np.asarray(c).reshape(np.shape(c)[:-1] + (2, 2)))
+
+
 # name: (map, its numpy expression, Df(v)[u], D^2 f(v)[u, w])
 HELPERS = {
     "exp": (de.exp, np.exp, lambda v, u: np.exp(v) * u, lambda v, u, w: np.exp(v) * u * w),
@@ -155,7 +161,7 @@ HELPERS = {
     "expand_last": (de.expand_last, lambda v: v[:, None], lambda v, u: u[:, None], _linear),
     "take_last": (lambda x: de.take_last(x, slice(1, 3)), lambda v: v[1:3],
                   lambda v, u: u[1:3], _linear),
-    "reshape_tail": (lambda x: de.reshape_tail(x, 1, (2, 2)), lambda v: v.reshape(2, 2),
+    "reshape_tail": (_reshape_tail, lambda v: v.reshape(2, 2),
                      lambda v, u: u.reshape(2, 2), _linear),
     "add": (lambda x: x + x + 0.5, lambda v: v + v + 0.5, lambda v, u: 2.0 * u, _linear),
     "sub": (lambda x: x - x * x - 0.5, lambda v: v - v * v - 0.5,
@@ -164,7 +170,7 @@ HELPERS = {
     "mul": (lambda x: 3.0 * x * x, lambda v: 3.0 * v * v, lambda v, u: 6.0 * v * u,
             lambda v, u, w: 6.0 * u * w),
     "mul_plain_array": (lambda x: x * _W, lambda v: v * _W, lambda v, u: u * _W, _linear),
-    "matvec_weights": (lambda x: de.matvec(de.reshape_tail(x, 1, (2, 2)), _W[:2]),
+    "matvec_weights": (lambda x: de.matvec(_reshape_tail(x), _W[:2]),
                        lambda v: v.reshape(2, 2) @ _W[:2], lambda v, u: u.reshape(2, 2) @ _W[:2],
                        _linear),
     "getitem": (lambda x: x[1:3], lambda v: v[1:3], lambda v, u: u[1:3], _linear),

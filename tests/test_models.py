@@ -97,7 +97,7 @@ def test_factored_model_structure():
     assert model.last_layer_block == "W"
     assert model.block("W").shape == (3, 2)
     theta = model.init_params
-    W = theta[model.block_slice("W")].reshape(3, 2)
+    W = theta[model.block("W").sl].reshape(3, 2)
     h = model.feature_fn(theta)
     np.testing.assert_allclose(forward(model, theta), W @ h, atol=1e-14)
 

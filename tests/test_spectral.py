@@ -78,7 +78,7 @@ def test_spectral_summary_diagnostics():
     assert s.orthon_error < 1e-12
     assert s.power_gap < 1e-8
     assert s.lambda_max == s.eigenvalues[0]
-    lam, v = s.top_pair()
+    lam, v = s.eigenvalues[0], s.eigenvectors[:, 0]
     np.testing.assert_allclose(A @ v, lam * v, atol=1e-10)
 
 

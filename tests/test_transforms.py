@@ -216,8 +216,8 @@ def test_charge_value_is_half_norm_gap(deep_linear_121):
     t = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, deep_linear_121)
     charge = noether_charge(t)
     theta = np.array([1.0, 2.0, 3.0, 4.0])
-    up = theta[deep_linear_121.block_slice("W1")]
-    down = theta[deep_linear_121.block_slice("W2")]
+    up = theta[deep_linear_121.block("W1").sl]
+    down = theta[deep_linear_121.block("W2").sl]
     assert charge.c_eval(theta) == pytest.approx(0.5 * (up @ up - down @ down), abs=1e-15)
 
 
