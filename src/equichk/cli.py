@@ -39,7 +39,7 @@ import os
 import platform
 import sys
 import time
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -53,13 +53,16 @@ from .models import (
     LOSS_NAMES,
     MODEL_NAMES,
     Dataset,
+    Loss,
+    LossFamily,
+    Model,
     ModelSpec,
     build_model,
     loss_family,
     make_loss,
     signature,
 )
-from .transforms import MUTABLE_CALLBACKS, TRANSFORM_NAMES, build_transform
+from .transforms import MUTABLE_CALLBACKS, TRANSFORM_NAMES, Transformation, build_transform
 
 EXPERIMENTS = ("check_suite", "flow", "sgf_drift", "stationary_spectrum")
 
@@ -124,7 +127,8 @@ class _V:
 _BUILD_ERRORS = (EquichkError, TypeError, ValueError, OverflowError)
 
 
-def _validate_model(v: _V, obj, path: str) -> Optional[ModelSpec]:
+def _validate_model(v: _V, obj, path: str) -> Optional[Model]:
+    """The model ``obj`` asks for, built once its seed has passed."""
     if not v.keys(obj, path, ("name", "params", "seed"), ("name", "params")):
         return None
     name = obj.get("name")
@@ -134,20 +138,22 @@ def _validate_model(v: _V, obj, path: str) -> Optional[ModelSpec]:
     if not isinstance(obj["params"], dict):
         v.fail(f"{path}.params", "expected an object")
         return None
+    start = len(v.errors)
     seed = v.number(obj, path, "seed", integer=True, nonneg=True, default=0)
-    spec = ModelSpec(name, obj["params"], int(seed or 0))
+    if len(v.errors) > start:
+        return None
     try:
-        build_model(spec)
+        return build_model(ModelSpec(name, obj["params"], seed))
     except _BUILD_ERRORS as exc:
         v.fail(f"{path}.params", str(exc))
         return None
-    return spec
 
 
-def _validate_loss(v: _V, obj, path: str, build: Callable = make_loss) -> Optional[Tuple[str, dict]]:
-    """A loss's name and parameter object, checked by building it with
-    ``build`` (``loss_family`` when a dataset binds the target per sample),
-    so a bad parameter fails here with its path."""
+def _validate_loss(v: _V, obj, path: str,
+                   build: Callable = make_loss) -> Optional[Union[Loss, LossFamily]]:
+    """The loss ``obj`` asks for, built with ``build`` (``loss_family`` when
+    a dataset binds the target per sample, giving a LossFamily), so a bad
+    parameter fails here with its path."""
     if not v.keys(obj, path, ("name", "params"), ("name",)):
         return None
     name = obj.get("name")
@@ -159,14 +165,15 @@ def _validate_loss(v: _V, obj, path: str, build: Callable = make_loss) -> Option
         v.fail(f"{path}.params", "expected an object")
         return None
     try:
-        build(name, **params)
+        return build(name, **params)
     except _BUILD_ERRORS as exc:
         v.fail(f"{path}.params", str(exc))
         return None
-    return name, params
 
 
-def _validate_transform(v: _V, obj, path: str, model_spec: Optional[ModelSpec]):
+def _validate_transform(v: _V, obj, path: str, model: Optional[Model]) -> Optional[Transformation]:
+    """The transform ``obj`` asks for, built against ``model`` (None when the
+    model failed, and then nothing is built)."""
     if not v.keys(obj, path, ("name", "params"), ("name",)):
         return None
     name = obj.get("name")
@@ -177,13 +184,13 @@ def _validate_transform(v: _V, obj, path: str, model_spec: Optional[ModelSpec]):
     if not isinstance(params, dict):
         v.fail(f"{path}.params", "expected an object")
         return None
-    if model_spec is not None:
-        try:
-            build_transform(name, params, build_model(model_spec))
-        except _BUILD_ERRORS as exc:
-            v.fail(f"{path}.params", str(exc))
-            return None
-    return name, params
+    if model is None:
+        return None
+    try:
+        return build_transform(name, params, model)
+    except _BUILD_ERRORS as exc:
+        v.fail(f"{path}.params", str(exc))
+        return None
 
 
 def _is_number(x) -> bool:
@@ -197,14 +204,14 @@ def _is_number_list(val) -> bool:
     return isinstance(val, list) and all(_is_number(x) for x in val)
 
 
-def _validate_theta0(v: _V, obj, path: str, spec: Optional[ModelSpec]):
+def _validate_theta0(v: _V, obj, path: str, model: Optional[Model]):
     val = obj.get("theta0", "init")
     if val == "init":
         return "init"
     if not _is_number_list(val):
         v.fail(f"{path}.theta0", 'expected "init" or a list of finite numbers')
         return "init"
-    d = build_model(spec).d if spec is not None else len(val)
+    d = model.d if model is not None else len(val)
     if len(val) != d:
         v.fail(f"{path}.theta0", f"expected {d} numbers (the model's d), got {len(val)}")
     return [float(x) for x in val]
@@ -231,15 +238,16 @@ _ENTRY_KEYS = (
 )
 
 
-def _validate_entry(v: _V, obj, path: str) -> Optional[ic.PlanEntry]:
+def _validate_entry(v: _V, obj, path: str) -> Optional[ic.BuiltEntry]:
+    """One plan entry with its model, loss and transform built, or None."""
     start = len(v.errors)
     if not v.keys(obj, path, _ENTRY_KEYS, ("model", "loss", "checks")):
         return None
-    spec = _validate_model(v, obj["model"], f"{path}.model")
+    model = _validate_model(v, obj["model"], f"{path}.model")
     loss = _validate_loss(v, obj["loss"], f"{path}.loss")
     transform = None
     if "transform" in obj:
-        transform = _validate_transform(v, obj["transform"], f"{path}.transform", spec)
+        transform = _validate_transform(v, obj["transform"], f"{path}.transform", model)
     checks = obj.get("checks")
     if not (isinstance(checks, list) and checks and all(isinstance(c, str) for c in checks)):
         v.fail(f"{path}.checks", "expected a non-empty list of check names")
@@ -264,19 +272,23 @@ def _validate_entry(v: _V, obj, path: str) -> Optional[ic.PlanEntry]:
     lam_scale = v.number(obj, path, "lam_scale", positive=True, default=0.3)
     margin = v.number(obj, path, "margin", positive=True, default=1e-6)
     trials = v.number(obj, path, "trials", integer=True, positive=True, default=12)
-    if len(v.errors) > start or spec is None or loss is None:
+    if len(v.errors) > start:
         return None
+    # the catalog requests these objects were built from, as the entry records them
+    m, t = obj["model"], obj.get("transform")
     entry = ic.PlanEntry(
-        model=spec, loss=loss[0], loss_params=loss[1],
-        transform=transform[0] if transform else None,
-        transform_params=transform[1] if transform else {},
+        model=ModelSpec(m["name"], m["params"], m.get("seed", 0)),
+        loss=obj["loss"]["name"], loss_params=obj["loss"].get("params", {}),
+        transform=t["name"] if t is not None else None,
+        transform_params=t.get("params", {}) if t is not None else {},
         checks=tuple(checks), positions=int(positions), seed=int(seed),
         mode=mode, lam_scale=float(lam_scale), margin=float(margin),
         tolerances=tolerances, trials=int(trials), mutation=mutation,
     )
-    for where, why in ic.entry_misfits(entry):
+    built = ic.BuiltEntry(entry, model, loss, transform)
+    for where, why in ic.entry_misfits(built):
         v.fail(f"{path}.{where}", why)
-    return entry
+    return built
 
 
 def _validate_sample(v: _V, s, path: str, model, family) -> bool:
@@ -309,16 +321,14 @@ def _validate_sample(v: _V, s, path: str, model, family) -> bool:
     return True
 
 
-def _validate_dataset(v: _V, obj, path: str, spec: Optional[ModelSpec],
-                      loss_nv: Optional[Tuple[str, dict]]) -> Optional[Dataset]:
+def _validate_dataset(v: _V, obj, path: str, model: Optional[Model],
+                      family: Optional[LossFamily]) -> Optional[Dataset]:
     if not v.keys(obj, path, ("samples", "weights"), ("samples",)):
         return None
     raw = obj["samples"]
     if not isinstance(raw, list) or not raw:
         v.fail(f"{path}.samples", "expected a non-empty list")
         return None
-    model = build_model(spec) if spec is not None else None
-    family = loss_family(loss_nv[0], **loss_nv[1]) if loss_nv is not None else None
     samples = []
     for i, s in enumerate(raw):
         if not _validate_sample(v, s, f"{path}.samples[{i}]", model, family):
@@ -355,7 +365,7 @@ def _run_check_suite(cfg: dict, out_dir: str) -> _RunResult:
     v.keys(cfg, "config", ("experiment", "output_dir", "plan", "master_seed"), ("plan",))
     master_seed = v.number(cfg, "config", "master_seed", integer=True, nonneg=True, default=0)
     plan_obj = cfg.get("plan")
-    entries: List[ic.PlanEntry] = []
+    entries: List[ic.BuiltEntry] = []
     if not isinstance(plan_obj, list) or not plan_obj:
         v.fail("config.plan", "expected a non-empty list of entries")
     else:
@@ -364,7 +374,7 @@ def _run_check_suite(cfg: dict, out_dir: str) -> _RunResult:
             if entry is not None:
                 entries.append(entry)
     v.raise_if_failed()
-    reports = ic.run_suite(ic.SuiteSpec(tuple(entries), master_seed=int(master_seed or 0)))
+    reports = ic.run_entries(entries, master_seed=int(master_seed or 0))
     files = _write_report_files(reports, out_dir)
     return reports, files, {}
 
@@ -380,11 +390,22 @@ def _synthetic_report(check_name: str, anchor: str, rel: float, tol: float,
     )
 
 
-def _gradient_flow(cfg: dict, stationary: bool, tolerance_keys: Sequence[str]):
+class _Flow(NamedTuple):
+    """A validated flow config's built objects and values, and its trajectory."""
+
+    model: Model
+    loss: Loss
+    transforms: List[Transformation]
+    T: float
+    dt: float
+    tolerances: dict
+    trajectory: dyn.Trajectory
+
+
+def _gradient_flow(cfg: dict, stationary: bool, tolerance_keys: Sequence[str]) -> _Flow:
     """Validate a flow or (``stationary``) stationary_spectrum config and
     integrate its gradient flow, with fixed-step RK4 or to a stationary point
-    with :func:`dyn.stationary_flow`; returns (model, loss, transforms,
-    trajectory, tolerances).  ``tolerance_keys`` are the keys its
+    with :func:`dyn.stationary_flow`.  ``tolerance_keys`` are the keys its
     ``tolerances`` object may set.  A stationary_spectrum config needs at
     least one transform."""
     v = _V()
@@ -392,8 +413,8 @@ def _gradient_flow(cfg: dict, stationary: bool, tolerance_keys: Sequence[str]):
            ("experiment", "output_dir", "model", "loss", "transforms",
             "dynamics", "theta0", "tolerances"),
            ("model", "loss", "dynamics") + (("transforms",) if stationary else ()))
-    spec = _validate_model(v, cfg.get("model", {}), "config.model")
-    loss_nv = _validate_loss(v, cfg.get("loss", {}), "config.loss")
+    model = _validate_model(v, cfg.get("model", {}), "config.model")
+    loss = _validate_loss(v, cfg.get("loss", {}), "config.loss")
     dyn_obj = cfg.get("dynamics", {})
     start = len(v.errors)
     v.keys(dyn_obj, "config.dynamics", ("T", "dt"), ("T", "dt"))
@@ -402,7 +423,7 @@ def _gradient_flow(cfg: dict, stationary: bool, tolerance_keys: Sequence[str]):
     # the stationary flow clips its first trial step to T; RK4 needs one whole step
     if not stationary and len(v.errors) == start and T < dt:
         v.fail("config.dynamics.dt", f"must not exceed T = {T} (one RK4 step), got {dt}")
-    theta0 = _validate_theta0(v, cfg, "config", spec)
+    theta0 = _validate_theta0(v, cfg, "config", model)
     tolerances = _validate_tolerances(v, cfg, "config", tolerance_keys)
     transforms = []
     raw_transforms = cfg.get("transforms", [])
@@ -411,18 +432,14 @@ def _gradient_flow(cfg: dict, stationary: bool, tolerance_keys: Sequence[str]):
                if stationary else "expected a list of symmetry transforms")
     else:
         for i, t in enumerate(raw_transforms):
-            tv = _validate_transform(v, t, f"config.transforms[{i}]", spec)
-            if tv is not None:
-                transforms.append(tv)
+            transforms.append(_validate_transform(v, t, f"config.transforms[{i}]", model))
     v.raise_if_failed()
 
-    model = build_model(spec)
-    loss = make_loss(loss_nv[0], **loss_nv[1])
-    built = [build_transform(n, p, model) for n, p in transforms]
     th0 = model.init_params if theta0 == "init" else np.asarray(theta0, dtype=float)
     integrate = dyn.stationary_flow if stationary else dyn.gradient_flow
-    trajectory = integrate(model, loss, th0, T=float(T), dt=float(dt), chargelist=built)
-    return model, loss, built, trajectory, tolerances
+    T, dt = float(T), float(dt)
+    trajectory = integrate(model, loss, th0, T=T, dt=dt, chargelist=transforms)
+    return _Flow(model, loss, transforms, T, dt, tolerances, trajectory)
 
 
 def _flow_counts(trajectory: dyn.Trajectory) -> dict:
@@ -432,9 +449,8 @@ def _flow_counts(trajectory: dyn.Trajectory) -> dict:
 
 
 def _run_flow(cfg: dict, out_dir: str) -> _RunResult:
-    model, loss, _, trajectory, tolerances = _gradient_flow(
-        cfg, stationary=False, tolerance_keys=("charge_drift", "euler_relation"))
-    T, dt = float(cfg["dynamics"]["T"]), float(cfg["dynamics"]["dt"])
+    flow = _gradient_flow(cfg, stationary=False, tolerance_keys=("charge_drift", "euler_relation"))
+    model, loss, trajectory, tolerances = flow.model, flow.loss, flow.trajectory, flow.tolerances
     reports: List[ic.IdentityReport] = []
     drift_tol = float(tolerances.get("charge_drift", 1e-8))
     for name, series in trajectory.charges.items():
@@ -442,7 +458,7 @@ def _run_flow(cfg: dict, out_dir: str) -> _RunResult:
         rel = float(np.max(np.abs(series - c0))) / (1.0 + abs(c0))
         reports.append(_synthetic_report(
             "gf_charge_conservation", "Cor. 2", rel, drift_tol,
-            {"charge": name, "C0": c0, "T": T, "dt": dt},
+            {"charge": name, "C0": c0, "T": flow.T, "dt": flow.dt},
         ))
     if (loss.name in ("exponential", "logistic") and model.c == 1
             and model.homogeneity_degree is not None):
@@ -466,10 +482,10 @@ def _run_sgf_drift(cfg: dict, out_dir: str) -> _RunResult:
            ("experiment", "output_dir", "model", "loss", "dataset", "transform",
             "dynamics", "noise", "theta0", "save_trajectories"),
            ("model", "loss", "dataset", "transform", "dynamics", "noise"))
-    spec = _validate_model(v, cfg.get("model", {}), "config.model")
-    loss_nv = _validate_loss(v, cfg.get("loss", {}), "config.loss", build=loss_family)
-    dataset = _validate_dataset(v, cfg.get("dataset", {}), "config.dataset", spec, loss_nv)
-    transform = _validate_transform(v, cfg.get("transform", {}), "config.transform", spec)
+    model = _validate_model(v, cfg.get("model", {}), "config.model")
+    family = _validate_loss(v, cfg.get("loss", {}), "config.loss", build=loss_family)
+    dataset = _validate_dataset(v, cfg.get("dataset", {}), "config.dataset", model, family)
+    transform = _validate_transform(v, cfg.get("transform", {}), "config.transform", model)
     dyn_obj = cfg.get("dynamics", {})
     v.keys(dyn_obj, "config.dynamics", ("T", "dt", "ensemble"), ("T", "dt", "ensemble"))
     T = v.number(dyn_obj, "config.dynamics", "T", positive=True, default=0.5)
@@ -483,25 +499,22 @@ def _run_sgf_drift(cfg: dict, out_dir: str) -> _RunResult:
     mode = noise_obj.get("mode") if isinstance(noise_obj, dict) else None
     if mode not in ("exact_sde", "minibatch"):
         v.fail("config.noise.mode", f'expected "exact_sde" or "minibatch", got {mode!r}')
-    theta0 = _validate_theta0(v, cfg, "config", spec)
+    theta0 = _validate_theta0(v, cfg, "config", model)
     n_save = v.number(cfg, "config", "save_trajectories", integer=True, nonneg=True, default=8)
     v.raise_if_failed()
 
-    model = build_model(spec)
     try:
         dyn._check_sgf_bytes(model.d, len(dataset.samples), float(T), float(dt), int(ensemble),
                              mode, float(sigma), n_charges=1)
     except InvalidParams as exc:
         v.fail("config.dynamics.ensemble", str(exc))
     v.raise_if_failed()
-    family = loss_family(loss_nv[0], **loss_nv[1])
-    t = build_transform(transform[0], transform[1], model)
     noise = dyn.NoiseModel(mode=mode, sigma=float(sigma), seed=int(nseed or 0))
     th0 = model.init_params if theta0 == "init" else np.asarray(theta0, dtype=float)
     ensemble_runs = dyn.sgf(model, family, dataset, th0, noise,
                             T=float(T), dt=float(dt), ensemble=int(ensemble),
-                            chargelist=[t])
-    report = dyn.noether_drift_check(ensemble_runs, t, model, family, dataset, noise)
+                            chargelist=[transform])
+    report = dyn.noether_drift_check(ensemble_runs, transform, model, family, dataset, noise)
     gap = abs(report.empirical - report.theory_trace)
     allowance = 3.0 * report.std_error + report.bias_budget
     rel = gap / max(allowance, 1e-300)
@@ -521,10 +534,10 @@ def _run_sgf_drift(cfg: dict, out_dir: str) -> _RunResult:
 
 
 def _run_stationary(cfg: dict, out_dir: str) -> _RunResult:
-    model, loss, built, trajectory, tolerances = _gradient_flow(
-        cfg, stationary=True, tolerance_keys=("eps_stat", "null_tol", "rank_tol"))
+    flow = _gradient_flow(cfg, stationary=True, tolerance_keys=("eps_stat", "null_tol", "rank_tol"))
+    trajectory, tolerances = flow.trajectory, flow.tolerances
     report = ic.stationary_null_count(
-        model, loss, built, trajectory.states[-1],
+        flow.model, flow.loss, flow.transforms, trajectory.states[-1],
         eps_stat=float(tolerances.get("eps_stat", 1e-8)),
         null_tol=float(tolerances.get("null_tol", 1e-7)),
         rank_tol=float(tolerances.get("rank_tol", 1e-8)),

@@ -83,7 +83,9 @@ __all__ = [
     "sample_positions",
     "PlanEntry",
     "SuiteSpec",
+    "BuiltEntry",
     "entry_misfits",
+    "run_entries",
     "run_suite",
     "default_suite",
     "write_reports_jsonl",
@@ -101,14 +103,15 @@ _AGREE_TOL = 1e-12  # internal dual-formulation agreement (term dropping, mirror
 # the check registry: one row per check a plan entry can list
 # ---------------------------------------------------------------------------
 
-#: what a row needs from its entry, keyed by the phrase a misfit reports
-_REQUIREMENTS: Dict[str, Callable[["PlanEntry", Model, Optional[Transformation]], bool]] = {
-    "continuous transform": lambda e, m, t: t is not None and t.kind == "continuous",
-    "discrete transform": lambda e, m, t: t is not None and t.kind == "discrete",
-    "mirror transform": lambda e, m, t: e.transform == "mirror",
+#: what a row needs from its entry's built model and catalog transform,
+#: keyed by the phrase a misfit reports
+_REQUIREMENTS: Dict[str, Callable[[Model, Optional[Transformation]], bool]] = {
+    "continuous transform": lambda m, t: t is not None and t.kind == "continuous",
+    "discrete transform": lambda m, t: t is not None and t.kind == "discrete",
+    "mirror transform": lambda m, t: t is not None and t.name == "mirror",
     # the scalar specializations also need positions clear of l' = 0
-    "scalar homogeneous head": lambda e, m, t: m.c == 1 and m.homogeneity_degree is not None,
-    "factored last layer": lambda e, m, t: m.last_layer_block is not None and m.feature_fn is not None,
+    "scalar homogeneous head": lambda m, t: m.c == 1 and m.homogeneity_degree is not None,
+    "factored last layer": lambda m, t: m.last_layer_block is not None and m.feature_fn is not None,
 }
 
 
@@ -159,7 +162,7 @@ CHECK_REGISTRY: Dict[str, PlanCheck] = {row.name: row for row in (
     PlanCheck("discrete_second", "check_discrete_second", "Thm 2 (ii')", "discrete transform",
               lambda p: check_discrete_second(p.model, p.loss, p.transform, p.theta, **p.kw)),
     PlanCheck("mirror", "check_mirror", "Cor. 4", "mirror transform",
-              lambda p: check_mirror(p.model, p.loss, np.stack(p.entry.transform_params["columns"], axis=1),
+              lambda p: check_mirror(p.model, p.loss, np.stack(p.transform.params["columns"], axis=1),
                                      p.theta, **p.kw)),
     PlanCheck("last_layer", "check_last_layer_alignment", "Cor. 3", "factored last layer",
               lambda p: check_last_layer_alignment(p.model, p.loss, p.theta, p.entry.trials,
@@ -1230,46 +1233,58 @@ class SuiteSpec:
     master_seed: int = 0
 
 
-def _entry_seed(plan: SuiteSpec, index: int, entry: PlanEntry) -> int:
-    ss = np.random.SeedSequence((plan.master_seed, entry.seed, index))
+@dataclass(frozen=True)
+class BuiltEntry:
+    """A plan entry with its model, loss and catalog transform built once.
+    ``entry`` supplies the run settings; its ``mutation``, if any, is applied
+    to ``transform`` when the entry runs."""
+
+    entry: PlanEntry
+    model: Model
+    loss: Loss
+    transform: Optional[Transformation]
+
+
+def _entry_seed(master_seed: int, index: int, entry: PlanEntry) -> int:
+    ss = np.random.SeedSequence((master_seed, entry.seed, index))
     return int(ss.generate_state(1, dtype=np.uint64)[0] % (2 ** 63))
 
 
-def _build_entry(entry: PlanEntry) -> Tuple[Model, Optional[Transformation]]:
+def _build_entry(entry: PlanEntry) -> BuiltEntry:
     model = build_model(entry.model)
     transform: Optional[Transformation] = None
     if entry.transform is not None:
         transform = build_transform(entry.transform, dict(entry.transform_params), model)
-        if entry.mutation is not None:
-            transform = mutate(transform, entry.mutation["callback"], float(entry.mutation["scale"]))
-    return model, transform
+    return BuiltEntry(entry, model, make_loss(entry.loss, **dict(entry.loss_params)), transform)
 
 
-def entry_misfits(entry: PlanEntry) -> List[Tuple[str, str]]:
-    """Every check or tolerance key of ``entry`` that its model and transform
-    cannot serve, as (path inside the entry, reason); empty when all fit."""
-    model, transform = _build_entry(entry)
+def entry_misfits(built: BuiltEntry) -> List[Tuple[str, str]]:
+    """Every check or tolerance key of ``built.entry`` that its model and
+    transform cannot serve, as (path inside the entry, reason); empty when
+    all fit."""
+    model, transform = built.model, built.transform
     known = ", ".join(CHECK_REGISTRY)
     out: List[Tuple[str, str]] = []
-    for i, name in enumerate(entry.checks):
+    for i, name in enumerate(built.entry.checks):
         row = CHECK_REGISTRY.get(name)
         if row is None:
             out.append((f"checks[{i}]", f"unknown check {name!r} (known: {known})"))
-        elif not _REQUIREMENTS[row.requires](entry, model, transform):
+        elif not _REQUIREMENTS[row.requires](model, transform):
             out.append((f"checks[{i}]", f"{name} needs a {row.requires} "
-                        f"(model {model.name}, transform {entry.transform})"))
-    for key in entry.tolerances:
+                        f"(model {model.name}, transform {built.entry.transform})"))
+    for key in built.entry.tolerances:
         if key not in CHECK_REGISTRY:
             out.append((f"tolerances.{key}", f"unknown check {key!r} (known: {known})"))
     return out
 
 
-def _run_entry(plan: SuiteSpec, index: int, entry: PlanEntry) -> List[IdentityReport]:
-    model, transform = _build_entry(entry)
-    loss = make_loss(entry.loss, **dict(entry.loss_params))
+def _run_entry(master_seed: int, index: int, built: BuiltEntry) -> List[IdentityReport]:
+    entry, model, loss, transform = built.entry, built.model, built.loss, built.transform
+    if entry.mutation is not None and transform is not None:
+        transform = mutate(transform, entry.mutation["callback"], float(entry.mutation["scale"]))
     rows = [CHECK_REGISTRY[c] for c in entry.checks]
     cfg = de.DiffConfig(mode=entry.mode)
-    pos_seed = _entry_seed(plan, index, entry)
+    pos_seed = _entry_seed(master_seed, index, entry)
     margin = entry.margin
     if entry.mode == "finite_difference" and model.kink_margin is not None:
         margin = max(margin, 1e-3)  # keep FD stencils clear of the kink set
@@ -1291,21 +1306,26 @@ def _run_entry(plan: SuiteSpec, index: int, entry: PlanEntry) -> List[IdentityRe
     return reports
 
 
-def run_suite(plan: SuiteSpec) -> List[IdentityReport]:
-    """Run every entry of the plan and merge reports in plan order.
+def run_entries(entries: Sequence[BuiltEntry], master_seed: int) -> List[IdentityReport]:
+    """Run built plan entries and merge their reports in order.
 
     Every entry is held against the check registry first, so a check that
     does not fit its entry raises InvalidParams before anything is sampled.
     """
-    for index, entry in enumerate(plan.entries):
-        misfits = entry_misfits(entry)
+    for index, built in enumerate(entries):
+        misfits = entry_misfits(built)
         if misfits:
             raise InvalidParams(f"plan entry {index}: "
                                 + "; ".join(f"{where}: {why}" for where, why in misfits))
     reports: List[IdentityReport] = []
-    for index, entry in enumerate(plan.entries):
-        reports.extend(_run_entry(plan, index, entry))
+    for index, built in enumerate(entries):
+        reports.extend(_run_entry(master_seed, index, built))
     return reports
+
+
+def run_suite(plan: SuiteSpec) -> List[IdentityReport]:
+    """Build each entry of the plan once, then run them (:func:`run_entries`)."""
+    return run_entries([_build_entry(e) for e in plan.entries], plan.master_seed)
 
 
 def default_suite(master_seed: int = 0, positions: int = 3, mode: str = "exact") -> SuiteSpec:

@@ -212,6 +212,14 @@ def call_builder(kind: str, name: str, builder: Callable, params: Mapping, *args
     return builder(*args, **params)
 
 
+def _integer(value, what: str) -> int:
+    """An integer catalog parameter ``what`` (a numpy integer included) as an
+    int; a bool, float or str raises InvalidParams instead of being coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidParams(f"{what}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def _input_vector(x, what: str) -> np.ndarray:
     """A model's input parameter ``what`` as a float array; it must be finite."""
     arr = np.asarray(x, dtype=float)
@@ -221,11 +229,11 @@ def _input_vector(x, what: str) -> np.ndarray:
 
 
 def _mlp_like(name, seed, widths, x, use_relu, depth=None):
-    widths = [int(w) for w in widths]
+    widths = [_integer(w, "widths") for w in widths]
     if len(widths) < 2 or any(w < 1 for w in widths):
         raise InvalidParams(f"widths must be >= 2 entries of positive ints, got {widths}")
     n_layers = len(widths) - 1
-    if depth is not None and depth != n_layers:
+    if depth is not None and _integer(depth, "depth") != n_layers:
         raise InvalidParams(f"depth {depth} inconsistent with widths {widths}")
     if x is None:
         x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=widths[0])
@@ -275,12 +283,12 @@ def _build_deep_linear(seed, widths, input=None) -> Model:
 
 
 def _build_factored(seed, c, s, hidden=(), input=None, n=None) -> Model:
-    c, s = int(c), int(s)
-    hidden = [int(h) for h in hidden]
+    c, s = _integer(c, "c"), _integer(s, "s")
+    hidden = [_integer(h, "hidden") for h in hidden]
     if c < 1 or s < 1 or any(h < 1 for h in hidden):
         raise InvalidParams(f"factored_last_layer sizes must be positive, got c={c} s={s} hidden={hidden}")
     if input is None:
-        size = max(2, s) if n is None else int(n)
+        size = max(2, s) if n is None else _integer(n, "n")
         input = np.random.default_rng(seed).uniform(-1.0, 1.0, size=size)
     elif n is not None:
         raise InvalidParams("factored_last_layer takes input or n (the width of a random input), not both")
@@ -466,8 +474,8 @@ def _make_logistic(label) -> Loss:
 
 
 def _make_softmax_xent(n_classes, label) -> Loss:
-    c = int(n_classes)
-    k = int(label)
+    c = _integer(n_classes, "n_classes")
+    k = _integer(label, "label")
     if c < 2:
         raise InvalidParams(f"softmax_xent needs >= 2 classes, got {c}")
     if not 0 <= k < c:

@@ -56,7 +56,7 @@ from .errors import (
     SizeMismatch,
     UnknownSpec,
 )
-from .models import Model, call_builder, forward
+from .models import Model, _integer, call_builder, forward
 from .tensor_core import RCOND_THRESHOLD, _finite, _inverse_rcond, compose, invert_square
 
 __all__ = [
@@ -190,7 +190,7 @@ def homogeneity_scaling(model: Model, degree: Optional[int] = None) -> Transform
     through the identity at lam = 0, with characteristic direction theta
     itself at every lam.
     """
-    m_deg = model.homogeneity_degree if degree is None else int(degree)
+    m_deg = model.homogeneity_degree if degree is None else _integer(degree, "degree")
     if m_deg is None:
         raise InvalidParams(f"model {model.name!r} has no homogeneity degree")
     d, c = model.d, model.c
@@ -508,7 +508,7 @@ def mirror(model: Model, columns) -> Transformation:
 
 def sign_flip(model: Model, indices) -> Transformation:
     """Coordinate sign flip on an arbitrary index set."""
-    idx = [int(i) for i in indices]
+    idx = [_integer(i, "indices") for i in indices]
     if len(set(idx)) != len(idx):
         raise InvalidParams("sign_flip indices must be distinct")
     if any(i < 0 or i >= model.d for i in idx):
@@ -520,7 +520,7 @@ def sign_flip(model: Model, indices) -> Transformation:
 
 def permutation(model: Model, perm) -> Transformation:
     """Coordinate permutation H(theta)[i] = theta[perm[i]]."""
-    pi = [int(i) for i in perm]
+    pi = [_integer(i, "perm") for i in perm]
     if sorted(pi) != list(range(model.d)):
         raise InvalidParams(f"perm must be a permutation of 0..{model.d - 1}")
     P = np.zeros((model.d, model.d))

@@ -3,12 +3,15 @@ reproducible report files."""
 
 import json
 import platform
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from equichk import cli
+from equichk import cli, models
+from equichk import identity_checker as ic
+from equichk import transforms as tr
 
 
 def _write(tmp_path, name, cfg):
@@ -187,6 +190,21 @@ _SQUARE = {"name": "square", "params": {"target": 0.3}}
              ["first_order"]), "transform.params"),
     (_misfit(_DL121, _SQUARE, {"name": "permutation", "params": {"perm": "ab"}},
              ["discrete_first"]), "transform.params"),
+    # integer parameters must be JSON integers: no str, float or bool is coerced
+    (_misfit({"name": "homogeneous_relu_mlp", "params": {"widths": "231"}, "seed": 14},
+             _PROBE_LOSS, _SCALING, ["first_order"]), "model.params: widths"),
+    (_misfit({"name": "homogeneous_relu_mlp", "params": {"widths": [2.9, 3, 1]}, "seed": 14},
+             _PROBE_LOSS, _SCALING, ["first_order"]), "model.params: widths"),
+    (_misfit({"name": "homogeneous_relu_mlp", "params": {"widths": [2, 3, True]}, "seed": 14},
+             _PROBE_LOSS, _SCALING, ["first_order"]), "model.params: widths"),
+    (_misfit({"name": "factored_last_layer", "params": {"c": 2.0, "s": 2}, "seed": 5},
+             _SQUARE, _SCALING, ["first_order"]), "model.params: c"),
+    (_misfit(_PROBE, {"name": "softmax_xent", "params": {"n_classes": 3, "label": 1.5}},
+             _SCALING, ["first_order"]), "loss.params: label"),
+    (_misfit(_DL121, _SQUARE, {"name": "sign_flip", "params": {"indices": [0, 2.0]}},
+             ["discrete_first"]), "transform.params: indices"),
+    (_misfit(_PROBE, _PROBE_LOSS, {"name": "homogeneity_scaling", "params": {"degree": 1.5}},
+             ["first_order"]), "transform.params: degree"),
 ], ids=["first_order+sign_flip", "discrete_first+scaling", "homogeneity+vector_head",
         "first_order+no_transform", "last_layer+deep_linear", "mirror+permutation",
         "tolerance_key_typo", "mutation_callback_typo", "mutation_scale_not_number",
@@ -194,13 +212,29 @@ _SQUARE = {"name": "square", "params": {"target": 0.3}}
         "exponential_label_3", "probe_x_nan", "relu_mlp_input_inf", "deep_linear_input_nan",
         "factored_input_inf", "model_key_typo", "loss_key_typo", "transform_key_typo",
         "widths_empty", "factored_input_and_n", "rescaling_blocks_not_list",
-        "perm_not_numbers"])
+        "perm_not_numbers", "widths_string", "widths_float", "widths_bool", "factored_c_float",
+        "softmax_label_float", "sign_flip_index_float", "scaling_degree_float"])
 def test_run_misfit_entry_exit_2_before_sampling(tmp_path, capsys, entry, where):
     cfg = {"experiment": "check_suite", "output_dir": str(tmp_path / "out"), "plan": [entry]}
     assert cli.main(["run", str(_write(tmp_path, "misfit.json", cfg))]) == 2
     assert f"config.plan[0].{where}:" in capsys.readouterr().err
     assert not (tmp_path / "out" / "reports.jsonl").exists()
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment", ["check_suite", "flow"])
+def test_bad_model_seed_reported_once(tmp_path, capsys, experiment):
+    # the model is built only once its seed has passed, so no build error follows
+    if experiment == "check_suite":
+        cfg, where = _suite_cfg(tmp_path / "out"), "config.plan[0].model"
+        cfg["plan"][0]["model"]["seed"] = -1
+    else:
+        cfg, where = _bundled("flow_conservation", output_dir=str(tmp_path / "out")), "config.model"
+        cfg["model"]["seed"] = -1
+    assert cli.main(["run", str(_write(tmp_path, "seed.json", cfg))]) == 2
+    err = capsys.readouterr().err
+    assert f"{where}.seed: must be nonnegative" in err
+    assert f"{where}.params" not in err
 
 
 def _bundled(name, **edits):
@@ -336,16 +370,48 @@ def test_run_stationary_first_step_may_exceed_T(tmp_path, capsys):
     assert "NotConverged" in capsys.readouterr().err
 
 
-# every bundled config: its exit code, report count and manifest flow counts
+_ONE_EACH = {"model": 1, "loss": 1, "transform": 1}
+
+# every bundled config: its exit code, report count, manifest flow counts and
+# catalog builds by kind -- each model, loss and transform is built once
 BUNDLED_RUNS = {
     "flow_conservation": (0, 2, {"integrator": "rk4", "accepted_steps": 1000,
-                                 "rejected_steps": 0, "gradient_sweeps": 4001}),
-    "mutation_demo": (1, 9, None),
-    "sgf_drift": (0, 1, None),
+                                 "rejected_steps": 0, "gradient_sweeps": 4001}, _ONE_EACH),
+    "mutation_demo": (1, 9, None, _ONE_EACH),
+    # sgf_drift checks a loss family and builds no loss outside the per-sample binds
+    "sgf_drift": (0, 1, None, {"model": 1, "transform": 1}),
     "stationary_spectrum": (0, 1, {"integrator": "dormand_prince_5_4", "accepted_steps": 308,
-                                   "rejected_steps": 2, "gradient_sweeps": 1861}),
-    "suite_full": (0, 174, None),
+                                   "rejected_steps": 2, "gradient_sweeps": 1861}, _ONE_EACH),
+    "suite_full": (0, 174, None, {"model": 14, "loss": 14, "transform": 14}),
 }
+
+
+def _count_builds(monkeypatch) -> Counter:
+    """Count catalog builds by kind from here on.  A model rebound to a
+    sample's input and a loss family bound to a sample's target are per-sample
+    bindings of objects already built, and are not counted."""
+    counts, binding = Counter(), []
+    real_call = models.call_builder
+
+    def call_builder(kind, *args):
+        if not binding:
+            counts[kind] += 1
+        return real_call(kind, *args)
+
+    def per_sample(real):
+        def wrapper(*args, **kwargs):
+            binding.append(True)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                binding.pop()
+        return wrapper
+
+    monkeypatch.setattr(models, "call_builder", call_builder)
+    monkeypatch.setattr(tr, "call_builder", call_builder)
+    monkeypatch.setattr(models.Model, "with_input", per_sample(models.Model.with_input))
+    monkeypatch.setattr(models.LossFamily, "bind", per_sample(models.LossFamily.bind))
+    return counts
 
 
 def test_bundled_configs_are_all_checked():
@@ -354,10 +420,13 @@ def test_bundled_configs_are_all_checked():
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED_RUNS))
-def test_run_bundled_config(tmp_path, capsys, name):
-    code, n_reports, flow = BUNDLED_RUNS[name]
+def test_run_bundled_config(tmp_path, capsys, monkeypatch, name):
+    code, n_reports, flow, builds = BUNDLED_RUNS[name]
     cfg = _bundled(name, output_dir=str(tmp_path / "out"))
-    assert cli.run(str(_write(tmp_path, f"{name}.json", cfg))) == code
+    path = str(_write(tmp_path, f"{name}.json", cfg))
+    counts = _count_builds(monkeypatch)
+    assert cli.run(path) == code
+    assert counts == builds
     capsys.readouterr()
     reports = (tmp_path / "out" / "reports.jsonl").read_text()
     assert len(reports.splitlines()) == n_reports
@@ -366,6 +435,18 @@ def test_run_bundled_config(tmp_path, capsys, name):
     assert manifest.get("flow") == flow
     # the step counts are run records, never report content
     assert "gradient_sweeps" not in reports and "integrator" not in reports
+
+
+def test_cli_suite_matches_the_library_suite(tmp_path, capsys):
+    """configs/suite_full.json is default_suite(master_seed=0, positions=3):
+    the entries the CLI builds from JSON and those run_suite builds from
+    PlanEntry objects write the same reports, byte for byte."""
+    cfg = _bundled("suite_full", output_dir=str(tmp_path / "out"))
+    assert cli.run(str(_write(tmp_path, "suite_full.json", cfg))) == 0
+    capsys.readouterr()
+    ic.write_reports_jsonl(ic.run_suite(ic.default_suite(0, 3)), tmp_path / "library.jsonl")
+    assert ((tmp_path / "out" / "reports.jsonl").read_bytes()
+            == (tmp_path / "library.jsonl").read_bytes())
 
 
 def test_run_sgf_drift_experiment(tmp_path, capsys):

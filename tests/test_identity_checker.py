@@ -257,7 +257,7 @@ def test_run_suite_rejects_misfit_entry_before_sampling(monkeypatch):
     sampled = []
     monkeypatch.setattr(ic, "sample_positions", lambda *a, **k: sampled.append(a) or [])
     good = default_suite(positions=1).entries
-    assert all(entry_misfits(e) == [] for e in good)
+    assert all(entry_misfits(ic._build_entry(e)) == [] for e in good)
     misfit = PlanEntry(
         model=ModelSpec("deep_linear", {"widths": [1, 2, 1]}, seed=22),
         loss="square", loss_params={"target": 0.3},
@@ -323,7 +323,7 @@ def test_run_suite_shares_transform_data_and_spectrum(monkeypatch):
     reports = run_suite(plan)
     assert reports and all(r.passed for r in reports)
 
-    continuous = sum(ic._build_entry(e)[1].kind == "continuous"
+    continuous = sum(ic._build_entry(e).transform.kind == "continuous"
                      for e in plan.entries if e.transform is not None)
     scalar = sum("eigen_alignment" in e.checks for e in plan.entries)
     assert (continuous, scalar) == (11, 4)
