@@ -41,7 +41,6 @@ from .errors import (
     NotFixedPoint,
     NotGoodPosition,
     NotInvolution,
-    RuntimeFault,
     Singular,
     StepFailure,
     UnknownSpec,

@@ -48,7 +48,7 @@ from . import dynamics as dyn
 from . import identity_checker as ic
 from . import models
 from . import transforms as tr
-from .errors import CheckFailure, ConfigError, EquichkError, InvalidParams
+from .errors import CheckFailure, ConfigError, EquichkError, InvalidNoiseModel, InvalidParams
 from .models import (
     LOSS_NAMES,
     MODEL_NAMES,
@@ -127,26 +127,38 @@ class _V:
 _BUILD_ERRORS = (EquichkError, TypeError, ValueError, OverflowError)
 
 
-def _validate_model(v: _V, obj, path: str) -> Optional[Model]:
-    """The model ``obj`` asks for, built once its seed has passed."""
-    if not v.keys(obj, path, ("name", "params", "seed"), ("name", "params")):
+def _validate_request(v: _V, obj, path: str, kind: str, names: Sequence[str],
+                      build: Callable[[str, dict], object],
+                      keys: Sequence[str] = ("name", "params"), required: Sequence[str] = ("name",)):
+    """The catalog object a ``{"name", "params"}`` request asks for: its keys,
+    its name (one of ``names``) and its ``params`` object are checked, then
+    ``build(name, params)`` makes it, and a build error fails at
+    ``path.params``.  None after any failure, or when ``build`` gives None."""
+    if not v.keys(obj, path, keys, required):
         return None
-    name = obj.get("name")
-    if name not in MODEL_NAMES:
-        v.fail(f"{path}.name", f"unknown model {name!r} (catalog: {', '.join(MODEL_NAMES)})")
+    name = obj["name"]
+    if name not in names:
+        v.fail(f"{path}.name", f"unknown {kind} {name!r} (catalog: {', '.join(names)})")
         return None
-    if not isinstance(obj["params"], dict):
+    params = obj.get("params", {})
+    if not isinstance(params, dict):
         v.fail(f"{path}.params", "expected an object")
         return None
-    start = len(v.errors)
-    seed = v.number(obj, path, "seed", integer=True, nonneg=True, default=0)
-    if len(v.errors) > start:
-        return None
     try:
-        return build_model(ModelSpec(name, obj["params"], seed))
+        return build(name, params)
     except _BUILD_ERRORS as exc:
         v.fail(f"{path}.params", str(exc))
         return None
+
+
+def _validate_model(v: _V, obj, path: str) -> Optional[Model]:
+    """The model ``obj`` asks for, built once its seed has passed."""
+    def build(name, params):
+        start = len(v.errors)
+        v.number(obj, path, "seed", integer=True, nonneg=True)
+        return build_model(ModelSpec(**obj)) if len(v.errors) == start else None
+    return _validate_request(v, obj, path, "model", MODEL_NAMES, build,
+                             ("name", "params", "seed"), ("name", "params"))
 
 
 def _validate_loss(v: _V, obj, path: str,
@@ -154,43 +166,16 @@ def _validate_loss(v: _V, obj, path: str,
     """The loss ``obj`` asks for, built with ``build`` (``loss_family`` when
     a dataset binds the target per sample, giving a LossFamily), so a bad
     parameter fails here with its path."""
-    if not v.keys(obj, path, ("name", "params"), ("name",)):
-        return None
-    name = obj.get("name")
-    if name not in LOSS_NAMES:
-        v.fail(f"{path}.name", f"unknown loss {name!r} (catalog: {', '.join(LOSS_NAMES)})")
-        return None
-    params = obj.get("params", {})
-    if not isinstance(params, dict):
-        v.fail(f"{path}.params", "expected an object")
-        return None
-    try:
-        return build(name, **params)
-    except _BUILD_ERRORS as exc:
-        v.fail(f"{path}.params", str(exc))
-        return None
+    return _validate_request(v, obj, path, "loss", LOSS_NAMES,
+                             lambda name, params: build(name, **params))
 
 
 def _validate_transform(v: _V, obj, path: str, model: Optional[Model]) -> Optional[Transformation]:
     """The transform ``obj`` asks for, built against ``model`` (None when the
     model failed, and then nothing is built)."""
-    if not v.keys(obj, path, ("name", "params"), ("name",)):
-        return None
-    name = obj.get("name")
-    if name not in TRANSFORM_NAMES:
-        v.fail(f"{path}.name", f"unknown transform {name!r} (catalog: {', '.join(TRANSFORM_NAMES)})")
-        return None
-    params = obj.get("params", {})
-    if not isinstance(params, dict):
-        v.fail(f"{path}.params", "expected an object")
-        return None
-    if model is None:
-        return None
-    try:
-        return build_transform(name, params, model)
-    except _BUILD_ERRORS as exc:
-        v.fail(f"{path}.params", str(exc))
-        return None
+    return _validate_request(v, obj, path, "transform", TRANSFORM_NAMES,
+                             lambda name, params: None if model is None
+                             else build_transform(name, params, model))
 
 
 def _is_number(x) -> bool:
@@ -232,6 +217,8 @@ def _validate_tolerances(v: _V, obj, path: str, known: Sequence[str]) -> dict:
     return tolerances
 
 
+#: the keys of a plan entry: PlanEntry's fields, with each catalog request's
+#: params inside its request object
 _ENTRY_KEYS = (
     "model", "loss", "transform", "checks", "positions", "seed", "mode",
     "lam_scale", "margin", "tolerances", "trials", "mutation",
@@ -251,14 +238,13 @@ def _validate_entry(v: _V, obj, path: str) -> Optional[ic.BuiltEntry]:
     checks = obj.get("checks")
     if not (isinstance(checks, list) and checks and all(isinstance(c, str) for c in checks)):
         v.fail(f"{path}.checks", "expected a non-empty list of check names")
-    mode = obj.get("mode", "exact")
-    if mode not in ("exact", "finite_difference"):
-        v.fail(f"{path}.mode", f'expected "exact" or "finite_difference", got {mode!r}')
     tolerances = obj.get("tolerances", {})
     if not isinstance(tolerances, dict):
         v.fail(f"{path}.tolerances", "expected an object")
         tolerances = {}
-    for key in tolerances:  # keys are checked against the registry below
+    # tolerance keys, the mode and what the mutation reaches are checked by
+    # ic.entry_misfits below
+    for key in tolerances:
         v.number(tolerances, f"{path}.tolerances", key, positive=True)
     mutation = obj.get("mutation")
     if mutation is not None and v.keys(mutation, f"{path}.mutation",
@@ -267,25 +253,23 @@ def _validate_entry(v: _V, obj, path: str) -> Optional[ic.BuiltEntry]:
             v.fail(f"{path}.mutation.callback", f"unknown derivative callback "
                    f"{mutation['callback']!r} (known: {', '.join(MUTABLE_CALLBACKS)})")
         v.number(mutation, f"{path}.mutation", "scale")
-    positions = v.number(obj, path, "positions", integer=True, positive=True, default=3)
-    seed = v.number(obj, path, "seed", integer=True, nonneg=True, default=0)
-    lam_scale = v.number(obj, path, "lam_scale", positive=True, default=0.3)
-    margin = v.number(obj, path, "margin", positive=True, default=1e-6)
-    trials = v.number(obj, path, "trials", integer=True, positive=True, default=12)
+    v.number(obj, path, "positions", integer=True, positive=True)
+    v.number(obj, path, "seed", integer=True, nonneg=True)
+    v.number(obj, path, "lam_scale", positive=True)
+    v.number(obj, path, "margin", positive=True)
+    v.number(obj, path, "trials", integer=True, positive=True)
     if len(v.errors) > start:
         return None
-    # the catalog requests these objects were built from, as the entry records them
-    m, t = obj["model"], obj.get("transform")
-    entry = ic.PlanEntry(
-        model=ModelSpec(m["name"], m["params"], m.get("seed", 0)),
-        loss=obj["loss"]["name"], loss_params=obj["loss"].get("params", {}),
-        transform=t["name"] if t is not None else None,
-        transform_params=t.get("params", {}) if t is not None else {},
-        checks=tuple(checks), positions=int(positions), seed=int(seed),
-        mode=mode, lam_scale=float(lam_scale), margin=float(margin),
-        tolerances=tolerances, trials=int(trials), mutation=mutation,
-    )
-    built = ic.BuiltEntry(entry, model, loss, transform)
+    # a key the entry omits takes PlanEntry's default; the catalog requests
+    # are recorded as the entry gave them
+    fields = {k: obj[k] for k in _ENTRY_KEYS if k in obj}
+    fields.update(model=ModelSpec(**obj["model"]), checks=tuple(checks))
+    for kind in ("loss", "transform"):
+        if kind in obj:
+            fields[kind] = obj[kind]["name"]
+            if "params" in obj[kind]:
+                fields[f"{kind}_params"] = obj[kind]["params"]
+    built = ic.BuiltEntry(ic.PlanEntry(**fields), model, loss, transform)
     for where, why in ic.entry_misfits(built):
         v.fail(f"{path}.{where}", why)
     return built
@@ -381,13 +365,9 @@ def _run_check_suite(cfg: dict, out_dir: str) -> _RunResult:
 
 def _synthetic_report(check_name: str, anchor: str, rel: float, tol: float,
                       context: Mapping) -> ic.IdentityReport:
-    rel = float(rel)
-    return ic.IdentityReport(
-        check_name=check_name, paper_anchor=anchor,
-        lhs_norm=1.0, rhs_norm=1.0, abs_residual=rel, rel_residual=rel,
-        tolerance=float(tol), passed=bool(np.isfinite(rel) and rel <= tol),
-        context=dict(context),
-    )
+    """A report whose relative residual is ``rel``: unit scales make the
+    absolute residual the relative one."""
+    return ic._report(check_name, anchor, 0.0, 0.0, 1.0, 1.0, tol, context, abs_override=rel)
 
 
 class _Flow(NamedTuple):
@@ -418,8 +398,8 @@ def _gradient_flow(cfg: dict, stationary: bool, tolerance_keys: Sequence[str]) -
     dyn_obj = cfg.get("dynamics", {})
     start = len(v.errors)
     v.keys(dyn_obj, "config.dynamics", ("T", "dt"), ("T", "dt"))
-    T = v.number(dyn_obj, "config.dynamics", "T", positive=True, default=1.0)
-    dt = v.number(dyn_obj, "config.dynamics", "dt", positive=True, default=0.01)
+    T = v.number(dyn_obj, "config.dynamics", "T", positive=True)
+    dt = v.number(dyn_obj, "config.dynamics", "dt", positive=True)
     # the stationary flow clips its first trial step to T; RK4 needs one whole step
     if not stationary and len(v.errors) == start and T < dt:
         v.fail("config.dynamics.dt", f"must not exceed T = {T} (one RK4 step), got {dt}")
@@ -460,8 +440,7 @@ def _run_flow(cfg: dict, out_dir: str) -> _RunResult:
             "gf_charge_conservation", "Cor. 2", rel, drift_tol,
             {"charge": name, "C0": c0, "T": flow.T, "dt": flow.dt},
         ))
-    if (loss.name in ("exponential", "logistic") and model.c == 1
-            and model.homogeneity_degree is not None):
+    if dyn._norm_growth_applies(model, loss):
         growth = dyn.norm_growth_check(model, loss, trajectory)
         # a settled run whose norm ever shrinks fails outright
         broken = growth.status == "ok" and not growth.monotone
@@ -488,28 +467,30 @@ def _run_sgf_drift(cfg: dict, out_dir: str) -> _RunResult:
     transform = _validate_transform(v, cfg.get("transform", {}), "config.transform", model)
     dyn_obj = cfg.get("dynamics", {})
     v.keys(dyn_obj, "config.dynamics", ("T", "dt", "ensemble"), ("T", "dt", "ensemble"))
-    T = v.number(dyn_obj, "config.dynamics", "T", positive=True, default=0.5)
-    dt = v.number(dyn_obj, "config.dynamics", "dt", positive=True, default=1e-3)
-    ensemble = v.number(dyn_obj, "config.dynamics", "ensemble", integer=True,
-                        positive=True, default=2000)
+    T = v.number(dyn_obj, "config.dynamics", "T", positive=True)
+    dt = v.number(dyn_obj, "config.dynamics", "dt", positive=True)
+    ensemble = v.number(dyn_obj, "config.dynamics", "ensemble", integer=True, positive=True)
     noise_obj = cfg.get("noise", {})
+    start = len(v.errors)
     v.keys(noise_obj, "config.noise", ("mode", "sigma", "seed"), ("mode", "sigma"))
-    sigma = v.number(noise_obj, "config.noise", "sigma", nonneg=True, default=0.1)
-    nseed = v.number(noise_obj, "config.noise", "seed", integer=True, nonneg=True, default=0)
-    mode = noise_obj.get("mode") if isinstance(noise_obj, dict) else None
-    if mode not in ("exact_sde", "minibatch"):
-        v.fail("config.noise.mode", f'expected "exact_sde" or "minibatch", got {mode!r}')
+    sigma = v.number(noise_obj, "config.noise", "sigma", nonneg=True)
+    v.number(noise_obj, "config.noise", "seed", integer=True, nonneg=True)
+    noise = None
+    if len(v.errors) == start:  # sigma and seed passed; NoiseModel checks the mode
+        try:
+            noise = dyn.NoiseModel(**dict(noise_obj, sigma=float(sigma)))
+        except InvalidNoiseModel as exc:
+            v.fail("config.noise.mode", str(exc))
     theta0 = _validate_theta0(v, cfg, "config", model)
     n_save = v.number(cfg, "config", "save_trajectories", integer=True, nonneg=True, default=8)
     v.raise_if_failed()
 
     try:
         dyn._check_sgf_bytes(model.d, len(dataset.samples), float(T), float(dt), int(ensemble),
-                             mode, float(sigma), n_charges=1)
+                             noise.mode, noise.sigma, n_charges=1)
     except InvalidParams as exc:
         v.fail("config.dynamics.ensemble", str(exc))
     v.raise_if_failed()
-    noise = dyn.NoiseModel(mode=mode, sigma=float(sigma), seed=int(nseed or 0))
     th0 = model.init_params if theta0 == "init" else np.asarray(theta0, dtype=float)
     ensemble_runs = dyn.sgf(model, family, dataset, th0, noise,
                             T=float(T), dt=float(dt), ensemble=int(ensemble),
@@ -536,11 +517,10 @@ def _run_sgf_drift(cfg: dict, out_dir: str) -> _RunResult:
 def _run_stationary(cfg: dict, out_dir: str) -> _RunResult:
     flow = _gradient_flow(cfg, stationary=True, tolerance_keys=("eps_stat", "null_tol", "rank_tol"))
     trajectory, tolerances = flow.trajectory, flow.tolerances
+    # a tolerance the config omits takes stationary_null_count's default
     report = ic.stationary_null_count(
         flow.model, flow.loss, flow.transforms, trajectory.states[-1],
-        eps_stat=float(tolerances.get("eps_stat", 1e-8)),
-        null_tol=float(tolerances.get("null_tol", 1e-7)),
-        rank_tol=float(tolerances.get("rank_tol", 1e-8)),
+        **{key: float(value) for key, value in tolerances.items()},
     )
     files = _write_report_files([report], out_dir)
     dyn.write_trajectory_csv(trajectory, os.path.join(out_dir, "flow.csv"))
@@ -646,12 +626,19 @@ def catalog_data() -> dict:
     }
 
 
+#: the sections ``catalog --filter SECTION=NEEDLE`` names, singular or plural
+_FILTER_SECTIONS = {"model": "models", "loss": "losses", "transform": "transforms", "check": "checks"}
+
+
 def _print_catalog(as_json: bool, needle: Optional[str]) -> None:
     data = catalog_data()
     section_filter = None
     if needle and "=" in needle:
-        section_filter, _, needle = needle.partition("=")
-        section_filter += "s" if not section_filter.endswith("s") else ""
+        section, _, needle = needle.partition("=")
+        section_filter = _FILTER_SECTIONS.get(section, section)
+        if section_filter not in _FILTER_SECTIONS.values():
+            raise ConfigError(f"catalog --filter: unknown section {section!r} (sections: "
+                              f"{', '.join(_FILTER_SECTIONS)}, singular or plural)")
 
     def keep(section: str, name: str) -> bool:
         if section_filter and section != section_filter:

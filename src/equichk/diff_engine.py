@@ -97,7 +97,7 @@ class DiffConfig:
 
     def __post_init__(self):
         if self.mode not in _MODES:
-            raise InvalidParams(f"unknown diff mode {self.mode!r}")
+            raise InvalidParams(f"unknown diff mode {self.mode!r} (known: {', '.join(_MODES)})")
 
 
 _DEFAULT = DiffConfig()
@@ -438,19 +438,11 @@ def grad_and_hessian_of_loss(
     loss,
     point,
     config: Optional[DiffConfig] = None,
-    check_assembly: bool = True,
 ) -> Tuple[float, np.ndarray, np.ndarray]:
-    """Value, gradient, and Hessian of ``L = loss o model`` at ``point``.
-
-    The gradient/Hessian are obtained by differentiating the composite map
-    directly.  When ``check_assembly`` is on, the Hessian is additionally
-    assembled from the chain/product rule
-
-        hess(L) = hess(loss) o jac(f) o_2 jac(f) + grad(loss) o hess(f)
-
-    and the two routes must agree (1e-10 relative in exact mode, 1e-4 with
-    finite differences); a mismatch raises :class:`CheckFailure`.
-    """
+    """Value, gradient, and Hessian of ``L = loss o model`` at ``point``,
+    obtained by differentiating the composite map directly (the route that
+    :func:`equichk.identity_checker.evaluate_landscape` holds against the
+    chain/product-rule assembly)."""
     cfg = config or _DEFAULT
     x = _as_point(point)
 
@@ -462,19 +454,17 @@ def grad_and_hessian_of_loss(
         raise NonFiniteResult("loss evaluation produced NaN or Inf")
     grad = jacobian(composite, x, cfg)
     hess = second_derivative(composite, x, cfg)
-
-    if check_assembly:
-        y = np.asarray(model.func(x), dtype=float)
-        _check_assembly(hess, jacobian(model.func, x, cfg), second_derivative(model.func, x, cfg),
-                        tensor_core._finite(loss.grad(y)), tensor_core._finite(loss.hess(y)), cfg.mode)
     return value, grad, hess
 
 
 def _check_assembly(hess: np.ndarray, jac_f: np.ndarray, hess_f: np.ndarray, gl: np.ndarray,
                     hl: np.ndarray, mode: str) -> None:
     """Hold the composite Hessian against its chain/product-rule assembly
-    from the model derivatives and the analytic loss derivatives; raises
-    :class:`CheckFailure` past 1e-10 relative (exact) or 1e-4 (FD)."""
+    from the model derivatives and the analytic loss derivatives,
+
+        hess(L) = hess(loss) o jac(f) o_2 jac(f) + grad(loss) o hess(f);
+
+    raises :class:`CheckFailure` past 1e-10 relative (exact) or 1e-4 (FD)."""
     gauss_newton = tensor_core.compose_k(tensor_core.compose(hl, jac_f), jac_f, 2)
     assembled = gauss_newton + tensor_core.compose(gl, hess_f)
     scale = max(float(np.linalg.norm(hess.reshape(-1))),

@@ -52,7 +52,8 @@ from .errors import (
     SizeMismatch,
     StepFailure,
 )
-from .models import Dataset, Loss, LossFamily, Model, forward, per_sample_losses
+from .models import (Dataset, Loss, LossFamily, Model, _head_scalars, _rayleigh_bound,
+                     _scalar_homogeneous, forward, per_sample_losses)
 from .transforms import Charge, Transformation, noether_charge
 
 __all__ = [
@@ -243,13 +244,9 @@ class _Recorder:
         if self._scalar_head:
             self.diag["f"] = []
         self._loss = single_loss
-        self._sharp = (
-            single_loss is not None and self._scalar_head
-            and model.homogeneity_degree is not None
-        )
+        self._sharp = single_loss is not None and _scalar_homogeneous(model)
         if self._sharp:
             self.diag["sharpness_bound"] = []
-            self._m = float(model.homogeneity_degree)
 
     def record(self, t: float, theta: np.ndarray, grad: np.ndarray, loss: float) -> None:
         """Record one row from the gradient and loss the caller's sweep at
@@ -263,13 +260,9 @@ class _Recorder:
             y = forward(self.model, theta)
             self.diag["f"].append(float(y[0]))
             if self._sharp:
-                yv = float(y[0])
-                lp = float(np.asarray(self._loss.grad(y)).reshape(-1)[0])
-                lpp = float(np.asarray(self._loss.hess(y)).reshape(1, 1)[0, 0])
+                m, yv, lp, lpp = _head_scalars(self.model, self._loss, y)
                 nth2 = max(float(theta @ theta), 1e-300)
-                self.diag["sharpness_bound"].append(
-                    (self._m / nth2) * (lpp * self._m * yv * yv + lp * (self._m - 1.0) * yv)
-                )
+                self.diag["sharpness_bound"].append(_rayleigh_bound(m, yv, lp, lpp, nth2))
         for c in self.charges:
             self.charge_vals[c.name].append(float(c.c_eval(theta)))
 
@@ -562,15 +555,19 @@ class NormGrowthReport:
     passed: bool
 
 
+#: the losses with the sign property l'(y) y < 0 on correct classification
+_MARGIN_LOSSES = ("exponential", "logistic")
+
+
+def _norm_growth_applies(model: Model, loss: Loss) -> bool:
+    """Whether :func:`norm_growth_check` takes (model, loss)."""
+    return _scalar_homogeneous(model) and loss.name in _MARGIN_LOSSES
+
+
 def norm_growth_check(model: Model, loss: Loss, trajectory: Trajectory) -> NormGrowthReport:
-    if model.c != 1:
-        raise InvalidParams("norm growth check needs a scalar-output model")
-    if model.homogeneity_degree is None:
-        raise InvalidParams("norm growth check needs a declared homogeneity degree")
-    if loss.name not in ("exponential", "logistic"):
-        raise InvalidParams(
-            f"loss {loss.name!r} lacks the sign property l'(y) y < 0 on correct classification"
-        )
+    if not _norm_growth_applies(model, loss):
+        raise InvalidParams(f"norm growth needs a scalar homogeneous head and a loss in "
+                            f"{_MARGIN_LOSSES}; got {model.name} and {loss.name!r}")
     m = float(model.homogeneity_degree)
     n = trajectory.n_records
     states = trajectory.states
@@ -662,6 +659,9 @@ def noise_covariance(model: Model, family: LossFamily, dataset: Dataset, theta) 
 # stochastic gradient flow
 # ---------------------------------------------------------------------------
 
+_NOISE_MODES = ("exact_sde", "minibatch")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """SGF noise configuration.
@@ -677,8 +677,8 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("exact_sde", "minibatch"):
-            raise InvalidNoiseModel(f"unknown noise mode {self.mode!r}")
+        if self.mode not in _NOISE_MODES:
+            raise InvalidNoiseModel(f"unknown noise mode {self.mode!r} (known: {', '.join(_NOISE_MODES)})")
         if not np.isfinite(self.sigma) or self.sigma < 0:
             raise InvalidNoiseModel(f"sigma must be a finite nonnegative real, got {self.sigma}")
 

@@ -98,7 +98,3 @@ class ConfigError(EquichkError):
 
 class CheckFailure(EquichkError):
     """At least one check in a run reported a failing residual (exit code 1)."""
-
-
-class RuntimeFault(EquichkError):
-    """Unexpected internal failure during a run (exit code 3)."""

@@ -47,7 +47,8 @@ from .errors import (
     NotGoodPosition,
     SizeMismatch,
 )
-from .models import Loss, Model, ModelSpec, build_model, forward, make_loss, random_params
+from .models import (Loss, Model, ModelSpec, _head_scalars, _rayleigh_bound, _scalar_homogeneous,
+                     build_model, forward, make_loss, random_params)
 from .spectral import SpectralSummary, spectral_summary
 from .tensor_core import _finite, compose, compose_k
 from .transforms import (
@@ -110,7 +111,7 @@ _REQUIREMENTS: Dict[str, Callable[[Model, Optional[Transformation]], bool]] = {
     "discrete transform": lambda m, t: t is not None and t.kind == "discrete",
     "mirror transform": lambda m, t: t is not None and t.name == "mirror",
     # the scalar specializations also need positions clear of l' = 0
-    "scalar homogeneous head": lambda m, t: m.c == 1 and m.homogeneity_degree is not None,
+    "scalar homogeneous head": lambda m, t: _scalar_homogeneous(m),
     "factored last layer": lambda m, t: m.last_layer_block is not None and m.feature_fn is not None,
 }
 
@@ -315,7 +316,7 @@ def evaluate_landscape(model: Model, loss: Loss, theta, config: Optional[de.Diff
     if th.size != model.d:
         raise SizeMismatch(f"theta has {th.size} entries, model {model.name} wants {model.d}")
     y = forward(model, th)
-    value, grad, hess = de.grad_and_hessian_of_loss(model, loss, th, cfg, check_assembly=False)
+    value, grad, hess = de.grad_and_hessian_of_loss(model, loss, th, cfg)
     jac_f = de.jacobian(model.func, th, cfg)
     hess_f = de.second_derivative(model.func, th, cfg)
     gl = _finite(loss.grad(y))
@@ -592,18 +593,6 @@ def check_second_quadratic(
 # homogeneity specializations (scalar output)
 # ---------------------------------------------------------------------------
 
-def _homogeneous_scalars(model: Model, loss: Loss, ev: LandscapeEval) -> Tuple[float, float, float, float]:
-    if model.homogeneity_degree is None:
-        raise InvalidParams(f"model {model.name} does not declare a homogeneity degree")
-    if model.c != 1:
-        raise InvalidParams("homogeneity specializations require a scalar-output model")
-    m = float(model.homogeneity_degree)
-    y = float(ev.y[0])
-    lp = float(ev.gl[0])
-    lpp = float(ev.hl[0, 0])
-    return m, y, lp, lpp
-
-
 def check_homogeneity_specialization(
     model: Model,
     loss: Loss,
@@ -626,7 +615,7 @@ def check_homogeneity_specialization(
     """
     cfg = config or de.DiffConfig()
     ev = _landscape(model, loss, theta, cfg, landscape)
-    m, y, lp, lpp = _homogeneous_scalars(model, loss, ev)
+    m, y, lp, lpp = _head_scalars(model, loss, ev.y)
     A = ev.hess
     g = ev.grad
     th = ev.theta
@@ -683,7 +672,7 @@ def check_eigen_alignment(
     """
     cfg = config or de.DiffConfig()
     ev = _landscape(model, loss, theta, cfg, landscape)
-    m, y, lp, lpp = _homogeneous_scalars(model, loss, ev)
+    m, y, lp, lpp = _head_scalars(model, loss, ev.y)
     denom = m * y * lpp + (m - 1.0) * lp
     if abs(denom) <= _FLOOR * max(1.0, abs(lp), abs(lpp)):
         raise DegenerateLoss(
@@ -756,12 +745,12 @@ def sharpness_bound(
     """
     cfg = config or de.DiffConfig()
     ev = _landscape(model, loss, theta, cfg, landscape)
-    m, y, lp, lpp = _homogeneous_scalars(model, loss, ev)
+    m, y, lp, lpp = _head_scalars(model, loss, ev.y)
     th = ev.theta
     nth2 = float(th @ th)
     if nth2 <= 0.0:
         raise InvalidParams("sharpness bound needs theta != 0")
-    bound = (m / nth2) * (lpp * m * y * y + lp * (m - 1.0) * y)
+    bound = _rayleigh_bound(m, y, lp, lpp, nth2)
 
     A = ev.hess
     summary = _spectrum(ev)
@@ -1182,12 +1171,7 @@ def sample_positions(
             if require_nondegenerate:
                 if loss is None:
                     raise InvalidParams("nondegenerate sampling needs the loss")
-                if model.c != 1 or model.homogeneity_degree is None:
-                    raise InvalidParams("nondegenerate sampling applies to scalar homogeneous models")
-                m = float(model.homogeneity_degree)
-                yv = float(y[0])
-                lp = float(np.asarray(loss.grad(y)).reshape(-1)[0])
-                lpp = float(np.asarray(loss.hess(y)).reshape(1, 1)[0, 0])
+                m, yv, lp, lpp = _head_scalars(model, loss, y)
                 scale = max(1.0, abs(lp), abs(lpp))
                 if abs(lp) < 1e-6 * scale:
                     continue
@@ -1259,28 +1243,39 @@ def _build_entry(entry: PlanEntry) -> BuiltEntry:
 
 
 def entry_misfits(built: BuiltEntry) -> List[Tuple[str, str]]:
-    """Every check or tolerance key of ``built.entry`` that its model and
-    transform cannot serve, as (path inside the entry, reason); empty when
+    """Every setting of ``built.entry`` that its model and transform cannot
+    serve -- a check, a tolerance key, the diff mode, or a mutation that no
+    listed check would see -- as (path inside the entry, reason); empty when
     all fit."""
-    model, transform = built.model, built.transform
+    entry, model, transform = built.entry, built.model, built.transform
     known = ", ".join(CHECK_REGISTRY)
     out: List[Tuple[str, str]] = []
-    for i, name in enumerate(built.entry.checks):
+    mutable = False  # whether a fitting check reads the callbacks a mutation scales
+    for i, name in enumerate(entry.checks):
         row = CHECK_REGISTRY.get(name)
         if row is None:
             out.append((f"checks[{i}]", f"unknown check {name!r} (known: {known})"))
         elif not _REQUIREMENTS[row.requires](model, transform):
             out.append((f"checks[{i}]", f"{name} needs a {row.requires} "
-                        f"(model {model.name}, transform {built.entry.transform})"))
-    for key in built.entry.tolerances:
+                        f"(model {model.name}, transform {entry.transform})"))
+        else:  # the mirror row reads the transform's columns, not its callbacks
+            mutable = mutable or row.requires in ("continuous transform", "discrete transform")
+    for key in entry.tolerances:
         if key not in CHECK_REGISTRY:
             out.append((f"tolerances.{key}", f"unknown check {key!r} (known: {known})"))
+    try:
+        de.DiffConfig(mode=entry.mode)
+    except InvalidParams as exc:
+        out.append(("mode", str(exc)))
+    if entry.mutation is not None and not mutable:
+        out.append(("mutation", "no listed check reads the transform's callbacks, "
+                    "so the mutation cannot act"))
     return out
 
 
 def _run_entry(master_seed: int, index: int, built: BuiltEntry) -> List[IdentityReport]:
     entry, model, loss, transform = built.entry, built.model, built.loss, built.transform
-    if entry.mutation is not None and transform is not None:
+    if entry.mutation is not None:
         transform = mutate(transform, entry.mutation["callback"], float(entry.mutation["scale"]))
     rows = [CHECK_REGISTRY[c] for c in entry.checks]
     cfg = de.DiffConfig(mode=entry.mode)

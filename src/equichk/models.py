@@ -374,6 +374,29 @@ def forward(model: Model, theta) -> np.ndarray:
     return out
 
 
+# --- scalar homogeneous heads ------------------------------------------------------
+
+def _scalar_homogeneous(model: Model) -> bool:
+    """Whether ``model`` has one output and a declared homogeneity degree,
+    the setting of the scalar specializations Eq. (6)/(7) and §5.1."""
+    return model.c == 1 and model.homogeneity_degree is not None
+
+
+def _head_scalars(model: Model, loss: Loss, y) -> Tuple[float, float, float, float]:
+    """(m, y, l'(y), l''(y)) at the output ``y`` of a scalar homogeneous head."""
+    if not _scalar_homogeneous(model):
+        raise InvalidParams(f"model {model.name} is not a scalar-output model with a "
+                            "declared homogeneity degree")
+    return (float(model.homogeneity_degree), float(y[0]),
+            float(loss.grad(y)[0]), float(loss.hess(y)[0, 0]))
+
+
+def _rayleigh_bound(m: float, y: float, lp: float, lpp: float, theta_sq: float) -> float:
+    """The sharpness lower bound (m / ||theta||^2) (l'' m y^2 + l' (m-1) y),
+    the Rayleigh quotient of theta by Eq. (7)."""
+    return (m / theta_sq) * (lpp * m * y * y + lp * (m - 1.0) * y)
+
+
 # --- losses ----------------------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, config validation, catalog listing,
 reproducible report files."""
 
+import dataclasses
+import inspect
 import json
 import platform
 from collections import Counter
@@ -82,6 +84,17 @@ def test_catalog_filter_plain_and_sectioned(capsys):
     out = capsys.readouterr().out
     assert "transforms:" in out and "mirror" in out
     assert "check_mirror" not in out  # checks section filtered away
+
+    # a section is named singular or plural
+    for section in ("loss", "losses"):
+        assert cli.main(["catalog", "--filter", f"{section}=square"]) == 0
+        assert capsys.readouterr().out == "losses:\n  square                   target\n"
+    assert cli.main(["catalog", "--filter", "check=mirror"]) == 0
+    assert "check_mirror" in capsys.readouterr().out
+
+    assert cli.main(["catalog", "--filter", "modle=mlp"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown section 'modle'" in err and "model, loss, transform, check" in err
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +218,12 @@ _SQUARE = {"name": "square", "params": {"target": 0.3}}
              ["discrete_first"]), "transform.params: indices"),
     (_misfit(_PROBE, _PROBE_LOSS, {"name": "homogeneity_scaling", "params": {"degree": 1.5}},
              ["first_order"]), "transform.params: degree"),
+    # a mutation no listed check reads, with or without a transform
+    (_misfit(_PROBE, _PROBE_LOSS, None, ["homogeneity"],
+             mutation={"callback": "dh_dlambda", "scale": 100.0}), "mutation"),
+    (_misfit(_PROBE, _PROBE_LOSS, _SCALING, ["homogeneity"],
+             mutation={"callback": "dh_dlambda", "scale": 100.0}), "mutation"),
+    (_misfit(_PROBE, _PROBE_LOSS, _SCALING, ["first_order"], mode="symbolic"), "mode"),
 ], ids=["first_order+sign_flip", "discrete_first+scaling", "homogeneity+vector_head",
         "first_order+no_transform", "last_layer+deep_linear", "mirror+permutation",
         "tolerance_key_typo", "mutation_callback_typo", "mutation_scale_not_number",
@@ -213,7 +232,8 @@ _SQUARE = {"name": "square", "params": {"target": 0.3}}
         "factored_input_inf", "model_key_typo", "loss_key_typo", "transform_key_typo",
         "widths_empty", "factored_input_and_n", "rescaling_blocks_not_list",
         "perm_not_numbers", "widths_string", "widths_float", "widths_bool", "factored_c_float",
-        "softmax_label_float", "sign_flip_index_float", "scaling_degree_float"])
+        "softmax_label_float", "sign_flip_index_float", "scaling_degree_float",
+        "mutation_no_transform", "mutation_no_transform_check", "mode_unknown"])
 def test_run_misfit_entry_exit_2_before_sampling(tmp_path, capsys, entry, where):
     cfg = {"experiment": "check_suite", "output_dir": str(tmp_path / "out"), "plan": [entry]}
     assert cli.main(["run", str(_write(tmp_path, "misfit.json", cfg))]) == 2
@@ -286,6 +306,7 @@ def _bundled(name, **edits):
     (_bundled("sgf_drift", loss={"name": "square", "params": {"target": [9.0]}}),
      "config.loss.params"),
     (_bundled("sgf_drift", loss={"name": "square", "params": {"zz": 1}}), "config.loss.params"),
+    (_bundled("sgf_drift", noise={"mode": "langevin", "sigma": 0.1, "seed": 7}), "config.noise.mode"),
 ], ids=["flow_tolerance_key_typo", "flow_tolerance_not_number", "flow_tolerance_negative",
         "stationary_tolerance_key_typo", "weights_not_numbers", "weights_not_list",
         "x_not_numbers", "flow_theta0_length", "stationary_theta0_length", "sgf_theta0_length",
@@ -293,7 +314,7 @@ def _bundled(name, **edits):
         "weights_nan", "sigma_nan", "T_infinite", "x_nan", "flow_dt_infinite",
         "flow_loss_label_3", "flow_T_shorter_than_dt", "noise_list", "noise_string",
         "sgf_dynamics_string", "flow_dynamics_string", "family_fixes_target",
-        "family_unknown_key"])
+        "family_unknown_key", "noise_mode_unknown"])
 def test_run_dynamics_config_errors_exit_2(tmp_path, capsys, cfg, where):
     cfg = dict(cfg, output_dir=str(tmp_path / "out"))
     assert cli.main(["run", str(_write(tmp_path, "bad.json", cfg))]) == 2
@@ -447,6 +468,38 @@ def test_cli_suite_matches_the_library_suite(tmp_path, capsys):
     ic.write_reports_jsonl(ic.run_suite(ic.default_suite(0, 3)), tmp_path / "library.jsonl")
     assert ((tmp_path / "out" / "reports.jsonl").read_bytes()
             == (tmp_path / "library.jsonl").read_bytes())
+
+
+def test_entry_keys_are_plan_entry_fields():
+    fields = [f.name for f in dataclasses.fields(ic.PlanEntry)]
+    assert sorted(cli._ENTRY_KEYS) == sorted(set(fields) - {"loss_params", "transform_params"})
+    assert len(cli._ENTRY_KEYS) == len(fields) - 2
+
+
+def test_omitted_entry_keys_take_the_library_defaults(tmp_path, capsys):
+    entry = {"model": _PROBE, "loss": _PROBE_LOSS, "transform": _SCALING,
+             "checks": ["first_order", "homogeneity", "sharpness"]}
+    cfg = {"experiment": "check_suite", "output_dir": str(tmp_path / "out"), "plan": [entry]}
+    assert cli.run(str(_write(tmp_path, "defaults.json", cfg))) == 0
+    capsys.readouterr()
+    plan = ic.SuiteSpec(entries=(ic.PlanEntry(
+        model=models.ModelSpec(**_PROBE), loss=_PROBE_LOSS["name"],
+        loss_params=_PROBE_LOSS["params"], transform=_SCALING["name"],
+        transform_params=_SCALING["params"], checks=tuple(entry["checks"])),))
+    ic.write_reports_jsonl(ic.run_suite(plan), tmp_path / "library.jsonl")
+    assert ((tmp_path / "out" / "reports.jsonl").read_bytes()
+            == (tmp_path / "library.jsonl").read_bytes())
+
+
+def test_omitted_stationary_tolerances_take_the_library_defaults(tmp_path, capsys):
+    cfg = _bundled("stationary_spectrum", output_dir=str(tmp_path / "out"))
+    del cfg["tolerances"]
+    assert cli.run(str(_write(tmp_path, "stat.json", cfg))) == 0
+    capsys.readouterr()
+    context = json.loads((tmp_path / "out" / "reports.jsonl").read_text())["context"]
+    defaults = inspect.signature(ic.stationary_null_count).parameters
+    assert context["eps_stat"] == defaults["eps_stat"].default
+    assert context["null_tol"] == defaults["null_tol"].default
 
 
 def test_run_sgf_drift_experiment(tmp_path, capsys):

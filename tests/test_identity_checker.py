@@ -12,6 +12,7 @@ import equichk.diff_engine as de
 import equichk.identity_checker as ic
 import equichk.tensor_core as tc
 from equichk.errors import (
+    CheckFailure,
     DegenerateLoss,
     InvalidParams,
     NotConverged,
@@ -66,6 +67,14 @@ def test_probe_landscape_values(probe_model, probe_loss):
     assert ev.value == pytest.approx(0.5, abs=1e-15)
     np.testing.assert_allclose(ev.grad, [-1.0, -2.0], atol=1e-14)
     np.testing.assert_allclose(ev.hess, [[1.0, 2.0], [2.0, 4.0]], atol=1e-14)
+
+
+def test_landscape_holds_the_hessian_against_its_assembly(probe_model, probe_loss):
+    # a loss whose analytic Hessian is 1% off breaks hess(L) = hl o J o_2 J + gl o hess(f)
+    off = dataclasses.replace(probe_loss, _hess=lambda y: 1.01 * probe_loss._hess(y))
+    with pytest.raises(CheckFailure, match="hessian assembly self-check"):
+        evaluate_landscape(probe_model, off, PROBE_THETA, de.DiffConfig(mode="exact"))
+    evaluate_landscape(probe_model, probe_loss, PROBE_THETA, de.DiffConfig(mode="exact"))
 
 
 def test_probe_first_order_is_euler_relation(probe_model, probe_loss):
@@ -266,6 +275,24 @@ def test_run_suite_rejects_misfit_entry_before_sampling(monkeypatch):
     )
     with pytest.raises(InvalidParams, match=r"plan entry 14: checks\[1\]: first_order needs"):
         run_suite(SuiteSpec(entries=good + (misfit,)))
+    assert sampled == []
+
+
+@pytest.mark.parametrize("model, transform, checks", [
+    (ModelSpec("linear_probe", {"x": [1.0, 2.0]}, seed=21), None, ("homogeneity",)),
+    (ModelSpec("linear_probe", {"x": [1.0, 2.0]}, seed=21), "homogeneity_scaling", ("homogeneity",)),
+    # the mirror row reads the transform's columns, never its callbacks
+    (ModelSpec("deep_linear", {"widths": [1, 2, 1]}, seed=24), "mirror", ("mirror",)),
+], ids=["no_transform", "no_transform_check", "mirror_only"])
+def test_run_suite_rejects_a_mutation_no_check_reads(monkeypatch, model, transform, checks):
+    sampled = []
+    monkeypatch.setattr(ic, "sample_positions", lambda *a, **k: sampled.append(a) or [])
+    params = {"columns": [[1.0, 0.0, 0.0, 0.0]]} if transform == "mirror" else {}
+    entry = PlanEntry(model=model, loss="square", loss_params={"target": 2.0},
+                      transform=transform, transform_params=params, checks=checks,
+                      mutation={"callback": "dh_dlambda", "scale": 100.0})
+    with pytest.raises(InvalidParams, match="plan entry 0: mutation: "):
+        run_suite(SuiteSpec(entries=(entry,)))
     assert sampled == []
 
 
