@@ -446,7 +446,7 @@ def _run_flow(cfg: dict, out_dir: str) -> _RunResult:
         broken = growth.status == "ok" and not growth.monotone
         reports.append(_synthetic_report(
             "norm_growth", "§4.2", float("inf") if broken else growth.euler_max_rel_gap,
-            float(tolerances.get("euler_relation", 1e-7)),
+            float(tolerances.get("euler_relation", dyn._EULER_TOL)),
             {"status": growth.status, "t0": growth.t0, "monotone": growth.monotone,
              "max_decrease": growth.max_decrease},
         ))

@@ -38,7 +38,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -557,6 +557,9 @@ class NormGrowthReport:
 
 #: the losses with the sign property l'(y) y < 0 on correct classification
 _MARGIN_LOSSES = ("exponential", "logistic")
+#: the largest relative Euler-relation gap ``norm_growth_check`` passes, and
+#: the default of a flow config's ``tolerances.euler_relation``
+_EULER_TOL = 1e-7
 
 
 def _norm_growth_applies(model: Model, loss: Loss) -> bool:
@@ -594,7 +597,7 @@ def norm_growth_check(model: Model, loss: Loss, trajectory: Trajectory) -> NormG
         return NormGrowthReport(
             status="never_correctly_classified", t0=None, monotone=False,
             max_decrease=float("nan"), euler_max_rel_gap=euler_gap,
-            passed=bool(euler_gap <= 1e-7),
+            passed=bool(euler_gap <= _EULER_TOL),
         )
 
     norms = trajectory.diagnostics["theta_sq"][t0_idx:]
@@ -608,7 +611,7 @@ def norm_growth_check(model: Model, loss: Loss, trajectory: Trajectory) -> NormG
         monotone=monotone,
         max_decrease=max_decrease,
         euler_max_rel_gap=euler_gap,
-        passed=bool(monotone and euler_gap <= 1e-7),
+        passed=bool(monotone and euler_gap <= _EULER_TOL),
     )
 
 

@@ -52,6 +52,7 @@ from .models import (Loss, Model, ModelSpec, _head_scalars, _rayleigh_bound, _sc
 from .spectral import SpectralSummary, spectral_summary
 from .tensor_core import _finite, compose, compose_k
 from .transforms import (
+    MUTABLE_CALLBACKS,
     Transformation,
     _chart_inverses,
     _Charts,
@@ -424,6 +425,13 @@ def check_first_order(
 # Thm 1 (ii)/(iii): Hessian identities, five-term right-hand sides
 # ---------------------------------------------------------------------------
 
+def _callback(t: Transformation, name: str, lam: np.ndarray, v: np.ndarray) -> Optional[np.ndarray]:
+    """``t``'s derivative callback ``name`` at (lam, v), checked finite; None
+    where ``t`` declares that derivative identically zero."""
+    cb = getattr(t, name)
+    return None if cb is None else _finite(cb(lam, v))
+
+
 @dataclass(frozen=True)
 class _SecondOrder:
     """The right-hand-side terms of the second-order identities at (theta, lam).
@@ -433,7 +441,9 @@ class _SecondOrder:
     signs, so each RHS is a plain sum); ``*_scales`` hold per-term expression
     scales for the report denominators.  Terms 1, 4, 5 vanish for symmetries
     (the output map is the identity); term 3 vanishes whenever H is linear in
-    theta, which covers the whole built-in catalog.
+    theta, which covers the whole built-in catalog.  A term fed by a callback
+    the transform declares zero (``None``) is an exact ``0.0`` of scale
+    ``0.0``; term 1 is always an array, so each sum keeps its shape.
     """
 
     action: Tuple[np.ndarray, ...]
@@ -447,51 +457,45 @@ def _second_order(ev: LandscapeEval, te: _TransformEval) -> _SecondOrder:
     th, y = ev.theta, ev.y
     hinv, ginv, X, Y = te.charts.hinv, te.charts.ginv, te.X, te.Y
 
-    d2h_tt = _finite(t.d2h_dtheta2(lamv, th))        # (d, d, d)
-    d2h_lt = _finite(t.d2h_dlambda_dtheta(lamv, th)) # (p, d, d)
-    d2h_ll = _finite(t.d2h_dlambda2(lamv, th))       # (p, p, d)
-    d2g_yy = _finite(t.d2g_dy2(lamv, y))             # (c, c, c)
-    d2g_ly = _finite(t.d2g_dlambda_dy(lamv, y))      # (p, c, c)
-    d2g_ll = _finite(t.d2g_dlambda2(lamv, y))        # (p, p, c)
+    d2h_tt = _callback(t, "d2h_dtheta2", lamv, th)         # (d, d, d)
+    d2h_lt = _callback(t, "d2h_dlambda_dtheta", lamv, th)  # (p, d, d)
+    d2h_ll = _callback(t, "d2h_dlambda2", lamv, th)        # (p, p, d)
+    d2g_yy = _callback(t, "d2g_dy2", lamv, y)              # (c, c, c)
+    d2g_ly = _callback(t, "d2g_dlambda_dy", lamv, y)       # (p, c, c)
+    d2g_ll = _callback(t, "d2g_dlambda2", lamv, y)         # (p, p, c)
 
     nj, ng, ngl, nhl = _norm(ev.jac_f), _norm(ev.grad), _norm(ev.gl), _norm(ev.hl)
     nhi, ngi, nx, ny = _norm(hinv), _norm(ginv), _norm(X), _norm(Y)
 
+    def h_side(m):  # gradL o (dH/dtheta)^-1 o m
+        return compose(ev.grad, compose(hinv, m))
+
+    def g_side(m):  # gradl o (dG/dy)^-1 o m
+        return compose(ev.gl, compose(ginv, m))
+
+    # (term, scale) per slot; the declared zeros keep (0.0, 0.0)
     hl_y = compose(ev.hl, Y)                            # (p, c)
-    tt_x = compose(d2h_tt, X)                           # (p, d, d)
-    yy_y = compose(d2g_yy, Y)                           # (p, c, c)
-
-    t1 = compose_k(hl_y, ev.jac_f, 2)
-    t2 = compose(ev.grad, compose(hinv, d2h_lt))
-    t3 = compose(ev.grad, compose(hinv, tt_x))
-    t4 = compose(ev.gl, compose(ginv, d2g_ly))
-    t4 = compose_k(t4, ev.jac_f, 2)
-    t5 = compose(ev.gl, compose(ginv, yy_y))
-    t5 = compose_k(t5, ev.jac_f, 2)
-    action = (t1, -t2, t3, t4, -t5)
-    action_scales = (
-        nhl * ny * nj,
-        ng * nhi * _norm(d2h_lt),
-        ng * nhi * _norm(d2h_tt) * nx,
-        ngl * ngi * _norm(d2g_ly) * nj,
-        ngl * ngi * _norm(d2g_yy) * ny * nj,
-    )
-
-    s1 = compose_k(hl_y, Y, 2)
-    s2 = compose(ev.grad, compose(hinv, d2h_ll))
-    s3 = compose(ev.grad, compose(hinv, compose_k(tt_x, X, 2)))
-    s4 = compose(ev.gl, compose(ginv, d2g_ll))
-    s5 = compose(ev.gl, compose(ginv, compose_k(yy_y, Y, 2)))
-    quad = (s1, -s2, s3, s4, -s5)
-    quad_scales = (
-        nhl * ny * ny,
-        ng * nhi * _norm(d2h_ll),
-        ng * nhi * _norm(d2h_tt) * nx * nx,
-        ngl * ngi * _norm(d2g_ll),
-        ngl * ngi * _norm(d2g_yy) * ny * ny,
-    )
-    return _SecondOrder(action=action, action_scales=action_scales,
-                        quad=quad, quad_scales=quad_scales)
+    action = [(compose_k(hl_y, ev.jac_f, 2), nhl * ny * nj)] + [(0.0, 0.0)] * 4
+    quad = [(compose_k(hl_y, Y, 2), nhl * ny * ny)] + [(0.0, 0.0)] * 4
+    if d2h_lt is not None:
+        action[1] = (-h_side(d2h_lt), ng * nhi * _norm(d2h_lt))
+    if d2h_ll is not None:
+        quad[1] = (-h_side(d2h_ll), ng * nhi * _norm(d2h_ll))
+    if d2h_tt is not None:
+        tt_x = compose(d2h_tt, X)                       # (p, d, d)
+        action[2] = (h_side(tt_x), ng * nhi * _norm(d2h_tt) * nx)
+        quad[2] = (h_side(compose_k(tt_x, X, 2)), ng * nhi * _norm(d2h_tt) * nx * nx)
+    if d2g_ly is not None:
+        action[3] = (compose_k(g_side(d2g_ly), ev.jac_f, 2), ngl * ngi * _norm(d2g_ly) * nj)
+    if d2g_ll is not None:
+        quad[3] = (g_side(d2g_ll), ngl * ngi * _norm(d2g_ll))
+    if d2g_yy is not None:
+        yy_y = compose(d2g_yy, Y)                       # (p, c, c)
+        action[4] = (-compose_k(g_side(yy_y), ev.jac_f, 2), ngl * ngi * _norm(d2g_yy) * ny * nj)
+        quad[4] = (-g_side(compose_k(yy_y, Y, 2)), ngl * ngi * _norm(d2g_yy) * ny * ny)
+    (a_terms, a_scales), (q_terms, q_scales) = zip(*action), zip(*quad)
+    return _SecondOrder(action=a_terms, action_scales=a_scales,
+                        quad=q_terms, quad_scales=q_scales)
 
 
 def _second_order_terms(ev: LandscapeEval, t: Transformation, lam) -> Tuple[_TransformEval, _SecondOrder]:
@@ -846,16 +850,17 @@ def check_discrete_second(
     extra_context: Optional[Mapping] = None,
     landscape: Optional[LandscapeEval] = None,
 ) -> IdentityReport:
-    """Conjugation identity P^T hessL P = hessL - gradL o hess(H); for the
-    built-in (theta-linear) catalog the correction term is identically zero
-    but it is still assembled from the callback (Eq. (13) is the linear case)."""
+    """Conjugation identity P^T hessL P = hessL - gradL o hess(H).  The
+    built-in (theta-linear) catalog declares hess(H) zero, so the correction
+    is an exact 0.0 there (Eq. (13) is the linear case)."""
     cfg = config or de.DiffConfig()
     th = np.asarray(theta, dtype=float).reshape(-1)
     fp_res = _require_fixed_point(transform, th)
     ev = _landscape(model, loss, th, cfg, landscape)
     S = _finite(transform.dh_dtheta(np.zeros(0), th))
     lhs = compose_k(compose(ev.hess, S), S, 2)
-    correction = compose(ev.grad, _finite(transform.d2h_dtheta2(np.zeros(0), th)))
+    d2h = _callback(transform, "d2h_dtheta2", np.zeros(0), th)
+    correction = 0.0 if d2h is None else compose(ev.grad, d2h)
     rhs = ev.hess - correction
     ns = _norm(S)
     ctx = _base_context(model, transform, None, extra_context)
@@ -1082,9 +1087,11 @@ def stationary_null_count(
         X, hinv = te.X, te.charts.hinv
         rows.append(X.reshape(t.p, model.d))
         hx = _norm(compose(ev.hess, X))
-        m_lt = compose(hinv, _finite(t.d2h_dlambda_dtheta(lamv, th)))
-        m_tt = compose(hinv, compose(_finite(t.d2h_dtheta2(lamv, th)), X))
-        kappa = _norm(m_lt) + _norm(m_tt)
+        d2h_lt = _callback(t, "d2h_dlambda_dtheta", lamv, th)
+        d2h_tt = _callback(t, "d2h_dtheta2", lamv, th)
+        kappa = 0.0 if d2h_lt is None else _norm(compose(hinv, d2h_lt))
+        if d2h_tt is not None:
+            kappa += _norm(compose(hinv, compose(d2h_tt, X)))
         kappas[t.name] = float(kappa)
         bound = kappa * g_norm
         worst_violation = max(worst_violation, max(0.0, hx - bound))
@@ -1245,8 +1252,8 @@ def _build_entry(entry: PlanEntry) -> BuiltEntry:
 def entry_misfits(built: BuiltEntry) -> List[Tuple[str, str]]:
     """Every setting of ``built.entry`` that its model and transform cannot
     serve -- a check, a tolerance key, the diff mode, or a mutation that no
-    listed check would see -- as (path inside the entry, reason); empty when
-    all fit."""
+    listed check would see or that scales a declared-zero callback -- as
+    (path inside the entry, reason); empty when all fit."""
     entry, model, transform = built.entry, built.model, built.transform
     known = ", ".join(CHECK_REGISTRY)
     out: List[Tuple[str, str]] = []
@@ -1267,9 +1274,13 @@ def entry_misfits(built: BuiltEntry) -> List[Tuple[str, str]]:
         de.DiffConfig(mode=entry.mode)
     except InvalidParams as exc:
         out.append(("mode", str(exc)))
-    if entry.mutation is not None and not mutable:
+    cb = None if entry.mutation is None else entry.mutation["callback"]
+    if cb is not None and not mutable:
         out.append(("mutation", "no listed check reads the transform's callbacks, "
                     "so the mutation cannot act"))
+    elif cb in MUTABLE_CALLBACKS and getattr(transform, cb) is None:
+        out.append(("mutation.callback", f"{transform.name} declares {cb} identically "
+                    "zero, so the mutation cannot act"))
     return out
 
 

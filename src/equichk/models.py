@@ -31,7 +31,6 @@ takes a class index.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import inspect
 import json

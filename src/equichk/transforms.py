@@ -14,27 +14,31 @@ directly into ``compose``/``compose_k`` chains; the characteristic data
 built from them (X, Y, the chart inverses) are plain arrays too.  Callback
 outputs are checked finite (NonFiniteEntry) before they enter a composition
 or ``invert_square``; the chart Jacobians that ``good_position`` eliminates
-are judged by their condition estimate instead.  Shapes:
+are judged by their condition estimate instead.  The callbacks marked
+optional may be ``None``, which declares that derivative identically zero;
+the other three, like ``h_eval`` and ``g_eval``, are required.  Shapes:
 
 ======================  =============  =========================================
 callback                shape          entry
 ======================  =============  =========================================
 ``dh_dtheta``           (d, d)         [theta_j; H_i] = dH_i/dtheta_j
 ``dh_dlambda``          (p, d)         [lam_r; H_i]
-``d2h_dtheta2``         (d, d, d)      [theta_j, theta_k; H_i]
-``d2h_dlambda_dtheta``  (p, d, d)      [lam_r, theta_j; H_i]
-``d2h_dlambda2``        (p, p, d)      [lam_r, lam_s; H_i]
 ``dg_dy``               (c, c)         [y_b; G_a]
-``dg_dlambda``          (p, c)         [lam_r; G_a]
-``d2g_dy2``             (c, c, c)      [y_a, y_b; G_k]
-``d2g_dlambda_dy``      (p, c, c)      [lam_r, y_b; G_a]
-``d2g_dlambda2``        (p, p, c)      [lam_r, lam_s; G_a]
+``d2h_dtheta2``         (d, d, d)      [theta_j, theta_k; H_i]  (optional)
+``d2h_dlambda_dtheta``  (p, d, d)      [lam_r, theta_j; H_i]  (optional)
+``d2h_dlambda2``        (p, p, d)      [lam_r, lam_s; H_i]  (optional)
+``dg_dlambda``          (p, c)         [lam_r; G_a]  (optional)
+``d2g_dy2``             (c, c, c)      [y_a, y_b; G_k]  (optional)
+``d2g_dlambda_dy``      (p, c, c)      [lam_r, y_b; G_a]  (optional)
+``d2g_dlambda2``        (p, p, c)      [lam_r, lam_s; G_a]  (optional)
 ======================  =============  =========================================
 
-Every catalog entry is linear in ``theta`` and in ``y``, so the pure
-second derivatives ``d2h_dtheta2`` and ``d2g_dy2`` vanish identically;
-they are still exposed (as zero arrays) because the identity checks are
-written against the general calculus.
+Every catalog entry is linear in ``theta`` and in ``y``, so ``d2h_dtheta2``
+and ``d2g_dy2`` are ``None`` throughout.  So is every other optional
+derivative that vanishes for an entry: the G side of a symmetry, the
+second lam derivatives of ``last_layer_left_action`` and the lam
+derivatives of a discrete entry.  The identity checks read a ``None`` as
+an exact zero term and skip the arithmetic it would feed.
 """
 
 from __future__ import annotations
@@ -124,14 +128,15 @@ class Transformation:
     g_eval: Callable = field(repr=False)
     dh_dtheta: Callable = field(repr=False)
     dh_dlambda: Callable = field(repr=False)
-    d2h_dtheta2: Callable = field(repr=False)
-    d2h_dlambda_dtheta: Callable = field(repr=False)
-    d2h_dlambda2: Callable = field(repr=False)
     dg_dy: Callable = field(repr=False)
-    dg_dlambda: Callable = field(repr=False)
-    d2g_dy2: Callable = field(repr=False)
-    d2g_dlambda_dy: Callable = field(repr=False)
-    d2g_dlambda2: Callable = field(repr=False)
+    # None declares the derivative identically zero
+    d2h_dtheta2: Optional[Callable] = field(default=None, repr=False)
+    d2h_dlambda_dtheta: Optional[Callable] = field(default=None, repr=False)
+    d2h_dlambda2: Optional[Callable] = field(default=None, repr=False)
+    dg_dlambda: Optional[Callable] = field(default=None, repr=False)
+    d2g_dy2: Optional[Callable] = field(default=None, repr=False)
+    d2g_dlambda_dy: Optional[Callable] = field(default=None, repr=False)
+    d2g_dlambda2: Optional[Callable] = field(default=None, repr=False)
     charge: Optional[Charge] = None
     charge_reason: str = ""
 
@@ -203,12 +208,10 @@ def homogeneity_scaling(model: Model, degree: Optional[int] = None) -> Transform
         g_eval=lambda lam, y: math.exp(m_deg * lam[0]) * y,
         dh_dtheta=lambda lam, th: math.exp(lam[0]) * np.eye(d),
         dh_dlambda=lambda lam, th: (math.exp(lam[0]) * th)[None, :],
-        d2h_dtheta2=lambda lam, th: np.zeros((d, d, d)),
         d2h_dlambda_dtheta=lambda lam, th: math.exp(lam[0]) * np.eye(d)[None],
         d2h_dlambda2=lambda lam, th: (math.exp(lam[0]) * th)[None, None, :],
         dg_dy=lambda lam, y: math.exp(m_deg * lam[0]) * np.eye(c),
         dg_dlambda=lambda lam, y: (m_deg * math.exp(m_deg * lam[0]) * y)[None, :],
-        d2g_dy2=lambda lam, y: np.zeros((c, c, c)),
         d2g_dlambda_dy=lambda lam, y: m_deg * math.exp(m_deg * lam[0]) * np.eye(c)[None],
         d2g_dlambda2=lambda lam, y: (m_deg ** 2 * math.exp(m_deg * lam[0]) * y)[None, None, :],
         charge_reason="output action is nontrivial, so the loss is not invariant",
@@ -274,14 +277,9 @@ def layer_rescaling(model: Model, up: str, down: str) -> Transformation:
         g_eval=lambda lam, y: y,
         dh_dtheta=lambda lam, th: np.diag(scale(lam)),
         dh_dlambda=lambda lam, th: (dscale(lam) * th)[None, :],
-        d2h_dtheta2=lambda lam, th: np.zeros((d, d, d)),
         d2h_dlambda_dtheta=lambda lam, th: np.diag(dscale(lam))[None],
         d2h_dlambda2=lambda lam, th: (d2scale(lam) * th)[None, None, :],
         dg_dy=lambda lam, y: np.eye(c),
-        dg_dlambda=lambda lam, y: np.zeros((1, c)),
-        d2g_dy2=lambda lam, y: np.zeros((c, c, c)),
-        d2g_dlambda_dy=lambda lam, y: np.zeros((1, c, c)),
-        d2g_dlambda2=lambda lam, y: np.zeros((1, 1, c)),
         charge=Charge("half_norm_gap", c_eval, c_grad, c_hess),
     )
 
@@ -387,14 +385,9 @@ def linear_reparam(model: Model, a, up: str, down: str) -> Transformation:
         g_eval=lambda lam, y: y,
         dh_dtheta=dh_dtheta,
         dh_dlambda=dh_dlambda,
-        d2h_dtheta2=lambda lam, th: np.zeros((d, d, d)),
         d2h_dlambda_dtheta=d2h_dlambda_dtheta,
         d2h_dlambda2=d2h_dlambda2,
         dg_dy=lambda lam, y: np.eye(c),
-        dg_dlambda=lambda lam, y: np.zeros((1, c)),
-        d2g_dy2=lambda lam, y: np.zeros((c, c, c)),
-        d2g_dlambda_dy=lambda lam, y: np.zeros((1, c, c)),
-        d2g_dlambda2=lambda lam, y: np.zeros((1, 1, c)),
         charge=charge,
         charge_reason=reason,
     )
@@ -456,14 +449,10 @@ def last_layer_left_action(model: Model) -> Transformation:
         g_eval=lambda lam, y: (eye_c + lam_mat(lam)) @ y,
         dh_dtheta=dh_dtheta,
         dh_dlambda=dh_dlambda,
-        d2h_dtheta2=lambda lam, th: np.zeros((d, d, d)),
         d2h_dlambda_dtheta=d2h_dlambda_dtheta,
-        d2h_dlambda2=lambda lam, th: np.zeros((p, p, d)),
         dg_dy=lambda lam, y: (eye_c + lam_mat(lam)).T,
         dg_dlambda=lambda lam, y: np.kron(eye_c, np.asarray(y, dtype=float)[:, None]),
-        d2g_dy2=lambda lam, y: np.zeros((c_, c_, c_)),
         d2g_dlambda_dy=lambda lam, y: g_mixed,
-        d2g_dlambda2=lambda lam, y: np.zeros((p, p, c_)),
         charge_reason="output action is nontrivial, so the loss is not invariant",
     )
 
@@ -481,14 +470,7 @@ def _discrete(name: str, params: dict, model: Model, P: np.ndarray) -> Transform
         g_eval=lambda lam, y: np.asarray(y, dtype=float),
         dh_dtheta=lambda lam, th: Pt,
         dh_dlambda=lambda lam, th: np.zeros((0, d)),
-        d2h_dtheta2=lambda lam, th: np.zeros((d, d, d)),
-        d2h_dlambda_dtheta=lambda lam, th: np.zeros((0, d, d)),
-        d2h_dlambda2=lambda lam, th: np.zeros((0, 0, d)),
         dg_dy=lambda lam, y: np.eye(c),
-        dg_dlambda=lambda lam, y: np.zeros((0, c)),
-        d2g_dy2=lambda lam, y: np.zeros((c, c, c)),
-        d2g_dlambda_dy=lambda lam, y: np.zeros((0, c, c)),
-        d2g_dlambda2=lambda lam, y: np.zeros((0, 0, c)),
         charge_reason="discrete transformation carries no conserved charge",
     )
 
@@ -561,7 +543,7 @@ def _direction(t: Transformation, hinv: np.ndarray, lam: np.ndarray, th: np.ndar
 
 def _output(t: Transformation, ginv: Optional[np.ndarray], lam: np.ndarray,
             y: np.ndarray) -> np.ndarray:
-    if t.is_symmetry:
+    if t.is_symmetry or t.dg_dlambda is None:
         return np.zeros((t.p, t.c))
     return compose(ginv, _finite(t.dg_dlambda(lam, y)))
 
@@ -680,7 +662,8 @@ MUTABLE_CALLBACKS = (
 
 def mutate(t: Transformation, callback_name: str, scale: float) -> Transformation:
     """Return a copy with one derivative callback scaled — a deliberately
-    inconsistent transformation used to confirm the checks have teeth."""
+    inconsistent transformation used to confirm the checks have teeth.  A
+    declared-zero (``None``) callback stays ``None``: scaling zero is zero."""
     if callback_name not in MUTABLE_CALLBACKS:
         raise UnknownSpec(f"unknown derivative callback {callback_name!r}")
     orig = getattr(t, callback_name)
@@ -691,5 +674,5 @@ def mutate(t: Transformation, callback_name: str, scale: float) -> Transformatio
     return dataclasses.replace(
         t,
         name=f"{t.name}[{callback_name}*{scale}]",
-        **{callback_name: scaled},
+        **{callback_name: None if orig is None else scaled},
     )

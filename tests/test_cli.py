@@ -223,6 +223,12 @@ _SQUARE = {"name": "square", "params": {"target": 0.3}}
              mutation={"callback": "dh_dlambda", "scale": 100.0}), "mutation"),
     (_misfit(_PROBE, _PROBE_LOSS, _SCALING, ["homogeneity"],
              mutation={"callback": "dh_dlambda", "scale": 100.0}), "mutation"),
+    # a mutation of a callback the transform declares identically zero
+    (_misfit({"name": "homogeneous_relu_mlp", "params": {"widths": [2, 3, 1]}, "seed": 15},
+             {"name": "square", "params": {"target": -0.2}},
+             {"name": "layer_rescaling", "params": {"blocks": ["W1", "W2"]}},
+             ["first_order", "second_action", "second_quadratic"],
+             mutation={"callback": "d2g_dy2", "scale": 100.0}), "mutation.callback"),
     (_misfit(_PROBE, _PROBE_LOSS, _SCALING, ["first_order"], mode="symbolic"), "mode"),
 ], ids=["first_order+sign_flip", "discrete_first+scaling", "homogeneity+vector_head",
         "first_order+no_transform", "last_layer+deep_linear", "mirror+permutation",
@@ -233,7 +239,8 @@ _SQUARE = {"name": "square", "params": {"target": 0.3}}
         "widths_empty", "factored_input_and_n", "rescaling_blocks_not_list",
         "perm_not_numbers", "widths_string", "widths_float", "widths_bool", "factored_c_float",
         "softmax_label_float", "sign_flip_index_float", "scaling_degree_float",
-        "mutation_no_transform", "mutation_no_transform_check", "mode_unknown"])
+        "mutation_no_transform", "mutation_no_transform_check", "mutation_declared_zero",
+        "mode_unknown"])
 def test_run_misfit_entry_exit_2_before_sampling(tmp_path, capsys, entry, where):
     cfg = {"experiment": "check_suite", "output_dir": str(tmp_path / "out"), "plan": [entry]}
     assert cli.main(["run", str(_write(tmp_path, "misfit.json", cfg))]) == 2

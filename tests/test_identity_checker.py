@@ -221,6 +221,47 @@ def test_discrete_second_on_relu_neuron_swap():
     assert rep.context["blue_correction_norm"] == 0.0  # theta-linear catalog
 
 
+def _dense_zeros(t):
+    """``t`` with each callback it declares zero written out as a dense zero."""
+    p, d, c = t.p, t.d, t.c
+    shapes = {"d2h_dtheta2": (d, d, d), "d2h_dlambda_dtheta": (p, d, d),
+              "d2h_dlambda2": (p, p, d), "dg_dlambda": (p, c), "d2g_dy2": (c, c, c),
+              "d2g_dlambda_dy": (p, c, c), "d2g_dlambda2": (p, p, c)}
+    zeros = {cb: (lambda shape: lambda lam, v: np.zeros(shape))(shape)
+             for cb, shape in shapes.items() if getattr(t, cb) is None}
+    assert zeros  # every catalog entry declares at least d2h_dtheta2 zero
+    return dataclasses.replace(t, **zeros)
+
+
+def test_declared_zeros_report_the_bits_of_dense_zeros(deep_linear_121):
+    cases = [
+        (ModelSpec("homogeneous_relu_mlp", {"widths": [2, 3, 1]}, seed=11),
+         make_loss("square", target=0.7), "homogeneity_scaling", {}),
+        (ModelSpec("deep_linear", {"widths": [2, 3, 2]}, seed=16),
+         make_loss("square", target=[0.1, 0.5]), "layer_rescaling", {"blocks": ["W1", "W2"]}),
+        (ModelSpec("factored_last_layer", {"c": 3, "s": 2, "hidden": [3]}, seed=19),
+         make_loss("softmax_xent", n_classes=3, label=1), "last_layer_left_action", {}),
+        (ModelSpec("homogeneous_relu_mlp", {"widths": [2, 2, 1]}, seed=23),
+         make_loss("square", target=0.5), "permutation", {"perm": [2, 3, 0, 1, 5, 4]}),
+    ]
+    for spec, loss, name, params in cases:
+        model = build_model(spec)
+        t = build_transform(name, params, model)
+        (th, lam), = sample_positions(model, loss, t, count=1, seed=13)
+        checks = ((check_discrete_second,) if t.kind == "discrete"
+                  else (check_second_action, check_second_quadratic))
+        for check in checks:
+            args = (th,) if t.kind == "discrete" else (th, lam)
+            declared = check(model, loss, t, *args).to_json_dict()
+            assert check(model, loss, _dense_zeros(t), *args).to_json_dict() == declared, name
+    # theta = 0 is stationary for a deep linear chain, so kappa is computed there
+    loss = make_loss("square", target=0.3)
+    t = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, deep_linear_121)
+    reps = [stationary_null_count(deep_linear_121, loss, [s], np.zeros(deep_linear_121.d))
+            for s in (t, _dense_zeros(t))]
+    assert reps[0].to_json_dict() == reps[1].to_json_dict()
+
+
 def test_last_layer_alignment_softmax():
     model = build_model(ModelSpec("factored_last_layer", {"c": 3, "s": 2, "hidden": [3]}, seed=19))
     loss = make_loss("softmax_xent", n_classes=3, label=1)
@@ -482,6 +523,12 @@ def test_every_layer_returns_float64_arrays(relu_mlp):
 _NOT_GOOD = ("NotGoodPosition",) * 3
 _NON_FINITE = ("NonFiniteEntry",) * 3
 _SECOND_ORDER_ONLY = ("pass", "NonFiniteEntry", "NonFiniteEntry")  # first order never reads it
+# the callbacks each transform declares identically zero (None): mutate keeps
+# them None, so no check reads the NaN and every outcome is a pass
+_DECLARED_ZERO = {
+    "homogeneity_scaling": ("d2h_dtheta2", "d2g_dy2"),
+    "layer_rescaling": ("d2h_dtheta2", "dg_dlambda", "d2g_dy2", "d2g_dlambda_dy", "d2g_dlambda2"),
+}
 
 
 @pytest.mark.parametrize("name, params, dg_dlambda", [
@@ -497,6 +544,7 @@ def test_nan_callback_outcomes(name, params, dg_dlambda):
     t = build_transform(name, params, model)
     (th, lam), = sample_positions(model, loss, t, count=1, seed=3)
     expected = {cb: _SECOND_ORDER_ONLY for cb in MUTABLE_CALLBACKS}
+    expected.update({cb: ("pass",) * 3 for cb in _DECLARED_ZERO[name]})
     expected.update(dh_dtheta=_NOT_GOOD, dg_dy=_NOT_GOOD, dh_dlambda=_NON_FINITE,
                     dg_dlambda=dg_dlambda)
     for cb in MUTABLE_CALLBACKS:

@@ -1,6 +1,8 @@
 """Transformation catalog: the defining relation f(H(theta,lam)) = G(lam, f(theta)),
 characteristic quantities against finite differences, fixed points, charges."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from equichk.errors import (
 from equichk.models import ModelSpec, build_model, forward, random_params
 from equichk.transforms import (
     TRANSFORM_NAMES,
+    Transformation,
     build_transform,
     characteristic_direction,
     characteristic_output,
@@ -63,6 +66,27 @@ def test_equivariance_relation_holds(name, params, model):
         lam = None if t.kind == "discrete" else rng.uniform(-0.4, 0.4, size=t.p)
         res = equivariance_residual(t, model, theta, lam)
         assert res <= 1e-12, f"{name}: residual {res:.3e}"
+
+
+_OPTIONAL_CALLBACKS = ("d2h_dtheta2", "d2h_dlambda_dtheta", "d2h_dlambda2", "dg_dlambda",
+                       "d2g_dy2", "d2g_dlambda_dy", "d2g_dlambda2")
+
+
+@pytest.mark.parametrize("name,params,model", CASES, ids=_IDS)
+def test_optional_callbacks_are_declared_zero_or_nonzero(name, params, model):
+    # a derivative that vanishes is declared None, never returned as a dense zero
+    optional = {f.name for f in dataclasses.fields(Transformation) if f.default is None}
+    assert optional - {"charge"} == set(_OPTIONAL_CALLBACKS)
+    t = build_transform(name, params, model)
+    rng = np.random.default_rng(29)
+    theta = random_params(model, rng)
+    y = forward(model, theta)
+    lam = rng.uniform(-0.3, 0.3, size=t.p)
+    for cb in _OPTIONAL_CALLBACKS:
+        fn = getattr(t, cb)
+        if fn is not None:
+            out = np.asarray(fn(lam, theta if cb.startswith("d2h") else y))
+            assert np.any(out != 0.0), f"{name}.{cb} returns a dense zero"
 
 
 def test_catalog_names_cover_cases():
