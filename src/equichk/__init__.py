@@ -9,7 +9,7 @@ sharpness bounds, conserved charges of gradient flow, and the charge drift
 of stochastic gradient flow.
 """
 
-from .diff_engine import DiffConfig, HyperDual, fd_oracle, grad_and_hessian_of_loss, jacobian, second_derivative
+from .diff_engine import HyperDual, fd_oracle, grad_and_hessian_of_loss, jacobian, second_derivative
 from .dynamics import (
     CovarianceReport,
     DriftReport,

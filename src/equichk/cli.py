@@ -48,7 +48,7 @@ from . import dynamics as dyn
 from . import identity_checker as ic
 from . import models
 from . import transforms as tr
-from .errors import CheckFailure, ConfigError, EquichkError, InvalidNoiseModel, InvalidParams
+from .errors import CheckFailure, ConfigError, EquichkError, InvalidNoiseModel
 from .models import (
     LOSS_NAMES,
     MODEL_NAMES,
@@ -115,6 +115,13 @@ class _V:
         if nonneg and v < 0:
             self.fail(f"{path}.{key}", f"must be nonnegative, got {v}")
         return v
+
+    def holds(self, path: str, rule: Callable, *args) -> None:
+        """Apply a library validity ``rule``; the error it raises fails at ``path``."""
+        try:
+            rule(*args)
+        except EquichkError as exc:
+            self.fail(path, str(exc))
 
     def raise_if_failed(self) -> None:
         if self.errors:
@@ -220,8 +227,7 @@ def _validate_tolerances(v: _V, obj, path: str, known: Sequence[str]) -> dict:
 #: the keys of a plan entry: PlanEntry's fields, with each catalog request's
 #: params inside its request object
 _ENTRY_KEYS = (
-    "model", "loss", "transform", "checks", "positions", "seed", "mode",
-    "lam_scale", "margin", "tolerances", "trials", "mutation",
+    "model", "loss", "transform", "checks", "positions", "seed", "mode", "tolerances", "mutation",
 )
 
 
@@ -255,9 +261,6 @@ def _validate_entry(v: _V, obj, path: str) -> Optional[ic.BuiltEntry]:
         v.number(mutation, f"{path}.mutation", "scale")
     v.number(obj, path, "positions", integer=True, positive=True)
     v.number(obj, path, "seed", integer=True, nonneg=True)
-    v.number(obj, path, "lam_scale", positive=True)
-    v.number(obj, path, "margin", positive=True)
-    v.number(obj, path, "trials", integer=True, positive=True)
     if len(v.errors) > start:
         return None
     # a key the entry omits takes PlanEntry's default; the catalog requests
@@ -273,6 +276,18 @@ def _validate_entry(v: _V, obj, path: str) -> Optional[ic.BuiltEntry]:
     for where, why in ic.entry_misfits(built):
         v.fail(f"{path}.{where}", why)
     return built
+
+
+def _validate_dynamics(v: _V, obj, keys: Sequence[str], one_step: bool = True):
+    """T and dt of the ``dynamics`` object, which takes exactly ``keys``;
+    with ``one_step``, T must cover one step of dt."""
+    start = len(v.errors)
+    v.keys(obj, "config.dynamics", keys, keys)
+    T = v.number(obj, "config.dynamics", "T", positive=True)
+    dt = v.number(obj, "config.dynamics", "dt", positive=True)
+    if one_step and len(v.errors) == start:
+        v.holds("config.dynamics.dt", dyn._check_step, T, dt)
+    return T, dt
 
 
 def _validate_sample(v: _V, s, path: str, model, family) -> bool:
@@ -386,8 +401,9 @@ def _gradient_flow(cfg: dict, stationary: bool, tolerance_keys: Sequence[str]) -
     """Validate a flow or (``stationary``) stationary_spectrum config and
     integrate its gradient flow, with fixed-step RK4 or to a stationary point
     with :func:`dyn.stationary_flow`.  ``tolerance_keys`` are the keys its
-    ``tolerances`` object may set.  A stationary_spectrum config needs at
-    least one transform."""
+    ``tolerances`` object may set.  A flow's transforms need a charge; a
+    stationary_spectrum config needs at least one transform, each a
+    continuous symmetry, and the flow records those that have a charge."""
     v = _V()
     v.keys(cfg, "config",
            ("experiment", "output_dir", "model", "loss", "transforms",
@@ -395,14 +411,8 @@ def _gradient_flow(cfg: dict, stationary: bool, tolerance_keys: Sequence[str]) -
            ("model", "loss", "dynamics") + (("transforms",) if stationary else ()))
     model = _validate_model(v, cfg.get("model", {}), "config.model")
     loss = _validate_loss(v, cfg.get("loss", {}), "config.loss")
-    dyn_obj = cfg.get("dynamics", {})
-    start = len(v.errors)
-    v.keys(dyn_obj, "config.dynamics", ("T", "dt"), ("T", "dt"))
-    T = v.number(dyn_obj, "config.dynamics", "T", positive=True)
-    dt = v.number(dyn_obj, "config.dynamics", "dt", positive=True)
     # the stationary flow clips its first trial step to T; RK4 needs one whole step
-    if not stationary and len(v.errors) == start and T < dt:
-        v.fail("config.dynamics.dt", f"must not exceed T = {T} (one RK4 step), got {dt}")
+    T, dt = _validate_dynamics(v, cfg.get("dynamics", {}), ("T", "dt"), one_step=not stationary)
     theta0 = _validate_theta0(v, cfg, "config", model)
     tolerances = _validate_tolerances(v, cfg, "config", tolerance_keys)
     transforms = []
@@ -411,14 +421,19 @@ def _gradient_flow(cfg: dict, stationary: bool, tolerance_keys: Sequence[str]) -
         v.fail("config.transforms", "expected a non-empty list of symmetry transforms"
                if stationary else "expected a list of symmetry transforms")
     else:
+        rule = tr._require_continuous_symmetry if stationary else tr.noether_charge
         for i, t in enumerate(raw_transforms):
-            transforms.append(_validate_transform(v, t, f"config.transforms[{i}]", model))
+            transform = _validate_transform(v, t, f"config.transforms[{i}]", model)
+            if transform is not None:
+                v.holds(f"config.transforms[{i}]", rule, transform)
+            transforms.append(transform)
     v.raise_if_failed()
 
     th0 = model.init_params if theta0 == "init" else np.asarray(theta0, dtype=float)
     integrate = dyn.stationary_flow if stationary else dyn.gradient_flow
     T, dt = float(T), float(dt)
-    trajectory = integrate(model, loss, th0, T=T, dt=dt, chargelist=transforms)
+    trajectory = integrate(model, loss, th0, T=T, dt=dt,
+                           chargelist=[t for t in transforms if t.charge is not None])
     return _Flow(model, loss, transforms, T, dt, tolerances, trajectory)
 
 
@@ -465,10 +480,10 @@ def _run_sgf_drift(cfg: dict, out_dir: str) -> _RunResult:
     family = _validate_loss(v, cfg.get("loss", {}), "config.loss", build=loss_family)
     dataset = _validate_dataset(v, cfg.get("dataset", {}), "config.dataset", model, family)
     transform = _validate_transform(v, cfg.get("transform", {}), "config.transform", model)
+    if transform is not None:
+        v.holds("config.transform", tr.noether_charge, transform)
     dyn_obj = cfg.get("dynamics", {})
-    v.keys(dyn_obj, "config.dynamics", ("T", "dt", "ensemble"), ("T", "dt", "ensemble"))
-    T = v.number(dyn_obj, "config.dynamics", "T", positive=True)
-    dt = v.number(dyn_obj, "config.dynamics", "dt", positive=True)
+    T, dt = _validate_dynamics(v, dyn_obj, ("T", "dt", "ensemble"))
     ensemble = v.number(dyn_obj, "config.dynamics", "ensemble", integer=True, positive=True)
     noise_obj = cfg.get("noise", {})
     start = len(v.errors)
@@ -485,11 +500,8 @@ def _run_sgf_drift(cfg: dict, out_dir: str) -> _RunResult:
     n_save = v.number(cfg, "config", "save_trajectories", integer=True, nonneg=True, default=8)
     v.raise_if_failed()
 
-    try:
-        dyn._check_sgf_bytes(model.d, len(dataset.samples), float(T), float(dt), int(ensemble),
-                             noise.mode, noise.sigma, n_charges=1)
-    except InvalidParams as exc:
-        v.fail("config.dynamics.ensemble", str(exc))
+    v.holds("config.dynamics.ensemble", dyn._check_sgf_bytes, model.d, len(dataset.samples),
+            float(T), float(dt), int(ensemble), noise.mode, noise.sigma, 1)
     v.raise_if_failed()
     th0 = model.init_params if theta0 == "init" else np.asarray(theta0, dtype=float)
     ensemble_runs = dyn.sgf(model, family, dataset, th0, noise,
@@ -509,8 +521,8 @@ def _run_sgf_drift(cfg: dict, out_dir: str) -> _RunResult:
     files = _write_report_files(reports, out_dir)
     saved = ensemble_runs[: int(n_save or 0)]
     if saved:
-        dyn.write_ensemble(saved, out_dir)
-        files = files + ["ensemble.json"] + [f"trajectory_{i:04d}.csv" for i in range(len(saved))]
+        manifest = dyn.write_ensemble(saved, out_dir)
+        files = files + ["ensemble.json"] + [e["file"] for e in manifest["trajectories"]]
     return reports, files, {}
 
 

@@ -53,9 +53,8 @@ Convention note: ReLU is differentiated with ``relu'(0) = 0`` and
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -69,7 +68,6 @@ from .errors import (
 )
 
 __all__ = [
-    "DiffConfig",
     "HyperDual",
     "jacobian",
     "second_derivative",
@@ -82,6 +80,7 @@ __all__ = [
     "matvec", "dot", "sum_last", "expand_last", "take_last",
 ]
 
+#: the differentiation modes every sweep and identity check takes
 _MODES = ("exact", "finite_difference")
 
 #: bytes one seed or stencil block of a batched sweep may take; sweeps split
@@ -89,18 +88,10 @@ _MODES = ("exact", "finite_difference")
 _BLOCK_BYTES = 64 * 2 ** 20
 
 
-@dataclass(frozen=True)
-class DiffConfig:
-    """Differentiation settings shared by every derivative entry point."""
-
-    mode: str = "exact"
-
-    def __post_init__(self):
-        if self.mode not in _MODES:
-            raise InvalidParams(f"unknown diff mode {self.mode!r} (known: {', '.join(_MODES)})")
-
-
-_DEFAULT = DiffConfig()
+def _check_mode(mode: str) -> None:
+    """Raise InvalidParams unless ``mode`` is one of ``_MODES``."""
+    if mode not in _MODES:
+        raise InvalidParams(f"unknown diff mode {mode!r} (known: {', '.join(_MODES)})")
 
 
 def _add(a, b):
@@ -301,17 +292,17 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
         raise NonFiniteResult(f"{what} produced NaN or Inf")
 
 
-def jacobian(map_fn: Callable, point, config: Optional[DiffConfig] = None) -> np.ndarray:
+def jacobian(map_fn: Callable, point, mode: str = "exact") -> np.ndarray:
     """Gradient tensor of ``map_fn`` at ``point``.
 
     For f: R^d -> tensors of shape s the result has shape ``(d, *s)`` with
     entry ``[i, ...] = d f[...] / d theta_i`` (parameter axis first, so plain
     composition contracts it).
     """
-    cfg = config or _DEFAULT
+    _check_mode(mode)
     x = _as_point(point)
-    if cfg.mode == "finite_difference":
-        return fd_oracle(map_fn, x, 1, cfg)
+    if mode == "finite_difference":
+        return fd_oracle(map_fn, x, 1)
     d = x.size
     seed = HyperDual(x, d1=np.eye(d))
     out = map_fn(seed)
@@ -332,7 +323,7 @@ def _blocks(n: int, item_bytes: int):
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def second_derivative(map_fn: Callable, point, config: Optional[DiffConfig] = None) -> np.ndarray:
+def second_derivative(map_fn: Callable, point, mode: str = "exact") -> np.ndarray:
     """Second-derivative tensor, shape ``(d, d, *s)``, symmetric in the two
     leading axes.
 
@@ -342,10 +333,10 @@ def second_derivative(map_fn: Callable, point, config: Optional[DiffConfig] = No
     are split into blocks of ``_BLOCK_BYTES`` (a d x d seed product each), one
     evaluation per block; at catalog sizes that is a single evaluation.
     """
-    cfg = config or _DEFAULT
+    _check_mode(mode)
     x = _as_point(point)
-    if cfg.mode == "finite_difference":
-        return fd_oracle(map_fn, x, 2, cfg)
+    if mode == "finite_difference":
+        return fd_oracle(map_fn, x, 2)
     d = x.size
     eye = np.eye(d)
     parts = []
@@ -382,15 +373,13 @@ def _stencil(order: int, d: int):
     return a, sa, b, sb
 
 
-def fd_oracle(map_fn: Callable, point, order: int, config: Optional[DiffConfig] = None) -> np.ndarray:
+def fd_oracle(map_fn: Callable, point, order: int) -> np.ndarray:
     """Central finite differences of order 1 or 2 (the independent oracle).
 
     Steps follow ``h_i = max(1, |x_i|) * eps**(1/p)`` with p = 3 for first
     and p = 4 for second derivatives — the classical truncation/rounding
     balance for each order (a cube-root step on a second difference lets
-    eps/h^2 rounding dominate at ~1e-5).  ``config`` is accepted so that
-    every sweep takes the same arguments; none of its settings changes the
-    stencil.
+    eps/h^2 rounding dominate at ~1e-5).
 
     Every stencil point is stacked into one ``(n, d)`` batch and the map is
     evaluated once on it (once per ``_BLOCK_BYTES`` block of points for large
@@ -437,13 +426,12 @@ def grad_and_hessian_of_loss(
     model,
     loss,
     point,
-    config: Optional[DiffConfig] = None,
+    mode: str = "exact",
 ) -> Tuple[float, np.ndarray, np.ndarray]:
     """Value, gradient, and Hessian of ``L = loss o model`` at ``point``,
     obtained by differentiating the composite map directly (the route that
     :func:`equichk.identity_checker.evaluate_landscape` holds against the
     chain/product-rule assembly)."""
-    cfg = config or _DEFAULT
     x = _as_point(point)
 
     def composite(th):
@@ -452,8 +440,8 @@ def grad_and_hessian_of_loss(
     value = float(np.asarray(composite(x)))
     if not np.isfinite(value):
         raise NonFiniteResult("loss evaluation produced NaN or Inf")
-    grad = jacobian(composite, x, cfg)
-    hess = second_derivative(composite, x, cfg)
+    grad = jacobian(composite, x, mode)
+    hess = second_derivative(composite, x, mode)
     return value, grad, hess
 
 

@@ -54,7 +54,7 @@ from .errors import (
 )
 from .models import (Dataset, Loss, LossFamily, Model, _head_scalars, _rayleigh_bound,
                      _scalar_homogeneous, forward, per_sample_losses)
-from .transforms import Charge, Transformation, noether_charge
+from .transforms import Charge, Transformation, _require_continuous_symmetry, noether_charge
 
 __all__ = [
     "Trajectory",
@@ -79,6 +79,7 @@ _MAX_HALVINGS = 20
 _RECORD_BUDGET = 1000
 #: bytes an SGF run may hold in pre-drawn randomness and recorded arrays
 _SGF_MAX_BYTES = 1 << 30
+_BIAS_SAFETY = 4.0  # factor on the drift check's O(dt^2) slop, dt^2 max(|theory_trace| / dt, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +138,14 @@ def _as_objective(model: Model, loss) -> _Objective:
     return _Objective(model, loss)
 
 
+def _check_step(T: float, dt: float) -> None:
+    """Raise InvalidParams unless dt is positive and T covers one step."""
+    if dt <= 0:
+        raise InvalidParams(f"dt must be positive, got {dt}")
+    if T < dt:
+        raise InvalidParams(f"T = {T} is shorter than one step dt = {dt}")
+
+
 def _as_charges(chargelist) -> List[Charge]:
     out: List[Charge] = []
     for entry in chargelist or ():
@@ -149,6 +158,13 @@ def _as_charges(chargelist) -> List[Charge]:
                 f"chargelist entries must be Charge or Transformation, got {type(entry).__name__}"
             )
     return out
+
+
+def _charge_keys(charges: Sequence[Charge]) -> List[str]:
+    """The series name of each charge, by its position in the list: its own
+    name, or ``name[i]`` when another charge in the list shares the name."""
+    names = [c.name for c in charges]
+    return [n if names.count(n) == 1 else f"{n}[{i}]" for i, n in enumerate(names)]
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +254,7 @@ class _Recorder:
         self.times: List[float] = []
         self.states: List[np.ndarray] = []
         self.losses: List[float] = []
-        self.charge_vals: Dict[str, List[float]] = {c.name: [] for c in charges}
+        self.charge_vals: List[List[float]] = [[] for _ in charges]
         self.diag: Dict[str, List[float]] = {"grad_norm": [], "theta_sq": []}
         self._scalar_head = model.c == 1
         if self._scalar_head:
@@ -263,8 +279,8 @@ class _Recorder:
                 m, yv, lp, lpp = _head_scalars(self.model, self._loss, y)
                 nth2 = max(float(theta @ theta), 1e-300)
                 self.diag["sharpness_bound"].append(_rayleigh_bound(m, yv, lp, lpp, nth2))
-        for c in self.charges:
-            self.charge_vals[c.name].append(float(c.c_eval(theta)))
+        for vals, c in zip(self.charge_vals, self.charges):
+            vals.append(float(c.c_eval(theta)))
 
     def extra(self, name: str, value: float) -> None:
         self.diag.setdefault(name, []).append(float(value))
@@ -274,7 +290,7 @@ class _Recorder:
             times=np.asarray(self.times),
             states=np.asarray(self.states),
             losses=np.asarray(self.losses),
-            charges={k: np.asarray(v) for k, v in self.charge_vals.items()},
+            charges={k: np.asarray(v) for k, v in zip(_charge_keys(self.charges), self.charge_vals)},
             diagnostics={k: np.asarray(v) for k, v in self.diag.items()},
             meta=dict(meta),
         )
@@ -304,10 +320,7 @@ def gradient_flow(
     StepFailure.  Charges and diagnostics are evaluated at every record
     point; the record stride keeps at most ~1000 rows per run.
     """
-    if dt <= 0:
-        raise InvalidParams(f"dt must be positive, got {dt}")
-    if T < dt:
-        raise InvalidParams(f"T = {T} is shorter than one step dt = {dt}")
+    _check_step(T, dt)
     obj = _as_objective(model, loss)
     charges = _as_charges(chargelist)
     th = np.asarray(theta0, dtype=float).reshape(-1)
@@ -489,8 +502,7 @@ def gradient_descent(
     if steps < 1:
         raise InvalidParams("need at least one step")
     for s in symmetries:
-        if s.kind != "continuous" or not s.is_symmetry:
-            raise InvalidParams(f"{s.name} is not a continuous symmetry")
+        _require_continuous_symmetry(s)
     obj = _as_objective(model, loss)
     charges = _as_charges(chargelist)
     th = np.asarray(theta0, dtype=float).reshape(-1)
@@ -734,10 +746,7 @@ def sgf(
     ``exact_sde`` mode and none at sigma = 0, plus recorded arrays) is
     checked against a fixed 1 GiB limit before anything is drawn.
     """
-    if dt <= 0:
-        raise InvalidParams(f"dt must be positive, got {dt}")
-    if T < dt:
-        raise InvalidParams(f"T = {T} is shorter than one step dt = {dt}")
+    _check_step(T, dt)
     if ensemble < 1:
         raise InvalidParams("ensemble must hold at least one trajectory")
     obj = _Objective(model, dataset, family)
@@ -813,7 +822,8 @@ def sgf(
         times=times,
         states=stack,
         losses=losses,
-        charges={c.name: np.asarray(c.c_eval(stack), dtype=float) for c in charges},
+        charges={k: np.asarray(c.c_eval(stack), dtype=float)
+                 for k, c in zip(_charge_keys(charges), charges)},
         meta={
             "kind": "sgf", "mode": noise.mode, "sigma": noise.sigma, "seed": noise.seed,
             "dt": h, "T": T, "stride": stride, "ensemble": ensemble,
@@ -874,8 +884,6 @@ def noether_drift_check(
     family: LossFamily,
     dataset: Dataset,
     noise: NoiseModel,
-    *,
-    bias_safety: float = 4.0,
 ) -> DriftReport:
     if len(ensemble) < 100:
         raise InsufficientEnsemble(
@@ -923,7 +931,7 @@ def noether_drift_check(
     # the surviving discrepancy sources: the exact EM per-step quadratic-form
     # bias (computed, not bounded), and O(dt^2) remainders / record-grid error
     em_bias = 0.5 * dt * float(np.sum(quad * weights) / np.sum(weights))
-    slop = bias_safety * dt * dt * max(abs(theory_trace) / max(dt, 1e-300), 1.0)
+    slop = _BIAS_SAFETY * dt * dt * max(abs(theory_trace) / max(dt, 1e-300), 1.0)
     bias_budget = abs(em_bias) + slop
     gap = abs(empirical - theory_trace)
     passed = bool(gap <= 3.0 * std_error + bias_budget)
@@ -962,13 +970,14 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
             writer.writerow(row)
 
 
-def write_ensemble(trajectories: Sequence[Trajectory], out_dir, prefix: str = "trajectory") -> dict:
-    """Write one CSV per trajectory plus a JSON manifest referencing them."""
+def write_ensemble(trajectories: Sequence[Trajectory], out_dir) -> dict:
+    """Write one CSV per trajectory, ``trajectory_0000.csv`` on, plus the
+    ``ensemble.json`` manifest that lists them; returns the manifest."""
     import os
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     for i, tr in enumerate(trajectories):
-        name = f"{prefix}_{i:04d}.csv"
+        name = f"trajectory_{i:04d}.csv"
         write_trajectory_csv(tr, os.path.join(out_dir, name))
         entries.append({"file": name, "records": tr.n_records, "meta": _meta_jsonable(tr.meta)})
     manifest = {"count": len(trajectories), "trajectories": entries}

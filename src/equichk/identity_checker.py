@@ -56,6 +56,7 @@ from .transforms import (
     Transformation,
     _chart_inverses,
     _Charts,
+    _require_continuous_symmetry,
     build_transform,
     fixed_point_project,
     good_position,
@@ -99,6 +100,11 @@ DEFAULT_TOL_EXACT = 1e-7
 DEFAULT_TOL_FD = 1e-4
 _FLOOR = 1e-12
 _AGREE_TOL = 1e-12  # internal dual-formulation agreement (term dropping, mirror)
+_EIGEN_NULL_TOL = 1e-8  # relative null threshold of check_eigen_alignment's column space
+#: sample_positions' default kink margin, lam half-width and draws per position
+_MARGIN = 1e-6
+_LAM_SCALE = 0.3
+_MAX_TRIES = 100
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +127,6 @@ _REQUIREMENTS: Dict[str, Callable[[Model, Optional[Transformation]], bool]] = {
 class _Point:
     """One sampled position of a built plan entry; ``kw`` is for the check."""
 
-    entry: "PlanEntry"
     model: Model
     loss: Loss
     transform: Optional[Transformation]
@@ -167,7 +172,7 @@ CHECK_REGISTRY: Dict[str, PlanCheck] = {row.name: row for row in (
               lambda p: check_mirror(p.model, p.loss, np.stack(p.transform.params["columns"], axis=1),
                                      p.theta, **p.kw)),
     PlanCheck("last_layer", "check_last_layer_alignment", "Cor. 3", "factored last layer",
-              lambda p: check_last_layer_alignment(p.model, p.loss, p.theta, p.entry.trials,
+              lambda p: check_last_layer_alignment(p.model, p.loss, p.theta,
                                                    seed=p.seed ^ 0x5DEECE66D, **p.kw)),
 )}
 
@@ -256,14 +261,13 @@ def _report(check_name, anchor, lhs, rhs, scale_l, scale_r, tol, context,
     )
 
 
-def _tol(config: Optional[de.DiffConfig], override: Optional[float]) -> float:
+def _tol(mode: str, override: Optional[float]) -> float:
     if override is not None:
         return float(override)
-    mode = (config or de.DiffConfig()).mode
     return DEFAULT_TOL_EXACT if mode == "exact" else DEFAULT_TOL_FD
 
 
-def _base_context(model: Model, transform: Optional[Transformation], lam, extra) -> dict:
+def _base_context(model: Model, transform: Optional[Transformation], lam, mode: str, extra) -> dict:
     ctx: Dict[str, object] = {
         "model": model.name,
         "transform": transform.name if transform is not None else None,
@@ -272,6 +276,7 @@ def _base_context(model: Model, transform: Optional[Transformation], lam, extra)
     }
     if extra:
         ctx.update(extra)
+    ctx["mode"] = mode
     return ctx
 
 
@@ -311,35 +316,36 @@ class LandscapeEval:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def evaluate_landscape(model: Model, loss: Loss, theta, config: Optional[de.DiffConfig] = None) -> LandscapeEval:
-    cfg = config or de.DiffConfig()
+def evaluate_landscape(model: Model, loss: Loss, theta, mode: str = "exact") -> LandscapeEval:
     th = np.asarray(theta, dtype=float).reshape(-1)
     if th.size != model.d:
         raise SizeMismatch(f"theta has {th.size} entries, model {model.name} wants {model.d}")
     y = forward(model, th)
-    value, grad, hess = de.grad_and_hessian_of_loss(model, loss, th, cfg)
-    jac_f = de.jacobian(model.func, th, cfg)
-    hess_f = de.second_derivative(model.func, th, cfg)
+    value, grad, hess = de.grad_and_hessian_of_loss(model, loss, th, mode)
+    jac_f = de.jacobian(model.func, th, mode)
+    hess_f = de.second_derivative(model.func, th, mode)
     gl = _finite(loss.grad(y))
     hl = _finite(loss.hess(y))
-    de._check_assembly(hess, jac_f, hess_f, gl, hl, cfg.mode)
+    de._check_assembly(hess, jac_f, hess_f, gl, hl, mode)
     return LandscapeEval(
         theta=th, y=y, value=value, jac_f=jac_f, hess_f=hess_f,
-        gl=gl, hl=hl, grad=grad, hess=hess, mode=cfg.mode,
+        gl=gl, hl=hl, grad=grad, hess=hess, mode=mode,
     )
 
 
-def _landscape(model: Model, loss: Loss, theta, cfg: de.DiffConfig,
+def _landscape(model: Model, loss: Loss, theta, mode: str,
                landscape: Optional[LandscapeEval]) -> LandscapeEval:
-    """``landscape`` if it was evaluated at ``theta`` in ``cfg``'s mode, else
-    a fresh evaluation; a landscape from elsewhere raises InvalidParams."""
+    """``landscape`` if it was evaluated at ``theta`` in ``mode``, else a
+    fresh evaluation; an unknown mode or a landscape from elsewhere raises
+    InvalidParams."""
+    de._check_mode(mode)
     if landscape is None:
-        return evaluate_landscape(model, loss, theta, cfg)
+        return evaluate_landscape(model, loss, theta, mode)
     th = np.asarray(theta, dtype=float).reshape(-1)
-    if landscape.mode != cfg.mode or not np.array_equal(landscape.theta, th):
+    if landscape.mode != mode or not np.array_equal(landscape.theta, th):
         raise InvalidParams(
             f"landscape was evaluated in {landscape.mode} mode at another point than "
-            f"this {cfg.mode} check's theta"
+            f"this {mode} check's theta"
         )
     return landscape
 
@@ -392,7 +398,7 @@ def check_first_order(
     theta,
     lam=None,
     *,
-    config: Optional[de.DiffConfig] = None,
+    mode: str = "exact",
     tolerance: Optional[float] = None,
     extra_context: Optional[Mapping] = None,
     landscape: Optional[LandscapeEval] = None,
@@ -403,21 +409,19 @@ def check_first_order(
     identically zero and the report reduces to the orthogonality of the
     parameter motion, <gradL, X> = 0.
     """
-    cfg = config or de.DiffConfig()
-    ev = _landscape(model, loss, theta, cfg, landscape)
+    ev = _landscape(model, loss, theta, mode, landscape)
     te = _transform_eval(ev, transform, lam)
     X, Y = te.X, te.Y
     lhs = compose(ev.grad, X)
     rhs = compose(ev.gl, Y)
-    ctx = _base_context(model, transform, te.charts.lam, extra_context)
+    ctx = _base_context(model, transform, te.charts.lam, mode, extra_context)
     ctx["is_symmetry"] = transform.is_symmetry
-    ctx["mode"] = cfg.mode
     return _report(
         "check_first_order", CHECK_ANCHORS["check_first_order"],
         lhs, rhs,
         _norm(ev.grad) * _norm(X),
         _norm(ev.gl) * _norm(Y),
-        _tol(cfg, tolerance), ctx,
+        _tol(mode, tolerance), ctx,
     )
 
 
@@ -537,27 +541,25 @@ def check_second_action(
     theta,
     lam=None,
     *,
-    config: Optional[de.DiffConfig] = None,
+    mode: str = "exact",
     tolerance: Optional[float] = None,
     extra_context: Optional[Mapping] = None,
     landscape: Optional[LandscapeEval] = None,
 ) -> IdentityReport:
     """Hessian action identity: hessL o X equals the five-term RHS in T(p, d)."""
-    cfg = config or de.DiffConfig()
-    ev = _landscape(model, loss, theta, cfg, landscape)
+    ev = _landscape(model, loss, theta, mode, landscape)
     te, so = _second_order_terms(ev, transform, lam)
     lhs = compose(ev.hess, te.X)
     rhs, diag = _assemble_rhs(so.action, so.action_scales, transform.is_symmetry)
-    ctx = _base_context(model, transform, te.charts.lam, extra_context)
+    ctx = _base_context(model, transform, te.charts.lam, mode, extra_context)
     ctx["is_symmetry"] = transform.is_symmetry
-    ctx["mode"] = cfg.mode
     ctx.update(diag)
     return _report(
         "check_second_action", CHECK_ANCHORS["check_second_action"],
         lhs, rhs,
         _norm(ev.hess) * _norm(te.X),
         sum(so.action_scales),
-        _tol(cfg, tolerance), ctx,
+        _tol(mode, tolerance), ctx,
     )
 
 
@@ -568,20 +570,18 @@ def check_second_quadratic(
     theta,
     lam=None,
     *,
-    config: Optional[de.DiffConfig] = None,
+    mode: str = "exact",
     tolerance: Optional[float] = None,
     extra_context: Optional[Mapping] = None,
     landscape: Optional[LandscapeEval] = None,
 ) -> IdentityReport:
     """Hessian quadratic-form identity: hessL o X o_2 X in T(p, p)."""
-    cfg = config or de.DiffConfig()
-    ev = _landscape(model, loss, theta, cfg, landscape)
+    ev = _landscape(model, loss, theta, mode, landscape)
     te, so = _second_order_terms(ev, transform, lam)
     lhs = compose_k(compose(ev.hess, te.X), te.X, 2)
     rhs, diag = _assemble_rhs(so.quad, so.quad_scales, transform.is_symmetry)
-    ctx = _base_context(model, transform, te.charts.lam, extra_context)
+    ctx = _base_context(model, transform, te.charts.lam, mode, extra_context)
     ctx["is_symmetry"] = transform.is_symmetry
-    ctx["mode"] = cfg.mode
     ctx.update(diag)
     nx = _norm(te.X)
     return _report(
@@ -589,7 +589,7 @@ def check_second_quadratic(
         lhs, rhs,
         _norm(ev.hess) * nx * nx,
         sum(so.quad_scales),
-        _tol(cfg, tolerance), ctx,
+        _tol(mode, tolerance), ctx,
     )
 
 
@@ -602,7 +602,7 @@ def check_homogeneity_specialization(
     loss: Loss,
     theta,
     *,
-    config: Optional[de.DiffConfig] = None,
+    mode: str = "exact",
     tolerance: Optional[float] = None,
     extra_context: Optional[Mapping] = None,
     landscape: Optional[LandscapeEval] = None,
@@ -617,22 +617,21 @@ def check_homogeneity_specialization(
     Raises DegenerateLoss when l'(y) vanishes: Eq. (6) divides by l', and on
     that branch the identity carries no content to measure.
     """
-    cfg = config or de.DiffConfig()
-    ev = _landscape(model, loss, theta, cfg, landscape)
+    ev = _landscape(model, loss, theta, mode, landscape)
     m, y, lp, lpp = _head_scalars(model, loss, ev.y)
     A = ev.hess
     g = ev.grad
     th = ev.theta
     act = A @ th
-    tol = _tol(cfg, tolerance)
+    tol = _tol(mode, tolerance)
 
     if abs(lp) <= _FLOOR * max(1.0, abs(lpp) * abs(y)):
         raise DegenerateLoss(
             f"l'(y) = {lp:.3e} at y = {y:.6g}: Eq. (6) coefficient is undefined"
         )
     coeff = m * y * lpp / lp + (m - 1.0)
-    ctx6 = _base_context(model, None, None, extra_context)
-    ctx6.update({"mode": cfg.mode, "m": m, "y": y, "coefficient": coeff,
+    ctx6 = _base_context(model, None, None, mode, extra_context)
+    ctx6.update({"m": m, "y": y, "coefficient": coeff,
                  "euler_gap": float(abs(float(th @ g) - m * y * lp))})
     rep6 = _report(
         "check_homogeneity_specialization", "Eq. (6)",
@@ -644,8 +643,8 @@ def check_homogeneity_specialization(
 
     lhs7 = float(th @ act)
     rhs7 = lpp * (m * y) ** 2 + lp * m * (m - 1.0) * y
-    ctx7 = _base_context(model, None, None, extra_context)
-    ctx7.update({"mode": cfg.mode, "m": m, "y": y})
+    ctx7 = _base_context(model, None, None, mode, extra_context)
+    ctx7.update({"m": m, "y": y})
     rep7 = _report(
         "check_homogeneity_specialization", "Eq. (7)",
         lhs7, rhs7,
@@ -661,9 +660,8 @@ def check_eigen_alignment(
     loss: Loss,
     theta,
     *,
-    config: Optional[de.DiffConfig] = None,
+    mode: str = "exact",
     tolerance: Optional[float] = None,
-    null_tol: float = 1e-8,
     extra_context: Optional[Mapping] = None,
     landscape: Optional[LandscapeEval] = None,
 ) -> IdentityReport:
@@ -674,8 +672,7 @@ def check_eigen_alignment(
     reading is a regime heuristic, so it is surfaced only as the diagnostic
     ``top_energy_fraction``, never asserted.
     """
-    cfg = config or de.DiffConfig()
-    ev = _landscape(model, loss, theta, cfg, landscape)
+    ev = _landscape(model, loss, theta, mode, landscape)
     m, y, lp, lpp = _head_scalars(model, loss, ev.y)
     denom = m * y * lpp + (m - 1.0) * lp
     if abs(denom) <= _FLOOR * max(1.0, abs(lp), abs(lpp)):
@@ -697,7 +694,7 @@ def check_eigen_alignment(
 
     abs_lam = np.abs(lams)
     lam_top = float(abs_lam.max()) if lams.size else 0.0
-    thresh = null_tol * max(1.0, lam_top)
+    thresh = _EIGEN_NULL_TOL * max(1.0, lam_top)
     keep = abs_lam > thresh
     V = U[:, keep]
     col_res = _norm(g - V @ (V.T @ g))
@@ -706,9 +703,8 @@ def check_eigen_alignment(
     top = abs_lam >= 0.5 * lam_top if lam_top > 0 else np.zeros_like(keep)
     energy = float(np.sum(g_u[top] ** 2) / (g_norm ** 2)) if g_norm > 0 else 0.0
 
-    ctx = _base_context(model, None, None, extra_context)
+    ctx = _base_context(model, None, None, mode, extra_context)
     ctx.update({
-        "mode": cfg.mode,
         "alpha": float(alpha),
         "lambda_max": float(summary.lambda_max),
         "null_threshold": float(thresh),
@@ -724,7 +720,7 @@ def check_eigen_alignment(
         g_u, rhs_vec,
         g_norm,
         _norm(rhs_vec),
-        _tol(cfg, tolerance), ctx,
+        _tol(mode, tolerance), ctx,
         abs_override=abs_res,
     )
 
@@ -734,7 +730,7 @@ def sharpness_bound(
     loss: Loss,
     theta,
     *,
-    config: Optional[de.DiffConfig] = None,
+    mode: str = "exact",
     tolerance: Optional[float] = None,
     extra_context: Optional[Mapping] = None,
     landscape: Optional[LandscapeEval] = None,
@@ -747,8 +743,7 @@ def sharpness_bound(
     is re-asserted here; both facts land in one report.  Returns
     (bound, lambda_max, report).
     """
-    cfg = config or de.DiffConfig()
-    ev = _landscape(model, loss, theta, cfg, landscape)
+    ev = _landscape(model, loss, theta, mode, landscape)
     m, y, lp, lpp = _head_scalars(model, loss, ev.y)
     th = ev.theta
     nth2 = float(th @ th)
@@ -766,11 +761,10 @@ def sharpness_bound(
     violation = max(0.0, bound - lam_max)
     ray_gap = abs(bound - rayleigh)
     abs_res = max(violation, ray_gap)
-    tol = tolerance if tolerance is not None else (1e-9 if cfg.mode == "exact" else DEFAULT_TOL_FD)
+    tol = tolerance if tolerance is not None else (1e-9 if mode == "exact" else DEFAULT_TOL_FD)
 
-    ctx = _base_context(model, None, None, extra_context)
+    ctx = _base_context(model, None, None, mode, extra_context)
     ctx.update({
-        "mode": cfg.mode,
         "m": m,
         "y": y,
         "bound": float(bound),
@@ -814,28 +808,27 @@ def check_discrete_first(
     transform: Transformation,
     theta,
     *,
-    config: Optional[de.DiffConfig] = None,
+    mode: str = "exact",
     tolerance: Optional[float] = None,
     extra_context: Optional[Mapping] = None,
     landscape: Optional[LandscapeEval] = None,
 ) -> IdentityReport:
     """At a fixed point of a discrete realization, P^T gradL = gradL (the
     linear case reads Eq. (12): the gradient is a +1 eigenvector of P^T)."""
-    cfg = config or de.DiffConfig()
     th = np.asarray(theta, dtype=float).reshape(-1)
     fp_res = _require_fixed_point(transform, th)
-    ev = _landscape(model, loss, th, cfg, landscape)
+    ev = _landscape(model, loss, th, mode, landscape)
     S = _finite(transform.dh_dtheta(np.zeros(0), th))
     lhs = compose(ev.grad, S)
     rhs = ev.grad
-    ctx = _base_context(model, transform, None, extra_context)
-    ctx.update({"mode": cfg.mode, "fixed_point_residual": fp_res, "linear_case": "Eq. (12)"})
+    ctx = _base_context(model, transform, None, mode, extra_context)
+    ctx.update({"fixed_point_residual": fp_res, "linear_case": "Eq. (12)"})
     return _report(
         "check_discrete_first", CHECK_ANCHORS["check_discrete_first"],
         lhs, rhs,
         _norm(ev.grad) * _norm(S),
         _norm(ev.grad),
-        _tol(cfg, tolerance), ctx,
+        _tol(mode, tolerance), ctx,
     )
 
 
@@ -845,7 +838,7 @@ def check_discrete_second(
     transform: Transformation,
     theta,
     *,
-    config: Optional[de.DiffConfig] = None,
+    mode: str = "exact",
     tolerance: Optional[float] = None,
     extra_context: Optional[Mapping] = None,
     landscape: Optional[LandscapeEval] = None,
@@ -853,19 +846,17 @@ def check_discrete_second(
     """Conjugation identity P^T hessL P = hessL - gradL o hess(H).  The
     built-in (theta-linear) catalog declares hess(H) zero, so the correction
     is an exact 0.0 there (Eq. (13) is the linear case)."""
-    cfg = config or de.DiffConfig()
     th = np.asarray(theta, dtype=float).reshape(-1)
     fp_res = _require_fixed_point(transform, th)
-    ev = _landscape(model, loss, th, cfg, landscape)
+    ev = _landscape(model, loss, th, mode, landscape)
     S = _finite(transform.dh_dtheta(np.zeros(0), th))
     lhs = compose_k(compose(ev.hess, S), S, 2)
     d2h = _callback(transform, "d2h_dtheta2", np.zeros(0), th)
     correction = 0.0 if d2h is None else compose(ev.grad, d2h)
     rhs = ev.hess - correction
     ns = _norm(S)
-    ctx = _base_context(model, transform, None, extra_context)
+    ctx = _base_context(model, transform, None, mode, extra_context)
     ctx.update({
-        "mode": cfg.mode,
         "fixed_point_residual": fp_res,
         "blue_correction_norm": float(_norm(correction)),
         "linear_case": "Eq. (13)",
@@ -875,7 +866,7 @@ def check_discrete_second(
         lhs, rhs,
         _norm(ev.hess) * ns * ns,
         _norm(ev.hess) + _norm(correction),
-        _tol(cfg, tolerance), ctx,
+        _tol(mode, tolerance), ctx,
     )
 
 
@@ -885,7 +876,7 @@ def check_mirror(
     O,
     theta,
     *,
-    config: Optional[de.DiffConfig] = None,
+    mode: str = "exact",
     tolerance: Optional[float] = None,
     extra_context: Optional[Mapping] = None,
     landscape: Optional[LandscapeEval] = None,
@@ -899,7 +890,6 @@ def check_mirror(
     1e-12; the report's residual stacks the three block residuals, each
     normalized by its natural scale (gradient / Hessian norm).
     """
-    cfg = config or de.DiffConfig()
     O = np.asarray(O, dtype=float)
     if O.ndim == 1:
         O = O[:, None]
@@ -916,7 +906,7 @@ def check_mirror(
             f"theta has a component of norm {overlap:.3e} in col(O); project it out first"
         )
 
-    ev = _landscape(model, loss, th, cfg, landscape)
+    ev = _landscape(model, loss, th, mode, landscape)
     g = ev.grad
     A = ev.hess
     B = O @ O.T
@@ -938,9 +928,8 @@ def check_mirror(
             f"mirror block structure disagrees with the conjugation identity ({agree:.3e})"
         )
 
-    ctx = _base_context(model, None, None, extra_context)
+    ctx = _base_context(model, None, None, mode, extra_context)
     ctx.update({
-        "mode": cfg.mode,
         "n_columns": int(O.shape[1]),
         "gradient_residual": float(r_grad),
         "cross_block_residuals": [float(r_low), float(r_high)],
@@ -954,7 +943,7 @@ def check_mirror(
         "check_mirror", CHECK_ANCHORS["check_mirror"],
         parts, np.zeros_like(parts),
         1.0, 1.0,
-        _tol(cfg, tolerance), ctx,
+        _tol(mode, tolerance), ctx,
     )
 
 
@@ -969,7 +958,7 @@ def check_last_layer_alignment(
     trials: int = 12,
     *,
     seed: int = 0,
-    config: Optional[de.DiffConfig] = None,
+    mode: str = "exact",
     tolerance: Optional[float] = None,
     extra_context: Optional[Mapping] = None,
     landscape: Optional[LandscapeEval] = None,
@@ -987,8 +976,7 @@ def check_last_layer_alignment(
         raise NotFactoredModel(f"model {model.name} has no factored last layer")
     if trials < 1:
         raise InvalidParams("trials must be >= 1")
-    cfg = config or de.DiffConfig()
-    ev = _landscape(model, loss, theta, cfg, landscape)
+    ev = _landscape(model, loss, theta, mode, landscape)
     th = ev.theta
     blk = model.block(model.last_layer_block)
     W = th[blk.sl].reshape(blk.shape)          # (c, s)
@@ -1023,16 +1011,15 @@ def check_last_layer_alignment(
     if probs is not None:
         abs_res = max(abs_res, softmax_gap)
 
-    ctx = _base_context(model, None, None, extra_context)
+    ctx = _base_context(model, None, None, mode, extra_context)
     ctx.update({
-        "mode": cfg.mode,
         "trials": int(trials),
         "trial_seed": int(seed),
         "softmax_variance_gap": float(softmax_gap) if probs is not None else None,
     })
     return _report(
         "check_last_layer_alignment", CHECK_ANCHORS["check_last_layer_alignment"],
-        0.0, 0.0, scale_l, scale_r, _tol(cfg, tolerance), ctx,
+        0.0, 0.0, scale_l, scale_r, _tol(mode, tolerance), ctx,
         abs_override=abs_res,
     )
 
@@ -1047,7 +1034,7 @@ def stationary_null_count(
     symmetry_transforms: Sequence[Transformation],
     theta_star,
     *,
-    config: Optional[de.DiffConfig] = None,
+    mode: str = "exact",
     eps_stat: float = 1e-8,
     null_tol: float = 1e-7,
     rank_tol: float = 1e-8,
@@ -1064,9 +1051,8 @@ def stationary_null_count(
     factor for symmetries), and requires
     null_count(null_tol) >= rank(stacked X, rank_tol).
     """
-    cfg = config or de.DiffConfig()
     th = np.asarray(theta_star, dtype=float).reshape(-1)
-    ev = evaluate_landscape(model, loss, th, cfg)
+    ev = evaluate_landscape(model, loss, th, mode)
     g_norm = _norm(ev.grad)
     if g_norm > eps_stat:
         raise NotConverged(
@@ -1080,8 +1066,7 @@ def stationary_null_count(
     lhs_scale = 0.0
     bound_scale = 0.0
     for t in symmetry_transforms:
-        if t.kind != "continuous" or not t.is_symmetry:
-            raise InvalidParams(f"{t.name} is not a continuous symmetry")
+        _require_continuous_symmetry(t)
         lamv = np.zeros(t.p)
         te = _transform_eval(ev, t, lamv)
         X, hinv = te.X, te.charts.hinv
@@ -1116,9 +1101,8 @@ def stationary_null_count(
     if nulls < rank:
         abs_res = max(abs_res, 1.0)  # forces a failing ratio against tiny scales
 
-    ctx = _base_context(model, None, None, extra_context)
+    ctx = _base_context(model, None, None, mode, extra_context)
     ctx.update({
-        "mode": cfg.mode,
         "grad_norm": float(g_norm),
         "eps_stat": float(eps_stat),
         "null_tol": float(null_tol),
@@ -1130,7 +1114,7 @@ def stationary_null_count(
     return _report(
         "stationary_null_count", CHECK_ANCHORS["stationary_null_count"],
         0.0, 0.0, lhs_scale, bound_scale,
-        _tol(cfg, tolerance), ctx,
+        _tol(mode, tolerance), ctx,
         abs_override=abs_res,
     )
 
@@ -1146,12 +1130,11 @@ def sample_positions(
     count: int = 1,
     seed: int = 0,
     *,
-    lam_scale: float = 0.3,
-    margin: float = 1e-6,
+    margin: float = _MARGIN,
     require_nondegenerate: bool = False,
-    max_tries: int = 100,
 ) -> List[Tuple[np.ndarray, Optional[np.ndarray]]]:
-    """Draw ``count`` acceptable (theta, lam) pairs.
+    """Draw ``count`` acceptable (theta, lam) pairs, each within
+    ``_MAX_TRIES`` draws, with lam uniform in [-0.3, 0.3]^p.
 
     Acceptable means: off-kink by at least ``margin`` (ReLU models), a good
     position of the transform when one is given (discrete transforms are
@@ -1162,13 +1145,13 @@ def sample_positions(
     rng = np.random.default_rng(seed)
     out: List[Tuple[np.ndarray, Optional[np.ndarray]]] = []
     for _ in range(count):
-        for _attempt in range(max_tries):
+        for _attempt in range(_MAX_TRIES):
             th = random_params(model, rng)
             lam: Optional[np.ndarray] = None
             if transform is not None and transform.kind == "discrete":
                 th = fixed_point_project(transform, th)
             elif transform is not None:
-                lam = rng.uniform(-lam_scale, lam_scale, transform.p)
+                lam = rng.uniform(-_LAM_SCALE, _LAM_SCALE, transform.p)
             if model.kink_margin is not None and model.kink_margin(th) < margin:
                 continue
             y = forward(model, th)
@@ -1189,7 +1172,7 @@ def sample_positions(
         else:
             raise NotGoodPosition(
                 f"could not sample an acceptable position for {model.name} "
-                f"in {max_tries} tries"
+                f"in {_MAX_TRIES} tries"
             )
     return out
 
@@ -1211,10 +1194,7 @@ class PlanEntry:
     positions: int = 3
     seed: int = 0
     mode: str = "exact"
-    lam_scale: float = 0.3
-    margin: float = 1e-6
     tolerances: Mapping = field(default_factory=dict)
-    trials: int = 12
     mutation: Optional[Mapping] = None   # {"callback": name, "scale": factor}
 
 
@@ -1271,7 +1251,7 @@ def entry_misfits(built: BuiltEntry) -> List[Tuple[str, str]]:
         if key not in CHECK_REGISTRY:
             out.append((f"tolerances.{key}", f"unknown check {key!r} (known: {known})"))
     try:
-        de.DiffConfig(mode=entry.mode)
+        de._check_mode(entry.mode)
     except InvalidParams as exc:
         out.append(("mode", str(exc)))
     cb = None if entry.mutation is None else entry.mutation["callback"]
@@ -1289,25 +1269,22 @@ def _run_entry(master_seed: int, index: int, built: BuiltEntry) -> List[Identity
     if entry.mutation is not None:
         transform = mutate(transform, entry.mutation["callback"], float(entry.mutation["scale"]))
     rows = [CHECK_REGISTRY[c] for c in entry.checks]
-    cfg = de.DiffConfig(mode=entry.mode)
     pos_seed = _entry_seed(master_seed, index, entry)
-    margin = entry.margin
-    if entry.mode == "finite_difference" and model.kink_margin is not None:
-        margin = max(margin, 1e-3)  # keep FD stencils clear of the kink set
+    # keep FD stencils clear of the kink set
+    fd_kinked = entry.mode == "finite_difference" and model.kink_margin is not None
     positions = sample_positions(
         model, loss, transform,
-        count=entry.positions, seed=pos_seed,
-        lam_scale=entry.lam_scale, margin=margin,
+        count=entry.positions, seed=pos_seed, margin=1e-3 if fd_kinked else _MARGIN,
         require_nondegenerate=any(r.requires == "scalar homogeneous head" for r in rows),
     )
     reports: List[IdentityReport] = []
     for pos_idx, (th, lam) in enumerate(positions):
         base = {"theta_seed": pos_seed, "entry": index, "position": pos_idx}
-        ev = evaluate_landscape(model, loss, th, cfg)
+        ev = evaluate_landscape(model, loss, th, entry.mode)
         for row in rows:
-            kw = {"config": cfg, "tolerance": entry.tolerances.get(row.name),
+            kw = {"mode": entry.mode, "tolerance": entry.tolerances.get(row.name),
                   "extra_context": base, "landscape": ev}
-            out = row.run(_Point(entry, model, loss, transform, th, lam, pos_seed, kw))
+            out = row.run(_Point(model, loss, transform, th, lam, pos_seed, kw))
             reports.extend(out if row.n_reports > 1 else (out,))
     return reports
 

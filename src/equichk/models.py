@@ -11,9 +11,9 @@ Catalog (``equichk catalog`` prints each entry's parameters, read from its
 builder's keyword signature):
 
 ``homogeneous_relu_mlp``
-    Bias-free ReLU network, positively homogeneous of degree m = depth.
+    Bias-free ReLU network, positively homogeneous of degree m = len(widths) - 1.
 ``deep_linear``
-    Bias-free linear chain f(x) = W_m ... W_1 x (degree m = depth).
+    Bias-free linear chain f(x) = W_m ... W_1 x (degree m = len(widths) - 1).
 ``factored_last_layer``
     f(W, theta') = W h(theta') with a tanh feature extractor h.
 ``linear_probe``
@@ -227,13 +227,11 @@ def _input_vector(x, what: str) -> np.ndarray:
     return arr
 
 
-def _mlp_like(name, seed, widths, x, use_relu, depth=None):
+def _mlp_like(name, seed, widths, x, use_relu):
     widths = [_integer(w, "widths") for w in widths]
     if len(widths) < 2 or any(w < 1 for w in widths):
         raise InvalidParams(f"widths must be >= 2 entries of positive ints, got {widths}")
     n_layers = len(widths) - 1
-    if depth is not None and _integer(depth, "depth") != n_layers:
-        raise InvalidParams(f"depth {depth} inconsistent with widths {widths}")
     if x is None:
         x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=widths[0])
     x = _input_vector(x, "input")
@@ -273,8 +271,8 @@ def _mlp_like(name, seed, widths, x, use_relu, depth=None):
     )
 
 
-def _build_relu_mlp(seed, widths, depth=None, input=None) -> Model:
-    return _mlp_like("homogeneous_relu_mlp", seed, widths, input, use_relu=True, depth=depth)
+def _build_relu_mlp(seed, widths, input=None) -> Model:
+    return _mlp_like("homogeneous_relu_mlp", seed, widths, input, use_relu=True)
 
 
 def _build_deep_linear(seed, widths, input=None) -> Model:

@@ -26,6 +26,11 @@ _SYM_TOL = 1e-8
 # as a broken eigensolver; on the catalog suites healthy spectra stay below
 # 1e-14
 _POWER_GAP_TOL = 1e-8
+#: jacobi_eigh's sweep limit; power_eigs' relative stopping tolerance and
+#: squaring limit per eigenpair
+_MAX_SWEEPS = 60
+_POWER_TOL = 1e-13
+_POWER_ITERS = 5000
 
 
 def _as_symmetric(a) -> np.ndarray:
@@ -38,7 +43,7 @@ def _as_symmetric(a) -> np.ndarray:
     return 0.5 * (arr + arr.T)
 
 
-def jacobi_eigh(a, max_sweeps: int = 60):
+def jacobi_eigh(a):
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Returns ``(eigenvalues, vectors)`` with eigenvalues sorted descending
@@ -53,7 +58,7 @@ def jacobi_eigh(a, max_sweeps: int = 60):
     frob = max(float(np.linalg.norm(A)), 1e-300)
     eps = np.finfo(float).eps
     prev_off = np.inf
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         off = float(np.linalg.norm(A - np.diag(A.diagonal())))
         if off <= 100.0 * eps * frob or off >= prev_off:
             # converged, or stalled at the rounding floor of the updates
@@ -90,14 +95,14 @@ def jacobi_eigh(a, max_sweeps: int = 60):
                 V[:, p] = c * vp - s * vq
                 V[:, q] = s * vp + c * vq
     else:
-        raise NotConverged(f"Jacobi sweep limit {max_sweeps} reached")
+        raise NotConverged(f"Jacobi sweep limit {_MAX_SWEEPS} reached")
 
     vals = A.diagonal().copy()
     order = np.argsort(-vals, kind="stable")
     return vals[order], V[:, order]
 
 
-def power_eigs(a, k: int = 1, iters: int = 5000, tol: float = 1e-13):
+def power_eigs(a, k: int = 1):
     """Top-k algebraic eigenvalues via shifted power iteration with deflation.
 
     The shift by the 1-norm makes every eigenvalue of ``B = A + shift I``
@@ -105,8 +110,8 @@ def power_eigs(a, k: int = 1, iters: int = 5000, tol: float = 1e-13):
     eigenvalue of ``A``.  Step j applies ``B^(2^j)``, kept by squaring a
     normalized power, to one fixed start vector, so top eigenvalues that sit
     close together after the shift cost a few more squarings rather than
-    thousands of plain steps; ``iters`` bounds the squarings.  Used as an
-    independent cross-check on Jacobi.
+    thousands of plain steps; ``_POWER_ITERS`` bounds the squarings.  Used
+    as an independent cross-check on Jacobi.
     """
     A = _as_symmetric(a)
     n = A.shape[0]
@@ -120,7 +125,7 @@ def power_eigs(a, k: int = 1, iters: int = 5000, tol: float = 1e-13):
         power = B
         v = start / np.linalg.norm(start)
         lam = 0.0
-        for _ in range(iters):
+        for _ in range(_POWER_ITERS):
             power = power / max(float(np.linalg.norm(power)), 1e-300)
             w = power @ start
             nw = float(np.linalg.norm(w))
@@ -129,7 +134,7 @@ def power_eigs(a, k: int = 1, iters: int = 5000, tol: float = 1e-13):
                 break
             v = w / nw
             new = float(v @ B @ v)
-            if abs(new - lam) <= tol * max(1.0, abs(new)):
+            if abs(new - lam) <= _POWER_TOL * max(1.0, abs(new)):
                 lam = new
                 break
             lam = new

@@ -645,6 +645,12 @@ def fixed_point_project(t: Transformation, theta) -> np.ndarray:
     return 0.5 * (th + t.h(None, th))
 
 
+def _require_continuous_symmetry(t: Transformation) -> None:
+    """Raise InvalidParams unless ``t`` is a continuous family with G = id."""
+    if t.kind != "continuous" or not t.is_symmetry:
+        raise InvalidParams(f"{t.name} is not a continuous symmetry")
+
+
 def noether_charge(t: Transformation) -> Charge:
     """The conserved charge of a one-parameter symmetry, when one exists."""
     if t.charge is None:

@@ -297,7 +297,7 @@ def test_criterion_09_engine_certificates():
         assert np.max(np.abs(h_sq - h_prod)) <= 1e-12 * max(scale_h, scale_j ** 2)
 
         # independent stencil agreement
-        fd = de.DiffConfig(mode="finite_difference")
+        fd = "finite_difference"
         jac_fd = de.jacobian(model.func, th, fd)
         hess_fd = de.second_derivative(model.func, th, fd)
         assert np.max(np.abs(jac - jac_fd)) <= 1e-6 * scale_j

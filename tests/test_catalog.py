@@ -27,7 +27,7 @@ _FACTORED = ModelSpec("factored_last_layer", {"c": 2, "s": 2}, seed=2)
 
 # kind, name, builder, minimal params (every key required), optional keys
 CATALOG = [
-    ("model", "homogeneous_relu_mlp", _model, {"widths": [2, 3, 1]}, ("depth", "input")),
+    ("model", "homogeneous_relu_mlp", _model, {"widths": [2, 3, 1]}, ("input",)),
     ("model", "deep_linear", _model, {"widths": [2, 3, 1]}, ("input",)),
     ("model", "factored_last_layer", _model, {"c": 2, "s": 2}, ("hidden", "input", "n")),
     ("model", "linear_probe", _model, {"x": [1.0, 2.0]}, ()),

@@ -230,6 +230,12 @@ _SQUARE = {"name": "square", "params": {"target": 0.3}}
              ["first_order", "second_action", "second_quadratic"],
              mutation={"callback": "d2g_dy2", "scale": 100.0}), "mutation.callback"),
     (_misfit(_PROBE, _PROBE_LOSS, _SCALING, ["first_order"], mode="symbolic"), "mode"),
+    # settings with one value are no keys of an entry or a model
+    (_misfit(_PROBE, _PROBE_LOSS, _SCALING, ["first_order"], margin=1e-3), "margin"),
+    (_misfit(_PROBE, _PROBE_LOSS, _SCALING, ["first_order"], trials=20), "trials"),
+    (_misfit({"name": "homogeneous_relu_mlp", "params": {"widths": [2, 3, 1], "depth": 2},
+              "seed": 14}, _PROBE_LOSS, _SCALING, ["first_order"]),
+     "model.params: model 'homogeneous_relu_mlp' takes widths, input=null"),
 ], ids=["first_order+sign_flip", "discrete_first+scaling", "homogeneity+vector_head",
         "first_order+no_transform", "last_layer+deep_linear", "mirror+permutation",
         "tolerance_key_typo", "mutation_callback_typo", "mutation_scale_not_number",
@@ -240,7 +246,7 @@ _SQUARE = {"name": "square", "params": {"target": 0.3}}
         "perm_not_numbers", "widths_string", "widths_float", "widths_bool", "factored_c_float",
         "softmax_label_float", "sign_flip_index_float", "scaling_degree_float",
         "mutation_no_transform", "mutation_no_transform_check", "mutation_declared_zero",
-        "mode_unknown"])
+        "mode_unknown", "margin_unknown_key", "trials_unknown_key", "relu_mlp_depth_unknown_key"])
 def test_run_misfit_entry_exit_2_before_sampling(tmp_path, capsys, entry, where):
     cfg = {"experiment": "check_suite", "output_dir": str(tmp_path / "out"), "plan": [entry]}
     assert cli.main(["run", str(_write(tmp_path, "misfit.json", cfg))]) == 2
@@ -314,6 +320,13 @@ def _bundled(name, **edits):
      "config.loss.params"),
     (_bundled("sgf_drift", loss={"name": "square", "params": {"zz": 1}}), "config.loss.params"),
     (_bundled("sgf_drift", noise={"mode": "langevin", "sigma": 0.1, "seed": 7}), "config.noise.mode"),
+    (_bundled("sgf_drift", dynamics={"T": 0.0005, "dt": 0.001, "ensemble": 2000}),
+     "config.dynamics.dt"),
+    # a flow or an SGF run records each transform's charge; the null count
+    # needs continuous symmetries
+    (_bundled("flow_conservation", transforms=[_SCALING]), "config.transforms[0]"),
+    (_bundled("stationary_spectrum", transforms=[_SCALING]), "config.transforms[0]"),
+    (_bundled("sgf_drift", transform=_SCALING), "config.transform"),
 ], ids=["flow_tolerance_key_typo", "flow_tolerance_not_number", "flow_tolerance_negative",
         "stationary_tolerance_key_typo", "weights_not_numbers", "weights_not_list",
         "x_not_numbers", "flow_theta0_length", "stationary_theta0_length", "sgf_theta0_length",
@@ -321,7 +334,9 @@ def _bundled(name, **edits):
         "weights_nan", "sigma_nan", "T_infinite", "x_nan", "flow_dt_infinite",
         "flow_loss_label_3", "flow_T_shorter_than_dt", "noise_list", "noise_string",
         "sgf_dynamics_string", "flow_dynamics_string", "family_fixes_target",
-        "family_unknown_key", "noise_mode_unknown"])
+        "family_unknown_key", "noise_mode_unknown", "sgf_T_shorter_than_dt",
+        "flow_transform_without_charge", "stationary_transform_not_symmetry",
+        "sgf_transform_without_charge"])
 def test_run_dynamics_config_errors_exit_2(tmp_path, capsys, cfg, where):
     cfg = dict(cfg, output_dir=str(tmp_path / "out"))
     assert cli.main(["run", str(_write(tmp_path, "bad.json", cfg))]) == 2
@@ -387,6 +402,45 @@ def test_run_flow_experiment(tmp_path, capsys):
     assert manifest["pass_counts"]["failed"] == 0
     assert manifest["flow"] == {"integrator": "rk4", "accepted_steps": 100,
                                 "rejected_steps": 0, "gradient_sweeps": 401}
+
+
+_ROTATION = {"name": "linear_reparam",
+             "params": {"A": [[0.0, 1.0], [-1.0, 0.0]], "blocks": ["W1", "W2"]}}
+
+
+def test_run_stationary_with_a_symmetry_that_has_no_charge(tmp_path, capsys):
+    # an antisymmetric generator is a symmetry with no Noether charge: the
+    # null count takes it, and the flow records no charge for it
+    cfg = _bundled("stationary_spectrum", output_dir=str(tmp_path / "out"),
+                   model={"name": "deep_linear", "params": {"widths": [2, 2, 1]}, "seed": 6},
+                   transforms=[_ROTATION])
+    assert cli.main(["run", str(_write(tmp_path, "stat.json", cfg))]) == 0
+    capsys.readouterr()
+    context = json.loads((tmp_path / "out" / "reports.jsonl").read_text())["context"]
+    assert context["null_count"] >= context["rank_characteristic"] == 1
+    header = (tmp_path / "out" / "flow.csv").read_text().splitlines()[0]
+    assert "charge_" not in header
+
+
+def test_run_flow_with_two_charges_of_one_kind(tmp_path, capsys):
+    # the adjacent-pair rescalings of a three-layer chain share a charge name
+    cfg = {
+        "experiment": "flow",
+        "output_dir": str(tmp_path / "out"),
+        "model": {"name": "deep_linear", "params": {"widths": [2, 3, 2, 1]}, "seed": 3},
+        "loss": {"name": "square", "params": {"target": 0.3}},
+        "transforms": [{"name": "layer_rescaling", "params": {"blocks": ["W1", "W2"]}},
+                       {"name": "layer_rescaling", "params": {"blocks": ["W2", "W3"]}}],
+        "dynamics": {"T": 10.0, "dt": 0.01},
+    }
+    assert cli.main(["run", str(_write(tmp_path, "flow.json", cfg))]) == 0
+    capsys.readouterr()
+    reports = [json.loads(line) for line in
+               (tmp_path / "out" / "reports.jsonl").read_text().splitlines()]
+    assert [r["context"]["charge"] for r in reports] == ["half_norm_gap[0]", "half_norm_gap[1]"]
+    header = (tmp_path / "out" / "flow.csv").read_text().splitlines()[0].split(",")
+    assert [h for h in header if h.startswith("charge_")] == [
+        "charge_half_norm_gap[0]", "charge_half_norm_gap[1]"]
 
 
 def test_run_stationary_first_step_may_exceed_T(tmp_path, capsys):

@@ -7,6 +7,7 @@ calculus, not just to truncation error.
 
 import importlib
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -15,14 +16,15 @@ from hypothesis import strategies as st
 
 import equichk
 from equichk import diff_engine as de
-from equichk.diff_engine import DiffConfig, fd_oracle, jacobian, second_derivative
-from equichk.errors import IndexOutOfRange
+from equichk.diff_engine import fd_oracle, jacobian, second_derivative
+from equichk import identity_checker as ic
+from equichk.errors import IndexOutOfRange, InvalidParams
 from equichk.identity_checker import default_suite
 from equichk.models import ModelSpec, build_model, make_loss
 from equichk.tensor_core import compose
 
-EXACT = DiffConfig(mode="exact")
-FD = DiffConfig(mode="finite_difference")
+EXACT = "exact"
+FD = "finite_difference"
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +277,23 @@ def test_exact_vs_fd_on_catalog_maps(spec):
     assert np.abs(exact_h - fd_h).max() <= 1e-5 * scale_h
 
 
+@pytest.mark.parametrize("call", [
+    lambda ev: jacobian(_scalar_map, np.zeros(3), "fd"),
+    lambda ev: second_derivative(_scalar_map, np.zeros(3), "fd"),
+    lambda ev: ic.evaluate_landscape(ev[0], ev[1], ev[2], "fd"),
+    # a check refuses the mode before it compares the landscape it was handed
+    lambda ev: ic.check_homogeneity_specialization(*ev, mode="fd",
+                                                   landscape=ic.evaluate_landscape(*ev)),
+], ids=["jacobian", "second_derivative", "evaluate_landscape", "check"])
+def test_unknown_mode_is_refused(probe_model, probe_loss, call):
+    with pytest.raises(InvalidParams, match=re.escape(
+            "unknown diff mode 'fd' (known: exact, finite_difference)")):
+        call((probe_model, probe_loss, np.array([3.0, -1.0])))
+
+
 def test_fd_oracle_rejects_high_order():
     with pytest.raises(IndexOutOfRange):
-        fd_oracle(lambda th: th, np.zeros(2), 3, FD)
+        fd_oracle(lambda th: th, np.zeros(2), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +425,7 @@ def test_batched_sweeps_equal_pointwise_references(spec, loss_spec):
         np.testing.assert_array_equal(second_derivative(map_fn, x, EXACT),
                                       _second_derivative_by_direction(map_fn, x))
         for order in (1, 2):
-            np.testing.assert_array_equal(fd_oracle(map_fn, x, order, FD),
+            np.testing.assert_array_equal(fd_oracle(map_fn, x, order),
                                           _fd_by_point(map_fn, x, order))
         if np.ndim(map_fn(x)) == 0:  # scalar maps: a batch of Hessians
             points = x + 0.05 * np.random.default_rng(x.size).standard_normal((4, x.size))
@@ -447,16 +463,16 @@ def test_sweeps_are_one_map_call_and_blocks_do_not_change_bits(monkeypatch):
     for map_fn, x in _sweep_maps(spec, loss_spec)[:2]:
         calls.clear()
         one = [second_derivative(counting(map_fn), x, EXACT),
-               fd_oracle(counting(map_fn), x, 1, FD),
-               fd_oracle(counting(map_fn), x, 2, FD)]
+               fd_oracle(counting(map_fn), x, 1),
+               fd_oracle(counting(map_fn), x, 2)]
         assert len(calls) == 3
 
         # 5000 bytes hold one 18 x 18 seed product and 34 stencil points
         monkeypatch.setattr(de, "_BLOCK_BYTES", 5000)
         calls.clear()
         blocked = [second_derivative(counting(map_fn), x, EXACT),
-                   fd_oracle(counting(map_fn), x, 1, FD),
-                   fd_oracle(counting(map_fn), x, 2, FD)]
+                   fd_oracle(counting(map_fn), x, 1),
+                   fd_oracle(counting(map_fn), x, 2)]
         assert len(calls) == 18 + 2 + 20  # 18 directions; 36 and 649 points
         monkeypatch.undo()
         for a, b in zip(one, blocked):

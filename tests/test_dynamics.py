@@ -512,6 +512,20 @@ def _expected_losses(model, family, dataset, states):
     return [expected_loss(model, family, dataset, s) for s in states]
 
 
+def test_same_named_charges_keep_a_series_each(uv_model, square_family, two_sample_dataset):
+    # charges are keyed by their place in the chargelist once a name repeats
+    t = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, uv_model)
+    keys = ["half_norm_gap[0]", "half_norm_gap[1]"]
+    trj = dyn.gradient_flow(uv_model, make_loss("square", target=0.3), np.array([1.2, 0.6]),
+                            T=0.05, dt=0.01, chargelist=[t, t])
+    noise = dyn.NoiseModel(mode="exact_sde", sigma=0.1, seed=7)
+    ens = dyn.sgf(uv_model, square_family, two_sample_dataset, np.array([1.2, 0.6]),
+                  noise, T=0.01, dt=1e-3, ensemble=2, chargelist=[t, t])
+    for charges in (trj.charges, ens.charges):
+        assert list(charges) == keys
+        np.testing.assert_array_equal(charges[keys[0]], charges[keys[1]])
+
+
 def test_sgf_returns_array_ensemble(monkeypatch, uv_model, square_family, two_sample_dataset):
     noise = dyn.NoiseModel(mode="exact_sde", sigma=0.1, seed=7)
     t = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, uv_model)

@@ -73,8 +73,8 @@ def test_landscape_holds_the_hessian_against_its_assembly(probe_model, probe_los
     # a loss whose analytic Hessian is 1% off breaks hess(L) = hl o J o_2 J + gl o hess(f)
     off = dataclasses.replace(probe_loss, _hess=lambda y: 1.01 * probe_loss._hess(y))
     with pytest.raises(CheckFailure, match="hessian assembly self-check"):
-        evaluate_landscape(probe_model, off, PROBE_THETA, de.DiffConfig(mode="exact"))
-    evaluate_landscape(probe_model, probe_loss, PROBE_THETA, de.DiffConfig(mode="exact"))
+        evaluate_landscape(probe_model, off, PROBE_THETA, "exact")
+    evaluate_landscape(probe_model, probe_loss, PROBE_THETA, "exact")
 
 
 def test_probe_first_order_is_euler_relation(probe_model, probe_loss):
@@ -117,11 +117,10 @@ def test_probe_sharpness_bound(probe_model, probe_loss):
 def test_second_order_checks_both_modes(relu_mlp, mode, tol):
     loss = make_loss("square", target=-0.2)
     t = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, relu_mlp)
-    cfg = de.DiffConfig(mode=mode)
     (th, lam), = sample_positions(relu_mlp, loss, t, count=1, seed=5,
                                   margin=1e-3 if mode == "finite_difference" else 1e-6)
     for fn in (check_first_order, check_second_action, check_second_quadratic):
-        rep = fn(relu_mlp, loss, t, th, lam, config=cfg)
+        rep = fn(relu_mlp, loss, t, th, lam, mode=mode)
         assert rep.passed and rep.rel_residual <= tol, (fn.__name__, rep.rel_residual)
         assert rep.context["mode"] == mode
 
@@ -346,9 +345,9 @@ def test_run_suite_evaluates_one_landscape_per_position(monkeypatch):
         positions.extend(th for th, _ in out)
         return out
 
-    def evaluate(model, loss, theta, config=None):
+    def evaluate(model, loss, theta, mode="exact"):
         landscapes.append(theta)
-        return real_evaluate(model, loss, theta, config)
+        return real_evaluate(model, loss, theta, mode)
 
     monkeypatch.setattr(ic, "sample_positions", sample)
     monkeypatch.setattr(ic, "evaluate_landscape", evaluate)
@@ -456,10 +455,10 @@ def test_checks_reject_a_landscape_from_elsewhere(monkeypatch, other, mode):
     other derivative mode, refuses it."""
     real_evaluate = ic.evaluate_landscape
 
-    def foreign(model, loss, theta, config=None):
+    def foreign(model, loss, theta, mode="exact"):
         if other == "theta":
-            return real_evaluate(model, loss, np.asarray(theta) + 0.01, config)
-        return real_evaluate(model, loss, theta, de.DiffConfig(mode="exact"))
+            return real_evaluate(model, loss, np.asarray(theta) + 0.01, mode)
+        return real_evaluate(model, loss, theta, "exact")
 
     monkeypatch.setattr(ic, "evaluate_landscape", foreign)
     tried = set()
@@ -498,7 +497,7 @@ def test_every_layer_returns_float64_arrays(relu_mlp):
     X = characteristic_direction(t, th, lam)
     _, grad, hess = de.grad_and_hessian_of_loss(relu_mlp, loss, th)
     ev = evaluate_landscape(relu_mlp, loss, th)
-    fd = de.DiffConfig(mode="finite_difference")
+    fd = "finite_difference"
     outputs = {
         "jacobian": de.jacobian(relu_mlp.func, th),
         "second_derivative": de.second_derivative(relu_mlp.func, th),

@@ -19,7 +19,7 @@ from equichk.models import (
     random_params,
 )
 
-EXACT = de.DiffConfig(mode="exact")
+EXACT = "exact"
 
 
 # ---------------------------------------------------------------------------
