@@ -7,16 +7,17 @@ Four experiment kinds:
     runs at seeded random good positions.  Writes ``reports.jsonl`` and
     ``summary.csv``.
 ``flow``
-    RK4 gradient flow with charge tracking.  Conservation of each charge and
-    (when applicable) the norm-growth relation become summary rows; the
-    trajectory lands in ``flow.csv``.
+    Error-controlled gradient flow (Dormand--Prince 5(4), ``dt`` the first
+    trial step) with charge tracking.  Conservation of each charge and (when
+    applicable) the norm-growth relation become summary rows; the trajectory
+    lands in ``flow.csv``.
 ``sgf_drift``
     Euler--Maruyama ensemble plus the Noether drift comparison.  The first
     few member trajectories are saved with an ``ensemble.json`` manifest.
 ``stationary_spectrum``
-    Error-controlled gradient flow (Dormand--Prince 5(4), ``dt`` the first
-    trial step) to (near) stationarity, then the null-direction count of
-    the Hessian against the span of symmetry characteristic directions.
+    The same gradient flow to (near) stationarity, then the null-direction
+    count of the Hessian against the span of symmetry characteristic
+    directions.
 
 The manifest of a flow or stationary_spectrum run also holds a ``flow``
 object: the integrator and its accepted steps, rejected steps and gradient
@@ -278,15 +279,11 @@ def _validate_entry(v: _V, obj, path: str) -> Optional[ic.BuiltEntry]:
     return built
 
 
-def _validate_dynamics(v: _V, obj, keys: Sequence[str], one_step: bool = True):
-    """T and dt of the ``dynamics`` object, which takes exactly ``keys``;
-    with ``one_step``, T must cover one step of dt."""
-    start = len(v.errors)
+def _validate_dynamics(v: _V, obj, keys: Sequence[str]):
+    """T and dt of the ``dynamics`` object, which takes exactly ``keys``."""
     v.keys(obj, "config.dynamics", keys, keys)
     T = v.number(obj, "config.dynamics", "T", positive=True)
     dt = v.number(obj, "config.dynamics", "dt", positive=True)
-    if one_step and len(v.errors) == start:
-        v.holds("config.dynamics.dt", dyn._check_step, T, dt)
     return T, dt
 
 
@@ -399,10 +396,10 @@ class _Flow(NamedTuple):
 
 def _gradient_flow(cfg: dict, stationary: bool, tolerance_keys: Sequence[str]) -> _Flow:
     """Validate a flow or (``stationary``) stationary_spectrum config and
-    integrate its gradient flow, with fixed-step RK4 or to a stationary point
-    with :func:`dyn.stationary_flow`.  ``tolerance_keys`` are the keys its
-    ``tolerances`` object may set.  A flow's transforms need a charge; a
-    stationary_spectrum config needs at least one transform, each a
+    integrate its gradient flow with :func:`dyn.stationary_flow`.
+    ``tolerance_keys`` are the keys its ``tolerances`` object may set.  A
+    flow's transforms need a charge, and a flow with none a norm-growth check;
+    a stationary_spectrum config needs at least one transform, each a
     continuous symmetry, and the flow records those that have a charge."""
     v = _V()
     v.keys(cfg, "config",
@@ -411,8 +408,7 @@ def _gradient_flow(cfg: dict, stationary: bool, tolerance_keys: Sequence[str]) -
            ("model", "loss", "dynamics") + (("transforms",) if stationary else ()))
     model = _validate_model(v, cfg.get("model", {}), "config.model")
     loss = _validate_loss(v, cfg.get("loss", {}), "config.loss")
-    # the stationary flow clips its first trial step to T; RK4 needs one whole step
-    T, dt = _validate_dynamics(v, cfg.get("dynamics", {}), ("T", "dt"), one_step=not stationary)
+    T, dt = _validate_dynamics(v, cfg.get("dynamics", {}), ("T", "dt"))
     theta0 = _validate_theta0(v, cfg, "config", model)
     tolerances = _validate_tolerances(v, cfg, "config", tolerance_keys)
     transforms = []
@@ -420,6 +416,10 @@ def _gradient_flow(cfg: dict, stationary: bool, tolerance_keys: Sequence[str]) -
     if not isinstance(raw_transforms, list) or (stationary and not raw_transforms):
         v.fail("config.transforms", "expected a non-empty list of symmetry transforms"
                if stationary else "expected a list of symmetry transforms")
+    elif not raw_transforms and not (model is None or loss is None
+                                     or dyn._norm_growth_applies(model, loss)):
+        v.fail("config.transforms", f"expected a non-empty list of symmetry transforms: "
+               f"{model.name} with a {loss.name!r} loss has no norm growth to check")
     else:
         rule = tr._require_continuous_symmetry if stationary else tr.noether_charge
         for i, t in enumerate(raw_transforms):
@@ -430,10 +430,9 @@ def _gradient_flow(cfg: dict, stationary: bool, tolerance_keys: Sequence[str]) -
     v.raise_if_failed()
 
     th0 = model.init_params if theta0 == "init" else np.asarray(theta0, dtype=float)
-    integrate = dyn.stationary_flow if stationary else dyn.gradient_flow
     T, dt = float(T), float(dt)
-    trajectory = integrate(model, loss, th0, T=T, dt=dt,
-                           chargelist=[t for t in transforms if t.charge is not None])
+    trajectory = dyn.stationary_flow(model, loss, th0, T=T, dt=dt,
+                                     chargelist=[t for t in transforms if t.charge is not None])
     return _Flow(model, loss, transforms, T, dt, tolerances, trajectory)
 
 
@@ -500,6 +499,7 @@ def _run_sgf_drift(cfg: dict, out_dir: str) -> _RunResult:
     n_save = v.number(cfg, "config", "save_trajectories", integer=True, nonneg=True, default=8)
     v.raise_if_failed()
 
+    v.holds("config.dynamics.dt", dyn._check_step, T, dt)
     v.holds("config.dynamics.ensemble", dyn._check_sgf_bytes, model.d, len(dataset.samples),
             float(T), float(dt), int(ensemble), noise.mode, noise.sigma, 1)
     v.raise_if_failed()

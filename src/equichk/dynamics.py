@@ -1,15 +1,16 @@
 """Training-dynamics integrators with symmetry-charge tracking.
 
-Gradient flow (classical RK4 at a fixed step with a loss-descent acceptance
-rule), gradient flow to a stationary point (the error-controlled
-Dormand--Prince 5(4) pair at a fixed tolerance of 1e-12, with the same
-acceptance rule), plain gradient descent (with per-step orthogonality of the
-update against every registered symmetry direction), and stochastic gradient
-flow (lockstep Euler--Maruyama over an ensemble with counter-based
-per-trajectory RNG streams).  Charges are evaluated at every record point so
-conservation and drift statements become array assertions downstream.  Both
-flows count their accepted and rejected steps and gradient sweeps in the
-trajectory's ``meta``.
+Gradient flow with the error-controlled Dormand--Prince 5(4) pair at a fixed
+tolerance of 1e-12 and a loss-descent acceptance rule (``stationary_flow``,
+which the CLI's ``flow`` and ``stationary_spectrum`` experiments both run),
+gradient flow with classical RK4 at a fixed step and the same acceptance rule
+(``gradient_flow``, the fixed-order reference), plain gradient descent (with
+per-step orthogonality of the update against every registered symmetry
+direction), and stochastic gradient flow (lockstep Euler--Maruyama over an
+ensemble with counter-based per-trajectory RNG streams).  Charges are
+evaluated at every record point so conservation and drift statements become
+array assertions downstream.  Both flows count their accepted and rejected
+steps and gradient sweeps in the trajectory's ``meta``.
 
 A single run records a :class:`Trajectory`.  An SGF ensemble is one
 :class:`Ensemble` holding arrays over (record, member): states, losses and
@@ -301,6 +302,26 @@ def _check_state(theta: np.ndarray, what: str) -> None:
         raise NonFiniteResult(f"{what} produced NaN or Inf")
 
 
+def _start(model: Model, loss, theta0,
+           chargelist) -> Tuple[_Objective, _Recorder, np.ndarray, float, np.ndarray]:
+    """A deterministic run's objective and recorder, and its first state with
+    the loss and gradient of the sweep there, already recorded at t = 0."""
+    obj = _as_objective(model, loss)
+    charges = _as_charges(chargelist)
+    th = np.asarray(theta0, dtype=float).reshape(-1)
+    if th.size != model.d:
+        raise SizeMismatch(f"theta0 has {th.size} entries, model wants {model.d}")
+    rec = _Recorder(model, charges, loss if isinstance(loss, Loss) else None)
+    value, g = obj.value_and_grad(th)
+    rec.record(0.0, th, grad=g, loss=value)
+    return obj, rec, th, value, g
+
+
+def _descends(cand_loss: float, cur_loss: float) -> bool:
+    """Both flows' acceptance rule: the loss did not rise beyond rounding slack."""
+    return cand_loss <= cur_loss + _LOSS_SLACK * max(1.0, abs(cur_loss))
+
+
 # ---------------------------------------------------------------------------
 # gradient flow (RK4)
 # ---------------------------------------------------------------------------
@@ -321,25 +342,16 @@ def gradient_flow(
     point; the record stride keeps at most ~1000 rows per run.
     """
     _check_step(T, dt)
-    obj = _as_objective(model, loss)
-    charges = _as_charges(chargelist)
-    th = np.asarray(theta0, dtype=float).reshape(-1)
-    if th.size != model.d:
-        raise SizeMismatch(f"theta0 has {th.size} entries, model wants {model.d}")
-
+    obj, rec, th, cur_loss, g = _start(model, loss, theta0, chargelist)
     n_steps = max(1, int(math.ceil(T / dt - 1e-12)))
     stride = max(1, math.ceil(n_steps / _RECORD_BUDGET))
-    single = loss if isinstance(loss, Loss) else None
-    rec = _Recorder(model, charges, single)
 
     def rhs(p: np.ndarray) -> np.ndarray:
         return -obj.value_and_grad(p)[1]
 
     t = 0.0
     accepted = rejected = 0
-    cur_loss, g = obj.value_and_grad(th)
     k1 = -g
-    rec.record(0.0, th, grad=g, loss=cur_loss)
     while t < T - 1e-12 * max(1.0, T):
         h = min(dt, T - t)
         for _halving in range(_MAX_HALVINGS + 1):
@@ -351,7 +363,7 @@ def gradient_flow(
             # the candidate's sweep gives the acceptance loss and, once
             # accepted, the next step's first stage and the recorded gradient
             cand_loss, g = obj.value_and_grad(cand)
-            if cand_loss <= cur_loss + _LOSS_SLACK * max(1.0, abs(cur_loss)):
+            if _descends(cand_loss, cur_loss):
                 break
             h *= 0.5
             rejected += 1
@@ -409,7 +421,8 @@ def stationary_flow(
     chargelist: Sequence = (),
 ) -> Trajectory:
     """Integrate theta' = -gradL(theta) to t = T with the error-controlled
-    Dormand--Prince 5(4) pair, for runs that only need the point reached.
+    Dormand--Prince 5(4) pair: a conservation check along the path or a run
+    to a stationary point.
 
     ``dt`` is the first trial step (clipped to T).  The error norm is the
     RMS of err / (tol + tol max(|theta|, |theta_new|)) with tol = 1e-12;
@@ -423,22 +436,13 @@ def stationary_flow(
         raise InvalidParams(f"dt must be positive, got {dt}")
     if T <= 0:
         raise InvalidParams(f"T must be positive, got {T}")
-    obj = _as_objective(model, loss)
-    charges = _as_charges(chargelist)
-    th = np.asarray(theta0, dtype=float).reshape(-1)
-    if th.size != model.d:
-        raise SizeMismatch(f"theta0 has {th.size} entries, model wants {model.d}")
-
-    single = loss if isinstance(loss, Loss) else None
-    rec = _Recorder(model, charges, single)
+    obj, rec, th, cur_loss, g = _start(model, loss, theta0, chargelist)
     end = T - 1e-12 * max(1.0, T)
     t, h = 0.0, min(dt, T)
     accepted = rejected = failures = 0
     mark = 1  # the next record falls at the first accepted t >= mark T / budget
     K = np.empty((7, th.size))
-    cur_loss, g = obj.value_and_grad(th)
     K[0] = -g
-    rec.record(0.0, th, grad=g, loss=cur_loss)
     while t < end:
         h = min(h, T - t)
         for i in range(1, 6):
@@ -452,7 +456,7 @@ def stationary_flow(
         scale = _DP_TOL + _DP_TOL * np.maximum(np.abs(th), np.abs(cand))
         err = math.sqrt(float(np.mean(np.square(h * (_DP_E @ K) / scale))))
         factor = min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0 else 5.0
-        if err <= 1.0 and cand_loss <= cur_loss + _LOSS_SLACK * max(1.0, abs(cur_loss)):
+        if err <= 1.0 and _descends(cand_loss, cur_loss):
             th, cur_loss, g = cand, cand_loss, cand_g
             K[0] = K[6]
             t += h
@@ -503,17 +507,8 @@ def gradient_descent(
         raise InvalidParams("need at least one step")
     for s in symmetries:
         _require_continuous_symmetry(s)
-    obj = _as_objective(model, loss)
-    charges = _as_charges(chargelist)
-    th = np.asarray(theta0, dtype=float).reshape(-1)
-    if th.size != model.d:
-        raise SizeMismatch(f"theta0 has {th.size} entries, model wants {model.d}")
-
+    obj, rec, th, loss_k, g = _start(model, loss, theta0, chargelist)
     stride = max(1, math.ceil(steps / _RECORD_BUDGET))
-    single = loss if isinstance(loss, Loss) else None
-    rec = _Recorder(model, charges, single)
-    loss_k, g = obj.value_and_grad(th)
-    rec.record(0.0, th, grad=g, loss=loss_k)
     if symmetries:
         rec.extra("sym_ortho_max", 0.0)
 

@@ -57,6 +57,7 @@ from .transforms import (
     _chart_inverses,
     _Charts,
     _require_continuous_symmetry,
+    _require_orthonormal,
     build_transform,
     fixed_point_project,
     good_position,
@@ -896,9 +897,7 @@ def check_mirror(
     d = model.d
     if O.shape[0] != d:
         raise InvalidParams(f"O has {O.shape[0]} rows, model has d={d}")
-    gram_gap = _norm(O.T @ O - np.eye(O.shape[1]))
-    if gram_gap > 1e-10:
-        raise InvalidParams(f"O columns are not orthonormal (gap {gram_gap:.3e})")
+    _require_orthonormal(O)
     th = np.asarray(theta, dtype=float).reshape(-1)
     overlap = _norm(O.T @ th)
     if overlap > _FIXED_POINT_TOL * max(1.0, _norm(th)):

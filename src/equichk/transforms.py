@@ -475,15 +475,20 @@ def _discrete(name: str, params: dict, model: Model, P: np.ndarray) -> Transform
     )
 
 
+def _require_orthonormal(O: np.ndarray) -> None:
+    """Raise InvalidParams unless the columns of ``O`` are orthonormal."""
+    gap = float(np.abs(O.T @ O - np.eye(O.shape[1])).max(initial=0.0))
+    if gap > _ORTHONORMAL_TOL:
+        raise InvalidParams(f"mirror directions must be orthonormal (max |O^T O - I| = {gap:.3e})")
+
+
 def mirror(model: Model, columns) -> Transformation:
     """Reflection P = I - 2 O O^T across the span-orthogonal hyperplane,
     where O stacks the given orthonormal direction vectors as columns."""
     O = np.stack([np.asarray(col, dtype=float) for col in columns], axis=1)
     if O.shape[0] != model.d:
         raise SizeMismatch(f"direction length {O.shape[0]} != model dim {model.d}")
-    gram = O.T @ O
-    if np.max(np.abs(gram - np.eye(O.shape[1]))) > _ORTHONORMAL_TOL:
-        raise InvalidParams("mirror directions must be orthonormal")
+    _require_orthonormal(O)
     P = np.eye(model.d) - 2.0 * O @ O.T
     return _discrete("mirror", {"columns": [c.tolist() for c in O.T]}, model, P)
 

@@ -309,7 +309,6 @@ def _bundled(name, **edits):
     (_bundled("flow_conservation", dynamics={"T": 10.0, "dt": float("inf")}), "config.dynamics.dt"),
     (_bundled("flow_conservation", loss={"name": "exponential", "params": {"label": 3}}),
      "config.loss.params"),
-    (_bundled("flow_conservation", dynamics={"T": 0.001, "dt": 0.01}), "config.dynamics.dt"),
     # blocks that are not objects
     (_bundled("sgf_drift", noise=[]), "config.noise"),
     (_bundled("sgf_drift", noise="sigma"), "config.noise"),
@@ -327,16 +326,20 @@ def _bundled(name, **edits):
     (_bundled("flow_conservation", transforms=[_SCALING]), "config.transforms[0]"),
     (_bundled("stationary_spectrum", transforms=[_SCALING]), "config.transforms[0]"),
     (_bundled("sgf_drift", transform=_SCALING), "config.transform"),
+    # no transform and a square loss: no charge and no norm growth to report
+    (_bundled("flow_conservation", transforms=[],
+              model={"name": "deep_linear", "params": {"widths": [2, 3, 2, 1]}, "seed": 3},
+              loss={"name": "square", "params": {"target": 0.3}}), "config.transforms"),
 ], ids=["flow_tolerance_key_typo", "flow_tolerance_not_number", "flow_tolerance_negative",
         "stationary_tolerance_key_typo", "weights_not_numbers", "weights_not_list",
         "x_not_numbers", "flow_theta0_length", "stationary_theta0_length", "sgf_theta0_length",
         "target_not_number", "x_wrong_width", "ensemble_over_memory_limit",
         "weights_nan", "sigma_nan", "T_infinite", "x_nan", "flow_dt_infinite",
-        "flow_loss_label_3", "flow_T_shorter_than_dt", "noise_list", "noise_string",
+        "flow_loss_label_3", "noise_list", "noise_string",
         "sgf_dynamics_string", "flow_dynamics_string", "family_fixes_target",
         "family_unknown_key", "noise_mode_unknown", "sgf_T_shorter_than_dt",
         "flow_transform_without_charge", "stationary_transform_not_symmetry",
-        "sgf_transform_without_charge"])
+        "sgf_transform_without_charge", "flow_checks_nothing"])
 def test_run_dynamics_config_errors_exit_2(tmp_path, capsys, cfg, where):
     cfg = dict(cfg, output_dir=str(tmp_path / "out"))
     assert cli.main(["run", str(_write(tmp_path, "bad.json", cfg))]) == 2
@@ -400,8 +403,8 @@ def test_run_flow_experiment(tmp_path, capsys):
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert "flow.csv" in manifest["files"]
     assert manifest["pass_counts"]["failed"] == 0
-    assert manifest["flow"] == {"integrator": "rk4", "accepted_steps": 100,
-                                "rejected_steps": 0, "gradient_sweeps": 401}
+    assert manifest["flow"] == {"integrator": "dormand_prince_5_4", "accepted_steps": 34,
+                                "rejected_steps": 0, "gradient_sweeps": 205}
 
 
 _ROTATION = {"name": "linear_reparam",
@@ -422,13 +425,21 @@ def test_run_stationary_with_a_symmetry_that_has_no_charge(tmp_path, capsys):
     assert "charge_" not in header
 
 
-def test_run_flow_with_two_charges_of_one_kind(tmp_path, capsys):
+@pytest.mark.parametrize("model, loss", [
+    ({"name": "deep_linear", "params": {"widths": [2, 3, 2, 1]}, "seed": 3},
+     {"name": "square", "params": {"target": 0.3}}),
+    # the activation pattern changes along this flow, where a fixed step
+    # loses its order; the error-controlled step keeps each charge
+    ({"name": "homogeneous_relu_mlp", "params": {"widths": [2, 4, 3, 1]}, "seed": 3},
+     {"name": "exponential", "params": {"label": 1}}),
+], ids=["deep_linear", "relu_mlp"])
+def test_run_flow_with_two_charges_of_one_kind(tmp_path, capsys, model, loss):
     # the adjacent-pair rescalings of a three-layer chain share a charge name
     cfg = {
         "experiment": "flow",
         "output_dir": str(tmp_path / "out"),
-        "model": {"name": "deep_linear", "params": {"widths": [2, 3, 2, 1]}, "seed": 3},
-        "loss": {"name": "square", "params": {"target": 0.3}},
+        "model": model,
+        "loss": loss,
         "transforms": [{"name": "layer_rescaling", "params": {"blocks": ["W1", "W2"]}},
                        {"name": "layer_rescaling", "params": {"blocks": ["W2", "W3"]}}],
         "dynamics": {"T": 10.0, "dt": 0.01},
@@ -437,19 +448,30 @@ def test_run_flow_with_two_charges_of_one_kind(tmp_path, capsys):
     capsys.readouterr()
     reports = [json.loads(line) for line in
                (tmp_path / "out" / "reports.jsonl").read_text().splitlines()]
-    assert [r["context"]["charge"] for r in reports] == ["half_norm_gap[0]", "half_norm_gap[1]"]
+    charges = [r for r in reports if r["check_name"] == "gf_charge_conservation"]
+    assert [r["context"]["charge"] for r in charges] == ["half_norm_gap[0]", "half_norm_gap[1]"]
+    assert all(r["rel_residual"] <= 1e-12 for r in charges)
     header = (tmp_path / "out" / "flow.csv").read_text().splitlines()[0].split(",")
     assert [h for h in header if h.startswith("charge_")] == [
         "charge_half_norm_gap[0]", "charge_half_norm_gap[1]"]
 
 
-def test_run_stationary_first_step_may_exceed_T(tmp_path, capsys):
-    # the stationary flow clips its first trial step to T, so T < dt is no
-    # config error; a flow this short is far from stationary (exit 3)
-    cfg = _bundled("stationary_spectrum", dynamics={"T": 0.001, "dt": 0.05},
-                   output_dir=str(tmp_path / "out"))
-    assert cli.main(["run", str(_write(tmp_path, "stat.json", cfg))]) == 3
-    assert "NotConverged" in capsys.readouterr().err
+@pytest.mark.parametrize("name, dt", [("stationary_spectrum", 0.05), ("flow_conservation", 0.01)],
+                         ids=["stationary_spectrum", "flow"])
+def test_run_stationary_first_step_may_exceed_T(tmp_path, capsys, name, dt):
+    # the flow clips its first trial step to T, so T < dt is no config error;
+    # a stationary run this short is far from stationary (exit 3), and a
+    # conservation flow takes its one accepted step
+    cfg = _bundled(name, dynamics={"T": 0.001, "dt": dt}, output_dir=str(tmp_path / "out"))
+    code = cli.main(["run", str(_write(tmp_path, "short.json", cfg))])
+    if name == "stationary_spectrum":
+        assert code == 3
+        assert "NotConverged" in capsys.readouterr().err
+    else:
+        assert code == 0
+        capsys.readouterr()
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["flow"]["accepted_steps"] == 1
 
 
 _ONE_EACH = {"model": 1, "loss": 1, "transform": 1}
@@ -457,8 +479,8 @@ _ONE_EACH = {"model": 1, "loss": 1, "transform": 1}
 # every bundled config: its exit code, report count, manifest flow counts and
 # catalog builds by kind -- each model, loss and transform is built once
 BUNDLED_RUNS = {
-    "flow_conservation": (0, 2, {"integrator": "rk4", "accepted_steps": 1000,
-                                 "rejected_steps": 0, "gradient_sweeps": 4001}, _ONE_EACH),
+    "flow_conservation": (0, 2, {"integrator": "dormand_prince_5_4", "accepted_steps": 132,
+                                 "rejected_steps": 0, "gradient_sweeps": 793}, _ONE_EACH),
     "mutation_demo": (1, 9, None, _ONE_EACH),
     # sgf_drift checks a loss family and builds no loss outside the per-sample binds
     "sgf_drift": (0, 1, None, {"model": 1, "transform": 1}),
@@ -589,12 +611,16 @@ def test_run_sgf_drift_experiment(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 def test_reports_byte_identical_across_runs(tmp_path, capsys):
-    cfg = _write(tmp_path, "suite.json", _suite_cfg(tmp_path / "out"))
-    assert cli.main(["run", str(cfg)]) == 0
-    first = {f: (tmp_path / "out" / f).read_bytes() for f in ("reports.jsonl", "summary.csv")}
-    assert cli.main(["run", str(cfg)]) == 0
-    for f, blob in first.items():
-        assert (tmp_path / "out" / f).read_bytes() == blob
+    runs = [(_suite_cfg(tmp_path / "suite"), ("reports.jsonl", "summary.csv")),
+            (_bundled("flow_conservation", output_dir=str(tmp_path / "flow")),
+             ("reports.jsonl", "flow.csv"))]
+    for i, (cfg, files) in enumerate(runs):
+        path, out = _write(tmp_path, f"run{i}.json", cfg), Path(cfg["output_dir"])
+        assert cli.main(["run", str(path)]) == 0
+        first = {f: (out / f).read_bytes() for f in files}
+        assert cli.main(["run", str(path)]) == 0
+        for f, blob in first.items():
+            assert (out / f).read_bytes() == blob
     capsys.readouterr()
 
 

@@ -195,6 +195,21 @@ def test_mirror_orthonormal_and_fixed_guards(deep_linear_121):
         check_mirror(deep_linear_121, loss, O, np.array([0.5, 1.0, 1.0, 1.0]))
 
 
+@pytest.mark.parametrize("skew, ok", [(8e-11, True), (2e-10, False)])
+def test_mirror_builder_and_check_share_one_orthonormality_rule(deep_linear_121, skew, ok):
+    # an 8e-11 overlap passes max |O^T O - I| <= 1e-10 though its Frobenius gap is 1.1e-10
+    columns = [[1.0, 0.0, 0.0, 0.0], [skew, 0.0, 1.0, 0.0]]
+    loss, theta = make_loss("square", target=-0.4), np.array([0.0, 0.5, 0.0, 0.7])
+    if ok:
+        build_transform("mirror", {"columns": columns}, deep_linear_121)
+        assert check_mirror(deep_linear_121, loss, np.array(columns).T, theta).passed
+    else:
+        with pytest.raises(InvalidParams):
+            build_transform("mirror", {"columns": columns}, deep_linear_121)
+        with pytest.raises(InvalidParams):
+            check_mirror(deep_linear_121, loss, np.array(columns).T, theta)
+
+
 # ---------------------------------------------------------------------------
 # discrete + mirror + last layer at honest positions
 # ---------------------------------------------------------------------------
