@@ -61,7 +61,6 @@ from .models import (
     build_model,
     loss_family,
     make_loss,
-    signature,
 )
 from .transforms import MUTABLE_CALLBACKS, TRANSFORM_NAMES, Transformation, build_transform
 
@@ -487,14 +486,14 @@ def _run_sgf_drift(cfg: dict, out_dir: str) -> _RunResult:
     noise_obj = cfg.get("noise", {})
     start = len(v.errors)
     v.keys(noise_obj, "config.noise", ("mode", "sigma", "seed"), ("mode", "sigma"))
-    sigma = v.number(noise_obj, "config.noise", "sigma", nonneg=True)
-    v.number(noise_obj, "config.noise", "seed", integer=True, nonneg=True)
+    sigma = v.number(noise_obj, "config.noise", "sigma")
+    v.number(noise_obj, "config.noise", "seed", integer=True)
     noise = None
-    if len(v.errors) == start:  # sigma and seed passed; NoiseModel checks the mode
+    if len(v.errors) == start:  # JSON types passed; NoiseModel holds the values' rules
         try:
             noise = dyn.NoiseModel(**dict(noise_obj, sigma=float(sigma)))
         except InvalidNoiseModel as exc:
-            v.fail("config.noise.mode", str(exc))
+            v.fail(f"config.noise.{exc.field}", str(exc))
     theta0 = _validate_theta0(v, cfg, "config", model)
     n_save = v.number(cfg, "config", "save_trajectories", integer=True, nonneg=True, default=8)
     v.raise_if_failed()
@@ -630,9 +629,8 @@ def run(config_path: str) -> int:
 def catalog_data() -> dict:
     """Every catalog entry with the parameters its builder takes."""
     return {
-        "models": {n: signature(b, skip=("seed",)) for n, b in models._BUILDERS.items()},
-        "losses": {n: signature(b) for n, (b, _) in models._LOSSES.items()},
-        "transforms": {n: signature(b, skip=("model",)) for n, b in tr._BUILDERS.items()},
+        **models.catalog(),
+        **tr.catalog(),
         "checks": dict(ic.CHECK_ANCHORS),
         "experiments": list(EXPERIMENTS),
     }

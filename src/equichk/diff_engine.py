@@ -499,22 +499,31 @@ def gradient_at_points(map_fn: Callable, points: np.ndarray) -> Tuple[np.ndarray
     return np.array(out.value, dtype=float), grads
 
 
-def hessians_at_points(map_fn: Callable, points: np.ndarray) -> np.ndarray:
-    """Hessians of a scalar map at a batch of points, shape (M, d, d).
+def hessians_at_points(map_fn: Callable, points: np.ndarray
+                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values, gradients and Hessians of a scalar map at a batch of points:
+    ``(values (M,), grads (M, d), hessians (M, d, d))``.
 
     Seeded like :func:`second_derivative` (``d1 = I[None]``, ``d2 = I[:, None]``)
     and vectorized over the batch axis of ``points``, so one map evaluation
-    gives every Hessian.  Points are walked in blocks of ``_BLOCK_BYTES``
-    (d^3 seed entries per point), one evaluation per block.
+    gives every Hessian, and its ``.value`` and ``.d1`` give the values and
+    gradients.  Points are walked in blocks of ``_BLOCK_BYTES`` (d^3 seed
+    entries per point), one evaluation per block.
     """
     pts = np.asarray(points, dtype=float)
     m, d = pts.shape
     eye = np.eye(d)
-    out = np.zeros((m, d, d))
+    values, grads, out = np.empty(m), np.zeros((m, d)), np.zeros((m, d, d))
     for blk in _blocks(m, 8 * d * d * d):
         res = map_fn(HyperDual(pts[blk], d1=eye[None, :, None, :], d2=eye[:, None, None, :]))
-        if isinstance(res, HyperDual):
-            hess = _normalize(res.d12, (d, d), np.shape(np.asarray(res.value)))  # (j, i, M)
-            out[blk] = np.transpose(hess, (2, 1, 0))
+        if not isinstance(res, HyperDual):  # constant map
+            values[blk] = np.asarray(res, dtype=float)
+            continue
+        values[blk] = res.value
+        shape = np.shape(np.asarray(res.value))
+        grads[blk] = _normalize(res.d1, (1, d), shape)[0].T
+        hess = _normalize(res.d12, (d, d), shape)  # (j, i, M)
+        out[blk] = np.transpose(hess, (2, 1, 0))
+    _check_finite(grads, "batched gradient sweep")
     _check_finite(out, "batched hessian sweep")
-    return out
+    return values, grads, out

@@ -37,6 +37,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -643,14 +644,20 @@ def _moments(obj: _Objective, points: np.ndarray) -> Tuple[np.ndarray, np.ndarra
     """Mean gradient (n, d), gradient covariance Sigma (n, d, d) and
     d(Tr Sigma)/dtheta (n, d) at each row of ``points``."""
     w = obj.weights()
-    G = obj.sample_sweeps(points)[1]                                          # (K, n, d)
-    H = np.stack([de.hessians_at_points(mp, points) for _, mp in obj.maps])   # (K, n, d, d)
+    sweeps = [de.hessians_at_points(mp, points) for _, mp in obj.maps]  # one sweep per map
+    G = np.stack([g for _, g, _ in sweeps])                              # (K, n, d)
+    H = np.stack([hs for _, _, hs in sweeps])                            # (K, n, d, d)
     gbar = np.einsum("k,knd->nd", w, G)
     hbar = np.einsum("k,knij->nij", w, H)
     sigma = np.einsum("k,kni,knj->nij", w, G, G) - np.einsum("ni,nj->nij", gbar, gbar)
-    grad_trace = 2.0 * (
-        np.einsum("k,knij,knj->ni", w, H, G) - np.einsum("nij,nj->ni", hbar, gbar)
-    )
+    # E[H_x g_x] = sum_k w_k H_k G_k, summed over j and then over k: the order,
+    # and so the bits, of einsum("k,knij,knj->ni", w, H, G), without its slow
+    # generic three-operand loop
+    wH = w[:, None, None, None] * H
+    hg = np.zeros(G.shape)                                               # (K, n, d)
+    for j in range(G.shape[-1]):
+        hg += wH[..., j] * G[..., j, None]
+    grad_trace = 2.0 * (hg.sum(axis=0) - np.einsum("nij,nj->ni", hbar, gbar))
     return gbar, sigma, grad_trace
 
 
@@ -688,9 +695,16 @@ class NoiseModel:
 
     def __post_init__(self):
         if self.mode not in _NOISE_MODES:
-            raise InvalidNoiseModel(f"unknown noise mode {self.mode!r} (known: {', '.join(_NOISE_MODES)})")
-        if not np.isfinite(self.sigma) or self.sigma < 0:
-            raise InvalidNoiseModel(f"sigma must be a finite nonnegative real, got {self.sigma}")
+            raise InvalidNoiseModel(
+                "mode", f"unknown noise mode {self.mode!r} (known: {', '.join(_NOISE_MODES)})")
+        sigma, seed = self.sigma, self.seed
+        if (isinstance(sigma, bool) or not isinstance(sigma, numbers.Real)
+                or not math.isfinite(sigma) or sigma < 0):
+            raise InvalidNoiseModel("sigma", f"sigma must be a finite nonnegative real, got {sigma!r}")
+        # the seed is the first uint64 word of every member's stream key
+        if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+                or not 0 <= seed < 2 ** 64):
+            raise InvalidNoiseModel("seed", f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 def _sgf_grid(T: float, dt: float) -> Tuple[int, int, int]:
@@ -734,8 +748,14 @@ def sgf(
 ) -> Ensemble:
     """Euler--Maruyama ensemble in lockstep, returned as one :class:`Ensemble`.
 
-    Each trajectory owns a Philox stream keyed by (noise.seed, index), so
-    results are independent of scheduling and bit-reproducible.  The time
+    Trajectory i owns the Philox stream with the 128-bit key (noise.seed, i),
+    two uint64 words, started at counter 0: the stream of
+    ``Generator(Philox(key=np.array([noise.seed, i], dtype=np.uint64)))``,
+    which is ``Philox(key=(noise.seed, i))`` for seeds below 2**63.  Its
+    ``exact_sde`` draws are one standard normal per sample per step,
+    step-major; its ``minibatch`` draws are one weighted sample index per
+    step.  Results are therefore independent of the ensemble size and
+    bit-reproducible.  The time
     grid is uniform with n = round(T/dt) steps of exactly T/n.  The memory
     the run holds (pre-drawn randomness, one draw per sample per step in
     ``exact_sde`` mode and none at sigma = 0, plus recorded arrays) is
@@ -775,12 +795,19 @@ def sgf(
         draws = np.empty((ensemble, n_steps, n_samples if noise.sigma > 0 else 0))
     else:
         draws = np.empty((ensemble, n_steps), dtype=np.int64)
-    for i in range(ensemble if draws.size else 0):
-        g = np.random.Generator(np.random.Philox(key=(noise.seed, i)))
-        if noise.mode == "exact_sde":
-            g.standard_normal(out=draws[i])
-        else:
-            draws[i] = g.choice(n_samples, size=n_steps, p=w)
+    if draws.size:
+        # one bit generator, reset per member to counter 0 under key (seed, i):
+        # the stream of Philox(key=(seed, i)), built once instead of per member
+        bits = np.random.Philox(key=np.array([noise.seed, 0], dtype=np.uint64))
+        g = np.random.Generator(bits)
+        fresh = bits.state
+        for i in range(ensemble):
+            fresh["state"]["key"][1] = i
+            bits.state = fresh
+            if noise.mode == "exact_sde":
+                g.standard_normal(out=draws[i])
+            else:
+                draws[i] = g.choice(n_samples, size=n_steps, p=w)
 
     root_w = np.sqrt(w)
     states = np.tile(th0, (ensemble, 1))  # (M, d)
@@ -799,7 +826,8 @@ def sgf(
             if noise.sigma > 0:
                 # the centered factor B = [sqrt(w_k) (g_k - gbar)] has B B^T = Sigma
                 states = states + noise.sigma * math.sqrt(2.0 * h) * np.einsum(
-                    "k,kmd,mk->md", root_w, per_sample - mean_grad, draws[:, step]
+                    "kmd,mk->md", root_w[:, None, None] * (per_sample - mean_grad),
+                    draws[:, step],
                 )
         else:
             picked = per_sample[draws[:, step], np.arange(ensemble)]  # (M, d)

@@ -87,7 +87,12 @@ class InsufficientEnsemble(EquichkError):
 
 
 class InvalidNoiseModel(EquichkError):
-    """Noise-model parameters are out of range or the mode is unknown."""
+    """Noise-model parameters are out of range or the mode is unknown;
+    ``field`` names the parameter at fault."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
 # --- CLI ----------------------------------------------------------------------

@@ -65,6 +65,7 @@ __all__ = [
     "expected_loss",
     "MODEL_NAMES",
     "LOSS_NAMES",
+    "catalog",
     "call_builder",
     "signature",
 ]
@@ -539,6 +540,15 @@ _LOSSES = {
     "softmax_xent": (_make_softmax_xent, "label"),
 }
 LOSS_NAMES = tuple(_LOSSES)
+
+
+def catalog() -> dict:
+    """The model and loss sections of the catalog: each entry's name with the
+    config parameters its builder takes (see :func:`signature`)."""
+    return {
+        "models": {n: signature(b, skip=("seed",)) for n, b in _BUILDERS.items()},
+        "losses": {n: signature(b) for n, (b, _) in _LOSSES.items()},
+    }
 
 
 def _loss_entry(name: str):

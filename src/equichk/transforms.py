@@ -60,7 +60,7 @@ from .errors import (
     SizeMismatch,
     UnknownSpec,
 )
-from .models import Model, _integer, call_builder, forward
+from .models import Model, _integer, call_builder, forward, signature
 from .tensor_core import RCOND_THRESHOLD, _finite, _inverse_rcond, compose, invert_square
 
 __all__ = [
@@ -68,6 +68,7 @@ __all__ = [
     "GoodPositionReport",
     "Transformation",
     "TRANSFORM_NAMES",
+    "catalog",
     "homogeneity_scaling",
     "layer_rescaling",
     "linear_reparam",
@@ -529,6 +530,12 @@ _BUILDERS = {
     "permutation": permutation,
 }
 TRANSFORM_NAMES = tuple(_BUILDERS)
+
+
+def catalog() -> dict:
+    """The transform section of the catalog: each entry's name with the
+    config parameters its builder takes after ``model``."""
+    return {"transforms": {n: signature(b, skip=("model",)) for n, b in _BUILDERS.items()}}
 
 
 def build_transform(name: str, params: dict, model: Model) -> Transformation:

@@ -4,7 +4,7 @@ InvalidParams error that names the keys the entry takes."""
 
 import pytest
 
-from equichk import cli
+from equichk import cli, models, transforms
 from equichk.errors import InvalidParams
 from equichk.models import LOSS_NAMES, MODEL_NAMES, ModelSpec, build_model, loss_family, make_loss
 from equichk.transforms import TRANSFORM_NAMES, build_transform
@@ -88,6 +88,15 @@ def test_missing_required_key_raises(kind, name, build, params, optional):
 def test_catalog_lists_the_same_keys(kind, name, build, params, optional):
     section = {"model": "models", "loss": "losses", "transform": "transforms"}[kind]
     assert _keys(cli.catalog_data()[section][name]) == set(params) | set(optional)
+
+
+def test_public_catalog_sections_list_every_entry_in_order():
+    sections = {**models.catalog(), **transforms.catalog()}
+    assert list(sections) == ["models", "losses", "transforms"]
+    for section, names in (("models", MODEL_NAMES), ("losses", LOSS_NAMES),
+                           ("transforms", TRANSFORM_NAMES)):
+        assert tuple(sections[section]) == names
+        assert cli.catalog_data()[section] == sections[section]
 
 
 @pytest.mark.parametrize("name, fixed, per_sample", [

@@ -319,6 +319,15 @@ def _bundled(name, **edits):
      "config.loss.params"),
     (_bundled("sgf_drift", loss={"name": "square", "params": {"zz": 1}}), "config.loss.params"),
     (_bundled("sgf_drift", noise={"mode": "langevin", "sigma": 0.1, "seed": 7}), "config.noise.mode"),
+    # the noise seed is a stream key's uint64 word; NoiseModel's errors fail at their field
+    (_bundled("sgf_drift", noise={"mode": "exact_sde", "sigma": 0.1, "seed": 2 ** 64}),
+     "config.noise.seed"),
+    (_bundled("sgf_drift", noise={"mode": "exact_sde", "sigma": 0.1, "seed": -1}),
+     "config.noise.seed"),
+    (_bundled("sgf_drift", noise={"mode": "exact_sde", "sigma": 0.1, "seed": 1.5}),
+     "config.noise.seed"),
+    (_bundled("sgf_drift", noise={"mode": "exact_sde", "sigma": -0.1, "seed": 7}),
+     "config.noise.sigma"),
     (_bundled("sgf_drift", dynamics={"T": 0.0005, "dt": 0.001, "ensemble": 2000}),
      "config.dynamics.dt"),
     # a flow or an SGF run records each transform's charge; the null count
@@ -337,7 +346,8 @@ def _bundled(name, **edits):
         "weights_nan", "sigma_nan", "T_infinite", "x_nan", "flow_dt_infinite",
         "flow_loss_label_3", "noise_list", "noise_string",
         "sgf_dynamics_string", "flow_dynamics_string", "family_fixes_target",
-        "family_unknown_key", "noise_mode_unknown", "sgf_T_shorter_than_dt",
+        "family_unknown_key", "noise_mode_unknown", "noise_seed_past_uint64",
+        "noise_seed_negative", "noise_seed_float", "sigma_negative", "sgf_T_shorter_than_dt",
         "flow_transform_without_charge", "stationary_transform_not_symmetry",
         "sgf_transform_without_charge", "flow_checks_nothing"])
 def test_run_dynamics_config_errors_exit_2(tmp_path, capsys, cfg, where):

@@ -222,7 +222,7 @@ def test_linear_map_second_derivatives_are_exact_zeros():
     assert hess.shape == (3, 3, 1)
     np.testing.assert_array_equal(hess, np.zeros((3, 3, 1)))
     pts = probe.init_params + np.random.default_rng(5).standard_normal((5, 3))
-    np.testing.assert_array_equal(de.hessians_at_points(scalar, pts), np.zeros((5, 3, 3)))
+    np.testing.assert_array_equal(de.hessians_at_points(scalar, pts)[2], np.zeros((5, 3, 3)))
 
 
 def test_gradient_at_points_broadcasts_a_batch_constant_tangent():
@@ -324,7 +324,7 @@ def test_hessians_at_points_matches_second_derivative(uv_model):
     loss = make_loss("square", target=0.4)
     mp = lambda th: loss.apply(uv_model.func(th))
     pts = np.array([[1.2, 0.6], [0.4, -0.8]])
-    batch = de.hessians_at_points(mp, pts)
+    batch = de.hessians_at_points(mp, pts)[2]
     for i in range(2):
         one = second_derivative(mp, pts[i], EXACT).reshape(uv_model.d, uv_model.d)
         np.testing.assert_allclose(batch[i], one, atol=1e-13)
@@ -429,7 +429,7 @@ def test_batched_sweeps_equal_pointwise_references(spec, loss_spec):
                                           _fd_by_point(map_fn, x, order))
         if np.ndim(map_fn(x)) == 0:  # scalar maps: a batch of Hessians
             points = x + 0.05 * np.random.default_rng(x.size).standard_normal((4, x.size))
-            np.testing.assert_array_equal(de.hessians_at_points(map_fn, points),
+            np.testing.assert_array_equal(de.hessians_at_points(map_fn, points)[2],
                                           _hessians_by_direction(map_fn, points))
 
 
@@ -451,6 +451,45 @@ def test_first_order_sweep_equals_full_product_rule(entry):
         assert fast.d2 is None and fast.d12 is None
         np.testing.assert_array_equal(fast.value, full.value)
         np.testing.assert_array_equal(np.broadcast_to(fast.d1, np.shape(full.d1)), full.d1)
+
+
+@pytest.mark.parametrize("entry", SUITE_ENTRIES,
+                         ids=[f"{i}-{e.model.name}-{e.loss}" for i, e in enumerate(SUITE_ENTRIES)])
+def test_hessian_sweep_values_and_grads_equal_gradient_sweep(monkeypatch, entry):
+    # the values and gradients a Hessian sweep returns are the gradient
+    # sweep's, bit for bit, at one point, at a batch, and block by block
+    model = build_model(entry.model)
+    loss = make_loss(entry.loss, **dict(entry.loss_params))
+    calls = []
+
+    def map_fn(th):
+        calls.append(1)
+        return loss.apply(model.func(th))
+
+    pts = model.init_params + np.random.default_rng(entry.seed).standard_normal((7, model.d))
+    whole = {}
+    for n in (1, 7):
+        values, grads = de.gradient_at_points(map_fn, pts[:n])
+        calls.clear()
+        whole[n] = de.hessians_at_points(map_fn, pts[:n])
+        assert len(calls) == 1
+        np.testing.assert_array_equal(whole[n][0], values)
+        np.testing.assert_array_equal(whole[n][1], grads)
+    # room for the d^3 seed entries of three points: blocks of 3, 3 and 1
+    monkeypatch.setattr(de, "_BLOCK_BYTES", 3 * 8 * model.d ** 3)
+    calls.clear()
+    blocked = de.hessians_at_points(map_fn, pts)
+    assert len(calls) == 3
+    for got, want in zip(blocked, whole[7]):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_hessian_sweep_of_a_constant_map():
+    pts = np.random.default_rng(2).standard_normal((4, 3))
+    values, grads, hess = de.hessians_at_points(lambda th: 2.5, pts)
+    np.testing.assert_array_equal(values, np.full(4, 2.5))
+    np.testing.assert_array_equal(grads, np.zeros((4, 3)))
+    np.testing.assert_array_equal(hess, np.zeros((4, 3, 3)))
 
 
 def test_sweeps_are_one_map_call_and_blocks_do_not_change_bits(monkeypatch):
@@ -489,11 +528,11 @@ def test_hessians_at_points_one_map_call_and_blocks_do_not_change_bits(monkeypat
         calls.append(1)
         return map_fn(th)
 
-    one = de.hessians_at_points(counting, points)
+    one = de.hessians_at_points(counting, points)[2]
     assert len(calls) == 1
     # room for the 18^3 seed entries of two points per block
     monkeypatch.setattr(de, "_BLOCK_BYTES", 2 * 8 * 18 ** 3)
     calls.clear()
-    blocked = de.hessians_at_points(counting, points)
+    blocked = de.hessians_at_points(counting, points)[2]
     assert len(calls) == 3
     np.testing.assert_array_equal(one, blocked)

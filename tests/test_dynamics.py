@@ -424,6 +424,123 @@ def test_noise_model_validation():
         dyn.NoiseModel(mode="langevin", sigma=0.1)
     with pytest.raises(InvalidNoiseModel):
         dyn.NoiseModel(mode="exact_sde", sigma=-0.5)
+    # each error names its field; the seed is a stream key's uint64 word
+    bad = [({"mode": "langevin", "sigma": 0.1}, "mode")]
+    bad += [({"mode": "minibatch", "sigma": sigma}, "sigma")
+            for sigma in (float("nan"), float("inf"), -1e-300, "0.1", None, True)]
+    bad += [({"mode": "exact_sde", "sigma": 0.1, "seed": seed}, "seed")
+            for seed in (1.5, True, -1, 2 ** 64, "7", None)]
+    for kwargs, field in bad:
+        with pytest.raises(InvalidNoiseModel) as err:
+            dyn.NoiseModel(**kwargs)
+        assert err.value.field == field
+    for seed in (0, 2 ** 64 - 1, np.uint64(2 ** 64 - 1), np.int64(3)):
+        assert dyn.NoiseModel(mode="minibatch", sigma=0.0, seed=seed).seed == seed
+
+
+def _three_sample_dataset():
+    return Dataset(((np.array([1.0]), np.array([0.5])), (np.array([2.0]), np.array([1.55])),
+                    (np.array([-1.5]), np.array([0.2]))), (0.5, 0.3, 0.2))
+
+
+def _sgf_reference(model, family, dataset, th0, noise, T, dt, ensemble,
+                   key=lambda seed, i: (seed, i)):
+    """SGF with one Generator(Philox(key=(seed, i))) per member and the
+    three-operand kick einsum: (record states, record losses)."""
+    obj = dyn._Objective(model, dataset, family)
+    w = obj.weights()
+    n_steps, stride, _ = dyn._sgf_grid(T, dt)
+    h = T / n_steps
+    if noise.mode == "exact_sde":
+        draws = np.empty((ensemble, n_steps, w.size))
+    else:
+        draws = np.empty((ensemble, n_steps), dtype=np.int64)
+    for i in range(ensemble):
+        g = np.random.Generator(np.random.Philox(key=key(noise.seed, i)))
+        if noise.mode == "exact_sde":
+            g.standard_normal(out=draws[i])
+        else:
+            draws[i] = g.choice(w.size, size=n_steps, p=w)
+    states = np.tile(th0, (ensemble, 1))
+    stack, losses = [states], []
+    for step in range(n_steps):
+        values, per_sample = obj.sample_sweeps(states)
+        if step % stride == 0:
+            losses.append(obj.weighted_loss(values))
+        mean_grad = np.einsum("k,kmd->md", w, per_sample)
+        if noise.mode == "exact_sde":
+            states = states - mean_grad * h
+            states = states + noise.sigma * math.sqrt(2.0 * h) * np.einsum(
+                "k,kmd,mk->md", np.sqrt(w), per_sample - mean_grad, draws[:, step])
+        else:
+            states = states - per_sample[draws[:, step], np.arange(ensemble)] * h
+        if (step + 1) % stride == 0 or step + 1 == n_steps:
+            stack.append(states)
+    losses.append(obj.weighted_loss(obj.sample_sweeps(states)[0]))
+    return np.stack(stack), np.stack(losses)
+
+
+@pytest.mark.parametrize("seed", [3, 2 ** 63 - 1])
+@pytest.mark.parametrize("mode", ["exact_sde", "minibatch"])
+def test_sgf_equals_one_stream_per_member_reference(monkeypatch, mode, seed, deep_linear_121,
+                                                    square_family):
+    dataset, th0 = _three_sample_dataset(), deep_linear_121.init_params
+    noise = dyn.NoiseModel(mode=mode, sigma=0.1, seed=seed)
+    kw = dict(T=0.02, dt=1e-3, ensemble=50)
+    states, losses = _sgf_reference(deep_linear_121, square_family, dataset, th0, noise, **kw)
+    real, built = np.random.Philox, []
+    monkeypatch.setattr(np.random, "Philox", lambda *a, **k: built.append(1) or real(*a, **k))
+    ens = dyn.sgf(deep_linear_121, square_family, dataset, th0, noise, **kw)
+    assert len(built) == 1  # one bit generator per call, not one per member
+    np.testing.assert_array_equal(ens.states, states)
+    np.testing.assert_array_equal(ens.losses, losses)
+
+
+def test_sgf_keys_streams_with_the_whole_uint64_seed(uv_model, square_family):
+    # a seed past 2**63 is the key's first word as it stands: no float64
+    # round trip turns 2**64 - 5 into 0
+    dataset, th0 = _three_sample_dataset(), np.array([1.2, 0.6])
+    kw = dict(T=0.01, dt=1e-3, ensemble=3)
+    runs = {}
+    for seed in (0, 2 ** 64 - 5):
+        noise = dyn.NoiseModel(mode="minibatch", sigma=0.0, seed=seed)
+        runs[seed] = dyn.sgf(uv_model, square_family, dataset, th0, noise, **kw).states
+        expect, _ = _sgf_reference(uv_model, square_family, dataset, th0, noise, **kw,
+                                   key=lambda s, i: np.array([s, i], dtype=np.uint64))
+        np.testing.assert_array_equal(runs[seed], expect)
+    assert not np.array_equal(runs[0], runs[2 ** 64 - 5])
+
+
+def _moments_reference(maps, w, points):
+    """Mean gradient, covariance and trace gradient from a gradient sweep and
+    a Hessian sweep per map, with the three-operand trace-gradient einsum."""
+    G = np.stack([de.gradient_at_points(mp, points)[1] for mp in maps])
+    H = np.stack([de.hessians_at_points(mp, points)[2] for mp in maps])
+    gbar = np.einsum("k,knd->nd", w, G)
+    hbar = np.einsum("k,knij->nij", w, H)
+    sigma = np.einsum("k,kni,knj->nij", w, G, G) - np.einsum("ni,nj->nij", gbar, gbar)
+    grad_trace = 2.0 * (
+        np.einsum("k,knij,knj->ni", w, H, G) - np.einsum("nij,nj->ni", hbar, gbar)
+    )
+    return gbar, sigma, grad_trace
+
+
+@pytest.mark.parametrize("model_name", ["uv_model", "deep_linear_121"])
+def test_drift_terms_equal_two_sweep_reference(request, model_name, square_family):
+    model = request.getfixturevalue(model_name)
+    obj = dyn._Objective(model, _three_sample_dataset(), square_family)
+    charge = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, model).charge
+    points = model.init_params + 0.3 * np.random.default_rng(4).standard_normal((50, model.d))
+    gbar, sigma, grad_trace = _moments_reference([mp for _, mp in obj.maps], obj.weights(), points)
+    for got, want in zip(dyn._moments(obj, points), (gbar, sigma, grad_trace)):
+        np.testing.assert_array_equal(got, want)
+    gc, hc, sigma_sq = charge.grad(points), charge.hess(points), 0.01
+    expect = (
+        float((-(sigma_sq / 2.0) * np.einsum("ni,ni->n", gc, grad_trace)).mean()),
+        float((sigma_sq * np.einsum("nij,nij->n", sigma, hc)).mean()),
+        float(np.einsum("ni,nij,nj->n", gbar, hc, gbar).mean()),
+    )
+    assert dyn._drift_terms(obj, charge, points, sigma_sq) == expect
 
 
 def test_sgf_bit_reproducible(uv_model, square_family, two_sample_dataset):
@@ -585,14 +702,7 @@ def _drift_by_member(ens, charge, model, family, dataset, noise):
     terms = []
     for k in rec_idx:
         pts = member_states[:, k, :]
-        G = np.stack([de.gradient_at_points(mp, pts)[1] for mp in maps])
-        H = np.stack([de.hessians_at_points(mp, pts) for mp in maps])
-        gbar = np.einsum("k,knd->nd", w, G)
-        hbar = np.einsum("k,knij->nij", w, H)
-        sigma = np.einsum("k,kni,knj->nij", w, G, G) - np.einsum("ni,nj->nij", gbar, gbar)
-        grad_trace = 2.0 * (
-            np.einsum("k,knij,knj->ni", w, H, G) - np.einsum("nij,nj->ni", hbar, gbar)
-        )
+        gbar, sigma, grad_trace = _moments_reference(maps, w, pts)
         gc = np.stack([np.asarray(charge.grad(p), dtype=float) for p in pts])
         hc = np.stack([np.asarray(charge.hess(p), dtype=float) for p in pts])
         terms.append((
@@ -674,9 +784,7 @@ def _centered_factor(model, family, dataset, points):
 def test_sgf_kick_is_the_centered_gradient_factor(uv_model, square_family, two_sample_dataset):
     points = np.random.default_rng(11).normal(size=(20, 2))
     th0, h, sigma, seed = np.array([1.2, 0.6]), 1e-3, 0.1, 5
-    three = Dataset(((np.array([1.0]), np.array([0.5])), (np.array([2.0]), np.array([1.55])),
-                     (np.array([-1.5]), np.array([0.2]))), (0.5, 0.3, 0.2))
-    for dataset in (two_sample_dataset, three):
+    for dataset in (two_sample_dataset, _three_sample_dataset()):
         # (a) F F^T is the covariance the theory side computes
         F, _ = _centered_factor(uv_model, square_family, dataset, points)
         for p, f in zip(points, F):
