@@ -13,13 +13,20 @@ with no truncation error -- the only inaccuracy is ordinary rounding.  Full
 gradients and Hessians are directional sweeps over basis directions, seeded
 all at once: a gradient seeds every ``e1`` direction in one leading axis, and
 a Hessian additionally seeds every ``e2`` direction in a second leading axis,
-so one map evaluation carries all d^2 directional pairs.  Seeds (and
-finite-difference stencils) are walked in blocks under a fixed byte budget,
-``_BLOCK_BYTES``, fixed before anything is allocated; at catalog sizes every
-sweep is a single block, i.e. a single map evaluation.
+so one map evaluation carries all d^2 directional pairs, and its value and
+``e1`` slot carry the map's value and gradient as well.  One private sweep,
+``_sweep``, does every exact derivative at a batch of points:
+``jacobian`` and ``second_derivative`` are it at one point,
+``gradient_at_points`` and ``hessians_at_points`` over a batch, and
+``grad_and_hessian_of_loss`` takes value, gradient and Hessian from one
+second-order sweep.  Second-order sweeps walk their points, and
+finite-difference stencils their points, in blocks under a fixed byte
+budget, ``_BLOCK_BYTES``, fixed before anything is allocated; a point too
+large for one block has its second-slot directions walked instead.  At
+catalog sizes every sweep is a single block, i.e. a single map evaluation.
 
 Evaluation points are plain float arrays, and every sweep returns a fresh
-float64 ``np.ndarray`` in the ``[input, output]`` layout that
+C-contiguous float64 ``np.ndarray`` in the ``[input, output]`` layout that
 :mod:`equichk.tensor_core` composes, checked finite before it is returned:
 ``(d, *s)`` for first derivatives of a map into shape ``s``, ``(d, d, *s)``
 for second derivatives.
@@ -54,7 +61,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache, partial
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -280,16 +287,70 @@ def _as_point(point) -> np.ndarray:
     return arr
 
 
-def _normalize(component, lead: Tuple[int, ...], out_shape: Tuple[int, ...]) -> np.ndarray:
-    target = lead + out_shape
-    if component is None:
-        return np.zeros(target)
-    return np.broadcast_to(np.asarray(component, dtype=float), target).copy()
-
-
 def _check_finite(arr: np.ndarray, what: str) -> None:
     if not np.isfinite(arr).all():
         raise NonFiniteResult(f"{what} produced NaN or Inf")
+
+
+def _blocks(n: int, item_bytes: int):
+    """Consecutive slices of ``range(n)``, each holding as many items of
+    ``item_bytes`` as fit in ``_BLOCK_BYTES`` (at least one; one empty
+    slice when n = 0)."""
+    step = max(1, _BLOCK_BYTES // item_bytes)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, max(n, 1), step)]
+
+
+@lru_cache(maxsize=32)
+def _seeds(d: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The seeds of :func:`_sweep`, built once per d (read-only: every sweep
+    shares them): ``d1 = I[:, None, :]`` alone for first order, and
+    ``d1 = I[None, :, None, :]`` with ``d2 = I[:, None, None, :]`` for
+    second order."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye[:, None, :], eye[None, :, None, :], eye[:, None, None, :]
+
+
+def _sweep(map_fn: Callable, points: np.ndarray, second: bool
+           ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Values ``(M, *s)``, first derivatives ``(M, d, *s)`` and, when
+    ``second``, second derivatives ``(M, d, d, *s)`` of ``map_fn`` at each
+    row of ``points`` (M, d), all from the same hyper-dual evaluations.
+
+    The seed carries every first-slot direction i along one leading axis
+    and, when ``second``, every second-slot direction j along the axis
+    before it, with the batch after them, so one evaluation gives the whole
+    tensor; the second derivatives come out as ``[m, j, i, ...]``.  A
+    first-order sweep is one evaluation.  A second-order one walks its points
+    in blocks of ``_BLOCK_BYTES`` (d^3 seed entries per point), and a point
+    over that alone has its second-slot directions walked in blocks of d^2.
+    A constant map and an absent slot read as zeros.  The results are fresh
+    C-contiguous arrays, the derivatives checked finite (a caller that reads
+    the values as a result checks them).
+    """
+    m, d = points.shape
+    first_seed, d1_seed, d2_seed = _seeds(d)
+    values = first = hess = None
+    for rows in _blocks(m, 8 * d ** 3) if second else (slice(0, m),):
+        for cols in _blocks(d, 8 * d * d) if second else (None,):
+            res = map_fn(HyperDual(points[rows], d1=d1_seed, d2=d2_seed[cols]) if second
+                         else HyperDual(points[rows], d1=first_seed))
+            if not isinstance(res, HyperDual):  # constant map
+                res = HyperDual(res)
+            if values is None:
+                s = np.shape(res.value)[1:]
+                values, first = np.empty((m,) + s), np.empty((m, d) + s)
+                hess = np.empty((m, d, d) + s) if second else None
+            # each slot is written through a view in its own layout, which
+            # broadcasts an absent (0.0) or batch-constant slot
+            values[rows] = res.value
+            first[rows].swapaxes(0, 1)[...] = 0.0 if res.d1 is None else res.d1
+            if second:
+                np.moveaxis(hess[rows, cols], 0, 2)[...] = 0.0 if res.d12 is None else res.d12
+    _check_finite(first, "hyper-dual sweep")
+    if second:
+        _check_finite(hess, "hyper-dual sweep")
+    return values, first, hess
 
 
 def jacobian(map_fn: Callable, point, mode: str = "exact") -> np.ndarray:
@@ -303,53 +364,18 @@ def jacobian(map_fn: Callable, point, mode: str = "exact") -> np.ndarray:
     x = _as_point(point)
     if mode == "finite_difference":
         return fd_oracle(map_fn, x, 1)
-    d = x.size
-    seed = HyperDual(x, d1=np.eye(d))
-    out = map_fn(seed)
-    if not isinstance(out, HyperDual):  # constant map
-        out_shape = np.shape(np.asarray(out))
-        return np.zeros((d,) + out_shape)
-    out_shape = np.shape(np.asarray(out.value))
-    _check_finite(np.asarray(out.value, dtype=float), "map evaluation")
-    jac = _normalize(out.d1, (d,), out_shape)
-    _check_finite(jac, "jacobian sweep")
-    return jac
-
-
-def _blocks(n: int, item_bytes: int):
-    """Consecutive slices of ``range(n)``, each holding as many items of
-    ``item_bytes`` as fit in ``_BLOCK_BYTES`` (at least one)."""
-    step = max(1, _BLOCK_BYTES // item_bytes)
-    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    return _sweep(map_fn, x[None], False)[1][0]
 
 
 def second_derivative(map_fn: Callable, point, mode: str = "exact") -> np.ndarray:
     """Second-derivative tensor, shape ``(d, d, *s)``, symmetric in the two
-    leading axes.
-
-    The seed carries every first-slot direction along axis 1 and every
-    second-slot direction along axis 0 (``d1 = I[None]``, ``d2 = I[:, None]``),
-    so one map evaluation returns the whole tensor.  Second-slot directions
-    are split into blocks of ``_BLOCK_BYTES`` (a d x d seed product each), one
-    evaluation per block; at catalog sizes that is a single evaluation.
-    """
+    leading axes: the second-slot direction j indexes axis 0 and the
+    first-slot direction i axis 1 (:func:`_sweep` at the one point)."""
     _check_mode(mode)
     x = _as_point(point)
     if mode == "finite_difference":
         return fd_oracle(map_fn, x, 2)
-    d = x.size
-    eye = np.eye(d)
-    parts = []
-    for blk in _blocks(d, 8 * d * d):
-        out = map_fn(HyperDual(x, d1=eye[None, :, :], d2=eye[blk, None, :]))
-        lead = (blk.stop - blk.start, d)
-        if not isinstance(out, HyperDual):  # constant map
-            parts.append(np.zeros(lead + np.shape(np.asarray(out))))
-        else:
-            parts.append(_normalize(out.d12, lead, np.shape(np.asarray(out.value))))
-    hess = np.concatenate(parts, axis=0)
-    _check_finite(hess, "second-derivative sweep")
-    return hess
+    return _sweep(map_fn, x[None], True)[2][0]
 
 
 def _stencil(order: int, d: int):
@@ -422,6 +448,23 @@ def fd_oracle(map_fn: Callable, point, order: int) -> np.ndarray:
     return out
 
 
+def _value_and_derivatives(map_fn: Callable, point, mode: str
+                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Value, first and second derivative of ``map_fn`` at ``point``: one
+    exact :func:`_sweep`, or in finite_difference mode a plain call and the
+    order 1 and order 2 oracles."""
+    _check_mode(mode)
+    x = _as_point(point)
+    if mode == "exact":
+        values, first, second = _sweep(map_fn, x[None], True)
+        value, first, second = values[0], first[0], second[0]
+    else:
+        value = np.asarray(map_fn(x), dtype=float)
+        first, second = fd_oracle(map_fn, x, 1), fd_oracle(map_fn, x, 2)
+    _check_finite(value, "map evaluation")
+    return value, first, second
+
+
 def grad_and_hessian_of_loss(
     model,
     loss,
@@ -431,18 +474,13 @@ def grad_and_hessian_of_loss(
     """Value, gradient, and Hessian of ``L = loss o model`` at ``point``,
     obtained by differentiating the composite map directly (the route that
     :func:`equichk.identity_checker.evaluate_landscape` holds against the
-    chain/product-rule assembly)."""
-    x = _as_point(point)
+    chain/product-rule assembly), all from one sweep."""
 
     def composite(th):
         return loss.apply(model.func(th))
 
-    value = float(np.asarray(composite(x)))
-    if not np.isfinite(value):
-        raise NonFiniteResult("loss evaluation produced NaN or Inf")
-    grad = jacobian(composite, x, mode)
-    hess = second_derivative(composite, x, mode)
-    return value, grad, hess
+    value, grad, hess = _value_and_derivatives(composite, point, mode)
+    return float(value), grad, hess
 
 
 def _check_assembly(hess: np.ndarray, jac_f: np.ndarray, hess_f: np.ndarray, gl: np.ndarray,
@@ -467,63 +505,18 @@ def _check_assembly(hess: np.ndarray, jac_f: np.ndarray, hess_f: np.ndarray, gl:
 
 # --- batched sweeps for dynamics ------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _gradient_seed(d: int) -> np.ndarray:
-    """The ``d1`` seed of :func:`gradient_at_points`, ``I[:, None, :]``, built
-    once per d (read-only: every sweep shares it)."""
-    seed = np.eye(d)[:, None, :]
-    seed.flags.writeable = False
-    return seed
-
-
 def gradient_at_points(map_fn: Callable, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Values and gradients of a scalar map at a batch of points:
-    ``(values (M,), grads (M, d))``.
-
-    One hyper-dual evaluation carrying all d directions, vectorized over the
-    batch axis of ``points``; the values are that evaluation's ``.value``.
-    """
-    pts = np.asarray(points, dtype=float)
-    m, d = pts.shape
-    out = map_fn(HyperDual(pts, d1=_gradient_seed(d)))
-    if not isinstance(out, HyperDual):  # constant map
-        return np.broadcast_to(np.asarray(out, dtype=float), (m,)).copy(), np.zeros((m, d))
-    d1 = out.d1
-    if d1 is None:
-        grads = np.zeros((m, d))
-    elif np.shape(d1) == (d, m):
-        grads = d1.T.copy()
-    else:  # a tangent constant over the batch, e.g. (d, 1)
-        grads = np.broadcast_to(d1, (d, m)).T.copy()
-    _check_finite(grads, "batched gradient sweep")
-    return np.array(out.value, dtype=float), grads
+    ``(values (M,), grads (M, d))``, from one first-order :func:`_sweep`."""
+    values, grads, _ = _sweep(map_fn, np.asarray(points, dtype=float), False)
+    return values, grads
 
 
 def hessians_at_points(map_fn: Callable, points: np.ndarray
                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Values, gradients and Hessians of a scalar map at a batch of points:
-    ``(values (M,), grads (M, d), hessians (M, d, d))``.
-
-    Seeded like :func:`second_derivative` (``d1 = I[None]``, ``d2 = I[:, None]``)
-    and vectorized over the batch axis of ``points``, so one map evaluation
-    gives every Hessian, and its ``.value`` and ``.d1`` give the values and
-    gradients.  Points are walked in blocks of ``_BLOCK_BYTES`` (d^3 seed
-    entries per point), one evaluation per block.
-    """
-    pts = np.asarray(points, dtype=float)
-    m, d = pts.shape
-    eye = np.eye(d)
-    values, grads, out = np.empty(m), np.zeros((m, d)), np.zeros((m, d, d))
-    for blk in _blocks(m, 8 * d * d * d):
-        res = map_fn(HyperDual(pts[blk], d1=eye[None, :, None, :], d2=eye[:, None, None, :]))
-        if not isinstance(res, HyperDual):  # constant map
-            values[blk] = np.asarray(res, dtype=float)
-            continue
-        values[blk] = res.value
-        shape = np.shape(np.asarray(res.value))
-        grads[blk] = _normalize(res.d1, (1, d), shape)[0].T
-        hess = _normalize(res.d12, (d, d), shape)  # (j, i, M)
-        out[blk] = np.transpose(hess, (2, 1, 0))
-    _check_finite(grads, "batched gradient sweep")
-    _check_finite(out, "batched hessian sweep")
-    return values, grads, out
+    ``(values (M,), grads (M, d), hessians (M, d, d))``, from one
+    second-order :func:`_sweep`; ``hessians[m, i, j]`` takes the first-slot
+    direction i before the second-slot direction j."""
+    values, grads, hess = _sweep(map_fn, np.asarray(points, dtype=float), True)
+    return values, grads, np.ascontiguousarray(hess.swapaxes(1, 2))

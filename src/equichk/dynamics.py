@@ -780,8 +780,10 @@ def sgf(
     # charge-scale warning: the per-unit-time noise budget should sit well
     # below the charge itself or the drift comparison is meaningless
     if noise.mode == "exact_sde" and noise.sigma > 0 and charges:
-        sig0 = noise_covariance(model, family, dataset, th0)
-        budget = noise.sigma ** 2 * sig0.trace * h
+        grads = obj.sample_sweeps(th0[None, :])[1][:, 0]  # per-sample gradients (K, d)
+        dev = grads - w @ grads
+        trace = float(w @ np.sum(dev * dev, axis=1))      # Tr Sigma = sum_k w_k |g_k - gbar|^2
+        budget = noise.sigma ** 2 * trace * h
         for c in charges:
             if budget >= 0.1 * max(1.0, abs(float(c.c_eval(th0)))):
                 warnings.warn(

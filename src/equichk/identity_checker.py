@@ -318,13 +318,14 @@ class LandscapeEval:
 
 
 def evaluate_landscape(model: Model, loss: Loss, theta, mode: str = "exact") -> LandscapeEval:
+    """The landscape at ``theta``: ``y``, ``jac_f`` and ``hess_f`` from one
+    sweep of the model, ``value``, ``grad`` and ``hess`` from one sweep of
+    the composite loss (in exact mode, one map evaluation each)."""
     th = np.asarray(theta, dtype=float).reshape(-1)
     if th.size != model.d:
         raise SizeMismatch(f"theta has {th.size} entries, model {model.name} wants {model.d}")
-    y = forward(model, th)
+    y, jac_f, hess_f = de._value_and_derivatives(model.func, th, mode)
     value, grad, hess = de.grad_and_hessian_of_loss(model, loss, th, mode)
-    jac_f = de.jacobian(model.func, th, mode)
-    hess_f = de.second_derivative(model.func, th, mode)
     gl = _finite(loss.grad(y))
     hl = _finite(loss.hess(y))
     de._check_assembly(hess, jac_f, hess_f, gl, hl, mode)

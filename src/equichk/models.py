@@ -402,15 +402,14 @@ class Loss:
     """Scalar loss on model outputs with analytic derivatives.
 
     ``apply`` is the generic evaluation used for direct differentiation of
-    the composite L = loss o model; ``value``/``grad``/``hess`` are the
-    analytic forms used on the assembled side of each identity.
+    the composite L = loss o model; ``grad``/``hess`` are the analytic forms
+    used on the assembled side of each identity.
     """
 
     name: str
     c: int
     params: dict
     apply: Callable = field(repr=False)
-    _value: Callable = field(repr=False)
     _grad: Callable = field(repr=False)
     _hess: Callable = field(repr=False)
 
@@ -419,9 +418,6 @@ class Loss:
         if arr.size != self.c:
             raise SizeMismatch(f"output length {arr.size} != loss dim {self.c}")
         return arr
-
-    def value(self, y) -> float:
-        return float(self._value(self._coerce(y)))
 
     def grad(self, y) -> np.ndarray:
         return np.asarray(self._grad(self._coerce(y)), dtype=float)
@@ -447,7 +443,6 @@ def _make_square(target) -> Loss:
     return Loss(
         name="square", c=c, params={"target": t.tolist()},
         apply=apply,
-        _value=lambda y: 0.5 * float(np.sum((y - t) ** 2)),
         _grad=lambda y: y - t,
         _hess=lambda y: np.eye(c),
     )
@@ -469,7 +464,6 @@ def _make_exponential(label) -> Loss:
     return Loss(
         name="exponential", c=1, params={"label": lab},
         apply=apply,
-        _value=lambda y: float(np.exp(-lab * y[0])),
         _grad=lambda y: np.array([-lab * np.exp(-lab * y[0])]),
         _hess=lambda y: np.array([[np.exp(-lab * y[0])]]),
     )
@@ -488,7 +482,6 @@ def _make_logistic(label) -> Loss:
     return Loss(
         name="logistic", c=1, params={"label": lab},
         apply=apply,
-        _value=lambda y: float(np.log1p(np.exp(-lab * y[0]))),
         _grad=lambda y: np.array([-lab * _sigmoid(-lab * y[0])]),
         _hess=hess,
     )
@@ -527,8 +520,7 @@ def _make_softmax_xent(n_classes, label) -> Loss:
 
     return Loss(
         name="softmax_xent", c=c, params={"n_classes": c, "label": k},
-        apply=apply, _value=lambda y: float(np.log(np.sum(np.exp(y - np.max(y)))) + np.max(y) - y[k]),
-        _grad=grad, _hess=hess,
+        apply=apply, _grad=grad, _hess=hess,
     )
 
 

@@ -25,9 +25,8 @@ Scalars are rank-0 arrays and composing a scalar with anything (in either
 slot) is scalar multiplication; this lets one-dimensional losses flow through
 the same code paths as vector-valued ones.
 
-Matrix inversion is done in-house with partial-pivot Gaussian elimination --
-the sizes in play (a few hundred at most) need neither pivot refinement nor
-an external solver.  A reciprocal-condition estimate gates the result.
+Matrix inversion is numpy's LAPACK LU inverse (``np.linalg.inv``); a
+reciprocal 1-norm condition estimate gates the result.
 """
 
 from __future__ import annotations
@@ -100,60 +99,31 @@ def compose_k(g: np.ndarray, f: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _one_norm(a: np.ndarray) -> float:
-    return float(np.max(np.sum(np.abs(a), axis=0))) if a.size else 0.0
-
-
-def _gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:
-    """Gauss--Jordan elimination with partial (row) pivoting.
-
-    Raises :class:`Singular` on an exactly-zero pivot column.
-    """
-    n = a.shape[0]
-    aug = np.concatenate([a.astype(float, copy=True), np.eye(n)], axis=1)
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(aug[col:, col])))
-        pivot = aug[pivot_row, col]
-        if pivot == 0.0 or not np.isfinite(pivot):
-            raise Singular(f"zero pivot in column {col}")
-        if pivot_row != col:
-            aug[[col, pivot_row]] = aug[[pivot_row, col]]
-        aug[col] /= aug[col, col]
-        others = np.arange(n) != col
-        aug[others] -= np.outer(aug[others, col], aug[col])
-    return aug[:, n:]
-
-
-def _rcond(a: np.ndarray, inv: np.ndarray) -> float:
-    """1 / (||a||_1 ||inv||_1) for an inverse already computed; 0.0 when the
-    product vanishes or is not finite."""
-    denom = _one_norm(a) * _one_norm(inv)
-    if denom == 0.0 or not np.isfinite(denom):
-        return 0.0
-    return 1.0 / denom
-
-
 def _inverse_rcond(a) -> Tuple[Optional[np.ndarray], float]:
-    """The inverse of a square matrix and its reciprocal 1-norm condition
-    estimate, from one elimination; ``(None, 0.0)`` when elimination breaks
-    down.  The inverse is what :func:`invert_square` returns whenever the
-    estimate clears ``RCOND_THRESHOLD``."""
+    """The inverse of a square matrix (``np.linalg.inv``, an LU solve) and
+    its reciprocal 1-norm condition estimate ``1 / (||a||_1 ||inv||_1)``;
+    ``(None, 0.0)`` when the factorization breaks down, and an estimate of
+    0.0 when the norm product vanishes or is not finite.  The inverse is
+    what :func:`invert_square` returns whenever the estimate clears
+    ``RCOND_THRESHOLD``."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise AxisMismatch(f"square matrix required, got shape {a.shape}")
     try:
-        inv = _gauss_jordan_inverse(a)
-    except Singular:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
         return None, 0.0
-    return inv, _rcond(a, inv)
+    norm_a, norm_inv = (float(np.abs(m).sum(axis=0).max(initial=0.0)) for m in (a, inv))
+    denom = norm_a * norm_inv
+    return inv, (1.0 / denom if 0.0 < denom < np.inf else 0.0)
 
 
 def invert_square(a: np.ndarray) -> np.ndarray:
     """Invert a square matrix (stored-layout inverse).
 
     ``compose(a, invert_square(a))`` is the identity within 1e-10 * n.
-    Raises :class:`Singular` when elimination breaks down or the reciprocal
-    condition estimate falls below ``1e-12``.
+    Raises :class:`Singular` when the factorization breaks down or the
+    reciprocal condition estimate falls below ``1e-12``.
     """
     inv, rcond = _inverse_rcond(a)
     if rcond < RCOND_THRESHOLD:

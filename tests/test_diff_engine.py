@@ -5,6 +5,7 @@ propagation through composites must agree exactly with the assembled
 calculus, not just to truncation error.
 """
 
+import dataclasses
 import importlib
 import pkgutil
 import re
@@ -20,7 +21,7 @@ from equichk.diff_engine import fd_oracle, jacobian, second_derivative
 from equichk import identity_checker as ic
 from equichk.errors import IndexOutOfRange, InvalidParams
 from equichk.identity_checker import default_suite
-from equichk.models import ModelSpec, build_model, make_loss
+from equichk.models import ModelSpec, build_model, forward, make_loss
 from equichk.tensor_core import compose
 
 EXACT = "exact"
@@ -482,6 +483,73 @@ def test_hessian_sweep_values_and_grads_equal_gradient_sweep(monkeypatch, entry)
     assert len(calls) == 3
     for got, want in zip(blocked, whole[7]):
         np.testing.assert_array_equal(got, want)
+
+
+def _parent_sweeps(map_fn, x):
+    """Value, first and second derivative of ``map_fn`` at ``x`` from a plain
+    call and two unbatched seeds, ``d1 = I`` and ``d1 = I[None], d2 = I[:, None]``
+    (second derivatives as ``[j, i, ...]``); absent slots read as zeros."""
+    eye = np.eye(x.size)
+    value = np.asarray(map_fn(x), dtype=float)
+    lead = (x.size,)
+    first = map_fn(de.HyperDual(x, d1=eye)).d1
+    second = map_fn(de.HyperDual(x, d1=eye[None], d2=eye[:, None])).d12
+    return (value,
+            np.broadcast_to(0.0 if first is None else first, lead + value.shape),
+            np.broadcast_to(0.0 if second is None else second, 2 * lead + value.shape))
+
+
+@pytest.mark.parametrize("entry", SUITE_ENTRIES,
+                         ids=[f"{i}-{e.model.name}-{e.loss}" for i, e in enumerate(SUITE_ENTRIES)])
+def test_exact_landscape_is_two_map_evaluations(entry):
+    # one sweep of the model and one of the composite carry every landscape
+    # tensor, bit for bit what a plain forward and separate first- and
+    # second-order seeds give
+    model = build_model(entry.model)
+    loss = make_loss(entry.loss, **dict(entry.loss_params))
+    theta = model.init_params + 0.1 * np.random.default_rng(entry.seed).standard_normal(model.d)
+    calls = []
+
+    def counting(th):
+        calls.append(1)
+        return model.func(th)
+
+    ev = ic.evaluate_landscape(dataclasses.replace(model, func=counting), loss, theta)
+    assert len(calls) == 2
+    y, jac_f, hess_f = _parent_sweeps(model.func, theta)
+    value, grad, hess = _parent_sweeps(lambda th: loss.apply(model.func(th)), theta)
+    np.testing.assert_array_equal(ev.y, forward(model, theta))
+    np.testing.assert_array_equal(ev.y, y)
+    assert ev.value == float(value)
+    for got, want in ((ev.grad, grad), (ev.hess, hess), (ev.jac_f, jac_f), (ev.hess_f, hess_f)):
+        assert got.shape == want.shape and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("spec, loss_spec", [c for c in SWEEP_CASES if build_model(c[0]).c > 1],
+                         ids=lambda c: getattr(c, "name", None))
+def test_batched_vector_sweep_equals_pointwise_second_derivative(monkeypatch, spec, loss_spec):
+    # point blocks (whole points per evaluation) and direction blocks (one
+    # point's second-slot directions split) give the unblocked bits
+    model = build_model(spec)
+    d, c = model.d, model.c
+    pts = model.init_params + 0.1 * np.random.default_rng(d).standard_normal((5, d))
+    want = np.stack([second_derivative(model.func, p, EXACT) for p in pts])
+    calls = []
+
+    def counting(th):
+        calls.append(1)
+        return model.func(th)
+
+    for block_bytes, n_calls in ((None, 1), (2 * 8 * d ** 3, 3), (8 * d * d, 5 * d)):
+        if block_bytes:
+            monkeypatch.setattr(de, "_BLOCK_BYTES", block_bytes)
+        calls.clear()
+        values, first, second = de._sweep(counting, pts, True)
+        assert len(calls) == n_calls
+        assert values.shape == (5, c) and first.shape == (5, d, c)
+        np.testing.assert_array_equal(second, want)
+        np.testing.assert_array_equal(values, [forward(model, p) for p in pts])
 
 
 def test_hessian_sweep_of_a_constant_map():

@@ -823,6 +823,24 @@ def test_sgf_charge_scale_warning_checks_every_charge(order, uv_model, square_fa
     assert len(messages) == 1 and "charge small;" in messages[0]
 
 
+def test_sgf_charge_scale_warning_reads_the_trace_from_one_gradient_sweep(
+        monkeypatch, uv_model, square_family, two_sample_dataset):
+    # the budget is sigma^2 Tr Sigma dt with noise_covariance's trace, to
+    # rounding, and the run sweeps no Hessian for it
+    th0, h = np.array([1.2, 0.6]), 2e-3
+    trace = dyn.noise_covariance(uv_model, square_family, two_sample_dataset, th0).trace
+    monkeypatch.setattr(de, "hessians_at_points", lambda *args: pytest.fail("Hessian sweep"))
+    noise = dyn.NoiseModel(mode="exact_sde", sigma=30.0, seed=7)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        dyn.sgf(uv_model, square_family, two_sample_dataset, th0, noise, T=2 * h, dt=h,
+                ensemble=2, chargelist=[_constant_charge("zero", 0.0)])
+    budgets = [float(str(w.message).split()[5]) for w in caught
+               if "not small against charge zero" in str(w.message)]
+    assert len(budgets) == 1
+    assert budgets[0] == pytest.approx(30.0 ** 2 * trace * h, rel=1e-3)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

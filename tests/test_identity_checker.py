@@ -11,6 +11,7 @@ import pytest
 import equichk.diff_engine as de
 import equichk.identity_checker as ic
 import equichk.tensor_core as tc
+import equichk.transforms as tr
 from equichk.errors import (
     CheckFailure,
     DegenerateLoss,
@@ -397,7 +398,7 @@ def test_run_suite_shares_transform_data_and_spectrum(monkeypatch):
 
     real_sample = ic.sample_positions
     monkeypatch.setattr(ic, "sample_positions", sample)
-    monkeypatch.setattr(tc, "_gauss_jordan_inverse", counted("inverse", tc._gauss_jordan_inverse))
+    monkeypatch.setattr(tr, "_inverse_rcond", counted("inverse", tr._inverse_rcond))
     monkeypatch.setattr(ic, "spectral_summary", counted("spectrum", ic.spectral_summary))
     monkeypatch.setattr(ic, "_second_order", counted("second_order", ic._second_order))
     positions = 2
