@@ -499,6 +499,7 @@ def _run_sgf_drift(cfg: dict, out_dir: str) -> _RunResult:
     v.raise_if_failed()
 
     v.holds("config.dynamics.dt", dyn._check_step, T, dt)
+    v.holds("config.dynamics.ensemble", dyn._check_drift_ensemble, int(ensemble))
     v.holds("config.dynamics.ensemble", dyn._check_sgf_bytes, model.d, len(dataset.samples),
             float(T), float(dt), int(ensemble), noise.mode, noise.sigma, 1)
     v.raise_if_failed()

@@ -8,9 +8,10 @@ gradient flow with classical RK4 at a fixed step and the same acceptance rule
 per-step orthogonality of the update against every registered symmetry
 direction), and stochastic gradient flow (lockstep Euler--Maruyama over an
 ensemble with counter-based per-trajectory RNG streams).  Charges are
-evaluated at every record point so conservation and drift statements become
-array assertions downstream.  Both flows count their accepted and rejected
-steps and gradient sweeps in the trajectory's ``meta``.
+evaluated at every record point, each by one call on the stack of recorded
+states, so conservation and drift statements become array assertions
+downstream.  Both flows count their accepted and rejected steps and gradient
+sweeps in the trajectory's ``meta``.
 
 A single run records a :class:`Trajectory`.  An SGF ensemble is one
 :class:`Ensemble` holding arrays over (record, member): states, losses and
@@ -55,8 +56,9 @@ from .errors import (
     StepFailure,
 )
 from .models import (Dataset, Loss, LossFamily, Model, _head_scalars, _rayleigh_bound,
-                     _scalar_homogeneous, forward, per_sample_losses)
-from .transforms import Charge, Transformation, _require_continuous_symmetry, noether_charge
+                     _scalar_homogeneous, per_sample_losses)
+from .transforms import (Charge, Transformation, _list_keys, _require_continuous_symmetry,
+                         noether_charge)
 
 __all__ = [
     "Trajectory",
@@ -82,6 +84,7 @@ _RECORD_BUDGET = 1000
 #: bytes an SGF run may hold in pre-drawn randomness and recorded arrays
 _SGF_MAX_BYTES = 1 << 30
 _BIAS_SAFETY = 4.0  # factor on the drift check's O(dt^2) slop, dt^2 max(|theory_trace| / dt, 1)
+_MIN_DRIFT_ENSEMBLE = 100  # the fewest members noether_drift_check takes
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +163,6 @@ def _as_charges(chargelist) -> List[Charge]:
                 f"chargelist entries must be Charge or Transformation, got {type(entry).__name__}"
             )
     return out
-
-
-def _charge_keys(charges: Sequence[Charge]) -> List[str]:
-    """The series name of each charge, by its position in the list: its own
-    name, or ``name[i]`` when another charge in the list shares the name."""
-    names = [c.name for c in charges]
-    return [n if names.count(n) == 1 else f"{n}[{i}]" for i, n in enumerate(names)]
 
 
 # ---------------------------------------------------------------------------
@@ -250,52 +246,43 @@ class Ensemble:
 
 
 class _Recorder:
+    """The rows of a deterministic run: a record keeps only what the caller's
+    sweep already gave, and :meth:`build` evaluates ``f``, ``sharpness_bound``
+    and every charge by one call on the state stack, as :func:`sgf` does."""
+
     def __init__(self, model: Model, charges: Sequence[Charge], single_loss: Optional[Loss]):
         self.model = model
         self.charges = charges
-        self.times: List[float] = []
-        self.states: List[np.ndarray] = []
-        self.losses: List[float] = []
-        self.charge_vals: List[List[float]] = [[] for _ in charges]
-        self.diag: Dict[str, List[float]] = {"grad_norm": [], "theta_sq": []}
-        self._scalar_head = model.c == 1
-        if self._scalar_head:
-            self.diag["f"] = []
         self._loss = single_loss
-        self._sharp = single_loss is not None and _scalar_homogeneous(model)
-        if self._sharp:
-            self.diag["sharpness_bound"] = []
+        self.rows: List[Tuple[float, np.ndarray, float, float, float]] = []
+        self.extras: Dict[str, List[float]] = {}
 
     def record(self, t: float, theta: np.ndarray, grad: np.ndarray, loss: float) -> None:
         """Record one row from the gradient and loss the caller's sweep at
         ``theta`` already gave."""
-        self.times.append(float(t))
-        self.states.append(theta.copy())
-        self.losses.append(loss)
-        self.diag["grad_norm"].append(float(np.linalg.norm(grad)))
-        self.diag["theta_sq"].append(float(theta @ theta))
-        if self._scalar_head:
-            y = forward(self.model, theta)
-            self.diag["f"].append(float(y[0]))
-            if self._sharp:
-                m, yv, lp, lpp = _head_scalars(self.model, self._loss, y)
-                nth2 = max(float(theta @ theta), 1e-300)
-                self.diag["sharpness_bound"].append(_rayleigh_bound(m, yv, lp, lpp, nth2))
-        for vals, c in zip(self.charge_vals, self.charges):
-            vals.append(float(c.c_eval(theta)))
+        self.rows.append((float(t), theta.copy(), loss, float(np.linalg.norm(grad)),
+                          float(theta @ theta)))
 
     def extra(self, name: str, value: float) -> None:
-        self.diag.setdefault(name, []).append(float(value))
+        self.extras.setdefault(name, []).append(float(value))
 
     def build(self, meta: Mapping) -> Trajectory:
-        return Trajectory(
-            times=np.asarray(self.times),
-            states=np.asarray(self.states),
-            losses=np.asarray(self.losses),
-            charges={k: np.asarray(v) for k, v in zip(_charge_keys(self.charges), self.charge_vals)},
-            diagnostics={k: np.asarray(v) for k, v in self.diag.items()},
-            meta=dict(meta),
-        )
+        times, states, losses, grad_norm, theta_sq = map(np.asarray, zip(*self.rows))
+        diag = {"grad_norm": grad_norm, "theta_sq": theta_sq}
+        if self.model.c == 1:
+            outputs = np.asarray(self.model.func(states), dtype=float)  # (n, 1)
+            if not np.isfinite(outputs).all():
+                raise NonFiniteResult("model output along the run contains NaN or Inf")
+            diag["f"] = outputs[:, 0]
+            if self._loss is not None and _scalar_homogeneous(self.model):
+                diag["sharpness_bound"] = np.array([
+                    _rayleigh_bound(*_head_scalars(self.model, self._loss, y), max(sq, 1e-300))
+                    for y, sq in zip(outputs, theta_sq)])
+        diag.update((k, np.asarray(v)) for k, v in self.extras.items())
+        charges = {k: np.asarray(c.c_eval(states), dtype=float)
+                   for k, c in zip(_list_keys([c.name for c in self.charges]), self.charges)}
+        return Trajectory(times=times, states=states, losses=losses, charges=charges,
+                          diagnostics=diag, meta=dict(meta))
 
 
 def _check_state(theta: np.ndarray, what: str) -> None:
@@ -848,7 +835,7 @@ def sgf(
         states=stack,
         losses=losses,
         charges={k: np.asarray(c.c_eval(stack), dtype=float)
-                 for k, c in zip(_charge_keys(charges), charges)},
+                 for k, c in zip(_list_keys([c.name for c in charges]), charges)},
         meta={
             "kind": "sgf", "mode": noise.mode, "sigma": noise.sigma, "seed": noise.seed,
             "dt": h, "T": T, "stride": stride, "ensemble": ensemble,
@@ -902,6 +889,14 @@ def _drift_terms(
     return float(t_grad.mean()), float(t_trace.mean()), float(quad.mean())
 
 
+def _check_drift_ensemble(members: int) -> None:
+    """Raise :class:`InsufficientEnsemble` below ``_MIN_DRIFT_ENSEMBLE`` members."""
+    if members < _MIN_DRIFT_ENSEMBLE:
+        raise InsufficientEnsemble(
+            f"drift statistics need >= {_MIN_DRIFT_ENSEMBLE} trajectories, got {members}"
+        )
+
+
 def noether_drift_check(
     ensemble: Ensemble,
     charge,
@@ -910,10 +905,7 @@ def noether_drift_check(
     dataset: Dataset,
     noise: NoiseModel,
 ) -> DriftReport:
-    if len(ensemble) < 100:
-        raise InsufficientEnsemble(
-            f"drift statistics need >= 100 trajectories, got {len(ensemble)}"
-        )
+    _check_drift_ensemble(len(ensemble))
     if isinstance(charge, Transformation):
         charge = noether_charge(charge)
     if not isinstance(charge, Charge):

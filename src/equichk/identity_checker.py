@@ -47,8 +47,8 @@ from .errors import (
     NotGoodPosition,
     SizeMismatch,
 )
-from .models import (Loss, Model, ModelSpec, _head_scalars, _rayleigh_bound, _scalar_homogeneous,
-                     build_model, forward, make_loss, random_params)
+from .models import (Loss, Model, ModelSpec, _head_margins, _head_scalars, _rayleigh_bound,
+                     _scalar_homogeneous, build_model, forward, make_loss, random_params)
 from .spectral import SpectralSummary, spectral_summary
 from .tensor_core import _finite, compose, compose_k
 from .transforms import (
@@ -56,6 +56,8 @@ from .transforms import (
     Transformation,
     _chart_inverses,
     _Charts,
+    _is_involution,
+    _list_keys,
     _require_continuous_symmetry,
     _require_orthonormal,
     build_transform,
@@ -116,7 +118,9 @@ _MAX_TRIES = 100
 #: keyed by the phrase a misfit reports
 _REQUIREMENTS: Dict[str, Callable[[Model, Optional[Transformation]], bool]] = {
     "continuous transform": lambda m, t: t is not None and t.kind == "continuous",
-    "discrete transform": lambda m, t: t is not None and t.kind == "discrete",
+    # held at the model's init_params: fixed_point_project needs it at every draw
+    "discrete involution": lambda m, t: (t is not None and t.kind == "discrete"
+                                         and _is_involution(t, m.init_params)),
     "mirror transform": lambda m, t: t is not None and t.name == "mirror",
     # the scalar specializations also need positions clear of l' = 0
     "scalar homogeneous head": lambda m, t: _scalar_homogeneous(m),
@@ -165,9 +169,9 @@ CHECK_REGISTRY: Dict[str, PlanCheck] = {row.name: row for row in (
               lambda p: check_eigen_alignment(p.model, p.loss, p.theta, **p.kw)),
     PlanCheck("sharpness", "sharpness_bound", "§5.1", "scalar homogeneous head",
               lambda p: sharpness_bound(p.model, p.loss, p.theta, **p.kw)[2]),
-    PlanCheck("discrete_first", "check_discrete_first", "Thm 2 (i')", "discrete transform",
+    PlanCheck("discrete_first", "check_discrete_first", "Thm 2 (i')", "discrete involution",
               lambda p: check_discrete_first(p.model, p.loss, p.transform, p.theta, **p.kw)),
-    PlanCheck("discrete_second", "check_discrete_second", "Thm 2 (ii')", "discrete transform",
+    PlanCheck("discrete_second", "check_discrete_second", "Thm 2 (ii')", "discrete involution",
               lambda p: check_discrete_second(p.model, p.loss, p.transform, p.theta, **p.kw)),
     PlanCheck("mirror", "check_mirror", "Cor. 4", "mirror transform",
               lambda p: check_mirror(p.model, p.loss, np.stack(p.transform.params["columns"], axis=1),
@@ -627,7 +631,7 @@ def check_homogeneity_specialization(
     act = A @ th
     tol = _tol(mode, tolerance)
 
-    if abs(lp) <= _FLOOR * max(1.0, abs(lpp) * abs(y)):
+    if _head_margins(m, y, lp, lpp)[0] <= _FLOOR:
         raise DegenerateLoss(
             f"l'(y) = {lp:.3e} at y = {y:.6g}: Eq. (6) coefficient is undefined"
         )
@@ -677,7 +681,7 @@ def check_eigen_alignment(
     ev = _landscape(model, loss, theta, mode, landscape)
     m, y, lp, lpp = _head_scalars(model, loss, ev.y)
     denom = m * y * lpp + (m - 1.0) * lp
-    if abs(denom) <= _FLOOR * max(1.0, abs(lp), abs(lpp)):
+    if _head_margins(m, y, lp, lpp)[1] <= _FLOOR:
         raise DegenerateLoss(
             f"alignment coefficient degenerate: m y l'' + (m-1) l' = {denom:.3e}"
         )
@@ -1065,7 +1069,7 @@ def stationary_null_count(
     worst_violation = 0.0
     lhs_scale = 0.0
     bound_scale = 0.0
-    for t in symmetry_transforms:
+    for key, t in zip(_list_keys([t.name for t in symmetry_transforms]), symmetry_transforms):
         _require_continuous_symmetry(t)
         lamv = np.zeros(t.p)
         te = _transform_eval(ev, t, lamv)
@@ -1077,7 +1081,7 @@ def stationary_null_count(
         kappa = 0.0 if d2h_lt is None else _norm(compose(hinv, d2h_lt))
         if d2h_tt is not None:
             kappa += _norm(compose(hinv, compose(d2h_tt, X)))
-        kappas[t.name] = float(kappa)
+        kappas[key] = float(kappa)
         bound = kappa * g_norm
         worst_violation = max(worst_violation, max(0.0, hx - bound))
         lhs_scale = max(lhs_scale, hx)
@@ -1161,11 +1165,7 @@ def sample_positions(
             if require_nondegenerate:
                 if loss is None:
                     raise InvalidParams("nondegenerate sampling needs the loss")
-                m, yv, lp, lpp = _head_scalars(model, loss, y)
-                scale = max(1.0, abs(lp), abs(lpp))
-                if abs(lp) < 1e-6 * scale:
-                    continue
-                if abs(m * yv * lpp + (m - 1.0) * lp) < 1e-6 * scale:
+                if min(_head_margins(*_head_scalars(model, loss, y))) < 1e-6:
                     continue
             out.append((th, lam))
             break
@@ -1246,7 +1246,7 @@ def entry_misfits(built: BuiltEntry) -> List[Tuple[str, str]]:
             out.append((f"checks[{i}]", f"{name} needs a {row.requires} "
                         f"(model {model.name}, transform {entry.transform})"))
         else:  # the mirror row reads the transform's columns, not its callbacks
-            mutable = mutable or row.requires in ("continuous transform", "discrete transform")
+            mutable = mutable or row.requires in ("continuous transform", "discrete involution")
     for key in entry.tolerances:
         if key not in CHECK_REGISTRY:
             out.append((f"tolerances.{key}", f"unknown check {key!r} (known: {known})"))

@@ -389,6 +389,15 @@ def _head_scalars(model: Model, loss: Loss, y) -> Tuple[float, float, float, flo
             float(loss.grad(y)[0]), float(loss.hess(y)[0, 0]))
 
 
+def _head_margins(m: float, y: float, lp: float, lpp: float) -> Tuple[float, float]:
+    """How far a scalar head sits from the two degenerate branches of the
+    scalar specializations, l' = 0 (Eq. (6)) and m y l'' + (m-1) l' = 0
+    (Cor. 1): |l'| and |m y l'' + (m-1) l'|, each over max(1, |l'|, |l''|).
+    Each caller compares them with its own tolerance."""
+    scale = max(1.0, abs(lp), abs(lpp))
+    return abs(lp) / scale, abs(m * y * lpp + (m - 1.0) * lp) / scale
+
+
 def _rayleigh_bound(m: float, y: float, lp: float, lpp: float, theta_sq: float) -> float:
     """The sharpness lower bound (m / ||theta||^2) (l'' m y^2 + l' (m-1) y),
     the Rayleigh quotient of theta by Eq. (7)."""

@@ -46,7 +46,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -148,6 +148,12 @@ class Transformation:
 
     def g(self, lam, y) -> np.ndarray:
         return self.g_eval(_lam_vec(self, lam), _vec(y, self.c, "y"))
+
+
+def _list_keys(names: Sequence[str]) -> List[str]:
+    """The key of each name by its position in the list: the name itself, or
+    ``name[i]`` when another entry of the list shares it."""
+    return [n if names.count(n) == 1 else f"{n}[{i}]" for i, n in enumerate(names)]
 
 
 def _vec(v, n: int, what: str) -> np.ndarray:
@@ -651,10 +657,16 @@ def fixed_point_project(t: Transformation, theta) -> np.ndarray:
     if t.kind != "discrete":
         raise InvalidParams("fixed-point projection applies to discrete transformations")
     th = _vec(theta, t.d, "theta")
-    P = t.dh_dtheta(np.zeros(0), th).T
-    if np.max(np.abs(P @ P - np.eye(t.d))) > _INVOLUTION_TOL:
+    if not _is_involution(t, th):
         raise NotInvolution(f"{t.name} does not square to the identity")
     return 0.5 * (th + t.h(None, th))
+
+
+def _is_involution(t: Transformation, theta) -> bool:
+    """Whether the discrete map's Jacobian at ``theta`` squares to the
+    identity, to within ``_INVOLUTION_TOL`` in every entry."""
+    P = t.dh_dtheta(np.zeros(0), _vec(theta, t.d, "theta")).T
+    return bool(np.max(np.abs(P @ P - np.eye(t.d))) <= _INVOLUTION_TOL)
 
 
 def _require_continuous_symmetry(t: Transformation) -> None:

@@ -236,6 +236,11 @@ _SQUARE = {"name": "square", "params": {"target": 0.3}}
     (_misfit({"name": "homogeneous_relu_mlp", "params": {"widths": [2, 3, 1], "depth": 2},
               "seed": 14}, _PROBE_LOSS, _SCALING, ["first_order"]),
      "model.params: model 'homogeneous_relu_mlp' takes widths, input=null"),
+    # a 3-cycle of hidden units is a symmetry but no involution, so it has no
+    # fixed-point projection to sample discrete positions with
+    (_misfit({"name": "deep_linear", "params": {"widths": [1, 3, 1]}, "seed": 22}, _SQUARE,
+             {"name": "permutation", "params": {"perm": [1, 2, 0, 4, 5, 3]}},
+             ["discrete_first"]), "checks[0]"),
 ], ids=["first_order+sign_flip", "discrete_first+scaling", "homogeneity+vector_head",
         "first_order+no_transform", "last_layer+deep_linear", "mirror+permutation",
         "tolerance_key_typo", "mutation_callback_typo", "mutation_scale_not_number",
@@ -246,7 +251,8 @@ _SQUARE = {"name": "square", "params": {"target": 0.3}}
         "perm_not_numbers", "widths_string", "widths_float", "widths_bool", "factored_c_float",
         "softmax_label_float", "sign_flip_index_float", "scaling_degree_float",
         "mutation_no_transform", "mutation_no_transform_check", "mutation_declared_zero",
-        "mode_unknown", "margin_unknown_key", "trials_unknown_key", "relu_mlp_depth_unknown_key"])
+        "mode_unknown", "margin_unknown_key", "trials_unknown_key", "relu_mlp_depth_unknown_key",
+        "discrete_first+permutation_3_cycle"])
 def test_run_misfit_entry_exit_2_before_sampling(tmp_path, capsys, entry, where):
     cfg = {"experiment": "check_suite", "output_dir": str(tmp_path / "out"), "plan": [entry]}
     assert cli.main(["run", str(_write(tmp_path, "misfit.json", cfg))]) == 2
@@ -299,6 +305,9 @@ def _bundled(name, **edits):
     # 8 bytes x 10^7 members x 500 steps of noise alone: far past 1 GiB
     (_bundled("sgf_drift", dynamics={"T": 0.5, "dt": 0.001, "ensemble": 10_000_000}),
      "config.dynamics.ensemble"),
+    # the drift statistics need 100 members; fewer fail before the ensemble runs
+    (_bundled("sgf_drift", dynamics={"T": 0.5, "dt": 0.001, "ensemble": 99}),
+     "config.dynamics.ensemble"),
     # json.load reads NaN and Infinity; validation refuses them
     (_bundled("sgf_drift", weights=[float("nan"), float("nan")]), "config.dataset.weights[0]"),
     (_bundled("sgf_drift", noise={"mode": "exact_sde", "sigma": float("nan"), "seed": 7}),
@@ -343,6 +352,7 @@ def _bundled(name, **edits):
         "stationary_tolerance_key_typo", "weights_not_numbers", "weights_not_list",
         "x_not_numbers", "flow_theta0_length", "stationary_theta0_length", "sgf_theta0_length",
         "target_not_number", "x_wrong_width", "ensemble_over_memory_limit",
+        "ensemble_below_drift_minimum",
         "weights_nan", "sigma_nan", "T_infinite", "x_nan", "flow_dt_infinite",
         "flow_loss_label_3", "noise_list", "noise_string",
         "sgf_dynamics_string", "flow_dynamics_string", "family_fixes_target",

@@ -1,6 +1,7 @@
 """Training dynamics: integrator order, charge conservation, descent
 orthogonality, noise covariance, stochastic flow and its drift law."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -24,13 +25,17 @@ from equichk.models import (
     Dataset,
     Model,
     ModelSpec,
+    _head_scalars,
+    _rayleigh_bound,
+    _scalar_homogeneous,
     build_model,
     expected_loss,
+    forward,
     loss_family,
     make_loss,
     per_sample_losses,
 )
-from equichk.transforms import Charge, build_transform
+from equichk.transforms import Charge, _list_keys, build_transform
 
 
 def _identity_model():
@@ -303,22 +308,152 @@ def test_flow_one_sweep_per_stage(monkeypatch, relu_mlp):
         assert not hasattr(dyn._Objective, gone)
 
 
-def test_descent_record_makes_one_plain_forward(monkeypatch, relu_mlp):
-    # a single loss on a scalar head makes one plain forward per record, for
-    # the f diagnostic; the recorded loss is the sweep's, bit for bit the
-    # plain loss
-    forwards, forward = [], dyn.forward
+def _plain_calls(model):
+    """``model`` with a ``func`` that logs the shape of every call on a plain
+    array (the sweeps call it on hyper-dual numbers), and that log."""
+    shapes = []
 
-    def counting_forward(model, theta):
-        forwards.append(1)
-        return forward(model, theta)
+    def counting(th):
+        if isinstance(th, np.ndarray):
+            shapes.append(th.shape)
+        return model.func(th)
 
-    monkeypatch.setattr(dyn, "forward", counting_forward)
+    return dataclasses.replace(model, func=counting), shapes
+
+
+def test_descent_record_makes_no_plain_forward(monkeypatch, relu_mlp):
+    # the records make no plain forward: the f diagnostic comes from one
+    # model.func call on the (11, d) state stack when the trajectory is
+    # built; the recorded loss is the sweep's, bit for bit the plain loss
+    forwards = []
+    monkeypatch.setattr(dyn, "forward", lambda *a: forwards.append(1), raising=False)
+    model, shapes = _plain_calls(relu_mlp)
     loss = make_loss("exponential", label=1)
-    trj = dyn.gradient_descent(relu_mlp, loss, relu_mlp.init_params, eta=0.05, steps=10)
-    assert len(trj.times) == 11 and len(forwards) == 11
+    trj = dyn.gradient_descent(model, loss, relu_mlp.init_params, eta=0.05, steps=10)
+    assert len(trj.times) == 11 and forwards == []
+    assert shapes == [(11, relu_mlp.d)]
     obj = dyn._Objective(relu_mlp, loss)
     assert [_plain_loss(obj, th) for th in trj.states] == trj.losses.tolist()
+
+
+class _PerRowRecorder(dyn._Recorder):
+    """The per-row record design the batched build replaced: one plain
+    forward, one head-scalar row and one scalar charge call per record."""
+
+    def __init__(self, model, charges, single_loss):
+        super().__init__(model, charges, single_loss)
+        self.charge_vals = [[] for _ in charges]
+        self.diag = {"grad_norm": [], "theta_sq": []}
+        if model.c == 1:
+            self.diag["f"] = []
+        self._sharp = single_loss is not None and _scalar_homogeneous(model)
+        if self._sharp:
+            self.diag["sharpness_bound"] = []
+
+    def record(self, t, theta, grad, loss):
+        super().record(t, theta, grad, loss)
+        self.diag["grad_norm"].append(float(np.linalg.norm(grad)))
+        self.diag["theta_sq"].append(float(theta @ theta))
+        if self.model.c == 1:
+            y = forward(self.model, theta)
+            self.diag["f"].append(float(y[0]))
+            if self._sharp:
+                m, yv, lp, lpp = _head_scalars(self.model, self._loss, y)
+                nth2 = max(float(theta @ theta), 1e-300)
+                self.diag["sharpness_bound"].append(_rayleigh_bound(m, yv, lp, lpp, nth2))
+        for vals, c in zip(self.charge_vals, self.charges):
+            vals.append(float(c.c_eval(theta)))
+
+    def build(self, meta):
+        trj = super().build(meta)
+        diag = {k: np.asarray(v) for k, v in self.diag.items()}
+        diag.update((k, np.asarray(v)) for k, v in self.extras.items())
+        keys = _list_keys([c.name for c in self.charges])
+        return dataclasses.replace(trj, diagnostics=diag, charges={
+            k: np.asarray(v) for k, v in zip(keys, self.charge_vals)})
+
+
+def _recorder_cases():
+    relu = build_model(ModelSpec("homogeneous_relu_mlp", {"widths": [2, 3, 1]}, seed=3))
+    rescale = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, relu)
+    exp_loss = make_loss("exponential", label=1)
+    dl = build_model(ModelSpec("deep_linear", {"widths": [2, 3, 2]}, seed=5))
+    A = np.array([[0.3, 0.1, 0.0], [0.1, -0.2, 0.4], [0.0, 0.4, 0.1]])
+    reparam = build_transform("linear_reparam", {"A": A, "blocks": ["W1", "W2"]}, dl)
+    uv = build_model(ModelSpec("deep_linear", {"widths": [1, 1, 1]}, seed=0))
+    uv_rescale = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, uv)
+    data = Dataset.equal_weight(((np.array([1.0]), np.array([0.5])),
+                                 (np.array([2.0]), np.array([1.55]))))
+    flh = build_model(ModelSpec("factored_last_layer", {"c": 2, "s": 3, "hidden": [2]}, seed=20))
+    probe = build_model(ModelSpec("linear_probe", {"x": [1.0, 2.0]}, seed=0))
+    uv0 = np.array([1.2, 0.6])
+    return {
+        "rk4-relu": lambda: dyn.gradient_flow(relu, exp_loss, relu.init_params, T=0.5, dt=0.01,
+                                              chargelist=[rescale]),
+        "dp-relu": lambda: dyn.stationary_flow(relu, exp_loss, relu.init_params, T=0.5, dt=0.01,
+                                               chargelist=[rescale]),
+        "gd-symmetries": lambda: dyn.gradient_descent(relu, exp_loss, relu.init_params, eta=0.05,
+                                                      steps=30, chargelist=[rescale],
+                                                      symmetries=[rescale]),
+        "dp-reparam": lambda: dyn.stationary_flow(dl, make_loss("square", target=[0.3, -0.4]),
+                                                  dl.init_params, T=0.5, dt=0.01,
+                                                  chargelist=[reparam]),
+        "dp-same-named": lambda: dyn.stationary_flow(uv, make_loss("square", target=0.3), uv0,
+                                                     T=0.5, dt=0.01,
+                                                     chargelist=[uv_rescale, uv_rescale]),
+        "rk4-dataset": lambda: dyn.gradient_flow(uv, (loss_family("square"), data), uv0,
+                                                 T=0.5, dt=0.01, chargelist=[uv_rescale]),
+        "dp-factored": lambda: dyn.stationary_flow(flh, make_loss("square", target=[0.4, 0.0]),
+                                                   flh.init_params, T=0.5, dt=0.01),
+        "gd-probe": lambda: dyn.gradient_descent(probe, make_loss("square", target=2.0),
+                                                 probe.init_params, eta=0.05, steps=20),
+    }
+
+
+RECORDER_CASES = _recorder_cases()
+
+
+@pytest.mark.parametrize("case", list(RECORDER_CASES))
+def test_batched_record_build_equals_per_row_records(monkeypatch, case):
+    # every series the build evaluates on the state stack is bit for bit the
+    # per-row record's, and the diagnostics keep their column order
+    trj = RECORDER_CASES[case]()
+    monkeypatch.setattr(dyn, "_Recorder", _PerRowRecorder)
+    ref = RECORDER_CASES[case]()
+    for name in ("times", "states", "losses"):
+        np.testing.assert_array_equal(getattr(trj, name), getattr(ref, name))
+    for got, want in ((trj.diagnostics, ref.diagnostics), (trj.charges, ref.charges)):
+        assert list(got) == list(want)
+        for k in want:
+            assert got[k].dtype == want[k].dtype
+            np.testing.assert_array_equal(got[k], want[k])
+    assert dict(trj.meta) == dict(ref.meta)
+
+
+def test_flow_evaluates_each_charge_once(monkeypatch):
+    # two charges over a whole flow: one c_eval call each, on the state
+    # stack, and no plain forward
+    assert "forward" not in vars(dyn)
+    forwards = []
+    monkeypatch.setattr(dyn, "forward", lambda *a: forwards.append(1), raising=False)
+    model = build_model(ModelSpec("deep_linear", {"widths": [1, 2, 3, 1]}, seed=4))
+    calls = []
+
+    def counted(blocks):
+        c = build_transform("layer_rescaling", {"blocks": blocks}, model).charge
+
+        def c_eval(th):
+            calls.append((blocks[0], np.shape(th)))
+            return c.c_eval(th)
+
+        return dataclasses.replace(c, c_eval=c_eval)
+
+    charges = [counted(["W1", "W2"]), counted(["W2", "W3"])]
+    trj = dyn.stationary_flow(model, make_loss("square", target=0.3), model.init_params,
+                              T=0.5, dt=0.01, chargelist=charges)
+    n = trj.n_records
+    assert n > 2 and forwards == []
+    assert calls == [("W1", (n, model.d)), ("W2", (n, model.d))]
 
 
 SUITE_ENTRIES = default_suite().entries

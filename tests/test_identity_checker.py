@@ -186,6 +186,22 @@ def test_stationary_check_rejects_discrete(deep_linear_121):
         stationary_null_count(deep_linear_121, loss, [t], np.zeros(deep_linear_121.d))
 
 
+def test_stationary_kappa_keeps_same_named_symmetries_apart():
+    # two layer rescalings share a name; kappa is keyed by list position,
+    # as a flow keys same-named charges, so neither overwrites the other
+    model = build_model(ModelSpec("deep_linear", {"widths": [1, 2, 3, 1]}, seed=4))
+    loss = make_loss("square", target=0.3)
+    ts = [build_transform("layer_rescaling", {"blocks": b}, model)
+          for b in (["W1", "W2"], ["W2", "W3"])]
+    kappa = stationary_null_count(model, loss, ts, np.zeros(model.d)).context["kappa"]
+    assert list(kappa) == ["layer_rescaling[0]", "layer_rescaling[1]"]
+    for key, t in zip(kappa, ts):
+        assert kappa[key] == stationary_null_count(model, loss, [t], np.zeros(model.d)
+                                                   ).context["kappa"]["layer_rescaling"]
+    assert kappa["layer_rescaling[0]"] == pytest.approx(2 * np.sqrt(2))
+    assert kappa["layer_rescaling[1]"] == pytest.approx(3.0)
+
+
 def test_mirror_orthonormal_and_fixed_guards(deep_linear_121):
     loss = make_loss("square", target=-0.4)
     O = np.array([[1.0], [1.0], [0.0], [0.0]])  # not unit
@@ -331,6 +347,21 @@ def test_run_suite_rejects_misfit_entry_before_sampling(monkeypatch):
     )
     with pytest.raises(InvalidParams, match=r"plan entry 14: checks\[1\]: first_order needs"):
         run_suite(SuiteSpec(entries=good + (misfit,)))
+    assert sampled == []
+
+
+def test_run_suite_rejects_a_non_involution_before_sampling(monkeypatch):
+    # a 3-cycle of hidden units has no fixed-point projection, so the
+    # discrete rows refuse it instead of faulting mid-run
+    sampled = []
+    monkeypatch.setattr(ic, "sample_positions", lambda *a, **k: sampled.append(a) or [])
+    entry = PlanEntry(model=ModelSpec("deep_linear", {"widths": [1, 3, 1]}, seed=22),
+                      loss="square", loss_params={"target": 0.3},
+                      transform="permutation", transform_params={"perm": [1, 2, 0, 4, 5, 3]},
+                      checks=("discrete_first", "discrete_second"))
+    with pytest.raises(InvalidParams, match=r"plan entry 0: checks\[0\]: discrete_first needs "
+                                            r"a discrete involution.*checks\[1\]"):
+        run_suite(SuiteSpec(entries=(entry,)))
     assert sampled == []
 
 
