@@ -7,10 +7,10 @@ Four experiment kinds:
     runs at seeded random good positions.  Writes ``reports.jsonl`` and
     ``summary.csv``.
 ``flow``
-    Error-controlled gradient flow (Dormand--Prince 5(4), ``dt`` the first
-    trial step) with charge tracking.  Conservation of each charge and (when
-    applicable) the norm-growth relation become summary rows; the trajectory
-    lands in ``flow.csv``.
+    Error-controlled gradient flow (Dormand--Prince 8(5,3), ``dt`` the
+    first trial step) with charge tracking.  Conservation of each charge and
+    (when applicable) the norm-growth relation become summary rows; the
+    trajectory lands in ``flow.csv``.
 ``sgf_drift``
     Euler--Maruyama ensemble plus the Noether drift comparison.  The first
     few member trajectories are saved with an ``ensemble.json`` manifest.

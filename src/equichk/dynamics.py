@@ -1,16 +1,16 @@
 """Training-dynamics integrators with symmetry-charge tracking.
 
-Gradient flow with the error-controlled Dormand--Prince 5(4) pair at a fixed
-tolerance of 1e-12 and a loss-descent acceptance rule (``stationary_flow``,
-which the CLI's ``flow`` and ``stationary_spectrum`` experiments both run),
-gradient flow with classical RK4 at a fixed step and the same acceptance rule
-(``gradient_flow``, the fixed-order reference), plain gradient descent (with
-per-step orthogonality of the update against every registered symmetry
-direction), and stochastic gradient flow (lockstep Euler--Maruyama over an
-ensemble with counter-based per-trajectory RNG streams).  Charges are
-evaluated at every record point, each by one call on the stack of recorded
-states, so conservation and drift statements become array assertions
-downstream.  Both flows count their accepted and rejected steps and gradient
+Gradient flow with the error-controlled Dormand--Prince 8(5,3) pair (DOP853)
+at a fixed tolerance of 1e-12 and a loss-descent acceptance rule
+(``stationary_flow``, which the CLI's ``flow`` and ``stationary_spectrum``
+experiments both run), gradient flow with classical RK4 at a fixed step and
+the same acceptance rule (``gradient_flow``, the fixed-order reference), plain
+gradient descent (with per-step orthogonality of the update against every
+registered symmetry direction), and stochastic gradient flow (lockstep
+Euler--Maruyama over an ensemble with counter-based per-trajectory RNG
+streams).  Charges are evaluated at every record point, each by one call on
+the stack of recorded states, so conservation and drift statements become
+array assertions downstream.  Both flows count their accepted and rejected steps and gradient
 sweeps in the trajectory's ``meta``.
 
 A single run records a :class:`Trajectory`.  An SGF ensemble is one
@@ -175,7 +175,9 @@ class Trajectory:
 
     All series share the record grid: ``times`` strictly increasing,
     ``states`` of shape (n, d), ``losses`` of shape (n,), and every named
-    charge/diagnostic series of length n.
+    charge/diagnostic series of length n.  A deterministic run also keeps
+    ``grads`` (n, d), the loss gradient its own sweep gave at each recorded
+    state; no CSV column holds it.
     """
 
     times: np.ndarray
@@ -184,12 +186,15 @@ class Trajectory:
     charges: Dict[str, np.ndarray]
     diagnostics: Dict[str, np.ndarray]
     meta: Mapping = field(default_factory=dict)
+    grads: Optional[np.ndarray] = None
 
     def __post_init__(self):
         n = self.times.shape[0]
         if np.any(np.diff(self.times) <= 0):
             raise InvalidParams("trajectory times must be strictly increasing")
         series = [("states", self.states), ("losses", self.losses)]
+        if self.grads is not None:
+            series.append(("grads", self.grads))
         series += [(f"charge {k}", v) for k, v in self.charges.items()]
         series += [(f"diagnostic {k}", v) for k, v in self.diagnostics.items()]
         for name, arr in series:
@@ -254,20 +259,20 @@ class _Recorder:
         self.model = model
         self.charges = charges
         self._loss = single_loss
-        self.rows: List[Tuple[float, np.ndarray, float, float, float]] = []
+        self.rows: List[Tuple[float, np.ndarray, float, np.ndarray, float, float]] = []
         self.extras: Dict[str, List[float]] = {}
 
     def record(self, t: float, theta: np.ndarray, grad: np.ndarray, loss: float) -> None:
         """Record one row from the gradient and loss the caller's sweep at
         ``theta`` already gave."""
-        self.rows.append((float(t), theta.copy(), loss, float(np.linalg.norm(grad)),
-                          float(theta @ theta)))
+        self.rows.append((float(t), theta.copy(), loss, grad.copy(),
+                          float(np.linalg.norm(grad)), float(theta @ theta)))
 
     def extra(self, name: str, value: float) -> None:
         self.extras.setdefault(name, []).append(float(value))
 
     def build(self, meta: Mapping) -> Trajectory:
-        times, states, losses, grad_norm, theta_sq = map(np.asarray, zip(*self.rows))
+        times, states, losses, grads, grad_norm, theta_sq = map(np.asarray, zip(*self.rows))
         diag = {"grad_norm": grad_norm, "theta_sq": theta_sq}
         if self.model.c == 1:
             outputs = np.asarray(self.model.func(states), dtype=float)  # (n, 1)
@@ -282,7 +287,7 @@ class _Recorder:
         charges = {k: np.asarray(c.c_eval(states), dtype=float)
                    for k, c in zip(_list_keys([c.name for c in self.charges]), self.charges)}
         return Trajectory(times=times, states=states, losses=losses, charges=charges,
-                          diagnostics=diag, meta=dict(meta))
+                          diagnostics=diag, meta=dict(meta), grads=grads)
 
 
 def _check_state(theta: np.ndarray, what: str) -> None:
@@ -374,29 +379,69 @@ def gradient_flow(
 
 
 # ---------------------------------------------------------------------------
-# error-controlled gradient flow to a stationary point (Dormand--Prince 5(4))
+# error-controlled gradient flow to a stationary point (DOP853)
 # ---------------------------------------------------------------------------
 
 #: rtol and atol of :func:`stationary_flow`.  The endpoint's |gradL| floor
-#: follows it, not T: on the bundled stationary config 1e-12 ends at 2e-14,
-#: 1e-10 only ~12x under eps_stat = 1e-10, and 1e-8 above it
+#: follows it, not T: on the bundled stationary config 1e-12 ends at 3e-16,
+#: 1e-10 at 1e-15, and 1e-8 at 7e-11, barely under eps_stat = 1e-10
 _DP_TOL = 1e-12
 
-# Dormand--Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, Table
-# II.5.2).  Row i holds stage i's weights on stages 0..i-1; row 6 is the
-# 5th-order solution, so stage 6 is the candidate's own sweep (first same as
-# last).  _DP_E is the 5th- minus the 4th-order weights over all seven stages.
-_DP_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+# DOP853, the Dormand--Prince 8(5,3) pair (Hairer, Norsett & Wanner, Solving
+# ODEs I, Sec. II.10; the coefficients of Hairer's dop853.f).  Row i of _DP_A
+# holds stage i's weights on stages 0..i-1, and _DP_B the 8th-order solution's
+# weights, whose sweep is the next step's stage 0 (first same as last).
+# _DP_E5 and _DP_E3 weigh the 12 stages into the 5th- and 3rd-order error
+# estimates; the 3rd-order one is _DP_B minus an embedded solution on stages
+# 0, 8 and 11.
+_DP_A = np.array([row + (0.0,) * (12 - len(row)) for row in (
+    (),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1),
+)])
+_DP_B = np.array([
+    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+    4.45031289275240888144113950566, 1.89151789931450038304281599044,
+    -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+    -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+    4.47106157277725905176885569043e-2,
 ])
-_DP_E = np.array([
-    71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40,
+_DP_E5 = np.array([
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+    -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+    0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+    0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+    -0.2235530786388629525884427845e-1,
+])
+_DP_E3 = _DP_B - np.array([
+    0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    0.733846688281611857341361741547, 0.0, 0.0, 0.220588235294117647058823529412e-1,
 ])
 
 
@@ -409,12 +454,16 @@ def stationary_flow(
     chargelist: Sequence = (),
 ) -> Trajectory:
     """Integrate theta' = -gradL(theta) to t = T with the error-controlled
-    Dormand--Prince 5(4) pair: a conservation check along the path or a run
-    to a stationary point.
+    DOP853 pair: a conservation check along the path or a run to a stationary
+    point.
 
-    ``dt`` is the first trial step (clipped to T).  The error norm is the
-    RMS of err / (tol + tol max(|theta|, |theta_new|)) with tol = 1e-12;
-    the step then scales by min(5, max(0.2, 0.9 err^(-1/5))).  A step is
+    ``dt`` is the first trial step (clipped to T).  Each attempted step takes
+    12 gradient sweeps: 11 stages and the candidate's own, which is the next
+    step's first stage once accepted.  With e5 and e3 the 5th- and 3rd-order
+    error estimates divided by tol + tol max(|theta|, |theta_new|), tol =
+    1e-12, and d the parameter count, the error norm is
+    h |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) d), and the step then scales by
+    min(5, max(0.2, 0.9 err^(-1/8))).  A step is
     accepted only if err <= 1 and the loss did not increase (beyond rounding
     slack); a loss increase halves the step, and more than 20 consecutive
     rejections raise StepFailure.  Records fall on accepted steps, at most
@@ -429,24 +478,25 @@ def stationary_flow(
     t, h = 0.0, min(dt, T)
     accepted = rejected = failures = 0
     mark = 1  # the next record falls at the first accepted t >= mark T / budget
-    K = np.empty((7, th.size))
+    K = np.empty((12, th.size))
     K[0] = -g
     while t < end:
         h = min(h, T - t)
-        for i in range(1, 6):
+        for i in range(1, 12):
             K[i] = -obj.value_and_grad(th + h * (_DP_A[i, :i] @ K[:i]))[1]
-        cand = th + h * (_DP_A[6, :6] @ K[:6])
-        _check_state(cand, "Dormand-Prince step")
-        # the candidate's sweep gives the acceptance loss, the error
-        # estimate's last stage and, once accepted, the next first stage
+        cand = th + h * (_DP_B @ K)
+        _check_state(cand, "DOP853 step")
+        # the candidate's sweep gives the acceptance loss and, once accepted,
+        # the recorded gradient and the next first stage
         cand_loss, cand_g = obj.value_and_grad(cand)
-        K[6] = -cand_g
         scale = _DP_TOL + _DP_TOL * np.maximum(np.abs(th), np.abs(cand))
-        err = math.sqrt(float(np.mean(np.square(h * (_DP_E @ K) / scale))))
-        factor = min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0 else 5.0
+        e5 = float(np.sum(np.square(_DP_E5 @ K / scale)))
+        e3 = float(np.sum(np.square(_DP_E3 @ K / scale)))
+        err = h * e5 / math.sqrt((e5 + 0.01 * e3) * th.size) if e5 > 0 else 0.0
+        factor = min(5.0, max(0.2, 0.9 * err ** -0.125)) if err > 0 else 5.0
         if err <= 1.0 and _descends(cand_loss, cur_loss):
             th, cur_loss, g = cand, cand_loss, cand_g
-            K[0] = K[6]
+            K[0] = -g
             t += h
             accepted += 1
             failures = 0
@@ -465,8 +515,8 @@ def stationary_flow(
         h *= factor if err > 1.0 else 0.5
     return rec.build({
         "kind": "stationary_flow", "dt": dt, "T": T, "tol": _DP_TOL,
-        "integrator": "dormand_prince_5_4", "accepted_steps": accepted,
-        "rejected_steps": rejected, "gradient_sweeps": 1 + 6 * (accepted + rejected),
+        "integrator": "dormand_prince_8_5_3", "accepted_steps": accepted,
+        "rejected_steps": rejected, "gradient_sweeps": 1 + 12 * (accepted + rejected),
     })
 
 
@@ -563,19 +613,20 @@ def _norm_growth_applies(model: Model, loss: Loss) -> bool:
 
 
 def norm_growth_check(model: Model, loss: Loss, trajectory: Trajectory) -> NormGrowthReport:
+    """Check the Euler relation and the norm growth along a run of (model,
+    loss), from its recorded ``f`` diagnostic and gradients: no new model
+    call or sweep."""
     if not _norm_growth_applies(model, loss):
         raise InvalidParams(f"norm growth needs a scalar homogeneous head and a loss in "
                             f"{_MARGIN_LOSSES}; got {model.name} and {loss.name!r}")
+    if trajectory.grads is None or "f" not in trajectory.diagnostics:
+        raise InvalidParams("norm growth reads the recorded outputs and gradients of a "
+                            "deterministic run")
     m = float(model.homogeneity_degree)
     n = trajectory.n_records
-    states = trajectory.states
-    outputs = np.asarray(model.func(states), dtype=float)  # (n, 1)
-    if not np.isfinite(outputs).all():
-        raise NonFiniteResult("model output along the flow contains NaN or Inf")
-    ys = outputs[:, 0]
-    lps = np.array([float(loss.grad(y)[0]) for y in outputs])
-    grads = de.gradient_at_points(lambda p: loss.apply(model.func(p)), states)[1]
-    inner = np.array([float(th @ g) for th, g in zip(states, grads)])
+    ys = trajectory.diagnostics["f"]
+    lps = np.array([float(loss.grad(y)[0]) for y in ys[:, None]])
+    inner = np.einsum("kd,kd->k", trajectory.states, trajectory.grads)
 
     # Euler relation along the flow: <theta, gradL> = m l'(y) y pointwise
     rhs = m * lps * ys

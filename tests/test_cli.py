@@ -4,7 +4,10 @@ reproducible report files."""
 import dataclasses
 import inspect
 import json
+import os
 import platform
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -423,8 +426,22 @@ def test_run_flow_experiment(tmp_path, capsys):
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert "flow.csv" in manifest["files"]
     assert manifest["pass_counts"]["failed"] == 0
-    assert manifest["flow"] == {"integrator": "dormand_prince_5_4", "accepted_steps": 34,
-                                "rejected_steps": 0, "gradient_sweeps": 205}
+    assert manifest["flow"] == {"integrator": "dormand_prince_8_5_3", "accepted_steps": 9,
+                                "rejected_steps": 0, "gradient_sweeps": 109}
+
+
+def test_bundled_flow_imports_no_scipy(tmp_path):
+    # the integrator needs numpy only: a bundled flow run in a fresh
+    # interpreter leaves scipy unimported
+    cfg = _bundled("flow_conservation", output_dir=str(tmp_path / "out"))
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys; from equichk import cli; "
+            "code = cli.main(['run', sys.argv[1]]); print(code, 'scipy' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code, str(_write(tmp_path, "flow.json", cfg))],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.stdout.splitlines()[-1] == "0 False", run.stderr
 
 
 _ROTATION = {"name": "linear_reparam",
@@ -499,13 +516,13 @@ _ONE_EACH = {"model": 1, "loss": 1, "transform": 1}
 # every bundled config: its exit code, report count, manifest flow counts and
 # catalog builds by kind -- each model, loss and transform is built once
 BUNDLED_RUNS = {
-    "flow_conservation": (0, 2, {"integrator": "dormand_prince_5_4", "accepted_steps": 132,
-                                 "rejected_steps": 0, "gradient_sweeps": 793}, _ONE_EACH),
+    "flow_conservation": (0, 2, {"integrator": "dormand_prince_8_5_3", "accepted_steps": 29,
+                                 "rejected_steps": 1, "gradient_sweeps": 361}, _ONE_EACH),
     "mutation_demo": (1, 9, None, _ONE_EACH),
     # sgf_drift checks a loss family and builds no loss outside the per-sample binds
     "sgf_drift": (0, 1, None, {"model": 1, "transform": 1}),
-    "stationary_spectrum": (0, 1, {"integrator": "dormand_prince_5_4", "accepted_steps": 308,
-                                   "rejected_steps": 2, "gradient_sweeps": 1861}, _ONE_EACH),
+    "stationary_spectrum": (0, 1, {"integrator": "dormand_prince_8_5_3", "accepted_steps": 57,
+                                   "rejected_steps": 8, "gradient_sweeps": 781}, _ONE_EACH),
     "suite_full": (0, 174, None, {"model": 14, "loss": 14, "transform": 14}),
 }
 

@@ -96,7 +96,7 @@ def test_flow_accepts_dataset_objective(uv_model, square_family, two_sample_data
 
 
 # ---------------------------------------------------------------------------
-# error-controlled flow to a stationary point (Dormand--Prince 5(4))
+# error-controlled flow to a stationary point (DOP853)
 # ---------------------------------------------------------------------------
 
 def _bundled_stationary():
@@ -139,13 +139,29 @@ def test_stationary_flow_matches_quadratic_closed_form():
         assert trj.times[0] == 0.0 and trj.times[-1] == pytest.approx(T, rel=1e-12)
 
 
+def test_dop853_tableau_meets_its_order_conditions():
+    # the error control would absorb a mistyped coefficient; the order
+    # conditions through order 8 catch one.  Rows 1..4 of A enter only
+    # through the stage-order conditions of stages 2..11
+    A, b = dyn._DP_A, dyn._DP_B
+    assert A.shape == (12, 12) and not np.triu(A).any()
+    c = A.sum(axis=1)
+    for k in range(8):
+        assert abs(b @ c ** k - 1.0 / (k + 1)) <= 1e-14
+    for k in range(7):
+        assert abs(b @ (A @ c ** k) - 1.0 / ((k + 1) * (k + 2))) <= 1e-14
+    for k in (1, 2):
+        assert np.max(np.abs((A @ c ** k - c ** (k + 1) / (k + 1))[2:])) <= 1e-14
+    assert abs(dyn._DP_E5.sum()) <= 1e-14 and abs(dyn._DP_E3.sum()) <= 1e-14
+
+
 def test_stationary_flow_reaches_the_bundled_stationary_point(bundled_stationary_run):
-    # pinned counts: one start sweep plus six per attempted step
+    # pinned counts: one start sweep plus twelve per attempted step
     model, loss, trj, calls = bundled_stationary_run
     meta = trj.meta
-    assert meta["integrator"] == "dormand_prince_5_4"
+    assert meta["integrator"] == "dormand_prince_8_5_3"
     assert (meta["accepted_steps"], meta["rejected_steps"], meta["gradient_sweeps"]) \
-        == (308, 2, 1861)
+        == (57, 8, 781)
     assert calls == meta["gradient_sweeps"]
     assert trj.diagnostics["grad_norm"][-1] <= 1e-12
     assert trj.times[-1] == pytest.approx(800.0, rel=1e-12)
@@ -162,14 +178,14 @@ def test_stationary_flow_losses_are_monotone(bundled_stationary_run):
 
 def test_stationary_flow_counts_a_rejected_step(monkeypatch):
     # a first trial step of 10 on theta' = -theta misses the tolerance and
-    # is retried; every attempt costs six sweeps
+    # is retried; every attempt costs twelve sweeps
     sweeps = _count_sweeps(monkeypatch)
     model = _identity_model()
     loss = make_loss("square", target=np.zeros(2))
     trj = dyn.stationary_flow(model, loss, np.array([1.0, 0.5]), T=20.0, dt=10.0)
     meta = trj.meta
     assert meta["rejected_steps"] >= 1
-    assert meta["gradient_sweeps"] == 1 + 6 * (meta["accepted_steps"] + meta["rejected_steps"])
+    assert meta["gradient_sweeps"] == 1 + 12 * (meta["accepted_steps"] + meta["rejected_steps"])
     assert len(sweeps) == meta["gradient_sweeps"]
     # |theta(20)| ~ 2e-9 sits near the absolute tolerance of 1e-12
     np.testing.assert_allclose(trj.states[-1], math.exp(-20.0) * np.array([1.0, 0.5]),
@@ -497,6 +513,23 @@ def test_norm_growth_after_first_correct_classification():
     assert rep.passed and rep.monotone
     assert rep.t0 is not None and 0.0 < rep.t0 < 6.0
     assert rep.euler_max_rel_gap <= 1e-7
+
+
+def test_norm_growth_reads_the_run_and_sweeps_nothing(monkeypatch):
+    # the outputs and gradients come from the run's own record, so the check
+    # makes no model call and no sweep, and a run without gradients is refused
+    probe = build_model(ModelSpec("linear_probe", {"x": [1.0, 2.0]}, seed=0))
+    loss = make_loss("exponential", label=1)
+    trj = dyn.stationary_flow(probe, loss, np.array([-0.15, -0.1]), T=6.0, dt=0.01)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("norm_growth_check evaluated the model")
+
+    monkeypatch.setattr(de, "gradient_at_points", refuse)
+    rep = dyn.norm_growth_check(dataclasses.replace(probe, func=refuse), loss, trj)
+    assert rep.status == "ok" and rep.passed
+    with pytest.raises(InvalidParams, match="recorded outputs and gradients"):
+        dyn.norm_growth_check(probe, loss, dataclasses.replace(trj, grads=None))
 
 
 def test_norm_growth_short_run_never_classifies():
