@@ -17,13 +17,15 @@ so one map evaluation carries all d^2 directional pairs, and its value and
 ``e1`` slot carry the map's value and gradient as well.  One private sweep,
 ``_sweep``, does every exact derivative at a batch of points:
 ``jacobian`` and ``second_derivative`` are it at one point,
-``gradient_at_points`` and ``hessians_at_points`` over a batch, and
+``gradient_at_points`` and ``hessians_at_points`` over a batch,
 ``grad_and_hessian_of_loss`` takes value, gradient and Hessian from one
-second-order sweep.  Second-order sweeps walk their points, and
-finite-difference stencils their points, in blocks under a fixed byte
-budget, ``_BLOCK_BYTES``, fixed before anything is allocated; a point too
-large for one block has its second-slot directions walked instead.  At
-catalog sizes every sweep is a single block, i.e. a single map evaluation.
+second-order sweep, and ``_values_and_derivatives`` gives the same at a
+batch of points, which is how a suite evaluates the landscapes of a plan
+entry.  Second-order sweeps walk their points, and finite-difference
+stencils their points, in blocks under a fixed byte budget,
+``_BLOCK_BYTES``, fixed before anything is allocated; a point too large for
+one block has its second-slot directions walked instead.  At catalog sizes
+every sweep is a single block, i.e. a single map evaluation.
 
 Evaluation points are plain float arrays, and every sweep returns a fresh
 C-contiguous float64 ``np.ndarray`` in the ``[input, output]`` layout that
@@ -61,7 +63,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache, partial
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -448,21 +450,25 @@ def fd_oracle(map_fn: Callable, point, order: int) -> np.ndarray:
     return out
 
 
-def _value_and_derivatives(map_fn: Callable, point, mode: str
-                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Value, first and second derivative of ``map_fn`` at ``point``: one
-    exact :func:`_sweep`, or in finite_difference mode a plain call and the
-    order 1 and order 2 oracles."""
-    _check_mode(mode)
-    x = _as_point(point)
+def _values_and_derivatives(map_fn: Callable, points: Sequence[np.ndarray], mode: str
+                            ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Value, first and second derivative of ``map_fn`` at each of the
+    checked ``points`` (``_as_point`` rows): one exact :func:`_sweep` over
+    all of them, or in finite_difference mode a plain call and the order 1
+    and order 2 oracles at each.  Each point's value is checked finite."""
     if mode == "exact":
-        values, first, second = _sweep(map_fn, x[None], True)
-        value, first, second = values[0], first[0], second[0]
+        out = list(zip(*_sweep(map_fn, np.stack(points), True))) if points else []
     else:
-        value = np.asarray(map_fn(x), dtype=float)
-        first, second = fd_oracle(map_fn, x, 1), fd_oracle(map_fn, x, 2)
-    _check_finite(value, "map evaluation")
-    return value, first, second
+        out = [(np.asarray(map_fn(x), dtype=float), fd_oracle(map_fn, x, 1), fd_oracle(map_fn, x, 2))
+               for x in points]
+    for value, _, _ in out:
+        _check_finite(value, "map evaluation")
+    return out
+
+
+def _loss_map(model, loss) -> Callable:
+    """``L = loss o model`` as one map: the composite route."""
+    return lambda th: loss.apply(model.func(th))
 
 
 def grad_and_hessian_of_loss(
@@ -473,13 +479,10 @@ def grad_and_hessian_of_loss(
 ) -> Tuple[float, np.ndarray, np.ndarray]:
     """Value, gradient, and Hessian of ``L = loss o model`` at ``point``,
     obtained by differentiating the composite map directly (the route that
-    :func:`equichk.identity_checker.evaluate_landscape` holds against the
+    :func:`equichk.identity_checker.evaluate_landscapes` holds against the
     chain/product-rule assembly), all from one sweep."""
-
-    def composite(th):
-        return loss.apply(model.func(th))
-
-    value, grad, hess = _value_and_derivatives(composite, point, mode)
+    _check_mode(mode)
+    (value, grad, hess), = _values_and_derivatives(_loss_map(model, loss), [_as_point(point)], mode)
     return float(value), grad, hess
 
 

@@ -383,8 +383,8 @@ def gradient_flow(
 # ---------------------------------------------------------------------------
 
 #: rtol and atol of :func:`stationary_flow`.  The endpoint's |gradL| floor
-#: follows it, not T: on the bundled stationary config 1e-12 ends at 3e-16,
-#: 1e-10 at 1e-15, and 1e-8 at 7e-11, barely under eps_stat = 1e-10
+#: follows it, not T: on the bundled stationary config 1e-12 ends at 1e-15,
+#: 1e-10 at 1.3e-15, and 1e-8 at 3e-11, under eps_stat = 1e-10
 _DP_TOL = 1e-12
 
 # DOP853, the Dormand--Prince 8(5,3) pair (Hairer, Norsett & Wanner, Solving
@@ -463,7 +463,8 @@ def stationary_flow(
     error estimates divided by tol + tol max(|theta|, |theta_new|), tol =
     1e-12, and d the parameter count, the error norm is
     h |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) d), and the step then scales by
-    min(5, max(0.2, 0.9 err^(-1/8))).  A step is
+    min(5, max(0.2, 0.9 err^(-1/8))), except that the first accepted step
+    after a rejection does not grow it (as in Hairer's ``dop853``).  A step is
     accepted only if err <= 1 and the loss did not increase (beyond rounding
     slack); a loss increase halves the step, and more than 20 consecutive
     rejections raise StepFailure.  Records fall on accepted steps, at most
@@ -499,6 +500,8 @@ def stationary_flow(
             K[0] = -g
             t += h
             accepted += 1
+            if failures:  # as in Hairer's dop853: no growth right after a rejection
+                factor = min(factor, 1.0)
             failures = 0
             if t >= mark * T / _RECORD_BUDGET or t >= end:
                 rec.record(t, th, grad=g, loss=cur_loss)
@@ -977,7 +980,10 @@ def noether_drift_check(
     # Jensen bias of order the ensemble spread squared)
     obj = _Objective(model, dataset, family)
     n_members = min(len(ensemble), 2048)
-    rec_idx = np.unique(np.linspace(0, times.size - 1, min(times.size, 65)).astype(int))
+    # the distinct indices of a sorted grid: the first of each run (np.unique
+    # would import numpy.ma into every run for this)
+    grid_idx = np.linspace(0, times.size - 1, min(times.size, 65)).astype(int)
+    rec_idx = grid_idx[np.concatenate(([True], grid_idx[1:] != grid_idx[:-1]))]
     t_grad = np.empty(rec_idx.size)
     t_trace = np.empty(rec_idx.size)
     quad = np.empty(rec_idx.size)

@@ -19,18 +19,23 @@ at the base point; transformation tensors are taken at (theta, lam).  The
 identities hold at every good position, so lam defaults to 0 but any vector
 within the good region is accepted.  A check handed ``landscape=`` (one
 :func:`evaluate_landscape` result at the same theta and mode) uses it instead
-of evaluating its own; ``run_suite`` evaluates one landscape per position and
-shares it among that position's checks.  What the checks derive from a
+of evaluating its own; ``run_suite`` evaluates one batched landscape per plan
+entry (:func:`evaluate_landscapes`, one sweep of the model and one of the
+composite over all the entry's positions) and shares each position's
+landscape among that position's checks.  What the checks derive from a
 landscape -- its Hessian spectrum, and per (transform, lam) the chart
 inverses, X, Y and the second-order right-hand-side terms -- is computed on
 first use and kept with the landscape, so the checks at one position share it
-too.  Every precondition still runs inside each check.
+too; in a suite run the chart inverses are the ones the sampler took when it
+accepted the position.  A check called without ``landscape=`` computes all of
+it itself, and every precondition still runs inside each check.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -62,7 +67,6 @@ from .transforms import (
     _require_orthonormal,
     build_transform,
     fixed_point_project,
-    good_position,
     mutate,
 )
 
@@ -75,6 +79,7 @@ __all__ = [
     "IdentityReport",
     "LandscapeEval",
     "evaluate_landscape",
+    "evaluate_landscapes",
     "check_first_order",
     "check_second_action",
     "check_second_quadratic",
@@ -240,7 +245,9 @@ class IdentityReport:
 
 
 def _norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=float)))
+    # np.linalg.norm's own Frobenius path, without its dispatch
+    x = np.asarray(a, dtype=float).ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 def _report(check_name, anchor, lhs, rhs, scale_l, scale_r, tol, context,
@@ -303,7 +310,8 @@ class LandscapeEval:
     ``_memo`` is the per-position memo of what the checks derive from this
     landscape: the Hessian spectrum (:func:`_spectrum`) and, per transform
     object and lam, the chart inverses, good-position report, X, Y and
-    second-order terms (:func:`_transform_eval`).  Each fills on first use.
+    second-order terms (:func:`_transform_eval`).  Each fills on first use,
+    except that a suite run starts it with the sampler's chart inverses.
     A memo entry holds its transform, so a ``mutate``d copy never reuses the
     entry of the transform it came from.
     """
@@ -321,22 +329,47 @@ class LandscapeEval:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
+def evaluate_landscapes(model: Model, loss: Loss, thetas: Sequence, mode: str = "exact"
+                        ) -> List[LandscapeEval]:
+    """The landscape at each of ``thetas``: ``y``, ``jac_f`` and ``hess_f``
+    from one sweep of the model over all of them, ``value``, ``grad`` and
+    ``hess`` from one sweep of the composite loss (in exact mode, one map
+    evaluation each for every position together; in finite_difference mode
+    each position has its own oracles).  Each position keeps its own
+    finiteness checks, analytic loss derivatives and Hessian assembly
+    check."""
+    ths = [np.asarray(theta, dtype=float).reshape(-1) for theta in thetas]
+    for th in ths:
+        if th.size != model.d:
+            raise SizeMismatch(f"theta has {th.size} entries, model {model.name} wants {model.d}")
+    de._check_mode(mode)
+    points = [de._as_point(th) for th in ths]
+    model_side = de._values_and_derivatives(model.func, points, mode)
+    loss_side = de._values_and_derivatives(de._loss_map(model, loss), points, mode)
+    out = []
+    for th, (y, jac_f, hess_f), (value, grad, hess) in zip(ths, model_side, loss_side):
+        gl = _finite(loss.grad(y))
+        hl = _finite(loss.hess(y))
+        de._check_assembly(hess, jac_f, hess_f, gl, hl, mode)
+        out.append(LandscapeEval(
+            theta=th, y=y, value=float(value), jac_f=jac_f, hess_f=hess_f,
+            gl=gl, hl=hl, grad=grad, hess=hess, mode=mode,
+        ))
+    return out
+
+
 def evaluate_landscape(model: Model, loss: Loss, theta, mode: str = "exact") -> LandscapeEval:
-    """The landscape at ``theta``: ``y``, ``jac_f`` and ``hess_f`` from one
-    sweep of the model, ``value``, ``grad`` and ``hess`` from one sweep of
-    the composite loss (in exact mode, one map evaluation each)."""
-    th = np.asarray(theta, dtype=float).reshape(-1)
-    if th.size != model.d:
-        raise SizeMismatch(f"theta has {th.size} entries, model {model.name} wants {model.d}")
-    y, jac_f, hess_f = de._value_and_derivatives(model.func, th, mode)
-    value, grad, hess = de.grad_and_hessian_of_loss(model, loss, th, mode)
-    gl = _finite(loss.grad(y))
-    hl = _finite(loss.hess(y))
-    de._check_assembly(hess, jac_f, hess_f, gl, hl, mode)
-    return LandscapeEval(
-        theta=th, y=y, value=value, jac_f=jac_f, hess_f=hess_f,
-        gl=gl, hl=hl, grad=grad, hess=hess, mode=mode,
-    )
+    """The landscape at ``theta``: :func:`evaluate_landscapes` at the one
+    position."""
+    return evaluate_landscapes(model, loss, [theta], mode)[0]
+
+
+def _landscape_bytes(model: Model) -> int:
+    """Bytes of one position's landscape tensors: ``y``, ``jac_f`` and
+    ``hess_f`` of the model and ``value``, ``grad`` and ``hess`` of the
+    composite loss."""
+    d = model.d
+    return 8 * (1 + d + d * d) * (model.c + 1)
 
 
 def _landscape(model: Model, loss: Loss, theta, mode: str,
@@ -367,29 +400,32 @@ def _spectrum(ev: LandscapeEval) -> SpectralSummary:
 @dataclass
 class _TransformEval:
     """One transform's characteristic data at a landscape's position and one
-    lam: the chart inverses and their good-position report, X and Y, and --
-    once a second-order check asks -- the five-term right-hand sides."""
+    lam: the chart inverses and their good-position report, X and Y (once
+    the position is known good), and -- once a second-order check asks --
+    the five-term right-hand sides."""
 
     transform: Transformation   # held so no other object can take the id that keys it
     charts: _Charts
-    X: Optional[np.ndarray]
-    Y: Optional[np.ndarray]
+    X: Optional[np.ndarray] = None
+    Y: Optional[np.ndarray] = None
     second: Optional["_SecondOrder"] = None
+
+
+def _memo_key(t: Transformation, lam) -> tuple:
+    return id(t), None if lam is None else np.asarray(lam, dtype=float).tobytes()
 
 
 def _transform_eval(ev: LandscapeEval, t: Transformation, lam) -> _TransformEval:
     """``t``'s data at ``ev``'s position and ``lam``, from ``ev``'s memo;
     raises NotGoodPosition when the position is not good."""
-    key = (id(t), None if lam is None else np.asarray(lam, dtype=float).tobytes())
+    key = _memo_key(t, lam)
     te = ev._memo.get(key)
     if te is None:
-        charts = _chart_inverses(t, ev.theta, ev.y, lam)
-        X = Y = None
-        if charts.report.ok:
-            X, Y = charts.direction(t, ev.theta), charts.output(t, ev.y)
-        te = ev._memo[key] = _TransformEval(t, charts, X, Y)
+        te = ev._memo[key] = _TransformEval(t, _chart_inverses(t, ev.theta, ev.y, lam))
     if not te.charts.report.ok:
         raise NotGoodPosition(f"({t.name}) not a good position: {te.charts.report.reason}")
+    if te.X is None:
+        te.X, te.Y = te.charts.direction(t, ev.theta), te.charts.output(t, ev.y)
     return te
 
 
@@ -1127,6 +1163,15 @@ def stationary_null_count(
 # position sampling
 # ---------------------------------------------------------------------------
 
+class _Sample(list):
+    """:func:`sample_positions`' list of (theta, lam) and its ``charts``,
+    which :func:`_run_entry` hands to each position's landscape memo."""
+
+    def __init__(self, positions, charts):
+        super().__init__(positions)
+        self.charts = charts
+
+
 def sample_positions(
     model: Model,
     loss: Optional[Loss] = None,
@@ -1145,13 +1190,17 @@ def sample_positions(
     projected onto their fixed set instead, with lam = None), and — when
     ``require_nondegenerate`` — clear of the l' = 0 and
     m y l'' + (m-1) l' = 0 branches that void the scalar specializations.
+    The list also carries, as ``charts``, the chart inverses that accepted
+    each position (None without a continuous transform).
     """
     rng = np.random.default_rng(seed)
     out: List[Tuple[np.ndarray, Optional[np.ndarray]]] = []
+    charts: List[Optional[_Charts]] = []
     for _ in range(count):
         for _attempt in range(_MAX_TRIES):
             th = random_params(model, rng)
             lam: Optional[np.ndarray] = None
+            ch: Optional[_Charts] = None
             if transform is not None and transform.kind == "discrete":
                 th = fixed_point_project(transform, th)
             elif transform is not None:
@@ -1160,7 +1209,8 @@ def sample_positions(
                 continue
             y = forward(model, th)
             if transform is not None and transform.kind == "continuous":
-                if not good_position(transform, th, y, lam).ok:
+                ch = _chart_inverses(transform, th, y, lam)
+                if not ch.report.ok:
                     continue
             if require_nondegenerate:
                 if loss is None:
@@ -1168,13 +1218,14 @@ def sample_positions(
                 if min(_head_margins(*_head_scalars(model, loss, y))) < 1e-6:
                     continue
             out.append((th, lam))
+            charts.append(ch)
             break
         else:
             raise NotGoodPosition(
                 f"could not sample an acceptable position for {model.name} "
                 f"in {_MAX_TRIES} tries"
             )
-    return out
+    return _Sample(out, charts)
 
 
 # ---------------------------------------------------------------------------
@@ -1277,15 +1328,23 @@ def _run_entry(master_seed: int, index: int, built: BuiltEntry) -> List[Identity
         count=entry.positions, seed=pos_seed, margin=1e-3 if fd_kinked else _MARGIN,
         require_nondegenerate=any(r.requires == "scalar homogeneous head" for r in rows),
     )
+    # one batched landscape per block of positions (one block at catalog
+    # sizes); each position's memo starts with the chart inverses the
+    # sampler took there, so no check inverts them again
     reports: List[IdentityReport] = []
-    for pos_idx, (th, lam) in enumerate(positions):
-        base = {"theta_seed": pos_seed, "entry": index, "position": pos_idx}
-        ev = evaluate_landscape(model, loss, th, entry.mode)
-        for row in rows:
-            kw = {"mode": entry.mode, "tolerance": entry.tolerances.get(row.name),
-                  "extra_context": base, "landscape": ev}
-            out = row.run(_Point(model, loss, transform, th, lam, pos_seed, kw))
-            reports.extend(out if row.n_reports > 1 else (out,))
+    for blk in de._blocks(len(positions), _landscape_bytes(model)):
+        landscapes = evaluate_landscapes(model, loss, [th for th, _ in positions[blk]], entry.mode)
+        for pos_idx, ev in zip(range(blk.start, blk.stop), landscapes):
+            th, lam = positions[pos_idx]
+            charts = positions.charts[pos_idx]
+            if charts is not None:
+                ev._memo[_memo_key(transform, lam)] = _TransformEval(transform, charts)
+            base = {"theta_seed": pos_seed, "entry": index, "position": pos_idx}
+            for row in rows:
+                kw = {"mode": entry.mode, "tolerance": entry.tolerances.get(row.name),
+                      "extra_context": base, "landscape": ev}
+                out = row.run(_Point(model, loss, transform, th, lam, pos_seed, kw))
+                reports.extend(out if row.n_reports > 1 else (out,))
     return reports
 
 

@@ -31,6 +31,7 @@ reciprocal 1-norm condition estimate gates the result.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -69,7 +70,11 @@ def compose(g: np.ndarray, f: np.ndarray) -> np.ndarray:
         raise AxisMismatch(
             f"compose: f last axis {f.shape[-1]} != g first axis {g.shape[0]}"
         )
-    return np.tensordot(f, g, axes=([f.ndim - 1], [0]))
+    # np.tensordot's own reshape-and-dot, without its axis bookkeeping
+    size = g.shape[0]
+    out = np.dot(f.reshape(math.prod(f.shape[:-1]), size),
+                 g.reshape(size, math.prod(g.shape[1:])))
+    return out.reshape(f.shape[:-1] + g.shape[1:])
 
 
 def compose_k(g: np.ndarray, f: np.ndarray, k: int) -> np.ndarray:
@@ -87,16 +92,16 @@ def compose_k(g: np.ndarray, f: np.ndarray, k: int) -> np.ndarray:
         raise AxisMismatch(
             f"compose_k: f last axis {f.shape[-1]} != g axis {k} length {g.shape[axis]}"
         )
-    out = np.tensordot(g, f, axes=([axis], [f.ndim - 1]))
-    # tensordot leaves g's remaining axes first, then f's leading axes.
-    # Move the f-leading block back into slot position `axis`.
-    n_lead = f.ndim - 1
-    g_rest = g.ndim - 1
-    if n_lead:
-        src = list(range(g_rest, g_rest + n_lead))
-        dst = list(range(axis, axis + n_lead))
-        out = np.moveaxis(out, src, dst)
-    return out
+    # np.tensordot's own reshape-and-dot leaves g's remaining axes first,
+    # then f's leading axes; the transpose moves those back into slot `axis`
+    n_lead, g_rest, size = f.ndim - 1, g.ndim - 1, g.shape[axis]
+    rest = g.shape[:axis] + g.shape[k:]
+    ga = g.transpose(tuple(range(axis)) + tuple(range(k, g.ndim)) + (axis,))
+    fb = f.transpose((n_lead,) + tuple(range(n_lead)))
+    out = np.dot(ga.reshape(math.prod(rest), size), fb.reshape(size, math.prod(f.shape[:-1])))
+    out = out.reshape(rest + f.shape[:-1])
+    return out.transpose(tuple(range(axis)) + tuple(range(g_rest, g_rest + n_lead))
+                         + tuple(range(axis, g_rest)))
 
 
 def _inverse_rcond(a) -> Tuple[Optional[np.ndarray], float]:

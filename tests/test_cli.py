@@ -430,18 +430,32 @@ def test_run_flow_experiment(tmp_path, capsys):
                                 "rejected_steps": 0, "gradient_sweeps": 109}
 
 
-def test_bundled_flow_imports_no_scipy(tmp_path):
-    # the integrator needs numpy only: a bundled flow run in a fresh
-    # interpreter leaves scipy unimported
-    cfg = _bundled("flow_conservation", output_dir=str(tmp_path / "out"))
+def _imports_in_fresh_run(tmp_path, name, module):
+    """Run bundled config ``name`` in a fresh interpreter: its exit code and
+    whether ``module`` was imported, as printed by that interpreter."""
+    cfg = _bundled(name, output_dir=str(tmp_path / "out"))
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys; from equichk import cli; "
-            "code = cli.main(['run', sys.argv[1]]); print(code, 'scipy' in sys.modules)")
-    run = subprocess.run([sys.executable, "-c", code, str(_write(tmp_path, "flow.json", cfg))],
+            f"code = cli.main(['run', sys.argv[1]]); print(code, {module!r} in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code, str(_write(tmp_path, f"{name}.json", cfg))],
                          capture_output=True, text=True, env=env, timeout=120)
-    assert run.stdout.splitlines()[-1] == "0 False", run.stderr
+    return run.stdout.splitlines()[-1], run.stderr
+
+
+def test_bundled_flow_imports_no_scipy(tmp_path):
+    # the integrator needs numpy only: a bundled flow run in a fresh
+    # interpreter leaves scipy unimported
+    out, err = _imports_in_fresh_run(tmp_path, "flow_conservation", "scipy")
+    assert out == "0 False", err
+
+
+def test_bundled_sgf_drift_imports_no_numpy_ma(tmp_path):
+    # numpy.ma costs about 13 ms of import; a bundled drift run in a fresh
+    # interpreter leaves it unimported
+    out, err = _imports_in_fresh_run(tmp_path, "sgf_drift", "numpy.ma")
+    assert out == "0 False", err
 
 
 _ROTATION = {"name": "linear_reparam",
@@ -521,8 +535,8 @@ BUNDLED_RUNS = {
     "mutation_demo": (1, 9, None, _ONE_EACH),
     # sgf_drift checks a loss family and builds no loss outside the per-sample binds
     "sgf_drift": (0, 1, None, {"model": 1, "transform": 1}),
-    "stationary_spectrum": (0, 1, {"integrator": "dormand_prince_8_5_3", "accepted_steps": 57,
-                                   "rejected_steps": 8, "gradient_sweeps": 781}, _ONE_EACH),
+    "stationary_spectrum": (0, 1, {"integrator": "dormand_prince_8_5_3", "accepted_steps": 56,
+                                   "rejected_steps": 5, "gradient_sweeps": 733}, _ONE_EACH),
     "suite_full": (0, 174, None, {"model": 14, "loss": 14, "transform": 14}),
 }
 

@@ -161,7 +161,7 @@ def test_stationary_flow_reaches_the_bundled_stationary_point(bundled_stationary
     meta = trj.meta
     assert meta["integrator"] == "dormand_prince_8_5_3"
     assert (meta["accepted_steps"], meta["rejected_steps"], meta["gradient_sweeps"]) \
-        == (57, 8, 781)
+        == (56, 5, 733)
     assert calls == meta["gradient_sweeps"]
     assert trj.diagnostics["grad_norm"][-1] <= 1e-12
     assert trj.times[-1] == pytest.approx(800.0, rel=1e-12)
@@ -190,6 +190,19 @@ def test_stationary_flow_counts_a_rejected_step(monkeypatch):
     # |theta(20)| ~ 2e-9 sits near the absolute tolerance of 1e-12
     np.testing.assert_allclose(trj.states[-1], math.exp(-20.0) * np.array([1.0, 0.5]),
                                rtol=0, atol=1e-11)
+
+
+def test_stationary_flow_does_not_grow_the_step_right_after_a_rejection():
+    # as in Hairer's dop853: the trial step of 10 is rejected until it fits,
+    # and the step after the first accepted one is no longer than it
+    model = _identity_model()
+    loss = make_loss("square", target=np.zeros(2))
+    trj = dyn.stationary_flow(model, loss, np.array([1.0, 0.5]), T=20.0, dt=10.0)
+    assert trj.meta["rejected_steps"] >= 1
+    steps = np.diff(trj.times)  # every accepted step is recorded at this T
+    assert len(steps) == trj.meta["accepted_steps"]
+    assert steps[1] <= steps[0] * (1.0 + 1e-12)
+    assert steps[2] > steps[1]
 
 
 def test_stationary_flow_gives_up_after_consecutive_rejections(monkeypatch):

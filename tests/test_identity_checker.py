@@ -20,6 +20,7 @@ from equichk.errors import (
     NotFactoredModel,
     NotFixedPoint,
     NotGoodPosition,
+    SizeMismatch,
 )
 from equichk.identity_checker import (
     CHECK_ANCHORS,
@@ -76,6 +77,45 @@ def test_landscape_holds_the_hessian_against_its_assembly(probe_model, probe_los
     with pytest.raises(CheckFailure, match="hessian assembly self-check"):
         evaluate_landscape(probe_model, off, PROBE_THETA, "exact")
     evaluate_landscape(probe_model, probe_loss, PROBE_THETA, "exact")
+
+
+_SUITE_ENTRIES = default_suite().entries
+
+
+@pytest.mark.parametrize("mode", ["exact", "finite_difference"])
+@pytest.mark.parametrize("entry", _SUITE_ENTRIES,
+                         ids=[f"{i}-{e.model.name}" for i, e in enumerate(_SUITE_ENTRIES)])
+def test_batched_landscapes_equal_one_position_landscapes(entry, mode):
+    # every field at every position is bit for bit the one-position landscape;
+    # in exact mode the whole batch is one sweep of the model and one of the
+    # composite, i.e. two map evaluations
+    built = ic._build_entry(entry)
+    model, loss = built.model, built.loss
+    thetas = [th for th, _ in sample_positions(model, loss, count=4, seed=entry.seed, margin=1e-3)]
+    calls = []
+
+    def counting(th):
+        calls.append(1)
+        return model.func(th)
+
+    batch = ic.evaluate_landscapes(dataclasses.replace(model, func=counting), loss, thetas, mode)
+    if mode == "exact":
+        assert len(calls) == 2
+    assert len(batch) == len(thetas)
+    for th, got in zip(thetas, batch):
+        want = evaluate_landscape(model, loss, th, mode)
+        for f in dataclasses.fields(ic.LandscapeEval):
+            if f.compare:
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert np.shape(a) == np.shape(b), f.name
+                np.testing.assert_array_equal(a, b, err_msg=f.name)
+
+
+def test_evaluate_landscapes_takes_any_number_of_positions(probe_model, probe_loss):
+    # none gives none; one mis-sized theta fails the whole batch
+    assert ic.evaluate_landscapes(probe_model, probe_loss, []) == []
+    with pytest.raises(SizeMismatch):
+        ic.evaluate_landscapes(probe_model, probe_loss, [PROBE_THETA, np.zeros(3)])
 
 
 def test_probe_first_order_is_euler_relation(probe_model, probe_loss):
@@ -384,39 +424,40 @@ def test_run_suite_rejects_a_mutation_no_check_reads(monkeypatch, model, transfo
 
 
 def test_run_suite_evaluates_one_landscape_per_position(monkeypatch):
-    positions, landscapes = [], []
-    real_sample, real_evaluate = ic.sample_positions, ic.evaluate_landscape
+    # one batched call per entry, holding every sampled position once
+    positions, batches = [], []
+    real_sample, real_evaluate = ic.sample_positions, ic.evaluate_landscapes
 
     def sample(*args, **kwargs):
         out = real_sample(*args, **kwargs)
-        positions.extend(th for th, _ in out)
+        positions.append([th for th, _ in out])
         return out
 
-    def evaluate(model, loss, theta, mode="exact"):
-        landscapes.append(theta)
-        return real_evaluate(model, loss, theta, mode)
+    def evaluate(model, loss, thetas, mode="exact"):
+        batches.append(list(thetas))
+        return real_evaluate(model, loss, thetas, mode)
 
     monkeypatch.setattr(ic, "sample_positions", sample)
-    monkeypatch.setattr(ic, "evaluate_landscape", evaluate)
+    monkeypatch.setattr(ic, "evaluate_landscapes", evaluate)
     plan = default_suite(positions=2)
     reports = run_suite(plan)
     assert reports and all(r.passed for r in reports)
-    assert len(positions) == 2 * len(plan.entries)
-    assert len(landscapes) == len(positions)
-    for th, at in zip(positions, landscapes):
-        np.testing.assert_array_equal(th, at)
+    assert len(positions) == len(batches) == len(plan.entries)
+    for sampled, batch in zip(positions, batches):
+        assert len(sampled) == len(batch) == 2
+        for th, at in zip(sampled, batch):
+            np.testing.assert_array_equal(th, at)
 
 
 def test_run_suite_shares_transform_data_and_spectrum(monkeypatch):
-    """Once sampling is done, each position inverts each chart Jacobian of
-    its transform once, builds the second-order terms once and takes the
-    Hessian spectrum once, however many checks read them."""
+    """Each position's chart inverses are the sampler's: no check inverts a
+    chart Jacobian again.  Each position builds the second-order terms once
+    and takes the Hessian spectrum once, however many checks read them."""
     counts, sampling = Counter(), []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            if not sampling:
-                counts[name] += 1
+            counts[name if not sampling else "sampler_" + name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
@@ -430,6 +471,7 @@ def test_run_suite_shares_transform_data_and_spectrum(monkeypatch):
     real_sample = ic.sample_positions
     monkeypatch.setattr(ic, "sample_positions", sample)
     monkeypatch.setattr(tr, "_inverse_rcond", counted("inverse", tr._inverse_rcond))
+    monkeypatch.setattr(ic, "_chart_inverses", counted("chart_test", ic._chart_inverses))
     monkeypatch.setattr(ic, "spectral_summary", counted("spectrum", ic.spectral_summary))
     monkeypatch.setattr(ic, "_second_order", counted("second_order", ic._second_order))
     positions = 2
@@ -441,7 +483,9 @@ def test_run_suite_shares_transform_data_and_spectrum(monkeypatch):
                      for e in plan.entries if e.transform is not None)
     scalar = sum("eigen_alignment" in e.checks for e in plan.entries)
     assert (continuous, scalar) == (11, 4)
-    assert counts == {"inverse": 2 * continuous * positions,
+    assert counts["sampler_chart_test"] >= continuous * positions
+    assert counts == {"sampler_inverse": 2 * counts["sampler_chart_test"],
+                      "sampler_chart_test": counts["sampler_chart_test"],
                       "second_order": continuous * positions,
                       "spectrum": scalar * positions}
 
@@ -500,14 +544,14 @@ def test_mutated_transform_never_reuses_the_clean_entry(relu_mlp):
 def test_checks_reject_a_landscape_from_elsewhere(monkeypatch, other, mode):
     """Every registry row, handed a landscape at another theta or in the
     other derivative mode, refuses it."""
-    real_evaluate = ic.evaluate_landscape
+    real_evaluate = ic.evaluate_landscapes
 
-    def foreign(model, loss, theta, mode="exact"):
+    def foreign(model, loss, thetas, mode="exact"):
         if other == "theta":
-            return real_evaluate(model, loss, np.asarray(theta) + 0.01, mode)
-        return real_evaluate(model, loss, theta, "exact")
+            return real_evaluate(model, loss, [np.asarray(th) + 0.01 for th in thetas], mode)
+        return real_evaluate(model, loss, thetas, "exact")
 
-    monkeypatch.setattr(ic, "evaluate_landscape", foreign)
+    monkeypatch.setattr(ic, "evaluate_landscapes", foreign)
     tried = set()
     for entry in default_suite(positions=1, mode=mode).entries:
         for name in entry.checks:

@@ -108,3 +108,72 @@ def test_rejects_nonsquare():
 def test_one_by_one():
     vals, vecs = jacobi_eigh(np.array([[7.5]]))
     assert vals[0] == 7.5 and vecs[0, 0] == 1.0
+
+
+def _per_rotation_jacobi(a):
+    """Cyclic Jacobi that rotates A's and V's columns one at a time: the
+    arithmetic ``jacobi_eigh`` must reproduce bit for bit."""
+    A = spectral._as_symmetric(a).copy()
+    n = A.shape[0]
+    V = np.eye(n)
+    if n == 1:
+        return A.diagonal().copy(), V
+    frob = max(float(np.linalg.norm(A)), 1e-300)
+    eps = np.finfo(float).eps
+    prev_off = np.inf
+    for _ in range(spectral._MAX_SWEEPS):
+        off = float(np.linalg.norm(A - np.diag(A.diagonal())))
+        if off <= 100.0 * eps * frob or off >= prev_off:
+            assert off <= np.sqrt(eps) * frob
+            break
+        prev_off = off
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[p, q]
+                if abs(apq) <= eps * (abs(A[p, p]) + abs(A[q, q])):
+                    A[p, q] = A[q, p] = 0.0
+                    continue
+                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
+                t = np.sign(tau) / (abs(tau) + np.hypot(tau, 1.0)) if tau != 0.0 else 1.0
+                c = 1.0 / np.hypot(t, 1.0)
+                s = t * c
+                app, aqq = A[p, p], A[q, q]
+                col_p, col_q = A[:, p].copy(), A[:, q].copy()
+                new_p, new_q = c * col_p - s * col_q, s * col_p + c * col_q
+                A[:, p] = new_p
+                A[p, :] = new_p
+                A[:, q] = new_q
+                A[q, :] = new_q
+                A[p, p] = app - t * apq
+                A[q, q] = aqq + t * apq
+                A[p, q] = A[q, p] = 0.0
+                vp, vq = V[:, p].copy(), V[:, q].copy()
+                V[:, p] = c * vp - s * vq
+                V[:, q] = s * vp + c * vq
+    vals = A.diagonal().copy()
+    order = np.argsort(-vals, kind="stable")
+    return vals[order], V[:, order]
+
+
+def _jacobi_cases():
+    # random, diagonal, zero, all-ones and repeated-eigenvalue matrices; the
+    # suite's Hessians are 2x2 to 23x23
+    rng = np.random.default_rng(23)
+    for n in list(range(1, 11)) + [16, 23, 40, 60]:
+        m = rng.standard_normal((n, n))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        yield f"random{n}", 0.5 * (m + m.T)
+        yield f"diagonal{n}", np.diag(rng.standard_normal(n))
+        yield f"zero{n}", np.zeros((n, n))
+        yield f"ones{n}", np.ones((n, n))
+        yield f"repeated{n}", q @ np.diag(np.repeat([1.0, -2.0, 3.0], n)[:n]) @ q.T
+
+
+@pytest.mark.parametrize("a", [a for _, a in _jacobi_cases()], ids=[k for k, _ in _jacobi_cases()])
+def test_jacobi_reproduces_the_per_rotation_arithmetic(a):
+    # same eigenvalues, eigenvectors and memory layout: the eigenvectors feed
+    # BLAS products downstream, whose rounding follows the layout
+    for got, want in zip(jacobi_eigh(a), _per_rotation_jacobi(a)):
+        np.testing.assert_array_equal(got, want)
+        assert got.flags.c_contiguous == want.flags.c_contiguous
+        assert got.flags.f_contiguous == want.flags.f_contiguous

@@ -74,6 +74,39 @@ def test_compose_k_out_of_range():
         compose_k(g, f, 3)
 
 
+def _layouts(rng, shape):
+    """A random array of ``shape`` in C order, Fortran order or with its
+    first and last axes' strides swapped."""
+    a = rng.standard_normal(shape)
+    kind = rng.integers(3)
+    if kind == 1:
+        return np.asfortranarray(a)
+    if kind == 2 and a.ndim >= 2:
+        return a.swapaxes(0, -1).copy().swapaxes(0, -1)
+    return a
+
+
+def test_compose_is_tensordot_bit_for_bit():
+    # the reshape-and-dot inside np.tensordot, without its bookkeeping: the
+    # same bits and the same strides, whatever the operands' layout
+    rng = np.random.default_rng(23)
+    for i in range(600):
+        g_shape = tuple(int(n) for n in rng.integers(0 if i % 40 == 0 else 1, 6, rng.integers(1, 4)))
+        slot = int(rng.integers(1, len(g_shape) + 1))
+        f_shape = tuple(int(n) for n in rng.integers(1, 6, rng.integers(0, 3))) + (g_shape[slot - 1],)
+        g, f = _layouts(rng, g_shape), _layouts(rng, f_shape)
+        axis, n_lead = slot - 1, f.ndim - 1
+        want_k = np.moveaxis(np.tensordot(g, f, axes=([axis], [n_lead])),
+                             list(range(g.ndim - 1, g.ndim - 1 + n_lead)),
+                             list(range(axis, axis + n_lead)))
+        pairs = [(compose_k(g, f, slot), want_k)]
+        if slot == 1:
+            pairs.append((compose(g, f), np.tensordot(f, g, axes=([n_lead], [0]))))
+        for got, want in pairs:
+            assert got.shape == want.shape and got.strides == want.strides, (g_shape, f_shape, slot)
+            np.testing.assert_array_equal(got, want)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(0, 2 ** 31 - 1))
 def test_compose_associative_on_chains(a, b, c, seed):
