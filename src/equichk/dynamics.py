@@ -92,17 +92,17 @@ _MIN_DRIFT_ENSEMBLE = 100  # the fewest members noether_drift_check takes
 # ---------------------------------------------------------------------------
 
 class _Objective:
-    """Uniform value/gradient view over a single loss or a weighted dataset."""
+    """Uniform value/gradient view over a single loss or a weighted dataset:
+    ``loss`` is a :class:`Loss` or a ``(family, Dataset)`` pair."""
 
-    def __init__(self, model: Model, loss, family: Optional[LossFamily] = None):
-        if isinstance(loss, Dataset):
-            if family is None:
-                raise InvalidParams("a dataset objective needs the loss family")
-            self.parts = per_sample_losses(model, family, loss)
-        elif isinstance(loss, Loss):
+    def __init__(self, model: Model, loss):
+        if isinstance(loss, Loss):
             self.parts = [(1.0, model, loss)]
+        elif isinstance(loss, tuple) and len(loss) == 2 and isinstance(loss[1], Dataset):
+            self.parts = per_sample_losses(model, loss[0], loss[1])
         else:
-            raise InvalidParams(f"objective must be a Loss or Dataset, got {type(loss).__name__}")
+            raise InvalidParams(
+                f"objective must be a Loss or a (family, Dataset) pair, got {type(loss).__name__}")
         self.d = model.d
         self.maps = [
             (w, (lambda th, m=m, l=l: l.apply(m.func(th))))
@@ -135,12 +135,6 @@ class _Objective:
 
     def weights(self) -> np.ndarray:
         return np.array([w for w, _ in self.maps])
-
-
-def _as_objective(model: Model, loss) -> _Objective:
-    if isinstance(loss, tuple) and len(loss) == 2 and isinstance(loss[1], Dataset):
-        return _Objective(model, loss[1], loss[0])
-    return _Objective(model, loss)
 
 
 def _check_step(T: float, dt: float) -> None:
@@ -299,7 +293,7 @@ def _start(model: Model, loss, theta0,
            chargelist) -> Tuple[_Objective, _Recorder, np.ndarray, float, np.ndarray]:
     """A deterministic run's objective and recorder, and its first state with
     the loss and gradient of the sweep there, already recorded at t = 0."""
-    obj = _as_objective(model, loss)
+    obj = _Objective(model, loss)
     charges = _as_charges(chargelist)
     th = np.asarray(theta0, dtype=float).reshape(-1)
     if th.size != model.d:
@@ -704,7 +698,7 @@ def _moments(obj: _Objective, points: np.ndarray) -> Tuple[np.ndarray, np.ndarra
 
 def noise_covariance(model: Model, family: LossFamily, dataset: Dataset, theta) -> CovarianceReport:
     th = np.asarray(theta, dtype=float).reshape(-1)
-    _, sigmas, grad_traces = _moments(_Objective(model, dataset, family), th[None, :])
+    _, sigmas, grad_traces = _moments(_Objective(model, (family, dataset)), th[None, :])
     sigma = 0.5 * (sigmas[0] + sigmas[0].T)
     evals = np.linalg.eigvalsh(sigma)
     scale = max(1.0, float(evals.max()) if evals.size else 0.0)
@@ -805,7 +799,7 @@ def sgf(
     _check_step(T, dt)
     if ensemble < 1:
         raise InvalidParams("ensemble must hold at least one trajectory")
-    obj = _Objective(model, dataset, family)
+    obj = _Objective(model, (family, dataset))
     charges = _as_charges(chargelist)
     th0 = np.asarray(theta0, dtype=float).reshape(-1)
     if th0.size != model.d:
@@ -978,7 +972,7 @@ def noether_drift_check(
     # theory over the ensemble law: average across a member subsample at a
     # grid of record points (evaluating at the mean path alone would carry a
     # Jensen bias of order the ensemble spread squared)
-    obj = _Objective(model, dataset, family)
+    obj = _Objective(model, (family, dataset))
     n_members = min(len(ensemble), 2048)
     # the distinct indices of a sorted grid: the first of each run (np.unique
     # would import numpy.ma into every run for this)

@@ -33,12 +33,14 @@ callback                shape          entry
 ``d2g_dlambda2``        (p, p, c)      [lam_r, lam_s; G_a]  (optional)
 ======================  =============  =========================================
 
-Every catalog entry is linear in ``theta`` and in ``y``, so ``d2h_dtheta2``
-and ``d2g_dy2`` are ``None`` throughout.  So is every other optional
-derivative that vanishes for an entry: the G side of a symmetry, the
-second lam derivatives of ``last_layer_left_action`` and the lam
-derivatives of a discrete entry.  The identity checks read a ``None`` as
-an exact zero term and skip the arithmetic it would feed.
+Every catalog entry acts linearly, H = M(lam) theta and G = N(lam) y: its
+builder states only M, N and their lam derivatives, and ``_linear`` writes
+the callbacks from them, so ``d2h_dtheta2`` and ``d2g_dy2`` are ``None``
+throughout.  So is every other optional derivative that vanishes for an
+entry: the G side of a symmetry, the second lam derivatives of
+``last_layer_left_action`` and the lam derivatives of a discrete entry.  The
+identity checks read a ``None`` as an exact zero term and skip the
+arithmetic it would feed.
 """
 
 from __future__ import annotations
@@ -193,7 +195,49 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return out
 
 
-# --- continuous catalog ----------------------------------------------------------
+# --- catalog ---------------------------------------------------------------------
+
+def _linear(name: str, params: dict, model: Model, p: int, M: Callable,
+            dM: Optional[Callable] = None, d2M: Optional[Callable] = None,
+            N: Optional[Callable] = None, dN: Optional[Callable] = None,
+            d2N: Optional[Callable] = None, charge: Optional[Charge] = None,
+            charge_reason: str = "") -> Transformation:
+    """H(lam, theta) = M(lam) theta and G(lam, y) = N(lam) y: linear, so
+    ``d2h_dtheta2`` and ``d2g_dy2`` are None.  Each matrix function of lam
+    returns the textbook layout: M (d, d), dM (p, d, d), d2M (p, p, d, d), and
+    N, dN, d2N likewise with c.  A Jacobian callback is the contiguous
+    transpose of its matrix, a lam-derivative callback the matrix applied to
+    theta or y, and a missing matrix function declares its callbacks zero.
+    ``N=None`` is a symmetry (G = id); ``p = 0`` a discrete map."""
+    d, c = model.d, model.c
+
+    def stored(F):
+        return None if F is None else (
+            lambda lam, v: np.ascontiguousarray(np.swapaxes(F(lam), -1, -2)))
+
+    def applied(F):
+        return None if F is None else (lambda lam, v: F(lam) @ v)
+
+    return Transformation(
+        name=name, params=params,
+        kind="continuous" if p else "discrete", is_symmetry=N is None, p=p, d=d, c=c,
+        h_eval=applied(M), dh_dtheta=stored(M),
+        dh_dlambda=applied(dM) or (lambda lam, th: np.zeros((p, d))),
+        d2h_dlambda_dtheta=stored(dM), d2h_dlambda2=applied(d2M),
+        g_eval=(lambda lam, y: y) if N is None else applied(N),
+        dg_dy=stored(N or (lambda lam: np.eye(c))),
+        dg_dlambda=applied(dN), d2g_dlambda_dy=stored(dN), d2g_dlambda2=applied(d2N),
+        charge=charge, charge_reason=charge_reason,
+    )
+
+
+def _distinct_blocks(model: Model, up: str, down: str):
+    """The two named blocks; InvalidParams unless they are disjoint."""
+    b1, b2 = model.block(up), model.block(down)
+    if b1.name == b2.name or max(b1.start, b2.start) < min(b1.stop, b2.stop):
+        raise InvalidParams(f"blocks {up!r} and {down!r} must be distinct")
+    return b1, b2
+
 
 def homogeneity_scaling(model: Model, degree: Optional[int] = None) -> Transformation:
     """H = exp(lam) theta with output action G = exp(m lam) y.
@@ -205,22 +249,16 @@ def homogeneity_scaling(model: Model, degree: Optional[int] = None) -> Transform
     m_deg = model.homogeneity_degree if degree is None else _integer(degree, "degree")
     if m_deg is None:
         raise InvalidParams(f"model {model.name!r} has no homogeneity degree")
-    d, c = model.d, model.c
+    eye_d, eye_c = np.eye(model.d), np.eye(model.c)
 
-    return Transformation(
-        name="homogeneity_scaling",
-        params={"degree": m_deg},
-        kind="continuous", is_symmetry=False, p=1, d=d, c=c,
-        h_eval=lambda lam, th: math.exp(lam[0]) * th,
-        g_eval=lambda lam, y: math.exp(m_deg * lam[0]) * y,
-        dh_dtheta=lambda lam, th: math.exp(lam[0]) * np.eye(d),
-        dh_dlambda=lambda lam, th: (math.exp(lam[0]) * th)[None, :],
-        d2h_dlambda_dtheta=lambda lam, th: math.exp(lam[0]) * np.eye(d)[None],
-        d2h_dlambda2=lambda lam, th: (math.exp(lam[0]) * th)[None, None, :],
-        dg_dy=lambda lam, y: math.exp(m_deg * lam[0]) * np.eye(c),
-        dg_dlambda=lambda lam, y: (m_deg * math.exp(m_deg * lam[0]) * y)[None, :],
-        d2g_dlambda_dy=lambda lam, y: m_deg * math.exp(m_deg * lam[0]) * np.eye(c)[None],
-        d2g_dlambda2=lambda lam, y: (m_deg ** 2 * math.exp(m_deg * lam[0]) * y)[None, None, :],
+    return _linear(
+        "homogeneity_scaling", {"degree": m_deg}, model, 1,
+        M=lambda lam: math.exp(lam[0]) * eye_d,
+        dM=lambda lam: math.exp(lam[0]) * eye_d[None],
+        d2M=lambda lam: math.exp(lam[0]) * eye_d[None, None],
+        N=lambda lam: math.exp(m_deg * lam[0]) * eye_c,
+        dN=lambda lam: m_deg * math.exp(m_deg * lam[0]) * eye_c[None],
+        d2N=lambda lam: m_deg ** 2 * math.exp(m_deg * lam[0]) * eye_c[None, None],
         charge_reason="output action is nontrivial, so the loss is not invariant",
     )
 
@@ -238,29 +276,15 @@ def layer_rescaling(model: Model, up: str, down: str) -> Transformation:
     linear or ReLU chain (positive scalings commute with ReLU).  Conserved
     charge: C = (||theta_up||^2 - ||theta_down||^2) / 2.
     """
-    b1, b2 = model.block(up), model.block(down)
-    if b1.name == b2.name or max(b1.start, b2.start) < min(b1.stop, b2.stop):
-        raise InvalidParams(f"blocks {up!r} and {down!r} must be distinct")
+    b1, b2 = _distinct_blocks(model, up, down)
     sl1, sl2 = b1.sl, b2.sl
-    d, c = model.d, model.c
+    d = model.d
 
-    def scale(lam):
-        s = np.ones(d)
-        s[sl1] = math.exp(lam[0])
-        s[sl2] = math.exp(-lam[0])
-        return s
-
-    def dscale(lam):
-        s = np.zeros(d)
-        s[sl1] = math.exp(lam[0])
-        s[sl2] = -math.exp(-lam[0])
-        return s
-
-    def d2scale(lam):
-        s = np.zeros(d)
-        s[sl1] = math.exp(lam[0])
-        s[sl2] = math.exp(-lam[0])
-        return s
+    def diag(rest, on_up, on_down):
+        s = np.full(d, rest)
+        s[sl1] = on_up
+        s[sl2] = on_down
+        return np.diag(s)
 
     def c_eval(th):
         th = np.asarray(th, dtype=float)
@@ -274,19 +298,13 @@ def layer_rescaling(model: Model, up: str, down: str) -> Transformation:
         return g
 
     # C = theta^T diag(+1 on up, -1 on down) theta / 2
-    c_hess = _constant_hessian(np.diag(dscale(np.zeros(1))))
+    c_hess = _constant_hessian(diag(0.0, 1.0, -1.0))
 
-    return Transformation(
-        name="layer_rescaling",
-        params={"up": up, "down": down},
-        kind="continuous", is_symmetry=True, p=1, d=d, c=c,
-        h_eval=lambda lam, th: scale(lam) * th,
-        g_eval=lambda lam, y: y,
-        dh_dtheta=lambda lam, th: np.diag(scale(lam)),
-        dh_dlambda=lambda lam, th: (dscale(lam) * th)[None, :],
-        d2h_dlambda_dtheta=lambda lam, th: np.diag(dscale(lam))[None],
-        d2h_dlambda2=lambda lam, th: (d2scale(lam) * th)[None, None, :],
-        dg_dy=lambda lam, y: np.eye(c),
+    return _linear(
+        "layer_rescaling", {"up": up, "down": down}, model, 1,
+        M=lambda lam: diag(1.0, math.exp(lam[0]), math.exp(-lam[0])),
+        dM=lambda lam: diag(0.0, math.exp(lam[0]), -math.exp(-lam[0]))[None],
+        d2M=lambda lam: diag(0.0, math.exp(lam[0]), math.exp(-lam[0]))[None, None],
         charge=Charge("half_norm_gap", c_eval, c_grad, c_hess),
     )
 
@@ -300,7 +318,7 @@ def linear_reparam(model: Model, a, up: str, down: str) -> Transformation:
     exactly when A is symmetric.
     """
     A = np.asarray(a, dtype=float)
-    b1, b2 = model.block(up), model.block(down)
+    b1, b2 = _distinct_blocks(model, up, down)
     if len(b1.shape) != 2 or len(b2.shape) != 2:
         raise InvalidParams("linear_reparam needs two matrix blocks")
     h_, n_ = b1.shape
@@ -312,53 +330,24 @@ def linear_reparam(model: Model, a, up: str, down: str) -> Transformation:
     if not np.isfinite(A).all():
         raise InvalidParams("generator contains NaN or Inf")
     sl1, sl2 = b1.sl, b2.sl
-    d, c = model.d, model.c
+    d = model.d
     eye_n, eye_c2 = np.eye(n_), np.eye(c2)
-
-    def mats(lam):
-        return _expm(lam[0] * A), _expm(-lam[0] * A)
 
     def split(th):
         lead = th.shape[:-1]
         return th[..., sl1].reshape(lead + (h_, n_)), th[..., sl2].reshape(lead + (c2, h_))
 
-    def h_eval(lam, th):
-        E, Ep = mats(lam)
-        W1, W2 = split(th)
-        out = np.array(th, dtype=float, copy=True)
-        out[sl1] = (E @ W1).ravel()
-        out[sl2] = (W2 @ Ep).ravel()
-        return out
+    def lam_derivative(k):
+        """The k-th lam derivative of M, shaped (1,) * k + (d, d): A^k exp(lam A)
+        on W_up from the left, (-A)^k exp(-lam A) on W_down from the right."""
+        up, down = np.linalg.matrix_power(A, k), np.linalg.matrix_power(-A, k)
 
-    def dh_dtheta(lam, th):
-        E, Ep = mats(lam)
-        out = np.eye(d)
-        out[sl1, sl1.start:sl1.stop] = np.kron(E.T, eye_n)
-        out[sl2, sl2.start:sl2.stop] = np.kron(eye_c2, Ep)
-        return out
-
-    def dh_dlambda(lam, th):
-        E, Ep = mats(lam)
-        W1, W2 = split(th)
-        out = np.zeros((1, d))
-        out[0, sl1] = (A @ E @ W1).ravel()
-        out[0, sl2] = -(W2 @ A @ Ep).ravel()
-        return out
-
-    def d2h_dlambda_dtheta(lam, th):
-        E, Ep = mats(lam)
-        out = np.zeros((1, d, d))
-        out[0, sl1, sl1.start:sl1.stop] = np.kron((A @ E).T, eye_n)
-        out[0, sl2, sl2.start:sl2.stop] = np.kron(eye_c2, -(A @ Ep))
-        return out
-
-    def d2h_dlambda2(lam, th):
-        E, Ep = mats(lam)
-        W1, W2 = split(th)
-        out = np.zeros((1, 1, d))
-        out[0, 0, sl1] = (A @ A @ E @ W1).ravel()
-        out[0, 0, sl2] = (W2 @ A @ A @ Ep).ravel()
-        return out
+        def F(lam):
+            out = np.eye(d) if k == 0 else np.zeros((d, d))
+            out[sl1, sl1] = np.kron(up @ _expm(lam[0] * A), eye_n)
+            out[sl2, sl2] = np.kron(eye_c2, (down @ _expm(-lam[0] * A)).T)
+            return out.reshape((1,) * k + (d, d))
+        return F
 
     charge = None
     reason = "characteristic field is not a gradient (generator not symmetric)"
@@ -384,19 +373,10 @@ def linear_reparam(model: Model, a, up: str, down: str) -> Transformation:
         charge = Charge("inner_width_moment", c_eval, c_grad, c_hess)
         reason = ""
 
-    return Transformation(
-        name="linear_reparam",
-        params={"up": up, "down": down, "A": A.tolist()},
-        kind="continuous", is_symmetry=True, p=1, d=d, c=c,
-        h_eval=h_eval,
-        g_eval=lambda lam, y: y,
-        dh_dtheta=dh_dtheta,
-        dh_dlambda=dh_dlambda,
-        d2h_dlambda_dtheta=d2h_dlambda_dtheta,
-        d2h_dlambda2=d2h_dlambda2,
-        dg_dy=lambda lam, y: np.eye(c),
-        charge=charge,
-        charge_reason=reason,
+    return _linear(
+        "linear_reparam", {"up": up, "down": down, "A": A.tolist()}, model, 1,
+        M=lam_derivative(0), dM=lam_derivative(1), d2M=lam_derivative(2),
+        charge=charge, charge_reason=reason,
     )
 
 
@@ -412,74 +392,33 @@ def last_layer_left_action(model: Model) -> Transformation:
     bW = model.block(model.last_layer_block)
     c_, s_ = bW.shape
     if c_ != model.c:
-        raise InvalidParams(
-            f"last-layer block rows {c_} != model output dim {model.c}"
-        )
-    slW = bW.sl
+        raise InvalidParams(f"last-layer block rows {c_} != model output dim {model.c}")
     d, p = model.d, c_ * c_
     eye_c, eye_s = np.eye(c_), np.eye(s_)
-    # [lam_(a,b), theta_(k,l); H_(i,j)] = delta_ia delta_kb delta_jl
-    mixed_block = np.einsum("ia,kb,jl->abklij", eye_c, eye_c, eye_s).reshape(p, c_ * s_, c_ * s_)
-    # [lam_(a,b), y_k; G_i] = delta_kb delta_ia
-    g_mixed = np.einsum("ia,kb->abki", eye_c, eye_c).reshape(p, c_, c_)
+    # generator (a, b) is the unit matrix E_ab; G and H are affine in lam
+    units = np.eye(p).reshape(p, c_, c_)
 
-    def lam_mat(lam):
-        return lam.reshape(c_, c_)
-
-    def h_eval(lam, th):
-        out = np.array(th, dtype=float, copy=True)
-        W = th[slW].reshape(c_, s_)
-        out[slW] = ((eye_c + lam_mat(lam)) @ W).ravel()
+    def left(rest, a):
+        """(d, d): W -> a W, ``rest`` times the identity elsewhere."""
+        out = rest * np.eye(d)
+        out[bW.sl, bW.sl] = np.kron(a, eye_s)
         return out
 
-    def dh_dtheta(lam, th):
-        out = np.eye(d)
-        out[slW, slW.start:slW.stop] = np.kron((eye_c + lam_mat(lam)).T, eye_s)
-        return out
+    d_left = np.stack([left(0.0, e) for e in units])
 
-    def dh_dlambda(lam, th):
-        W = th[slW].reshape(c_, s_)
-        out = np.zeros((p, d))
-        out[:, slW] = np.kron(eye_c, W)
-        return out
-
-    def d2h_dlambda_dtheta(lam, th):
-        out = np.zeros((p, d, d))
-        out[:, slW, slW.start:slW.stop] = mixed_block
-        return out
-
-    return Transformation(
-        name="last_layer_left_action",
-        params={"block": model.last_layer_block},
-        kind="continuous", is_symmetry=False, p=p, d=d, c=c_,
-        h_eval=h_eval,
-        g_eval=lambda lam, y: (eye_c + lam_mat(lam)) @ y,
-        dh_dtheta=dh_dtheta,
-        dh_dlambda=dh_dlambda,
-        d2h_dlambda_dtheta=d2h_dlambda_dtheta,
-        dg_dy=lambda lam, y: (eye_c + lam_mat(lam)).T,
-        dg_dlambda=lambda lam, y: np.kron(eye_c, np.asarray(y, dtype=float)[:, None]),
-        d2g_dlambda_dy=lambda lam, y: g_mixed,
+    return _linear(
+        "last_layer_left_action", {"block": model.last_layer_block}, model, p,
+        M=lambda lam: left(1.0, eye_c + lam.reshape(c_, c_)),
+        dM=lambda lam: d_left,
+        N=lambda lam: eye_c + lam.reshape(c_, c_),
+        dN=lambda lam: units,
         charge_reason="output action is nontrivial, so the loss is not invariant",
     )
 
 
 # --- discrete catalog ------------------------------------------------------------
 
-def _discrete(name: str, params: dict, model: Model, P: np.ndarray) -> Transformation:
-    d, c = model.d, model.c
-    Pt = np.ascontiguousarray(P.T)
-
-    return Transformation(
-        name=name, params=params,
-        kind="discrete", is_symmetry=True, p=0, d=d, c=c,
-        h_eval=lambda lam, th: P @ th,
-        g_eval=lambda lam, y: np.asarray(y, dtype=float),
-        dh_dtheta=lambda lam, th: Pt,
-        dh_dlambda=lambda lam, th: np.zeros((0, d)),
-        dg_dy=lambda lam, y: np.eye(c),
-        charge_reason="discrete transformation carries no conserved charge",
-    )
+_DISCRETE_REASON = "discrete transformation carries no conserved charge"
 
 
 def _require_orthonormal(O: np.ndarray) -> None:
@@ -497,7 +436,8 @@ def mirror(model: Model, columns) -> Transformation:
         raise SizeMismatch(f"direction length {O.shape[0]} != model dim {model.d}")
     _require_orthonormal(O)
     P = np.eye(model.d) - 2.0 * O @ O.T
-    return _discrete("mirror", {"columns": [c.tolist() for c in O.T]}, model, P)
+    return _linear("mirror", {"columns": [c.tolist() for c in O.T]}, model, 0,
+                   M=lambda lam: P, charge_reason=_DISCRETE_REASON)
 
 
 def sign_flip(model: Model, indices) -> Transformation:
@@ -507,9 +447,10 @@ def sign_flip(model: Model, indices) -> Transformation:
         raise InvalidParams("sign_flip indices must be distinct")
     if any(i < 0 or i >= model.d for i in idx):
         raise InvalidParams(f"sign_flip indices out of range 0..{model.d - 1}")
-    diag = np.ones(model.d)
-    diag[idx] = -1.0
-    return _discrete("sign_flip", {"indices": sorted(idx)}, model, np.diag(diag))
+    P = np.eye(model.d)
+    P[idx, idx] = -1.0
+    return _linear("sign_flip", {"indices": sorted(idx)}, model, 0,
+                   M=lambda lam: P, charge_reason=_DISCRETE_REASON)
 
 
 def permutation(model: Model, perm) -> Transformation:
@@ -519,7 +460,8 @@ def permutation(model: Model, perm) -> Transformation:
         raise InvalidParams(f"perm must be a permutation of 0..{model.d - 1}")
     P = np.zeros((model.d, model.d))
     P[np.arange(model.d), pi] = 1.0
-    return _discrete("permutation", {"perm": pi}, model, P)
+    return _linear("permutation", {"perm": pi}, model, 0,
+                   M=lambda lam: P, charge_reason=_DISCRETE_REASON)
 
 
 # --- factory dispatch ------------------------------------------------------------

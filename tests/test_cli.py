@@ -206,6 +206,12 @@ _SQUARE = {"name": "square", "params": {"target": 0.3}}
              ["first_order"]), "transform.params"),
     (_misfit(_DL121, _SQUARE, {"name": "permutation", "params": {"perm": "ab"}},
              ["discrete_first"]), "transform.params"),
+    # the same square block twice passes every shape check but is no symmetry
+    (_misfit({"name": "deep_linear", "params": {"widths": [2, 2, 2]}, "seed": 18},
+             {"name": "square", "params": {"target": [0.2, -0.1]}},
+             {"name": "linear_reparam",
+              "params": {"A": [[0.0, 0.7], [-0.7, 0.0]], "blocks": ["W1", "W1"]}},
+             ["first_order", "second_action"]), "transform.params"),
     # integer parameters must be JSON integers: no str, float or bool is coerced
     (_misfit({"name": "homogeneous_relu_mlp", "params": {"widths": "231"}, "seed": 14},
              _PROBE_LOSS, _SCALING, ["first_order"]), "model.params: widths"),
@@ -251,7 +257,8 @@ _SQUARE = {"name": "square", "params": {"target": 0.3}}
         "exponential_label_3", "probe_x_nan", "relu_mlp_input_inf", "deep_linear_input_nan",
         "factored_input_inf", "model_key_typo", "loss_key_typo", "transform_key_typo",
         "widths_empty", "factored_input_and_n", "rescaling_blocks_not_list",
-        "perm_not_numbers", "widths_string", "widths_float", "widths_bool", "factored_c_float",
+        "perm_not_numbers", "reparam_same_block", "widths_string", "widths_float",
+        "widths_bool", "factored_c_float",
         "softmax_label_float", "sign_flip_index_float", "scaling_degree_float",
         "mutation_no_transform", "mutation_no_transform_check", "mutation_declared_zero",
         "mode_unknown", "margin_unknown_key", "trials_unknown_key", "relu_mlp_depth_unknown_key",

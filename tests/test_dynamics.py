@@ -503,7 +503,7 @@ def test_sweep_value_is_the_plain_loss(entry):
 
 
 def test_value_and_grad_equals_value_and_grad_bitwise(uv_model, square_family, two_sample_dataset):
-    obj = dyn._Objective(uv_model, two_sample_dataset, square_family)
+    obj = dyn._Objective(uv_model, (square_family, two_sample_dataset))
     for th in np.random.default_rng(4).normal(size=(20, 2)):
         value, grad = obj.value_and_grad(th)
         assert value == _plain_loss(obj, th)
@@ -628,7 +628,7 @@ def _sgf_reference(model, family, dataset, th0, noise, T, dt, ensemble,
                    key=lambda seed, i: (seed, i)):
     """SGF with one Generator(Philox(key=(seed, i))) per member and the
     three-operand kick einsum: (record states, record losses)."""
-    obj = dyn._Objective(model, dataset, family)
+    obj = dyn._Objective(model, (family, dataset))
     w = obj.weights()
     n_steps, stride, _ = dyn._sgf_grid(T, dt)
     h = T / n_steps
@@ -709,7 +709,7 @@ def _moments_reference(maps, w, points):
 @pytest.mark.parametrize("model_name", ["uv_model", "deep_linear_121"])
 def test_drift_terms_equal_two_sweep_reference(request, model_name, square_family):
     model = request.getfixturevalue(model_name)
-    obj = dyn._Objective(model, _three_sample_dataset(), square_family)
+    obj = dyn._Objective(model, (square_family, _three_sample_dataset()))
     charge = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, model).charge
     points = model.init_params + 0.3 * np.random.default_rng(4).standard_normal((50, model.d))
     gbar, sigma, grad_trace = _moments_reference([mp for _, mp in obj.maps], obj.weights(), points)
@@ -765,7 +765,7 @@ def test_sgf_zero_noise_draws_nothing_and_is_euler(monkeypatch, uv_model, square
     theta0 = np.array([1.0, 0.9])
     ens = dyn.sgf(uv_model, square_family, two_sample_dataset, theta0, noise,
                   T=0.05, dt=1e-3, ensemble=3)
-    obj = dyn._Objective(uv_model, two_sample_dataset, square_family)
+    obj = dyn._Objective(uv_model, (square_family, two_sample_dataset))
     th, path = theta0, [theta0]
     for _ in range(50):
         gbar = np.einsum("k,kd->d", obj.weights(), obj.sample_sweeps(th[None, :])[1][:, 0])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equichk import diff_engine as de
 from equichk.errors import (
     InvalidParams,
     NotConservative,
@@ -16,6 +17,7 @@ from equichk.errors import (
 )
 from equichk.models import ModelSpec, build_model, forward, random_params
 from equichk.transforms import (
+    MUTABLE_CALLBACKS,
     TRANSFORM_NAMES,
     Transformation,
     build_transform,
@@ -87,6 +89,52 @@ def test_optional_callbacks_are_declared_zero_or_nonzero(name, params, model):
         if fn is not None:
             out = np.asarray(fn(lam, theta if cb.startswith("d2h") else y))
             assert np.any(out != 0.0), f"{name}.{cb} returns a dense zero"
+
+
+# callback -> (map, block of the map's derivatives over the joint (lam, v))
+_CALLBACK_BLOCKS = {
+    "dh_dlambda": ("h", "l"), "dh_dtheta": ("h", "v"), "d2h_dlambda2": ("h", "ll"),
+    "d2h_dlambda_dtheta": ("h", "lv"), "d2h_dtheta2": ("h", "vv"),
+    "dg_dlambda": ("g", "l"), "dg_dy": ("g", "v"), "d2g_dlambda2": ("g", "ll"),
+    "d2g_dlambda_dy": ("g", "lv"), "d2g_dy2": ("g", "vv"),
+}
+# the CASES generator is symmetric, so a dropped transpose would not show there
+_ANTISYMMETRIC_REPARAM = (
+    "linear_reparam", {"A": [[0.0, 0.7], [-0.7, 0.0]], "blocks": ["W1", "W2"]},
+    build_model(ModelSpec("deep_linear", {"widths": [2, 2, 2]}, seed=8)))
+
+
+def _joint_fd(fn, p, lam, v):
+    """fd_oracle's first and second derivatives of ``fn(lam, v)`` over the
+    joint point (lam, v), split into their lam and v blocks."""
+    def per_point(z):  # catalog maps take one point at a time
+        return np.stack([np.asarray(fn(row[:p], row[p:]), dtype=float) for row in z])
+
+    z = np.concatenate([lam, v])
+    J, H = de.fd_oracle(per_point, z, 1), de.fd_oracle(per_point, z, 2)
+    return {"l": J[:p], "v": J[p:], "ll": H[:p, :p], "lv": H[:p, p:], "vv": H[p:, p:]}
+
+
+@pytest.mark.parametrize("name,params,model", CASES + [_ANTISYMMETRIC_REPARAM],
+                         ids=_IDS + ["linear_reparam_antisymmetric"])
+def test_callbacks_match_fd_of_own_maps(name, params, model):
+    # every callback, a declared zero included, against central differences
+    # of h_eval over (lam, theta) or g_eval over (lam, y)
+    assert set(_CALLBACK_BLOCKS) == set(MUTABLE_CALLBACKS)
+    t = build_transform(name, params, model)
+    rng = np.random.default_rng(43)
+    for _ in range(2):
+        theta = random_params(model, rng)
+        y = forward(model, theta)
+        lam = rng.uniform(-0.3, 0.3, size=t.p)
+        ref = {"h": _joint_fd(t.h_eval, t.p, lam, theta), "g": _joint_fd(t.g_eval, t.p, lam, y)}
+        for cb, (side, block) in _CALLBACK_BLOCKS.items():
+            want = ref[side][block]
+            fn = getattr(t, cb)
+            got = np.zeros_like(want) if fn is None else fn(lam, theta if side == "h" else y)
+            assert np.shape(got) == want.shape, cb
+            gap = np.max(np.abs(got - want), initial=0.0)
+            assert gap <= 1e-6 * max(1.0, np.max(np.abs(want), initial=0.0)), f"{cb}: {gap:.3e}"
 
 
 def test_catalog_names_cover_cases():
@@ -193,6 +241,17 @@ def test_permutation_projection_ties_weights():
     t = build_transform("permutation", {"perm": [2, 3, 0, 1, 5, 4]}, model)
     proj = fixed_point_project(t, np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
     np.testing.assert_allclose(proj, [2.0, 3.0, 2.0, 3.0, 5.5, 5.5], atol=1e-15)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("layer_rescaling", {"blocks": ["W1", "W1"]}),
+    # a square block passes every shape check, so only the distinct-block check stops it
+    ("linear_reparam", {"A": [[0.0, 0.7], [-0.7, 0.0]], "blocks": ["W1", "W1"]}),
+], ids=["layer_rescaling", "linear_reparam"])
+def test_block_pair_must_be_distinct(name, params):
+    model = build_model(ModelSpec("deep_linear", {"widths": [2, 2, 2]}, seed=18))
+    with pytest.raises(InvalidParams, match="distinct"):
+        build_transform(name, params, model)
 
 
 def test_mirror_directions_must_be_orthonormal(deep_linear_121):
