@@ -14,18 +14,20 @@ gradients and Hessians are directional sweeps over basis directions, seeded
 all at once: a gradient seeds every ``e1`` direction in one leading axis, and
 a Hessian additionally seeds every ``e2`` direction in a second leading axis,
 so one map evaluation carries all d^2 directional pairs, and its value and
-``e1`` slot carry the map's value and gradient as well.  One private sweep,
-``_sweep``, does every exact derivative at a batch of points:
-``jacobian`` and ``second_derivative`` are it at one point,
-``gradient_at_points`` and ``hessians_at_points`` over a batch,
-``grad_and_hessian_of_loss`` takes value, gradient and Hessian from one
-second-order sweep, and ``_values_and_derivatives`` gives the same at a
-batch of points, which is how a suite evaluates the landscapes of a plan
-entry.  Second-order sweeps walk their points, and finite-difference
-stencils their points, in blocks under a fixed byte budget,
-``_BLOCK_BYTES``, fixed before anything is allocated; a point too large for
-one block has its second-slot directions walked instead.  At catalog sizes
-every sweep is a single block, i.e. a single map evaluation.
+``e1`` slot carry the map's value and gradient as well.  Two private sweeps
+give values, first and, optionally, second derivatives at a batch of points:
+``_sweep`` (hyper-dual, ``exact`` mode) and ``_fd_sweep`` (central
+differences, ``finite_difference`` mode), picked from ``_SWEEPS``.
+``jacobian`` and ``second_derivative`` are the mode's sweep at one point,
+``fd_oracle`` the FD sweep at one point, ``gradient_at_points`` and
+``hessians_at_points`` the exact sweep over a batch, and
+``grad_and_hessian_of_loss`` and ``_values_and_derivatives`` (how a suite
+evaluates the landscapes of a plan entry) take value, gradient and Hessian
+from one second-order sweep.  Second-order hyper-dual sweeps walk their
+points, and FD sweeps their stencil points, in blocks under a fixed byte
+budget, ``_BLOCK_BYTES``, fixed before anything is allocated; a point too
+large for one block has its second-slot directions walked instead.  At
+catalog sizes every sweep is a single block, i.e. a single map evaluation.
 
 Evaluation points are plain float arrays, and every sweep returns a fresh
 C-contiguous float64 ``np.ndarray`` in the ``[input, output]`` layout that
@@ -49,11 +51,10 @@ and ``+``, ``-``, ``*`` and ``relu``, which accept both plain arrays and
 hyper-duals -- the same model code is then exercised by the exact engine and
 by the finite-difference oracle.
 
-The finite-difference oracle uses central differences with per-coordinate
-step ``h_i = max(1, |x_i|) * eps**(1/p)`` (p = 3 for first, p = 4 for second
-derivatives), every stencil point stacked into one batched map evaluation.
-It exists to cross-check the exact engine and to drive every identity check
-in ``finite_difference`` mode.
+The finite-difference sweep steps coordinate i by ``max(1, |x_i|) * eps**(1/p)``
+(p = 3 for first, p = 4 for second derivatives).  It exists to cross-check
+the exact engine and to drive every identity check in ``finite_difference``
+mode.
 
 Convention note: ReLU is differentiated with ``relu'(0) = 0`` and
 ``relu'' = 0`` everywhere; checks sample points away from the kink.
@@ -89,18 +90,15 @@ __all__ = [
     "matvec", "dot", "sum_last", "expand_last", "take_last",
 ]
 
-#: the differentiation modes every sweep and identity check takes
-_MODES = ("exact", "finite_difference")
-
 #: bytes one seed or stencil block of a batched sweep may take; sweeps split
 #: their directions or points into blocks of this size before allocating
 _BLOCK_BYTES = 64 * 2 ** 20
 
 
 def _check_mode(mode: str) -> None:
-    """Raise InvalidParams unless ``mode`` is one of ``_MODES``."""
-    if mode not in _MODES:
-        raise InvalidParams(f"unknown diff mode {mode!r} (known: {', '.join(_MODES)})")
+    """Raise InvalidParams unless ``mode`` is one of the ``_SWEEPS`` modes."""
+    if mode not in _SWEEPS:
+        raise InvalidParams(f"unknown diff mode {mode!r} (known: {', '.join(_SWEEPS)})")
 
 
 def _add(a, b):
@@ -355,6 +353,64 @@ def _sweep(map_fn: Callable, points: np.ndarray, second: bool
     return values, first, hess
 
 
+def _fd_sweep(map_fn: Callable, points: np.ndarray, second: bool
+              ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Central finite differences with :func:`_sweep`'s contract: values
+    ``(M, *s)``, first derivatives ``(M, d, *s)`` and, when ``second``,
+    second derivatives ``(M, d, d, *s)`` at each row of ``points`` (M, d).
+
+    Step level 0 is ``max(1, |x|) * eps**(1/3)``, level 1 ``eps**(1/4)``: the
+    classical truncation/rounding balance for each order (a cube-root step on
+    a second difference lets eps/h^2 rounding dominate at ~1e-5).  Row k of a
+    point's stencil moves coordinate ``a[k]`` by ``sa[k]`` and ``b[k]`` by
+    ``sb[k]`` steps of level ``lv[k]`` (index -1: no move): the centre (the
+    value), ``+e_i`` and ``-e_i`` at level 0 and, when ``second``, at level 1,
+    then ``++``, ``+-``, ``-+``, ``--`` at level 1 over every pair i < j.  All
+    points' stencils are one batch, evaluated once per ``_BLOCK_BYTES`` block
+    of stencil points built from these arrays, so ``map_fn`` must accept
+    leading batch axes; the differences are combined in the order of
+    arithmetic of a point-by-point stencil, and checked finite.
+    """
+    m, d = points.shape
+    steps = np.finfo(float).eps ** np.array([1.0 / 3.0, 0.25])   # levels 0 and 1
+    h1, h2 = h = np.maximum(1.0, np.abs(points)) * steps[:, None, None]   # (level, m, d)
+    idx, one = np.arange(d), np.ones(d)
+    i, j = np.triu_indices(d, 1) if second else (idx[:0], idx[:0])
+    plus, minus = np.ones(i.size), -np.ones(i.size)
+    singles = 1 + (4 if second else 2) * d
+    a = np.concatenate([[-1]] + [idx, idx] * (1 + second) + [i, i, i, i])
+    sa = np.concatenate([[0.0]] + [one, -one] * (1 + second) + [plus, plus, minus, minus])
+    b = np.concatenate([np.full(singles, -1), j, j, j, j])
+    sb = np.concatenate([np.zeros(singles), plus, minus, plus, minus])
+    lv = (np.arange(a.size) > 2 * d).astype(int)
+    f = []
+    for blk in _blocks(m * a.size, 8 * d):
+        pt, k = np.divmod(np.arange(blk.start, blk.stop), a.size)
+        pts = points[pt]
+        for coord, sign in ((a[k], sa[k]), (b[k], sb[k])):
+            on = np.flatnonzero(coord >= 0)
+            pts[on, coord[on]] += sign[on] * h[lv[k[on]], pt[on], coord[on]]
+        f.append(np.asarray(map_fn(pts), dtype=float))
+    f = np.concatenate(f).reshape((m, a.size) + f[0].shape[1:])
+    tail = (...,) + (None,) * (f.ndim - 2)   # broadcast steps over the output
+
+    first = (f[:, 1:d + 1] - f[:, d + 1:2 * d + 1]) / (2.0 * h1)[tail]
+    _check_finite(first, "finite-difference sweep")
+    hess = None
+    if second:
+        f0, fp, fm = f[:, :1], f[:, 2 * d + 1:3 * d + 1], f[:, 3 * d + 1:singles]
+        hess = np.empty((m, d, d) + f.shape[2:])
+        hess[:, idx, idx] = (fp - 2.0 * f0 + fm) / (h2 * h2)[tail]
+        fpp, fpm, fmp, fmm = np.split(f[:, singles:], 4, axis=1)
+        hess[:, i, j] = hess[:, j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h2[:, i] * h2[:, j])[tail]
+        _check_finite(hess, "finite-difference sweep")
+    return f[:, 0].copy(), first, hess
+
+
+#: the sweep behind every derivative, by differentiation mode
+_SWEEPS = {"exact": _sweep, "finite_difference": _fd_sweep}
+
+
 def jacobian(map_fn: Callable, point, mode: str = "exact") -> np.ndarray:
     """Gradient tensor of ``map_fn`` at ``point``.
 
@@ -363,104 +419,32 @@ def jacobian(map_fn: Callable, point, mode: str = "exact") -> np.ndarray:
     composition contracts it).
     """
     _check_mode(mode)
-    x = _as_point(point)
-    if mode == "finite_difference":
-        return fd_oracle(map_fn, x, 1)
-    return _sweep(map_fn, x[None], False)[1][0]
+    return _SWEEPS[mode](map_fn, _as_point(point)[None], False)[1][0]
 
 
 def second_derivative(map_fn: Callable, point, mode: str = "exact") -> np.ndarray:
     """Second-derivative tensor, shape ``(d, d, *s)``, symmetric in the two
     leading axes: the second-slot direction j indexes axis 0 and the
-    first-slot direction i axis 1 (:func:`_sweep` at the one point)."""
+    first-slot direction i axis 1 (the mode's sweep at the one point)."""
     _check_mode(mode)
-    x = _as_point(point)
-    if mode == "finite_difference":
-        return fd_oracle(map_fn, x, 2)
-    return _sweep(map_fn, x[None], True)[2][0]
-
-
-def _stencil(order: int, d: int):
-    """Central-difference stencil as per-point offsets: coordinate ``a`` moves
-    by ``sa * h_a`` and coordinate ``b`` by ``sb * h_b`` (index -1: no move).
-
-    Order 1: ``+e_i`` then ``-e_i`` for every i.  Order 2: the centre, ``+e_i``,
-    ``-e_i``, then ``++``, ``+-``, ``-+``, ``--`` over every pair i < j.
-    """
-    idx = np.arange(d)
-    one = np.ones(d)
-    if order == 1:
-        none = np.full(2 * d, -1)
-        return np.concatenate([idx, idx]), np.concatenate([one, -one]), none, np.zeros(2 * d)
-    i, j = np.triu_indices(d, 1)
-    plus, minus, off = np.ones(i.size), -np.ones(i.size), np.full(2 * d + 1, -1)
-    a = np.concatenate([[-1], idx, idx, i, i, i, i])
-    sa = np.concatenate([[0.0], one, -one, plus, plus, minus, minus])
-    b = np.concatenate([off, j, j, j, j])
-    sb = np.concatenate([np.zeros(2 * d + 1), plus, minus, plus, minus])
-    return a, sa, b, sb
+    return _SWEEPS[mode](map_fn, _as_point(point)[None], True)[2][0]
 
 
 def fd_oracle(map_fn: Callable, point, order: int) -> np.ndarray:
-    """Central finite differences of order 1 or 2 (the independent oracle).
-
-    Steps follow ``h_i = max(1, |x_i|) * eps**(1/p)`` with p = 3 for first
-    and p = 4 for second derivatives — the classical truncation/rounding
-    balance for each order (a cube-root step on a second difference lets
-    eps/h^2 rounding dominate at ~1e-5).
-
-    Every stencil point is stacked into one ``(n, d)`` batch and the map is
-    evaluated once on it (once per ``_BLOCK_BYTES`` block of points for large
-    d), so ``map_fn`` must accept leading batch axes, as the exact sweeps'
-    hyper-dual seeds already require.  The differences are then combined in
-    the same order of arithmetic as a point-by-point stencil.
-    """
+    """Central finite differences of order 1 or 2 (the independent oracle):
+    :func:`_fd_sweep` at the one point, ``(d, *s)`` or ``(d, d, *s)``."""
     x = _as_point(point)
-    d = x.size
     if order not in (1, 2):
         raise IndexOutOfRange(f"fd_oracle order must be 1 or 2, got {order}")
-    exponent = 1.0 / 3.0 if order == 1 else 0.25
-    h = np.maximum(1.0, np.abs(x)) * np.finfo(float).eps ** exponent
-
-    a, sa, b, sb = _stencil(order, d)
-    values = []
-    for blk in _blocks(a.size, 8 * d):
-        pts = np.tile(x, (blk.stop - blk.start, 1))
-        rows = np.arange(pts.shape[0])
-        for coord, sign in ((a[blk], sa[blk]), (b[blk], sb[blk])):
-            on = coord >= 0
-            pts[rows[on], coord[on]] += sign[on] * h[coord[on]]
-        values.append(np.asarray(map_fn(pts), dtype=float))
-    f = np.concatenate(values, axis=0)
-    tail = (slice(None),) + (None,) * (f.ndim - 1)   # broadcast steps over the output
-
-    if order == 1:
-        out = (f[:d] - f[d:]) / (2.0 * h)[tail]
-    else:
-        f0, fp, fm = f[0], f[1:d + 1], f[d + 1:2 * d + 1]
-        out = np.zeros((d, d) + f0.shape)
-        diag = np.arange(d)
-        out[diag, diag] = (fp - 2.0 * f0 + fm) / (h * h)[tail]
-        i, j = np.triu_indices(d, 1)
-        fpp, fpm, fmp, fmm = np.split(f[2 * d + 1:], 4)
-        mixed = (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])[tail]
-        out[i, j] = mixed
-        out[j, i] = mixed
-    _check_finite(out, "finite-difference sweep")
-    return out
+    return _fd_sweep(map_fn, x[None], order == 2)[order][0]
 
 
 def _values_and_derivatives(map_fn: Callable, points: Sequence[np.ndarray], mode: str
                             ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Value, first and second derivative of ``map_fn`` at each of the
-    checked ``points`` (``_as_point`` rows): one exact :func:`_sweep` over
-    all of them, or in finite_difference mode a plain call and the order 1
-    and order 2 oracles at each.  Each point's value is checked finite."""
-    if mode == "exact":
-        out = list(zip(*_sweep(map_fn, np.stack(points), True))) if points else []
-    else:
-        out = [(np.asarray(map_fn(x), dtype=float), fd_oracle(map_fn, x, 1), fd_oracle(map_fn, x, 2))
-               for x in points]
+    checked ``points`` (``_as_point`` rows), from one sweep of the mode over
+    all of them.  Each point's value is checked finite."""
+    out = list(zip(*_SWEEPS[mode](map_fn, np.stack(points), True))) if points else []
     for value, _, _ in out:
         _check_finite(value, "map evaluation")
     return out

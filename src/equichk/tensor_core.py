@@ -109,7 +109,7 @@ def _inverse_rcond(a) -> Tuple[Optional[np.ndarray], float]:
     its reciprocal 1-norm condition estimate ``1 / (||a||_1 ||inv||_1)``;
     ``(None, 0.0)`` when the factorization breaks down, and an estimate of
     0.0 when the norm product vanishes or is not finite.  The inverse is
-    what :func:`invert_square` returns whenever the estimate clears
+    what :func:`invert_square` returns whenever the estimate is not below
     ``RCOND_THRESHOLD``."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

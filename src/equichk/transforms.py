@@ -48,6 +48,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -337,15 +338,21 @@ def linear_reparam(model: Model, a, up: str, down: str) -> Transformation:
         lead = th.shape[:-1]
         return th[..., sl1].reshape(lead + (h_, n_)), th[..., sl2].reshape(lead + (c2, h_))
 
+    @lru_cache(maxsize=4)
+    def exps(lam0: float):
+        """exp(lam A) and exp(-lam A), once per lam for every callback."""
+        return _expm(lam0 * A), _expm(-lam0 * A)
+
     def lam_derivative(k):
         """The k-th lam derivative of M, shaped (1,) * k + (d, d): A^k exp(lam A)
         on W_up from the left, (-A)^k exp(-lam A) on W_down from the right."""
         up, down = np.linalg.matrix_power(A, k), np.linalg.matrix_power(-A, k)
 
         def F(lam):
+            plus, minus = exps(float(lam[0]))
             out = np.eye(d) if k == 0 else np.zeros((d, d))
-            out[sl1, sl1] = np.kron(up @ _expm(lam[0] * A), eye_n)
-            out[sl2, sl2] = np.kron(eye_c2, (down @ _expm(-lam[0] * A)).T)
+            out[sl1, sl1] = np.kron(up @ plus, eye_n)
+            out[sl2, sl2] = np.kron(eye_c2, (down @ minus).T)
             return out.reshape((1,) * k + (d, d))
         return F
 
@@ -569,7 +576,7 @@ def _chart_inverses(t: Transformation, theta, y=None, lam=None) -> _Charts:
     ginv, rg = _inverse_rcond(t.dg_dy(lamv, yv))
     if t.kind != "continuous":
         reason = "discrete"
-    elif rh > RCOND_THRESHOLD and rg > RCOND_THRESHOLD:
+    elif rh >= RCOND_THRESHOLD and rg >= RCOND_THRESHOLD:  # invert_square's rule
         return _Charts(lamv, GoodPositionReport(ok=True, rcond_h=rh, rcond_g=rg),
                        hinv, ginv)
     else:

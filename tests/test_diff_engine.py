@@ -526,6 +526,42 @@ def test_exact_landscape_is_two_map_evaluations(entry):
         np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("entry", SUITE_ENTRIES,
+                         ids=[f"{i}-{e.model.name}-{e.loss}" for i, e in enumerate(SUITE_ENTRIES)])
+def test_fd_landscape_is_two_map_evaluations(monkeypatch, entry):
+    # one FD sweep of the model and one of the composite carry every
+    # landscape tensor at all positions, bit for bit what a plain call and
+    # point-by-point stencils give, whether or not the stencils split
+    model = build_model(entry.model)
+    loss = make_loss(entry.loss, **dict(entry.loss_params))
+    rng = np.random.default_rng(entry.seed)
+    thetas = model.init_params + 0.1 * rng.standard_normal((3, model.d))
+    calls = []
+
+    def counting(th):
+        calls.append(1)
+        return model.func(th)
+
+    counted = dataclasses.replace(model, func=counting)
+    whole = ic.evaluate_landscapes(counted, loss, thetas, FD)
+    assert len(calls) == 2
+    composite = de._loss_map(model, loss)
+    for ev, theta in zip(whole, thetas):
+        np.testing.assert_array_equal(ev.y, model.func(theta))
+        assert ev.value == float(composite(theta))
+        for got, map_fn, order in ((ev.jac_f, model.func, 1), (ev.hess_f, model.func, 2),
+                                   (ev.grad, composite, 1), (ev.hess, composite, 2)):
+            np.testing.assert_array_equal(got, _fd_by_point(map_fn, theta, order))
+    # room for 7 stencil points per block: blocks straddle positions
+    monkeypatch.setattr(de, "_BLOCK_BYTES", 7 * 8 * model.d)
+    calls.clear()
+    blocked = ic.evaluate_landscapes(counted, loss, thetas, FD)
+    assert len(calls) > 2
+    for ev, want in zip(blocked, whole):
+        for field in ("y", "value", "jac_f", "hess_f", "grad", "hess"):
+            np.testing.assert_array_equal(getattr(ev, field), getattr(want, field))
+
+
 @pytest.mark.parametrize("spec, loss_spec", [c for c in SWEEP_CASES if build_model(c[0]).c > 1],
                          ids=lambda c: getattr(c, "name", None))
 def test_batched_vector_sweep_equals_pointwise_second_derivative(monkeypatch, spec, loss_spec):
@@ -580,7 +616,7 @@ def test_sweeps_are_one_map_call_and_blocks_do_not_change_bits(monkeypatch):
         blocked = [second_derivative(counting(map_fn), x, EXACT),
                    fd_oracle(counting(map_fn), x, 1),
                    fd_oracle(counting(map_fn), x, 2)]
-        assert len(calls) == 18 + 2 + 20  # 18 directions; 36 and 649 points
+        assert len(calls) == 18 + 2 + 21  # 18 directions; 37 and 685 points
         monkeypatch.undo()
         for a, b in zip(one, blocked):
             np.testing.assert_array_equal(a, b)

@@ -9,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equichk import diff_engine as de
+from equichk import tensor_core as tc
+from equichk import transforms as tr
 from equichk.errors import (
     InvalidParams,
     NotConservative,
     NotGoodPosition,
+    Singular,
     UnknownSpec,
 )
 from equichk.models import ModelSpec, build_model, forward, random_params
@@ -215,6 +218,58 @@ def test_good_position_report(relu_mlp):
     rep_d = good_position(td, relu_mlp.init_params, y)
     assert not rep_d.ok
     assert rep_d.reason == "discrete"
+
+
+@pytest.mark.parametrize("rcond, ok", [(tc.RCOND_THRESHOLD, True),
+                                       (np.nextafter(tc.RCOND_THRESHOLD, 0.0), False)],
+                         ids=["at_threshold", "just_below"])
+def test_one_singularity_rule_at_the_threshold(monkeypatch, relu_mlp, rcond, ok):
+    # below RCOND_THRESHOLD is singular for good_position and invert_square
+    # alike, so a good position's chart inverses are invert_square's arrays
+    def pinned(a):
+        return np.linalg.inv(a), rcond
+
+    monkeypatch.setattr(tr, "_inverse_rcond", pinned)
+    monkeypatch.setattr(tc, "_inverse_rcond", pinned)
+    t = build_transform(
+        "homogeneity_scaling", {"degree": relu_mlp.homogeneity_degree}, relu_mlp)
+    theta, lam = relu_mlp.init_params, np.zeros(1)
+    charts = tr._chart_inverses(t, theta, lam=lam)
+    assert charts.report.ok is ok
+    if ok:
+        np.testing.assert_array_equal(charts.hinv, tc.invert_square(t.dh_dtheta(lam, theta)))
+        np.testing.assert_array_equal(charts.direction(t, theta),
+                                      characteristic_direction(t, theta, lam))
+    else:
+        assert charts.hinv is None
+        with pytest.raises(Singular):
+            tc.invert_square(t.dh_dtheta(lam, theta))
+        with pytest.raises(NotGoodPosition):
+            characteristic_direction(t, theta, lam)
+
+
+def test_linear_reparam_takes_two_expm_per_lam(monkeypatch):
+    # exp(lam A) and exp(-lam A) serve every callback at one lam
+    calls = []
+    expm = tr._expm
+    monkeypatch.setattr(tr, "_expm", lambda a: calls.append(1) or expm(a))
+    name, params, model = CASES[2]
+    t = build_transform(name, params, model)
+    theta = random_params(model, np.random.default_rng(3))
+    y = forward(model, theta)
+    sides = {"h_eval": "h", "g_eval": "g", **{cb: side for cb, (side, _) in _CALLBACK_BLOCKS.items()}}
+
+    def all_callbacks(lam):
+        return [fn(lam, theta if side == "h" else y) for cb, side in sides.items()
+                if (fn := getattr(t, cb)) is not None]
+
+    first = all_callbacks(np.array([0.2]))
+    assert len(calls) == 2
+    all_callbacks(np.array([-0.1]))
+    assert len(calls) == 4
+    for got, want in zip(all_callbacks(np.array([0.2])), first):
+        np.testing.assert_array_equal(got, want)
+    assert len(calls) == 4
 
 
 # ---------------------------------------------------------------------------
