@@ -33,14 +33,20 @@ callback                shape          entry
 ``d2g_dlambda2``        (p, p, c)      [lam_r, lam_s; G_a]  (optional)
 ======================  =============  =========================================
 
-Every catalog entry acts linearly, H = M(lam) theta and G = N(lam) y: its
-builder states only M, N and their lam derivatives, and ``_linear`` writes
-the callbacks from them, so ``d2h_dtheta2`` and ``d2g_dy2`` are ``None``
-throughout.  So is every other optional derivative that vanishes for an
-entry: the G side of a symmetry, the second lam derivatives of
-``last_layer_left_action`` and the lam derivatives of a discrete entry.  The
-identity checks read a ``None`` as an exact zero term and skip the
-arithmetic it would feed.
+Every catalog entry acts linearly, H = M(lam) theta and G = N(lam) y, and
+``_linear`` writes the callbacks from M, N and their lam derivatives, so
+``d2h_dtheta2`` and ``d2g_dy2`` are ``None`` throughout.  So is every other
+optional derivative that vanishes for an entry: the G side of a symmetry,
+the second lam derivatives of ``last_layer_left_action`` and the lam
+derivatives of a discrete entry.  The identity checks read a ``None`` as an
+exact zero term and skip the arithmetic it would feed.
+
+The one-parameter groups state only their generators: ``_group`` builds
+M = exp(lam G), whose k-th lam derivative is G^k M, and N = exp(lam GN) on
+the outputs.  A symmetry's characteristic direction is then X = G theta, and
+when G is symmetric X = grad C for C = theta^T G theta / 2, the conserved
+Noether charge.  The discrete entries state their one matrix and
+``last_layer_left_action`` its affine chart.
 """
 
 from __future__ import annotations
@@ -178,10 +184,14 @@ def _lam_vec(t: Transformation, lam) -> np.ndarray:
 # --- matrix exponential (scaling and squaring, truncated Taylor) ---------------
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) for small dense matrices; deterministic, no external solver."""
+    """exp(a) for small dense matrices; deterministic, no external solver.  A
+    diagonal ``a`` is exponentiated entry by entry with ``math.exp``."""
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    nrm = float(np.max(np.sum(np.abs(a), axis=1))) if n else 0.0
+    diag = np.diagonal(a)
+    if np.count_nonzero(a) == np.count_nonzero(diag):
+        return np.diag([math.exp(x) for x in diag])
+    nrm = float(np.max(np.sum(np.abs(a), axis=1)))
     s = 0
     if nrm > 0.5:
         s = int(math.ceil(math.log2(nrm / 0.5)))
@@ -201,24 +211,32 @@ def _expm(a: np.ndarray) -> np.ndarray:
 def _linear(name: str, params: dict, model: Model, p: int, M: Callable,
             dM: Optional[Callable] = None, d2M: Optional[Callable] = None,
             N: Optional[Callable] = None, dN: Optional[Callable] = None,
-            d2N: Optional[Callable] = None, charge: Optional[Charge] = None,
-            charge_reason: str = "") -> Transformation:
+            d2N: Optional[Callable] = None, charge: Optional[Charge] = None) -> Transformation:
     """H(lam, theta) = M(lam) theta and G(lam, y) = N(lam) y: linear, so
     ``d2h_dtheta2`` and ``d2g_dy2`` are None.  Each matrix function of lam
     returns the textbook layout: M (d, d), dM (p, d, d), d2M (p, p, d, d), and
-    N, dN, d2N likewise with c.  A Jacobian callback is the contiguous
-    transpose of its matrix, a lam-derivative callback the matrix applied to
+    N, dN, d2N likewise with c.  A Jacobian callback is a C-contiguous copy of
+    its matrix's transpose, a lam-derivative callback the matrix applied to
     theta or y, and a missing matrix function declares its callbacks zero.
-    ``N=None`` is a symmetry (G = id); ``p = 0`` a discrete map."""
+    ``N=None`` is a symmetry (G = id); ``p = 0`` a discrete map.  Without a
+    ``charge`` the reason follows from the kind: a discrete map, an output
+    action, or a symmetry whose generator is not symmetric."""
     d, c = model.d, model.c
 
     def stored(F):
-        return None if F is None else (
-            lambda lam, v: np.ascontiguousarray(np.swapaxes(F(lam), -1, -2)))
+        return None if F is None else (lambda lam, v: np.swapaxes(F(lam), -1, -2).copy())
 
     def applied(F):
         return None if F is None else (lambda lam, v: F(lam) @ v)
 
+    if charge is not None:
+        reason = ""
+    elif not p:
+        reason = "discrete transformation carries no conserved charge"
+    elif N is not None:
+        reason = "output action is nontrivial, so the loss is not invariant"
+    else:
+        reason = "characteristic field is not a gradient (generator not symmetric)"
     return Transformation(
         name=name, params=params,
         kind="continuous" if p else "discrete", is_symmetry=N is None, p=p, d=d, c=c,
@@ -228,8 +246,58 @@ def _linear(name: str, params: dict, model: Model, p: int, M: Callable,
         g_eval=(lambda lam, y: y) if N is None else applied(N),
         dg_dy=stored(N or (lambda lam: np.eye(c))),
         dg_dlambda=applied(dN), d2g_dlambda_dy=stored(dN), d2g_dlambda2=applied(d2N),
-        charge=charge, charge_reason=charge_reason,
+        charge=charge, charge_reason=reason,
     )
+
+
+def _exp_and_derivatives(gen: np.ndarray) -> List[Callable]:
+    """lam -> gen^k exp(lam gen) for k = 0, 1, 2, shaped (1,) * k + (n, n).
+    The three are computed once per float lam and held read-only."""
+    gen2 = gen @ gen
+
+    @lru_cache(maxsize=4)
+    def at(lam0: float):
+        E = _expm(lam0 * gen)
+        mats = (E, gen @ E, gen2 @ E)
+        for m in mats:
+            m.flags.writeable = False
+        return mats[0], mats[1][None], mats[2][None, None]
+
+    return [lambda lam, k=k: at(float(lam[0]))[k] for k in range(3)]
+
+
+def _group(name: str, params: dict, model: Model, G: np.ndarray,
+           GN: Optional[np.ndarray] = None, charge_name: str = "") -> Transformation:
+    """The one-parameter group of generator G on the parameters and GN on the
+    outputs: M = exp(lam G) and N = exp(lam GN), whose k-th lam derivatives
+    are G^k M and GN^k N.  ``GN=None`` is a symmetry.  A symmetry with a
+    symmetric G has characteristic direction X = G theta = grad C for the
+    Noether charge C = theta^T G theta / 2 (Hessian G), named ``charge_name``."""
+    M, dM, d2M = _exp_and_derivatives(G)
+    N, dN, d2N = (None,) * 3 if GN is None else _exp_and_derivatives(GN)
+    charge = None
+    if GN is None and np.max(np.abs(G - G.T)) <= 1e-12:
+        # G by its nonzero entries: every row of a batch takes the same
+        # elementwise operations, so a batched call equals its per-row calls
+        entries = [(i, j, G[i, j]) for i, j in zip(*np.nonzero(G))]
+
+        def c_eval(th):
+            th = np.asarray(th, dtype=float)
+            return 0.5 * sum((g * th[..., i] * th[..., j] for i, j, g in entries),
+                             np.zeros(th.shape[:-1]))
+
+        def c_grad(th):
+            th = np.asarray(th, dtype=float)
+            out = np.zeros(th.shape)
+            for i, j, g in entries:
+                out[..., i] += g * th[..., j]
+            return out
+
+        def c_hess(th):
+            return np.broadcast_to(G, np.shape(th)[:-1] + G.shape).copy()
+
+        charge = Charge(charge_name, c_eval, c_grad, c_hess)
+    return _linear(name, params, model, 1, M, dM, d2M, N, dN, d2N, charge)
 
 
 def _distinct_blocks(model: Model, up: str, down: str):
@@ -240,86 +308,59 @@ def _distinct_blocks(model: Model, up: str, down: str):
     return b1, b2
 
 
-def homogeneity_scaling(model: Model, degree: Optional[int] = None) -> Transformation:
-    """H = exp(lam) theta with output action G = exp(m lam) y.
+def homogeneity_scaling(model: Model) -> Transformation:
+    """H = exp(lam) theta with output action G = exp(m lam) y, m the model's
+    homogeneity degree: the group of generators (I_d, m I_c).
 
     The exponential chart makes the family a genuine one-parameter group
     through the identity at lam = 0, with characteristic direction theta
     itself at every lam.
     """
-    m_deg = model.homogeneity_degree if degree is None else _integer(degree, "degree")
+    m_deg = model.homogeneity_degree
     if m_deg is None:
         raise InvalidParams(f"model {model.name!r} has no homogeneity degree")
-    eye_d, eye_c = np.eye(model.d), np.eye(model.c)
-
-    return _linear(
-        "homogeneity_scaling", {"degree": m_deg}, model, 1,
-        M=lambda lam: math.exp(lam[0]) * eye_d,
-        dM=lambda lam: math.exp(lam[0]) * eye_d[None],
-        d2M=lambda lam: math.exp(lam[0]) * eye_d[None, None],
-        N=lambda lam: math.exp(m_deg * lam[0]) * eye_c,
-        dN=lambda lam: m_deg * math.exp(m_deg * lam[0]) * eye_c[None],
-        d2N=lambda lam: m_deg ** 2 * math.exp(m_deg * lam[0]) * eye_c[None, None],
-        charge_reason="output action is nontrivial, so the loss is not invariant",
-    )
-
-
-def _constant_hessian(hess: np.ndarray) -> Callable:
-    """Charge ``hess`` callback of a quadratic charge: ``hess`` at every
-    point of a ``(..., d)`` batch."""
-    return lambda th: np.broadcast_to(hess, np.shape(th)[:-1] + hess.shape).copy()
+    return _group("homogeneity_scaling", {"degree": m_deg}, model,
+                  np.eye(model.d), GN=m_deg * np.eye(model.c))
 
 
 def layer_rescaling(model: Model, up: str, down: str) -> Transformation:
-    """H scales block ``up`` by exp(lam) and block ``down`` by exp(-lam).
+    """H scales block ``up`` by exp(lam) and block ``down`` by exp(-lam): the
+    group of G = diag(+1 on up, -1 on down).
 
-    A loss symmetry whenever the two blocks are consecutive layers of a
-    linear or ReLU chain (positive scalings commute with ReLU).  Conserved
-    charge: C = (||theta_up||^2 - ||theta_down||^2) / 2.
+    A loss symmetry of a model with a declared homogeneity degree, a linear
+    or ReLU chain, which is positively homogeneous of degree one in each of
+    its layers (positive scalings commute with ReLU).  Conserved charge:
+    C = (||theta_up||^2 - ||theta_down||^2) / 2.
     """
+    if model.homogeneity_degree is None:
+        raise InvalidParams(
+            f"layer_rescaling needs a linear or ReLU chain; model {model.name!r} "
+            "declares no homogeneity degree")
     b1, b2 = _distinct_blocks(model, up, down)
-    sl1, sl2 = b1.sl, b2.sl
-    d = model.d
-
-    def diag(rest, on_up, on_down):
-        s = np.full(d, rest)
-        s[sl1] = on_up
-        s[sl2] = on_down
-        return np.diag(s)
-
-    def c_eval(th):
-        th = np.asarray(th, dtype=float)
-        return 0.5 * (np.sum(th[..., sl1] ** 2, axis=-1) - np.sum(th[..., sl2] ** 2, axis=-1))
-
-    def c_grad(th):
-        th = np.asarray(th, dtype=float)
-        g = np.zeros(th.shape)
-        g[..., sl1] = th[..., sl1]
-        g[..., sl2] = -th[..., sl2]
-        return g
-
-    # C = theta^T diag(+1 on up, -1 on down) theta / 2
-    c_hess = _constant_hessian(diag(0.0, 1.0, -1.0))
-
-    return _linear(
-        "layer_rescaling", {"up": up, "down": down}, model, 1,
-        M=lambda lam: diag(1.0, math.exp(lam[0]), math.exp(-lam[0])),
-        dM=lambda lam: diag(0.0, math.exp(lam[0]), -math.exp(-lam[0]))[None],
-        d2M=lambda lam: diag(0.0, math.exp(lam[0]), math.exp(-lam[0]))[None, None],
-        charge=Charge("half_norm_gap", c_eval, c_grad, c_hess),
-    )
+    g = np.zeros(model.d)
+    g[b1.sl] = 1.0
+    g[b2.sl] = -1.0
+    return _group("layer_rescaling", {"up": up, "down": down}, model, np.diag(g),
+                  charge_name="half_norm_gap")
 
 
 def linear_reparam(model: Model, a, up: str, down: str) -> Transformation:
-    """H maps (W_up, W_down) to (exp(lam A) W_up, W_down exp(-lam A)).
+    """H maps (W_up, W_down) to (exp(lam A) W_up, W_down exp(-lam A)): the
+    group of G = blockdiag(kron(A, I_n), -kron(I_c2, A^T)) on the row-major
+    blocks W_up (h, n) and W_down (c2, h).
 
-    A loss symmetry of linear chains for any square generator A acting on
-    the shared inner width.  The characteristic field is a gradient — hence
-    a conserved charge C = Tr(A (W_up W_up^T - W_down^T W_down)) / 2 —
-    exactly when A is symmetric.
+    A loss symmetry of a linear chain whose block ``down`` is the layer
+    directly after ``up``, for any square generator A acting on the shared
+    inner width.  The characteristic field is a gradient -- hence a conserved
+    charge C = Tr(A (W_up W_up^T - W_down^T W_down)) / 2 -- exactly when A is
+    symmetric.
     """
+    if model.homogeneity_degree is None or model.kink_margin is not None:
+        raise InvalidParams(f"linear_reparam needs a linear chain; model {model.name!r} is not one")
     A = np.asarray(a, dtype=float)
     b1, b2 = _distinct_blocks(model, up, down)
+    if model.blocks.index(b2) != model.blocks.index(b1) + 1:
+        raise InvalidParams(f"block {down!r} must be the layer directly after {up!r}")
     if len(b1.shape) != 2 or len(b2.shape) != 2:
         raise InvalidParams("linear_reparam needs two matrix blocks")
     h_, n_ = b1.shape
@@ -330,61 +371,11 @@ def linear_reparam(model: Model, a, up: str, down: str) -> Transformation:
         )
     if not np.isfinite(A).all():
         raise InvalidParams("generator contains NaN or Inf")
-    sl1, sl2 = b1.sl, b2.sl
-    d = model.d
-    eye_n, eye_c2 = np.eye(n_), np.eye(c2)
-
-    def split(th):
-        lead = th.shape[:-1]
-        return th[..., sl1].reshape(lead + (h_, n_)), th[..., sl2].reshape(lead + (c2, h_))
-
-    @lru_cache(maxsize=4)
-    def exps(lam0: float):
-        """exp(lam A) and exp(-lam A), once per lam for every callback."""
-        return _expm(lam0 * A), _expm(-lam0 * A)
-
-    def lam_derivative(k):
-        """The k-th lam derivative of M, shaped (1,) * k + (d, d): A^k exp(lam A)
-        on W_up from the left, (-A)^k exp(-lam A) on W_down from the right."""
-        up, down = np.linalg.matrix_power(A, k), np.linalg.matrix_power(-A, k)
-
-        def F(lam):
-            plus, minus = exps(float(lam[0]))
-            out = np.eye(d) if k == 0 else np.zeros((d, d))
-            out[sl1, sl1] = np.kron(up @ plus, eye_n)
-            out[sl2, sl2] = np.kron(eye_c2, (down @ minus).T)
-            return out.reshape((1,) * k + (d, d))
-        return F
-
-    charge = None
-    reason = "characteristic field is not a gradient (generator not symmetric)"
-    if np.max(np.abs(A - A.T)) <= 1e-12:
-        def c_eval(th):
-            W1, W2 = split(np.asarray(th, dtype=float))
-            gram = W1 @ np.swapaxes(W1, -1, -2) - np.swapaxes(W2, -1, -2) @ W2
-            return 0.5 * np.trace(A @ gram, axis1=-2, axis2=-1)
-
-        def c_grad(th):
-            th = np.asarray(th, dtype=float)
-            W1, W2 = split(th)
-            g = np.zeros(th.shape)
-            g[..., sl1] = (A @ W1).reshape(th.shape[:-1] + (-1,))
-            g[..., sl2] = -(W2 @ A).reshape(th.shape[:-1] + (-1,))
-            return g
-
-        hess = np.zeros((d, d))
-        hess[sl1, sl1.start:sl1.stop] = np.kron(A, eye_n)
-        hess[sl2, sl2.start:sl2.stop] = -np.kron(eye_c2, A)
-        c_hess = _constant_hessian(hess)
-
-        charge = Charge("inner_width_moment", c_eval, c_grad, c_hess)
-        reason = ""
-
-    return _linear(
-        "linear_reparam", {"up": up, "down": down, "A": A.tolist()}, model, 1,
-        M=lam_derivative(0), dM=lam_derivative(1), d2M=lam_derivative(2),
-        charge=charge, charge_reason=reason,
-    )
+    G = np.zeros((model.d, model.d))
+    G[b1.sl, b1.sl] = np.kron(A, np.eye(n_))
+    G[b2.sl, b2.sl] = -np.kron(np.eye(c2), A.T)
+    return _group("linear_reparam", {"up": up, "down": down, "A": A.tolist()}, model, G,
+                  charge_name="inner_width_moment")
 
 
 def last_layer_left_action(model: Model) -> Transformation:
@@ -419,14 +410,10 @@ def last_layer_left_action(model: Model) -> Transformation:
         dM=lambda lam: d_left,
         N=lambda lam: eye_c + lam.reshape(c_, c_),
         dN=lambda lam: units,
-        charge_reason="output action is nontrivial, so the loss is not invariant",
     )
 
 
 # --- discrete catalog ------------------------------------------------------------
-
-_DISCRETE_REASON = "discrete transformation carries no conserved charge"
-
 
 def _require_orthonormal(O: np.ndarray) -> None:
     """Raise InvalidParams unless the columns of ``O`` are orthonormal."""
@@ -443,8 +430,7 @@ def mirror(model: Model, columns) -> Transformation:
         raise SizeMismatch(f"direction length {O.shape[0]} != model dim {model.d}")
     _require_orthonormal(O)
     P = np.eye(model.d) - 2.0 * O @ O.T
-    return _linear("mirror", {"columns": [c.tolist() for c in O.T]}, model, 0,
-                   M=lambda lam: P, charge_reason=_DISCRETE_REASON)
+    return _linear("mirror", {"columns": [c.tolist() for c in O.T]}, model, 0, M=lambda lam: P)
 
 
 def sign_flip(model: Model, indices) -> Transformation:
@@ -456,8 +442,7 @@ def sign_flip(model: Model, indices) -> Transformation:
         raise InvalidParams(f"sign_flip indices out of range 0..{model.d - 1}")
     P = np.eye(model.d)
     P[idx, idx] = -1.0
-    return _linear("sign_flip", {"indices": sorted(idx)}, model, 0,
-                   M=lambda lam: P, charge_reason=_DISCRETE_REASON)
+    return _linear("sign_flip", {"indices": sorted(idx)}, model, 0, M=lambda lam: P)
 
 
 def permutation(model: Model, perm) -> Transformation:
@@ -467,8 +452,7 @@ def permutation(model: Model, perm) -> Transformation:
         raise InvalidParams(f"perm must be a permutation of 0..{model.d - 1}")
     P = np.zeros((model.d, model.d))
     P[np.arange(model.d), pi] = 1.0
-    return _linear("permutation", {"perm": pi}, model, 0,
-                   M=lambda lam: P, charge_reason=_DISCRETE_REASON)
+    return _linear("permutation", {"perm": pi}, model, 0, M=lambda lam: P)
 
 
 # --- factory dispatch ------------------------------------------------------------

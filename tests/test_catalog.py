@@ -35,7 +35,7 @@ CATALOG = [
     ("loss", "exponential", _loss, {"label": 1}, ()),
     ("loss", "logistic", _loss, {"label": -1}, ()),
     ("loss", "softmax_xent", _loss, {"n_classes": 3, "label": 1}, ()),
-    ("transform", "homogeneity_scaling", _transform_on(_DL221), {}, ("degree",)),
+    ("transform", "homogeneity_scaling", _transform_on(_DL221), {}, ()),
     ("transform", "layer_rescaling", _transform_on(_DL221), {"blocks": ["W1", "W2"]}, ()),
     ("transform", "linear_reparam", _transform_on(_DL221),
      {"A": [[0.0, 1.0], [1.0, 0.0]], "blocks": ["W1", "W2"]}, ()),

@@ -2,6 +2,7 @@
 reproducible report files."""
 
 import dataclasses
+import hashlib
 import inspect
 import json
 import os
@@ -145,6 +146,16 @@ _PROBE_LOSS = {"name": "square", "params": {"target": 2.0}}
 _SCALING = {"name": "homogeneity_scaling", "params": {}}
 _DL121 = {"name": "deep_linear", "params": {"widths": [1, 2, 1]}, "seed": 22}
 _SQUARE = {"name": "square", "params": {"target": 0.3}}
+_DL222 = {"name": "deep_linear", "params": {"widths": [2, 2, 2]}, "seed": 18}
+_SQUARE2 = {"name": "square", "params": {"target": [0.2, -0.1]}}
+_FAC = {"name": "factored_last_layer", "params": {"c": 3, "s": 2, "hidden": [3]}, "seed": 19}
+_XENT = {"name": "softmax_xent", "params": {"n_classes": 3, "label": 1}}
+
+
+def _reparam(width, blocks):
+    """A linear_reparam entry with a symmetric generator of the given width."""
+    A = 0.1 * (np.ones((width, width)) + np.eye(width))
+    return {"name": "linear_reparam", "params": {"A": A.tolist(), "blocks": blocks}}
 
 
 @pytest.mark.parametrize("entry, where", [
@@ -193,7 +204,7 @@ _SQUARE = {"name": "square", "params": {"target": 0.3}}
     (_misfit(_DL121, {"name": "square", "params": {"target": 0.3, "tagret": 0.5}}, _SCALING,
              ["first_order"]), "loss.params: loss 'square' takes target"),
     (_misfit(_DL121, _SQUARE, {"name": "homogeneity_scaling", "params": {"lam": "x"}},
-             ["first_order"]), "transform.params: transform 'homogeneity_scaling' takes degree=null"),
+             ["first_order"]), "transform.params: transform 'homogeneity_scaling' takes no parameters"),
     # no width to draw a random input from
     (_misfit({"name": "deep_linear", "params": {"widths": []}, "seed": 22}, _SQUARE, _SCALING,
              ["first_order"]), "model.params"),
@@ -225,8 +236,9 @@ _SQUARE = {"name": "square", "params": {"target": 0.3}}
              _SCALING, ["first_order"]), "loss.params: label"),
     (_misfit(_DL121, _SQUARE, {"name": "sign_flip", "params": {"indices": [0, 2.0]}},
              ["discrete_first"]), "transform.params: indices"),
+    # the model states its own degree, so a degree key is refused
     (_misfit(_PROBE, _PROBE_LOSS, {"name": "homogeneity_scaling", "params": {"degree": 1.5}},
-             ["first_order"]), "transform.params: degree"),
+             ["first_order"]), "transform.params: transform 'homogeneity_scaling' takes no parameters"),
     # a mutation no listed check reads, with or without a transform
     (_misfit(_PROBE, _PROBE_LOSS, None, ["homogeneity"],
              mutation={"callback": "dh_dlambda", "scale": 100.0}), "mutation"),
@@ -245,6 +257,19 @@ _SQUARE = {"name": "square", "params": {"target": 0.3}}
     (_misfit({"name": "homogeneous_relu_mlp", "params": {"widths": [2, 3, 1], "depth": 2},
               "seed": 14}, _PROBE_LOSS, _SCALING, ["first_order"]),
      "model.params: model 'homogeneous_relu_mlp' takes widths, input=null"),
+    # families that are no symmetry of their model: linear_reparam needs the
+    # layer directly after `up` in a linear chain, layer_rescaling a
+    # homogeneous chain (tanh features are not)
+    (_misfit(_DL222, _SQUARE2, _reparam(2, ["W2", "W1"]), ["first_order"]), "transform.params"),
+    (_misfit({"name": "deep_linear", "params": {"widths": [2, 2, 2, 2]}, "seed": 18}, _SQUARE2,
+             _reparam(2, ["W1", "W3"]), ["first_order"]), "transform.params"),
+    (_misfit({"name": "homogeneous_relu_mlp", "params": {"widths": [2, 3, 1]}, "seed": 15},
+             _SQUARE, _reparam(3, ["W1", "W2"]), ["first_order"]), "transform.params"),
+    (_misfit(_FAC, _XENT, _reparam(2, ["V2", "W"]), ["first_order"]), "transform.params"),
+    (_misfit(_FAC, _XENT, {"name": "layer_rescaling", "params": {"blocks": ["V1", "V2"]}},
+             ["first_order"]), "transform.params"),
+    (_misfit(_FAC, _XENT, {"name": "layer_rescaling", "params": {"blocks": ["W", "V2"]}},
+             ["first_order"]), "transform.params"),
     # a 3-cycle of hidden units is a symmetry but no involution, so it has no
     # fixed-point projection to sample discrete positions with
     (_misfit({"name": "deep_linear", "params": {"widths": [1, 3, 1]}, "seed": 22}, _SQUARE,
@@ -262,6 +287,8 @@ _SQUARE = {"name": "square", "params": {"target": 0.3}}
         "softmax_label_float", "sign_flip_index_float", "scaling_degree_float",
         "mutation_no_transform", "mutation_no_transform_check", "mutation_declared_zero",
         "mode_unknown", "margin_unknown_key", "trials_unknown_key", "relu_mlp_depth_unknown_key",
+        "reparam_blocks_reversed", "reparam_blocks_not_adjacent", "reparam_relu_chain",
+        "reparam_factored", "rescaling_factored_features", "rescaling_factored_head",
         "discrete_first+permutation_3_cycle"])
 def test_run_misfit_entry_exit_2_before_sampling(tmp_path, capsys, entry, where):
     cfg = {"experiment": "check_suite", "output_dir": str(tmp_path / "out"), "plan": [entry]}
@@ -581,22 +608,54 @@ def test_bundled_configs_are_all_checked():
     assert configs == sorted(BUNDLED_RUNS)
 
 
+_LEDGER = json.loads((Path(__file__).parent / "golden_outputs.json").read_text())
+
+
+def _environment() -> dict:
+    """What the bits of the bundled outputs depend on besides the source:
+    the Python and numpy versions, the BLAS build, the machine type and the
+    SIMD extensions numpy dispatches to."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas['name']} {blas['version']}", "machine": platform.machine(),
+            "simd": config["SIMD Extensions"]["found"]}
+
+
 @pytest.mark.parametrize("name", sorted(BUNDLED_RUNS))
 def test_run_bundled_config(tmp_path, capsys, monkeypatch, name):
+    """Every bundled config against tests/golden_outputs.json.  Everywhere:
+    the exit code, the report count, each check's pass and fail counts, and
+    every report passing exactly when rel_residual <= tolerance.  On the
+    environment the ledger records, also the sha256 of every output file
+    but the manifest; elsewhere float reductions may round differently, so
+    the bytes are not compared."""
     code, n_reports, flow, builds = BUNDLED_RUNS[name]
-    cfg = _bundled(name, output_dir=str(tmp_path / "out"))
+    golden = _LEDGER["outputs"][name]
+    out = tmp_path / "out"
+    cfg = _bundled(name, output_dir=str(out))
     path = str(_write(tmp_path, f"{name}.json", cfg))
     counts = _count_builds(monkeypatch)
     assert cli.run(path) == code
     assert counts == builds
     capsys.readouterr()
-    reports = (tmp_path / "out" / "reports.jsonl").read_text()
+    reports = (out / "reports.jsonl").read_text()
     assert len(reports.splitlines()) == n_reports
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["pass_counts"]["total"] == n_reports
     assert manifest.get("flow") == flow
     # the step counts are run records, never report content
     assert "gradient_sweeps" not in reports and "integrator" not in reports
+    rows = [json.loads(line) for line in reports.splitlines()]
+    checks = {}
+    for r in rows:
+        checks.setdefault(r["check_name"], [0, 0])[not r["pass"]] += 1
+        assert r["pass"] == (r["rel_residual"] <= r["tolerance"]), r["check_name"]
+    assert checks == golden["checks"]
+    if _LEDGER["environment"] == _environment():
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out.iterdir()) if p.name != "manifest.json"}
+        assert got == golden["sha256"]
 
 
 def test_cli_suite_matches_the_library_suite(tmp_path, capsys):

@@ -276,7 +276,7 @@ def test_descent_at_stability_edge_completes():
 
 
 def test_descent_rejects_nonsymmetry(probe_model, probe_loss):
-    t = build_transform("homogeneity_scaling", {"degree": 1}, probe_model)
+    t = build_transform("homogeneity_scaling", {}, probe_model)
     with pytest.raises(InvalidParams):
         dyn.gradient_descent(probe_model, probe_loss, np.array([3.0, -1.0]),
                              eta=0.01, steps=2, symmetries=[t])

@@ -119,7 +119,7 @@ def test_evaluate_landscapes_takes_any_number_of_positions(probe_model, probe_lo
 
 
 def test_probe_first_order_is_euler_relation(probe_model, probe_loss):
-    t = build_transform("homogeneity_scaling", {"degree": 1}, probe_model)
+    t = build_transform("homogeneity_scaling", {}, probe_model)
     rep = check_first_order(probe_model, probe_loss, t, PROBE_THETA)
     assert rep.passed
     assert rep.paper_anchor == "Thm 1 (i)"
@@ -347,7 +347,7 @@ def test_last_layer_alignment_softmax():
 
 def test_sample_positions_deterministic(relu_mlp):
     loss = make_loss("square", target=0.7)
-    t = build_transform("homogeneity_scaling", {"degree": 2}, relu_mlp)
+    t = build_transform("homogeneity_scaling", {}, relu_mlp)
     a = sample_positions(relu_mlp, loss, t, count=3, seed=17)
     b = sample_positions(relu_mlp, loss, t, count=3, seed=17)
     for (tha, lama), (thb, lamb) in zip(a, b):
@@ -653,7 +653,7 @@ def test_nan_callback_outcomes(name, params, dg_dlambda):
 # ---------------------------------------------------------------------------
 
 def test_report_json_uses_pass_key(probe_model, probe_loss):
-    t = build_transform("homogeneity_scaling", {"degree": 1}, probe_model)
+    t = build_transform("homogeneity_scaling", {}, probe_model)
     rep = check_first_order(probe_model, probe_loss, t, PROBE_THETA)
     d = rep.to_json_dict()
     assert d["pass"] is True and "passed" not in d
@@ -661,7 +661,7 @@ def test_report_json_uses_pass_key(probe_model, probe_loss):
 
 
 def test_summary_csv_header(tmp_path, probe_model, probe_loss):
-    t = build_transform("homogeneity_scaling", {"degree": 1}, probe_model)
+    t = build_transform("homogeneity_scaling", {}, probe_model)
     rep = check_first_order(probe_model, probe_loss, t, PROBE_THETA)
     path = tmp_path / "summary.csv"
     write_summary_csv([rep], path)

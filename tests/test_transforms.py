@@ -2,6 +2,8 @@
 characteristic quantities against finite differences, fixed points, charges."""
 
 import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
@@ -41,7 +43,7 @@ def _cases():
     dl121 = build_model(ModelSpec("deep_linear", {"widths": [1, 2, 1]}, seed=6))
     relu221 = build_model(ModelSpec("homogeneous_relu_mlp", {"widths": [2, 2, 1]}, seed=7))
     return [
-        ("homogeneity_scaling", {"degree": relu.homogeneity_degree}, relu),
+        ("homogeneity_scaling", {}, relu),
         ("layer_rescaling", {"blocks": ["W1", "W2"]}, dl),
         ("linear_reparam",
          {"A": [[0.3, 0.1, 0.0], [0.1, -0.2, 0.4], [0.0, 0.4, 0.1]], "blocks": ["W1", "W2"]},
@@ -190,8 +192,7 @@ def test_symmetry_characteristic_output_is_zero(relu_mlp):
 
 def test_homogeneity_characteristic_oracle(relu_mlp):
     # exponential chart: X = theta and Y = m*y, at lam = 0
-    t = build_transform(
-        "homogeneity_scaling", {"degree": relu_mlp.homogeneity_degree}, relu_mlp)
+    t = build_transform("homogeneity_scaling", {}, relu_mlp)
     theta = relu_mlp.init_params
     y = forward(relu_mlp, theta)
     X = characteristic_direction(t, theta, np.zeros(1))
@@ -207,8 +208,7 @@ def test_discrete_has_no_characteristic_direction(deep_linear_121):
 
 
 def test_good_position_report(relu_mlp):
-    t = build_transform(
-        "homogeneity_scaling", {"degree": relu_mlp.homogeneity_degree}, relu_mlp)
+    t = build_transform("homogeneity_scaling", {}, relu_mlp)
     y = forward(relu_mlp, relu_mlp.init_params)
     rep = good_position(t, relu_mlp.init_params, y, np.zeros(1))
     assert rep.ok
@@ -231,8 +231,7 @@ def test_one_singularity_rule_at_the_threshold(monkeypatch, relu_mlp, rcond, ok)
 
     monkeypatch.setattr(tr, "_inverse_rcond", pinned)
     monkeypatch.setattr(tc, "_inverse_rcond", pinned)
-    t = build_transform(
-        "homogeneity_scaling", {"degree": relu_mlp.homogeneity_degree}, relu_mlp)
+    t = build_transform("homogeneity_scaling", {}, relu_mlp)
     theta, lam = relu_mlp.init_params, np.zeros(1)
     charts = tr._chart_inverses(t, theta, lam=lam)
     assert charts.report.ok is ok
@@ -248,8 +247,8 @@ def test_one_singularity_rule_at_the_threshold(monkeypatch, relu_mlp, rcond, ok)
             characteristic_direction(t, theta, lam)
 
 
-def test_linear_reparam_takes_two_expm_per_lam(monkeypatch):
-    # exp(lam A) and exp(-lam A) serve every callback at one lam
+def test_linear_reparam_takes_one_expm_per_lam(monkeypatch):
+    # exp(lam G) of the block-diagonal generator serves every callback at one lam
     calls = []
     expm = tr._expm
     monkeypatch.setattr(tr, "_expm", lambda a: calls.append(1) or expm(a))
@@ -264,12 +263,33 @@ def test_linear_reparam_takes_two_expm_per_lam(monkeypatch):
                 if (fn := getattr(t, cb)) is not None]
 
     first = all_callbacks(np.array([0.2]))
-    assert len(calls) == 2
+    assert len(calls) == 1
     all_callbacks(np.array([-0.1]))
-    assert len(calls) == 4
+    assert len(calls) == 2
     for got, want in zip(all_callbacks(np.array([0.2])), first):
         np.testing.assert_array_equal(got, want)
-    assert len(calls) == 4
+    assert len(calls) == 2
+
+
+def test_expm_of_a_diagonal_is_math_exp_entry_by_entry():
+    w = np.array([0.7, -1.3, 0.0, 2.5, -0.25])
+    np.testing.assert_array_equal(tr._expm(np.diag(w)), np.diag([math.exp(x) for x in w]))
+
+
+def test_expm_of_a_symmetric_generator_matches_its_eigendecomposition():
+    rng = np.random.default_rng(5)
+    B = rng.uniform(-1.0, 1.0, size=(6, 6))
+    for lam in (0.3, -1.7):
+        w, V = np.linalg.eigh(lam * (B + B.T))
+        np.testing.assert_allclose(tr._expm(lam * (B + B.T)), (V * np.exp(w)) @ V.T,
+                                   rtol=0, atol=1e-14 * np.exp(w).max())
+
+
+def test_cached_group_matrices_are_read_only():
+    mats = tr._exp_and_derivatives(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    for F in mats:
+        with pytest.raises(ValueError, match="read-only"):
+            F(np.array([0.3]))[..., 0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +379,32 @@ def test_charge_value_is_half_norm_gap(deep_linear_121):
     assert charge.c_eval(theta) == pytest.approx(0.5 * (up @ up - down @ down), abs=1e-15)
 
 
+def test_charge_value_is_inner_width_moment():
+    name, params, model = CASES[2]
+    charge = noether_charge(build_transform(name, params, model))
+    theta = random_params(model, np.random.default_rng(13))
+    W1, W2 = (theta[model.block(b).sl].reshape(model.block(b).shape) for b in ("W1", "W2"))
+    A = np.array(params["A"])
+    want = 0.5 * np.trace(A @ (W1 @ W1.T - W2.T @ W2))
+    assert charge.c_eval(theta) == pytest.approx(want, rel=1e-14)
+
+
+_OUTPUT_ACTION = "output action is nontrivial, so the loss is not invariant"
+
+
+@pytest.mark.parametrize("name,params,model,reason", [
+    (*CASES[0], _OUTPUT_ACTION),
+    (*CASES[3], _OUTPUT_ACTION),
+    (*CASES[4], "discrete transformation carries no conserved charge"),
+    (*_ANTISYMMETRIC_REPARAM, "characteristic field is not a gradient (generator not symmetric)"),
+], ids=["homogeneity_scaling", "last_layer_left_action", "mirror", "linear_reparam_antisymmetric"])
+def test_no_charge_reason(name, params, model, reason):
+    t = build_transform(name, params, model)
+    assert t.charge is None and t.charge_reason == reason
+    with pytest.raises(NotConservative, match=re.escape(reason)):
+        noether_charge(t)
+
+
 _CHARGE_CASES = [c for c in CASES if c[0] in ("layer_rescaling", "linear_reparam")] + [
     # blocks of 20 and 15 entries: sums past numpy's 8-way unrolled reduction
     ("layer_rescaling", {"blocks": ["W1", "W2"]},
@@ -380,6 +426,23 @@ def test_batched_charge_equals_per_row(name, params, model):
             assert batched.shape == lead + tail
             per_row = np.stack([np.asarray(fn(row)) for row in rows])
             np.testing.assert_array_equal(batched.reshape(per_row.shape), per_row)
+
+
+@pytest.mark.parametrize("name,params,model", _CHARGE_CASES,
+                         ids=[c[0] for c in _CHARGE_CASES[:-1]] + ["layer_rescaling_wide"])
+def test_charge_gradient_is_the_characteristic_direction(name, params, model):
+    # grad C = G theta = X at lam = 0, a direction that leaves the model output
+    # unchanged, so it is orthogonal to the gradient of every loss
+    t = build_transform(name, params, model)
+    charge = noether_charge(t)
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        theta = random_params(model, rng)
+        grad = charge.grad(theta)
+        X = characteristic_direction(t, theta, np.zeros(1)).reshape(-1)
+        np.testing.assert_allclose(grad, X, rtol=0, atol=1e-14 * np.abs(X).max())
+        J = de.jacobian(model.func, theta)  # stored (d, c)
+        assert np.abs(grad @ J).max() <= 1e-14 * np.linalg.norm(grad) * np.linalg.norm(J)
 
 
 def test_discrete_transform_has_no_charge(deep_linear_121):
