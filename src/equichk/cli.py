@@ -116,12 +116,15 @@ class _V:
             self.fail(f"{path}.{key}", f"must be nonnegative, got {v}")
         return v
 
-    def holds(self, path: str, rule: Callable, *args) -> None:
-        """Apply a library validity ``rule``; the error it raises fails at ``path``."""
+    def holds(self, path: str, rule: Callable, *args) -> bool:
+        """Apply a library validity ``rule``; the error it raises fails at
+        ``path``.  Whether the rule held."""
         try:
             rule(*args)
         except EquichkError as exc:
             self.fail(path, str(exc))
+            return False
+        return True
 
     def raise_if_failed(self) -> None:
         if self.errors:
@@ -196,17 +199,17 @@ def _is_number_list(val) -> bool:
     return isinstance(val, list) and all(_is_number(x) for x in val)
 
 
-def _validate_theta0(v: _V, obj, path: str, model: Optional[Model]):
+def _validate_theta0(v: _V, obj, path: str, model: Optional[Model]) -> Optional[np.ndarray]:
+    """The run's first state: the model's ``init_params`` for "init", else
+    the ``theta0`` list (None after a failure, or when the model failed)."""
     val = obj.get("theta0", "init")
-    if val == "init":
-        return "init"
-    if not _is_number_list(val):
+    if not (val == "init" or _is_number_list(val)):
         v.fail(f"{path}.theta0", 'expected "init" or a list of finite numbers')
-        return "init"
-    d = model.d if model is not None else len(val)
-    if len(val) != d:
-        v.fail(f"{path}.theta0", f"expected {d} numbers (the model's d), got {len(val)}")
-    return [float(x) for x in val]
+    elif model is not None and val == "init":
+        return model.init_params
+    elif model is not None and v.holds(f"{path}.theta0", dyn._theta0, model, val):
+        return np.asarray(val, dtype=float)
+    return None
 
 
 def _validate_tolerances(v: _V, obj, path: str, known: Sequence[str]) -> dict:
@@ -309,9 +312,7 @@ def _validate_sample(v: _V, s, path: str, model, family) -> bool:
         except _BUILD_ERRORS as exc:
             v.fail(f"{path}.target", str(exc))
             return False
-        if model is not None and loss.c != model.c:
-            v.fail(f"{path}.target", f"fits a loss on {loss.c} outputs, "
-                                     f"the model has {model.c}")
+        if model is not None and not v.holds(f"{path}.target", models._require_fit, model, loss):
             return False
     return True
 
@@ -407,6 +408,8 @@ def _gradient_flow(cfg: dict, stationary: bool, tolerance_keys: Sequence[str]) -
            ("model", "loss", "dynamics") + (("transforms",) if stationary else ()))
     model = _validate_model(v, cfg.get("model", {}), "config.model")
     loss = _validate_loss(v, cfg.get("loss", {}), "config.loss")
+    if model is not None and loss is not None:
+        v.holds("config.loss", models._require_fit, model, loss)
     T, dt = _validate_dynamics(v, cfg.get("dynamics", {}), ("T", "dt"))
     theta0 = _validate_theta0(v, cfg, "config", model)
     tolerances = _validate_tolerances(v, cfg, "config", tolerance_keys)
@@ -428,9 +431,8 @@ def _gradient_flow(cfg: dict, stationary: bool, tolerance_keys: Sequence[str]) -
             transforms.append(transform)
     v.raise_if_failed()
 
-    th0 = model.init_params if theta0 == "init" else np.asarray(theta0, dtype=float)
     T, dt = float(T), float(dt)
-    trajectory = dyn.stationary_flow(model, loss, th0, T=T, dt=dt,
+    trajectory = dyn.stationary_flow(model, loss, theta0, T=T, dt=dt,
                                      chargelist=[t for t in transforms if t.charge is not None])
     return _Flow(model, loss, transforms, T, dt, tolerances, trajectory)
 
@@ -455,10 +457,8 @@ def _run_flow(cfg: dict, out_dir: str) -> _RunResult:
         ))
     if dyn._norm_growth_applies(model, loss):
         growth = dyn.norm_growth_check(model, loss, trajectory)
-        # a settled run whose norm ever shrinks fails outright
-        broken = growth.status == "ok" and not growth.monotone
         reports.append(_synthetic_report(
-            "norm_growth", "§4.2", float("inf") if broken else growth.euler_max_rel_gap,
+            "norm_growth", "§4.2", growth.rel_residual,
             float(tolerances.get("euler_relation", dyn._EULER_TOL)),
             {"status": growth.status, "t0": growth.t0, "monotone": growth.monotone,
              "max_decrease": growth.max_decrease},
@@ -503,16 +503,12 @@ def _run_sgf_drift(cfg: dict, out_dir: str) -> _RunResult:
     v.holds("config.dynamics.ensemble", dyn._check_sgf_bytes, model.d, len(dataset.samples),
             float(T), float(dt), int(ensemble), noise.mode, noise.sigma, 1)
     v.raise_if_failed()
-    th0 = model.init_params if theta0 == "init" else np.asarray(theta0, dtype=float)
-    ensemble_runs = dyn.sgf(model, family, dataset, th0, noise,
+    ensemble_runs = dyn.sgf(model, family, dataset, theta0, noise,
                             T=float(T), dt=float(dt), ensemble=int(ensemble),
                             chargelist=[transform])
     report = dyn.noether_drift_check(ensemble_runs, transform, model, family, dataset, noise)
-    gap = abs(report.empirical - report.theory_trace)
-    allowance = 3.0 * report.std_error + report.bias_budget
-    rel = gap / max(allowance, 1e-300)
     reports = [_synthetic_report(
-        "noether_drift", "Cor. 2", rel, 1.0,
+        "noether_drift", "Cor. 2", report.rel_residual, 1.0,
         {"empirical": report.empirical, "std_error": report.std_error,
          "theory_grad": report.theory_grad, "theory_trace": report.theory_trace,
          "bias_budget": report.bias_budget, "n_trajectories": report.n_trajectories,
@@ -579,6 +575,19 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _check_output_dir(out_dir: str) -> None:
+    """Raise ConfigError unless ``out_dir`` is a non-empty path whose nearest
+    existing ancestor (or itself) is a directory, so the report files can be
+    written there once the run ends."""
+    if not out_dir:
+        raise ConfigError("config.output_dir: expected a non-empty path")
+    path = os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"config.output_dir: {path} is a file, not a directory")
+
+
 def run(config_path: str) -> int:
     started = time.time()
     cfg = _load_config(config_path)
@@ -594,6 +603,7 @@ def run(config_path: str) -> int:
     if out_dir is None:
         stem = os.path.splitext(os.path.basename(config_path))[0]
         out_dir = os.path.join(os.path.dirname(os.path.abspath(config_path)), stem + "_out")
+    _check_output_dir(out_dir)
 
     reports, files, run_record = _RUNNERS[experiment](cfg, out_dir)
     n_pass = sum(1 for r in reports if r.passed)

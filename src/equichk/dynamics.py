@@ -104,10 +104,7 @@ class _Objective:
             raise InvalidParams(
                 f"objective must be a Loss or a (family, Dataset) pair, got {type(loss).__name__}")
         self.d = model.d
-        self.maps = [
-            (w, (lambda th, m=m, l=l: l.apply(m.func(th))))
-            for w, m, l in self.parts
-        ]
+        self.maps = [(w, de._loss_map(m, l)) for w, m, l in self.parts]
 
     def value_and_grad(self, theta: np.ndarray) -> Tuple[float, np.ndarray]:
         """The loss at ``theta`` and its gradient, from one sweep per map,
@@ -274,9 +271,9 @@ class _Recorder:
                 raise NonFiniteResult("model output along the run contains NaN or Inf")
             diag["f"] = outputs[:, 0]
             if self._loss is not None and _scalar_homogeneous(self.model):
-                diag["sharpness_bound"] = np.array([
-                    _rayleigh_bound(*_head_scalars(self.model, self._loss, y), max(sq, 1e-300))
-                    for y, sq in zip(outputs, theta_sq)])
+                diag["sharpness_bound"] = np.array([_rayleigh_bound(
+                    *_head_scalars(self.model, y, self._loss.grad(y), self._loss.hess(y)),
+                    max(sq, 1e-300)) for y, sq in zip(outputs, theta_sq)])
         diag.update((k, np.asarray(v)) for k, v in self.extras.items())
         charges = {k: np.asarray(c.c_eval(states), dtype=float)
                    for k, c in zip(_list_keys([c.name for c in self.charges]), self.charges)}
@@ -289,15 +286,21 @@ def _check_state(theta: np.ndarray, what: str) -> None:
         raise NonFiniteResult(f"{what} produced NaN or Inf")
 
 
+def _theta0(model: Model, theta0) -> np.ndarray:
+    """``theta0`` flat, as floats; SizeMismatch unless it has the model's d entries."""
+    th = np.asarray(theta0, dtype=float).reshape(-1)
+    if th.size != model.d:
+        raise SizeMismatch(f"theta0 has {th.size} entries, model wants {model.d}")
+    return th
+
+
 def _start(model: Model, loss, theta0,
            chargelist) -> Tuple[_Objective, _Recorder, np.ndarray, float, np.ndarray]:
     """A deterministic run's objective and recorder, and its first state with
     the loss and gradient of the sweep there, already recorded at t = 0."""
     obj = _Objective(model, loss)
     charges = _as_charges(chargelist)
-    th = np.asarray(theta0, dtype=float).reshape(-1)
-    if th.size != model.d:
-        raise SizeMismatch(f"theta0 has {th.size} entries, model wants {model.d}")
+    th = _theta0(model, theta0)
     rec = _Recorder(model, charges, loss if isinstance(loss, Loss) else None)
     value, g = obj.value_and_grad(th)
     rec.record(0.0, th, grad=g, loss=value)
@@ -586,7 +589,8 @@ class NormGrowthReport:
     else "never_correctly_classified" (which is a finding, not a failure).
     ``euler_max_rel_gap`` measures d/dt (1/2)||theta||^2 = -m l'(y) y at
     every record point; ``max_decrease`` is the largest drop of ||theta||^2
-    after t0 (0 for monotone growth).
+    after t0 (0 for monotone growth).  ``rel_residual`` is the Euler gap (inf
+    if a settled ||theta||^2 shrank); ``passed`` is rel_residual <= _EULER_TOL.
     """
 
     status: str
@@ -594,6 +598,7 @@ class NormGrowthReport:
     monotone: bool
     max_decrease: float
     euler_max_rel_gap: float
+    rel_residual: float
     passed: bool
 
 
@@ -640,7 +645,7 @@ def norm_growth_check(model: Model, loss: Loss, trajectory: Trajectory) -> NormG
         return NormGrowthReport(
             status="never_correctly_classified", t0=None, monotone=False,
             max_decrease=float("nan"), euler_max_rel_gap=euler_gap,
-            passed=bool(euler_gap <= _EULER_TOL),
+            rel_residual=euler_gap, passed=bool(euler_gap <= _EULER_TOL),
         )
 
     norms = trajectory.diagnostics["theta_sq"][t0_idx:]
@@ -648,13 +653,14 @@ def norm_growth_check(model: Model, loss: Loss, trajectory: Trajectory) -> NormG
     slack = 1e-8 * (1.0 + float(np.max(norms)))
     max_decrease = float(max(0.0, -drops.min())) if drops.size else 0.0
     monotone = bool(max_decrease <= slack)
+    rel = euler_gap if monotone else math.inf  # a settled norm that shrinks fails outright
     return NormGrowthReport(
         status="ok",
         t0=float(trajectory.times[t0_idx]),
         monotone=monotone,
         max_decrease=max_decrease,
         euler_max_rel_gap=euler_gap,
-        passed=bool(monotone and euler_gap <= _EULER_TOL),
+        rel_residual=rel, passed=bool(rel <= _EULER_TOL),
     )
 
 
@@ -801,9 +807,7 @@ def sgf(
         raise InvalidParams("ensemble must hold at least one trajectory")
     obj = _Objective(model, (family, dataset))
     charges = _as_charges(chargelist)
-    th0 = np.asarray(theta0, dtype=float).reshape(-1)
-    if th0.size != model.d:
-        raise SizeMismatch(f"theta0 has {th0.size} entries, model wants {model.d}")
+    th0 = _theta0(model, theta0)
 
     d = model.d
     w = obj.weights()
@@ -904,10 +908,10 @@ class DriftReport:
     member subsample per record point, then a trapezoid in time) and must
     agree to 1e-8 relative (their equality is an algebraic identity for
     symmetry charges, so disagreement is a CheckFailure, not statistics).
-    ``passed`` is the Monte-Carlo agreement
-    |empirical - theory_trace| <= 3 SE + bias_budget, where the budget holds
-    the computed Euler--Maruyama per-step bias (dt/2) E[gradL^T hessC gradL]
-    plus an O(dt^2) safety slop.
+    ``rel_residual`` is |empirical - theory_trace| / (3 SE + bias_budget),
+    where the budget holds the computed Euler--Maruyama per-step bias
+    (dt/2) E[gradL^T hessC gradL] plus an O(dt^2) safety slop; ``passed`` is
+    the Monte-Carlo agreement ``rel_residual <= 1``.
     """
 
     empirical: float
@@ -916,6 +920,7 @@ class DriftReport:
     theory_trace: float
     bias_budget: float
     n_trajectories: int
+    rel_residual: float
     passed: bool
     context: Mapping = field(default_factory=dict)
 
@@ -1001,8 +1006,7 @@ def noether_drift_check(
     em_bias = 0.5 * dt * float(np.sum(quad * weights) / np.sum(weights))
     slop = _BIAS_SAFETY * dt * dt * max(abs(theory_trace) / max(dt, 1e-300), 1.0)
     bias_budget = abs(em_bias) + slop
-    gap = abs(empirical - theory_trace)
-    passed = bool(gap <= 3.0 * std_error + bias_budget)
+    rel = abs(empirical - theory_trace) / max(3.0 * std_error + bias_budget, 1e-300)
     return DriftReport(
         empirical=empirical,
         std_error=std_error,
@@ -1010,7 +1014,7 @@ def noether_drift_check(
         theory_trace=theory_trace,
         bias_budget=float(bias_budget),
         n_trajectories=len(ensemble),
-        passed=passed,
+        rel_residual=rel, passed=bool(rel <= 1.0),
         context={
             "sigma_eff_sq": sigma_sq, "dt": dt, "span": span,
             "charge": charge.name, "mode": noise.mode,

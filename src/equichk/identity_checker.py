@@ -53,7 +53,8 @@ from .errors import (
     SizeMismatch,
 )
 from .models import (Loss, Model, ModelSpec, _head_margins, _head_scalars, _rayleigh_bound,
-                     _scalar_homogeneous, build_model, forward, make_loss, random_params)
+                     _require_fit, _scalar_homogeneous, build_model, forward, make_loss,
+                     random_params)
 from .spectral import SpectralSummary, spectral_summary
 from .tensor_core import _finite, compose, compose_k
 from .transforms import (
@@ -660,11 +661,12 @@ def check_homogeneity_specialization(
     that branch the identity carries no content to measure.
     """
     ev = _landscape(model, loss, theta, mode, landscape)
-    m, y, lp, lpp = _head_scalars(model, loss, ev.y)
+    m, y, lp, lpp = _head_scalars(model, ev.y, ev.gl, ev.hl)
     A = ev.hess
     g = ev.grad
     th = ev.theta
     act = A @ th
+    a_norm = _norm(A)
     tol = _tol(mode, tolerance)
 
     if _head_margins(m, y, lp, lpp)[0] <= _FLOOR:
@@ -678,7 +680,7 @@ def check_homogeneity_specialization(
     rep6 = _report(
         "check_homogeneity_specialization", "Eq. (6)",
         act, coeff * g,
-        _norm(A) * _norm(th),
+        a_norm * _norm(th),
         abs(coeff) * _norm(g),
         tol, ctx6,
     )
@@ -690,7 +692,7 @@ def check_homogeneity_specialization(
     rep7 = _report(
         "check_homogeneity_specialization", "Eq. (7)",
         lhs7, rhs7,
-        _norm(A) * float(th @ th),
+        a_norm * float(th @ th),
         abs(lpp) * (m * y) ** 2 + abs(lp * m * (m - 1.0) * y),
         tol, ctx7,
     )
@@ -715,7 +717,7 @@ def check_eigen_alignment(
     ``top_energy_fraction``, never asserted.
     """
     ev = _landscape(model, loss, theta, mode, landscape)
-    m, y, lp, lpp = _head_scalars(model, loss, ev.y)
+    m, y, lp, lpp = _head_scalars(model, ev.y, ev.gl, ev.hl)
     denom = m * y * lpp + (m - 1.0) * lp
     if _head_margins(m, y, lp, lpp)[1] <= _FLOOR:
         raise DegenerateLoss(
@@ -786,7 +788,7 @@ def sharpness_bound(
     (bound, lambda_max, report).
     """
     ev = _landscape(model, loss, theta, mode, landscape)
-    m, y, lp, lpp = _head_scalars(model, loss, ev.y)
+    m, y, lp, lpp = _head_scalars(model, ev.y, ev.gl, ev.hl)
     th = ev.theta
     nth2 = float(th @ th)
     if nth2 <= 0.0:
@@ -955,8 +957,8 @@ def check_mirror(
     r_grad = _norm(O.T @ g)
     r_low = _norm(Q @ A @ O)    # col(O)-perp rows hitting col(O)
     r_high = _norm(B @ A @ Q)
-    ng = max(_norm(g), _FLOOR)
-    na = max(_norm(A), _FLOOR)
+    g_norm, a_norm = _norm(g), _norm(A)
+    ng, na = max(g_norm, _FLOOR), max(a_norm, _FLOOR)
     parts = np.array([r_grad / ng, r_low / na, r_high / na])
 
     P = np.eye(d) - 2.0 * B
@@ -974,8 +976,8 @@ def check_mirror(
         "gradient_residual": float(r_grad),
         "cross_block_residuals": [float(r_low), float(r_high)],
         "conjugation_agreement_gap": float(agree),
-        "grad_norm": float(_norm(g)),
-        "hessian_norm": float(_norm(A)),
+        "grad_norm": float(g_norm),
+        "hessian_norm": float(a_norm),
     })
     # parts are pre-normalized by their natural scales, so unit norms make
     # the relative residual the stacked normalized defect itself
@@ -1022,7 +1024,7 @@ def check_last_layer_alignment(
     W = th[blk.sl].reshape(blk.shape)          # (c, s)
     h_vec = np.asarray(model.feature_fn(th), dtype=float)
     H_ww = ev.hess[blk.sl, blk.sl]             # (c*s, c*s), vec in row-major W order
-    hl = ev.hl
+    h_norm, hl_norm = _norm(H_ww), _norm(ev.hl)
     c = model.c
 
     rng = np.random.default_rng(seed)
@@ -1041,10 +1043,10 @@ def check_last_layer_alignment(
         v = V.reshape(-1)
         lhs_t = float(v @ H_ww @ v)
         z = V @ h_vec
-        rhs_t = float(z @ hl @ z)
+        rhs_t = float(z @ ev.hl @ z)
         abs_res = max(abs_res, abs(lhs_t - rhs_t))
-        scale_l = max(scale_l, float(v @ v) * _norm(H_ww))
-        scale_r = max(scale_r, float(z @ z) * _norm(hl))
+        scale_l = max(scale_l, float(v @ v) * h_norm)
+        scale_r = max(scale_r, float(z @ z) * hl_norm)
         if probs is not None:
             var_form = float(np.sum(probs * z * z) - np.sum(probs * z) ** 2)
             softmax_gap = max(softmax_gap, abs(rhs_t - var_form))
@@ -1215,7 +1217,7 @@ def sample_positions(
             if require_nondegenerate:
                 if loss is None:
                     raise InvalidParams("nondegenerate sampling needs the loss")
-                if min(_head_margins(*_head_scalars(model, loss, y))) < 1e-6:
+                if min(_head_margins(*_head_scalars(model, y, loss.grad(y), loss.hess(y)))) < 1e-6:
                     continue
             out.append((th, lam))
             charts.append(ch)
@@ -1282,12 +1284,16 @@ def _build_entry(entry: PlanEntry) -> BuiltEntry:
 
 def entry_misfits(built: BuiltEntry) -> List[Tuple[str, str]]:
     """Every setting of ``built.entry`` that its model and transform cannot
-    serve -- a check, a tolerance key, the diff mode, or a mutation that no
-    listed check would see or that scales a declared-zero callback -- as
-    (path inside the entry, reason); empty when all fit."""
+    serve -- the loss, a check, a tolerance key, the diff mode, or a mutation
+    that no listed check would see or that scales a declared-zero callback --
+    as (path inside the entry, reason); empty when all fit."""
     entry, model, transform = built.entry, built.model, built.transform
     known = ", ".join(CHECK_REGISTRY)
     out: List[Tuple[str, str]] = []
+    try:
+        _require_fit(model, built.loss)
+    except SizeMismatch as exc:
+        out.append(("loss", str(exc)))
     mutable = False  # whether a fitting check reads the callbacks a mutation scales
     for i, name in enumerate(entry.checks):
         row = CHECK_REGISTRY.get(name)

@@ -380,13 +380,12 @@ def _scalar_homogeneous(model: Model) -> bool:
     return model.c == 1 and model.homogeneity_degree is not None
 
 
-def _head_scalars(model: Model, loss: Loss, y) -> Tuple[float, float, float, float]:
-    """(m, y, l'(y), l''(y)) at the output ``y`` of a scalar homogeneous head."""
+def _head_scalars(model: Model, y, gl, hl) -> Tuple[float, float, float, float]:
+    """(m, y, l'(y), l''(y)) of a scalar homogeneous head from y, gl = l'(y), hl = l''(y)."""
     if not _scalar_homogeneous(model):
         raise InvalidParams(f"model {model.name} is not a scalar-output model with a "
                             "declared homogeneity degree")
-    return (float(model.homogeneity_degree), float(y[0]),
-            float(loss.grad(y)[0]), float(loss.hess(y)[0, 0]))
+    return float(model.homogeneity_degree), float(y[0]), float(gl[0]), float(hl[0, 0])
 
 
 def _head_margins(m: float, y: float, lp: float, lpp: float) -> Tuple[float, float]:
@@ -433,6 +432,13 @@ class Loss:
 
     def hess(self, y) -> np.ndarray:
         return np.asarray(self._hess(self._coerce(y)), dtype=float)
+
+
+def _require_fit(model: Model, loss: Loss) -> None:
+    """Raise SizeMismatch unless ``loss`` takes the ``model``'s outputs."""
+    if loss.c != model.c:
+        raise SizeMismatch(f"a {loss.name} loss on {loss.c} outputs does not fit "
+                           f"{model.name}, which has {model.c}")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -627,5 +633,5 @@ def expected_loss(model: Model, family: LossFamily, dataset: Dataset, theta) -> 
     arr = np.asarray(theta, dtype=float)
     total = 0.0
     for w, m, loss in per_sample_losses(model, family, dataset):
-        total += w * float(np.asarray(loss.apply(m.func(arr))))
+        total += w * float(np.asarray(de._loss_map(m, loss)(arr)))
     return total

@@ -18,6 +18,7 @@ import pytest
 from equichk import cli, models
 from equichk import identity_checker as ic
 from equichk import transforms as tr
+from equichk.errors import CheckFailure
 
 
 def _write(tmp_path, name, cfg):
@@ -275,6 +276,16 @@ def _reparam(width, blocks):
     (_misfit({"name": "deep_linear", "params": {"widths": [1, 3, 1]}, "seed": 22}, _SQUARE,
              {"name": "permutation", "params": {"perm": [1, 2, 0, 4, 5, 3]}},
              ["discrete_first"]), "checks[0]"),
+    # a loss that does not take the model's outputs: suite_full's entries 0
+    # and 8 with one target too many and one class too many
+    (_misfit({"name": "homogeneous_relu_mlp", "params": {"widths": [2, 3, 1]}, "seed": 11},
+             {"name": "square", "params": {"target": [0.1, 0.2]}}, _SCALING,
+             ["first_order", "second_action", "second_quadratic", "homogeneity",
+              "eigen_alignment", "sharpness"], seed=1), "loss"),
+    (_misfit(_FAC, {"name": "softmax_xent", "params": {"n_classes": 4, "label": 1}},
+             {"name": "last_layer_left_action", "params": {}},
+             ["first_order", "second_action", "second_quadratic", "last_layer"], seed=9),
+     "loss"),
 ], ids=["first_order+sign_flip", "discrete_first+scaling", "homogeneity+vector_head",
         "first_order+no_transform", "last_layer+deep_linear", "mirror+permutation",
         "tolerance_key_typo", "mutation_callback_typo", "mutation_scale_not_number",
@@ -289,7 +300,8 @@ def _reparam(width, blocks):
         "mode_unknown", "margin_unknown_key", "trials_unknown_key", "relu_mlp_depth_unknown_key",
         "reparam_blocks_reversed", "reparam_blocks_not_adjacent", "reparam_relu_chain",
         "reparam_factored", "rescaling_factored_features", "rescaling_factored_head",
-        "discrete_first+permutation_3_cycle"])
+        "discrete_first+permutation_3_cycle", "suite_square_two_targets",
+        "suite_softmax_four_classes"])
 def test_run_misfit_entry_exit_2_before_sampling(tmp_path, capsys, entry, where):
     cfg = {"experiment": "check_suite", "output_dir": str(tmp_path / "out"), "plan": [entry]}
     assert cli.main(["run", str(_write(tmp_path, "misfit.json", cfg))]) == 2
@@ -338,6 +350,7 @@ def _bundled(name, **edits):
     (_bundled("stationary_spectrum", theta0=[0.1]), "config.theta0"),
     (_bundled("sgf_drift", theta0=[0.1]), "config.theta0"),
     (_bundled("sgf_drift", target="a"), "config.dataset.samples[0].target"),
+    (_bundled("sgf_drift", target=[0.5, 0.1]), "config.dataset.samples[0].target"),
     (_bundled("sgf_drift", x=[1.0, 2.0]), "config.dataset.samples[0].x"),
     # 8 bytes x 10^7 members x 500 steps of noise alone: far past 1 GiB
     (_bundled("sgf_drift", dynamics={"T": 0.5, "dt": 0.001, "ensemble": 10_000_000}),
@@ -385,10 +398,16 @@ def _bundled(name, **edits):
     (_bundled("flow_conservation", transforms=[],
               model={"name": "deep_linear", "params": {"widths": [2, 3, 2, 1]}, "seed": 3},
               loss={"name": "square", "params": {"target": 0.3}}), "config.transforms"),
+    # a loss on two outputs for a one-output model
+    (_bundled("flow_conservation", loss={"name": "square", "params": {"target": [0.1, 0.2]}}),
+     "config.loss"),
+    (_bundled("stationary_spectrum", loss={"name": "square", "params": {"target": [0.1, 0.2]}}),
+     "config.loss"),
 ], ids=["flow_tolerance_key_typo", "flow_tolerance_not_number", "flow_tolerance_negative",
         "stationary_tolerance_key_typo", "weights_not_numbers", "weights_not_list",
         "x_not_numbers", "flow_theta0_length", "stationary_theta0_length", "sgf_theta0_length",
-        "target_not_number", "x_wrong_width", "ensemble_over_memory_limit",
+        "target_not_number", "sgf_target_two_outputs", "x_wrong_width",
+        "ensemble_over_memory_limit",
         "ensemble_below_drift_minimum",
         "weights_nan", "sigma_nan", "T_infinite", "x_nan", "flow_dt_infinite",
         "flow_loss_label_3", "noise_list", "noise_string",
@@ -396,13 +415,32 @@ def _bundled(name, **edits):
         "family_unknown_key", "noise_mode_unknown", "noise_seed_past_uint64",
         "noise_seed_negative", "noise_seed_float", "sigma_negative", "sgf_T_shorter_than_dt",
         "flow_transform_without_charge", "stationary_transform_not_symmetry",
-        "sgf_transform_without_charge", "flow_checks_nothing"])
+        "sgf_transform_without_charge", "flow_checks_nothing", "flow_square_two_targets",
+        "stationary_square_two_targets"])
 def test_run_dynamics_config_errors_exit_2(tmp_path, capsys, cfg, where):
     cfg = dict(cfg, output_dir=str(tmp_path / "out"))
     assert cli.main(["run", str(_write(tmp_path, "bad.json", cfg))]) == 2
     assert f"{where}:" in capsys.readouterr().err
     assert not (tmp_path / "out" / "reports.jsonl").exists()
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["empty", "a_file", "under_a_file"])
+def test_run_unusable_output_dir_exit_2_before_running(tmp_path, capsys, monkeypatch, where):
+    # an output_dir that no file can be written to is refused before the
+    # experiment runs, and nothing is created
+    (tmp_path / "taken").write_text("")
+    out_dir = {"empty": "", "a_file": str(tmp_path / "taken"),
+               "under_a_file": str(tmp_path / "taken" / "out")}[where]
+    ran = []
+    monkeypatch.setitem(cli._RUNNERS, "check_suite", lambda cfg, out: ran.append(out))
+    path = _write(tmp_path, "suite.json", _suite_cfg(out_dir))
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert cli.main(["run", str(path)]) == 2
+    assert "config.output_dir:" in capsys.readouterr().err
+    assert ran == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert (tmp_path / "taken").read_text() == ""
 
 
 def test_run_invalid_json_exit_2(tmp_path, capsys):
@@ -435,6 +473,101 @@ def test_run_runtime_fault_exit_3(tmp_path, capsys):
     p = _write(tmp_path, "stat.json", cfg)
     assert cli.main(["run", str(p)]) == 3
     assert "runtime fault" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc, code, label", [
+    (CheckFailure("forced"), 1, "check failure"),
+    (RuntimeError("forced"), 3, "runtime fault (RuntimeError)"),
+], ids=["check_failure", "unexpected"])
+def test_main_maps_exceptions_to_exit_codes(tmp_path, capsys, monkeypatch, exc, code, label):
+    def fail(config_path):
+        raise exc
+    monkeypatch.setattr(cli, "run", fail)
+    assert cli.main(["run", str(tmp_path / "any.json")]) == code
+    assert f"{label}: forced" in capsys.readouterr().err
+
+
+def _keep_library_reports(monkeypatch, name):
+    """Wrap ``dyn.<name>`` so each report it returns is also kept in a list."""
+    kept, check = [], getattr(cli.dyn, name)
+
+    def keep(*args, **kwargs):
+        kept.append(check(*args, **kwargs))
+        return kept[-1]
+    monkeypatch.setattr(cli.dyn, name, keep)
+    return kept
+
+
+def _written(out_dir, check_name=None):
+    """The rows of ``out_dir``'s reports.jsonl of check ``check_name`` (all
+    rows when None)."""
+    rows = [json.loads(line) for line in (out_dir / "reports.jsonl").read_text().splitlines()]
+    return [r for r in rows if check_name in (None, r["check_name"])]
+
+
+def test_entry_tolerance_overrides_only_its_check(tmp_path, capsys):
+    cfg = _suite_cfg(tmp_path / "out")
+    cfg["plan"][0]["tolerances"] = {"first_order": 1e-300}
+    assert cli.main(["run", str(_write(tmp_path, "tol.json", cfg))]) == 1
+    capsys.readouterr()
+    rows = _written(tmp_path / "out")
+    first = [r for r in rows if r["check_name"] == "check_first_order"]
+    others = [r for r in rows if r["check_name"] != "check_first_order"]
+    assert first and others
+    assert all(r["tolerance"] == 1e-300 for r in first)
+    # a residual of exactly 0 still passes
+    assert all(r["pass"] == (r["rel_residual"] <= 1e-300) for r in first)
+    assert not all(r["pass"] for r in first)
+    assert all(r["tolerance"] != 1e-300 and r["pass"] for r in others)
+
+
+def test_run_stationary_null_count_fails_below_its_null_tolerance(tmp_path, capsys):
+    # with null_tol = 1e-300 no eigenvalue counts as null, so the count falls
+    # short of the characteristic rank and the report fails outright
+    cfg = _bundled("stationary_spectrum", output_dir=str(tmp_path / "out"),
+                   tolerances={"eps_stat": 1e-10, "null_tol": 1e-300})
+    assert cli.main(["run", str(_write(tmp_path, "stat.json", cfg))]) == 1
+    capsys.readouterr()
+    report = json.loads((tmp_path / "out" / "reports.jsonl").read_text())
+    assert report["check_name"] == "stationary_null_count" and not report["pass"]
+    assert report["abs_residual"] == 1.0
+    assert report["context"]["null_count"] < report["context"]["rank_characteristic"]
+
+
+def test_cli_writes_the_library_drift_residual(tmp_path, capsys, monkeypatch):
+    kept = _keep_library_reports(monkeypatch, "noether_drift_check")
+    cfg = _bundled("sgf_drift", output_dir=str(tmp_path / "out"),
+                   dynamics={"T": 0.05, "dt": 0.001, "ensemble": 150}, save_trajectories=0)
+    assert cli.main(["run", str(_write(tmp_path, "sgf.json", cfg))]) == 0
+    capsys.readouterr()
+    [report], [row] = kept, _written(tmp_path / "out", "noether_drift")
+    assert row["rel_residual"] == report.rel_residual
+    assert row["pass"] == report.passed
+
+
+@pytest.mark.parametrize("shrink", [False, True], ids=["growing", "settled_then_shrinking"])
+def test_cli_writes_the_library_norm_growth_residual(tmp_path, capsys, monkeypatch, shrink):
+    kept = _keep_library_reports(monkeypatch, "norm_growth_check")
+    if shrink:
+        # the run ends correctly classified; a drop of ||theta||^2 at its
+        # last record is what a broken integrator would leave
+        flow = cli.dyn.stationary_flow
+
+        def dipping(*args, **kwargs):
+            trj = flow(*args, **kwargs)
+            sq = trj.diagnostics["theta_sq"].copy()
+            sq[-1] = 0.5 * sq[-2]
+            return dataclasses.replace(trj, diagnostics=dict(trj.diagnostics, theta_sq=sq))
+        monkeypatch.setattr(cli.dyn, "stationary_flow", dipping)
+    cfg = _bundled("flow_conservation", output_dir=str(tmp_path / "out"))
+    assert cli.main(["run", str(_write(tmp_path, "flow.json", cfg))]) == int(shrink)
+    capsys.readouterr()
+    [report], [row] = kept, _written(tmp_path / "out", "norm_growth")
+    assert row["rel_residual"] == report.rel_residual
+    assert row["pass"] == report.passed == (not shrink)
+    if shrink:
+        assert report.status == "ok" and not report.monotone
+        assert report.rel_residual == float("inf")
 
 
 # ---------------------------------------------------------------------------

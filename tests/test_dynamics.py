@@ -387,7 +387,8 @@ class _PerRowRecorder(dyn._Recorder):
             y = forward(self.model, theta)
             self.diag["f"].append(float(y[0]))
             if self._sharp:
-                m, yv, lp, lpp = _head_scalars(self.model, self._loss, y)
+                m, yv, lp, lpp = _head_scalars(self.model, y, self._loss.grad(y),
+                                               self._loss.hess(y))
                 nth2 = max(float(theta @ theta), 1e-300)
                 self.diag["sharpness_bound"].append(_rayleigh_bound(m, yv, lp, lpp, nth2))
         for vals, c in zip(self.charge_vals, self.charges):
@@ -552,6 +553,23 @@ def test_norm_growth_short_run_never_classifies():
     rep = dyn.norm_growth_check(probe, loss, trj)
     assert rep.status == "never_correctly_classified"
     assert rep.passed  # Euler relation still holds everywhere
+
+
+def test_norm_growth_residual_is_the_euler_gap_or_infinite_once_a_settled_norm_shrinks():
+    probe = build_model(ModelSpec("linear_probe", {"x": [1.0, 2.0]}, seed=0))
+    loss = make_loss("exponential", label=1)
+    for T in (0.05, 6.0):  # never classified, then settled and growing
+        trj = dyn.gradient_flow(probe, loss, np.array([-0.15, -0.1]), T=T, dt=0.01)
+        rep = dyn.norm_growth_check(probe, loss, trj)
+        assert rep.rel_residual == rep.euler_max_rel_gap
+        assert rep.passed == (rep.rel_residual <= dyn._EULER_TOL)
+    sq = trj.diagnostics["theta_sq"].copy()
+    sq[-1] = 0.5 * sq[-2]
+    shrunk = dataclasses.replace(trj, diagnostics=dict(trj.diagnostics, theta_sq=sq))
+    rep = dyn.norm_growth_check(probe, loss, shrunk)
+    assert rep.status == "ok" and not rep.monotone
+    assert rep.rel_residual == math.inf and not rep.passed
+    assert rep.euler_max_rel_gap <= dyn._EULER_TOL
 
 
 def test_norm_growth_requires_scalar_output():
@@ -785,6 +803,17 @@ def test_drift_check_exact_sde(uv_model, square_family, two_sample_dataset):
     assert abs(rep.empirical - rep.theory_trace) <= 3 * rep.std_error + rep.bias_budget
     # the charge leaks, and at this sigma the theory says it leaks downward
     assert rep.theory_trace < 0
+
+
+def test_drift_residual_is_the_gap_over_the_allowance(uv_model, square_family, two_sample_dataset):
+    noise = dyn.NoiseModel(mode="exact_sde", sigma=0.1, seed=7)
+    t = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, uv_model)
+    ens = dyn.sgf(uv_model, square_family, two_sample_dataset, np.array([1.2, 0.6]),
+                  noise, T=0.05, dt=1e-3, ensemble=100, chargelist=[t])
+    rep = dyn.noether_drift_check(ens, t, uv_model, square_family, two_sample_dataset, noise)
+    allowance = 3.0 * rep.std_error + rep.bias_budget
+    assert rep.rel_residual == abs(rep.empirical - rep.theory_trace) / allowance
+    assert rep.passed == (rep.rel_residual <= 1.0)
 
 
 def test_drift_check_minibatch(uv_model, square_family, two_sample_dataset):

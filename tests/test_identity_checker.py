@@ -150,6 +150,28 @@ def test_probe_sharpness_bound(probe_model, probe_loss):
     assert rep.passed
 
 
+def test_scalar_checks_read_loss_derivatives_from_their_landscape(probe_model, probe_loss):
+    # handed a landscape, the three scalar-head checks take l'(y) and l''(y)
+    # from it and call neither loss.grad nor loss.hess
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapped(y):
+            calls[name] += 1
+            return fn(y)
+        return wrapped
+
+    loss = dataclasses.replace(probe_loss, _grad=counted("grad", probe_loss._grad),
+                               _hess=counted("hess", probe_loss._hess))
+    ev = evaluate_landscape(probe_model, loss, PROBE_THETA)
+    assert calls == {"grad": 1, "hess": 1}
+    calls.clear()
+    check_homogeneity_specialization(probe_model, loss, PROBE_THETA, landscape=ev)
+    check_eigen_alignment(probe_model, loss, PROBE_THETA, landscape=ev)
+    sharpness_bound(probe_model, loss, PROBE_THETA, landscape=ev)
+    assert calls == {}
+
+
 # ---------------------------------------------------------------------------
 # both derivative modes agree on the same statements
 # ---------------------------------------------------------------------------
@@ -387,6 +409,18 @@ def test_run_suite_rejects_misfit_entry_before_sampling(monkeypatch):
     )
     with pytest.raises(InvalidParams, match=r"plan entry 14: checks\[1\]: first_order needs"):
         run_suite(SuiteSpec(entries=good + (misfit,)))
+    assert sampled == []
+
+
+def test_run_suite_rejects_a_loss_that_does_not_fit_before_sampling(monkeypatch):
+    sampled = []
+    monkeypatch.setattr(ic, "sample_positions", lambda *a, **k: sampled.append(a) or [])
+    entry = PlanEntry(model=ModelSpec("homogeneous_relu_mlp", {"widths": [2, 3, 1]}, seed=11),
+                      loss="square", loss_params={"target": [0.1, 0.2]},
+                      transform="homogeneity_scaling", checks=("first_order",))
+    with pytest.raises(InvalidParams, match="plan entry 0: loss: a square loss on 2 outputs "
+                                            "does not fit homogeneous_relu_mlp, which has 1"):
+        run_suite(SuiteSpec(entries=(entry,)))
     assert sampled == []
 
 

@@ -59,6 +59,24 @@ def test_forward_shape_and_with_input(relu_mlp):
         relu_mlp.with_input(np.array([1.0, 2.0, 3.0]))
 
 
+@pytest.mark.parametrize("spec, key", [
+    (ModelSpec("factored_last_layer", {"c": 2, "s": 3, "hidden": [2]}, seed=5), "input"),
+    (ModelSpec("linear_probe", {"x": [1.0, 2.0]}, seed=21), "x"),
+], ids=["factored_last_layer", "linear_probe"])
+def test_with_input_gives_the_model_built_on_that_input(spec, key):
+    model = build_model(spec)
+    x = np.linspace(-0.7, 0.4, model.input_point.size)
+    rebound = model.with_input(x)
+    want = build_model(ModelSpec(spec.name, dict(spec.params, **{key: x.tolist()}), spec.seed))
+    th = model.init_params
+    np.testing.assert_array_equal(rebound.input_point, x)
+    np.testing.assert_array_equal(rebound.init_params, th)
+    np.testing.assert_array_equal(forward(rebound, th), forward(want, th))
+    assert not np.array_equal(forward(rebound, th), forward(model, th))
+    with pytest.raises(SizeMismatch):
+        model.with_input(np.zeros(model.input_point.size + 1))
+
+
 def test_random_params_deterministic(relu_mlp):
     rng1 = np.random.default_rng(5)
     rng2 = np.random.default_rng(5)
