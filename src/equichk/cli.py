@@ -62,7 +62,7 @@ from .models import (
     loss_family,
     make_loss,
 )
-from .transforms import MUTABLE_CALLBACKS, TRANSFORM_NAMES, Transformation, build_transform
+from .transforms import TRANSFORM_NAMES, Transformation, build_transform
 
 EXPERIMENTS = ("check_suite", "flow", "sgf_drift", "stationary_spectrum")
 
@@ -188,15 +188,8 @@ def _validate_transform(v: _V, obj, path: str, model: Optional[Model]) -> Option
                              else build_transform(name, params, model))
 
 
-def _is_number(x) -> bool:
-    """A finite JSON number (``json.load`` also reads NaN and Infinity)."""
-    if isinstance(x, float):
-        return math.isfinite(x)
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _is_number_list(val) -> bool:
-    return isinstance(val, list) and all(_is_number(x) for x in val)
+    return isinstance(val, list) and all(ic._is_finite_number(x) for x in val)
 
 
 def _validate_theta0(v: _V, obj, path: str, model: Optional[Model]) -> Optional[np.ndarray]:
@@ -245,29 +238,13 @@ def _validate_entry(v: _V, obj, path: str) -> Optional[ic.BuiltEntry]:
     if "transform" in obj:
         transform = _validate_transform(v, obj["transform"], f"{path}.transform", model)
     checks = obj.get("checks")
-    if not (isinstance(checks, list) and checks and all(isinstance(c, str) for c in checks)):
-        v.fail(f"{path}.checks", "expected a non-empty list of check names")
-    tolerances = obj.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        v.fail(f"{path}.tolerances", "expected an object")
-        tolerances = {}
-    # tolerance keys, the mode and what the mutation reaches are checked by
-    # ic.entry_misfits below
-    for key in tolerances:
-        v.number(tolerances, f"{path}.tolerances", key, positive=True)
-    mutation = obj.get("mutation")
-    if mutation is not None and v.keys(mutation, f"{path}.mutation",
-                                       ("callback", "scale"), ("callback", "scale")):
-        if mutation["callback"] not in MUTABLE_CALLBACKS:
-            v.fail(f"{path}.mutation.callback", f"unknown derivative callback "
-                   f"{mutation['callback']!r} (known: {', '.join(MUTABLE_CALLBACKS)})")
-        v.number(mutation, f"{path}.mutation", "scale")
-    v.number(obj, path, "positions", integer=True, positive=True)
-    v.number(obj, path, "seed", integer=True, nonneg=True)
+    if not isinstance(checks, list):
+        v.fail(f"{path}.checks", "expected a list of check names")
     if len(v.errors) > start:
         return None
     # a key the entry omits takes PlanEntry's default; the catalog requests
-    # are recorded as the entry gave them
+    # are recorded as the entry gave them, and every other setting is held
+    # against its model and transform by ic.entry_misfits
     fields = {k: obj[k] for k in _ENTRY_KEYS if k in obj}
     fields.update(model=ModelSpec(**obj["model"]), checks=tuple(checks))
     for kind in ("loss", "transform"):
@@ -303,7 +280,7 @@ def _validate_sample(v: _V, s, path: str, model, family) -> bool:
         v.fail(f"{path}.x", f"expected {model.input_point.size} numbers "
                             f"(the model's input width), got {len(x)}")
         return False
-    if not (_is_number(target) or _is_number_list(target)):
+    if not (ic._is_finite_number(target) or _is_number_list(target)):
         v.fail(f"{path}.target", "expected a finite number or a list of finite numbers")
         return False
     if family is not None:
@@ -335,7 +312,7 @@ def _validate_dataset(v: _V, obj, path: str, model: Optional[Model],
         if not (isinstance(weights, list) and len(weights) == len(samples)):
             v.fail(f"{path}.weights", f"expected a list of {len(samples)} numbers, one per sample")
             return None
-        bad = [i for i, w in enumerate(weights) if not _is_number(w)]
+        bad = [i for i, w in enumerate(weights) if not ic._is_finite_number(w)]
         for i in bad:
             v.fail(f"{path}.weights[{i}]", f"expected a finite number, got {weights[i]!r}")
         if bad:
@@ -576,14 +553,20 @@ def _load_config(path: str) -> dict:
 
 
 def _check_output_dir(out_dir: str) -> None:
-    """Raise ConfigError unless ``out_dir`` is a non-empty path whose nearest
-    existing ancestor (or itself) is a directory, so the report files can be
-    written there once the run ends."""
+    """Raise ConfigError unless ``out_dir`` is a non-empty path the system
+    can name whose nearest existing ancestor (or itself) is a directory, so
+    the report files can be written there once the run ends."""
     if not out_dir:
         raise ConfigError("config.output_dir: expected a non-empty path")
     path = os.path.abspath(out_dir)
-    while not os.path.exists(path):
-        path = os.path.dirname(path)
+    while True:
+        try:
+            os.stat(path)
+            break
+        except (FileNotFoundError, NotADirectoryError):
+            path = os.path.dirname(path)
+        except (OSError, ValueError) as exc:  # a NUL byte, a name too long, ...
+            raise ConfigError(f"config.output_dir: unusable path: {exc}") from None
     if not os.path.isdir(path):
         raise ConfigError(f"config.output_dir: {path} is a file, not a directory")
 

@@ -58,7 +58,7 @@ from .errors import (
 from .models import (Dataset, Loss, LossFamily, Model, _head_scalars, _rayleigh_bound,
                      _scalar_homogeneous, per_sample_losses)
 from .transforms import (Charge, Transformation, _list_keys, _require_continuous_symmetry,
-                         noether_charge)
+                         characteristic_direction, noether_charge)
 
 __all__ = [
     "Trajectory",
@@ -555,8 +555,7 @@ def gradient_descent(
         delta = -eta * g
         nd = float(np.linalg.norm(delta))
         for s in symmetries:
-            # H(0, .) = id, so dH/dtheta = I and X at lam = 0 is dH/dlambda
-            X = s.dh_dlambda(np.zeros(s.p), th)  # (p, d)
+            X = characteristic_direction(s, th)  # (p, d), at lam = 0
             inner = X @ delta
             nx = float(np.linalg.norm(X))
             normalized = float(np.linalg.norm(inner)) / max(nd * nx, 1e-300) if nd > 0 else 0.0

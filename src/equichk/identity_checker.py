@@ -23,12 +23,13 @@ of evaluating its own; ``run_suite`` evaluates one batched landscape per plan
 entry (:func:`evaluate_landscapes`, one sweep of the model and one of the
 composite over all the entry's positions) and shares each position's
 landscape among that position's checks.  What the checks derive from a
-landscape -- its Hessian spectrum, and per (transform, lam) the chart
-inverses, X, Y and the second-order right-hand-side terms -- is computed on
-first use and kept with the landscape, so the checks at one position share it
-too; in a suite run the chart inverses are the ones the sampler took when it
-accepted the position.  A check called without ``landscape=`` computes all of
-it itself, and every precondition still runs inside each check.
+landscape -- its Hessian spectrum, and per (transform, lam) the chart data
+(the chart inverses with X and Y, one ``transforms._chart_inverses`` result)
+and the second-order right-hand-side terms -- is computed on first use and
+kept with the landscape, so the checks at one position share it too; in a
+suite run the chart data are the ones the sampler took when it accepted the
+position.  A check called without ``landscape=`` computes all of it itself,
+and every precondition still runs inside each check.
 """
 
 from __future__ import annotations
@@ -310,10 +311,10 @@ class LandscapeEval:
 
     ``_memo`` is the per-position memo of what the checks derive from this
     landscape: the Hessian spectrum (:func:`_spectrum`) and, per transform
-    object and lam, the chart inverses, good-position report, X, Y and
-    second-order terms (:func:`_transform_eval`).  Each fills on first use,
-    except that a suite run starts it with the sampler's chart inverses.
-    A memo entry holds its transform, so a ``mutate``d copy never reuses the
+    object and lam, the chart data (:func:`_transform_eval`) and the
+    second-order terms (:func:`_second_order_terms`).  Each fills on first
+    use, except that a suite run starts it with the sampler's chart data.
+    A chart entry holds its transform, so a ``mutate``d copy never reuses the
     entry of the transform it came from.
     """
 
@@ -398,36 +399,20 @@ def _spectrum(ev: LandscapeEval) -> SpectralSummary:
     return summary
 
 
-@dataclass
-class _TransformEval:
-    """One transform's characteristic data at a landscape's position and one
-    lam: the chart inverses and their good-position report, X and Y (once
-    the position is known good), and -- once a second-order check asks --
-    the five-term right-hand sides."""
-
-    transform: Transformation   # held so no other object can take the id that keys it
-    charts: _Charts
-    X: Optional[np.ndarray] = None
-    Y: Optional[np.ndarray] = None
-    second: Optional["_SecondOrder"] = None
-
-
 def _memo_key(t: Transformation, lam) -> tuple:
     return id(t), None if lam is None else np.asarray(lam, dtype=float).tobytes()
 
 
-def _transform_eval(ev: LandscapeEval, t: Transformation, lam) -> _TransformEval:
-    """``t``'s data at ``ev``'s position and ``lam``, from ``ev``'s memo;
-    raises NotGoodPosition when the position is not good."""
+def _transform_eval(ev: LandscapeEval, t: Transformation, lam) -> _Charts:
+    """``t``'s chart data at ``ev``'s position and ``lam``, from ``ev``'s
+    memo; raises NotGoodPosition when the position is not good."""
     key = _memo_key(t, lam)
-    te = ev._memo.get(key)
-    if te is None:
-        te = ev._memo[key] = _TransformEval(t, _chart_inverses(t, ev.theta, ev.y, lam))
-    if not te.charts.report.ok:
-        raise NotGoodPosition(f"({t.name}) not a good position: {te.charts.report.reason}")
-    if te.X is None:
-        te.X, te.Y = te.charts.direction(t, ev.theta), te.charts.output(t, ev.y)
-    return te
+    charts = ev._memo.get(key)
+    if charts is None:
+        charts = ev._memo[key] = _chart_inverses(t, ev.theta, ev.y, lam)
+    if not charts.report.ok:
+        raise NotGoodPosition(f"({t.name}) not a good position: {charts.report.reason}")
+    return charts
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +438,11 @@ def check_first_order(
     parameter motion, <gradL, X> = 0.
     """
     ev = _landscape(model, loss, theta, mode, landscape)
-    te = _transform_eval(ev, transform, lam)
-    X, Y = te.X, te.Y
+    ch = _transform_eval(ev, transform, lam)
+    X, Y = ch.X, ch.Y
     lhs = compose(ev.grad, X)
     rhs = compose(ev.gl, Y)
-    ctx = _base_context(model, transform, te.charts.lam, mode, extra_context)
+    ctx = _base_context(model, transform, ch.lam, mode, extra_context)
     ctx["is_symmetry"] = transform.is_symmetry
     return _report(
         "check_first_order", CHECK_ANCHORS["check_first_order"],
@@ -499,10 +484,10 @@ class _SecondOrder:
     quad_scales: Tuple[float, ...]
 
 
-def _second_order(ev: LandscapeEval, te: _TransformEval) -> _SecondOrder:
-    t, lamv = te.transform, te.charts.lam
+def _second_order(ev: LandscapeEval, ch: _Charts) -> _SecondOrder:
+    t, lamv = ch.transform, ch.lam
     th, y = ev.theta, ev.y
-    hinv, ginv, X, Y = te.charts.hinv, te.charts.ginv, te.X, te.Y
+    hinv, ginv, X, Y = ch.hinv, ch.ginv, ch.X, ch.Y
 
     d2h_tt = _callback(t, "d2h_dtheta2", lamv, th)         # (d, d, d)
     d2h_lt = _callback(t, "d2h_dlambda_dtheta", lamv, th)  # (p, d, d)
@@ -545,13 +530,15 @@ def _second_order(ev: LandscapeEval, te: _TransformEval) -> _SecondOrder:
                         quad=q_terms, quad_scales=q_scales)
 
 
-def _second_order_terms(ev: LandscapeEval, t: Transformation, lam) -> Tuple[_TransformEval, _SecondOrder]:
-    """``t``'s data at ``ev``'s position with its second-order terms, which
-    are built once per memo entry."""
-    te = _transform_eval(ev, t, lam)
-    if te.second is None:
-        te.second = _second_order(ev, te)
-    return te, te.second
+def _second_order_terms(ev: LandscapeEval, t: Transformation, lam) -> Tuple[_Charts, _SecondOrder]:
+    """``t``'s chart data at ``ev``'s position with its second-order terms,
+    which are built once per position and kept under their own memo key."""
+    ch = _transform_eval(ev, t, lam)
+    key = _memo_key(t, lam) + ("second",)
+    so = ev._memo.get(key)
+    if so is None:
+        so = ev._memo[key] = _second_order(ev, ch)
+    return ch, so
 
 
 def _assemble_rhs(terms: Sequence[np.ndarray], scales: Sequence[float], is_symmetry: bool) -> Tuple[np.ndarray, dict]:
@@ -591,16 +578,16 @@ def check_second_action(
 ) -> IdentityReport:
     """Hessian action identity: hessL o X equals the five-term RHS in T(p, d)."""
     ev = _landscape(model, loss, theta, mode, landscape)
-    te, so = _second_order_terms(ev, transform, lam)
-    lhs = compose(ev.hess, te.X)
+    ch, so = _second_order_terms(ev, transform, lam)
+    lhs = compose(ev.hess, ch.X)
     rhs, diag = _assemble_rhs(so.action, so.action_scales, transform.is_symmetry)
-    ctx = _base_context(model, transform, te.charts.lam, mode, extra_context)
+    ctx = _base_context(model, transform, ch.lam, mode, extra_context)
     ctx["is_symmetry"] = transform.is_symmetry
     ctx.update(diag)
     return _report(
         "check_second_action", CHECK_ANCHORS["check_second_action"],
         lhs, rhs,
-        _norm(ev.hess) * _norm(te.X),
+        _norm(ev.hess) * _norm(ch.X),
         sum(so.action_scales),
         _tol(mode, tolerance), ctx,
     )
@@ -620,13 +607,13 @@ def check_second_quadratic(
 ) -> IdentityReport:
     """Hessian quadratic-form identity: hessL o X o_2 X in T(p, p)."""
     ev = _landscape(model, loss, theta, mode, landscape)
-    te, so = _second_order_terms(ev, transform, lam)
-    lhs = compose_k(compose(ev.hess, te.X), te.X, 2)
+    ch, so = _second_order_terms(ev, transform, lam)
+    lhs = compose_k(compose(ev.hess, ch.X), ch.X, 2)
     rhs, diag = _assemble_rhs(so.quad, so.quad_scales, transform.is_symmetry)
-    ctx = _base_context(model, transform, te.charts.lam, mode, extra_context)
+    ctx = _base_context(model, transform, ch.lam, mode, extra_context)
     ctx["is_symmetry"] = transform.is_symmetry
     ctx.update(diag)
-    nx = _norm(te.X)
+    nx = _norm(ch.X)
     return _report(
         "check_second_quadratic", CHECK_ANCHORS["check_second_quadratic"],
         lhs, rhs,
@@ -1110,8 +1097,8 @@ def stationary_null_count(
     for key, t in zip(_list_keys([t.name for t in symmetry_transforms]), symmetry_transforms):
         _require_continuous_symmetry(t)
         lamv = np.zeros(t.p)
-        te = _transform_eval(ev, t, lamv)
-        X, hinv = te.X, te.charts.hinv
+        ch = _transform_eval(ev, t, lamv)
+        X, hinv = ch.X, ch.hinv
         rows.append(X.reshape(t.p, model.d))
         hx = _norm(compose(ev.hess, X))
         d2h_lt = _callback(t, "d2h_dlambda_dtheta", lamv, th)
@@ -1192,8 +1179,8 @@ def sample_positions(
     projected onto their fixed set instead, with lam = None), and — when
     ``require_nondegenerate`` — clear of the l' = 0 and
     m y l'' + (m-1) l' = 0 branches that void the scalar specializations.
-    The list also carries, as ``charts``, the chart inverses that accepted
-    each position (None without a continuous transform).
+    The list also carries, as ``charts``, the chart data that accepted each
+    position (None without a continuous transform).
     """
     rng = np.random.default_rng(seed)
     out: List[Tuple[np.ndarray, Optional[np.ndarray]]] = []
@@ -1282,21 +1269,41 @@ def _build_entry(entry: PlanEntry) -> BuiltEntry:
     return BuiltEntry(entry, model, make_loss(entry.loss, **dict(entry.loss_params)), transform)
 
 
+def _is_int(value, least: int) -> bool:
+    """Whether ``value`` is an integer (numpy's included, a bool not) of at
+    least ``least``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
+
+
+def _is_finite_number(value) -> bool:
+    """Whether ``value`` is a finite real number (numpy's included, a bool not)."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and math.isfinite(value))
+
+
 def entry_misfits(built: BuiltEntry) -> List[Tuple[str, str]]:
-    """Every setting of ``built.entry`` that its model and transform cannot
-    serve -- the loss, a check, a tolerance key, the diff mode, or a mutation
-    that no listed check would see or that scales a declared-zero callback --
-    as (path inside the entry, reason); empty when all fit."""
+    """Every setting of ``built.entry`` that cannot run or that its model and
+    transform cannot serve -- the position count, the seed, the loss, the
+    check list or a check, a tolerance, the diff mode, or a mutation that is
+    malformed, that no listed check would see or that scales a declared-zero
+    callback -- as (path inside the entry, reason); empty when all fit."""
     entry, model, transform = built.entry, built.model, built.transform
     known = ", ".join(CHECK_REGISTRY)
     out: List[Tuple[str, str]] = []
+    if not _is_int(entry.positions, 1):
+        out.append(("positions", f"expected a positive integer, got {entry.positions!r}"))
+    if not _is_int(entry.seed, 0):
+        out.append(("seed", f"expected a nonnegative integer, got {entry.seed!r}"))
     try:
         _require_fit(model, built.loss)
     except SizeMismatch as exc:
         out.append(("loss", str(exc)))
+    checks = entry.checks if isinstance(entry.checks, (tuple, list)) else ()
+    if not checks:
+        out.append(("checks", "expected a non-empty list of check names"))
     mutable = False  # whether a fitting check reads the callbacks a mutation scales
-    for i, name in enumerate(entry.checks):
-        row = CHECK_REGISTRY.get(name)
+    for i, name in enumerate(checks):
+        row = CHECK_REGISTRY.get(name) if isinstance(name, str) else None
         if row is None:
             out.append((f"checks[{i}]", f"unknown check {name!r} (known: {known})"))
         elif not _REQUIREMENTS[row.requires](model, transform):
@@ -1304,18 +1311,36 @@ def entry_misfits(built: BuiltEntry) -> List[Tuple[str, str]]:
                         f"(model {model.name}, transform {entry.transform})"))
         else:  # the mirror row reads the transform's columns, not its callbacks
             mutable = mutable or row.requires in ("continuous transform", "discrete involution")
-    for key in entry.tolerances:
-        if key not in CHECK_REGISTRY:
-            out.append((f"tolerances.{key}", f"unknown check {key!r} (known: {known})"))
+    if not isinstance(entry.tolerances, Mapping):
+        out.append(("tolerances", "expected an object"))
+    else:
+        for key, value in entry.tolerances.items():
+            if key not in CHECK_REGISTRY:
+                out.append((f"tolerances.{key}", f"unknown check {key!r} (known: {known})"))
+            elif not (_is_finite_number(value) and value > 0):
+                out.append((f"tolerances.{key}", f"expected a finite positive number, "
+                            f"got {value!r}"))
     try:
         de._check_mode(entry.mode)
     except InvalidParams as exc:
         out.append(("mode", str(exc)))
-    cb = None if entry.mutation is None else entry.mutation["callback"]
-    if cb is not None and not mutable:
+    mutation = entry.mutation
+    if mutation is None:
+        return out
+    if not (isinstance(mutation, Mapping) and set(mutation) == {"callback", "scale"}):
+        out.append(("mutation", f'expected {{"callback": name, "scale": number}}, '
+                    f"got {mutation!r}"))
+        return out
+    cb, scale = mutation["callback"], mutation["scale"]
+    if not _is_finite_number(scale):
+        out.append(("mutation.scale", f"expected a finite number, got {scale!r}"))
+    if cb not in MUTABLE_CALLBACKS:
+        out.append(("mutation.callback", f"unknown derivative callback {cb!r} "
+                    f"(known: {', '.join(MUTABLE_CALLBACKS)})"))
+    elif not mutable:
         out.append(("mutation", "no listed check reads the transform's callbacks, "
                     "so the mutation cannot act"))
-    elif cb in MUTABLE_CALLBACKS and getattr(transform, cb) is None:
+    elif getattr(transform, cb) is None:
         out.append(("mutation.callback", f"{transform.name} declares {cb} identically "
                     "zero, so the mutation cannot act"))
     return out
@@ -1335,8 +1360,8 @@ def _run_entry(master_seed: int, index: int, built: BuiltEntry) -> List[Identity
         require_nondegenerate=any(r.requires == "scalar homogeneous head" for r in rows),
     )
     # one batched landscape per block of positions (one block at catalog
-    # sizes); each position's memo starts with the chart inverses the
-    # sampler took there, so no check inverts them again
+    # sizes); each position's memo starts with the chart data the sampler
+    # took there, so no check inverts a chart or composes X or Y again
     reports: List[IdentityReport] = []
     for blk in de._blocks(len(positions), _landscape_bytes(model)):
         landscapes = evaluate_landscapes(model, loss, [th for th, _ in positions[blk]], entry.mode)
@@ -1344,7 +1369,7 @@ def _run_entry(master_seed: int, index: int, built: BuiltEntry) -> List[Identity
             th, lam = positions[pos_idx]
             charts = positions.charts[pos_idx]
             if charts is not None:
-                ev._memo[_memo_key(transform, lam)] = _TransformEval(transform, charts)
+                ev._memo[_memo_key(transform, lam)] = charts
             base = {"theta_seed": pos_seed, "entry": index, "position": pos_idx}
             for row in rows:
                 kw = {"mode": entry.mode, "tolerance": entry.tolerances.get(row.name),

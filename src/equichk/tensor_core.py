@@ -106,11 +106,10 @@ def compose_k(g: np.ndarray, f: np.ndarray, k: int) -> np.ndarray:
 
 def _inverse_rcond(a) -> Tuple[Optional[np.ndarray], float]:
     """The inverse of a square matrix (``np.linalg.inv``, an LU solve) and
-    its reciprocal 1-norm condition estimate ``1 / (||a||_1 ||inv||_1)``;
-    ``(None, 0.0)`` when the factorization breaks down, and an estimate of
-    0.0 when the norm product vanishes or is not finite.  The inverse is
-    what :func:`invert_square` returns whenever the estimate is not below
-    ``RCOND_THRESHOLD``."""
+    its reciprocal 1-norm condition estimate ``1 / (||a||_1 ||inv||_1)``, an
+    estimate of 0.0 when the norm product vanishes or is not finite.  The
+    inverse is None when the factorization breaks down or the estimate falls
+    below ``RCOND_THRESHOLD``: this is the toolbox's one good-inverse rule."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise AxisMismatch(f"square matrix required, got shape {a.shape}")
@@ -120,7 +119,8 @@ def _inverse_rcond(a) -> Tuple[Optional[np.ndarray], float]:
         return None, 0.0
     norm_a, norm_inv = (float(np.abs(m).sum(axis=0).max(initial=0.0)) for m in (a, inv))
     denom = norm_a * norm_inv
-    return inv, (1.0 / denom if 0.0 < denom < np.inf else 0.0)
+    rcond = 1.0 / denom if 0.0 < denom < np.inf else 0.0
+    return (inv if rcond >= RCOND_THRESHOLD else None), rcond
 
 
 def invert_square(a: np.ndarray) -> np.ndarray:
@@ -128,9 +128,9 @@ def invert_square(a: np.ndarray) -> np.ndarray:
 
     ``compose(a, invert_square(a))`` is the identity within 1e-10 * n.
     Raises :class:`Singular` when the factorization breaks down or the
-    reciprocal condition estimate falls below ``1e-12``.
+    reciprocal condition estimate falls below ``RCOND_THRESHOLD`` (1e-12).
     """
     inv, rcond = _inverse_rcond(a)
-    if rcond < RCOND_THRESHOLD:
-        raise Singular(f"reciprocal condition estimate {rcond:.3e} below 1e-12")
+    if inv is None:
+        raise Singular(f"reciprocal condition estimate {rcond:.3e} below {RCOND_THRESHOLD:g}")
     return inv

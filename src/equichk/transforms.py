@@ -11,12 +11,17 @@ All derivative callbacks return plain float64 arrays in the stored layout
 of :mod:`equichk.tensor_core` — indexed ``[input axes..., output axes...]``
 — so a stored Jacobian is the transpose of the textbook matrix and feeds
 directly into ``compose``/``compose_k`` chains; the characteristic data
-built from them (X, Y, the chart inverses) are plain arrays too.  Callback
-outputs are checked finite (NonFiniteEntry) before they enter a composition
-or ``invert_square``; the chart Jacobians that ``good_position`` eliminates
-are judged by their condition estimate instead.  The callbacks marked
-optional may be ``None``, which declares that derivative identically zero;
-the other three, like ``h_eval`` and ``g_eval``, are required.  Shapes:
+built from them (X, Y, the chart inverses) are plain arrays too.  One
+function, ``_chart_inverses``, produces a position's chart data: it inverts
+both chart Jacobians, judges the position by tensor_core's one good-inverse
+rule (``_inverse_rcond``) and, at a good position, composes X and Y with
+``_direction``/``_output``, the only place a chart inverse meets dH/dlam or
+dG/dlam.  Callback outputs are checked finite (NonFiniteEntry) before they
+enter a composition or ``invert_square``; the chart Jacobians that
+``good_position`` eliminates are judged by their condition estimate instead.
+The callbacks marked optional may be ``None``, which declares that
+derivative identically zero; the other three, like ``h_eval`` and
+``g_eval``, are required.  Shapes:
 
 ======================  =============  =========================================
 callback                shape          entry
@@ -70,7 +75,7 @@ from .errors import (
     UnknownSpec,
 )
 from .models import Model, _integer, call_builder, forward, signature
-from .tensor_core import RCOND_THRESHOLD, _finite, _inverse_rcond, compose, invert_square
+from .tensor_core import _finite, _inverse_rcond, compose, invert_square
 
 __all__ = [
     "Charge",
@@ -530,29 +535,26 @@ def characteristic_output(t: Transformation, y, lam=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Charts:
-    """Both chart Jacobian inverses at one position and the good-position
-    report their condition estimates give.  Each chart is eliminated once;
-    the inverses are None unless the position is good, and are then the
-    very arrays ``invert_square`` would return."""
+    """A transform's chart data at one position: both chart Jacobian
+    inverses, the good-position report their condition estimates give, and
+    X and Y.  Each chart is eliminated once; the inverses, X and Y are None
+    unless the position is good, and are then the very arrays
+    ``invert_square``, :func:`characteristic_direction` and
+    :func:`characteristic_output` would return."""
 
+    transform: Transformation
     lam: np.ndarray  # the validated lam the charts were taken at
     report: GoodPositionReport
-    hinv: Optional[np.ndarray]
-    ginv: Optional[np.ndarray]
-
-    def direction(self, t: Transformation, th: np.ndarray) -> np.ndarray:
-        """X here, as :func:`characteristic_direction` gives it."""
-        return _direction(t, self.hinv, self.lam, th)
-
-    def output(self, t: Transformation, y: np.ndarray) -> np.ndarray:
-        """Y here, as :func:`characteristic_output` gives it."""
-        return _output(t, self.ginv, self.lam, y)
+    hinv: Optional[np.ndarray] = None
+    ginv: Optional[np.ndarray] = None
+    X: Optional[np.ndarray] = None
+    Y: Optional[np.ndarray] = None
 
 
 def _chart_inverses(t: Transformation, theta, y=None, lam=None) -> _Charts:
-    """Invert dH/dtheta and dG/dy at (theta, y, lam).  Discrete
-    transformations have no lam chart: theirs are taken at the empty lam and
-    never make a good position."""
+    """Invert dH/dtheta and dG/dy at (theta, y, lam) and, where both inverses
+    are good, compose X and Y.  Discrete transformations have no lam chart:
+    theirs are taken at the empty lam and never make a good position."""
     th = _vec(theta, t.d, "theta")
     yv = np.zeros(t.c) if y is None else _vec(y, t.c, "y")
     lamv = _lam_vec(t, lam) if t.kind == "continuous" else np.zeros(0)
@@ -560,13 +562,12 @@ def _chart_inverses(t: Transformation, theta, y=None, lam=None) -> _Charts:
     ginv, rg = _inverse_rcond(t.dg_dy(lamv, yv))
     if t.kind != "continuous":
         reason = "discrete"
-    elif rh >= RCOND_THRESHOLD and rg >= RCOND_THRESHOLD:  # invert_square's rule
-        return _Charts(lamv, GoodPositionReport(ok=True, rcond_h=rh, rcond_g=rg),
-                       hinv, ginv)
-    else:
+    elif hinv is None or ginv is None:
         reason = "chart Jacobian numerically singular"
-    return _Charts(lamv, GoodPositionReport(ok=False, rcond_h=rh, rcond_g=rg, reason=reason),
-                   None, None)
+    else:
+        return _Charts(t, lamv, GoodPositionReport(ok=True, rcond_h=rh, rcond_g=rg), hinv, ginv,
+                       _direction(t, hinv, lamv, th), _output(t, ginv, lamv, yv))
+    return _Charts(t, lamv, GoodPositionReport(ok=False, rcond_h=rh, rcond_g=rg, reason=reason))
 
 
 def good_position(t: Transformation, theta, y=None, lam=None) -> GoodPositionReport:

@@ -286,6 +286,16 @@ def _reparam(width, blocks):
              {"name": "last_layer_left_action", "params": {}},
              ["first_order", "second_action", "second_quadratic", "last_layer"], seed=9),
      "loss"),
+    # settings held by ic.entry_misfits itself, relayed at the entry's path
+    (_misfit(_PROBE, _PROBE_LOSS, _SCALING, ["first_order"], positions=0), "positions"),
+    (_misfit(_PROBE, _PROBE_LOSS, _SCALING, ["first_order"], positions=True), "positions"),
+    (_misfit(_PROBE, _PROBE_LOSS, _SCALING, ["first_order"], seed=-1), "seed"),
+    (_misfit(_PROBE, _PROBE_LOSS, _SCALING, []), "checks"),
+    (_misfit(_PROBE, _PROBE_LOSS, _SCALING, ["first_order"],
+             tolerances={"first_order": float("nan")}), "tolerances.first_order"),
+    (_misfit(_PROBE, _PROBE_LOSS, _SCALING, ["first_order"], tolerances=[]), "tolerances"),
+    (_misfit(_PROBE, _PROBE_LOSS, _SCALING, ["first_order"],
+             mutation={"callback": "dh_dlambda"}), "mutation"),
 ], ids=["first_order+sign_flip", "discrete_first+scaling", "homogeneity+vector_head",
         "first_order+no_transform", "last_layer+deep_linear", "mirror+permutation",
         "tolerance_key_typo", "mutation_callback_typo", "mutation_scale_not_number",
@@ -301,7 +311,8 @@ def _reparam(width, blocks):
         "reparam_blocks_reversed", "reparam_blocks_not_adjacent", "reparam_relu_chain",
         "reparam_factored", "rescaling_factored_features", "rescaling_factored_head",
         "discrete_first+permutation_3_cycle", "suite_square_two_targets",
-        "suite_softmax_four_classes"])
+        "suite_softmax_four_classes", "positions_zero", "positions_bool", "seed_negative",
+        "checks_empty", "tolerance_nan", "tolerances_list", "mutation_without_scale"])
 def test_run_misfit_entry_exit_2_before_sampling(tmp_path, capsys, entry, where):
     cfg = {"experiment": "check_suite", "output_dir": str(tmp_path / "out"), "plan": [entry]}
     assert cli.main(["run", str(_write(tmp_path, "misfit.json", cfg))]) == 2
@@ -425,13 +436,16 @@ def test_run_dynamics_config_errors_exit_2(tmp_path, capsys, cfg, where):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("where", ["empty", "a_file", "under_a_file"])
+@pytest.mark.parametrize("where", ["empty", "a_file", "under_a_file", "nul_byte",
+                                   "name_too_long"])
 def test_run_unusable_output_dir_exit_2_before_running(tmp_path, capsys, monkeypatch, where):
-    # an output_dir that no file can be written to is refused before the
-    # experiment runs, and nothing is created
+    # an output_dir that no file can be written to, or that the system cannot
+    # name, is refused before the experiment runs, and nothing is created
     (tmp_path / "taken").write_text("")
     out_dir = {"empty": "", "a_file": str(tmp_path / "taken"),
-               "under_a_file": str(tmp_path / "taken" / "out")}[where]
+               "under_a_file": str(tmp_path / "taken" / "out"),
+               "nul_byte": str(tmp_path / "out\u0000x"),
+               "name_too_long": str(tmp_path / ("x" * 300) / "out")}[where]
     ran = []
     monkeypatch.setitem(cli._RUNNERS, "check_suite", lambda cfg, out: ran.append(out))
     path = _write(tmp_path, "suite.json", _suite_cfg(out_dir))
@@ -532,6 +546,17 @@ def test_run_stationary_null_count_fails_below_its_null_tolerance(tmp_path, caps
     assert report["check_name"] == "stationary_null_count" and not report["pass"]
     assert report["abs_residual"] == 1.0
     assert report["context"]["null_count"] < report["context"]["rank_characteristic"]
+
+
+def test_run_stationary_rank_tolerance_reaches_the_report(tmp_path, capsys):
+    # layer_rescaling's one direction has rank 1 at the default rank_tol; a
+    # rank_tol above 1 counts no singular value, so the report reads rank 0
+    cfg = _bundled("stationary_spectrum", output_dir=str(tmp_path / "out"),
+                   tolerances={"eps_stat": 1e-10, "rank_tol": 2.0})
+    assert cli.main(["run", str(_write(tmp_path, "stat.json", cfg))]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "out" / "reports.jsonl").read_text())
+    assert report["context"]["rank_characteristic"] == 0
 
 
 def test_cli_writes_the_library_drift_residual(tmp_path, capsys, monkeypatch):

@@ -16,6 +16,7 @@ from equichk.errors import (
     InsufficientEnsemble,
     InvalidNoiseModel,
     InvalidParams,
+    NonFiniteEntry,
     SizeMismatch,
     StepFailure,
 )
@@ -35,7 +36,7 @@ from equichk.models import (
     make_loss,
     per_sample_losses,
 )
-from equichk.transforms import Charge, _list_keys, build_transform
+from equichk.transforms import Charge, _list_keys, build_transform, mutate
 
 
 def _identity_model():
@@ -258,6 +259,17 @@ def test_descent_moves_orthogonally_to_symmetry(relu_mlp):
     trj = dyn.gradient_descent(relu_mlp, loss, relu_mlp.init_params, eta=0.05,
                                steps=200, chargelist=[t], symmetries=[t])
     assert np.max(trj.diagnostics["sym_ortho_max"]) <= 1e-10
+
+
+def test_descent_refuses_a_non_finite_symmetry_direction(relu_mlp):
+    # X comes from characteristic_direction, which checks dH/dlambda finite;
+    # a NaN direction would otherwise pass every orthogonality test
+    t = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, relu_mlp)
+    bad = mutate(t, "dh_dlambda", float("nan"))
+    loss = make_loss("exponential", label=1)
+    with pytest.raises(NonFiniteEntry):
+        dyn.gradient_descent(relu_mlp, loss, relu_mlp.init_params, eta=0.05, steps=3,
+                             symmetries=[bad])
 
 
 def test_descent_zero_eta_is_constant(relu_mlp):

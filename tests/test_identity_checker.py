@@ -3,6 +3,7 @@ errors, suite determinism, serialization formats."""
 
 import dataclasses
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -420,6 +421,39 @@ def test_run_suite_rejects_a_loss_that_does_not_fit_before_sampling(monkeypatch)
                       transform="homogeneity_scaling", checks=("first_order",))
     with pytest.raises(InvalidParams, match="plan entry 0: loss: a square loss on 2 outputs "
                                             "does not fit homogeneous_relu_mlp, which has 1"):
+        run_suite(SuiteSpec(entries=(entry,)))
+    assert sampled == []
+
+
+_PROBE_ENTRY = PlanEntry(model=ModelSpec("linear_probe", {"x": [1.0, 2.0]}, seed=21),
+                        loss="square", loss_params={"target": 2.0},
+                        transform="homogeneity_scaling",
+                        checks=("first_order", "second_action"), positions=2, seed=11)
+
+
+@pytest.mark.parametrize("setting, where", [
+    ({"positions": 0}, "positions"),
+    ({"checks": ()}, "checks"),
+    ({"positions": True}, "positions"),
+    ({"tolerances": {"first_order": -1.0}}, "tolerances.first_order"),
+    ({"tolerances": {"first_order": float("nan")}}, "tolerances.first_order"),
+    ({"mutation": {"callback": "bogus", "scale": 1.01}}, "mutation.callback"),
+    ({"mutation": {"callback": "dh_dlambda"}}, "mutation"),
+    ({"positions": 2.5}, "positions"),
+    ({"seed": -1}, "seed"),
+    ({"mutation": {"callback": "dh_dlambda", "scale": float("inf")}}, "mutation.scale"),
+], ids=["positions_zero", "checks_empty", "positions_bool", "tolerance_negative",
+        "tolerance_nan", "mutation_callback_unknown", "mutation_without_scale",
+        "positions_float", "seed_negative", "mutation_scale_infinite"])
+def test_run_suite_rejects_an_unrunnable_setting_before_sampling(monkeypatch, setting, where):
+    # each setting the CLI refuses is refused by the library itself, so a
+    # plan built in Python cannot run it either
+    sampled = []
+    monkeypatch.setattr(ic, "sample_positions", lambda *a, **k: sampled.append(a) or [])
+    assert entry_misfits(ic._build_entry(_PROBE_ENTRY)) == []
+    entry = dataclasses.replace(_PROBE_ENTRY, **setting)
+    assert [path for path, _ in entry_misfits(ic._build_entry(entry))] == [where]
+    with pytest.raises(InvalidParams, match=rf"plan entry 0: {re.escape(where)}: "):
         run_suite(SuiteSpec(entries=(entry,)))
     assert sampled == []
 

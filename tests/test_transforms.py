@@ -182,6 +182,21 @@ def test_characteristic_direction_matches_fd(name, params, model):
         np.testing.assert_allclose(S.T @ X[a], dH, rtol=1e-6, atol=1e-8)
 
 
+@pytest.mark.parametrize(
+    "name,params,model",
+    [c for c in CASES if c[0] not in ("mirror", "sign_flip", "permutation")],
+    ids=[i for i in _IDS if i not in ("mirror", "sign_flip", "permutation")],
+)
+def test_characteristic_direction_at_lam_zero_is_dh_dlambda(name, params, model):
+    # every catalog chart is exactly I at lam = 0, so X there is dH/dlambda
+    # bit for bit and gradient descent's orthogonality test reads the same bits
+    t = build_transform(name, params, model)
+    theta = random_params(model, np.random.default_rng(8))
+    np.testing.assert_array_equal(t.dh_dtheta(np.zeros(t.p), theta), np.eye(t.d))
+    np.testing.assert_array_equal(characteristic_direction(t, theta),
+                                  t.dh_dlambda(np.zeros(t.p), theta))
+
+
 def test_symmetry_characteristic_output_is_zero(relu_mlp):
     t = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, relu_mlp)
     assert t.is_symmetry
@@ -220,29 +235,32 @@ def test_good_position_report(relu_mlp):
     assert rep_d.reason == "discrete"
 
 
-@pytest.mark.parametrize("rcond, ok", [(tc.RCOND_THRESHOLD, True),
-                                       (np.nextafter(tc.RCOND_THRESHOLD, 0.0), False)],
+@pytest.mark.parametrize("above, ok", [(0, True), (1, False)],
                          ids=["at_threshold", "just_below"])
-def test_one_singularity_rule_at_the_threshold(monkeypatch, relu_mlp, rcond, ok):
-    # below RCOND_THRESHOLD is singular for good_position and invert_square
-    # alike, so a good position's chart inverses are invert_square's arrays
-    def pinned(a):
-        return np.linalg.inv(a), rcond
-
-    monkeypatch.setattr(tr, "_inverse_rcond", pinned)
-    monkeypatch.setattr(tc, "_inverse_rcond", pinned)
-    t = build_transform("homogeneity_scaling", {}, relu_mlp)
-    theta, lam = relu_mlp.init_params, np.zeros(1)
-    charts = tr._chart_inverses(t, theta, lam=lam)
-    assert charts.report.ok is ok
+def test_one_singularity_rule_at_the_threshold(monkeypatch, relu_mlp, above, ok):
+    # RCOND_THRESHOLD set to dH/dtheta's own estimate, then to the next float
+    # above it: invert_square, good_position, the chart data and
+    # characteristic_direction all take the rule from _inverse_rcond, so they
+    # agree on both sides of the threshold
+    t = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, relu_mlp)
+    theta, lam = relu_mlp.init_params, np.array([0.3])
+    y = forward(relu_mlp, theta)
+    jac = t.dh_dtheta(lam, theta)
+    rcond_h, rcond_g = tc._inverse_rcond(jac)[1], tc._inverse_rcond(t.dg_dy(lam, y))[1]
+    assert rcond_h < rcond_g == 1.0  # the rule is decided by dH/dtheta alone
+    threshold = np.nextafter(rcond_h, np.inf) if above else rcond_h
+    monkeypatch.setattr(tc, "RCOND_THRESHOLD", threshold)
+    charts = tr._chart_inverses(t, theta, y, lam)
+    assert charts.report == good_position(t, theta, y, lam)
+    assert charts.report.ok is ok and charts.report.rcond_h == rcond_h
     if ok:
-        np.testing.assert_array_equal(charts.hinv, tc.invert_square(t.dh_dtheta(lam, theta)))
-        np.testing.assert_array_equal(charts.direction(t, theta),
-                                      characteristic_direction(t, theta, lam))
+        np.testing.assert_array_equal(charts.hinv, tc.invert_square(jac))
+        np.testing.assert_array_equal(charts.X, characteristic_direction(t, theta, lam))
+        np.testing.assert_array_equal(charts.Y, characteristic_output(t, y, lam))
     else:
-        assert charts.hinv is None
+        assert charts.hinv is charts.X is charts.Y is None
         with pytest.raises(Singular):
-            tc.invert_square(t.dh_dtheta(lam, theta))
+            tc.invert_square(jac)
         with pytest.raises(NotGoodPosition):
             characteristic_direction(t, theta, lam)
 
