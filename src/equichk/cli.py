@@ -35,7 +35,6 @@ import argparse
 import datetime
 import hashlib
 import json
-import math
 import os
 import platform
 import sys
@@ -101,14 +100,9 @@ class _V:
         if not isinstance(obj, dict) or key not in obj:
             return default
         v = obj[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            self.fail(f"{path}.{key}", f"expected a number, got {type(v).__name__}")
-            return default
-        if isinstance(v, float) and not math.isfinite(v):
-            self.fail(f"{path}.{key}", f"must be finite, got {v}")
-            return default
-        if integer and not isinstance(v, int):
-            self.fail(f"{path}.{key}", "expected an integer")
+        if not (models._is_integer(v) if integer else models._is_real(v)):
+            self.fail(f"{path}.{key}", f"expected {'an integer' if integer else 'a finite number'}, "
+                                       f"got {v!r}")
             return default
         if positive and not v > 0:
             self.fail(f"{path}.{key}", f"must be positive, got {v}")
@@ -189,7 +183,7 @@ def _validate_transform(v: _V, obj, path: str, model: Optional[Model]) -> Option
 
 
 def _is_number_list(val) -> bool:
-    return isinstance(val, list) and all(ic._is_finite_number(x) for x in val)
+    return isinstance(val, list) and all(models._is_real(x) for x in val)
 
 
 def _validate_theta0(v: _V, obj, path: str, model: Optional[Model]) -> Optional[np.ndarray]:
@@ -280,9 +274,6 @@ def _validate_sample(v: _V, s, path: str, model, family) -> bool:
         v.fail(f"{path}.x", f"expected {model.input_point.size} numbers "
                             f"(the model's input width), got {len(x)}")
         return False
-    if not (ic._is_finite_number(target) or _is_number_list(target)):
-        v.fail(f"{path}.target", "expected a finite number or a list of finite numbers")
-        return False
     if family is not None:
         try:
             loss = family.bind(target)
@@ -312,7 +303,7 @@ def _validate_dataset(v: _V, obj, path: str, model: Optional[Model],
         if not (isinstance(weights, list) and len(weights) == len(samples)):
             v.fail(f"{path}.weights", f"expected a list of {len(samples)} numbers, one per sample")
             return None
-        bad = [i for i, w in enumerate(weights) if not ic._is_finite_number(w)]
+        bad = [i for i, w in enumerate(weights) if not models._is_real(w)]
         for i in bad:
             v.fail(f"{path}.weights[{i}]", f"expected a finite number, got {weights[i]!r}")
         if bad:

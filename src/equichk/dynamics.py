@@ -38,7 +38,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -55,8 +54,8 @@ from .errors import (
     SizeMismatch,
     StepFailure,
 )
-from .models import (Dataset, Loss, LossFamily, Model, _head_scalars, _rayleigh_bound,
-                     _scalar_homogeneous, per_sample_losses)
+from .models import (Dataset, Loss, LossFamily, Model, _head_scalars, _is_integer, _is_real,
+                     _rayleigh_bound, _reals, _scalar_homogeneous, per_sample_losses)
 from .transforms import (Charge, Transformation, _list_keys, _require_continuous_symmetry,
                          characteristic_direction, noether_charge)
 
@@ -134,12 +133,18 @@ class _Objective:
         return np.array([w for w, _ in self.maps])
 
 
-def _check_step(T: float, dt: float) -> None:
-    """Raise InvalidParams unless dt is positive and T covers one step."""
+def _check_step(T: float, dt: float, *, clipped: bool = False) -> None:
+    """Raise InvalidParams unless T and dt are finite reals, dt is positive
+    and T covers one step -- or, for a first step ``clipped`` to T, is positive."""
+    for name, value in (("T", T), ("dt", dt)):
+        if not _is_real(value):
+            raise InvalidParams(f"{name} must be a finite real, got {value!r}")
     if dt <= 0:
         raise InvalidParams(f"dt must be positive, got {dt}")
-    if T < dt:
+    if T < dt and not clipped:
         raise InvalidParams(f"T = {T} is shorter than one step dt = {dt}")
+    if T <= 0:
+        raise InvalidParams(f"T must be positive, got {T}")
 
 
 def _as_charges(chargelist) -> List[Charge]:
@@ -267,8 +272,7 @@ class _Recorder:
         diag = {"grad_norm": grad_norm, "theta_sq": theta_sq}
         if self.model.c == 1:
             outputs = np.asarray(self.model.func(states), dtype=float)  # (n, 1)
-            if not np.isfinite(outputs).all():
-                raise NonFiniteResult("model output along the run contains NaN or Inf")
+            de._check_finite(outputs, "the model along the run")
             diag["f"] = outputs[:, 0]
             if self._loss is not None and _scalar_homogeneous(self.model):
                 diag["sharpness_bound"] = np.array([_rayleigh_bound(
@@ -281,14 +285,9 @@ class _Recorder:
                           diagnostics=diag, meta=dict(meta), grads=grads)
 
 
-def _check_state(theta: np.ndarray, what: str) -> None:
-    if not np.isfinite(theta).all():
-        raise NonFiniteResult(f"{what} produced NaN or Inf")
-
-
 def _theta0(model: Model, theta0) -> np.ndarray:
     """``theta0`` flat, as floats; SizeMismatch unless it has the model's d entries."""
-    th = np.asarray(theta0, dtype=float).reshape(-1)
+    th = _reals(theta0, "theta0").reshape(-1)
     if th.size != model.d:
         raise SizeMismatch(f"theta0 has {th.size} entries, model wants {model.d}")
     return th
@@ -349,7 +348,7 @@ def gradient_flow(
             k3 = rhs(th + 0.5 * h * k2)
             k4 = rhs(th + h * k3)
             cand = th + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            _check_state(cand, "RK4 step")
+            de._check_finite(cand, "RK4 step")
             # the candidate's sweep gives the acceptance loss and, once
             # accepted, the next step's first stage and the recorded gradient
             cand_loss, g = obj.value_and_grad(cand)
@@ -467,10 +466,7 @@ def stationary_flow(
     rejections raise StepFailure.  Records fall on accepted steps, at most
     one per T/1000 of time, plus the start and the end.
     """
-    if dt <= 0:
-        raise InvalidParams(f"dt must be positive, got {dt}")
-    if T <= 0:
-        raise InvalidParams(f"T must be positive, got {T}")
+    _check_step(T, dt, clipped=True)
     obj, rec, th, cur_loss, g = _start(model, loss, theta0, chargelist)
     end = T - 1e-12 * max(1.0, T)
     t, h = 0.0, min(dt, T)
@@ -483,7 +479,7 @@ def stationary_flow(
         for i in range(1, 12):
             K[i] = -obj.value_and_grad(th + h * (_DP_A[i, :i] @ K[:i]))[1]
         cand = th + h * (_DP_B @ K)
-        _check_state(cand, "DOP853 step")
+        de._check_finite(cand, "DOP853 step")
         # the candidate's sweep gives the acceptance loss and, once accepted,
         # the recorded gradient and the next first stage
         cand_loss, cand_g = obj.value_and_grad(cand)
@@ -539,10 +535,10 @@ def gradient_descent(
     the parameter motion).  The worst normalized inner product per record
     lands in the ``sym_ortho_max`` diagnostic and must stay below 1e-10.
     """
-    if eta < 0:
-        raise InvalidParams(f"eta must be nonnegative, got {eta}")
-    if steps < 1:
-        raise InvalidParams("need at least one step")
+    if not (_is_real(eta) and eta >= 0):
+        raise InvalidParams(f"eta must be a finite nonnegative real, got {eta!r}")
+    if not (_is_integer(steps) and steps >= 1):
+        raise InvalidParams(f"steps must be a positive integer, got {steps!r}")
     for s in symmetries:
         _require_continuous_symmetry(s)
     obj, rec, th, loss_k, g = _start(model, loss, theta0, chargelist)
@@ -566,7 +562,7 @@ def gradient_descent(
                     f"normalized inner product {normalized:.3e}"
                 )
         th = th + delta
-        _check_state(th, "GD step")
+        de._check_finite(th, "GD step")
         loss_k, g = obj.value_and_grad(th)
         if k % stride == 0 or k == steps:
             rec.record(float(k), th, grad=g, loss=loss_k)
@@ -738,12 +734,10 @@ class NoiseModel:
             raise InvalidNoiseModel(
                 "mode", f"unknown noise mode {self.mode!r} (known: {', '.join(_NOISE_MODES)})")
         sigma, seed = self.sigma, self.seed
-        if (isinstance(sigma, bool) or not isinstance(sigma, numbers.Real)
-                or not math.isfinite(sigma) or sigma < 0):
+        if not (_is_real(sigma) and sigma >= 0):
             raise InvalidNoiseModel("sigma", f"sigma must be a finite nonnegative real, got {sigma!r}")
         # the seed is the first uint64 word of every member's stream key
-        if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
-                or not 0 <= seed < 2 ** 64):
+        if not (_is_integer(seed) and 0 <= seed < 2 ** 64):
             raise InvalidNoiseModel("seed", f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
@@ -802,8 +796,8 @@ def sgf(
     checked against a fixed 1 GiB limit before anything is drawn.
     """
     _check_step(T, dt)
-    if ensemble < 1:
-        raise InvalidParams("ensemble must hold at least one trajectory")
+    if not (_is_integer(ensemble) and ensemble >= 1):
+        raise InvalidParams(f"ensemble must be a positive integer, got {ensemble!r}")
     obj = _Objective(model, (family, dataset))
     charges = _as_charges(chargelist)
     th0 = _theta0(model, theta0)

@@ -53,9 +53,9 @@ from .errors import (
     NotGoodPosition,
     SizeMismatch,
 )
-from .models import (Loss, Model, ModelSpec, _head_margins, _head_scalars, _rayleigh_bound,
-                     _require_fit, _scalar_homogeneous, build_model, forward, make_loss,
-                     random_params)
+from .models import (Loss, Model, ModelSpec, _head_margins, _head_scalars, _is_integer,
+                     _is_real, _rayleigh_bound, _reals, _require_fit, _scalar_homogeneous,
+                     build_model, forward, make_loss, random_params)
 from .spectral import SpectralSummary, spectral_summary
 from .tensor_core import _finite, compose, compose_k
 from .transforms import (
@@ -275,9 +275,17 @@ def _report(check_name, anchor, lhs, rhs, scale_l, scale_r, tol, context,
     )
 
 
+def _positive(value, what: str) -> float:
+    """A tolerance ``what`` as a float; InvalidParams unless it is a finite
+    positive real."""
+    if not (_is_real(value) and value > 0):
+        raise InvalidParams(f"{what} must be a finite positive number, got {value!r}")
+    return float(value)
+
+
 def _tol(mode: str, override: Optional[float]) -> float:
     if override is not None:
-        return float(override)
+        return _positive(override, "tolerance")
     return DEFAULT_TOL_EXACT if mode == "exact" else DEFAULT_TOL_FD
 
 
@@ -921,7 +929,7 @@ def check_mirror(
     1e-12; the report's residual stacks the three block residuals, each
     normalized by its natural scale (gradient / Hessian norm).
     """
-    O = np.asarray(O, dtype=float)
+    O = _reals(O, "O")
     if O.ndim == 1:
         O = O[:, None]
     d = model.d
@@ -1080,6 +1088,8 @@ def stationary_null_count(
     factor for symmetries), and requires
     null_count(null_tol) >= rank(stacked X, rank_tol).
     """
+    eps_stat, null_tol, rank_tol = (_positive(v, k) for k, v in (
+        ("eps_stat", eps_stat), ("null_tol", null_tol), ("rank_tol", rank_tol)))
     th = np.asarray(theta_star, dtype=float).reshape(-1)
     ev = evaluate_landscape(model, loss, th, mode)
     g_norm = _norm(ev.grad)
@@ -1269,18 +1279,6 @@ def _build_entry(entry: PlanEntry) -> BuiltEntry:
     return BuiltEntry(entry, model, make_loss(entry.loss, **dict(entry.loss_params)), transform)
 
 
-def _is_int(value, least: int) -> bool:
-    """Whether ``value`` is an integer (numpy's included, a bool not) of at
-    least ``least``."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
-
-
-def _is_finite_number(value) -> bool:
-    """Whether ``value`` is a finite real number (numpy's included, a bool not)."""
-    return (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool) and math.isfinite(value))
-
-
 def entry_misfits(built: BuiltEntry) -> List[Tuple[str, str]]:
     """Every setting of ``built.entry`` that cannot run or that its model and
     transform cannot serve -- the position count, the seed, the loss, the
@@ -1290,9 +1288,9 @@ def entry_misfits(built: BuiltEntry) -> List[Tuple[str, str]]:
     entry, model, transform = built.entry, built.model, built.transform
     known = ", ".join(CHECK_REGISTRY)
     out: List[Tuple[str, str]] = []
-    if not _is_int(entry.positions, 1):
+    if not (_is_integer(entry.positions) and entry.positions >= 1):
         out.append(("positions", f"expected a positive integer, got {entry.positions!r}"))
-    if not _is_int(entry.seed, 0):
+    if not (_is_integer(entry.seed) and entry.seed >= 0):
         out.append(("seed", f"expected a nonnegative integer, got {entry.seed!r}"))
     try:
         _require_fit(model, built.loss)
@@ -1317,7 +1315,7 @@ def entry_misfits(built: BuiltEntry) -> List[Tuple[str, str]]:
         for key, value in entry.tolerances.items():
             if key not in CHECK_REGISTRY:
                 out.append((f"tolerances.{key}", f"unknown check {key!r} (known: {known})"))
-            elif not (_is_finite_number(value) and value > 0):
+            elif not (_is_real(value) and value > 0):
                 out.append((f"tolerances.{key}", f"expected a finite positive number, "
                             f"got {value!r}"))
     try:
@@ -1332,7 +1330,7 @@ def entry_misfits(built: BuiltEntry) -> List[Tuple[str, str]]:
                     f"got {mutation!r}"))
         return out
     cb, scale = mutation["callback"], mutation["scale"]
-    if not _is_finite_number(scale):
+    if not _is_real(scale):
         out.append(("mutation.scale", f"expected a finite number, got {scale!r}"))
     if cb not in MUTABLE_CALLBACKS:
         out.append(("mutation.callback", f"unknown derivative callback {cb!r} "
@@ -1385,6 +1383,8 @@ def run_entries(entries: Sequence[BuiltEntry], master_seed: int) -> List[Identit
     Every entry is held against the check registry first, so a check that
     does not fit its entry raises InvalidParams before anything is sampled.
     """
+    if not (_is_integer(master_seed) and master_seed >= 0):
+        raise InvalidParams(f"master_seed must be a nonnegative integer, got {master_seed!r}")
     for index, built in enumerate(entries):
         misfits = entry_misfits(built)
         if misfits:

@@ -27,6 +27,14 @@ Losses expose analytic value/grad/hess (used on the assembled side of the
 identity checks) plus a generic ``apply`` for direct differentiation of the
 composite loss.  Binary losses take a scalar target/label; ``softmax_xent``
 takes a class index.
+
+The package's one number rule lives here: ``_is_real`` (a finite int or
+float, numpy's included, that a float holds), ``_is_integer`` (an int,
+numpy's included) and ``_reals`` (a finite real or a nested list or numeric
+array of them, as a float array).  Neither counts a bool, and a string is
+never parsed, so ``True`` and ``"0.5"`` are refused where a number is
+expected, as NaN and Inf are.  Every builder here, in ``transforms`` and in
+``dynamics``, the plan checks and the CLI read their numbers through them.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ import functools
 import inspect
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
@@ -123,7 +132,7 @@ class Model:
         """Same architecture and weights layout, rebound to a new input."""
         if self._rebind is None:
             raise UnknownSpec(f"model {self.name!r} does not support input rebinding")
-        x = np.asarray(x, dtype=float)
+        x = _reals(x, "input")
         if x.shape != self.input_point.shape:
             raise SizeMismatch(
                 f"input length {x.shape} != expected {self.input_point.shape}"
@@ -212,20 +221,41 @@ def call_builder(kind: str, name: str, builder: Callable, params: Mapping, *args
     return builder(*args, **params)
 
 
+def _is_integer(v) -> bool:
+    """Whether ``v`` is an integer, numpy's included; a bool is not one."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """Whether ``v`` is a finite real that a float holds: an integer (see
+    :func:`_is_integer`) or a Python or numpy float."""
+    return ((_is_integer(v) and abs(v) <= sys.float_info.max)
+            or (isinstance(v, (float, np.floating)) and math.isfinite(v)))
+
+
+def _reals(v, what: str) -> np.ndarray:
+    """``v`` -- a finite real (see :func:`_is_real`), or a nested list or
+    tuple or an integer or float array of them -- as a float array; anything
+    else (a bool, a string, NaN or Inf, a ragged nest) raises InvalidParams."""
+    def real(u) -> bool:
+        if isinstance(u, np.ndarray):
+            return u.dtype.kind in "iuf" and bool(np.isfinite(u).all())
+        return all(map(real, u)) if isinstance(u, (list, tuple)) else _is_real(u)
+
+    try:
+        if real(v):
+            return np.asarray(v, dtype=float)
+    except ValueError:  # a ragged nest
+        pass
+    raise InvalidParams(f"{what}: expected finite numbers, got {v!r}")
+
+
 def _integer(value, what: str) -> int:
-    """An integer catalog parameter ``what`` (a numpy integer included) as an
-    int; a bool, float or str raises InvalidParams instead of being coerced."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    """An integer catalog parameter ``what`` as an int; a bool, float or str
+    raises InvalidParams instead of being coerced."""
+    if not _is_integer(value):
         raise InvalidParams(f"{what}: expected an integer, got {value!r}")
     return int(value)
-
-
-def _input_vector(x, what: str) -> np.ndarray:
-    """A model's input parameter ``what`` as a float array; it must be finite."""
-    arr = np.asarray(x, dtype=float)
-    if not np.isfinite(arr).all():
-        raise InvalidParams(f"model {what} must be finite")
-    return arr
 
 
 def _mlp_like(name, seed, widths, x, use_relu):
@@ -235,7 +265,7 @@ def _mlp_like(name, seed, widths, x, use_relu):
     n_layers = len(widths) - 1
     if x is None:
         x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=widths[0])
-    x = _input_vector(x, "input")
+    x = _reals(x, "input")
     if x.shape != (widths[0],):
         raise SizeMismatch(f"input length {x.shape} != width {widths[0]}")
     blocks = _layout([
@@ -290,7 +320,7 @@ def _build_factored(seed, c, s, hidden=(), input=None, n=None) -> Model:
         input = np.random.default_rng(seed).uniform(-1.0, 1.0, size=size)
     elif n is not None:
         raise InvalidParams("factored_last_layer takes input or n (the width of a random input), not both")
-    x = _input_vector(input, "input")
+    x = _reals(input, "input")
     feat_widths = [x.size] + hidden + [s]
     shapes = [("W", (c, s))] + [
         (f"V{i + 1}", (feat_widths[i + 1], feat_widths[i]))
@@ -323,7 +353,7 @@ def _build_factored(seed, c, s, hidden=(), input=None, n=None) -> Model:
 
 
 def _build_linear_probe(seed, x) -> Model:
-    x = _input_vector(x, "x")
+    x = _reals(x, "x")
     if x.ndim != 1 or x.size < 1:
         raise InvalidParams("linear_probe needs a 1-d input vector x")
     blocks = _layout([("theta", (x.size,))])
@@ -356,7 +386,8 @@ def build_model(spec: ModelSpec) -> Model:
         builder = _BUILDERS[spec.name]
     except KeyError:
         raise UnknownSpec(f"unknown model {spec.name!r}; catalog: {sorted(_BUILDERS)}")
-    return call_builder("model", spec.name, builder, spec.params, int(spec.seed))
+    return call_builder("model", spec.name, builder, spec.params,
+                        _integer(spec.seed, "seed"))
 
 
 def forward(model: Model, theta) -> np.ndarray:
@@ -446,9 +477,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _make_square(target) -> Loss:
-    t = np.atleast_1d(np.asarray(target, dtype=float))
-    if not np.isfinite(t).all():
-        raise InvalidParams("square loss target must be finite")
+    t = np.atleast_1d(_reals(target, "target"))
     c = t.size
 
     def apply(y):
@@ -464,10 +493,9 @@ def _make_square(target) -> Loss:
 
 
 def _check_label(label) -> float:
-    lab = float(label)
-    if lab not in (-1.0, 1.0):
-        raise InvalidParams(f"binary label must be +1 or -1, got {label}")
-    return lab
+    if not (_is_real(label) and label in (-1, 1)):
+        raise InvalidParams(f"label: a binary label must be +1 or -1, got {label!r}")
+    return float(label)
 
 
 def _make_exponential(label) -> Loss:
@@ -605,9 +633,7 @@ class Dataset:
             )
         if len(self.samples) == 0:
             raise InvalidParams("dataset needs at least one sample")
-        w = np.asarray(self.weights, dtype=float)
-        if not np.isfinite(w).all():
-            raise InvalidParams("dataset weights must be finite")
+        w = _reals(self.weights, "dataset weights")
         if np.any(w < 0):
             raise InvalidParams("dataset weights must be nonnegative")
         if abs(float(np.sum(w)) - 1.0) > 1e-12:
@@ -616,7 +642,7 @@ class Dataset:
     @staticmethod
     def equal_weight(samples) -> "Dataset":
         n = len(samples)
-        return Dataset(tuple((np.asarray(x, dtype=float), t) for x, t in samples),
+        return Dataset(tuple((_reals(x, "x"), t) for x, t in samples),
                        tuple(1.0 / n for _ in range(n)))
 
 

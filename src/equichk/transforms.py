@@ -16,9 +16,10 @@ function, ``_chart_inverses``, produces a position's chart data: it inverts
 both chart Jacobians, judges the position by tensor_core's one good-inverse
 rule (``_inverse_rcond``) and, at a good position, composes X and Y with
 ``_direction``/``_output``, the only place a chart inverse meets dH/dlam or
-dG/dlam.  Callback outputs are checked finite (NonFiniteEntry) before they
-enter a composition or ``invert_square``; the chart Jacobians that
-``good_position`` eliminates are judged by their condition estimate instead.
+dG/dlam.  Every callback output is checked finite (NonFiniteEntry) before it
+enters a composition, ``invert_square`` or the condition estimate, so a NaN
+chart Jacobian gets that one verdict from ``good_position``, the sampler and
+every check alike.
 The callbacks marked optional may be ``None``, which declares that
 derivative identically zero; the other three, like ``h_eval`` and
 ``g_eval``, are required.  Shapes:
@@ -45,6 +46,11 @@ optional derivative that vanishes for an entry: the G side of a symmetry,
 the second lam derivatives of ``last_layer_left_action`` and the lam
 derivatives of a discrete entry.  The identity checks read a ``None`` as an
 exact zero term and skip the arithmetic it would feed.
+
+Numeric catalog parameters -- a ``linear_reparam`` generator ``A``, the
+``mirror`` columns, ``sign_flip`` indices and a ``permutation`` -- are read
+with the number rule of :mod:`equichk.models` (``_reals``, ``_integer``), so
+a bool, a string, NaN or Inf there raises InvalidParams.
 
 The one-parameter groups state only their generators: ``_group`` builds
 M = exp(lam G), whose k-th lam derivative is G^k M, and N = exp(lam GN) on
@@ -74,7 +80,7 @@ from .errors import (
     SizeMismatch,
     UnknownSpec,
 )
-from .models import Model, _integer, call_builder, forward, signature
+from .models import Model, _integer, _reals, call_builder, forward, signature
 from .tensor_core import _finite, _inverse_rcond, compose, invert_square
 
 __all__ = [
@@ -362,7 +368,7 @@ def linear_reparam(model: Model, a, up: str, down: str) -> Transformation:
     """
     if model.homogeneity_degree is None or model.kink_margin is not None:
         raise InvalidParams(f"linear_reparam needs a linear chain; model {model.name!r} is not one")
-    A = np.asarray(a, dtype=float)
+    A = _reals(a, "A")
     b1, b2 = _distinct_blocks(model, up, down)
     if model.blocks.index(b2) != model.blocks.index(b1) + 1:
         raise InvalidParams(f"block {down!r} must be the layer directly after {up!r}")
@@ -374,8 +380,6 @@ def linear_reparam(model: Model, a, up: str, down: str) -> Transformation:
         raise SizeMismatch(
             f"generator {A.shape} must match inner width of {b1.shape} and {b2.shape}"
         )
-    if not np.isfinite(A).all():
-        raise InvalidParams("generator contains NaN or Inf")
     G = np.zeros((model.d, model.d))
     G[b1.sl, b1.sl] = np.kron(A, np.eye(n_))
     G[b2.sl, b2.sl] = -np.kron(np.eye(c2), A.T)
@@ -430,7 +434,7 @@ def _require_orthonormal(O: np.ndarray) -> None:
 def mirror(model: Model, columns) -> Transformation:
     """Reflection P = I - 2 O O^T across the span-orthogonal hyperplane,
     where O stacks the given orthonormal direction vectors as columns."""
-    O = np.stack([np.asarray(col, dtype=float) for col in columns], axis=1)
+    O = np.stack([_reals(col, "columns") for col in columns], axis=1)
     if O.shape[0] != model.d:
         raise SizeMismatch(f"direction length {O.shape[0]} != model dim {model.d}")
     _require_orthonormal(O)
@@ -558,8 +562,8 @@ def _chart_inverses(t: Transformation, theta, y=None, lam=None) -> _Charts:
     th = _vec(theta, t.d, "theta")
     yv = np.zeros(t.c) if y is None else _vec(y, t.c, "y")
     lamv = _lam_vec(t, lam) if t.kind == "continuous" else np.zeros(0)
-    hinv, rh = _inverse_rcond(t.dh_dtheta(lamv, th))
-    ginv, rg = _inverse_rcond(t.dg_dy(lamv, yv))
+    hinv, rh = _inverse_rcond(_finite(t.dh_dtheta(lamv, th)))
+    ginv, rg = _inverse_rcond(_finite(t.dg_dy(lamv, yv)))
     if t.kind != "continuous":
         reason = "discrete"
     elif hinv is None or ginv is None:

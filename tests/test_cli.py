@@ -296,6 +296,31 @@ def _reparam(width, blocks):
     (_misfit(_PROBE, _PROBE_LOSS, _SCALING, ["first_order"], tolerances=[]), "tolerances"),
     (_misfit(_PROBE, _PROBE_LOSS, _SCALING, ["first_order"],
              mutation={"callback": "dh_dlambda"}), "mutation"),
+    # a bool or string where a number is expected is refused, not coerced,
+    # and a NaN direction is refused as a number, not judged as a direction
+    (_misfit(_PROBE, {"name": "square", "params": {"target": True}}, _SCALING,
+             ["first_order"]), "loss.params"),
+    (_misfit(_PROBE, {"name": "square", "params": {"target": "0.5"}}, _SCALING,
+             ["first_order"]), "loss.params"),
+    (_misfit(_PROBE, {"name": "exponential", "params": {"label": "1"}}, _SCALING,
+             ["first_order"]), "loss.params"),
+    (_misfit({"name": "linear_probe", "params": {"x": [True, "2"]}, "seed": 21},
+             _PROBE_LOSS, _SCALING, ["first_order"]), "model.params"),
+    (_misfit(_PROBE, _PROBE_LOSS, {"name": "mirror", "params": {"columns": [[True, 0.0]]}},
+             ["mirror"]), "transform.params"),
+    (_misfit(_PROBE, _PROBE_LOSS,
+             {"name": "mirror", "params": {"columns": [[float("nan"), 0.0]]}},
+             ["discrete_first"]), "transform.params"),
+    (_misfit(_DL222, _SQUARE2, {"name": "linear_reparam",
+                                "params": {"A": [["0.1", 0.0], [0.0, 0.0]], "blocks": ["W1", "W2"]}},
+             ["first_order"]), "transform.params"),
+    # the shape of an entry and of its catalog requests
+    ({"model": _PROBE, "loss": _PROBE_LOSS}, "checks"),
+    (_misfit(_PROBE, _PROBE_LOSS, _SCALING, "first_order"), "checks"),
+    (_misfit({"name": "mlp", "params": {}}, _PROBE_LOSS, _SCALING, ["first_order"]),
+     "model.name"),
+    (_misfit({"name": "linear_probe", "params": [1.0, 2.0]}, _PROBE_LOSS, _SCALING,
+             ["first_order"]), "model.params"),
 ], ids=["first_order+sign_flip", "discrete_first+scaling", "homogeneity+vector_head",
         "first_order+no_transform", "last_layer+deep_linear", "mirror+permutation",
         "tolerance_key_typo", "mutation_callback_typo", "mutation_scale_not_number",
@@ -312,7 +337,10 @@ def _reparam(width, blocks):
         "reparam_factored", "rescaling_factored_features", "rescaling_factored_head",
         "discrete_first+permutation_3_cycle", "suite_square_two_targets",
         "suite_softmax_four_classes", "positions_zero", "positions_bool", "seed_negative",
-        "checks_empty", "tolerance_nan", "tolerances_list", "mutation_without_scale"])
+        "checks_empty", "tolerance_nan", "tolerances_list", "mutation_without_scale",
+        "square_target_true", "square_target_str", "exponential_label_str",
+        "probe_x_bool_and_str", "mirror_columns_true", "mirror_columns_nan", "reparam_A_str",
+        "checks_missing", "checks_not_list", "model_name_unknown", "model_params_not_object"])
 def test_run_misfit_entry_exit_2_before_sampling(tmp_path, capsys, entry, where):
     cfg = {"experiment": "check_suite", "output_dir": str(tmp_path / "out"), "plan": [entry]}
     assert cli.main(["run", str(_write(tmp_path, "misfit.json", cfg))]) == 2
@@ -414,6 +442,20 @@ def _bundled(name, **edits):
      "config.loss"),
     (_bundled("stationary_spectrum", loss={"name": "square", "params": {"target": [0.1, 0.2]}}),
      "config.loss"),
+    # a bool or string where a number is expected is refused, not coerced
+    (_bundled("flow_conservation", loss={"name": "exponential", "params": {"label": True}}),
+     "config.loss.params"),
+    (_bundled("stationary_spectrum", loss={"name": "square", "params": {"target": "0.3"}}),
+     "config.loss.params"),
+    (_bundled("sgf_drift", target=[True]), "config.dataset.samples[0].target"),
+    # the shape of a config's blocks
+    (_bundled("flow_conservation", theta0="zero"), "config.theta0"),
+    (_bundled("flow_conservation", tolerances=[]), "config.tolerances"),
+    (_bundled("sgf_drift", dataset={"samples": [{"x": [1.0]}]}), "config.dataset.samples[0]"),
+    (_bundled("sgf_drift", dataset={"samples": []}), "config.dataset.samples"),
+    (_bundled("stationary_spectrum", transforms=[]), "config.transforms"),
+    ({"experiment": "check_suite", "plan": []}, "config.plan"),
+    ({"experiment": "check_suite", "plan": {"model": _PROBE}}, "config.plan"),
 ], ids=["flow_tolerance_key_typo", "flow_tolerance_not_number", "flow_tolerance_negative",
         "stationary_tolerance_key_typo", "weights_not_numbers", "weights_not_list",
         "x_not_numbers", "flow_theta0_length", "stationary_theta0_length", "sgf_theta0_length",
@@ -427,7 +469,10 @@ def _bundled(name, **edits):
         "noise_seed_negative", "noise_seed_float", "sigma_negative", "sgf_T_shorter_than_dt",
         "flow_transform_without_charge", "stationary_transform_not_symmetry",
         "sgf_transform_without_charge", "flow_checks_nothing", "flow_square_two_targets",
-        "stationary_square_two_targets"])
+        "stationary_square_two_targets", "flow_label_true", "stationary_target_str",
+        "sgf_target_bool", "flow_theta0_not_list", "flow_tolerances_not_object",
+        "sample_without_target", "samples_empty", "stationary_transforms_empty",
+        "suite_plan_empty", "suite_plan_not_list"])
 def test_run_dynamics_config_errors_exit_2(tmp_path, capsys, cfg, where):
     cfg = dict(cfg, output_dir=str(tmp_path / "out"))
     assert cli.main(["run", str(_write(tmp_path, "bad.json", cfg))]) == 2
@@ -437,7 +482,7 @@ def test_run_dynamics_config_errors_exit_2(tmp_path, capsys, cfg, where):
 
 
 @pytest.mark.parametrize("where", ["empty", "a_file", "under_a_file", "nul_byte",
-                                   "name_too_long"])
+                                   "name_too_long", "not_a_string"])
 def test_run_unusable_output_dir_exit_2_before_running(tmp_path, capsys, monkeypatch, where):
     # an output_dir that no file can be written to, or that the system cannot
     # name, is refused before the experiment runs, and nothing is created
@@ -445,10 +490,11 @@ def test_run_unusable_output_dir_exit_2_before_running(tmp_path, capsys, monkeyp
     out_dir = {"empty": "", "a_file": str(tmp_path / "taken"),
                "under_a_file": str(tmp_path / "taken" / "out"),
                "nul_byte": str(tmp_path / "out\u0000x"),
-               "name_too_long": str(tmp_path / ("x" * 300) / "out")}[where]
+               "name_too_long": str(tmp_path / ("x" * 300) / "out"),
+               "not_a_string": ["out"]}[where]
     ran = []
     monkeypatch.setitem(cli._RUNNERS, "check_suite", lambda cfg, out: ran.append(out))
-    path = _write(tmp_path, "suite.json", _suite_cfg(out_dir))
+    path = _write(tmp_path, "suite.json", dict(_suite_cfg(""), output_dir=out_dir))
     before = sorted(p.name for p in tmp_path.iterdir())
     assert cli.main(["run", str(path)]) == 2
     assert "config.output_dir:" in capsys.readouterr().err
@@ -462,6 +508,13 @@ def test_run_invalid_json_exit_2(tmp_path, capsys):
     p.write_text("{ not json")
     assert cli.main(["run", str(p)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_run_config_root_not_an_object_exit_2(tmp_path, capsys):
+    p = _write(tmp_path, "list.json", [_suite_cfg(tmp_path / "out")])
+    assert cli.main(["run", str(p)]) == 2
+    assert "config root must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_missing_file_exit_2(tmp_path, capsys):
@@ -879,6 +932,25 @@ def test_run_sgf_drift_experiment(tmp_path, capsys):
     assert "[PASS] noether_drift (Cor. 2):" in capsys.readouterr().out
     assert (tmp_path / "out" / "trajectory_0001.csv").exists()
     assert (tmp_path / "out" / "ensemble.json").exists()
+
+
+def test_run_sgf_drift_with_explicit_weights(tmp_path, capsys, monkeypatch):
+    # the dataset's weights reach the ensemble and the drift check as given
+    seen, sgf = [], cli.dyn.sgf
+
+    def keep(model, family, dataset, *args, **kwargs):
+        seen.append(dataset.weights)
+        return sgf(model, family, dataset, *args, **kwargs)
+    monkeypatch.setattr(cli.dyn, "sgf", keep)
+    cfg = _bundled("sgf_drift", weights=[0.25, 0.75], dynamics={"T": 0.05, "dt": 0.001,
+                                                                  "ensemble": 150},
+                   save_trajectories=0, output_dir=str(tmp_path / "out"))
+    assert cli.main(["run", str(_write(tmp_path, "weighted.json", cfg))]) == 0
+    assert "[PASS] noether_drift (Cor. 2):" in capsys.readouterr().out
+    assert seen == [(0.25, 0.75)]
+    row, = _written(tmp_path / "out")
+    assert row["context"]["n_trajectories"] == 150
+    assert not (tmp_path / "out" / "ensemble.json").exists()
 
 
 # ---------------------------------------------------------------------------

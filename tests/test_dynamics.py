@@ -13,6 +13,7 @@ import pytest
 from equichk import diff_engine as de
 from equichk import dynamics as dyn
 from equichk.errors import (
+    CheckFailure,
     InsufficientEnsemble,
     InvalidNoiseModel,
     InvalidParams,
@@ -240,6 +241,28 @@ def test_stationary_flow_records_stay_within_budget(monkeypatch, tmp_path):
     assert np.all(np.diff(np.floor(trj.times[:-1] / (300.0 / 40))) >= 1)
 
 
+def _stiff_model():
+    """f(theta) = theta * (1, 8): with a square loss on 0 the Hessian is
+    diag(1, 64), past RK4's stability bound at dt = 0.1."""
+    blocks = (Block("theta", (2,), 0, 2),)
+    return Model(name="stiff", d=2, c=2, blocks=blocks, func=lambda th: th * np.array([1.0, 8.0]),
+                 init_params=np.array([1.0, 1.0]), input_point=np.zeros(2))
+
+
+def test_rk4_halves_a_step_that_raises_the_loss():
+    loss = make_loss("square", target=np.zeros(2))
+    trj = dyn.gradient_flow(_stiff_model(), loss, np.array([1.0, 1.0]), T=0.5, dt=0.1)
+    assert trj.meta["rejected_steps"] > 0
+    assert np.all(np.diff(trj.losses) <= 0.0)
+
+
+def test_rk4_gives_up_when_every_halving_raises_the_loss(monkeypatch):
+    monkeypatch.setattr(dyn, "_descends", lambda cand_loss, cur_loss: False)
+    loss = make_loss("square", target=np.zeros(2))
+    with pytest.raises(StepFailure, match="halvings"):
+        dyn.gradient_flow(_identity_model(), loss, np.array([1.0, 0.0]), T=0.5, dt=0.1)
+
+
 def test_trajectory_validation():
     good = dict(states=np.zeros((3, 2)), losses=np.zeros(3),
                 charges={}, diagnostics={})
@@ -270,6 +293,15 @@ def test_descent_refuses_a_non_finite_symmetry_direction(relu_mlp):
     with pytest.raises(NonFiniteEntry):
         dyn.gradient_descent(relu_mlp, loss, relu_mlp.init_params, eta=0.05, steps=3,
                              symmetries=[bad])
+
+
+def test_descent_refuses_an_update_along_a_symmetry_direction(probe_model, probe_loss):
+    # homogeneity scaling is no symmetry of this loss: declared one, the GD
+    # update has a component along its direction theta at the first step
+    t = build_transform("homogeneity_scaling", {}, probe_model)
+    with pytest.raises(CheckFailure, match="at step 1:"):
+        dyn.gradient_descent(probe_model, probe_loss, np.array([3.0, -1.0]), eta=0.01, steps=2,
+                             symmetries=[dataclasses.replace(t, is_symmetry=True)])
 
 
 def test_descent_zero_eta_is_constant(relu_mlp):
@@ -620,6 +652,18 @@ def test_covariance_trace_gradient_matches_fd(uv_model, square_family, two_sampl
     np.testing.assert_allclose(cov.grad_trace, fd, atol=1e-8)
 
 
+def test_covariance_that_is_not_psd_fails(monkeypatch, uv_model, square_family,
+                                          two_sample_dataset):
+    moments = dyn._moments
+
+    def negated(obj, points):
+        gbar, sigma, grad_trace = moments(obj, points)
+        return gbar, sigma - 2.0 * np.eye(sigma.shape[-1]), grad_trace
+    monkeypatch.setattr(dyn, "_moments", negated)
+    with pytest.raises(CheckFailure, match="not PSD"):
+        dyn.noise_covariance(uv_model, square_family, two_sample_dataset, np.array([1.2, 0.6]))
+
+
 def test_covariance_single_sample_vanishes(uv_model, square_family):
     single = Dataset.equal_weight(((np.array([1.0]), np.array([0.5])),))
     cov = dyn.noise_covariance(uv_model, square_family, single, np.array([1.2, 0.6]))
@@ -836,6 +880,17 @@ def test_drift_check_minibatch(uv_model, square_family, two_sample_dataset):
     rep = dyn.noether_drift_check(ens, t, uv_model, square_family, two_sample_dataset, noise)
     assert rep.passed
     assert rep.context["mode"] == "minibatch"
+
+
+def test_drift_check_fails_when_its_two_formulations_disagree(monkeypatch, uv_model,
+                                                              square_family, two_sample_dataset):
+    noise = dyn.NoiseModel(mode="exact_sde", sigma=0.1, seed=7)
+    t = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, uv_model)
+    ens = dyn.sgf(uv_model, square_family, two_sample_dataset, np.array([1.2, 0.6]),
+                  noise, T=0.01, dt=1e-3, ensemble=100, chargelist=[t])
+    monkeypatch.setattr(dyn, "_drift_terms", lambda obj, charge, points, sigma_sq: (1.0, 2.0, 0.0))
+    with pytest.raises(CheckFailure, match="drift formulations disagree at record 0"):
+        dyn.noether_drift_check(ens, t, uv_model, square_family, two_sample_dataset, noise)
 
 
 def test_drift_check_needs_ensemble(uv_model, square_family, two_sample_dataset):

@@ -17,6 +17,7 @@ from equichk.errors import (
     CheckFailure,
     DegenerateLoss,
     InvalidParams,
+    NonFiniteEntry,
     NotConverged,
     NotFactoredModel,
     NotFixedPoint,
@@ -678,7 +679,6 @@ def test_every_layer_returns_float64_arrays(relu_mlp):
         assert type(out) is np.ndarray and out.dtype == np.float64, name
 
 
-_NOT_GOOD = ("NotGoodPosition",) * 3
 _NON_FINITE = ("NonFiniteEntry",) * 3
 _SECOND_ORDER_ONLY = ("pass", "NonFiniteEntry", "NonFiniteEntry")  # first order never reads it
 # the callbacks each transform declares identically zero (None): mutate keeps
@@ -695,15 +695,15 @@ _DECLARED_ZERO = {
     ("layer_rescaling", {"blocks": ["W1", "W2"]}, ("pass",) * 3),
 ])
 def test_nan_callback_outcomes(name, params, dg_dlambda):
-    """Each derivative callback made to return NaN: a chart Jacobian voids
-    the position, any other callback a check reads raises NonFiniteEntry."""
+    """Each derivative callback made to return NaN: any callback a check
+    reads, a chart Jacobian included, raises NonFiniteEntry."""
     model = build_model(ModelSpec("homogeneous_relu_mlp", {"widths": [2, 3, 1]}, seed=11))
     loss = make_loss("square", target=0.7)
     t = build_transform(name, params, model)
     (th, lam), = sample_positions(model, loss, t, count=1, seed=3)
     expected = {cb: _SECOND_ORDER_ONLY for cb in MUTABLE_CALLBACKS}
     expected.update({cb: ("pass",) * 3 for cb in _DECLARED_ZERO[name]})
-    expected.update(dh_dtheta=_NOT_GOOD, dg_dy=_NOT_GOOD, dh_dlambda=_NON_FINITE,
+    expected.update(dh_dtheta=_NON_FINITE, dg_dy=_NON_FINITE, dh_dlambda=_NON_FINITE,
                     dg_dlambda=dg_dlambda)
     for cb in MUTABLE_CALLBACKS:
         bad = mutate(t, cb, float("nan"))
@@ -719,6 +719,73 @@ def test_nan_callback_outcomes(name, params, dg_dlambda):
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("caller", ["good_position", "check_first_order", "sample_positions"])
+@pytest.mark.parametrize("callback", ["dh_dtheta", "dg_dy"])
+def test_a_non_finite_chart_jacobian_raises_non_finite_entry(callback, caller):
+    # the chart Jacobians are checked finite like every other callback, so
+    # the sampler and every check give characteristic_direction's verdict
+    model = build_model(ModelSpec("homogeneous_relu_mlp", {"widths": [2, 3, 1]}, seed=11))
+    loss = make_loss("square", target=0.7)
+    t = build_transform("homogeneity_scaling", {}, model)
+    (th, lam), = sample_positions(model, loss, t, count=1, seed=3)
+    bad = mutate(t, callback, float("nan"))
+    run = {"good_position": lambda: tr.good_position(bad, th, forward(model, th), lam),
+           "check_first_order": lambda: check_first_order(model, loss, bad, th, lam),
+           "sample_positions": lambda: sample_positions(model, loss, bad, count=1, seed=3)}
+    with pytest.raises(NonFiniteEntry):
+        run[caller]()
+
+
+def test_a_symmetry_whose_g_side_terms_do_not_vanish_fails_the_term_check(relu_mlp):
+    loss = make_loss("square", target=0.7)
+    t = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, relu_mlp)
+    (th, lam), = sample_positions(relu_mlp, loss, t, count=1, seed=3)
+    bad = dataclasses.replace(t, d2g_dlambda_dy=lambda lam, y: np.ones((1, 1, 1)))
+    with pytest.raises(CheckFailure, match="term-dropping inconsistency"):
+        check_second_action(relu_mlp, loss, bad, th, lam)
+
+
+def _first_call_returns(value, real):
+    """``real``, except that its first call returns ``value``."""
+    calls = []
+
+    def wrapped(*args):
+        calls.append(args)
+        return value if len(calls) == 1 else real(*args)
+    return wrapped
+
+
+def test_sampler_redraws_a_position_whose_chart_is_singular(relu_mlp):
+    # the first draw's dH/dtheta is singular, so the one position kept is the
+    # clean sampler's second
+    loss = make_loss("square", target=0.7)
+    t = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, relu_mlp)
+    clean = sample_positions(relu_mlp, loss, t, count=2, seed=5)
+    bad = dataclasses.replace(
+        t, dh_dtheta=_first_call_returns(np.zeros((relu_mlp.d, relu_mlp.d)), t.dh_dtheta))
+    (th, lam), = sample_positions(relu_mlp, loss, bad, count=1, seed=5)
+    np.testing.assert_array_equal(th, clean[1][0])
+    np.testing.assert_array_equal(lam, clean[1][1])
+
+
+def test_sampler_redraws_a_degenerate_head(monkeypatch, deep_linear_121):
+    loss = make_loss("square", target=0.3)
+    clean = sample_positions(deep_linear_121, loss, None, count=2, seed=5,
+                             require_nondegenerate=True)
+    monkeypatch.setattr(ic, "_head_margins", _first_call_returns((0.0, 0.0), ic._head_margins))
+    (th, lam), = sample_positions(deep_linear_121, loss, None, count=1, seed=5,
+                                  require_nondegenerate=True)
+    np.testing.assert_array_equal(th, clean[1][0])
+    assert lam is None
+
+
+def test_sampler_gives_up_when_no_draw_is_good(relu_mlp):
+    t = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, relu_mlp)
+    bad = dataclasses.replace(t, dh_dtheta=lambda lam, th: np.zeros((relu_mlp.d, relu_mlp.d)))
+    with pytest.raises(NotGoodPosition, match=f"in {ic._MAX_TRIES} tries"):
+        sample_positions(relu_mlp, None, bad, count=1, seed=5)
+
 
 def test_report_json_uses_pass_key(probe_model, probe_loss):
     t = build_transform("homogeneity_scaling", {}, probe_model)

@@ -6,6 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equichk import diff_engine as de
+from equichk import dynamics as dyn
+from equichk import identity_checker as ic
+from equichk import models
+from equichk import transforms as tr
 from equichk.errors import InvalidParams, SizeMismatch, UnknownSpec
 from equichk.models import (
     Dataset,
@@ -240,3 +244,121 @@ def test_family_binding_dispatch():
     fam2 = loss_family("softmax_xent", n_classes=3)
     bound2 = fam2.bind(2)
     assert bound2.c == 3
+
+
+# ---------------------------------------------------------------------------
+# the one number rule
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("value, real, integer", [
+    (3, True, True), (np.int64(-2), True, True), (np.uint8(7), True, True),
+    (0.5, True, False), (np.float32(1.5), True, False),
+    (True, False, False), (np.bool_(True), False, False), ("1", False, False),
+    (None, False, False), ([1.0], False, False), (float("nan"), False, False),
+    (float("inf"), False, False), (np.float64("-inf"), False, False),
+    (10 ** 400, False, True),  # an int no float holds
+])
+def test_is_real_and_is_integer(value, real, integer):
+    assert models._is_real(value) == real
+    assert models._is_integer(value) == integer
+
+
+@pytest.mark.parametrize("value", [
+    True, "0.5", None, float("nan"), [1.0, float("inf")], [[1.0], [2.0, 3.0]],
+    [1.0, [True]], np.array([True, False]), np.array(["1.0"]), np.array([1.0, np.nan]),
+    (1.0, "2"), {"x": 1.0}, 10 ** 400,
+], ids=lambda v: type(v).__name__ + repr(v)[:16])
+def test_reals_refuses_what_is_no_finite_real(value):
+    with pytest.raises(InvalidParams, match="^what: "):
+        models._reals(value, "what")
+
+
+@pytest.mark.parametrize("value, expected", [
+    (2, [2.0]), (np.float32(0.5), [0.5]), ([1, 2.5], [1.0, 2.5]),
+    ((3, np.int64(4)), [3.0, 4.0]), ([[1, 0], [0, 1]], [[1.0, 0.0], [0.0, 1.0]]),
+    (np.arange(3), [0.0, 1.0, 2.0]), ([np.array([1.0]), np.array([2.0])], [[1.0], [2.0]]),
+])
+def test_reals_gives_a_float_array(value, expected):
+    out = models._reals(value, "what")
+    assert out.dtype == np.float64
+    np.testing.assert_array_equal(np.atleast_1d(out), expected)
+
+
+_DL222 = ModelSpec("deep_linear", {"widths": [2, 2, 2]}, 18)
+_PROBE = ModelSpec("linear_probe", {"x": [1.0, 2.0]}, 21)
+
+
+def _first_order(tolerance):
+    model = build_model(_PROBE)
+    t = tr.build_transform("homogeneity_scaling", {}, model)
+    return ic.check_first_order(model, make_loss("square", target=2.0), t, [3.0, -1.0],
+                                np.zeros(1), tolerance=tolerance)
+
+
+def _null_count(**tolerances):
+    model = build_model(ModelSpec("deep_linear", {"widths": [1, 2, 1]}, 6))
+    t = tr.build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, model)
+    return ic.stationary_null_count(model, make_loss("square", target=0.3), [t],
+                                    model.init_params, **tolerances)
+
+
+def _suite(master_seed):
+    entry = ic.PlanEntry(_PROBE, "square", {"target": 2.0}, "homogeneity_scaling",
+                         checks=("first_order",), positions=1)
+    return ic.run_suite(ic.SuiteSpec((entry,), master_seed=master_seed))
+
+
+def _flow_args():
+    model = build_model(_PROBE)
+    return model, make_loss("square", target=0.3), model.init_params
+
+
+# Each input was accepted -- coerced, truncated or run -- or failed with a
+# TypeError, ValueError, OverflowError, NotConverged or NonFiniteResult mid-run,
+# before the number rule had one home in models.
+NOT_NUMBERS = {
+    "square_target_true": lambda: make_loss("square", target=True),
+    "square_target_list_true": lambda: make_loss("square", target=[True]),
+    "square_target_str": lambda: make_loss("square", target="0.5"),
+    "exponential_label_str": lambda: make_loss("exponential", label="1"),
+    "logistic_label_true": lambda: make_loss("logistic", label=True),
+    "family_target_true": lambda: loss_family("square").bind(True),
+    "probe_x_bool_and_str": lambda: build_model(
+        ModelSpec("linear_probe", {"x": [True, "2"]}, 0)),
+    "mirror_columns_true": lambda: tr.build_transform(
+        "mirror", {"columns": [[True, 0.0]]}, build_model(_PROBE)),
+    "mirror_columns_nan": lambda: tr.build_transform(
+        "mirror", {"columns": [[float("nan"), 0.0]]}, build_model(_PROBE)),
+    "check_mirror_O_true": lambda: ic.check_mirror(
+        build_model(_PROBE), make_loss("square", target=0.3), [[True], [False]], [0.0, 1.0]),
+    "reparam_A_str": lambda: tr.build_transform(
+        "linear_reparam", {"A": [["0.1", 0.0], [0.0, 0.0]], "blocks": ["W1", "W2"]},
+        build_model(_DL222)),
+    "model_seed_float": lambda: build_model(ModelSpec("linear_probe", {"x": [1.0]}, 2.7)),
+    "model_seed_str": lambda: build_model(ModelSpec("linear_probe", {"x": [1.0]}, "3")),
+    "model_seed_true": lambda: build_model(ModelSpec("linear_probe", {"x": [1.0]}, True)),
+    "dataset_weight_true": lambda: Dataset(((np.ones(1), 0.0),), (True,)),
+    "dataset_x_true": lambda: Dataset.equal_weight((([True], 0.0),)),
+    "with_input_str": lambda: build_model(_PROBE).with_input(["1", 2.0]),
+    "theta0_str": lambda: dyn.gradient_flow(*_flow_args()[:2], ["0.1", 0.2], T=1.0, dt=0.1),
+    "stationary_flow_T_inf": lambda: dyn.stationary_flow(*_flow_args(), T=float("inf"), dt=0.1),
+    "stationary_flow_T_nan": lambda: dyn.stationary_flow(*_flow_args(), T=float("nan"), dt=0.1),
+    "gradient_flow_dt_nan": lambda: dyn.gradient_flow(*_flow_args(), T=1.0, dt=float("nan")),
+    "gradient_flow_T_inf": lambda: dyn.gradient_flow(*_flow_args(), T=float("inf"), dt=0.1),
+    "gradient_flow_T_past_float": lambda: dyn.gradient_flow(*_flow_args(), T=10 ** 400, dt=0.1),
+    "descent_eta_nan": lambda: dyn.gradient_descent(*_flow_args(), eta=float("nan"), steps=2),
+    "descent_steps_float": lambda: dyn.gradient_descent(*_flow_args(), eta=0.1, steps=2.5),
+    "check_tolerance_str": lambda: _first_order("1e-3"),
+    "check_tolerance_true": lambda: _first_order(True),
+    "check_tolerance_nan": lambda: _first_order(float("nan")),
+    "null_count_eps_stat_nan": lambda: _null_count(eps_stat=float("nan")),
+    "null_count_rank_tol_str": lambda: _null_count(rank_tol="1e-8"),
+    "suite_master_seed_true": lambda: _suite(True),
+    "suite_master_seed_float": lambda: _suite(2.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_NUMBERS))
+def test_a_non_number_is_refused_with_invalid_params(name):
+    with pytest.raises(InvalidParams):
+        NOT_NUMBERS[name]()
