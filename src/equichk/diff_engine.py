@@ -14,26 +14,32 @@ gradients and Hessians are directional sweeps over basis directions, seeded
 all at once: a gradient seeds every ``e1`` direction in one leading axis, and
 a Hessian additionally seeds every ``e2`` direction in a second leading axis,
 so one map evaluation carries all d^2 directional pairs, and its value and
-``e1`` slot carry the map's value and gradient as well.  Two private sweeps
-give values, first and, optionally, second derivatives at a batch of points:
-``_sweep`` (hyper-dual, ``exact`` mode) and ``_fd_sweep`` (central
+``e1`` slot carry the map's value and gradient as well.  The second slot can
+instead carry one given direction u_m per point, a direction field: the
+``e1e2`` slot then holds the Hessian-vector product H(x_m) u_m (d pairs per
+point, not d^2), and the value and ``e1`` slot still the value and gradient.
+Two private sweeps give values, first and, optionally, second derivatives at
+a batch of points: ``_sweep`` (hyper-dual, ``exact`` mode; its second slot
+carries the basis or a direction field) and ``_fd_sweep`` (central
 differences, ``finite_difference`` mode), picked from ``_SWEEPS``.
 ``jacobian`` and ``second_derivative`` are the mode's sweep at one point,
 ``fd_oracle`` the FD sweep at one point, ``gradient_at_points`` and
 ``hessians_at_points`` the exact sweep over a batch, and
 ``grad_and_hessian_of_loss`` and ``_values_and_derivatives`` (how a suite
 evaluates the landscapes of a plan entry) take value, gradient and Hessian
-from one second-order sweep.  Second-order hyper-dual sweeps walk their
-points, and FD sweeps their stencil points, in blocks under a fixed byte
-budget, ``_BLOCK_BYTES``, fixed before anything is allocated; a point too
-large for one block has its second-slot directions walked instead.  At
-catalog sizes every sweep is a single block, i.e. a single map evaluation.
+from one second-order sweep; the SGF drift theory of :mod:`equichk.dynamics`
+calls ``_sweep`` with a direction field.  Second-order hyper-dual sweeps walk
+their points, and FD sweeps their stencil points, in blocks under a fixed
+byte budget, ``_BLOCK_BYTES``, fixed before anything is allocated; a point
+too large for one block has its second-slot basis directions walked
+instead.  At catalog sizes every sweep is a single block, i.e. a single map
+evaluation.
 
 Evaluation points are plain float arrays, and every sweep returns a fresh
 C-contiguous float64 ``np.ndarray`` in the ``[input, output]`` layout that
 :mod:`equichk.tensor_core` composes, checked finite before it is returned:
 ``(d, *s)`` for first derivatives of a map into shape ``s``, ``(d, d, *s)``
-for second derivatives.
+for second derivatives, and ``(d, *s)`` for Hessian-vector products.
 
 Components may be scalars or numpy arrays of any broadcast-compatible shape;
 an absent perturbation slot is ``None`` and every rule skips it, so unused
@@ -311,36 +317,45 @@ def _seeds(d: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return eye[:, None, :], eye[None, :, None, :], eye[:, None, None, :]
 
 
-def _sweep(map_fn: Callable, points: np.ndarray, second: bool
+def _sweep(map_fn: Callable, points: np.ndarray, second: bool,
+           directions: Optional[np.ndarray] = None
            ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Values ``(M, *s)``, first derivatives ``(M, d, *s)`` and, when
-    ``second``, second derivatives ``(M, d, d, *s)`` of ``map_fn`` at each
-    row of ``points`` (M, d), all from the same hyper-dual evaluations.
+    ``second``, second derivatives of ``map_fn`` at each row of ``points``
+    (M, d), all from the same hyper-dual evaluations.
 
     The seed carries every first-slot direction i along one leading axis
-    and, when ``second``, every second-slot direction j along the axis
-    before it, with the batch after them, so one evaluation gives the whole
-    tensor; the second derivatives come out as ``[m, j, i, ...]``.  A
-    first-order sweep is one evaluation.  A second-order one walks its points
-    in blocks of ``_BLOCK_BYTES`` (d^3 seed entries per point), and a point
-    over that alone has its second-slot directions walked in blocks of d^2.
-    A constant map and an absent slot read as zeros.  The results are fresh
-    C-contiguous arrays, the derivatives checked finite (a caller that reads
-    the values as a result checks them).
+    and, when ``second``, the second-slot directions along the axis before
+    it, with the batch after them, so one evaluation gives the whole tensor.
+    The second slot carries the basis, giving the Hessians ``(M, d, d, *s)``
+    as ``[m, j, i, ...]``, or, when ``directions`` (M, d) is given, row m's
+    direction u_m alone, giving ``(M, d, *s)`` with ``[m, i, ...] =
+    D^2 f(x_m)[e_i, u_m]`` (Hessian-vector products, d directional pairs per
+    point instead of d^2).  A first-order sweep is one evaluation.  A
+    second-order one walks its points in blocks of ``_BLOCK_BYTES`` (d^2
+    seed entries per point and second-slot direction), and a point over that
+    alone has its basis directions walked in blocks of d^2.  A constant map
+    and an absent slot read as zeros.  The results are fresh C-contiguous
+    arrays, the derivatives checked finite (a caller that reads the values
+    as a result checks them).
     """
     m, d = points.shape
     first_seed, d1_seed, d2_seed = _seeds(d)
+    n_dir = d if directions is None else 1  # second-slot directions per point
     values = first = hess = None
-    for rows in _blocks(m, 8 * d ** 3) if second else (slice(0, m),):
-        for cols in _blocks(d, 8 * d * d) if second else (None,):
-            res = map_fn(HyperDual(points[rows], d1=d1_seed, d2=d2_seed[cols]) if second
-                         else HyperDual(points[rows], d1=first_seed))
+    for rows in _blocks(m, 8 * n_dir * d * d) if second else (slice(0, m),):
+        for cols in _blocks(n_dir, 8 * d * d) if second else (None,):
+            if not second:
+                res = map_fn(HyperDual(points[rows], d1=first_seed))
+            else:
+                d2 = d2_seed[cols] if directions is None else directions[None, None, rows]
+                res = map_fn(HyperDual(points[rows], d1=d1_seed, d2=d2))
             if not isinstance(res, HyperDual):  # constant map
                 res = HyperDual(res)
             if values is None:
                 s = np.shape(res.value)[1:]
                 values, first = np.empty((m,) + s), np.empty((m, d) + s)
-                hess = np.empty((m, d, d) + s) if second else None
+                hess = np.empty((m, n_dir, d) + s) if second else None
             # each slot is written through a view in its own layout, which
             # broadcasts an absent (0.0) or batch-constant slot
             values[rows] = res.value
@@ -350,6 +365,8 @@ def _sweep(map_fn: Callable, points: np.ndarray, second: bool
     _check_finite(first, "hyper-dual sweep")
     if second:
         _check_finite(hess, "hyper-dual sweep")
+        if directions is not None:
+            hess = hess[:, 0]
     return values, first, hess
 
 

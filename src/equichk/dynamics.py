@@ -534,6 +534,9 @@ def gradient_descent(
     symmetry's characteristic directions (the discrete-time orthogonality of
     the parameter motion).  The worst normalized inner product per record
     lands in the ``sym_ortho_max`` diagnostic and must stay below 1e-10.
+    A symmetry with a Noether charge gives its direction as grad C (= G
+    theta, X at lam = 0, with no chart inversion); any other symmetry's X
+    comes from :func:`characteristic_direction`.
     """
     if not (_is_real(eta) and eta >= 0):
         raise InvalidParams(f"eta must be a finite nonnegative real, got {eta!r}")
@@ -551,7 +554,9 @@ def gradient_descent(
         delta = -eta * g
         nd = float(np.linalg.norm(delta))
         for s in symmetries:
-            X = characteristic_direction(s, th)  # (p, d), at lam = 0
+            # (p, d), at lam = 0: grad C = G theta needs no chart inversion
+            X = (s.charge.grad(th)[None] if s.charge is not None
+                 else characteristic_direction(s, th))
             inner = X @ delta
             nx = float(np.linalg.norm(X))
             normalized = float(np.linalg.norm(inner)) / max(nd * nx, 1e-300) if nd > 0 else 0.0
@@ -668,7 +673,10 @@ class CovarianceReport:
     """Per-sample gradient covariance Sigma(theta), its trace, and the
     analytic gradient of the trace
 
-        d(Tr Sigma)/dtheta = 2 (E[hessL_x gradL_x] - hessL gradL).
+        d(Tr Sigma)/dtheta = 2 (E[hessL_x gradL_x] - hessL gradL),
+
+    taken component by component as the directional trace derivative of
+    :func:`_moments` along each basis direction.
     """
 
     Sigma: np.ndarray      # (d, d)
@@ -676,36 +684,41 @@ class CovarianceReport:
     grad_trace: np.ndarray  # (d,)
 
 
-def _moments(obj: _Objective, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean gradient (n, d), gradient covariance Sigma (n, d, d) and
-    d(Tr Sigma)/dtheta (n, d) at each row of ``points``."""
+def _moments(obj: _Objective, points: np.ndarray, directions: np.ndarray
+             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean gradient gbar (n, d), gradient covariance Sigma (n, d, d) and
+    the directional trace derivative (n,)
+
+        D(Tr Sigma)[u] = 2 sum_k w_k (g_k - gbar)^T H_k u
+
+    at each row of ``points``, u the same row of ``directions`` (n, d).  One
+    hyper-dual sweep per sample map gives its gradients g_k (first slot) and
+    Hessian-vector products H_k u (second slot along u), so no d x d
+    per-sample Hessian is built; the k-terms are summed in map order."""
     w = obj.weights()
-    sweeps = [de.hessians_at_points(mp, points) for _, mp in obj.maps]  # one sweep per map
+    sweeps = [de._sweep(mp, points, True, directions) for _, mp in obj.maps]
     G = np.stack([g for _, g, _ in sweeps])                              # (K, n, d)
-    H = np.stack([hs for _, _, hs in sweeps])                            # (K, n, d, d)
     gbar = np.einsum("k,knd->nd", w, G)
-    hbar = np.einsum("k,knij->nij", w, H)
     sigma = np.einsum("k,kni,knj->nij", w, G, G) - np.einsum("ni,nj->nij", gbar, gbar)
-    # E[H_x g_x] = sum_k w_k H_k G_k, summed over j and then over k: the order,
-    # and so the bits, of einsum("k,knij,knj->ni", w, H, G), without its slow
-    # generic three-operand loop
-    wH = w[:, None, None, None] * H
-    hg = np.zeros(G.shape)                                               # (K, n, d)
-    for j in range(G.shape[-1]):
-        hg += wH[..., j] * G[..., j, None]
-    grad_trace = 2.0 * (hg.sum(axis=0) - np.einsum("nij,nj->ni", hbar, gbar))
-    return gbar, sigma, grad_trace
+    dtrace = np.zeros(points.shape[0])
+    for wk, g, (_, _, hu) in zip(w, G, sweeps):
+        dtrace += wk * np.einsum("ni,ni->n", g - gbar, hu)
+    return gbar, sigma, 2.0 * dtrace
 
 
 def noise_covariance(model: Model, family: LossFamily, dataset: Dataset, theta) -> CovarianceReport:
+    """Sigma(theta), Tr Sigma and d(Tr Sigma)/dtheta at one state: the
+    moments of ``theta`` repeated once per basis direction, so component i
+    of ``grad_trace`` is the directional trace derivative along e_i."""
     th = np.asarray(theta, dtype=float).reshape(-1)
-    _, sigmas, grad_traces = _moments(_Objective(model, (family, dataset)), th[None, :])
+    _, sigmas, grad_trace = _moments(_Objective(model, (family, dataset)),
+                                     np.tile(th, (th.size, 1)), np.eye(th.size))
     sigma = 0.5 * (sigmas[0] + sigmas[0].T)
     evals = np.linalg.eigvalsh(sigma)
     scale = max(1.0, float(evals.max()) if evals.size else 0.0)
     if evals.size and float(evals.min()) < -1e-10 * scale:
         raise CheckFailure(f"gradient covariance not PSD (min eigenvalue {evals.min():.3e})")
-    return CovarianceReport(Sigma=sigma, trace=float(np.trace(sigma)), grad_trace=grad_traces[0])
+    return CovarianceReport(Sigma=sigma, trace=float(np.trace(sigma)), grad_trace=grad_trace)
 
 
 # ---------------------------------------------------------------------------
@@ -896,7 +909,9 @@ def sgf(
 class DriftReport:
     """Monte-Carlo charge drift against the two theoretical forms.
 
-    theory_grad is -(sigma^2/2) <grad C, d(Tr Sigma)/dtheta>, theory_trace is
+    theory_grad is -(sigma^2/2) <grad C, d(Tr Sigma)/dtheta>, the trace
+    gradient taken along grad C alone (a Hessian-vector product of each
+    sample's loss, never its full Hessian), theory_trace is
     sigma^2 Tr(Sigma hess C); both are averaged over the ensemble law (a
     member subsample per record point, then a trapezoid in time) and must
     agree to 1e-8 relative (their equality is an algebraic identity for
@@ -924,12 +939,16 @@ def _drift_terms(
     """Member-averaged drift terms at a batch of states.
 
     Returns (mean theory_grad, mean theory_trace, mean EM quadratic-form
-    bias rate) over the rows of ``points``.
+    bias rate) over the rows of ``points``.  theory_grad needs d(Tr Sigma)
+    only along grad C, so the moments take grad C as each row's direction:
+    -(sigma^2/2) D(Tr Sigma)[grad C] reads the loss's second derivatives
+    through one Hessian-vector product per sample, while theory_trace
+    reads the charge's Hessian, which keeps the two forms independent.
     """
-    gbar, sigma, grad_trace = _moments(obj, points)
     gc = np.asarray(charge.grad(points), dtype=float)   # (n, d)
+    gbar, sigma, dtrace = _moments(obj, points, gc)
     hc = np.asarray(charge.hess(points), dtype=float)   # (n, d, d)
-    t_grad = -(sigma_sq / 2.0) * np.einsum("ni,ni->n", gc, grad_trace)
+    t_grad = -(sigma_sq / 2.0) * dtrace
     t_trace = sigma_sq * np.einsum("nij,nij->n", sigma, hc)
     quad = np.einsum("ni,nij,nj->n", gbar, hc, gbar)
     return float(t_grad.mean()), float(t_trace.mean()), float(quad.mean())

@@ -54,8 +54,8 @@ from .errors import (
     SizeMismatch,
 )
 from .models import (Loss, Model, ModelSpec, _head_margins, _head_scalars, _is_integer,
-                     _is_real, _rayleigh_bound, _reals, _require_fit, _scalar_homogeneous,
-                     build_model, forward, make_loss, random_params)
+                     _is_real, _position, _rayleigh_bound, _reals, _require_fit,
+                     _scalar_homogeneous, build_model, forward, make_loss, random_params)
 from .spectral import SpectralSummary, spectral_summary
 from .tensor_core import _finite, compose, compose_k
 from .transforms import (
@@ -348,7 +348,7 @@ def evaluate_landscapes(model: Model, loss: Loss, thetas: Sequence, mode: str = 
     each position has its own oracles).  Each position keeps its own
     finiteness checks, analytic loss derivatives and Hessian assembly
     check."""
-    ths = [np.asarray(theta, dtype=float).reshape(-1) for theta in thetas]
+    ths = [_position(theta, "theta").reshape(-1) for theta in thetas]
     for th in ths:
         if th.size != model.d:
             raise SizeMismatch(f"theta has {th.size} entries, model {model.name} wants {model.d}")
@@ -390,7 +390,7 @@ def _landscape(model: Model, loss: Loss, theta, mode: str,
     de._check_mode(mode)
     if landscape is None:
         return evaluate_landscape(model, loss, theta, mode)
-    th = np.asarray(theta, dtype=float).reshape(-1)
+    th = _position(theta, "theta").reshape(-1)
     if landscape.mode != mode or not np.array_equal(landscape.theta, th):
         raise InvalidParams(
             f"landscape was evaluated in {landscape.mode} mode at another point than "
@@ -854,7 +854,7 @@ def check_discrete_first(
 ) -> IdentityReport:
     """At a fixed point of a discrete realization, P^T gradL = gradL (the
     linear case reads Eq. (12): the gradient is a +1 eigenvector of P^T)."""
-    th = np.asarray(theta, dtype=float).reshape(-1)
+    th = _position(theta, "theta").reshape(-1)
     fp_res = _require_fixed_point(transform, th)
     ev = _landscape(model, loss, th, mode, landscape)
     S = _finite(transform.dh_dtheta(np.zeros(0), th))
@@ -885,7 +885,7 @@ def check_discrete_second(
     """Conjugation identity P^T hessL P = hessL - gradL o hess(H).  The
     built-in (theta-linear) catalog declares hess(H) zero, so the correction
     is an exact 0.0 there (Eq. (13) is the linear case)."""
-    th = np.asarray(theta, dtype=float).reshape(-1)
+    th = _position(theta, "theta").reshape(-1)
     fp_res = _require_fixed_point(transform, th)
     ev = _landscape(model, loss, th, mode, landscape)
     S = _finite(transform.dh_dtheta(np.zeros(0), th))
@@ -936,7 +936,7 @@ def check_mirror(
     if O.shape[0] != d:
         raise InvalidParams(f"O has {O.shape[0]} rows, model has d={d}")
     _require_orthonormal(O)
-    th = np.asarray(theta, dtype=float).reshape(-1)
+    th = _position(theta, "theta").reshape(-1)
     overlap = _norm(O.T @ th)
     if overlap > _FIXED_POINT_TOL * max(1.0, _norm(th)):
         raise NotFixedPoint(
@@ -1090,7 +1090,7 @@ def stationary_null_count(
     """
     eps_stat, null_tol, rank_tol = (_positive(v, k) for k, v in (
         ("eps_stat", eps_stat), ("null_tol", null_tol), ("rank_tol", rank_tol)))
-    th = np.asarray(theta_star, dtype=float).reshape(-1)
+    th = _position(theta_star, "theta_star").reshape(-1)
     ev = evaluate_landscape(model, loss, th, mode)
     g_norm = _norm(ev.grad)
     if g_norm > eps_stat:
@@ -1192,6 +1192,8 @@ def sample_positions(
     The list also carries, as ``charts``, the chart data that accepted each
     position (None without a continuous transform).
     """
+    if not (_is_integer(count) and count >= 1):
+        raise InvalidParams(f"count must be a positive integer, got {count!r}")
     rng = np.random.default_rng(seed)
     out: List[Tuple[np.ndarray, Optional[np.ndarray]]] = []
     charts: List[Optional[_Charts]] = []

@@ -35,6 +35,8 @@ array of them, as a float array).  Neither counts a bool, and a string is
 never parsed, so ``True`` and ``"0.5"`` are refused where a number is
 expected, as NaN and Inf are.  Every builder here, in ``transforms`` and in
 ``dynamics``, the plan checks and the CLI read their numbers through them.
+Positions (theta and lam), read hundreds of times per suite verdict, go
+through ``_position``: a float64 array as it is, anything else by ``_reals``.
 """
 
 from __future__ import annotations
@@ -248,6 +250,16 @@ def _reals(v, what: str) -> np.ndarray:
     except ValueError:  # a ragged nest
         pass
     raise InvalidParams(f"{what}: expected finite numbers, got {v!r}")
+
+
+def _position(v, what: str) -> np.ndarray:
+    """A position ``v`` (theta or lam) as a float array: a float64 array as
+    it is, since it holds no bool or string (a NaN or Inf in it is caught
+    where it is evaluated: a landscape's ``de._as_point``, a chart
+    callback's ``_finite``); anything else through :func:`_reals`."""
+    if isinstance(v, np.ndarray) and v.dtype == np.float64:
+        return v
+    return _reals(v, what)
 
 
 def _integer(value, what: str) -> int:

@@ -80,7 +80,7 @@ from .errors import (
     SizeMismatch,
     UnknownSpec,
 )
-from .models import Model, _integer, _reals, call_builder, forward, signature
+from .models import Model, _integer, _position, _reals, call_builder, forward, signature
 from .tensor_core import _finite, _inverse_rcond, compose, invert_square
 
 __all__ = [
@@ -177,16 +177,19 @@ def _list_keys(names: Sequence[str]) -> List[str]:
 
 
 def _vec(v, n: int, what: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=float).reshape(-1)
+    """A position ``v`` of ``n`` reals (read by
+    :func:`equichk.models._position`) as a flat float array."""
+    arr = _position(v, what).reshape(-1)
     if arr.size != n:
         raise SizeMismatch(f"{what} length {arr.size} != expected {n}")
     return arr
 
 
 def _lam_vec(t: Transformation, lam) -> np.ndarray:
+    """``lam`` as ``t``'s p group coordinates (zeros when None)."""
     if lam is None:
         return np.zeros(t.p)
-    arr = np.atleast_1d(np.asarray(lam, dtype=float)).reshape(-1)
+    arr = _position(lam, "lambda").reshape(-1)
     if arr.size != t.p:
         raise SizeMismatch(f"lambda length {arr.size} != expected {t.p}")
     return arr
@@ -631,7 +634,9 @@ MUTABLE_CALLBACKS = (
 def mutate(t: Transformation, callback_name: str, scale: float) -> Transformation:
     """Return a copy with one derivative callback scaled — a deliberately
     inconsistent transformation used to confirm the checks have teeth.  A
-    declared-zero (``None``) callback stays ``None``: scaling zero is zero."""
+    declared-zero (``None``) callback stays ``None``: scaling zero is zero.
+    The copy carries no charge: the unmutated group's grad C is no longer
+    its characteristic direction."""
     if callback_name not in MUTABLE_CALLBACKS:
         raise UnknownSpec(f"unknown derivative callback {callback_name!r}")
     orig = getattr(t, callback_name)
@@ -642,5 +647,6 @@ def mutate(t: Transformation, callback_name: str, scale: float) -> Transformatio
     return dataclasses.replace(
         t,
         name=f"{t.name}[{callback_name}*{scale}]",
+        charge=None, charge_reason=f"{callback_name} is mutated, so no charge matches it",
         **{callback_name: None if orig is None else scaled},
     )

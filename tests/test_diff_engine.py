@@ -224,6 +224,8 @@ def test_linear_map_second_derivatives_are_exact_zeros():
     np.testing.assert_array_equal(hess, np.zeros((3, 3, 1)))
     pts = probe.init_params + np.random.default_rng(5).standard_normal((5, 3))
     np.testing.assert_array_equal(de.hessians_at_points(scalar, pts)[2], np.zeros((5, 3, 3)))
+    np.testing.assert_array_equal(de._sweep(scalar, pts, True, pts[::-1].copy())[2],
+                                  np.zeros((5, 3)))
 
 
 def test_gradient_at_points_broadcasts_a_batch_constant_tangent():
@@ -485,6 +487,42 @@ def test_hessian_sweep_values_and_grads_equal_gradient_sweep(monkeypatch, entry)
         np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("entry", SUITE_ENTRIES,
+                         ids=[f"{i}-{e.model.name}-{e.loss}" for i, e in enumerate(SUITE_ENTRIES)])
+def test_hessian_vector_sweep_equals_hessian_times_direction(monkeypatch, entry):
+    # a direction field in the second slot: values and gradients are the
+    # gradient sweep's bit for bit, the products are the Hessians times the
+    # directions to rounding, and blocks of points do not change bits
+    model = build_model(entry.model)
+    loss = make_loss(entry.loss, **dict(entry.loss_params))
+    calls = []
+
+    def map_fn(th):
+        calls.append(1)
+        return loss.apply(model.func(th))
+
+    rng = np.random.default_rng(entry.seed)
+    pts = model.init_params + rng.standard_normal((7, model.d))
+    u = rng.standard_normal((7, model.d))
+    values, grads = de.gradient_at_points(map_fn, pts)
+    hess = de.hessians_at_points(map_fn, pts)[2]
+    calls.clear()
+    whole = de._sweep(map_fn, pts, True, u)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(whole[0], values)
+    np.testing.assert_array_equal(whole[1], grads)
+    want = np.einsum("mij,mj->mi", hess, u)
+    assert np.max(np.abs(whole[2] - want)) <= 1e-13 * max(np.max(np.abs(want)), 1.0)
+    assert whole[2].shape == (7, model.d) and whole[2].flags.c_contiguous
+    # room for the d^2 seed entries of three points: blocks of 3, 3 and 1
+    monkeypatch.setattr(de, "_BLOCK_BYTES", 3 * 8 * model.d ** 2)
+    calls.clear()
+    blocked = de._sweep(map_fn, pts, True, u)
+    assert len(calls) == 3
+    for got, want in zip(blocked, whole):
+        np.testing.assert_array_equal(got, want)
+
+
 def _parent_sweeps(map_fn, x):
     """Value, first and second derivative of ``map_fn`` at ``x`` from a plain
     call and two unbatched seeds, ``d1 = I`` and ``d1 = I[None], d2 = I[:, None]``
@@ -594,6 +632,11 @@ def test_hessian_sweep_of_a_constant_map():
     np.testing.assert_array_equal(values, np.full(4, 2.5))
     np.testing.assert_array_equal(grads, np.zeros((4, 3)))
     np.testing.assert_array_equal(hess, np.zeros((4, 3, 3)))
+    # a direction field in the second slot reads the absent slots as zeros too
+    values, grads, hvps = de._sweep(lambda th: 2.5, pts, True, pts[::-1].copy())
+    np.testing.assert_array_equal(values, np.full(4, 2.5))
+    np.testing.assert_array_equal(grads, np.zeros((4, 3)))
+    np.testing.assert_array_equal(hvps, np.zeros((4, 3)))
 
 
 def test_sweeps_are_one_map_call_and_blocks_do_not_change_bits(monkeypatch):

@@ -12,6 +12,7 @@ import pytest
 
 from equichk import diff_engine as de
 from equichk import dynamics as dyn
+from equichk import tensor_core as tc
 from equichk.errors import (
     CheckFailure,
     InsufficientEnsemble,
@@ -281,6 +282,41 @@ def test_descent_moves_orthogonally_to_symmetry(relu_mlp):
     loss = make_loss("exponential", label=1)
     trj = dyn.gradient_descent(relu_mlp, loss, relu_mlp.init_params, eta=0.05,
                                steps=200, chargelist=[t], symmetries=[t])
+    assert np.max(trj.diagnostics["sym_ortho_max"]) <= 1e-10
+
+
+def _count_inversions(monkeypatch):
+    """Count ``tensor_core._inverse_rcond`` calls: returns the list the
+    wrapper appends to."""
+    calls = []
+    inverse_rcond = tc._inverse_rcond
+    monkeypatch.setattr(tc, "_inverse_rcond", lambda a: calls.append(1) or inverse_rcond(a))
+    return calls
+
+
+def test_descent_takes_a_charged_symmetry_direction_from_its_charge(monkeypatch, relu_mlp):
+    # X = grad C = G theta: 2000 steps invert no chart Jacobian
+    t = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, relu_mlp)
+    loss = make_loss("exponential", label=1)
+    calls = _count_inversions(monkeypatch)
+    trj = dyn.gradient_descent(relu_mlp, loss, relu_mlp.init_params, eta=0.05,
+                               steps=2000, symmetries=[t])
+    assert len(calls) == 0
+    assert np.max(trj.diagnostics["sym_ortho_max"]) <= 1e-10
+
+
+def test_descent_inverts_the_chart_of_a_symmetry_without_charge(monkeypatch):
+    # a non-symmetric generator has no charge: X still comes from
+    # characteristic_direction, one inversion per step
+    model = build_model(ModelSpec("deep_linear", {"widths": [2, 2, 2]}, seed=1))
+    t = build_transform("linear_reparam", {"A": [[0.0, 1.0], [0.0, 0.0]],
+                                           "blocks": ["W1", "W2"]}, model)
+    assert t.charge is None
+    loss = make_loss("square", target=np.array([0.3, -0.4]))
+    calls = _count_inversions(monkeypatch)
+    trj = dyn.gradient_descent(model, loss, model.init_params, eta=0.05, steps=20,
+                               symmetries=[t])
+    assert len(calls) == 20
     assert np.max(trj.diagnostics["sym_ortho_max"]) <= 1e-10
 
 
@@ -656,9 +692,9 @@ def test_covariance_that_is_not_psd_fails(monkeypatch, uv_model, square_family,
                                           two_sample_dataset):
     moments = dyn._moments
 
-    def negated(obj, points):
-        gbar, sigma, grad_trace = moments(obj, points)
-        return gbar, sigma - 2.0 * np.eye(sigma.shape[-1]), grad_trace
+    def negated(obj, points, directions):
+        gbar, sigma, dtrace = moments(obj, points, directions)
+        return gbar, sigma - 2.0 * np.eye(sigma.shape[-1]), dtrace
     monkeypatch.setattr(dyn, "_moments", negated)
     with pytest.raises(CheckFailure, match="not PSD"):
         dyn.noise_covariance(uv_model, square_family, two_sample_dataset, np.array([1.2, 0.6]))
@@ -780,22 +816,62 @@ def _moments_reference(maps, w, points):
     return gbar, sigma, grad_trace
 
 
+def _moments_directional_reference(maps, w, points, directions):
+    """Mean gradient, covariance and directional trace derivative from a
+    gradient sweep and a Hessian-vector sweep per map, the trace derivative
+    2 sum_k w_k (g_k - gbar)^T H_k u summed map by map."""
+    G = np.stack([de.gradient_at_points(mp, points)[1] for mp in maps])
+    HU = [de._sweep(mp, points, True, directions)[2] for mp in maps]
+    gbar = np.einsum("k,knd->nd", w, G)
+    sigma = np.einsum("k,kni,knj->nij", w, G, G) - np.einsum("ni,nj->nij", gbar, gbar)
+    dtrace = np.zeros(len(points))
+    for k in range(len(maps)):
+        dtrace += w[k] * np.einsum("ni,ni->n", G[k] - gbar, HU[k])
+    return gbar, sigma, 2.0 * dtrace
+
+
 @pytest.mark.parametrize("model_name", ["uv_model", "deep_linear_121"])
 def test_drift_terms_equal_two_sweep_reference(request, model_name, square_family):
     model = request.getfixturevalue(model_name)
     obj = dyn._Objective(model, (square_family, _three_sample_dataset()))
     charge = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, model).charge
     points = model.init_params + 0.3 * np.random.default_rng(4).standard_normal((50, model.d))
-    gbar, sigma, grad_trace = _moments_reference([mp for _, mp in obj.maps], obj.weights(), points)
-    for got, want in zip(dyn._moments(obj, points), (gbar, sigma, grad_trace)):
-        np.testing.assert_array_equal(got, want)
     gc, hc, sigma_sq = charge.grad(points), charge.hess(points), 0.01
+    gbar, sigma, dtrace = _moments_directional_reference(
+        [mp for _, mp in obj.maps], obj.weights(), points, gc)
+    for got, want in zip(dyn._moments(obj, points, gc), (gbar, sigma, dtrace)):
+        np.testing.assert_array_equal(got, want)
     expect = (
-        float((-(sigma_sq / 2.0) * np.einsum("ni,ni->n", gc, grad_trace)).mean()),
+        float((-(sigma_sq / 2.0) * dtrace).mean()),
         float((sigma_sq * np.einsum("nij,nij->n", sigma, hc)).mean()),
         float(np.einsum("ni,nij,nj->n", gbar, hc, gbar).mean()),
     )
     assert dyn._drift_terms(obj, charge, points, sigma_sq) == expect
+
+
+@pytest.mark.parametrize("model_name", ["uv_model", "deep_linear_121", "deep_linear [2,4,1]"])
+def test_directional_trace_derivative_matches_full_hessian_formula(request, model_name,
+                                                                  square_family):
+    # D(Tr Sigma)[grad C] from Hessian-vector products against grad C . grad Tr Sigma
+    # from full per-sample Hessians, up to d = 12
+    if model_name == "deep_linear [2,4,1]":
+        model = build_model(ModelSpec("deep_linear", {"widths": [2, 4, 1]}, seed=2))
+        data = Dataset(((np.array([1.0, -0.5]), np.array([0.5])),
+                        (np.array([2.0, 0.3]), np.array([1.55])),
+                        (np.array([-1.5, 0.8]), np.array([0.2]))), (0.5, 0.3, 0.2))
+    else:
+        model, data = request.getfixturevalue(model_name), _three_sample_dataset()
+    obj = dyn._Objective(model, (square_family, data))
+    charge = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, model).charge
+    points = model.init_params + 0.3 * np.random.default_rng(5).standard_normal((40, model.d))
+    gc = charge.grad(points)
+    gbar, sigma, grad_trace = _moments_reference([mp for _, mp in obj.maps], obj.weights(), points)
+    got_gbar, got_sigma, dtrace = dyn._moments(obj, points, gc)
+    np.testing.assert_array_equal(got_gbar, gbar)
+    np.testing.assert_array_equal(got_sigma, sigma)
+    want = np.einsum("ni,ni->n", gc, grad_trace)
+    assert np.max(np.abs(dtrace - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(want)) > 0.0
 
 
 def test_sgf_bit_reproducible(uv_model, square_family, two_sample_dataset):
@@ -979,11 +1055,11 @@ def _drift_by_member(ens, charge, model, family, dataset, noise):
     terms = []
     for k in rec_idx:
         pts = member_states[:, k, :]
-        gbar, sigma, grad_trace = _moments_reference(maps, w, pts)
         gc = np.stack([np.asarray(charge.grad(p), dtype=float) for p in pts])
         hc = np.stack([np.asarray(charge.hess(p), dtype=float) for p in pts])
+        gbar, sigma, dtrace = _moments_directional_reference(maps, w, pts, gc)
         terms.append((
-            float((-(sigma_sq / 2.0) * np.einsum("ni,ni->n", gc, grad_trace)).mean()),
+            float((-(sigma_sq / 2.0) * dtrace).mean()),
             float((sigma_sq * np.einsum("nij,nij->n", sigma, hc)).mean()),
             float(np.einsum("ni,nij,nj->n", gbar, hc, gbar).mean()),
         ))
@@ -1013,6 +1089,19 @@ def test_drift_check_equals_per_member_reference(mode, sigma, uv_model, square_f
     ref = _drift_by_member(ens, t.charge, uv_model, square_family, two_sample_dataset, noise)
     assert {k: getattr(rep, k) for k in ref} == ref
     assert rep.n_trajectories == 150
+
+
+def test_drift_theory_and_noise_covariance_sweep_no_hessian(monkeypatch, uv_model, square_family,
+                                                           two_sample_dataset):
+    noise = dyn.NoiseModel(mode="exact_sde", sigma=0.1, seed=3)
+    t = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, uv_model)
+    ens = dyn.sgf(uv_model, square_family, two_sample_dataset, np.array([1.2, 0.6]),
+                  noise, T=0.01, dt=1e-3, ensemble=100, chargelist=[t])
+    monkeypatch.setattr(de, "hessians_at_points", lambda *args: pytest.fail("Hessian sweep"))
+    rep = dyn.noether_drift_check(ens, t, uv_model, square_family, two_sample_dataset, noise)
+    assert rep.n_trajectories == 100
+    cov = dyn.noise_covariance(uv_model, square_family, two_sample_dataset, np.array([1.2, 0.6]))
+    assert cov.grad_trace.shape == (2,)
 
 
 def test_sgf_byte_guard_raises_before_any_stream(monkeypatch, uv_model, square_family,

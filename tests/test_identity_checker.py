@@ -379,6 +379,32 @@ def test_sample_positions_deterministic(relu_mlp):
         np.testing.assert_array_equal(lama, lamb)
 
 
+@pytest.mark.parametrize("count", [2.5, True, 0, -1, "2"])
+def test_sample_positions_refuses_a_count_that_is_not_a_positive_integer(probe_model, count):
+    t = build_transform("homogeneity_scaling", {}, probe_model)
+    with pytest.raises(InvalidParams, match="count"):
+        sample_positions(probe_model, make_loss("square", target=2.0), t, count=count)
+
+
+@pytest.mark.parametrize("theta, lam", [
+    (["3", -1.0], [True]), (["3", -1.0], [0.1]), ([3.0, -1.0], [True]),
+    ([3.0, float("nan")], [0.1]), ([3.0, -1.0], ["0.1"]),
+], ids=["both", "theta_string", "lam_bool", "theta_nan", "lam_string"])
+def test_checks_refuse_positions_that_are_not_numbers(probe_model, theta, lam):
+    t = build_transform("homogeneity_scaling", {}, probe_model)
+    with pytest.raises(InvalidParams):
+        check_first_order(probe_model, make_loss("square", target=2.0), t, theta, lam)
+
+
+def test_checks_take_float_array_positions_as_they_are(probe_model):
+    # a float array is not re-read, and its landscape refuses a NaN
+    t = build_transform("homogeneity_scaling", {}, probe_model)
+    loss = make_loss("square", target=2.0)
+    assert check_first_order(probe_model, loss, t, np.array([3.0, -1.0]), np.array([0.1])).passed
+    with pytest.raises(NonFiniteEntry):
+        check_first_order(probe_model, loss, t, np.array([3.0, np.nan]), np.array([0.1]))
+
+
 def test_sample_positions_projects_discrete(deep_linear_121):
     loss = make_loss("square", target=0.3)
     t = build_transform("sign_flip", {"indices": [0, 2]}, deep_linear_121)

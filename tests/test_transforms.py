@@ -484,6 +484,26 @@ def test_mutate_scales_one_callback(relu_mlp):
     assert "dh_dlambda" in bad.name and "1.01" in bad.name
 
 
+def test_mutated_transform_carries_no_charge(relu_mlp):
+    t = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, relu_mlp)
+    bad = mutate(t, "dh_dlambda", 1.01)
+    with pytest.raises(NotConservative, match="dh_dlambda is mutated"):
+        noether_charge(bad)
+    assert noether_charge(t) is t.charge
+
+
+@pytest.mark.parametrize("theta, lam", [
+    (["3", -1.0], [0.1]), ([True, -1.0], [0.1]), ([3.0, -1.0], [True]), ([3.0, -1.0], "0.1"),
+    ([3.0, float("inf")], [0.1]),
+])
+def test_positions_read_through_the_number_rule(probe_model, theta, lam):
+    t = build_transform("homogeneity_scaling", {}, probe_model)
+    for call in (lambda: t.h(lam, theta), lambda: characteristic_direction(t, theta, lam),
+                 lambda: good_position(t, theta, None, lam)):
+        with pytest.raises(InvalidParams):
+            call()
+
+
 def test_mutate_unknown_callback(relu_mlp):
     t = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, relu_mlp)
     with pytest.raises(UnknownSpec):
