@@ -84,6 +84,14 @@ _RECORD_BUDGET = 1000
 _SGF_MAX_BYTES = 1 << 30
 _BIAS_SAFETY = 4.0  # factor on the drift check's O(dt^2) slop, dt^2 max(|theory_trace| / dt, 1)
 _MIN_DRIFT_ENSEMBLE = 100  # the fewest members noether_drift_check takes
+#: bytes of stacked states (states x d x 8) one drift-theory call sweeps, as
+#: whole records and at least one.  Measured in-process on the bundled
+#: sgf_drift ensemble (2,000 members, d = 2, 51 records, one BLAS thread):
+#: noether_drift_check's median fell from 72 ms at one record a call to a
+#: flat 50-55 ms from 4 to 17 records (this budget holds 4) and rose to 58 ms
+#: at all 51, whose sweep temporaries spill out of cache; at d = 12 one
+#: record (188 KiB) a call beat 2 or more.  Tables in BENCH_32.json.
+_DRIFT_BLOCK_BYTES = 128 * 2 ** 10
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +293,11 @@ class _Recorder:
                           diagnostics=diag, meta=dict(meta), grads=grads)
 
 
-def _theta0(model: Model, theta0) -> np.ndarray:
+def _theta0(model: Model, theta0, what: str = "theta0") -> np.ndarray:
     """``theta0`` flat, as floats; SizeMismatch unless it has the model's d entries."""
-    th = _reals(theta0, "theta0").reshape(-1)
+    th = _reals(theta0, what).reshape(-1)
     if th.size != model.d:
-        raise SizeMismatch(f"theta0 has {th.size} entries, model wants {model.d}")
+        raise SizeMismatch(f"{what} has {th.size} entries, model wants {model.d}")
     return th
 
 
@@ -710,7 +718,7 @@ def noise_covariance(model: Model, family: LossFamily, dataset: Dataset, theta) 
     """Sigma(theta), Tr Sigma and d(Tr Sigma)/dtheta at one state: the
     moments of ``theta`` repeated once per basis direction, so component i
     of ``grad_trace`` is the directional trace derivative along e_i."""
-    th = np.asarray(theta, dtype=float).reshape(-1)
+    th = _theta0(model, theta, "theta")
     _, sigmas, grad_trace = _moments(_Objective(model, (family, dataset)),
                                      np.tile(th, (th.size, 1)), np.eye(th.size))
     sigma = 0.5 * (sigmas[0] + sigmas[0].T)
@@ -935,23 +943,27 @@ class DriftReport:
 
 def _drift_terms(
     obj: _Objective, charge: Charge, points: np.ndarray, sigma_sq: float,
-) -> Tuple[float, float, float]:
-    """Member-averaged drift terms at a batch of states.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Member-averaged drift terms at a block of records' states.
 
-    Returns (mean theory_grad, mean theory_trace, mean EM quadratic-form
-    bias rate) over the rows of ``points``.  theory_grad needs d(Tr Sigma)
+    ``points`` is (b, N, d): N member states at each of b records, swept as
+    one (b N, d) batch.  Returns the b records' mean theory_grad, mean
+    theory_trace and mean EM quadratic-form bias rate, each (b,) and each
+    the mean of that record's own N rows.  theory_grad needs d(Tr Sigma)
     only along grad C, so the moments take grad C as each row's direction:
     -(sigma^2/2) D(Tr Sigma)[grad C] reads the loss's second derivatives
     through one Hessian-vector product per sample, while theory_trace
     reads the charge's Hessian, which keeps the two forms independent.
     """
-    gc = np.asarray(charge.grad(points), dtype=float)   # (n, d)
-    gbar, sigma, dtrace = _moments(obj, points, gc)
-    hc = np.asarray(charge.hess(points), dtype=float)   # (n, d, d)
+    b, n, d = points.shape
+    flat = points.reshape(b * n, d)
+    gc = np.asarray(charge.grad(flat), dtype=float)   # (b n, d)
+    gbar, sigma, dtrace = _moments(obj, flat, gc)
+    hc = np.asarray(charge.hess(flat), dtype=float)   # (b n, d, d)
     t_grad = -(sigma_sq / 2.0) * dtrace
     t_trace = sigma_sq * np.einsum("nij,nij->n", sigma, hc)
     quad = np.einsum("ni,nij,nj->n", gbar, hc, gbar)
-    return float(t_grad.mean()), float(t_trace.mean()), float(quad.mean())
+    return tuple(x.reshape(b, n).mean(axis=1) for x in (t_grad, t_trace, quad))
 
 
 def _check_drift_ensemble(members: int) -> None:
@@ -970,7 +982,32 @@ def noether_drift_check(
     dataset: Dataset,
     noise: NoiseModel,
 ) -> DriftReport:
+    """Check Cor. 2's charge drift law on an SGF ensemble.
+
+    The empirical drift is each member's (C(theta_T) - C(theta_0)) / T,
+    averaged over all members, with its standard error.  The theory is
+    averaged over the ensemble law: at a grid of at most 65 evenly spaced
+    records (every record of a shorter run) over a subsample of the first
+    at most 2,048 members, then a trapezoid in time.  The records are
+    swept in blocks: each :func:`_drift_terms` call stacks whole records'
+    member states up to ``_DRIFT_BLOCK_BYTES`` of states (at least one
+    record per call), so several records of a small state share one sweep
+    per sample map, and each record's terms are still the means of its own
+    rows.  At every record the two formulations (``theory_grad`` from the
+    loss's Hessian-vector products, ``theory_trace`` from the charge's
+    Hessian) must agree to 1e-8 relative, else CheckFailure names the record.
+    ``rel_residual`` is |empirical - theory_trace| over the allowance
+    3 SE + bias_budget, so ``passed`` means the drift matches within it.
+
+    ``noise`` must be the run's: its mode, and in ``exact_sde`` its sigma,
+    must equal the ensemble's ``meta``, else InvalidParams.
+    """
     _check_drift_ensemble(len(ensemble))
+    run_mode, run_sigma = ensemble.meta.get("mode"), ensemble.meta.get("sigma")
+    if noise.mode != run_mode:
+        raise InvalidParams(f"noise mode {noise.mode!r} differs from the run's {run_mode!r}")
+    if noise.mode == "exact_sde" and noise.sigma != run_sigma:
+        raise InvalidParams(f"noise sigma {noise.sigma!r} differs from the run's {run_sigma!r}")
     if isinstance(charge, Transformation):
         charge = noether_charge(charge)
     if not isinstance(charge, Charge):
@@ -998,10 +1035,13 @@ def noether_drift_check(
     t_grad = np.empty(rec_idx.size)
     t_trace = np.empty(rec_idx.size)
     quad = np.empty(rec_idx.size)
-    for j, k in enumerate(rec_idx):
-        t_grad[j], t_trace[j], quad[j] = _drift_terms(
-            obj, charge, states[k, :n_members], sigma_sq
+    per_block = max(1, _DRIFT_BLOCK_BYTES // (n_members * states.shape[2] * 8))
+    for start in range(0, rec_idx.size, per_block):
+        blk = slice(start, start + per_block)
+        t_grad[blk], t_trace[blk], quad[blk] = _drift_terms(
+            obj, charge, states[rec_idx[blk], :n_members], sigma_sq
         )
+    for j, k in enumerate(rec_idx):
         gap = abs(t_grad[j] - t_trace[j])
         if gap > 1e-8 * max(1.0, abs(t_grad[j]), abs(t_trace[j])):
             raise CheckFailure(

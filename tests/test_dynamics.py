@@ -700,6 +700,17 @@ def test_covariance_that_is_not_psd_fails(monkeypatch, uv_model, square_family,
         dyn.noise_covariance(uv_model, square_family, two_sample_dataset, np.array([1.2, 0.6]))
 
 
+@pytest.mark.parametrize("theta, error", [
+    ([True, 0.6], InvalidParams),
+    (["1.2", 0.6], InvalidParams),
+    ([1.2, 0.6, 0.1], SizeMismatch),  # no entry dropped: the model has d = 2
+])
+def test_covariance_reads_theta_by_the_number_and_size_rule(uv_model, square_family,
+                                                             two_sample_dataset, theta, error):
+    with pytest.raises(error, match="theta"):
+        dyn.noise_covariance(uv_model, square_family, two_sample_dataset, theta)
+
+
 def test_covariance_single_sample_vanishes(uv_model, square_family):
     single = Dataset.equal_weight(((np.array([1.0]), np.array([0.5])),))
     cov = dyn.noise_covariance(uv_model, square_family, single, np.array([1.2, 0.6]))
@@ -832,21 +843,29 @@ def _moments_directional_reference(maps, w, points, directions):
 
 @pytest.mark.parametrize("model_name", ["uv_model", "deep_linear_121"])
 def test_drift_terms_equal_two_sweep_reference(request, model_name, square_family):
+    # a block of 3 records of 50 states each: every record's terms are the
+    # means of its own rows, bit for bit those of a reference swept on that
+    # record alone
     model = request.getfixturevalue(model_name)
     obj = dyn._Objective(model, (square_family, _three_sample_dataset()))
+    maps, w = [mp for _, mp in obj.maps], obj.weights()
     charge = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, model).charge
-    points = model.init_params + 0.3 * np.random.default_rng(4).standard_normal((50, model.d))
-    gc, hc, sigma_sq = charge.grad(points), charge.hess(points), 0.01
-    gbar, sigma, dtrace = _moments_directional_reference(
-        [mp for _, mp in obj.maps], obj.weights(), points, gc)
-    for got, want in zip(dyn._moments(obj, points, gc), (gbar, sigma, dtrace)):
-        np.testing.assert_array_equal(got, want)
-    expect = (
-        float((-(sigma_sq / 2.0) * dtrace).mean()),
-        float((sigma_sq * np.einsum("nij,nij->n", sigma, hc)).mean()),
-        float(np.einsum("ni,nij,nj->n", gbar, hc, gbar).mean()),
-    )
-    assert dyn._drift_terms(obj, charge, points, sigma_sq) == expect
+    points = model.init_params + 0.3 * np.random.default_rng(4).standard_normal((3, 50, model.d))
+    sigma_sq = 0.01
+    expect = []
+    for pts in points:
+        gc, hc = charge.grad(pts), charge.hess(pts)
+        gbar, sigma, dtrace = _moments_directional_reference(maps, w, pts, gc)
+        for got, want in zip(dyn._moments(obj, pts, gc), (gbar, sigma, dtrace)):
+            np.testing.assert_array_equal(got, want)
+        expect.append((
+            float((-(sigma_sq / 2.0) * dtrace).mean()),
+            float((sigma_sq * np.einsum("nij,nij->n", sigma, hc)).mean()),
+            float(np.einsum("ni,nij,nj->n", gbar, hc, gbar).mean()),
+        ))
+    got = dyn._drift_terms(obj, charge, points, sigma_sq)
+    assert [g.shape for g in got] == [(3,)] * 3
+    assert [tuple(float(g[r]) for g in got) for r in range(3)] == expect
 
 
 @pytest.mark.parametrize("model_name", ["uv_model", "deep_linear_121", "deep_linear [2,4,1]"])
@@ -1079,16 +1098,75 @@ def _drift_by_member(ens, charge, model, family, dataset, noise):
 
 
 @pytest.mark.parametrize("mode, sigma", [("exact_sde", 0.1), ("minibatch", 0.0)])
-def test_drift_check_equals_per_member_reference(mode, sigma, uv_model, square_family,
-                                                 two_sample_dataset):
+def test_drift_check_equals_per_member_reference(monkeypatch, mode, sigma, uv_model,
+                                                 square_family, two_sample_dataset):
     noise = dyn.NoiseModel(mode=mode, sigma=sigma, seed=3)
     t = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, uv_model)
     ens = dyn.sgf(uv_model, square_family, two_sample_dataset, np.array([1.2, 0.6]),
                   noise, T=0.05, dt=1e-3, ensemble=150, chargelist=[t])
-    rep = dyn.noether_drift_check(ens, t, uv_model, square_family, two_sample_dataset, noise)
     ref = _drift_by_member(ens, t.charge, uv_model, square_family, two_sample_dataset, noise)
-    assert {k: getattr(rep, k) for k in ref} == ref
-    assert rep.n_trajectories == 150
+    sizes, real = [], dyn._drift_terms
+
+    def counted(obj, charge, points, sigma_sq):
+        sizes.append(points.shape[0])
+        return real(obj, charge, points, sigma_sq)
+    monkeypatch.setattr(dyn, "_drift_terms", counted)
+    # the default budget holds all 51 records of 150 members at d = 2; one
+    # of 4 such records walks 12 full blocks and a short last one
+    for budget, blocks in ((dyn._DRIFT_BLOCK_BYTES, [51]), (4 * 150 * 2 * 8, [4] * 12 + [3])):
+        monkeypatch.setattr(dyn, "_DRIFT_BLOCK_BYTES", budget)
+        sizes.clear()
+        rep = dyn.noether_drift_check(ens, t, uv_model, square_family, two_sample_dataset, noise)
+        assert sizes == blocks
+        assert {k: getattr(rep, k) for k in ref} == ref
+        assert rep.n_trajectories == 150
+
+
+def test_drift_check_names_the_disagreeing_record_of_a_later_block(monkeypatch, uv_model,
+                                                                   square_family,
+                                                                   two_sample_dataset):
+    noise = dyn.NoiseModel(mode="exact_sde", sigma=0.1, seed=3)
+    t = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, uv_model)
+    ens = dyn.sgf(uv_model, square_family, two_sample_dataset, np.array([1.2, 0.6]),
+                  noise, T=0.05, dt=1e-3, ensemble=150, chargelist=[t])
+    monkeypatch.setattr(dyn, "_DRIFT_BLOCK_BYTES", 4 * 150 * 2 * 8)
+    calls, real = [], dyn._drift_terms
+
+    def off_in_block_3(obj, charge, points, sigma_sq):
+        t_grad, t_trace, quad = real(obj, charge, points, sigma_sq)
+        if len(calls) == 3:  # records 12..15: only the second (record 13) disagrees
+            t_trace = t_trace.copy()
+            t_trace[1] += 1.0
+        calls.append(points.shape[0])
+        return t_grad, t_trace, quad
+    monkeypatch.setattr(dyn, "_drift_terms", off_in_block_3)
+    with pytest.raises(CheckFailure, match="drift formulations disagree at record 13:"):
+        dyn.noether_drift_check(ens, t, uv_model, square_family, two_sample_dataset, noise)
+    assert calls == [4] * 12 + [3]
+
+
+def test_drift_check_takes_only_the_runs_noise(uv_model, square_family, two_sample_dataset):
+    noise = dyn.NoiseModel(mode="exact_sde", sigma=0.1, seed=7)
+    t = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, uv_model)
+    ens = dyn.sgf(uv_model, square_family, two_sample_dataset, np.array([1.2, 0.6]),
+                  noise, T=0.02, dt=1e-3, ensemble=100, chargelist=[t])
+    args = (ens, t, uv_model, square_family, two_sample_dataset)
+    own = dyn.noether_drift_check(*args, noise)
+    # the seed sets the draws, not the law the theory reads
+    assert dyn.noether_drift_check(*args, dataclasses.replace(noise, seed=8)) == own
+    with pytest.raises(InvalidParams, match="noise sigma 0.3 differs from the run's 0.1"):
+        dyn.noether_drift_check(*args, dataclasses.replace(noise, sigma=0.3))
+    with pytest.raises(InvalidParams, match="noise mode 'minibatch' differs"):
+        dyn.noether_drift_check(*args, dyn.NoiseModel(mode="minibatch", sigma=0.1, seed=7))
+    # a minibatch run's sigma is implied by dt, so only its mode must match
+    mb = dyn.NoiseModel(mode="minibatch", sigma=0.0, seed=7)
+    ens = dyn.sgf(uv_model, square_family, two_sample_dataset, np.array([1.2, 0.6]),
+                  mb, T=0.02, dt=1e-3, ensemble=100, chargelist=[t])
+    args = (ens, t, uv_model, square_family, two_sample_dataset)
+    assert (dyn.noether_drift_check(*args, dataclasses.replace(mb, sigma=0.5))
+            == dyn.noether_drift_check(*args, mb))
+    with pytest.raises(InvalidParams, match="noise mode 'exact_sde' differs"):
+        dyn.noether_drift_check(*args, noise)
 
 
 def test_drift_theory_and_noise_covariance_sweep_no_hessian(monkeypatch, uv_model, square_family,
