@@ -74,6 +74,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+try:  # the C einsum that np.einsum calls when optimize=False
+    from numpy._core.multiarray import c_einsum
+except ImportError:  # numpy 1.x
+    from numpy.core.multiarray import c_einsum
+
 from . import tensor_core
 from .errors import (
     IndexOutOfRange,
@@ -257,8 +262,11 @@ def relu(x):
     return x * (x > 0.0)
 
 
-_MATVEC = partial(np.einsum, "...ij,...j->...i")
-_DOT = partial(np.einsum, "...i,...i->...")
+# matvec, dot and sum_last call the C kernels that np.einsum (optimize=False)
+# and ndarray.sum forward to, without numpy's Python dispatch: in a batch-1
+# sweep those layers cost about a sixth of the sweep, and the bits are the same
+_MATVEC = partial(c_einsum, "...ij,...j->...i")
+_DOT = partial(c_einsum, "...i,...i->...")
 
 
 def matvec(w, z):
@@ -272,7 +280,7 @@ def dot(a, b):
 
 
 def sum_last(x):
-    return _each(x, lambda c: np.asarray(c).sum(axis=-1))
+    return _each(x, lambda c: np.add.reduce(c, axis=-1))
 
 
 def expand_last(x):
@@ -294,7 +302,8 @@ def _as_point(point) -> np.ndarray:
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
-    if not np.isfinite(arr).all():
+    # ndarray.all's own reduction, without its dispatch
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise NonFiniteResult(f"{what} produced NaN or Inf")
 
 

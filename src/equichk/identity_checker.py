@@ -1281,12 +1281,31 @@ def _build_entry(entry: PlanEntry) -> BuiltEntry:
     return BuiltEntry(entry, model, make_loss(entry.loss, **dict(entry.loss_params)), transform)
 
 
+def _fixed_set_forces_kink(model: Model, transform: Transformation) -> bool:
+    """Whether the fixed set of ``transform`` holds a ReLU unit of ``model``
+    exactly on its kink: each of ``_MAX_TRIES`` draws from a fixed seed,
+    projected as the sampler projects it, has kink margin 0.0, while some
+    draw off the fixed set does not (so the model alone does not force it).
+    A draw that is merely close is the sampler's to refuse, and a kink that
+    is not forced lands in every draw only as often as the sampler's own
+    ``_MAX_TRIES`` draws all miss."""
+    rng = np.random.default_rng(0)
+    model_free = False
+    for _ in range(_MAX_TRIES):
+        th = random_params(model, rng)
+        if model.kink_margin(fixed_point_project(transform, th)) > 0.0:
+            return False
+        model_free = model_free or model.kink_margin(th) > 0.0
+    return model_free
+
+
 def entry_misfits(built: BuiltEntry) -> List[Tuple[str, str]]:
     """Every setting of ``built.entry`` that cannot run or that its model and
     transform cannot serve -- the position count, the seed, the loss, the
-    check list or a check, a tolerance, the diff mode, or a mutation that is
-    malformed, that no listed check would see or that scales a declared-zero
-    callback -- as (path inside the entry, reason); empty when all fit."""
+    check list or a check, a discrete fixed set that puts a ReLU unit on its
+    kink, a tolerance, the diff mode, or a mutation that is malformed, that
+    no listed check would see or that scales a declared-zero callback -- as
+    (path inside the entry, reason); empty when all fit."""
     entry, model, transform = built.entry, built.model, built.transform
     known = ", ".join(CHECK_REGISTRY)
     out: List[Tuple[str, str]] = []
@@ -1311,6 +1330,10 @@ def entry_misfits(built: BuiltEntry) -> List[Tuple[str, str]]:
                         f"(model {model.name}, transform {entry.transform})"))
         else:  # the mirror row reads the transform's columns, not its callbacks
             mutable = mutable or row.requires in ("continuous transform", "discrete involution")
+    if (model.kink_margin is not None and _REQUIREMENTS["discrete involution"](model, transform)
+            and _fixed_set_forces_kink(model, transform)):
+        out.append(("transform.params", f"the fixed set of {entry.transform} puts a ReLU unit "
+                    f"of {model.name} on its kink, so no position is off the kink"))
     if not isinstance(entry.tolerances, Mapping):
         out.append(("tolerances", "expected an object"))
     else:

@@ -276,6 +276,11 @@ def _reparam(width, blocks):
     (_misfit({"name": "deep_linear", "params": {"widths": [1, 3, 1]}, "seed": 22}, _SQUARE,
              {"name": "permutation", "params": {"perm": [1, 2, 0, 4, 5, 3]}},
              ["discrete_first"]), "checks[0]"),
+    # flipping the sign of two of W2's three rows puts their hidden units on
+    # the ReLU kink at every fixed point, so no position can be sampled
+    (_misfit({"name": "homogeneous_relu_mlp", "params": {"widths": [1, 1, 3, 1]}, "seed": 0},
+             _SQUARE, {"name": "sign_flip", "params": {"indices": [3, 2]}},
+             ["discrete_first", "discrete_second"]), "transform.params"),
     # a loss that does not take the model's outputs: suite_full's entries 0
     # and 8 with one target too many and one class too many
     (_misfit({"name": "homogeneous_relu_mlp", "params": {"widths": [2, 3, 1]}, "seed": 11},
@@ -335,7 +340,8 @@ def _reparam(width, blocks):
         "mode_unknown", "margin_unknown_key", "trials_unknown_key", "relu_mlp_depth_unknown_key",
         "reparam_blocks_reversed", "reparam_blocks_not_adjacent", "reparam_relu_chain",
         "reparam_factored", "rescaling_factored_features", "rescaling_factored_head",
-        "discrete_first+permutation_3_cycle", "suite_square_two_targets",
+        "discrete_first+permutation_3_cycle", "sign_flip_fixes_a_kink",
+        "suite_square_two_targets",
         "suite_softmax_four_classes", "positions_zero", "positions_bool", "seed_negative",
         "checks_empty", "tolerance_nan", "tolerances_list", "mutation_without_scale",
         "square_target_true", "square_target_str", "exponential_label_str",

@@ -7,6 +7,7 @@ calculus, not just to truncation error.
 
 import dataclasses
 import importlib
+from functools import partial
 import pkgutil
 import re
 
@@ -683,3 +684,105 @@ def test_hessians_at_points_one_map_call_and_blocks_do_not_change_bits(monkeypat
     blocked = de.hessians_at_points(counting, points)[2]
     assert len(calls) == 3
     np.testing.assert_array_equal(one, blocked)
+
+
+# ---------------------------------------------------------------------------
+# matvec, dot and sum_last call numpy's C kernels without its dispatch
+# ---------------------------------------------------------------------------
+
+# the numpy functions the helpers' kernels stand in for
+_NP_MATVEC = partial(np.einsum, "...ij,...j->...i")
+_NP_DOT = partial(np.einsum, "...i,...i->...")
+
+
+def _np_sum_last(x):
+    return de._each(x, lambda c: np.asarray(c).sum(axis=-1))
+
+
+def _assert_same_bytes(got, want):
+    """Equal type, dtype, shape and bytes (so -0.0 and 0.0 differ), slot by
+    slot for hyper-duals, with absent slots absent on both sides."""
+    if isinstance(want, de.HyperDual):
+        assert isinstance(got, de.HyperDual)
+        for slot in ("value", "d1", "d2", "d12"):
+            _assert_same_bytes(getattr(got, slot), getattr(want, slot))
+        return
+    if want is None:
+        assert got is None
+        return
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _seeded(points, order):
+    """``points`` (M, d) seeded as :func:`de._sweep` seeds them (direction
+    axes first, a batch axis broadcast over them), and, at order 2, squared
+    once so that the product rule fills the e1e2 slot."""
+    d = points.shape[1]
+    first_seed, d1_seed, d2_seed = de._seeds(d)
+    if order == 0:
+        return points
+    if order == 1:
+        return de.HyperDual(points, d1=first_seed)
+    x = de.HyperDual(points, d1=d1_seed, d2=d2_seed)
+    return x * x
+
+
+@pytest.mark.parametrize("order", [0, 1, 2], ids=["plain", "first_order", "second_order"])
+@pytest.mark.parametrize("m", [1, 4])
+def test_helpers_equal_numpy_dispatch_byte_for_byte(order, m):
+    # theta holds a (3, 4) block and a 4-vector; take_last and the reshape of
+    # models._unpack hand the helpers non-contiguous views of every slot
+    rng = np.random.default_rng(33 + m)
+    points = rng.standard_normal((m, 16))
+    theta = _seeded(points, order)
+    w = de._each(de.take_last(theta, slice(0, 12)), lambda c: c.reshape(c.shape[:-1] + (3, 4)))
+    z = de.take_last(theta, slice(12, 16))
+    x = de.take_last(theta, slice(1, 13, 3))   # strided: every third entry
+    plain_w = rng.standard_normal((3, 4))      # a weight or input that is not seeded
+    plain_z = rng.standard_normal(4)[::-1]     # a reversed view
+    plain_wt = rng.standard_normal((4, 3)).T   # a transposed view
+    assert not np.asarray(x if order == 0 else x.d1).flags.c_contiguous
+    cases = [
+        (de.matvec, _NP_MATVEC, (w, z)),
+        (de.matvec, _NP_MATVEC, (w, plain_z)),
+        (de.matvec, _NP_MATVEC, (plain_w, z)),
+        (de.matvec, _NP_MATVEC, (plain_wt, z)),
+        (de.dot, _NP_DOT, (z, z)),
+        (de.dot, _NP_DOT, (x, z)),
+        (de.dot, _NP_DOT, (plain_z, x)),
+    ]
+    for helper, np_op, (a, b) in cases:
+        _assert_same_bytes(helper(a, b), de._bilinear(np_op, a, b))
+    for c in (z, x, w, de.matvec(w, z)):
+        _assert_same_bytes(de.sum_last(c), _np_sum_last(c))
+    if order == 0:  # plain operands: the numpy calls themselves
+        _assert_same_bytes(de.matvec(w, z), np.einsum("...ij,...j->...i", w, z))
+        _assert_same_bytes(de.dot(x, z), np.einsum("...i,...i->...", x, z))
+        _assert_same_bytes(de.sum_last(x), x.sum(axis=-1))
+        _assert_same_bytes(de.sum_last(x[0]), x[0].sum(axis=-1))   # a 0-d result
+
+
+@pytest.mark.parametrize("entry", SUITE_ENTRIES,
+                         ids=[f"{i}-{e.model.name}-{e.loss}" for i, e in enumerate(SUITE_ENTRIES)])
+def test_sweeps_equal_numpy_dispatch_byte_for_byte(monkeypatch, entry):
+    # every sweep of a catalog loss map, at batch 1 and at batch 4, in each
+    # mode, is the same bytes with the helpers on numpy's dispatching calls
+    model = build_model(entry.model)
+    loss = make_loss(entry.loss, **dict(entry.loss_params))
+    map_fn = de._loss_map(model, loss)
+    pts = model.init_params + 0.1 * np.random.default_rng(entry.seed).standard_normal((4, model.d))
+    sweeps = [(de._sweep, False), (de._sweep, True), (de._fd_sweep, False), (de._fd_sweep, True)]
+
+    def run_all():
+        return [sweep(map_fn, pts[:n], second) for n in (1, 4) for sweep, second in sweeps]
+
+    fast = run_all()
+    monkeypatch.setattr(de, "_MATVEC", _NP_MATVEC)
+    monkeypatch.setattr(de, "_DOT", _NP_DOT)
+    monkeypatch.setattr(de, "sum_last", _np_sum_last)
+    for got, want in zip(fast, run_all()):
+        for a, b in zip(got, want):
+            _assert_same_bytes(a, b)

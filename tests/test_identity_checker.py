@@ -485,6 +485,58 @@ def test_run_suite_rejects_an_unrunnable_setting_before_sampling(monkeypatch, se
     assert sampled == []
 
 
+def test_run_suite_rejects_a_fixed_set_on_a_kink_before_sampling(monkeypatch):
+    # every draw is projected onto the fixed set, where flipping two of W2's
+    # rows zeroes their hidden units at every draw: the sampler would give
+    # up after 100 draws, so the entry is refused at validation
+    sampled = []
+    monkeypatch.setattr(ic, "sample_positions", lambda *a, **k: sampled.append(a) or [])
+    entry = PlanEntry(model=ModelSpec("homogeneous_relu_mlp", {"widths": [1, 1, 3, 1]}, seed=0),
+                      loss="square", loss_params={"target": 0.3},
+                      transform="sign_flip", transform_params={"indices": [3, 2]},
+                      checks=("discrete_first", "discrete_second"))
+    assert [path for path, _ in entry_misfits(ic._build_entry(entry))] == ["transform.params"]
+    with pytest.raises(InvalidParams, match=r"plan entry 0: transform.params: the fixed set of "
+                                            r"sign_flip puts a ReLU unit .* on its kink"):
+        run_suite(SuiteSpec(entries=(entry,)))
+    assert sampled == []
+    # one flipped row of the output layer leaves every hidden unit free
+    free = dataclasses.replace(entry, transform_params={"indices": [5]})
+    assert entry_misfits(ic._build_entry(free)) == []
+
+
+def test_a_kink_the_fixed_set_does_not_force_is_not_refused():
+    # at seed 0 the one layer-2 unit of [1, 1, 1, 2, 1] is dead at
+    # init_params, so both layer-3 units sit on the kink there, projected or
+    # not; swapping the layer-3 units leaves W1 and W2 free, so other draws
+    # clear the kink and the entry samples its positions
+    entry = PlanEntry(model=ModelSpec("homogeneous_relu_mlp", {"widths": [1, 1, 1, 2, 1]}, seed=0),
+                      loss="square", loss_params={"target": 0.3},
+                      transform="permutation", transform_params={"perm": [0, 1, 3, 2, 5, 4]},
+                      checks=("discrete_first", "discrete_second"))
+    built = ic._build_entry(entry)
+    assert built.model.kink_margin(fixed_point_project(built.transform,
+                                                       built.model.init_params)) == 0.0
+    assert entry_misfits(built) == []
+    assert len(ic.sample_positions(built.model, built.loss, built.transform, count=3)) == 3
+    # an input of zero puts every unit on its kink whatever the transform
+    # does: the model, not the fixed set, holds it there, so the fixed set
+    # is not blamed
+    zero = dataclasses.replace(entry, model=ModelSpec(
+        "homogeneous_relu_mlp", {"widths": [1, 1, 3, 1], "input": [0.0]}, seed=0),
+        transform="sign_flip", transform_params={"indices": [3, 2]})
+    assert entry_misfits(ic._build_entry(zero)) == []
+
+
+@pytest.mark.parametrize("mode", ["exact", "finite_difference"])
+def test_default_suite_discrete_entries_are_not_refused(mode):
+    discrete = [e for e in default_suite(positions=1, mode=mode).entries
+                if e.transform in ("sign_flip", "permutation", "mirror")]
+    assert len(discrete) == 3
+    assert any(build_model(e.model).kink_margin is not None for e in discrete)
+    assert all(entry_misfits(ic._build_entry(e)) == [] for e in discrete)
+
+
 def test_run_suite_rejects_a_non_involution_before_sampling(monkeypatch):
     # a 3-cycle of hidden units has no fixed-point projection, so the
     # discrete rows refuse it instead of faulting mid-run
