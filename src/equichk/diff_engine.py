@@ -74,10 +74,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-try:  # the C einsum that np.einsum calls when optimize=False
-    from numpy._core.multiarray import c_einsum
-except ImportError:  # numpy 1.x
-    from numpy.core.multiarray import c_einsum
+from numpy._core.multiarray import c_einsum  # the C einsum np.einsum calls when optimize=False
 
 from . import tensor_core
 from .errors import (

@@ -694,34 +694,38 @@ class CovarianceReport:
 
 def _moments(obj: _Objective, points: np.ndarray, directions: np.ndarray
              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean gradient gbar (n, d), gradient covariance Sigma (n, d, d) and
-    the directional trace derivative (n,)
+    """Mean gradient gbar (n, d), per-sample gradients G (K, n, d) and the
+    directional trace derivative (n,)
 
         D(Tr Sigma)[u] = 2 sum_k w_k (g_k - gbar)^T H_k u
 
     at each row of ``points``, u the same row of ``directions`` (n, d).  One
     hyper-dual sweep per sample map gives its gradients g_k (first slot) and
     Hessian-vector products H_k u (second slot along u), so no d x d
-    per-sample Hessian is built; the k-terms are summed in map order."""
+    per-sample Hessian is built; the k-terms are summed in map order.  Nor
+    is the covariance Sigma = sum_k w_k (g_k - gbar)(g_k - gbar)^T: a
+    caller that needs it, or a contraction of it, takes it from G."""
     w = obj.weights()
     sweeps = [de._sweep(mp, points, True, directions) for _, mp in obj.maps]
     G = np.stack([g for _, g, _ in sweeps])                              # (K, n, d)
     gbar = np.einsum("k,knd->nd", w, G)
-    sigma = np.einsum("k,kni,knj->nij", w, G, G) - np.einsum("ni,nj->nij", gbar, gbar)
     dtrace = np.zeros(points.shape[0])
     for wk, g, (_, _, hu) in zip(w, G, sweeps):
         dtrace += wk * np.einsum("ni,ni->n", g - gbar, hu)
-    return gbar, sigma, 2.0 * dtrace
+    return gbar, G, 2.0 * dtrace
 
 
 def noise_covariance(model: Model, family: LossFamily, dataset: Dataset, theta) -> CovarianceReport:
     """Sigma(theta), Tr Sigma and d(Tr Sigma)/dtheta at one state: the
     moments of ``theta`` repeated once per basis direction, so component i
-    of ``grad_trace`` is the directional trace derivative along e_i."""
+    of ``grad_trace`` is the directional trace derivative along e_i, and
+    Sigma built from the per-sample gradients at ``theta``."""
     th = _theta0(model, theta, "theta")
-    _, sigmas, grad_trace = _moments(_Objective(model, (family, dataset)),
-                                     np.tile(th, (th.size, 1)), np.eye(th.size))
-    sigma = 0.5 * (sigmas[0] + sigmas[0].T)
+    obj = _Objective(model, (family, dataset))
+    gbar, G, grad_trace = _moments(obj, np.tile(th, (th.size, 1)), np.eye(th.size))
+    g, m = G[:, 0], gbar[0]
+    sigma = np.einsum("k,ki,kj->ij", obj.weights(), g, g) - np.outer(m, m)
+    sigma = 0.5 * (sigma + sigma.T)
     evals = np.linalg.eigvalsh(sigma)
     scale = max(1.0, float(evals.max()) if evals.size else 0.0)
     if evals.size and float(evals.min()) < -1e-10 * scale:
@@ -920,7 +924,9 @@ class DriftReport:
     theory_grad is -(sigma^2/2) <grad C, d(Tr Sigma)/dtheta>, the trace
     gradient taken along grad C alone (a Hessian-vector product of each
     sample's loss, never its full Hessian), theory_trace is
-    sigma^2 Tr(Sigma hess C); both are averaged over the ensemble law (a
+    sigma^2 Tr(Sigma hess C), taken as the per-sample quadratic forms
+    sigma^2 sum_k w_k d_k^T hess C d_k with d_k = gradL_k - gradL (no
+    covariance matrix is built); both are averaged over the ensemble law (a
     member subsample per record point, then a trapezoid in time) and must
     agree to 1e-8 relative (their equality is an algebraic identity for
     symmetry charges, so disagreement is a CheckFailure, not statistics).
@@ -954,15 +960,23 @@ def _drift_terms(
     -(sigma^2/2) D(Tr Sigma)[grad C] reads the loss's second derivatives
     through one Hessian-vector product per sample, while theory_trace
     reads the charge's Hessian, which keeps the two forms independent.
+    theory_trace is sigma^2 Tr(Sigma hess C) = sigma^2 sum_k w_k
+    d_k^T hess C d_k, d_k = g_k - gbar, and the bias rate is
+    gbar^T hess C gbar: each hess C v is one product per row, and no
+    covariance stack is built.
     """
     b, n, d = points.shape
     flat = points.reshape(b * n, d)
     gc = np.asarray(charge.grad(flat), dtype=float)   # (b n, d)
-    gbar, sigma, dtrace = _moments(obj, flat, gc)
+    gbar, G, dtrace = _moments(obj, flat, gc)
     hc = np.asarray(charge.hess(flat), dtype=float)   # (b n, d, d)
     t_grad = -(sigma_sq / 2.0) * dtrace
-    t_trace = sigma_sq * np.einsum("nij,nij->n", sigma, hc)
-    quad = np.einsum("ni,nij,nj->n", gbar, hc, gbar)
+    trace = np.zeros(b * n)
+    for wk, g in zip(obj.weights(), G):
+        dev = g - gbar
+        trace += wk * np.einsum("ni,ni->n", dev, np.einsum("nij,nj->ni", hc, dev))
+    t_trace = sigma_sq * trace
+    quad = np.einsum("ni,ni->n", gbar, np.einsum("nij,nj->ni", hc, gbar))
     return tuple(x.reshape(b, n).mean(axis=1) for x in (t_grad, t_trace, quad))
 
 

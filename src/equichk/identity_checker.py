@@ -1171,6 +1171,12 @@ class _Sample(list):
         self.charts = charts
 
 
+def _head_clear(model: Model, loss: Loss, y: np.ndarray) -> bool:
+    """Whether the scalar head at output ``y`` is clear of both degenerate
+    branches of the scalar specializations by the sampler's margin 1e-6."""
+    return min(_head_margins(*_head_scalars(model, y, loss.grad(y), loss.hess(y)))) >= 1e-6
+
+
 def sample_positions(
     model: Model,
     loss: Optional[Loss] = None,
@@ -1216,7 +1222,7 @@ def sample_positions(
             if require_nondegenerate:
                 if loss is None:
                     raise InvalidParams("nondegenerate sampling needs the loss")
-                if min(_head_margins(*_head_scalars(model, y, loss.grad(y), loss.hess(y)))) < 1e-6:
+                if not _head_clear(model, loss, y):
                     continue
             out.append((th, lam))
             charts.append(ch)
@@ -1281,21 +1287,21 @@ def _build_entry(entry: PlanEntry) -> BuiltEntry:
     return BuiltEntry(entry, model, make_loss(entry.loss, **dict(entry.loss_params)), transform)
 
 
-def _fixed_set_forces_kink(model: Model, transform: Transformation) -> bool:
-    """Whether the fixed set of ``transform`` holds a ReLU unit of ``model``
-    exactly on its kink: each of ``_MAX_TRIES`` draws from a fixed seed,
-    projected as the sampler projects it, has kink margin 0.0, while some
-    draw off the fixed set does not (so the model alone does not force it).
-    A draw that is merely close is the sampler's to refuse, and a kink that
-    is not forced lands in every draw only as often as the sampler's own
+def _fixed_set_forces(model: Model, transform: Transformation,
+                      clear: Callable[[np.ndarray], bool]) -> bool:
+    """Whether the fixed set of ``transform`` forces every position to fail
+    the sampler test ``clear``: each of ``_MAX_TRIES`` draws from a fixed
+    seed, projected as the sampler projects it, fails it, while some draw off
+    the fixed set passes (so the model alone does not force it).  A failure
+    that is not forced lands in every draw only as often as the sampler's own
     ``_MAX_TRIES`` draws all miss."""
     rng = np.random.default_rng(0)
     model_free = False
     for _ in range(_MAX_TRIES):
         th = random_params(model, rng)
-        if model.kink_margin(fixed_point_project(transform, th)) > 0.0:
+        if clear(fixed_point_project(transform, th)):
             return False
-        model_free = model_free or model.kink_margin(th) > 0.0
+        model_free = model_free or clear(th)
     return model_free
 
 
@@ -1303,7 +1309,8 @@ def entry_misfits(built: BuiltEntry) -> List[Tuple[str, str]]:
     """Every setting of ``built.entry`` that cannot run or that its model and
     transform cannot serve -- the position count, the seed, the loss, the
     check list or a check, a discrete fixed set that puts a ReLU unit on its
-    kink, a tolerance, the diff mode, or a mutation that is malformed, that
+    kink or, for a listed scalar-head check, the head on a degenerate branch,
+    a tolerance, the diff mode, or a mutation that is malformed, that
     no listed check would see or that scales a declared-zero callback -- as
     (path inside the entry, reason); empty when all fit."""
     entry, model, transform = built.entry, built.model, built.transform
@@ -1313,14 +1320,17 @@ def entry_misfits(built: BuiltEntry) -> List[Tuple[str, str]]:
         out.append(("positions", f"expected a positive integer, got {entry.positions!r}"))
     if not (_is_integer(entry.seed) and entry.seed >= 0):
         out.append(("seed", f"expected a nonnegative integer, got {entry.seed!r}"))
+    fits = True
     try:
         _require_fit(model, built.loss)
     except SizeMismatch as exc:
         out.append(("loss", str(exc)))
+        fits = False
     checks = entry.checks if isinstance(entry.checks, (tuple, list)) else ()
     if not checks:
         out.append(("checks", "expected a non-empty list of check names"))
     mutable = False  # whether a fitting check reads the callbacks a mutation scales
+    scalar_head = False  # whether a fitting check samples a nondegenerate scalar head
     for i, name in enumerate(checks):
         row = CHECK_REGISTRY.get(name) if isinstance(name, str) else None
         if row is None:
@@ -1330,10 +1340,19 @@ def entry_misfits(built: BuiltEntry) -> List[Tuple[str, str]]:
                         f"(model {model.name}, transform {entry.transform})"))
         else:  # the mirror row reads the transform's columns, not its callbacks
             mutable = mutable or row.requires in ("continuous transform", "discrete involution")
+            scalar_head = scalar_head or row.requires == "scalar homogeneous head"
+    # a draw merely close to the kink is the sampler's to refuse; the head
+    # rule is the sampler's own test, whose margin does not vary by mode
     if (model.kink_margin is not None and _REQUIREMENTS["discrete involution"](model, transform)
-            and _fixed_set_forces_kink(model, transform)):
+            and _fixed_set_forces(model, transform, lambda th: model.kink_margin(th) > 0.0)):
         out.append(("transform.params", f"the fixed set of {entry.transform} puts a ReLU unit "
                     f"of {model.name} on its kink, so no position is off the kink"))
+    if (scalar_head and fits and _REQUIREMENTS["discrete involution"](model, transform)
+            and _fixed_set_forces(model, transform,
+                                  lambda th: _head_clear(model, built.loss, forward(model, th)))):
+        out.append(("transform.params", f"the fixed set of {entry.transform} holds the scalar "
+                    f"head of {model.name} where l' = 0 or m y l'' + (m-1) l' = 0, so no "
+                    "position is nondegenerate"))
     if not isinstance(entry.tolerances, Mapping):
         out.append(("tolerances", "expected an object"))
     else:

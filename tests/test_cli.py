@@ -281,6 +281,10 @@ def _reparam(width, blocks):
     (_misfit({"name": "homogeneous_relu_mlp", "params": {"widths": [1, 1, 3, 1]}, "seed": 0},
              _SQUARE, {"name": "sign_flip", "params": {"indices": [3, 2]}},
              ["discrete_first", "discrete_second"]), "transform.params"),
+    # flipping both of a linear probe's weights fixes theta = 0, where y = 0
+    # holds the scalar head on a degenerate branch at every fixed point
+    (_misfit(_PROBE, _PROBE_LOSS, {"name": "sign_flip", "params": {"indices": [0, 1]}},
+             ["discrete_first", "homogeneity"]), "transform.params"),
     # a loss that does not take the model's outputs: suite_full's entries 0
     # and 8 with one target too many and one class too many
     (_misfit({"name": "homogeneous_relu_mlp", "params": {"widths": [2, 3, 1]}, "seed": 11},
@@ -341,6 +345,7 @@ def _reparam(width, blocks):
         "reparam_blocks_reversed", "reparam_blocks_not_adjacent", "reparam_relu_chain",
         "reparam_factored", "rescaling_factored_features", "rescaling_factored_head",
         "discrete_first+permutation_3_cycle", "sign_flip_fixes_a_kink",
+        "sign_flip_fixes_a_degenerate_head",
         "suite_square_two_targets",
         "suite_softmax_four_classes", "positions_zero", "positions_bool", "seed_negative",
         "checks_empty", "tolerance_nan", "tolerances_list", "mutation_without_scale",

@@ -690,12 +690,14 @@ def test_covariance_trace_gradient_matches_fd(uv_model, square_family, two_sampl
 
 def test_covariance_that_is_not_psd_fails(monkeypatch, uv_model, square_family,
                                           two_sample_dataset):
+    # Sigma = sum_k w_k g_k g_k^T - m m^T is PSD only when m is the gradients'
+    # own mean: a moment pass that returns another mean must not go unseen
     moments = dyn._moments
 
-    def negated(obj, points, directions):
-        gbar, sigma, dtrace = moments(obj, points, directions)
-        return gbar, sigma - 2.0 * np.eye(sigma.shape[-1]), dtrace
-    monkeypatch.setattr(dyn, "_moments", negated)
+    def off_mean(obj, points, directions):
+        gbar, G, dtrace = moments(obj, points, directions)
+        return gbar + 2.0, G, dtrace
+    monkeypatch.setattr(dyn, "_moments", off_mean)
     with pytest.raises(CheckFailure, match="not PSD"):
         dyn.noise_covariance(uv_model, square_family, two_sample_dataset, np.array([1.2, 0.6]))
 
@@ -814,8 +816,9 @@ def test_sgf_keys_streams_with_the_whole_uint64_seed(uv_model, square_family):
 
 
 def _moments_reference(maps, w, points):
-    """Mean gradient, covariance and trace gradient from a gradient sweep and
-    a Hessian sweep per map, with the three-operand trace-gradient einsum."""
+    """Mean gradient, gradient stack, covariance and trace gradient from a
+    gradient sweep and a Hessian sweep per map, with the three-operand
+    covariance and trace-gradient einsums."""
     G = np.stack([de.gradient_at_points(mp, points)[1] for mp in maps])
     H = np.stack([de.hessians_at_points(mp, points)[2] for mp in maps])
     gbar = np.einsum("k,knd->nd", w, G)
@@ -824,21 +827,30 @@ def _moments_reference(maps, w, points):
     grad_trace = 2.0 * (
         np.einsum("k,knij,knj->ni", w, H, G) - np.einsum("nij,nj->ni", hbar, gbar)
     )
-    return gbar, sigma, grad_trace
+    return gbar, G, sigma, grad_trace
 
 
 def _moments_directional_reference(maps, w, points, directions):
-    """Mean gradient, covariance and directional trace derivative from a
+    """Mean gradient, gradient stack and directional trace derivative from a
     gradient sweep and a Hessian-vector sweep per map, the trace derivative
     2 sum_k w_k (g_k - gbar)^T H_k u summed map by map."""
     G = np.stack([de.gradient_at_points(mp, points)[1] for mp in maps])
     HU = [de._sweep(mp, points, True, directions)[2] for mp in maps]
     gbar = np.einsum("k,knd->nd", w, G)
-    sigma = np.einsum("k,kni,knj->nij", w, G, G) - np.einsum("ni,nj->nij", gbar, gbar)
     dtrace = np.zeros(len(points))
     for k in range(len(maps)):
         dtrace += w[k] * np.einsum("ni,ni->n", G[k] - gbar, HU[k])
-    return gbar, sigma, 2.0 * dtrace
+    return gbar, G, 2.0 * dtrace
+
+
+def _quadratic_forms_reference(w, G, gbar, hc):
+    """Tr(Sigma hess C) as sum_k w_k d_k^T hess C d_k with d_k = g_k - gbar,
+    summed map by map, and gbar^T hess C gbar, one row per state."""
+    trace = np.zeros(len(gbar))
+    for k in range(len(w)):
+        dev = G[k] - gbar
+        trace += w[k] * np.einsum("ni,ni->n", dev, np.einsum("nij,nj->ni", hc, dev))
+    return trace, np.einsum("ni,ni->n", gbar, np.einsum("nij,nj->ni", hc, gbar))
 
 
 @pytest.mark.parametrize("model_name", ["uv_model", "deep_linear_121"])
@@ -855,13 +867,14 @@ def test_drift_terms_equal_two_sweep_reference(request, model_name, square_famil
     expect = []
     for pts in points:
         gc, hc = charge.grad(pts), charge.hess(pts)
-        gbar, sigma, dtrace = _moments_directional_reference(maps, w, pts, gc)
-        for got, want in zip(dyn._moments(obj, pts, gc), (gbar, sigma, dtrace)):
+        gbar, G, dtrace = _moments_directional_reference(maps, w, pts, gc)
+        for got, want in zip(dyn._moments(obj, pts, gc), (gbar, G, dtrace)):
             np.testing.assert_array_equal(got, want)
+        trace, quad = _quadratic_forms_reference(w, G, gbar, hc)
         expect.append((
             float((-(sigma_sq / 2.0) * dtrace).mean()),
-            float((sigma_sq * np.einsum("nij,nij->n", sigma, hc)).mean()),
-            float(np.einsum("ni,nij,nj->n", gbar, hc, gbar).mean()),
+            float((sigma_sq * trace).mean()),
+            float(quad.mean()),
         ))
     got = dyn._drift_terms(obj, charge, points, sigma_sq)
     assert [g.shape for g in got] == [(3,)] * 3
@@ -872,7 +885,8 @@ def test_drift_terms_equal_two_sweep_reference(request, model_name, square_famil
 def test_directional_trace_derivative_matches_full_hessian_formula(request, model_name,
                                                                   square_family):
     # D(Tr Sigma)[grad C] from Hessian-vector products against grad C . grad Tr Sigma
-    # from full per-sample Hessians, up to d = 12
+    # from full per-sample Hessians, and Tr(Sigma hess C) from per-sample
+    # quadratic forms against the covariance stack, up to d = 12
     if model_name == "deep_linear [2,4,1]":
         model = build_model(ModelSpec("deep_linear", {"widths": [2, 4, 1]}, seed=2))
         data = Dataset(((np.array([1.0, -0.5]), np.array([0.5])),
@@ -884,12 +898,18 @@ def test_directional_trace_derivative_matches_full_hessian_formula(request, mode
     charge = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, model).charge
     points = model.init_params + 0.3 * np.random.default_rng(5).standard_normal((40, model.d))
     gc = charge.grad(points)
-    gbar, sigma, grad_trace = _moments_reference([mp for _, mp in obj.maps], obj.weights(), points)
-    got_gbar, got_sigma, dtrace = dyn._moments(obj, points, gc)
+    gbar, G, sigma, grad_trace = _moments_reference([mp for _, mp in obj.maps], obj.weights(),
+                                                    points)
+    got_gbar, got_G, dtrace = dyn._moments(obj, points, gc)
     np.testing.assert_array_equal(got_gbar, gbar)
-    np.testing.assert_array_equal(got_sigma, sigma)
+    np.testing.assert_array_equal(got_G, G)
     want = np.einsum("ni,ni->n", gc, grad_trace)
     assert np.max(np.abs(dtrace - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(want)) > 0.0
+    # one member per record, so each record's term is its one row's
+    t_trace = dyn._drift_terms(obj, charge, points[:, None, :], 1.0)[1]
+    want = np.einsum("nij,nij->n", sigma, charge.hess(points))
+    assert np.max(np.abs(t_trace - want)) <= 1e-13 * np.max(np.abs(want))
     assert np.max(np.abs(want)) > 0.0
 
 
@@ -988,6 +1008,23 @@ def test_drift_check_fails_when_its_two_formulations_disagree(monkeypatch, uv_mo
         dyn.noether_drift_check(ens, t, uv_model, square_family, two_sample_dataset, noise)
 
 
+def test_drift_check_fails_on_a_charge_hessian_off_by_a_millionth(uv_model, square_family,
+                                                                  two_sample_dataset):
+    # theory_trace reads the charge's Hessian and theory_grad does not, so a
+    # hess callback 1e-6 off its grad shows as a disagreement at the first
+    # record; sigma = 1 puts theory_trace near -0.06, so the 1e-6 slip
+    # (about 6e-8) clears the check's 1e-8 floor
+    noise = dyn.NoiseModel(mode="exact_sde", sigma=1.0, seed=7)
+    t = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, uv_model)
+    ens = dyn.sgf(uv_model, square_family, two_sample_dataset, np.array([1.2, 0.6]),
+                  noise, T=0.01, dt=1e-3, ensemble=100, chargelist=[t])
+    args = (ens, t.charge, uv_model, square_family, two_sample_dataset, noise)
+    assert dyn.noether_drift_check(*args).theory_trace != 0.0
+    off = dataclasses.replace(t.charge, hess=lambda th: (1.0 + 1e-6) * t.charge.hess(th))
+    with pytest.raises(CheckFailure, match="drift formulations disagree at record 0:"):
+        dyn.noether_drift_check(ens, off, *args[2:])
+
+
 def test_drift_check_needs_ensemble(uv_model, square_family, two_sample_dataset):
     noise = dyn.NoiseModel(mode="exact_sde", sigma=0.1, seed=7)
     t = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, uv_model)
@@ -1076,11 +1113,12 @@ def _drift_by_member(ens, charge, model, family, dataset, noise):
         pts = member_states[:, k, :]
         gc = np.stack([np.asarray(charge.grad(p), dtype=float) for p in pts])
         hc = np.stack([np.asarray(charge.hess(p), dtype=float) for p in pts])
-        gbar, sigma, dtrace = _moments_directional_reference(maps, w, pts, gc)
+        gbar, G, dtrace = _moments_directional_reference(maps, w, pts, gc)
+        trace, quad = _quadratic_forms_reference(w, G, gbar, hc)
         terms.append((
             float((-(sigma_sq / 2.0) * dtrace).mean()),
-            float((sigma_sq * np.einsum("nij,nij->n", sigma, hc)).mean()),
-            float(np.einsum("ni,nij,nj->n", gbar, hc, gbar).mean()),
+            float((sigma_sq * trace).mean()),
+            float(quad.mean()),
         ))
     t_grad, t_trace, quad = (np.array(col) for col in zip(*terms))
     grid = times[rec_idx]

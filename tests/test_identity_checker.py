@@ -528,6 +528,40 @@ def test_a_kink_the_fixed_set_does_not_force_is_not_refused():
     assert entry_misfits(ic._build_entry(zero)) == []
 
 
+def test_run_suite_rejects_a_fixed_set_on_a_degenerate_head_before_sampling(monkeypatch):
+    # flipping both inputs' weights of a linear probe fixes theta = 0, where
+    # y = 0 puts the degree-1 head on m y l'' + (m-1) l' = 0 at every draw:
+    # the sampler would give up after 100 draws, so the entry is refused
+    sampled = []
+    monkeypatch.setattr(ic, "sample_positions", lambda *a, **k: sampled.append(a) or [])
+    entry = PlanEntry(model=ModelSpec("linear_probe", {"x": [1.0, 2.0]}, seed=21),
+                      loss="square", loss_params={"target": 2.0},
+                      transform="sign_flip", transform_params={"indices": [0, 1]},
+                      checks=("discrete_first", "homogeneity"))
+    assert [path for path, _ in entry_misfits(ic._build_entry(entry))] == ["transform.params"]
+    with pytest.raises(InvalidParams, match=r"plan entry 0: transform.params: the fixed set of "
+                                            r"sign_flip holds the scalar head of linear_probe"):
+        run_suite(SuiteSpec(entries=(entry,)))
+    assert sampled == []
+    # without a scalar-head check nothing needs the head clear, and one
+    # flipped weight leaves y free
+    for free in (dataclasses.replace(entry, checks=("discrete_first", "discrete_second")),
+                 dataclasses.replace(entry, transform_params={"indices": [0]})):
+        assert entry_misfits(ic._build_entry(free)) == []
+
+
+@pytest.mark.parametrize("mode", ["exact", "finite_difference"])
+def test_default_suite_entries_are_admitted_without_the_head_rule(monkeypatch, mode):
+    # no catalog entry pairs a discrete involution with a scalar-head check,
+    # so validation never samples a head for the fixed-set rule
+    calls = []
+    real = ic._head_clear
+    monkeypatch.setattr(ic, "_head_clear", lambda *a: calls.append(a) or real(*a))
+    assert all(entry_misfits(ic._build_entry(e)) == []
+               for e in default_suite(positions=1, mode=mode).entries)
+    assert calls == []
+
+
 @pytest.mark.parametrize("mode", ["exact", "finite_difference"])
 def test_default_suite_discrete_entries_are_not_refused(mode):
     discrete = [e for e in default_suite(positions=1, mode=mode).entries
