@@ -10,8 +10,10 @@ registered symmetry direction), and stochastic gradient flow (lockstep
 Euler--Maruyama over an ensemble with counter-based per-trajectory RNG
 streams).  Charges are evaluated at every record point, each by one call on
 the stack of recorded states, so conservation and drift statements become
-array assertions downstream.  Both flows count their accepted and rejected steps and gradient
-sweeps in the trajectory's ``meta``.
+array assertions downstream.  Both flows step through one explicit
+Runge--Kutta kernel, ``_rk_step``, on their own tableaus (``_DP_A``/``_DP_B``
+and ``_RK4_A``/``_RK4_B``), and count their accepted and rejected steps and
+gradient sweeps in the trajectory's ``meta``.
 
 A single run records a :class:`Trajectory`.  An SGF ensemble is one
 :class:`Ensemble` holding arrays over (record, member): states, losses and
@@ -38,6 +40,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -320,8 +323,27 @@ def _descends(cand_loss: float, cur_loss: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# gradient flow (RK4)
+# explicit Runge--Kutta steps of theta' = -gradL(theta)
 # ---------------------------------------------------------------------------
+
+def _rk_step(obj: _Objective, th: np.ndarray, h: float, A: np.ndarray, b: np.ndarray,
+             K: np.ndarray) -> Tuple[np.ndarray, float, np.ndarray]:
+    """One explicit Runge--Kutta step of size ``h`` from ``th`` with tableau
+    (A, b).  ``K[0]`` holds -gradL(th) on entry, and each later stage is
+    filled in place as K[i] = -gradL(th + h A[i, :i] K[:i]).  Returns the
+    candidate th + h b K, checked finite, with its loss and gradient from one
+    sweep: the acceptance loss and, once accepted, the next step's K[0]."""
+    for i in range(1, b.size):
+        K[i] = -obj.value_and_grad(th + h * (A[i, :i] @ K[:i]))[1]
+    cand = th + h * (b @ K)
+    de._check_finite(cand, f"{b.size}-stage Runge-Kutta step")
+    return (cand, *obj.value_and_grad(cand))
+
+
+# classical RK4: each stage weighs only the stage before it
+_RK4_A = np.diag([0.5, 0.5, 1.0], k=-1)
+_RK4_B = np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
+
 
 def gradient_flow(
     model: Model,
@@ -342,24 +364,14 @@ def gradient_flow(
     obj, rec, th, cur_loss, g = _start(model, loss, theta0, chargelist)
     n_steps = max(1, int(math.ceil(T / dt - 1e-12)))
     stride = max(1, math.ceil(n_steps / _RECORD_BUDGET))
-
-    def rhs(p: np.ndarray) -> np.ndarray:
-        return -obj.value_and_grad(p)[1]
-
     t = 0.0
     accepted = rejected = 0
-    k1 = -g
+    K = np.empty((4, th.size))
+    K[0] = -g
     while t < T - 1e-12 * max(1.0, T):
         h = min(dt, T - t)
         for _halving in range(_MAX_HALVINGS + 1):
-            k2 = rhs(th + 0.5 * h * k1)
-            k3 = rhs(th + 0.5 * h * k2)
-            k4 = rhs(th + h * k3)
-            cand = th + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            de._check_finite(cand, "RK4 step")
-            # the candidate's sweep gives the acceptance loss and, once
-            # accepted, the next step's first stage and the recorded gradient
-            cand_loss, g = obj.value_and_grad(cand)
+            cand, cand_loss, g = _rk_step(obj, th, h, _RK4_A, _RK4_B, K)
             if _descends(cand_loss, cur_loss):
                 break
             h *= 0.5
@@ -368,9 +380,8 @@ def gradient_flow(
             raise StepFailure(
                 f"loss still increases after {_MAX_HALVINGS} halvings at t = {t:.6g}"
             )
-        th = cand
-        cur_loss = cand_loss
-        k1 = -g
+        th, cur_loss = cand, cand_loss
+        K[0] = -g
         t += h
         accepted += 1
         if accepted % stride == 0 or t >= T - 1e-12 * max(1.0, T):
@@ -484,13 +495,7 @@ def stationary_flow(
     K[0] = -g
     while t < end:
         h = min(h, T - t)
-        for i in range(1, 12):
-            K[i] = -obj.value_and_grad(th + h * (_DP_A[i, :i] @ K[:i]))[1]
-        cand = th + h * (_DP_B @ K)
-        de._check_finite(cand, "DOP853 step")
-        # the candidate's sweep gives the acceptance loss and, once accepted,
-        # the recorded gradient and the next first stage
-        cand_loss, cand_g = obj.value_and_grad(cand)
+        cand, cand_loss, cand_g = _rk_step(obj, th, h, _DP_A, _DP_B, K)
         scale = _DP_TOL + _DP_TOL * np.maximum(np.abs(th), np.abs(cand))
         e5 = float(np.sum(np.square(_DP_E5 @ K / scale)))
         e3 = float(np.sum(np.square(_DP_E3 @ K / scale)))
@@ -643,13 +648,10 @@ def norm_growth_check(model: Model, loss: Loss, trajectory: Trajectory) -> NormG
     gaps = np.abs(inner - rhs) / np.maximum(np.maximum(np.abs(inner), np.abs(rhs)), 1e-12)
     euler_gap = float(gaps.max())
 
-    correct = lps * ys < 0.0
-    t0_idx: Optional[int] = None
-    for i in range(n):
-        if np.all(correct[i:]):
-            t0_idx = i
-            break
-    if t0_idx is None:
+    # t0 is the record after the last incorrectly classified one
+    wrong = np.flatnonzero(~(lps * ys < 0.0))
+    t0_idx = int(wrong[-1]) + 1 if wrong.size else 0
+    if t0_idx == n:
         return NormGrowthReport(
             status="never_correctly_classified", t0=None, monotone=False,
             max_decrease=float("nan"), euler_max_rel_gap=euler_gap,
@@ -1111,7 +1113,6 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
 def write_ensemble(trajectories: Sequence[Trajectory], out_dir) -> dict:
     """Write one CSV per trajectory, ``trajectory_0000.csv`` on, plus the
     ``ensemble.json`` manifest that lists them; returns the manifest."""
-    import os
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     for i, tr in enumerate(trajectories):

@@ -56,7 +56,7 @@ from .errors import (
 from .models import (Loss, Model, ModelSpec, _head_margins, _head_scalars, _is_integer,
                      _is_real, _position, _rayleigh_bound, _reals, _require_fit,
                      _scalar_homogeneous, build_model, forward, make_loss, random_params)
-from .spectral import SpectralSummary, spectral_summary
+from .spectral import SpectralSummary, jacobi_eigh, spectral_summary
 from .tensor_core import _finite, compose, compose_k
 from .transforms import (
     MUTABLE_CALLBACKS,
@@ -1125,7 +1125,6 @@ def stationary_null_count(
     if rows:
         stacked = np.vstack(rows)
         gram = stacked @ stacked.T
-        from .spectral import jacobi_eigh
         evals, _ = jacobi_eigh(gram)
         sing = np.sqrt(np.clip(evals, 0.0, None))
         smax = float(sing.max()) if sing.size else 0.0

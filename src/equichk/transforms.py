@@ -308,7 +308,7 @@ def _group(name: str, params: dict, model: Model, G: np.ndarray,
             return out
 
         def c_hess(th):
-            return np.broadcast_to(G, np.shape(th)[:-1] + G.shape).copy()
+            return np.broadcast_to(G, np.shape(th)[:-1] + G.shape)
 
         charge = Charge(charge_name, c_eval, c_grad, c_hess)
     return _linear(name, params, model, 1, M, dM, d2M, N, dN, d2N, charge)

@@ -19,6 +19,7 @@ from equichk.errors import (
     InvalidNoiseModel,
     InvalidParams,
     NonFiniteEntry,
+    NonFiniteResult,
     SizeMismatch,
     StepFailure,
 )
@@ -142,20 +143,54 @@ def test_stationary_flow_matches_quadratic_closed_form():
         assert trj.times[0] == 0.0 and trj.times[-1] == pytest.approx(T, rel=1e-12)
 
 
-def test_dop853_tableau_meets_its_order_conditions():
-    # the error control would absorb a mistyped coefficient; the order
-    # conditions through order 8 catch one.  Rows 1..4 of A enter only
-    # through the stage-order conditions of stages 2..11
-    A, b = dyn._DP_A, dyn._DP_B
-    assert A.shape == (12, 12) and not np.triu(A).any()
+@pytest.mark.parametrize("A,b,order", [(dyn._DP_A, dyn._DP_B, 8), (dyn._RK4_A, dyn._RK4_B, 4)],
+                         ids=["dop853", "rk4"])
+def test_rk_tableau_meets_its_order_conditions(A, b, order):
+    # a mistyped coefficient only lowers the order, which DOP853's error
+    # control absorbs; the order conditions catch one (for RK4, sum b = 1,
+    # b.c = 1/2, b.c^2 = 1/3 and b.Ac = 1/6 among them).  Rows 1..4 of
+    # DOP853's A enter only through the stage-order conditions of stages 2..11
+    assert A.shape == (b.size, b.size) and not np.triu(A).any()
     c = A.sum(axis=1)
-    for k in range(8):
+    for k in range(order):
         assert abs(b @ c ** k - 1.0 / (k + 1)) <= 1e-14
-    for k in range(7):
+    for k in range(order - 1):
         assert abs(b @ (A @ c ** k) - 1.0 / ((k + 1) * (k + 2))) <= 1e-14
-    for k in (1, 2):
-        assert np.max(np.abs((A @ c ** k - c ** (k + 1) / (k + 1))[2:])) <= 1e-14
-    assert abs(dyn._DP_E5.sum()) <= 1e-14 and abs(dyn._DP_E3.sum()) <= 1e-14
+    if order == 8:
+        for k in (1, 2):
+            assert np.max(np.abs((A @ c ** k - c ** (k + 1) / (k + 1))[2:])) <= 1e-14
+        assert abs(dyn._DP_E5.sum()) <= 1e-14 and abs(dyn._DP_E3.sum()) <= 1e-14
+
+
+def test_rk_step_on_the_rk4_tableau_is_the_textbook_chain(relu_mlp):
+    # stages k2..k4 are the textbook ones bit for bit (their weights are 0,
+    # 1/2 and 1), and the candidate differs from th + h/6 (k1 + 2 k2 + 2 k3
+    # + k4) only by the order in which b K is summed
+    obj = dyn._Objective(relu_mlp, make_loss("exponential", label=1))
+    th, h = relu_mlp.init_params, 0.3
+    k1 = -obj.value_and_grad(th)[1]
+    k2 = -obj.value_and_grad(th + 0.5 * h * k1)[1]
+    k3 = -obj.value_and_grad(th + 0.5 * h * k2)[1]
+    k4 = -obj.value_and_grad(th + h * k3)[1]
+    want = th + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    K = np.empty((4, th.size))
+    K[0] = k1
+    cand, cand_loss, cand_g = dyn._rk_step(obj, th, h, dyn._RK4_A, dyn._RK4_B, K)
+    np.testing.assert_array_equal(K, [k1, k2, k3, k4])
+    np.testing.assert_allclose(cand, want, rtol=0, atol=4 * np.spacing(np.abs(want).max()))
+    loss, g = obj.value_and_grad(cand)
+    assert cand_loss == loss and np.array_equal(cand_g, g)
+
+
+@pytest.mark.parametrize("flow", [dyn.gradient_flow, dyn.stationary_flow], ids=["rk4", "dop853"])
+def test_a_non_finite_candidate_raises(monkeypatch, flow):
+    # every sweep gives a finite loss and gradient, but a step of 1e160
+    # along a gradient of 1e150 overflows the candidate
+    monkeypatch.setattr(dyn._Objective, "value_and_grad",
+                        lambda self, theta: (0.0, np.full(self.d, 1e150)))
+    loss = make_loss("square", target=np.zeros(2))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteResult, match="Runge-Kutta step"):
+        flow(_identity_model(), loss, np.array([1.0, 0.0]), T=1e160, dt=1e160)
 
 
 def test_stationary_flow_reaches_the_bundled_stationary_point(bundled_stationary_run):
@@ -607,6 +642,26 @@ def test_norm_growth_after_first_correct_classification():
     assert rep.passed and rep.monotone
     assert rep.t0 is not None and 0.0 < rep.t0 < 6.0
     assert rep.euler_max_rel_gap <= 1e-7
+
+
+def test_norm_growth_t0_follows_the_last_misclassified_record():
+    # t0 starts the correctly classified tail the loop over every tail finds:
+    # a record misclassified again after the first correct one moves t0 past
+    # it, and a misclassified last record leaves no tail at all
+    probe = build_model(ModelSpec("linear_probe", {"x": [1.0, 2.0]}, seed=0))
+    loss = make_loss("exponential", label=1)  # l' < 0, so f > 0 is correct
+    trj = dyn.gradient_flow(probe, loss, np.array([-0.15, -0.1]), T=0.2, dt=0.01)
+    n, rng = trj.n_records, np.random.default_rng(5)
+    settles = np.arange(n) >= 3
+    patterns = [settles, settles & (np.arange(n) != 10), settles & (np.arange(n) != n - 1),
+                np.ones(n, bool)] + [rng.random(n) < rng.random() for _ in range(200)]
+    for correct in patterns:
+        f = np.where(correct, 1.0, -1.0) * (0.5 + rng.random(n))
+        rep = dyn.norm_growth_check(
+            probe, loss, dataclasses.replace(trj, diagnostics=dict(trj.diagnostics, f=f)))
+        want = next((i for i in range(n) if np.all(correct[i:])), None)
+        assert rep.t0 == (None if want is None else trj.times[want])
+        assert rep.status == ("never_correctly_classified" if want is None else "ok")
 
 
 def test_norm_growth_reads_the_run_and_sweeps_nothing(monkeypatch):

@@ -444,6 +444,9 @@ def test_batched_charge_equals_per_row(name, params, model):
             assert batched.shape == lead + tail
             per_row = np.stack([np.asarray(fn(row)) for row in rows])
             np.testing.assert_array_equal(batched.reshape(per_row.shape), per_row)
+        # the Hessian of a stack is G itself, viewed read-only at every row
+        hess = charge.hess(states)
+        assert not hess.flags.writeable and hess.strides[:len(lead)] == (0,) * len(lead)
 
 
 @pytest.mark.parametrize("name,params,model", _CHARGE_CASES,
