@@ -526,7 +526,7 @@ def _write_report_files(reports: Sequence[ic.IdentityReport], out_dir: str) -> L
 
 def config_digest(raw_config: Mapping) -> str:
     """sha256 of the canonical (sorted-key, compact) JSON encoding."""
-    canonical = json.dumps(raw_config, sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(raw_config, sort_keys=True, separators=(",", ":"), default=models._json_value)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -597,7 +597,7 @@ def run(config_path: str) -> int:
         **run_record,
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, default=models._json_value)
         fh.write("\n")
     for r in reports:
         marker = "PASS" if r.passed else "FAIL"
@@ -645,7 +645,7 @@ def _print_catalog(as_json: bool, needle: Optional[str]) -> None:
         out = {section: {k: v for k, v in data[section].items() if keep(section, k)}
                for section in entries + ("checks",)}
         out["experiments"] = data["experiments"]
-        print(json.dumps(out, indent=2, sort_keys=True))
+        print(json.dumps(out, indent=2, sort_keys=True, default=models._json_value))
         return
     lines: List[str] = []
     for section in entries:

@@ -58,7 +58,7 @@ from .errors import (
     StepFailure,
 )
 from .models import (Dataset, Loss, LossFamily, Model, _head_scalars, _is_integer, _is_real,
-                     _rayleigh_bound, _reals, _scalar_homogeneous, per_sample_losses)
+                     _json_value, _rayleigh_bound, _reals, _scalar_homogeneous, per_sample_losses)
 from .transforms import (Charge, Transformation, _list_keys, _require_continuous_symmetry,
                          characteristic_direction, noether_charge)
 
@@ -270,10 +270,13 @@ class _Recorder:
         self.extras: Dict[str, List[float]] = {}
 
     def record(self, t: float, theta: np.ndarray, grad: np.ndarray, loss: float) -> None:
-        """Record one row from the gradient and loss the caller's sweep at
-        ``theta`` already gave."""
-        self.rows.append((float(t), theta.copy(), loss, grad.copy(),
-                          float(np.linalg.norm(grad)), float(theta @ theta)))
+        """Record one row from the gradient and loss the caller's sweep at ``theta``
+        already gave; a grad_norm whose sum of squares overflows is ``math.hypot``'s."""
+        with np.errstate(over="ignore"):
+            grad_norm, theta_sq = float(np.linalg.norm(grad)), float(theta @ theta)
+        if math.isinf(grad_norm):
+            grad_norm = math.hypot(*grad.tolist())
+        self.rows.append((float(t), theta.copy(), loss, grad.copy(), grad_norm, theta_sq))
 
     def extra(self, name: str, value: float) -> None:
         self.extras.setdefault(name, []).append(float(value))
@@ -1112,27 +1115,17 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
 
 def write_ensemble(trajectories: Sequence[Trajectory], out_dir) -> dict:
     """Write one CSV per trajectory, ``trajectory_0000.csv`` on, plus the
-    ``ensemble.json`` manifest that lists them; returns the manifest."""
+    ``ensemble.json`` manifest that lists them with their ``meta``, which json's
+    encoder writes with ``models._json_value`` as ``default=``; returns the manifest."""
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     for i, tr in enumerate(trajectories):
         name = f"trajectory_{i:04d}.csv"
         write_trajectory_csv(tr, os.path.join(out_dir, name))
-        entries.append({"file": name, "records": tr.n_records, "meta": _meta_jsonable(tr.meta)})
+        entries.append({"file": name, "records": tr.n_records, "meta": tr.meta})
     manifest = {"count": len(trajectories), "trajectories": entries}
     with open(os.path.join(out_dir, "ensemble.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, default=_json_value)
         fh.write("\n")
     return manifest
 
-
-def _meta_jsonable(meta: Mapping) -> dict:
-    out = {}
-    for k, v in meta.items():
-        if isinstance(v, (np.integer,)):
-            out[str(k)] = int(v)
-        elif isinstance(v, (np.floating,)):
-            out[str(k)] = float(v)
-        else:
-            out[str(k)] = v
-    return out

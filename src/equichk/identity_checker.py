@@ -54,7 +54,7 @@ from .errors import (
     SizeMismatch,
 )
 from .models import (Loss, Model, ModelSpec, _head_margins, _head_scalars, _is_integer,
-                     _is_real, _position, _rayleigh_bound, _reals, _require_fit,
+                     _is_real, _json_value, _position, _rayleigh_bound, _reals, _require_fit,
                      _scalar_homogeneous, build_model, forward, make_loss, random_params)
 from .spectral import SpectralSummary, jacobi_eigh, spectral_summary
 from .tensor_core import _finite, compose, compose_k
@@ -197,22 +197,6 @@ CHECK_ANCHORS["stationary_null_count"] = "§5.4"  # run by the stationary_spectr
 # reports
 # ---------------------------------------------------------------------------
 
-def _jsonable(v):
-    if isinstance(v, (bool, str)) or v is None:
-        return v
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        return float(v)
-    if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v.tolist()]
-    if isinstance(v, Mapping):
-        return {str(k): _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return str(v)
-
-
 @dataclass(frozen=True)
 class IdentityReport:
     """Outcome of one identity evaluation at one point.
@@ -233,6 +217,8 @@ class IdentityReport:
     context: Dict[str, object] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
+        """The report as a dict for json's encoder, ``passed`` under ``"pass"`` and
+        ``context`` as built; pass ``models._json_value`` as ``default=``."""
         return {
             "check_name": self.check_name,
             "paper_anchor": self.paper_anchor,
@@ -242,7 +228,7 @@ class IdentityReport:
             "rel_residual": float(self.rel_residual),
             "tolerance": float(self.tolerance),
             "pass": bool(self.passed),
-            "context": _jsonable(self.context),
+            "context": self.context,
         }
 
 
@@ -1530,9 +1516,11 @@ def default_suite(master_seed: int = 0, positions: int = 3, mode: str = "exact")
 # ---------------------------------------------------------------------------
 
 def write_reports_jsonl(reports: Sequence[IdentityReport], path) -> None:
+    """One line per report, its :meth:`~IdentityReport.to_json_dict` with keys
+    sorted, as json's encoder writes it with ``models._json_value`` as ``default=``."""
     with open(path, "w", encoding="utf-8") as fh:
         for rep in reports:
-            fh.write(json.dumps(rep.to_json_dict(), sort_keys=True) + "\n")
+            fh.write(json.dumps(rep.to_json_dict(), sort_keys=True, default=_json_value) + "\n")
 
 
 def write_summary_csv(reports: Sequence[IdentityReport], path) -> None:

@@ -37,6 +37,8 @@ expected, as NaN and Inf are.  Every builder here, in ``transforms`` and in
 ``dynamics``, the plan checks and the CLI read their numbers through them.
 Positions (theta and lam), read hundreds of times per suite verdict, go
 through ``_position``: a float64 array as it is, anything else by ``_reals``.
+The one JSON rule lives here too: ``_json_value``, the ``default=`` hook
+json's encoder is given for every JSON file the package writes.
 """
 
 from __future__ import annotations
@@ -198,7 +200,7 @@ def signature(builder: Callable, skip: Sequence[str] = ()) -> str:
     """The parameters ``builder`` takes, less those named in ``skip``: each
     as ``key`` (required) or ``key=default`` (default written as JSON)."""
     parts = [
-        p.name if p.default is p.empty else f"{p.name}={json.dumps(p.default)}"
+        p.name if p.default is p.empty else f"{p.name}={json.dumps(p.default, default=_json_value)}"
         for p in _signature(builder).parameters.values() if p.name not in skip
     ]
     return ", ".join(parts) or "no parameters"
@@ -250,6 +252,19 @@ def _reals(v, what: str) -> np.ndarray:
     except ValueError:  # a ragged nest
         pass
     raise InvalidParams(f"{what}: expected finite numbers, got {v!r}")
+
+
+def _json_value(o):
+    """json's ``default=`` hook, for what its encoder cannot write itself: a
+    numpy bool, integer or float as a bool, int or float, an array as its
+    ``tolist()`` (a 0-d array is its number), any other Mapping as a dict,
+    anything else as ``str(o)``."""
+    if isinstance(o, np.ndarray):
+        return o.tolist()
+    for kind, cast in ((np.bool_, bool), (np.integer, int), (np.floating, float), (Mapping, dict)):
+        if isinstance(o, kind):
+            return cast(o)
+    return str(o)
 
 
 def _position(v, what: str) -> np.ndarray:

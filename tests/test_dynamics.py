@@ -23,7 +23,7 @@ from equichk.errors import (
     SizeMismatch,
     StepFailure,
 )
-from equichk.identity_checker import default_suite
+from equichk.identity_checker import IdentityReport, default_suite, write_reports_jsonl
 from equichk.models import (
     Block,
     Dataset,
@@ -599,6 +599,27 @@ def test_flow_evaluates_each_charge_once(monkeypatch):
     n = trj.n_records
     assert n > 2 and forwards == []
     assert calls == [("W1", (n, model.d)), ("W2", (n, model.d))]
+
+
+def test_record_takes_an_overflowing_gradient_norm_without_a_warning(deep_linear_121):
+    # the sum of squares of 1e300 overflows, the norm 2e300 does not
+    rec = dyn._Recorder(deep_linear_121, [], None)
+    grad = np.random.default_rng(2).standard_normal(deep_linear_121.d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec.record(0.0, np.zeros(deep_linear_121.d), grad=np.full(deep_linear_121.d, 1e300), loss=0.0)
+        rec.record(1.0, grad, grad=grad, loss=0.0)
+    assert rec.rows[0][4:] == (2e300, 0.0)
+    # an ordinary record keeps the plain arithmetic, bit for bit
+    assert rec.rows[1][4:] == (float(np.linalg.norm(grad)), float(grad @ grad))
+
+
+def test_record_writes_theta_sq_past_the_float_range_as_inf(deep_linear_121):
+    rec = dyn._Recorder(deep_linear_121, [], None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec.record(0.0, np.full(deep_linear_121.d, 1e200), grad=np.ones(deep_linear_121.d), loss=0.0)
+    assert rec.rows[0][4:] == (2.0, math.inf)
 
 
 SUITE_ENTRIES = default_suite().entries
@@ -1411,3 +1432,18 @@ def test_ensemble_manifest(tmp_path, uv_model, square_family, two_sample_dataset
         assert (tmp_path / "ens" / f).exists()
     on_disk = json.loads((tmp_path / "ens" / "ensemble.json").read_text())
     assert on_disk == man
+
+
+def test_ensemble_manifest_writes_numpy_meta_as_reports_do(tmp_path):
+    meta = {"converged": np.bool_(True), "sigma": np.float32(0.1), "lam": np.array([0.5, 2.0]),
+            "members": np.int64(3), "grid": np.arange(4.0).reshape(2, 2)}
+    trj = dyn.Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((2, 2)), losses=np.zeros(2),
+                         charges={}, diagnostics={}, meta=meta)
+    dyn.write_ensemble([trj], tmp_path / "ens")
+    on_disk = json.loads((tmp_path / "ens" / "ensemble.json").read_text())
+    write_reports_jsonl([IdentityReport("check_first_order", "Thm 1 (i)", 1.0, 1.0, 0.0, 0.0,
+                                        1e-10, True, meta)], tmp_path / "reports.jsonl")
+    reported = json.loads((tmp_path / "reports.jsonl").read_text())["context"]
+    assert on_disk["trajectories"][0]["meta"] == reported == {
+        "converged": True, "sigma": float(np.float32(0.1)), "lam": [0.5, 2.0], "members": 3,
+        "grid": [[0.0, 1.0], [2.0, 3.0]]}

@@ -4,7 +4,9 @@ errors, suite determinism, serialization formats."""
 import dataclasses
 import json
 import re
+import types
 from collections import Counter
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -905,6 +907,81 @@ def test_report_json_uses_pass_key(probe_model, probe_loss):
     d = rep.to_json_dict()
     assert d["pass"] is True and "passed" not in d
     json.dumps(d)  # everything is plain-JSON serializable
+
+
+def _jsonable_reference(v):
+    """The recursive walk that made a report context plain JSON before json's
+    encoder wrote it through ``models._json_value``: the reference for the
+    bytes of ``reports.jsonl``."""
+    if isinstance(v, (bool, str)) or v is None:
+        return v
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    if isinstance(v, (float, np.floating)):
+        return float(v)
+    if isinstance(v, np.ndarray):
+        return [_jsonable_reference(x) for x in v.tolist()]
+    if isinstance(v, Mapping):
+        return {str(k): _jsonable_reference(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_jsonable_reference(x) for x in v]
+    return str(v)
+
+
+def _report_with(context) -> ic.IdentityReport:
+    return ic.IdentityReport("check_first_order", "Thm 1 (i)", 2.0, 2.0, 1e-16, 5e-17, 1e-10,
+                             True, context)
+
+
+def _written_line(tmp_path, context) -> str:
+    path = tmp_path / "reports.jsonl"
+    write_reports_jsonl([_report_with(context)], path)
+    (line,) = path.read_text().splitlines()
+    return line
+
+
+_CONTEXT_VALUES = {
+    "np_float64": np.float64(0.1),
+    "np_float32": np.float32(0.1),
+    "np_int64": np.int64(-7),
+    "vector": np.array([1.5, -2.0, 1e-300]),
+    "int_vector": np.arange(3),
+    "float32_vector": np.array([0.1, 3e38], dtype=np.float32),
+    "matrix": np.arange(6.0).reshape(2, 3) / 7.0,
+    "tuple": (1, np.float64(2.5), "relu", (np.int64(4),)),
+    "nested": {"a": {"b": [np.int64(1), None, (np.float32(0.25),)]}, "c": np.array([3.0])},
+    "mapping_proxy": types.MappingProxyType({"k": np.int64(2), "v": np.array([0.5])}),
+    "none": None,
+    "nan": float("nan"),
+    "np_nan": np.float64("nan"),
+    "inf": np.inf,
+    "minus_inf": -np.inf,
+    "nan_vector": np.array([np.nan, np.inf, -np.inf]),
+    "plain": [0.5, 1.25, True, "name", 3],
+    "other_object": range(3),
+}
+
+
+@pytest.mark.parametrize("key", ["all"] + sorted(_CONTEXT_VALUES))
+def test_reports_jsonl_bytes_equal_the_reference_walk(tmp_path, key):
+    context = dict(_CONTEXT_VALUES) if key == "all" else {key: _CONTEXT_VALUES[key]}
+    rep = _report_with(context)
+    want = json.dumps({**rep.to_json_dict(), "context": _jsonable_reference(context)},
+                      sort_keys=True)
+    assert _written_line(tmp_path, context) == want
+
+
+def test_reports_jsonl_writes_numpy_bools_and_0d_arrays_as_json_values(tmp_path):
+    # the two places the encoder's hook departs from the reference walk
+    assert _jsonable_reference(np.bool_(True)) == "True"
+    with pytest.raises(TypeError):
+        _jsonable_reference(np.array(2.5))
+    line = _written_line(tmp_path, {"on": np.bool_(True), "off": np.bool_(False),
+                                    "bools": np.array([True, False]),
+                                    "zero_d": np.array(2.5), "zero_d_int": np.array(3, dtype=np.int32)})
+    assert '"on": true' in line and '"off": false' in line and '"bools": [true, false]' in line
+    assert json.loads(line)["context"] == {"on": True, "off": False, "bools": [True, False],
+                                           "zero_d": 2.5, "zero_d_int": 3}
 
 
 def test_summary_csv_header(tmp_path, probe_model, probe_loss):
