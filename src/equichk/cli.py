@@ -338,7 +338,8 @@ def _run_check_suite(cfg: dict, out_dir: str) -> _RunResult:
             if entry is not None:
                 entries.append(entry)
     v.raise_if_failed()
-    reports = ic.run_entries(entries, master_seed=int(master_seed or 0))
+    # every entry passed ic.entry_misfits as _validate_entry built it
+    reports = ic._run_validated(entries, int(master_seed or 0))
     files = _write_report_files(reports, out_dir)
     return reports, files, {}
 

@@ -25,10 +25,15 @@ differences, ``finite_difference`` mode), picked from ``_SWEEPS``.
 ``jacobian`` and ``second_derivative`` are the mode's sweep at one point,
 ``fd_oracle`` the FD sweep at one point, ``gradient_at_points`` and
 ``hessians_at_points`` the exact sweep over a batch, and
-``grad_and_hessian_of_loss`` and ``_values_and_derivatives`` (how a suite
-evaluates the landscapes of a plan entry) take value, gradient and Hessian
-from one second-order sweep; the SGF drift theory of :mod:`equichk.dynamics`
-calls ``_sweep`` with a direction field.  Second-order hyper-dual sweeps walk
+``grad_and_hessian_of_loss`` and ``_values_and_derivatives`` take value,
+gradient and Hessian from one second-order sweep; the SGF drift theory of
+:mod:`equichk.dynamics` calls ``_sweep`` with a direction field.  A suite
+evaluates the landscapes of a plan entry with ``_values_and_derivatives``
+of one map, ``_landscape_map``: the model's outputs (..., c) with the
+composite loss appended as one more last-axis column (..., c + 1), joined by
+the copy-only ``_append_last``, so one map evaluation per block gives the
+model's derivatives and the composite's, and the model's forward pass runs
+once for both.  Second-order hyper-dual sweeps walk
 their points, and FD sweeps their stencil points, in blocks under a fixed
 byte budget, ``_BLOCK_BYTES``, fixed before anything is allocated; a point
 too large for one block has its second-slot basis directions walked
@@ -58,9 +63,10 @@ hyper-duals -- the same model code is then exercised by the exact engine and
 by the finite-difference oracle.
 
 The finite-difference sweep steps coordinate i by ``max(1, |x_i|) * eps**(1/p)``
-(p = 3 for first, p = 4 for second derivatives).  It exists to cross-check
-the exact engine and to drive every identity check in ``finite_difference``
-mode.
+(p = 3 for first, p = 4 for second derivatives); its stencil tables depend
+only on (d, second) and are built once each (``_stencil``).  It exists to
+cross-check the exact engine and to drive every identity check in
+``finite_difference`` mode.
 
 Convention note: ReLU is differentiated with ``relu'(0) = 0`` and
 ``relu'' = 0`` everywhere; checks sample points away from the kink.
@@ -376,6 +382,33 @@ def _sweep(map_fn: Callable, points: np.ndarray, second: bool,
     return values, first, hess
 
 
+#: the finite-difference step per unit of max(1, |x|), at levels 0 and 1
+_FD_STEPS = np.finfo(float).eps ** np.array([1.0 / 3.0, 0.25])
+_FD_STEPS.flags.writeable = False
+
+
+@lru_cache(maxsize=32)
+def _stencil(d: int, second: bool) -> tuple:
+    """The stencil tables of :func:`_fd_sweep`, built once per (d, second)
+    and read-only (every sweep shares them): per stencil row k the moved
+    coordinates ``a[k]``, ``b[k]`` (-1: none), their signs ``sa[k]``,
+    ``sb[k]`` and the step level ``lv[k]``; the pairs ``i < j``; and, per
+    move, the rows that make it (``a >= 0``, ``b >= 0``)."""
+    idx, one = np.arange(d), np.ones(d)
+    i, j = np.triu_indices(d, 1) if second else (idx[:0], idx[:0])
+    plus, minus = np.ones(i.size), -np.ones(i.size)
+    singles = 1 + (4 if second else 2) * d
+    a = np.concatenate([[-1]] + [idx, idx] * (1 + second) + [i, i, i, i])
+    sa = np.concatenate([[0.0]] + [one, -one] * (1 + second) + [plus, plus, minus, minus])
+    b = np.concatenate([np.full(singles, -1), j, j, j, j])
+    sb = np.concatenate([np.zeros(singles), plus, minus, plus, minus])
+    lv = (np.arange(a.size) > 2 * d).astype(int)
+    tables = (a, sa, b, sb, lv, i, j, a >= 0, b >= 0)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 def _fd_sweep(map_fn: Callable, points: np.ndarray, second: bool
               ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Central finite differences with :func:`_sweep`'s contract: values
@@ -388,43 +421,40 @@ def _fd_sweep(map_fn: Callable, points: np.ndarray, second: bool
     point's stencil moves coordinate ``a[k]`` by ``sa[k]`` and ``b[k]`` by
     ``sb[k]`` steps of level ``lv[k]`` (index -1: no move): the centre (the
     value), ``+e_i`` and ``-e_i`` at level 0 and, when ``second``, at level 1,
-    then ``++``, ``+-``, ``-+``, ``--`` at level 1 over every pair i < j.  All
-    points' stencils are one batch, evaluated once per ``_BLOCK_BYTES`` block
-    of stencil points built from these arrays, so ``map_fn`` must accept
-    leading batch axes; the differences are combined in the order of
-    arithmetic of a point-by-point stencil, and checked finite.
+    then ``++``, ``+-``, ``-+``, ``--`` at level 1 over every pair i < j.
+    These tables depend only on (d, second) and come from :func:`_stencil`,
+    built once each.  All points' stencils are one batch, evaluated once per
+    ``_BLOCK_BYTES`` block of stencil points built from these arrays, so
+    ``map_fn`` must accept leading batch axes; the differences are combined
+    in the order of arithmetic of a point-by-point stencil, and checked
+    finite.
     """
     m, d = points.shape
-    steps = np.finfo(float).eps ** np.array([1.0 / 3.0, 0.25])   # levels 0 and 1
-    h1, h2 = h = np.maximum(1.0, np.abs(points)) * steps[:, None, None]   # (level, m, d)
-    idx, one = np.arange(d), np.ones(d)
-    i, j = np.triu_indices(d, 1) if second else (idx[:0], idx[:0])
-    plus, minus = np.ones(i.size), -np.ones(i.size)
-    singles = 1 + (4 if second else 2) * d
-    a = np.concatenate([[-1]] + [idx, idx] * (1 + second) + [i, i, i, i])
-    sa = np.concatenate([[0.0]] + [one, -one] * (1 + second) + [plus, plus, minus, minus])
-    b = np.concatenate([np.full(singles, -1), j, j, j, j])
-    sb = np.concatenate([np.zeros(singles), plus, minus, plus, minus])
-    lv = (np.arange(a.size) > 2 * d).astype(int)
+    a, sa, b, sb, lv, i, j, a_moves, b_moves = _stencil(d, second)
+    n = a.size   # stencil rows per point
+    h1, h2 = h = np.maximum(1.0, np.abs(points)) * _FD_STEPS[:, None, None]   # (level, m, d)
     f = []
-    for blk in _blocks(m * a.size, 8 * d):
-        pt, k = np.divmod(np.arange(blk.start, blk.stop), a.size)
+    for blk in _blocks(m * n, 8 * d):
+        pt, k = np.divmod(np.arange(blk.start, blk.stop), n)
         pts = points[pt]
-        for coord, sign in ((a[k], sa[k]), (b[k], sb[k])):
-            on = np.flatnonzero(coord >= 0)
-            pts[on, coord[on]] += sign[on] * h[lv[k[on]], pt[on], coord[on]]
+        for moves, coord, sign in ((a_moves, a, sa), (b_moves, b, sb)):
+            on = np.flatnonzero(moves[k])
+            kon, c = k[on], coord[k[on]]
+            pts[on, c] += sign[kon] * h[lv[kon], pt[on], c]
         f.append(np.asarray(map_fn(pts), dtype=float))
-    f = np.concatenate(f).reshape((m, a.size) + f[0].shape[1:])
+    f = (f[0] if len(f) == 1 else np.concatenate(f)).reshape((m, n) + f[0].shape[1:])
     tail = (...,) + (None,) * (f.ndim - 2)   # broadcast steps over the output
 
     first = (f[:, 1:d + 1] - f[:, d + 1:2 * d + 1]) / (2.0 * h1)[tail]
     _check_finite(first, "finite-difference sweep")
     hess = None
     if second:
+        singles, q = 1 + 4 * d, i.size   # single-move rows, then the four pair blocks
         f0, fp, fm = f[:, :1], f[:, 2 * d + 1:3 * d + 1], f[:, 3 * d + 1:singles]
         hess = np.empty((m, d, d) + f.shape[2:])
-        hess[:, idx, idx] = (fp - 2.0 * f0 + fm) / (h2 * h2)[tail]
-        fpp, fpm, fmp, fmm = np.split(f[:, singles:], 4, axis=1)
+        diag = np.arange(d)
+        hess[:, diag, diag] = (fp - 2.0 * f0 + fm) / (h2 * h2)[tail]
+        fpp, fpm, fmp, fmm = (f[:, singles + r * q:singles + (r + 1) * q] for r in range(4))
         hess[:, i, j] = hess[:, j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h2[:, i] * h2[:, j])[tail]
         _check_finite(hess, "finite-difference sweep")
     return f[:, 0].copy(), first, hess
@@ -466,7 +496,9 @@ def _values_and_derivatives(map_fn: Callable, points: Sequence[np.ndarray], mode
                             ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Value, first and second derivative of ``map_fn`` at each of the
     checked ``points`` (``_as_point`` rows), from one sweep of the mode over
-    all of them.  Each point's value is checked finite."""
+    all of them: one map evaluation per block.  Each point's value is checked
+    finite.  A suite's landscapes pass ``_landscape_map``, so every column,
+    the model's and the composite loss's, is checked."""
     out = list(zip(*_SWEEPS[mode](map_fn, np.stack(points), True))) if points else []
     for value, _, _ in out:
         _check_finite(value, "map evaluation")
@@ -476,6 +508,44 @@ def _values_and_derivatives(map_fn: Callable, points: Sequence[np.ndarray], mode
 def _loss_map(model, loss) -> Callable:
     """``L = loss o model`` as one map: the composite route."""
     return lambda th: loss.apply(model.func(th))
+
+
+def _join_slot(y, z, c: int):
+    """One slot of :func:`_append_last`: ``y`` (..., c) and ``z`` (...) copied
+    into one fresh (..., c + 1) array, each broadcast over the other's leading
+    axes; an absent side reads as zeros, and two absent sides stay absent."""
+    if y is None and z is None:
+        return None
+    out = np.empty(np.broadcast_shapes(np.shape(y)[:-1], np.shape(z)) + (c + 1,))
+    out[..., :c] = 0.0 if y is None else y
+    out[..., c] = 0.0 if z is None else z
+    return out
+
+
+def _append_last(y, z):
+    """The map outputs ``y`` (..., c) with ``z`` (...) appended as one more
+    last-axis column, (..., c + 1): plain arrays or hyper-duals, the value and
+    every slot copied as they are (no arithmetic, so each column keeps the
+    bits its own map gave)."""
+    c = np.shape(y.value if isinstance(y, HyperDual) else y)[-1]
+    if not isinstance(y, HyperDual) and not isinstance(z, HyperDual):
+        return _join_slot(y, z, c)
+    y, z = (x if isinstance(x, HyperDual) else HyperDual(x) for x in (y, z))
+    return HyperDual(*(_join_slot(u, v, c) for u, v in
+                       ((y.value, z.value), (y.d1, z.d1), (y.d2, z.d2), (y.d12, z.d12))))
+
+
+def _landscape_map(model, loss) -> Callable:
+    """The model's outputs (..., c) with the composite ``L = loss o model``
+    appended as one more last-axis column, (..., c + 1): one map evaluation
+    carries both, and a sweep of it differentiates each column on its own,
+    so its last column is the composite route and the others the model."""
+
+    def joined(th):
+        y = model.func(th)
+        return _append_last(y, loss.apply(y))
+
+    return joined
 
 
 def grad_and_hessian_of_loss(

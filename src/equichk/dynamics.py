@@ -184,7 +184,10 @@ class Trajectory:
     ``states`` of shape (n, d), ``losses`` of shape (n,), and every named
     charge/diagnostic series of length n.  A deterministic run also keeps
     ``grads`` (n, d), the loss gradient its own sweep gave at each recorded
-    state; no CSV column holds it.
+    state, and, on a scalar homogeneous head with a single loss,
+    ``output_grads`` (n, c), the analytic l'(y) at each recorded output (the
+    one evaluation that ``sharpness_bound`` and :func:`norm_growth_check`
+    read); no CSV column holds either.
     """
 
     times: np.ndarray
@@ -194,14 +197,16 @@ class Trajectory:
     diagnostics: Dict[str, np.ndarray]
     meta: Mapping = field(default_factory=dict)
     grads: Optional[np.ndarray] = None
+    output_grads: Optional[np.ndarray] = None
 
     def __post_init__(self):
         n = self.times.shape[0]
         if np.any(np.diff(self.times) <= 0):
             raise InvalidParams("trajectory times must be strictly increasing")
         series = [("states", self.states), ("losses", self.losses)]
-        if self.grads is not None:
-            series.append(("grads", self.grads))
+        for name, arr in (("grads", self.grads), ("output_grads", self.output_grads)):
+            if arr is not None:
+                series.append((name, arr))
         series += [(f"charge {k}", v) for k, v in self.charges.items()]
         series += [(f"diagnostic {k}", v) for k, v in self.diagnostics.items()]
         for name, arr in series:
@@ -260,7 +265,8 @@ class Ensemble:
 class _Recorder:
     """The rows of a deterministic run: a record keeps only what the caller's
     sweep already gave, and :meth:`build` evaluates ``f``, ``sharpness_bound``
-    and every charge by one call on the state stack, as :func:`sgf` does."""
+    and every charge by one call on the state stack, as :func:`sgf` does, and
+    l'(y) once per record (kept as ``output_grads``)."""
 
     def __init__(self, model: Model, charges: Sequence[Charge], single_loss: Optional[Loss]):
         self.model = model
@@ -284,19 +290,22 @@ class _Recorder:
     def build(self, meta: Mapping) -> Trajectory:
         times, states, losses, grads, grad_norm, theta_sq = map(np.asarray, zip(*self.rows))
         diag = {"grad_norm": grad_norm, "theta_sq": theta_sq}
+        output_grads = None
         if self.model.c == 1:
             outputs = np.asarray(self.model.func(states), dtype=float)  # (n, 1)
             de._check_finite(outputs, "the model along the run")
             diag["f"] = outputs[:, 0]
             if self._loss is not None and _scalar_homogeneous(self.model):
+                output_grads = np.array([self._loss.grad(y) for y in outputs])  # (n, 1)
                 diag["sharpness_bound"] = np.array([_rayleigh_bound(
-                    *_head_scalars(self.model, y, self._loss.grad(y), self._loss.hess(y)),
-                    max(sq, 1e-300)) for y, sq in zip(outputs, theta_sq)])
+                    *_head_scalars(self.model, y, gl, self._loss.hess(y)),
+                    max(sq, 1e-300)) for y, gl, sq in zip(outputs, output_grads, theta_sq)])
         diag.update((k, np.asarray(v)) for k, v in self.extras.items())
         charges = {k: np.asarray(c.c_eval(states), dtype=float)
                    for k, c in zip(_list_keys([c.name for c in self.charges]), self.charges)}
         return Trajectory(times=times, states=states, losses=losses, charges=charges,
-                          diagnostics=diag, meta=dict(meta), grads=grads)
+                          diagnostics=diag, meta=dict(meta), grads=grads,
+                          output_grads=output_grads)
 
 
 def _theta0(model: Model, theta0, what: str = "theta0") -> np.ndarray:
@@ -632,18 +641,19 @@ def _norm_growth_applies(model: Model, loss: Loss) -> bool:
 
 def norm_growth_check(model: Model, loss: Loss, trajectory: Trajectory) -> NormGrowthReport:
     """Check the Euler relation and the norm growth along a run of (model,
-    loss), from its recorded ``f`` diagnostic and gradients: no new model
-    call or sweep."""
+    loss), from its recorded ``f`` diagnostic, gradients and l'(y)
+    (``output_grads``): no new model call, sweep or loss derivative."""
     if not _norm_growth_applies(model, loss):
         raise InvalidParams(f"norm growth needs a scalar homogeneous head and a loss in "
                             f"{_MARGIN_LOSSES}; got {model.name} and {loss.name!r}")
-    if trajectory.grads is None or "f" not in trajectory.diagnostics:
+    if (trajectory.grads is None or trajectory.output_grads is None
+            or "f" not in trajectory.diagnostics):
         raise InvalidParams("norm growth reads the recorded outputs and gradients of a "
                             "deterministic run")
     m = float(model.homogeneity_degree)
     n = trajectory.n_records
     ys = trajectory.diagnostics["f"]
-    lps = np.array([float(loss.grad(y)[0]) for y in ys[:, None]])
+    lps = trajectory.output_grads[:, 0]
     inner = np.einsum("kd,kd->k", trajectory.states, trajectory.grads)
 
     # Euler relation along the flow: <theta, gradL> = m l'(y) y pointwise

@@ -20,12 +20,14 @@ identities hold at every good position, so lam defaults to 0 but any vector
 within the good region is accepted.  A check handed ``landscape=`` (one
 :func:`evaluate_landscape` result at the same theta and mode) uses it instead
 of evaluating its own; ``run_suite`` evaluates one batched landscape per plan
-entry (:func:`evaluate_landscapes`, one sweep of the model and one of the
-composite over all the entry's positions) and shares each position's
-landscape among that position's checks.  What the checks derive from a
-landscape -- its Hessian spectrum, and per (transform, lam) the chart data
-(the chart inverses with X and Y, one ``transforms._chart_inverses`` result)
-and the second-order right-hand-side terms -- is computed on first use and
+entry (:func:`evaluate_landscapes`, one map evaluation per block of the
+entry's positions: the model with the composite loss appended as a last
+output column) and shares each position's landscape among that position's
+checks.  What the checks derive from a landscape -- its Hessian spectrum,
+and per (transform, lam) the chart data (the chart inverses with X and Y
+and the transform's second-order derivatives, one
+``transforms._chart_inverses`` result) and the second-order
+right-hand-side terms -- is computed on first use and
 kept with the landscape, so the checks at one position share it too; in a
 suite run the chart data are the ones the sampler took when it accepted the
 position.  A check called without ``landscape=`` computes all of it itself,
@@ -299,9 +301,12 @@ class LandscapeEval:
     ``grad``/``hess`` come from differentiating the composite loss directly;
     ``jac_f``/``hess_f`` and the analytic loss derivatives feed the
     right-hand sides, so the two sides of every identity travel through
-    independent code paths.  The same ``jac_f``/``hess_f`` also feed the
-    Hessian assembly self-check.  One evaluation serves every check at a
-    position: the checks take it as ``landscape=``.
+    independent code paths.  Both come from one sweep, which shares only the
+    model's forward pass: the composite is ``loss.apply`` differentiated by
+    the sweep, the right-hand sides use the analytic ``loss.grad`` and
+    ``loss.hess``.  The same ``jac_f``/``hess_f`` also feed the Hessian
+    assembly self-check.  One evaluation serves every check at a position:
+    the checks take it as ``landscape=``.
 
     ``_memo`` is the per-position memo of what the checks derive from this
     landscape: the Hessian spectrum (:func:`_spectrum`) and, per transform
@@ -327,23 +332,27 @@ class LandscapeEval:
 
 def evaluate_landscapes(model: Model, loss: Loss, thetas: Sequence, mode: str = "exact"
                         ) -> List[LandscapeEval]:
-    """The landscape at each of ``thetas``: ``y``, ``jac_f`` and ``hess_f``
-    from one sweep of the model over all of them, ``value``, ``grad`` and
-    ``hess`` from one sweep of the composite loss (in exact mode, one map
-    evaluation each for every position together; in finite_difference mode
-    each position has its own oracles).  Each position keeps its own
-    finiteness checks, analytic loss derivatives and Hessian assembly
-    check."""
+    """The landscape at each of ``thetas``, from one sweep of the mode over
+    all of them of one map: the model's outputs (..., c) with ``loss.apply``
+    of them appended as a last column (``de._landscape_map``), one map
+    evaluation per block of positions.  ``y``, ``jac_f`` and ``hess_f`` are
+    its first c columns, ``value``, ``grad`` and ``hess`` its last, each a
+    copy of what a sweep of the model or of the composite alone gives.  Each
+    position keeps its own finiteness checks, analytic loss derivatives and
+    Hessian assembly check, which holds the composite column against the
+    analytic ``loss.grad``/``loss.hess`` assembly."""
     ths = [_position(theta, "theta").reshape(-1) for theta in thetas]
     for th in ths:
         if th.size != model.d:
             raise SizeMismatch(f"theta has {th.size} entries, model {model.name} wants {model.d}")
     de._check_mode(mode)
     points = [de._as_point(th) for th in ths]
-    model_side = de._values_and_derivatives(model.func, points, mode)
-    loss_side = de._values_and_derivatives(de._loss_map(model, loss), points, mode)
+    joined = de._values_and_derivatives(de._landscape_map(model, loss), points, mode)
     out = []
-    for th, (y, jac_f, hess_f), (value, grad, hess) in zip(ths, model_side, loss_side):
+    for th, tensors in zip(ths, joined):
+        # the model's columns come first, the composite loss's is the last
+        y, jac_f, hess_f = (t[..., :-1].copy() for t in tensors)
+        value, grad, hess = (t[..., -1].copy() for t in tensors)
         gl = _finite(loss.grad(y))
         hl = _finite(loss.hess(y))
         de._check_assembly(hess, jac_f, hess_f, gl, hl, mode)
@@ -479,16 +488,13 @@ class _SecondOrder:
 
 
 def _second_order(ev: LandscapeEval, ch: _Charts) -> _SecondOrder:
-    t, lamv = ch.transform, ch.lam
-    th, y = ev.theta, ev.y
     hinv, ginv, X, Y = ch.hinv, ch.ginv, ch.X, ch.Y
-
-    d2h_tt = _callback(t, "d2h_dtheta2", lamv, th)         # (d, d, d)
-    d2h_lt = _callback(t, "d2h_dlambda_dtheta", lamv, th)  # (p, d, d)
-    d2h_ll = _callback(t, "d2h_dlambda2", lamv, th)        # (p, p, d)
-    d2g_yy = _callback(t, "d2g_dy2", lamv, y)              # (c, c, c)
-    d2g_ly = _callback(t, "d2g_dlambda_dy", lamv, y)       # (p, c, c)
-    d2g_ll = _callback(t, "d2g_dlambda2", lamv, y)         # (p, p, c)
+    # the transform's second-order callbacks at the charts' position, as the
+    # charts carry them: d2h_dtheta2 (d, d, d), d2h_dlambda_dtheta (p, d, d),
+    # d2h_dlambda2 (p, p, d), d2g_dy2 (c, c, c), d2g_dlambda_dy (p, c, c),
+    # d2g_dlambda2 (p, p, c)
+    d2h_tt, d2h_lt, d2h_ll, d2g_yy, d2g_ly, d2g_ll = (
+        None if v is None else _finite(v) for v in ch.second)
 
     nj, ng, ngl, nhl = _norm(ev.jac_f), _norm(ev.grad), _norm(ev.gl), _norm(ev.hl)
     nhi, ngi, nx, ny = _norm(hinv), _norm(ginv), _norm(X), _norm(Y)
@@ -1419,6 +1425,13 @@ def run_entries(entries: Sequence[BuiltEntry], master_seed: int) -> List[Identit
         if misfits:
             raise InvalidParams(f"plan entry {index}: "
                                 + "; ".join(f"{where}: {why}" for where, why in misfits))
+    return _run_validated(entries, master_seed)
+
+
+def _run_validated(entries: Sequence[BuiltEntry], master_seed: int) -> List[IdentityReport]:
+    """:func:`run_entries` without its validation, for entries that
+    :func:`entry_misfits` already found fitting and a checked ``master_seed``
+    (the CLI validates each entry as it builds it)."""
     reports: List[IdentityReport] = []
     for index, built in enumerate(entries):
         reports.extend(_run_entry(master_seed, index, built))

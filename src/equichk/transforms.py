@@ -16,10 +16,12 @@ function, ``_chart_inverses``, produces a position's chart data: it inverts
 both chart Jacobians, judges the position by tensor_core's one good-inverse
 rule (``_inverse_rcond``) and, at a good position, composes X and Y with
 ``_direction``/``_output``, the only place a chart inverse meets dH/dlam or
-dG/dlam.  Every callback output is checked finite (NonFiniteEntry) before it
-enters a composition, ``invert_square`` or the condition estimate, so a NaN
-chart Jacobian gets that one verdict from ``good_position``, the sampler and
-every check alike.
+dG/dlam, and takes the six second-order callbacks there, so a group's
+matrices at lam are computed once for all of a position's checks.  Every
+callback output is checked finite (NonFiniteEntry) before it enters a
+composition, ``invert_square`` or the condition estimate, so a NaN chart
+Jacobian gets that one verdict from ``good_position``, the sampler and every
+check alike.
 The callbacks marked optional may be ``None``, which declares that
 derivative identically zero; the other three, like ``h_eval`` and
 ``g_eval``, are required.  Shapes:
@@ -66,7 +68,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -540,6 +542,12 @@ def characteristic_output(t: Transformation, y, lam=None) -> np.ndarray:
     return _output(t, inv, lam, yv)
 
 
+#: the second-order derivative callbacks taking (lam, theta) and those taking
+#: (lam, y), in the order a chart's ``second`` holds them
+_SECOND_ORDER_CALLBACKS = (("d2h_dtheta2", "d2h_dlambda_dtheta", "d2h_dlambda2"),
+                           ("d2g_dy2", "d2g_dlambda_dy", "d2g_dlambda2"))
+
+
 @dataclass(frozen=True)
 class _Charts:
     """A transform's chart data at one position: both chart Jacobian
@@ -547,7 +555,12 @@ class _Charts:
     X and Y.  Each chart is eliminated once; the inverses, X and Y are None
     unless the position is good, and are then the very arrays
     ``invert_square``, :func:`characteristic_direction` and
-    :func:`characteristic_output` would return."""
+    :func:`characteristic_output` would return.  A good position's charts
+    also carry ``second``, the outputs of the ``_SECOND_ORDER_CALLBACKS`` at
+    the same (lam, theta) and (lam, y), each None where the transform
+    declares it zero: taken beside the first-order callbacks, they reuse the
+    group matrices those computed at lam.  They are not checked finite here;
+    the check that reads one does that."""
 
     transform: Transformation
     lam: np.ndarray  # the validated lam the charts were taken at
@@ -556,6 +569,7 @@ class _Charts:
     ginv: Optional[np.ndarray] = None
     X: Optional[np.ndarray] = None
     Y: Optional[np.ndarray] = None
+    second: Tuple[Optional[np.ndarray], ...] = ()
 
 
 def _chart_inverses(t: Transformation, theta, y=None, lam=None) -> _Charts:
@@ -572,8 +586,10 @@ def _chart_inverses(t: Transformation, theta, y=None, lam=None) -> _Charts:
     elif hinv is None or ginv is None:
         reason = "chart Jacobian numerically singular"
     else:
+        second = tuple(None if (cb := getattr(t, name)) is None else cb(lamv, v)
+                       for names, v in zip(_SECOND_ORDER_CALLBACKS, (th, yv)) for name in names)
         return _Charts(t, lamv, GoodPositionReport(ok=True, rcond_h=rh, rcond_g=rg), hinv, ginv,
-                       _direction(t, hinv, lamv, th), _output(t, ginv, lamv, yv))
+                       _direction(t, hinv, lamv, th), _output(t, ginv, lamv, yv), second)
     return _Charts(t, lamv, GoodPositionReport(ok=False, rcond_h=rh, rcond_g=rg, reason=reason))
 
 

@@ -892,6 +892,38 @@ def test_cli_suite_matches_the_library_suite(tmp_path, capsys):
             == (tmp_path / "library.jsonl").read_bytes())
 
 
+def test_cli_holds_each_plan_entry_against_its_misfits_once(tmp_path, capsys, monkeypatch):
+    # the CLI validates each entry as it builds it and runs the entries it
+    # built without validating them again: 14 entries, 14 calls
+    calls = []
+    real = ic.entry_misfits
+    monkeypatch.setattr(ic, "entry_misfits", lambda built: calls.append(1) or real(built))
+    cfg = _bundled("suite_full", output_dir=str(tmp_path / "out"))
+    assert cli.run(str(_write(tmp_path, "suite_full.json", cfg))) == 0
+    capsys.readouterr()
+    assert len(cfg["plan"]) == 14
+    assert len(calls) == 14
+    # the library's public runner still validates every entry itself
+    calls.clear()
+    ic.run_entries([ic._build_entry(e) for e in ic.default_suite(0, 1).entries], 0)
+    assert len(calls) == 14
+
+
+def test_bundled_flow_takes_l_prime_once_per_record(tmp_path, capsys, monkeypatch):
+    # the recorder evaluates l'(y) once per record for sharpness_bound, and
+    # the norm-growth check reads those values from the trajectory
+    calls = []
+    real = models.Loss.grad
+    monkeypatch.setattr(models.Loss, "grad", lambda self, y: calls.append(1) or real(self, y))
+    out = tmp_path / "out"
+    cfg = _bundled("flow_conservation", output_dir=str(out))
+    assert cli.run(str(_write(tmp_path, "flow_conservation.json", cfg))) == 0
+    capsys.readouterr()
+    records = len((out / "flow.csv").read_text().splitlines()) - 1
+    assert records == 30
+    assert len(calls) == records
+
+
 def test_entry_keys_are_plan_entry_fields():
     fields = [f.name for f in dataclasses.fields(ic.PlanEntry)]
     assert sorted(cli._ENTRY_KEYS) == sorted(set(fields) - {"loss_params", "transform_params"})

@@ -541,9 +541,10 @@ def _parent_sweeps(map_fn, x):
 @pytest.mark.parametrize("entry", SUITE_ENTRIES,
                          ids=[f"{i}-{e.model.name}-{e.loss}" for i, e in enumerate(SUITE_ENTRIES)])
 def test_exact_landscape_is_two_map_evaluations(entry):
-    # one sweep of the model and one of the composite carry every landscape
-    # tensor, bit for bit what a plain forward and separate first- and
-    # second-order seeds give
+    # one sweep of the model with the composite appended as a last column
+    # carries every landscape tensor, bit for bit what a plain forward and
+    # separate first- and second-order seeds of the model and of the
+    # composite give
     model = build_model(entry.model)
     loss = make_loss(entry.loss, **dict(entry.loss_params))
     theta = model.init_params + 0.1 * np.random.default_rng(entry.seed).standard_normal(model.d)
@@ -554,7 +555,7 @@ def test_exact_landscape_is_two_map_evaluations(entry):
         return model.func(th)
 
     ev = ic.evaluate_landscape(dataclasses.replace(model, func=counting), loss, theta)
-    assert len(calls) == 2
+    assert len(calls) == 1
     y, jac_f, hess_f = _parent_sweeps(model.func, theta)
     value, grad, hess = _parent_sweeps(lambda th: loss.apply(model.func(th)), theta)
     np.testing.assert_array_equal(ev.y, forward(model, theta))
@@ -568,9 +569,10 @@ def test_exact_landscape_is_two_map_evaluations(entry):
 @pytest.mark.parametrize("entry", SUITE_ENTRIES,
                          ids=[f"{i}-{e.model.name}-{e.loss}" for i, e in enumerate(SUITE_ENTRIES)])
 def test_fd_landscape_is_two_map_evaluations(monkeypatch, entry):
-    # one FD sweep of the model and one of the composite carry every
-    # landscape tensor at all positions, bit for bit what a plain call and
-    # point-by-point stencils give, whether or not the stencils split
+    # one FD sweep of the model with the composite appended as a last column
+    # carries every landscape tensor at all positions, bit for bit what a
+    # plain call and point-by-point stencils of the model and of the
+    # composite give, whether or not the stencils split
     model = build_model(entry.model)
     loss = make_loss(entry.loss, **dict(entry.loss_params))
     rng = np.random.default_rng(entry.seed)
@@ -583,7 +585,7 @@ def test_fd_landscape_is_two_map_evaluations(monkeypatch, entry):
 
     counted = dataclasses.replace(model, func=counting)
     whole = ic.evaluate_landscapes(counted, loss, thetas, FD)
-    assert len(calls) == 2
+    assert len(calls) == 1
     composite = de._loss_map(model, loss)
     for ev, theta in zip(whole, thetas):
         np.testing.assert_array_equal(ev.y, model.func(theta))
@@ -599,6 +601,29 @@ def test_fd_landscape_is_two_map_evaluations(monkeypatch, entry):
     for ev, want in zip(blocked, whole):
         for field in ("y", "value", "jac_f", "hess_f", "grad", "hess"):
             np.testing.assert_array_equal(getattr(ev, field), getattr(want, field))
+
+
+def test_fd_stencil_tables_are_built_once_per_dimension_and_read_only():
+    # the tables depend only on (d, second): every later sweep, at any point
+    # count, reuses the one read-only build
+    de._stencil.cache_clear()
+    rng = np.random.default_rng(4)
+
+    def quartic(th):
+        return de.sum_last(th * th * th * th)
+
+    for d in (3, 5):
+        for second in (False, True):
+            for m in (1, 4):
+                de._fd_sweep(quartic, rng.standard_normal((m, d)), second)
+    assert de._stencil.cache_info().misses == 4
+    assert de._stencil.cache_info().hits == 4
+    for second in (False, True):
+        tables = de._stencil(3, second)
+        assert de._stencil(3, second) is tables
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = 0
 
 
 @pytest.mark.parametrize("spec, loss_spec", [c for c in SWEEP_CASES if build_model(c[0]).c > 1],

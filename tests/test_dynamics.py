@@ -308,6 +308,18 @@ def test_trajectory_validation():
         dyn.Trajectory(times=np.array([0.0, 1.0]), **good)
 
 
+def test_trajectory_keeps_l_prime_of_each_record_on_the_record_grid():
+    # output_grads is l'(y) at each recorded output, as loss.grad gives it,
+    # and is held to the record grid like grads
+    probe = build_model(ModelSpec("linear_probe", {"x": [1.0, 2.0]}, seed=0))
+    loss = make_loss("exponential", label=1)
+    trj = dyn.gradient_flow(probe, loss, np.array([-0.15, -0.1]), T=0.1, dt=0.01)
+    want = np.array([loss.grad(forward(probe, th)) for th in trj.states])
+    np.testing.assert_array_equal(trj.output_grads, want)
+    with pytest.raises(SizeMismatch, match="output_grads"):
+        dataclasses.replace(trj, output_grads=want[1:])
+
+
 # ---------------------------------------------------------------------------
 # gradient descent
 # ---------------------------------------------------------------------------

@@ -83,6 +83,24 @@ def test_landscape_holds_the_hessian_against_its_assembly(probe_model, probe_los
     evaluate_landscape(probe_model, probe_loss, PROBE_THETA, "exact")
 
 
+# a factor past each mode's assembly tolerance (1e-10 exact, 1e-4 FD)
+@pytest.mark.parametrize("mode, factor", [("exact", 1.0 + 1e-6), ("finite_difference", 1.01)])
+@pytest.mark.parametrize("side", ["composite", "assembled"])
+def test_one_shared_forward_keeps_the_two_routes_independent(relu_mlp, mode, factor, side):
+    # the model and the composite loss come from one sweep, yet loss.apply
+    # scaled on the composite route alone, or the analytic loss Hessian
+    # scaled on the assembled route alone, still fails the assembly check
+    loss = make_loss("square", target=0.7)
+    thetas = [th for th, _ in sample_positions(relu_mlp, loss, count=2, seed=3, margin=1e-3)]
+    ic.evaluate_landscapes(relu_mlp, loss, thetas, mode)
+    if side == "composite":
+        off = dataclasses.replace(loss, apply=lambda y: loss.apply(y) * factor)
+    else:
+        off = dataclasses.replace(loss, _hess=lambda y: factor * loss._hess(y))
+    with pytest.raises(CheckFailure, match="hessian assembly self-check"):
+        ic.evaluate_landscapes(relu_mlp, off, thetas, mode)
+
+
 _SUITE_ENTRIES = default_suite().entries
 
 
@@ -91,8 +109,8 @@ _SUITE_ENTRIES = default_suite().entries
                          ids=[f"{i}-{e.model.name}" for i, e in enumerate(_SUITE_ENTRIES)])
 def test_batched_landscapes_equal_one_position_landscapes(entry, mode):
     # every field at every position is bit for bit the one-position landscape;
-    # in exact mode the whole batch is one sweep of the model and one of the
-    # composite, i.e. two map evaluations
+    # in exact mode the whole batch is one sweep of the model with the
+    # composite appended, i.e. one map evaluation
     built = ic._build_entry(entry)
     model, loss = built.model, built.loss
     thetas = [th for th, _ in sample_positions(model, loss, count=4, seed=entry.seed, margin=1e-3)]
@@ -104,7 +122,7 @@ def test_batched_landscapes_equal_one_position_landscapes(entry, mode):
 
     batch = ic.evaluate_landscapes(dataclasses.replace(model, func=counting), loss, thetas, mode)
     if mode == "exact":
-        assert len(calls) == 2
+        assert len(calls) == 1
     assert len(batch) == len(thetas)
     for th, got in zip(thetas, batch):
         want = evaluate_landscape(model, loss, th, mode)
@@ -671,6 +689,22 @@ def test_run_suite_shares_transform_data_and_spectrum(monkeypatch):
                       "sampler_chart_test": counts["sampler_chart_test"],
                       "second_order": continuous * positions,
                       "spectrum": scalar * positions}
+
+
+def test_suite_takes_one_expm_per_generator_and_lam(monkeypatch):
+    # criterion 01's trio at 20 positions: the sampler's charts carry the
+    # second-order callbacks, so the checks never ask a group for its
+    # matrices at a lam again and each (generator, lam) pair is one _expm
+    calls = []
+    expm = tr._expm
+    monkeypatch.setattr(tr, "_expm", lambda a: calls.append(a.tobytes()) or expm(a))
+    trio = ("first_order", "second_action", "second_quadratic")
+    entries = tuple(dataclasses.replace(e, checks=trio, positions=20)
+                    for e in default_suite().entries if "first_order" in e.checks)
+    reports = run_suite(SuiteSpec(entries, master_seed=0))
+    assert len(reports) == 11 * 20 * 3 and all(r.passed for r in reports)
+    assert len(set(calls)) == 280
+    assert len(calls) == 280
 
 
 def test_standalone_checks_match_the_suite(monkeypatch):
