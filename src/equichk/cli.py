@@ -61,6 +61,7 @@ from .models import (
     loss_family,
     make_loss,
 )
+from .tensor_core import _point
 from .transforms import TRANSFORM_NAMES, Transformation, build_transform
 
 EXPERIMENTS = ("check_suite", "flow", "sgf_drift", "stationary_spectrum")
@@ -194,8 +195,8 @@ def _validate_theta0(v: _V, obj, path: str, model: Optional[Model]) -> Optional[
         v.fail(f"{path}.theta0", 'expected "init" or a list of finite numbers')
     elif model is not None and val == "init":
         return model.init_params
-    elif model is not None and v.holds(f"{path}.theta0", dyn._theta0, model, val):
-        return np.asarray(val, dtype=float)
+    elif model is not None and v.holds(f"{path}.theta0", _point, val, model.d, "theta0"):
+        return _point(val, model.d, "theta0")
     return None
 
 

@@ -40,7 +40,9 @@ too large for one block has its second-slot basis directions walked
 instead.  At catalog sizes every sweep is a single block, i.e. a single map
 evaluation.
 
-Evaluation points are plain float arrays, and every sweep returns a fresh
+Evaluation points are plain float arrays, each read by tensor_core's one
+point reader, ``_point`` (a float64 array as it is, anything else by the
+number rule, flattened and checked finite), and every sweep returns a fresh
 C-contiguous float64 ``np.ndarray`` in the ``[input, output]`` layout that
 :mod:`equichk.tensor_core` composes, checked finite before it is returned:
 ``(d, *s)`` for first derivatives of a map into shape ``s``, ``(d, d, *s)``
@@ -86,10 +88,10 @@ from . import tensor_core
 from .errors import (
     IndexOutOfRange,
     InvalidParams,
-    NonFiniteEntry,
     NonFiniteResult,
     CheckFailure,
 )
+from .tensor_core import _point
 
 __all__ = [
     "HyperDual",
@@ -297,13 +299,6 @@ def take_last(x, sl: slice):
 
 # --- derivative sweeps ---------------------------------------------------------
 
-def _as_point(point) -> np.ndarray:
-    arr = np.asarray(point, dtype=float).reshape(-1)
-    if not np.isfinite(arr).all():
-        raise NonFiniteEntry("evaluation point contains NaN or Inf")
-    return arr
-
-
 def _check_finite(arr: np.ndarray, what: str) -> None:
     # ndarray.all's own reduction, without its dispatch
     if not np.logical_and.reduce(np.isfinite(arr), axis=None):
@@ -472,7 +467,7 @@ def jacobian(map_fn: Callable, point, mode: str = "exact") -> np.ndarray:
     composition contracts it).
     """
     _check_mode(mode)
-    return _SWEEPS[mode](map_fn, _as_point(point)[None], False)[1][0]
+    return _SWEEPS[mode](map_fn, _point(point, None, "point")[None], False)[1][0]
 
 
 def second_derivative(map_fn: Callable, point, mode: str = "exact") -> np.ndarray:
@@ -480,13 +475,13 @@ def second_derivative(map_fn: Callable, point, mode: str = "exact") -> np.ndarra
     leading axes: the second-slot direction j indexes axis 0 and the
     first-slot direction i axis 1 (the mode's sweep at the one point)."""
     _check_mode(mode)
-    return _SWEEPS[mode](map_fn, _as_point(point)[None], True)[2][0]
+    return _SWEEPS[mode](map_fn, _point(point, None, "point")[None], True)[2][0]
 
 
 def fd_oracle(map_fn: Callable, point, order: int) -> np.ndarray:
     """Central finite differences of order 1 or 2 (the independent oracle):
     :func:`_fd_sweep` at the one point, ``(d, *s)`` or ``(d, d, *s)``."""
-    x = _as_point(point)
+    x = _point(point, None, "point")
     if order not in (1, 2):
         raise IndexOutOfRange(f"fd_oracle order must be 1 or 2, got {order}")
     return _fd_sweep(map_fn, x[None], order == 2)[order][0]
@@ -495,7 +490,7 @@ def fd_oracle(map_fn: Callable, point, order: int) -> np.ndarray:
 def _values_and_derivatives(map_fn: Callable, points: Sequence[np.ndarray], mode: str
                             ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Value, first and second derivative of ``map_fn`` at each of the
-    checked ``points`` (``_as_point`` rows), from one sweep of the mode over
+    checked ``points`` (``_point`` rows), from one sweep of the mode over
     all of them: one map evaluation per block.  Each point's value is checked
     finite.  A suite's landscapes pass ``_landscape_map``, so every column,
     the model's and the composite loss's, is checked."""
@@ -559,7 +554,8 @@ def grad_and_hessian_of_loss(
     :func:`equichk.identity_checker.evaluate_landscapes` holds against the
     chain/product-rule assembly), all from one sweep."""
     _check_mode(mode)
-    (value, grad, hess), = _values_and_derivatives(_loss_map(model, loss), [_as_point(point)], mode)
+    (value, grad, hess), = _values_and_derivatives(_loss_map(model, loss),
+                                                   [_point(point, model.d, "theta")], mode)
     return float(value), grad, hess
 
 

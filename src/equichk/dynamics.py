@@ -58,7 +58,8 @@ from .errors import (
     StepFailure,
 )
 from .models import (Dataset, Loss, LossFamily, Model, _head_scalars, _is_integer, _is_real,
-                     _json_value, _rayleigh_bound, _reals, _scalar_homogeneous, per_sample_losses)
+                     _json_value, _rayleigh_bound, _scalar_homogeneous, per_sample_losses)
+from .tensor_core import _point
 from .transforms import (Charge, Transformation, _list_keys, _require_continuous_symmetry,
                          characteristic_direction, noether_charge)
 
@@ -308,21 +309,13 @@ class _Recorder:
                           output_grads=output_grads)
 
 
-def _theta0(model: Model, theta0, what: str = "theta0") -> np.ndarray:
-    """``theta0`` flat, as floats; SizeMismatch unless it has the model's d entries."""
-    th = _reals(theta0, what).reshape(-1)
-    if th.size != model.d:
-        raise SizeMismatch(f"{what} has {th.size} entries, model wants {model.d}")
-    return th
-
-
 def _start(model: Model, loss, theta0,
            chargelist) -> Tuple[_Objective, _Recorder, np.ndarray, float, np.ndarray]:
     """A deterministic run's objective and recorder, and its first state with
     the loss and gradient of the sweep there, already recorded at t = 0."""
     obj = _Objective(model, loss)
     charges = _as_charges(chargelist)
-    th = _theta0(model, theta0)
+    th = _point(theta0, model.d, "theta0")
     rec = _Recorder(model, charges, loss if isinstance(loss, Loss) else None)
     value, g = obj.value_and_grad(th)
     rec.record(0.0, th, grad=g, loss=value)
@@ -735,7 +728,7 @@ def noise_covariance(model: Model, family: LossFamily, dataset: Dataset, theta) 
     moments of ``theta`` repeated once per basis direction, so component i
     of ``grad_trace`` is the directional trace derivative along e_i, and
     Sigma built from the per-sample gradients at ``theta``."""
-    th = _theta0(model, theta, "theta")
+    th = _point(theta, model.d, "theta")
     obj = _Objective(model, (family, dataset))
     gbar, G, grad_trace = _moments(obj, np.tile(th, (th.size, 1)), np.eye(th.size))
     g, m = G[:, 0], gbar[0]
@@ -840,7 +833,7 @@ def sgf(
         raise InvalidParams(f"ensemble must be a positive integer, got {ensemble!r}")
     obj = _Objective(model, (family, dataset))
     charges = _as_charges(chargelist)
-    th0 = _theta0(model, theta0)
+    th0 = _point(theta0, model.d, "theta0")
 
     d = model.d
     w = obj.weights()

@@ -56,10 +56,10 @@ from .errors import (
     SizeMismatch,
 )
 from .models import (Loss, Model, ModelSpec, _head_margins, _head_scalars, _is_integer,
-                     _is_real, _json_value, _position, _rayleigh_bound, _reals, _require_fit,
+                     _is_real, _json_value, _rayleigh_bound, _reals, _require_fit,
                      _scalar_homogeneous, build_model, forward, make_loss, random_params)
 from .spectral import SpectralSummary, jacobi_eigh, spectral_summary
-from .tensor_core import _finite, compose, compose_k
+from .tensor_core import _finite, _point, compose, compose_k
 from .transforms import (
     MUTABLE_CALLBACKS,
     Transformation,
@@ -341,13 +341,9 @@ def evaluate_landscapes(model: Model, loss: Loss, thetas: Sequence, mode: str = 
     position keeps its own finiteness checks, analytic loss derivatives and
     Hessian assembly check, which holds the composite column against the
     analytic ``loss.grad``/``loss.hess`` assembly."""
-    ths = [_position(theta, "theta").reshape(-1) for theta in thetas]
-    for th in ths:
-        if th.size != model.d:
-            raise SizeMismatch(f"theta has {th.size} entries, model {model.name} wants {model.d}")
+    ths = [_point(theta, model.d, "theta") for theta in thetas]
     de._check_mode(mode)
-    points = [de._as_point(th) for th in ths]
-    joined = de._values_and_derivatives(de._landscape_map(model, loss), points, mode)
+    joined = de._values_and_derivatives(de._landscape_map(model, loss), ths, mode)
     out = []
     for th, tensors in zip(ths, joined):
         # the model's columns come first, the composite loss's is the last
@@ -381,12 +377,13 @@ def _landscape(model: Model, loss: Loss, theta, mode: str,
                landscape: Optional[LandscapeEval]) -> LandscapeEval:
     """``landscape`` if it was evaluated at ``theta`` in ``mode``, else a
     fresh evaluation; an unknown mode or a landscape from elsewhere raises
-    InvalidParams."""
+    InvalidParams.  ``theta`` is compared with ``landscape.theta`` as it is
+    handed in, not read again: ``np.array_equal`` is False for anything
+    that is not those very numbers."""
     de._check_mode(mode)
     if landscape is None:
         return evaluate_landscape(model, loss, theta, mode)
-    th = _position(theta, "theta").reshape(-1)
-    if landscape.mode != mode or not np.array_equal(landscape.theta, th):
+    if landscape.mode != mode or not np.array_equal(landscape.theta, theta):
         raise InvalidParams(
             f"landscape was evaluated in {landscape.mode} mode at another point than "
             f"this {mode} check's theta"
@@ -403,7 +400,7 @@ def _spectrum(ev: LandscapeEval) -> SpectralSummary:
 
 
 def _memo_key(t: Transformation, lam) -> tuple:
-    return id(t), None if lam is None else np.asarray(lam, dtype=float).tobytes()
+    return id(t), None if lam is None else _point(lam, None, "lambda").tobytes()
 
 
 def _transform_eval(ev: LandscapeEval, t: Transformation, lam) -> _Charts:
@@ -532,9 +529,10 @@ def _second_order(ev: LandscapeEval, ch: _Charts) -> _SecondOrder:
 
 def _second_order_terms(ev: LandscapeEval, t: Transformation, lam) -> Tuple[_Charts, _SecondOrder]:
     """``t``'s chart data at ``ev``'s position with its second-order terms,
-    which are built once per position and kept under their own memo key."""
+    which are built once per position and kept beside the charts they were
+    built from (the memo holds those charts, so their id stays theirs)."""
     ch = _transform_eval(ev, t, lam)
-    key = _memo_key(t, lam) + ("second",)
+    key = ("second", id(ch))
     so = ev._memo.get(key)
     if so is None:
         so = ev._memo[key] = _second_order(ev, ch)
@@ -846,7 +844,7 @@ def check_discrete_first(
 ) -> IdentityReport:
     """At a fixed point of a discrete realization, P^T gradL = gradL (the
     linear case reads Eq. (12): the gradient is a +1 eigenvector of P^T)."""
-    th = _position(theta, "theta").reshape(-1)
+    th = _point(theta, model.d, "theta")
     fp_res = _require_fixed_point(transform, th)
     ev = _landscape(model, loss, th, mode, landscape)
     S = _finite(transform.dh_dtheta(np.zeros(0), th))
@@ -877,7 +875,7 @@ def check_discrete_second(
     """Conjugation identity P^T hessL P = hessL - gradL o hess(H).  The
     built-in (theta-linear) catalog declares hess(H) zero, so the correction
     is an exact 0.0 there (Eq. (13) is the linear case)."""
-    th = _position(theta, "theta").reshape(-1)
+    th = _point(theta, model.d, "theta")
     fp_res = _require_fixed_point(transform, th)
     ev = _landscape(model, loss, th, mode, landscape)
     S = _finite(transform.dh_dtheta(np.zeros(0), th))
@@ -928,7 +926,7 @@ def check_mirror(
     if O.shape[0] != d:
         raise InvalidParams(f"O has {O.shape[0]} rows, model has d={d}")
     _require_orthonormal(O)
-    th = _position(theta, "theta").reshape(-1)
+    th = _point(theta, model.d, "theta")
     overlap = _norm(O.T @ th)
     if overlap > _FIXED_POINT_TOL * max(1.0, _norm(th)):
         raise NotFixedPoint(
@@ -1003,8 +1001,10 @@ def check_last_layer_alignment(
     """
     if model.last_layer_block is None or model.feature_fn is None:
         raise NotFactoredModel(f"model {model.name} has no factored last layer")
-    if trials < 1:
-        raise InvalidParams("trials must be >= 1")
+    if not (_is_integer(trials) and trials >= 1):
+        raise InvalidParams(f"trials must be a positive integer, got {trials!r}")
+    if not (_is_integer(seed) and seed >= 0):
+        raise InvalidParams(f"seed must be a nonnegative integer, got {seed!r}")
     ev = _landscape(model, loss, theta, mode, landscape)
     th = ev.theta
     blk = model.block(model.last_layer_block)
@@ -1082,7 +1082,7 @@ def stationary_null_count(
     """
     eps_stat, null_tol, rank_tol = (_positive(v, k) for k, v in (
         ("eps_stat", eps_stat), ("null_tol", null_tol), ("rank_tol", rank_tol)))
-    th = _position(theta_star, "theta_star").reshape(-1)
+    th = _point(theta_star, model.d, "theta_star")
     ev = evaluate_landscape(model, loss, th, mode)
     g_norm = _norm(ev.grad)
     if g_norm > eps_stat:
@@ -1103,8 +1103,8 @@ def stationary_null_count(
         X, hinv = ch.X, ch.hinv
         rows.append(X.reshape(t.p, model.d))
         hx = _norm(compose(ev.hess, X))
-        d2h_lt = _callback(t, "d2h_dlambda_dtheta", lamv, th)
-        d2h_tt = _callback(t, "d2h_dtheta2", lamv, th)
+        # the charts' d2h_dtheta2 and d2h_dlambda_dtheta at (lam, theta*)
+        d2h_tt, d2h_lt = (None if v is None else _finite(v) for v in ch.second[:2])
         kappa = 0.0 if d2h_lt is None else _norm(compose(hinv, d2h_lt))
         if d2h_tt is not None:
             kappa += _norm(compose(hinv, compose(d2h_tt, X)))

@@ -28,17 +28,15 @@ identity checks) plus a generic ``apply`` for direct differentiation of the
 composite loss.  Binary losses take a scalar target/label; ``softmax_xent``
 takes a class index.
 
-The package's one number rule lives here: ``_is_real`` (a finite int or
-float, numpy's included, that a float holds), ``_is_integer`` (an int,
-numpy's included) and ``_reals`` (a finite real or a nested list or numeric
-array of them, as a float array).  Neither counts a bool, and a string is
-never parsed, so ``True`` and ``"0.5"`` are refused where a number is
-expected, as NaN and Inf are.  Every builder here, in ``transforms`` and in
-``dynamics``, the plan checks and the CLI read their numbers through them.
-Positions (theta and lam), read hundreds of times per suite verdict, go
-through ``_position``: a float64 array as it is, anything else by ``_reals``.
-The one JSON rule lives here too: ``_json_value``, the ``default=`` hook
-json's encoder is given for every JSON file the package writes.
+Every number here is read by the package's one number rule, which lives
+in :mod:`equichk.tensor_core` (``_is_real``, ``_is_integer``, ``_reals``) and
+is imported back here for the layers above.  Every theta and y goes through
+the one point reader, ``tensor_core._point``: ``forward`` and
+``expected_loss`` hold theta to the model's d entries, ``Loss.grad`` and
+``Loss.hess`` hold y to the loss's c, and a bool, a string, NaN or Inf is
+refused before the model runs.  The one JSON rule lives here:
+``_json_value``, the ``default=`` hook json's encoder is given for every JSON
+file the package writes.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ import functools
 import inspect
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
@@ -57,11 +54,11 @@ from . import diff_engine as de
 from .errors import (
     IndexOutOfRange,
     InvalidParams,
-    NonFiniteEntry,
     NonFiniteResult,
     SizeMismatch,
     UnknownSpec,
 )
+from .tensor_core import _is_integer, _is_real, _point, _reals
 
 __all__ = [
     "Block",
@@ -225,35 +222,6 @@ def call_builder(kind: str, name: str, builder: Callable, params: Mapping, *args
     return builder(*args, **params)
 
 
-def _is_integer(v) -> bool:
-    """Whether ``v`` is an integer, numpy's included; a bool is not one."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    """Whether ``v`` is a finite real that a float holds: an integer (see
-    :func:`_is_integer`) or a Python or numpy float."""
-    return ((_is_integer(v) and abs(v) <= sys.float_info.max)
-            or (isinstance(v, (float, np.floating)) and math.isfinite(v)))
-
-
-def _reals(v, what: str) -> np.ndarray:
-    """``v`` -- a finite real (see :func:`_is_real`), or a nested list or
-    tuple or an integer or float array of them -- as a float array; anything
-    else (a bool, a string, NaN or Inf, a ragged nest) raises InvalidParams."""
-    def real(u) -> bool:
-        if isinstance(u, np.ndarray):
-            return u.dtype.kind in "iuf" and bool(np.isfinite(u).all())
-        return all(map(real, u)) if isinstance(u, (list, tuple)) else _is_real(u)
-
-    try:
-        if real(v):
-            return np.asarray(v, dtype=float)
-    except ValueError:  # a ragged nest
-        pass
-    raise InvalidParams(f"{what}: expected finite numbers, got {v!r}")
-
-
 def _json_value(o):
     """json's ``default=`` hook, for what its encoder cannot write itself: a
     numpy bool, integer or float as a bool, int or float, an array as its
@@ -265,16 +233,6 @@ def _json_value(o):
         if isinstance(o, kind):
             return cast(o)
     return str(o)
-
-
-def _position(v, what: str) -> np.ndarray:
-    """A position ``v`` (theta or lam) as a float array: a float64 array as
-    it is, since it holds no bool or string (a NaN or Inf in it is caught
-    where it is evaluated: a landscape's ``de._as_point``, a chart
-    callback's ``_finite``); anything else through :func:`_reals`."""
-    if isinstance(v, np.ndarray) and v.dtype == np.float64:
-        return v
-    return _reals(v, what)
 
 
 def _integer(value, what: str) -> int:
@@ -313,7 +271,7 @@ def _mlp_like(name, seed, widths, x, use_relu):
         def margin(theta: np.ndarray) -> float:
             z, worst = x, math.inf
             for i, b in enumerate(blocks):
-                z = de.matvec(_unpack(np.asarray(theta, dtype=float), b), z)
+                z = de.matvec(_unpack(theta, b), z)
                 if i < n_layers - 1:
                     worst = min(worst, float(np.min(np.abs(z))))
                     z = de.relu(z)
@@ -419,12 +377,7 @@ def build_model(spec: ModelSpec) -> Model:
 
 def forward(model: Model, theta) -> np.ndarray:
     """Evaluate the model at a flat parameter vector, with validation."""
-    arr = np.asarray(theta, dtype=float).reshape(-1)
-    if arr.size != model.d:
-        raise SizeMismatch(f"theta length {arr.size} != model dim {model.d}")
-    if not np.isfinite(arr).all():
-        raise NonFiniteEntry("theta contains NaN or Inf")
-    out = np.asarray(model.func(arr), dtype=float)
+    out = np.asarray(model.func(_point(theta, model.d, "theta")), dtype=float)
     if not np.isfinite(out).all():
         raise NonFiniteResult("model output contains NaN or Inf")
     return out
@@ -479,17 +432,11 @@ class Loss:
     _grad: Callable = field(repr=False)
     _hess: Callable = field(repr=False)
 
-    def _coerce(self, y) -> np.ndarray:
-        arr = np.asarray(y, dtype=float).reshape(-1)
-        if arr.size != self.c:
-            raise SizeMismatch(f"output length {arr.size} != loss dim {self.c}")
-        return arr
-
     def grad(self, y) -> np.ndarray:
-        return np.asarray(self._grad(self._coerce(y)), dtype=float)
+        return np.asarray(self._grad(_point(y, self.c, "y")), dtype=float)
 
     def hess(self, y) -> np.ndarray:
-        return np.asarray(self._hess(self._coerce(y)), dtype=float)
+        return np.asarray(self._hess(_point(y, self.c, "y")), dtype=float)
 
 
 def _require_fit(model: Model, loss: Loss) -> None:
@@ -683,7 +630,7 @@ def per_sample_losses(model: Model, family: LossFamily, dataset: Dataset):
 
 def expected_loss(model: Model, family: LossFamily, dataset: Dataset, theta) -> float:
     """Weighted mean loss over the dataset at parameters theta."""
-    arr = np.asarray(theta, dtype=float)
+    arr = _point(theta, model.d, "theta")
     total = 0.0
     for w, m, loss in per_sample_losses(model, family, dataset):
         total += w * float(np.asarray(de._loss_map(m, loss)(arr)))

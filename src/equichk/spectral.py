@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AxisMismatch, CheckFailure, InvalidParams, NotConverged
+from .tensor_core import _is_integer
 
 __all__ = ["jacobi_eigh", "power_eigs", "SpectralSummary", "spectral_summary"]
 
@@ -119,9 +120,11 @@ def power_eigs(a, k: int = 1):
     thousands of plain steps; ``_POWER_ITERS`` bounds the squarings.  Used
     as an independent cross-check on Jacobi.
     """
+    if not (_is_integer(k) and k >= 1):
+        raise InvalidParams(f"k must be a positive integer, got {k!r}")
     A = _as_symmetric(a)
     n = A.shape[0]
-    k = min(int(k), n)
+    k = min(k, n)
     shift = float(np.max(np.sum(np.abs(A), axis=1))) + 1.0
     B = A + shift * np.eye(n)
     rng = np.random.default_rng(1234)

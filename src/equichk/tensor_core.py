@@ -27,16 +27,30 @@ the same code paths as vector-valued ones.
 
 Matrix inversion is numpy's LAPACK LU inverse (``np.linalg.inv``); a
 reciprocal 1-norm condition estimate gates the result.
+
+The package's one number rule lives here, below every layer that reads a
+number: ``_is_real`` (a finite int or float, numpy's included, that a float
+holds), ``_is_integer`` (an int, numpy's included) and ``_reals`` (a finite
+real or a nested list or numeric array of them, as a float array).  Neither
+counts a bool, and a string is never parsed, so ``True`` and ``"0.5"`` are
+refused where a number is expected, as NaN and Inf are.  Every builder, run,
+plan check and the CLI read their numbers through them.  So does the one
+point reader, ``_point``, through which every theta, lam and y is read, by
+the models, the transforms, the sweeps, the checks and the flows alike: a
+float64 array as it is, anything else by ``_reals``, flattened, then held
+to its length and checked finite.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import AxisMismatch, IndexOutOfRange, NonFiniteEntry, Singular
+from .errors import (AxisMismatch, IndexOutOfRange, InvalidParams, NonFiniteEntry, Singular,
+                     SizeMismatch)
 
 __all__ = [
     "compose",
@@ -47,6 +61,51 @@ __all__ = [
 # Reciprocal-condition threshold below which a square matrix is treated as
 # singular everywhere in the toolbox.
 RCOND_THRESHOLD = 1e-12
+
+
+def _is_integer(v) -> bool:
+    """Whether ``v`` is an integer, numpy's included; a bool is not one."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """Whether ``v`` is a finite real that a float holds: an integer (see
+    :func:`_is_integer`) or a Python or numpy float."""
+    return ((_is_integer(v) and abs(v) <= sys.float_info.max)
+            or (isinstance(v, (float, np.floating)) and math.isfinite(v)))
+
+
+def _reals(v, what: str) -> np.ndarray:
+    """``v`` -- a finite real (see :func:`_is_real`), or a nested list or
+    tuple or an integer or float array of them -- as a float array; anything
+    else (a bool, a string, NaN or Inf, a ragged nest) raises InvalidParams."""
+    def real(u) -> bool:
+        if isinstance(u, np.ndarray):
+            return u.dtype.kind in "iuf" and bool(np.isfinite(u).all())
+        return all(map(real, u)) if isinstance(u, (list, tuple)) else _is_real(u)
+
+    try:
+        if real(v):
+            return np.asarray(v, dtype=float)
+    except ValueError:  # a ragged nest
+        pass
+    raise InvalidParams(f"{what}: expected finite numbers, got {v!r}")
+
+
+def _point(v, n: Optional[int], what: str) -> np.ndarray:
+    """A point ``v`` (theta, lam or y) as a flat float64 array: a float64
+    array as it is, not copied, anything else through :func:`_reals`.
+    SizeMismatch unless it has ``n`` entries (any number when ``n`` is None),
+    NonFiniteEntry if an entry is NaN or Inf."""
+    if not (isinstance(v, np.ndarray) and v.dtype == np.float64):
+        v = _reals(v, what)
+    arr = v.reshape(-1)
+    if n is not None and arr.size != n:
+        raise SizeMismatch(f"{what} has {arr.size} entries, {n} expected")
+    # ndarray.all's own reduction, without its dispatch
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
+        raise NonFiniteEntry(f"{what} contains NaN or Inf")
+    return arr
 
 
 def _finite(a) -> np.ndarray:

@@ -51,8 +51,10 @@ exact zero term and skip the arithmetic it would feed.
 
 Numeric catalog parameters -- a ``linear_reparam`` generator ``A``, the
 ``mirror`` columns, ``sign_flip`` indices and a ``permutation`` -- are read
-with the number rule of :mod:`equichk.models` (``_reals``, ``_integer``), so
-a bool, a string, NaN or Inf there raises InvalidParams.
+with the number rule of :mod:`equichk.tensor_core` (``_reals``, and
+``models._integer`` on it), so a bool, a string, NaN or Inf there raises
+InvalidParams.  Every theta, lam and y goes through its one point reader,
+``_point``, held to the transform's d, p and c entries and checked finite.
 
 The one-parameter groups state only their generators: ``_group`` builds
 M = exp(lam G), whose k-th lam derivative is G^k M, and N = exp(lam GN) on
@@ -72,6 +74,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from numpy._core.multiarray import c_einsum  # the C einsum np.einsum calls when optimize=False
+
 from .errors import (
     InvalidParams,
     NotConservative,
@@ -82,8 +86,8 @@ from .errors import (
     SizeMismatch,
     UnknownSpec,
 )
-from .models import Model, _integer, _position, _reals, call_builder, forward, signature
-from .tensor_core import _finite, _inverse_rcond, compose, invert_square
+from .models import Model, _integer, _reals, call_builder, forward, signature
+from .tensor_core import _finite, _inverse_rcond, _point, compose, invert_square
 
 __all__ = [
     "Charge",
@@ -166,10 +170,10 @@ class Transformation:
     # convenience wrappers with input validation
 
     def h(self, lam, theta) -> np.ndarray:
-        return self.h_eval(_lam_vec(self, lam), _vec(theta, self.d, "theta"))
+        return self.h_eval(_lam_vec(self, lam), _point(theta, self.d, "theta"))
 
     def g(self, lam, y) -> np.ndarray:
-        return self.g_eval(_lam_vec(self, lam), _vec(y, self.c, "y"))
+        return self.g_eval(_lam_vec(self, lam), _point(y, self.c, "y"))
 
 
 def _list_keys(names: Sequence[str]) -> List[str]:
@@ -178,23 +182,9 @@ def _list_keys(names: Sequence[str]) -> List[str]:
     return [n if names.count(n) == 1 else f"{n}[{i}]" for i, n in enumerate(names)]
 
 
-def _vec(v, n: int, what: str) -> np.ndarray:
-    """A position ``v`` of ``n`` reals (read by
-    :func:`equichk.models._position`) as a flat float array."""
-    arr = _position(v, what).reshape(-1)
-    if arr.size != n:
-        raise SizeMismatch(f"{what} length {arr.size} != expected {n}")
-    return arr
-
-
 def _lam_vec(t: Transformation, lam) -> np.ndarray:
     """``lam`` as ``t``'s p group coordinates (zeros when None)."""
-    if lam is None:
-        return np.zeros(t.p)
-    arr = _position(lam, "lambda").reshape(-1)
-    if arr.size != t.p:
-        raise SizeMismatch(f"lambda length {arr.size} != expected {t.p}")
-    return arr
+    return np.zeros(t.p) if lam is None else _point(lam, t.p, "lambda")
 
 
 # --- matrix exponential (scaling and squaring, truncated Taylor) ---------------
@@ -293,7 +283,7 @@ def _group(name: str, params: dict, model: Model, G: np.ndarray,
     N, dN, d2N = (None,) * 3 if GN is None else _exp_and_derivatives(GN)
     charge = None
     if GN is None and np.max(np.abs(G - G.T)) <= 1e-12:
-        # G by its nonzero entries: every row of a batch takes the same
+        # C by G's nonzero entries: every row of a batch takes the same
         # elementwise operations, so a batched call equals its per-row calls
         entries = [(i, j, G[i, j]) for i, j in zip(*np.nonzero(G))]
 
@@ -302,12 +292,8 @@ def _group(name: str, params: dict, model: Model, G: np.ndarray,
             return 0.5 * sum((g * th[..., i] * th[..., j] for i, j, g in entries),
                              np.zeros(th.shape[:-1]))
 
-        def c_grad(th):
-            th = np.asarray(th, dtype=float)
-            out = np.zeros(th.shape)
-            for i, j, g in entries:
-                out[..., i] += g * th[..., j]
-            return out
+        def c_grad(th):  # G theta, row by row, in one C contraction
+            return c_einsum("...j,ij->...i", np.asarray(th, dtype=float), G)
 
         def c_hess(th):
             return np.broadcast_to(G, np.shape(th)[:-1] + G.shape)
@@ -518,7 +504,7 @@ def characteristic_direction(t: Transformation, theta, lam=None) -> np.ndarray:
     if t.kind != "continuous":
         raise NotGoodPosition("discrete transformations have no characteristic direction")
     lam = _lam_vec(t, lam)
-    th = _vec(theta, t.d, "theta")
+    th = _point(theta, t.d, "theta")
     try:
         inv = invert_square(_finite(t.dh_dtheta(lam, th)))
     except Singular as err:
@@ -532,7 +518,7 @@ def characteristic_output(t: Transformation, y, lam=None) -> np.ndarray:
     if t.kind != "continuous":
         raise NotGoodPosition("discrete transformations have no characteristic output")
     lam = _lam_vec(t, lam)
-    yv = _vec(y, t.c, "y")
+    yv = _point(y, t.c, "y")
     inv = None
     if not t.is_symmetry:
         try:
@@ -576,8 +562,8 @@ def _chart_inverses(t: Transformation, theta, y=None, lam=None) -> _Charts:
     """Invert dH/dtheta and dG/dy at (theta, y, lam) and, where both inverses
     are good, compose X and Y.  Discrete transformations have no lam chart:
     theirs are taken at the empty lam and never make a good position."""
-    th = _vec(theta, t.d, "theta")
-    yv = np.zeros(t.c) if y is None else _vec(y, t.c, "y")
+    th = _point(theta, t.d, "theta")
+    yv = np.zeros(t.c) if y is None else _point(y, t.c, "y")
     lamv = _lam_vec(t, lam) if t.kind == "continuous" else np.zeros(0)
     hinv, rh = _inverse_rcond(_finite(t.dh_dtheta(lamv, th)))
     ginv, rg = _inverse_rcond(_finite(t.dg_dy(lamv, yv)))
@@ -601,7 +587,7 @@ def good_position(t: Transformation, theta, y=None, lam=None) -> GoodPositionRep
 
 def equivariance_residual(t: Transformation, model: Model, theta, lam=None) -> float:
     """Relative defect of f(H(lam, theta)) = G(lam, f(theta))."""
-    th = _vec(theta, t.d, "theta")
+    th = _point(theta, t.d, "theta")
     lhs = forward(model, t.h(lam, th))
     rhs = t.g(lam, forward(model, th))
     denom = max(float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)), 1e-12)
@@ -613,7 +599,7 @@ def fixed_point_project(t: Transformation, theta) -> np.ndarray:
     theta -> (theta + H(theta)) / 2."""
     if t.kind != "discrete":
         raise InvalidParams("fixed-point projection applies to discrete transformations")
-    th = _vec(theta, t.d, "theta")
+    th = _point(theta, t.d, "theta")
     if not _is_involution(t, th):
         raise NotInvolution(f"{t.name} does not square to the identity")
     return 0.5 * (th + t.h(None, th))
@@ -622,7 +608,7 @@ def fixed_point_project(t: Transformation, theta) -> np.ndarray:
 def _is_involution(t: Transformation, theta) -> bool:
     """Whether the discrete map's Jacobian at ``theta`` squares to the
     identity, to within ``_INVOLUTION_TOL`` in every entry."""
-    P = t.dh_dtheta(np.zeros(0), _vec(theta, t.d, "theta")).T
+    P = t.dh_dtheta(np.zeros(0), _point(theta, t.d, "theta")).T
     return bool(np.max(np.abs(P @ P - np.eye(t.d))) <= _INVOLUTION_TOL)
 
 

@@ -286,6 +286,25 @@ def test_stationary_kappa_keeps_same_named_symmetries_apart():
     assert kappa["layer_rescaling[1]"] == pytest.approx(3.0)
 
 
+def test_stationary_check_reads_second_order_callbacks_from_the_charts(deep_linear_121):
+    # d2h_dlambda_dtheta is taken once, with the charts at (lam, theta*), and
+    # kappa reads it there instead of calling the callback again
+    loss = make_loss("square", target=0.3)
+    t = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, deep_linear_121)
+    calls = Counter()
+
+    def counted(lam, v, orig=t.d2h_dlambda_dtheta):
+        calls["d2h_dlambda_dtheta"] += 1
+        return orig(lam, v)
+
+    counting = dataclasses.replace(t, d2h_dlambda_dtheta=counted)
+    zero = np.zeros(deep_linear_121.d)
+    rep = stationary_null_count(deep_linear_121, loss, [counting], zero)
+    assert calls["d2h_dlambda_dtheta"] == 1
+    assert rep.context["kappa"] == stationary_null_count(deep_linear_121, loss, [t], zero
+                                                         ).context["kappa"]
+
+
 def test_mirror_orthonormal_and_fixed_guards(deep_linear_121):
     loss = make_loss("square", target=-0.4)
     O = np.array([[1.0], [1.0], [0.0], [0.0]])  # not unit

@@ -10,7 +10,8 @@ from equichk import dynamics as dyn
 from equichk import identity_checker as ic
 from equichk import models
 from equichk import transforms as tr
-from equichk.errors import InvalidParams, SizeMismatch, UnknownSpec
+from equichk import spectral
+from equichk.errors import InvalidParams, NonFiniteEntry, SizeMismatch, UnknownSpec
 from equichk.models import (
     Dataset,
     ModelSpec,
@@ -313,9 +314,33 @@ def _flow_args():
     return model, make_loss("square", target=0.3), model.init_params
 
 
+def _alignment(**kwargs):
+    model = build_model(ModelSpec("factored_last_layer", {"c": 2, "s": 3, "hidden": [2]}, 5))
+    return ic.check_last_layer_alignment(model, make_loss("square", target=[0.1, 0.2]),
+                                         model.init_params, **kwargs)
+
+
+_PROBE_DATA = Dataset.equal_weight(((np.array([1.0, 2.0]), 0.3), (np.array([0.5, -1.0]), 0.1)))
+
+#: every public reader of a point of two entries: theta of the d = 2 probe,
+#: or y of a loss on two outputs
+POINT_READERS = {
+    "forward": lambda p: forward(build_model(_PROBE), p),
+    "expected_loss": lambda p: expected_loss(build_model(_PROBE), loss_family("square"),
+                                             _PROBE_DATA, p),
+    "loss_grad": lambda p: make_loss("square", target=[0.3, 0.1]).grad(p),
+    "loss_hess": lambda p: make_loss("square", target=[0.3, 0.1]).hess(p),
+    "jacobian": lambda p: de.jacobian(build_model(_PROBE).func, p),
+    "second_derivative": lambda p: de.second_derivative(build_model(_PROBE).func, p),
+    "fd_oracle": lambda p: de.fd_oracle(build_model(_PROBE).func, p, 1),
+    "grad_and_hessian_of_loss": lambda p: de.grad_and_hessian_of_loss(
+        build_model(_PROBE), make_loss("square", target=0.3), p),
+}
+
+
 # Each input was accepted -- coerced, truncated or run -- or failed with a
 # TypeError, ValueError, OverflowError, NotConverged or NonFiniteResult mid-run,
-# before the number rule had one home in models.
+# before the number rule and the one point reader had their homes.
 NOT_NUMBERS = {
     "square_target_true": lambda: make_loss("square", target=True),
     "square_target_list_true": lambda: make_loss("square", target=[True]),
@@ -355,6 +380,16 @@ NOT_NUMBERS = {
     "null_count_rank_tol_str": lambda: _null_count(rank_tol="1e-8"),
     "suite_master_seed_true": lambda: _suite(True),
     "suite_master_seed_float": lambda: _suite(2.5),
+    **{f"{name}_point_str_and_bool": (lambda read=read: read(["0.5", True]))
+       for name, read in POINT_READERS.items()},
+    "alignment_trials_true": lambda: _alignment(trials=True),
+    "alignment_trials_float": lambda: _alignment(trials=2.5),
+    "alignment_trials_str": lambda: _alignment(trials="3"),
+    "alignment_seed_true": lambda: _alignment(seed=True),
+    "alignment_seed_negative": lambda: _alignment(seed=-1),
+    "power_eigs_k_float": lambda: spectral.power_eigs(np.eye(3), k=2.5),
+    "power_eigs_k_true": lambda: spectral.power_eigs(np.eye(3), k=True),
+    "power_eigs_k_str": lambda: spectral.power_eigs(np.eye(3), k="3"),
 }
 
 
@@ -362,3 +397,45 @@ NOT_NUMBERS = {
 def test_a_non_number_is_refused_with_invalid_params(name):
     with pytest.raises(InvalidParams):
         NOT_NUMBERS[name]()
+
+
+def test_expected_loss_holds_theta_to_the_model_dimension():
+    # three entries on d = 2 used to reach numpy's einsum and fail there
+    with pytest.raises(SizeMismatch, match="theta"):
+        expected_loss(build_model(_PROBE), loss_family("square"), _PROBE_DATA, [0.1, 0.2, 0.3])
+
+
+def _charged():
+    model = build_model(ModelSpec("deep_linear", {"widths": [1, 2, 1]}, 6))
+    return model, tr.build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, model)
+
+
+#: readers of theta, lam and y beyond the probe's, each given one float array
+#: point with a NaN among finite entries
+_NAN_READERS = {
+    **POINT_READERS,
+    "evaluate_landscape": lambda p: ic.evaluate_landscape(
+        build_model(_PROBE), make_loss("square", target=0.3), p),
+    "check_first_order_theta": lambda p: ic.check_first_order(
+        build_model(_PROBE), make_loss("square", target=2.0),
+        tr.build_transform("homogeneity_scaling", {}, build_model(_PROBE)), p, np.zeros(1)),
+    "transform_h_theta": lambda p: tr.build_transform(
+        "homogeneity_scaling", {}, build_model(_PROBE)).h(np.zeros(1), p),
+    "characteristic_direction_lam": lambda p: tr.characteristic_direction(
+        _charged()[1], np.ones(4), p[1:]),
+    "characteristic_output_y": lambda p: tr.characteristic_output(
+        tr.build_transform("homogeneity_scaling", {}, build_model(_PROBE)), p[1:]),
+    "good_position_theta": lambda p: tr.good_position(_charged()[1], np.r_[p, p]),
+    "gradient_flow_theta0": lambda p: dyn.gradient_flow(*_flow_args()[:2], p, T=1.0, dt=0.1),
+    "noise_covariance_theta": lambda p: dyn.noise_covariance(
+        build_model(_PROBE), loss_family("square"), _PROBE_DATA, p),
+    "stationary_null_count_theta": lambda p: ic.stationary_null_count(
+        _charged()[0], make_loss("square", target=0.3), [_charged()[1]], np.r_[p, p]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NAN_READERS))
+def test_a_nan_in_a_float_array_point_raises_non_finite_entry(name):
+    # a float64 array is taken as it is, and then checked finite, at every reader
+    with pytest.raises(NonFiniteEntry):
+        _NAN_READERS[name](np.array([0.5, np.nan]))

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equichk.errors import AxisMismatch, Singular
-from equichk.tensor_core import compose, compose_k, invert_square
+from equichk.errors import AxisMismatch, InvalidParams, NonFiniteEntry, Singular, SizeMismatch
+from equichk.tensor_core import _point, compose, compose_k, invert_square
 
 RNG = np.random.default_rng(20240817)
 
@@ -154,3 +154,28 @@ def test_invert_near_singular_raises():
     a = np.diag([1.0, 1.0, 1e-15])
     with pytest.raises(Singular):
         invert_square(a)
+
+
+# ---------------------------------------------------------------------------
+# _point: the one reader of theta, lam and y
+# ---------------------------------------------------------------------------
+
+def test_point_takes_a_float_array_as_it_is_and_flattens_it():
+    v = np.arange(6.0).reshape(2, 3)
+    out = _point(v, 6, "theta")
+    assert out.shape == (6,) and np.shares_memory(out, v)
+    np.testing.assert_array_equal(_point([[1, 2], [3, 4]], None, "theta"), [1.0, 2.0, 3.0, 4.0])
+    assert _point(np.int64(3), 1, "lambda").dtype == np.float64
+
+
+@pytest.mark.parametrize("v, n, error", [
+    (np.zeros(3), 2, SizeMismatch),
+    ([1.0, 2.0], 3, SizeMismatch),
+    (np.array([1.0, np.inf]), None, NonFiniteEntry),
+    ([1.0, float("nan")], 2, InvalidParams),   # a non-array goes through the number rule
+    (["0.5", True], 2, InvalidParams),
+    (np.array([1, 2], dtype=np.float32), 3, SizeMismatch),
+])
+def test_point_refuses_a_wrong_length_or_a_non_finite_entry(v, n, error):
+    with pytest.raises(error, match="^y"):
+        _point(v, n, "y")

@@ -449,6 +449,17 @@ def test_batched_charge_equals_per_row(name, params, model):
         assert not hess.flags.writeable and hess.strides[:len(lead)] == (0,) * len(lead)
 
 
+def test_diagonal_charge_gradient_is_the_entrywise_product():
+    # every bundled charge has a diagonal G, where the one contraction G theta
+    # gives the bits of g_i * theta_i, as the walk over G's nonzeros did
+    model = build_model(ModelSpec("homogeneous_relu_mlp", {"widths": [2, 3, 1]}, seed=3))
+    t = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, model)
+    g = np.diagonal(t.charge.hess(np.zeros(model.d)))
+    states = np.random.default_rng(5).uniform(-1.0, 1.0, size=(7, model.d))
+    np.testing.assert_array_equal(t.charge.grad(states), g * states)
+    np.testing.assert_array_equal(t.charge.grad(states[0]), g * states[0])
+
+
 @pytest.mark.parametrize("name,params,model", _CHARGE_CASES,
                          ids=[c[0] for c in _CHARGE_CASES[:-1]] + ["layer_rescaling_wide"])
 def test_charge_gradient_is_the_characteristic_direction(name, params, model):
