@@ -12,11 +12,10 @@ of stochastic gradient flow.
 from .diff_engine import HyperDual, fd_oracle, grad_and_hessian_of_loss, jacobian, second_derivative
 from .dynamics import (
     CovarianceReport,
-    DriftReport,
     Ensemble,
     NoiseModel,
-    NormGrowthReport,
     Trajectory,
+    charge_conservation_check,
     gradient_descent,
     gradient_flow,
     noether_drift_check,

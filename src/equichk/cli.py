@@ -8,8 +8,8 @@ Four experiment kinds:
     ``summary.csv``.
 ``flow``
     Error-controlled gradient flow (Dormand--Prince 8(5,3), ``dt`` the
-    first trial step) with charge tracking.  Conservation of each charge and
-    (when applicable) the norm-growth relation become summary rows; the
+    first trial step) with charge tracking.  The conservation of each charge
+    and (when applicable) the norm-growth relation are checked; the
     trajectory lands in ``flow.csv``.
 ``sgf_drift``
     Euler--Maruyama ensemble plus the Noether drift comparison.  The first
@@ -18,6 +18,12 @@ Four experiment kinds:
     The same gradient flow to (near) stationarity, then the null-direction
     count of the Hessian against the span of symmetry characteristic
     directions.
+
+Every report is an ``IdentityReport`` from the library (the suite checks,
+``stationary_null_count`` and the verdicts of :mod:`equichk.dynamics`): this
+module validates a config, runs it and writes what the library returns.
+``catalog`` lists every check name a report can carry with its anchor
+(``identity_checker.CHECK_ANCHORS``) and the experiment that runs it.
 
 The manifest of a flow or stationary_spectrum run also holds a ``flow``
 object: the integrator and its accepted steps, rejected steps and gradient
@@ -345,21 +351,12 @@ def _run_check_suite(cfg: dict, out_dir: str) -> _RunResult:
     return reports, files, {}
 
 
-def _synthetic_report(check_name: str, anchor: str, rel: float, tol: float,
-                      context: Mapping) -> ic.IdentityReport:
-    """A report whose relative residual is ``rel``: unit scales make the
-    absolute residual the relative one."""
-    return ic._report(check_name, anchor, 0.0, 0.0, 1.0, 1.0, tol, context, abs_override=rel)
-
-
 class _Flow(NamedTuple):
     """A validated flow config's built objects and values, and its trajectory."""
 
     model: Model
     loss: Loss
     transforms: List[Transformation]
-    T: float
-    dt: float
     tolerances: dict
     trajectory: dyn.Trajectory
 
@@ -401,10 +398,9 @@ def _gradient_flow(cfg: dict, stationary: bool, tolerance_keys: Sequence[str]) -
             transforms.append(transform)
     v.raise_if_failed()
 
-    T, dt = float(T), float(dt)
-    trajectory = dyn.stationary_flow(model, loss, theta0, T=T, dt=dt,
+    trajectory = dyn.stationary_flow(model, loss, theta0, T=float(T), dt=float(dt),
                                      chargelist=[t for t in transforms if t.charge is not None])
-    return _Flow(model, loss, transforms, T, dt, tolerances, trajectory)
+    return _Flow(model, loss, transforms, tolerances, trajectory)
 
 
 def _flow_counts(trajectory: dyn.Trajectory) -> dict:
@@ -416,23 +412,11 @@ def _flow_counts(trajectory: dyn.Trajectory) -> dict:
 def _run_flow(cfg: dict, out_dir: str) -> _RunResult:
     flow = _gradient_flow(cfg, stationary=False, tolerance_keys=("charge_drift", "euler_relation"))
     model, loss, trajectory, tolerances = flow.model, flow.loss, flow.trajectory, flow.tolerances
-    reports: List[ic.IdentityReport] = []
-    drift_tol = float(tolerances.get("charge_drift", 1e-8))
-    for name, series in trajectory.charges.items():
-        c0 = float(series[0])
-        rel = float(np.max(np.abs(series - c0))) / (1.0 + abs(c0))
-        reports.append(_synthetic_report(
-            "gf_charge_conservation", "Cor. 2", rel, drift_tol,
-            {"charge": name, "C0": c0, "T": flow.T, "dt": flow.dt},
-        ))
+    # a tolerance the config omits takes the check's default
+    reports = dyn.charge_conservation_check(trajectory, tolerances.get("charge_drift"))
     if dyn._norm_growth_applies(model, loss):
-        growth = dyn.norm_growth_check(model, loss, trajectory)
-        reports.append(_synthetic_report(
-            "norm_growth", "§4.2", growth.rel_residual,
-            float(tolerances.get("euler_relation", dyn._EULER_TOL)),
-            {"status": growth.status, "t0": growth.t0, "monotone": growth.monotone,
-             "max_decrease": growth.max_decrease},
-        ))
+        reports.append(dyn.norm_growth_check(model, loss, trajectory,
+                                             tolerances.get("euler_relation")))
     files = _write_report_files(reports, out_dir)
     dyn.write_trajectory_csv(trajectory, os.path.join(out_dir, "flow.csv"))
     return reports, files + ["flow.csv"], _flow_counts(trajectory)
@@ -476,14 +460,7 @@ def _run_sgf_drift(cfg: dict, out_dir: str) -> _RunResult:
     ensemble_runs = dyn.sgf(model, family, dataset, theta0, noise,
                             T=float(T), dt=float(dt), ensemble=int(ensemble),
                             chargelist=[transform])
-    report = dyn.noether_drift_check(ensemble_runs, transform, model, family, dataset, noise)
-    reports = [_synthetic_report(
-        "noether_drift", "Cor. 2", report.rel_residual, 1.0,
-        {"empirical": report.empirical, "std_error": report.std_error,
-         "theory_grad": report.theory_grad, "theory_trace": report.theory_trace,
-         "bias_budget": report.bias_budget, "n_trajectories": report.n_trajectories,
-         **dict(report.context)},
-    )]
+    reports = [dyn.noether_drift_check(ensemble_runs, transform, model, family, dataset, noise)]
     files = _write_report_files(reports, out_dir)
     saved = ensemble_runs[: int(n_save or 0)]
     if saved:
@@ -613,13 +590,20 @@ def run(config_path: str) -> int:
 # catalog command
 # ---------------------------------------------------------------------------
 
+def _experiment_of(check: str) -> str:
+    """The experiment that writes reports of ``check``."""
+    return ic._EXPERIMENT_CHECKS.get(check, (None, "check_suite"))[1]
+
+
 def catalog_data() -> dict:
-    """Every catalog entry with the parameters its builder takes."""
+    """Every catalog entry with the parameters its builder takes, every check
+    with its anchor, and every experiment with the checks it runs."""
     return {
         **models.catalog(),
         **tr.catalog(),
         "checks": dict(ic.CHECK_ANCHORS),
-        "experiments": list(EXPERIMENTS),
+        "experiments": {e: [k for k in ic.CHECK_ANCHORS if _experiment_of(k) == e]
+                        for e in EXPERIMENTS},
     }
 
 
@@ -661,7 +645,7 @@ def _print_catalog(as_json: bool, needle: Optional[str]) -> None:
     if rows:
         lines.append("checks (plan name, check ⇠ anchor, needs):")
         lines += [f"  {row.name if row else '-':<17} {k + ' ⇠ ' + v:<48} "
-                  f"[{row.requires if row else 'stationary_spectrum experiment'}]"
+                  f"[{row.requires if row else _experiment_of(k) + ' experiment'}]"
                   for k, v, row in rows]
     print("\n".join(lines) if lines else "(no catalog entries match)")
 

@@ -20,6 +20,13 @@ A single run records a :class:`Trajectory`.  An SGF ensemble is one
 every charge, each charge evaluated by one batched call on the whole state
 stack.  A member's :class:`Trajectory` is built on demand by ``ens[i]``.
 
+The verdicts along runs -- charge conservation along a flow
+(``charge_conservation_check``, one report per charge), norm growth
+(``norm_growth_check``) and the SGF charge drift (``noether_drift_check``)
+-- return the suite checks' report type,
+:class:`~equichk.identity_checker.IdentityReport`, each named and anchored
+in ``identity_checker.CHECK_ANCHORS``.
+
 Noise convention: ``exact_sde`` injects covariance ``2 sigma^2 Sigma(theta)``
 per unit time, i.e. the step is
 
@@ -53,10 +60,10 @@ from .errors import (
     InsufficientEnsemble,
     InvalidNoiseModel,
     InvalidParams,
-    NonFiniteResult,
     SizeMismatch,
     StepFailure,
 )
+from .identity_checker import CHECK_ANCHORS, IdentityReport, _positive, _report
 from .models import (Dataset, Loss, LossFamily, Model, _head_scalars, _is_integer, _is_real,
                      _json_value, _rayleigh_bound, _scalar_homogeneous, per_sample_losses)
 from .tensor_core import _point
@@ -68,11 +75,10 @@ __all__ = [
     "Ensemble",
     "NoiseModel",
     "CovarianceReport",
-    "NormGrowthReport",
-    "DriftReport",
     "gradient_flow",
     "stationary_flow",
     "gradient_descent",
+    "charge_conservation_check",
     "norm_growth_check",
     "noise_covariance",
     "sgf",
@@ -596,35 +602,43 @@ def gradient_descent(
 
 
 # ---------------------------------------------------------------------------
-# norm growth along classification flows
+# verdicts along gradient flows: charge conservation and norm growth
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NormGrowthReport:
-    """Outcome of the norm-divergence check along a recorded flow.
-
-    ``status`` is "ok" when a persistent correctly-classified tail exists,
-    else "never_correctly_classified" (which is a finding, not a failure).
-    ``euler_max_rel_gap`` measures d/dt (1/2)||theta||^2 = -m l'(y) y at
-    every record point; ``max_decrease`` is the largest drop of ||theta||^2
-    after t0 (0 for monotone growth).  ``rel_residual`` is the Euler gap (inf
-    if a settled ||theta||^2 shrank); ``passed`` is rel_residual <= _EULER_TOL.
-    """
-
-    status: str
-    t0: Optional[float]
-    monotone: bool
-    max_decrease: float
-    euler_max_rel_gap: float
-    rel_residual: float
-    passed: bool
-
-
+#: the largest relative charge change ``charge_conservation_check`` passes by
+#: default, and the default of a flow config's ``tolerances.charge_drift``
+_CONSERVATION_TOL = 1e-8
 #: the losses with the sign property l'(y) y < 0 on correct classification
 _MARGIN_LOSSES = ("exponential", "logistic")
-#: the largest relative Euler-relation gap ``norm_growth_check`` passes, and
-#: the default of a flow config's ``tolerances.euler_relation``
+#: the largest relative Euler-relation gap ``norm_growth_check`` passes by
+#: default, and the default of a flow config's ``tolerances.euler_relation``
 _EULER_TOL = 1e-7
+
+
+def _verdict(name: str, rel: float, tol: float, context: Mapping) -> IdentityReport:
+    """Check ``name``'s report whose relative residual is ``rel``: unit
+    scales make the absolute residual the relative one."""
+    return _report(name, CHECK_ANCHORS[name], 0.0, 0.0, 1.0, 1.0, tol, context, abs_override=rel)
+
+
+def charge_conservation_check(trajectory: Trajectory, tolerance=None) -> List[IdentityReport]:
+    """Cor. 2 along a gradient-flow run: one ``gf_charge_conservation``
+    report per recorded charge, in the run's charge order.  Its residual is
+    the charge's largest change max_t |C(t) - C(0)| / (1 + |C(0)|), passed
+    at ``tolerance`` (default 1e-8); its context holds the charge's name, C(0),
+    and the run's T and dt from its ``meta``."""
+    tol = _CONSERVATION_TOL if tolerance is None else _positive(tolerance, "tolerance")
+    if trajectory.meta.get("kind") not in ("gradient_flow", "stationary_flow"):
+        raise InvalidParams(f"charge conservation is checked along a gradient flow, "
+                            f"not a {trajectory.meta.get('kind')!r} run")
+    T, dt = float(trajectory.meta["T"]), float(trajectory.meta["dt"])
+    reports = []
+    for name, series in trajectory.charges.items():
+        c0 = float(series[0])
+        rel = float(np.max(np.abs(series - c0))) / (1.0 + abs(c0))
+        reports.append(_verdict("gf_charge_conservation", rel, tol,
+                                {"charge": name, "C0": c0, "T": T, "dt": dt}))
+    return reports
 
 
 def _norm_growth_applies(model: Model, loss: Loss) -> bool:
@@ -632,10 +646,22 @@ def _norm_growth_applies(model: Model, loss: Loss) -> bool:
     return _scalar_homogeneous(model) and loss.name in _MARGIN_LOSSES
 
 
-def norm_growth_check(model: Model, loss: Loss, trajectory: Trajectory) -> NormGrowthReport:
-    """Check the Euler relation and the norm growth along a run of (model,
-    loss), from its recorded ``f`` diagnostic, gradients and l'(y)
-    (``output_grads``): no new model call, sweep or loss derivative."""
+def norm_growth_check(model: Model, loss: Loss, trajectory: Trajectory,
+                      tolerance=None) -> IdentityReport:
+    """§4.2's norm growth along a run of (model, loss): the ``norm_growth``
+    report, read from the run's recorded ``f`` diagnostic, gradients and
+    l'(y) (``output_grads``), with no new model call, sweep or loss derivative.
+
+    Its residual is the Euler gap, the largest relative gap of
+    d/dt (1/2)||theta||^2 = -m l'(y) y over the records, or inf when the run
+    settled into correct classification and ||theta||^2 then shrank; it is
+    passed at ``tolerance`` (default 1e-7).  The context holds ``status``
+    ("ok" when a persistent correctly classified tail exists, else
+    "never_correctly_classified", a finding, not a failure), ``t0`` (the
+    tail's first time), ``monotone`` and ``max_decrease`` (the largest drop
+    of ||theta||^2 after t0, 0 for monotone growth).
+    """
+    tol = _EULER_TOL if tolerance is None else _positive(tolerance, "tolerance")
     if not _norm_growth_applies(model, loss):
         raise InvalidParams(f"norm growth needs a scalar homogeneous head and a loss in "
                             f"{_MARGIN_LOSSES}; got {model.name} and {loss.name!r}")
@@ -658,11 +684,9 @@ def norm_growth_check(model: Model, loss: Loss, trajectory: Trajectory) -> NormG
     wrong = np.flatnonzero(~(lps * ys < 0.0))
     t0_idx = int(wrong[-1]) + 1 if wrong.size else 0
     if t0_idx == n:
-        return NormGrowthReport(
-            status="never_correctly_classified", t0=None, monotone=False,
-            max_decrease=float("nan"), euler_max_rel_gap=euler_gap,
-            rel_residual=euler_gap, passed=bool(euler_gap <= _EULER_TOL),
-        )
+        return _verdict("norm_growth", euler_gap, tol, {
+            "status": "never_correctly_classified", "t0": None, "monotone": False,
+            "max_decrease": float("nan")})
 
     norms = trajectory.diagnostics["theta_sq"][t0_idx:]
     drops = np.diff(norms)
@@ -670,14 +694,9 @@ def norm_growth_check(model: Model, loss: Loss, trajectory: Trajectory) -> NormG
     max_decrease = float(max(0.0, -drops.min())) if drops.size else 0.0
     monotone = bool(max_decrease <= slack)
     rel = euler_gap if monotone else math.inf  # a settled norm that shrinks fails outright
-    return NormGrowthReport(
-        status="ok",
-        t0=float(trajectory.times[t0_idx]),
-        monotone=monotone,
-        max_decrease=max_decrease,
-        euler_max_rel_gap=euler_gap,
-        rel_residual=rel, passed=bool(rel <= _EULER_TOL),
-    )
+    return _verdict("norm_growth", rel, tol, {
+        "status": "ok", "t0": float(trajectory.times[t0_idx]), "monotone": monotone,
+        "max_decrease": max_decrease})
 
 
 # ---------------------------------------------------------------------------
@@ -899,8 +918,7 @@ def sgf(
         else:
             picked = per_sample[draws[:, step], np.arange(ensemble)]  # (M, d)
             states = states - picked * h
-        if not np.isfinite(states).all():
-            raise NonFiniteResult(f"SGF state non-finite at step {step + 1}")
+        de._check_finite(states, f"SGF step {step + 1}")
         if (step + 1) % stride == 0 or step + 1 == n_steps:
             times[r] = (step + 1) * h
             stack[r] = states
@@ -924,36 +942,6 @@ def sgf(
 # ---------------------------------------------------------------------------
 # charge drift
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DriftReport:
-    """Monte-Carlo charge drift against the two theoretical forms.
-
-    theory_grad is -(sigma^2/2) <grad C, d(Tr Sigma)/dtheta>, the trace
-    gradient taken along grad C alone (a Hessian-vector product of each
-    sample's loss, never its full Hessian), theory_trace is
-    sigma^2 Tr(Sigma hess C), taken as the per-sample quadratic forms
-    sigma^2 sum_k w_k d_k^T hess C d_k with d_k = gradL_k - gradL (no
-    covariance matrix is built); both are averaged over the ensemble law (a
-    member subsample per record point, then a trapezoid in time) and must
-    agree to 1e-8 relative (their equality is an algebraic identity for
-    symmetry charges, so disagreement is a CheckFailure, not statistics).
-    ``rel_residual`` is |empirical - theory_trace| / (3 SE + bias_budget),
-    where the budget holds the computed Euler--Maruyama per-step bias
-    (dt/2) E[gradL^T hessC gradL] plus an O(dt^2) safety slop; ``passed`` is
-    the Monte-Carlo agreement ``rel_residual <= 1``.
-    """
-
-    empirical: float
-    std_error: float
-    theory_grad: float
-    theory_trace: float
-    bias_budget: float
-    n_trajectories: int
-    rel_residual: float
-    passed: bool
-    context: Mapping = field(default_factory=dict)
-
 
 def _drift_terms(
     obj: _Objective, charge: Charge, points: np.ndarray, sigma_sq: float,
@@ -1003,8 +991,9 @@ def noether_drift_check(
     family: LossFamily,
     dataset: Dataset,
     noise: NoiseModel,
-) -> DriftReport:
-    """Check Cor. 2's charge drift law on an SGF ensemble.
+) -> IdentityReport:
+    """Check Cor. 2's charge drift law on an SGF ensemble: the
+    ``noether_drift`` report.
 
     The empirical drift is each member's (C(theta_T) - C(theta_0)) / T,
     averaged over all members, with its standard error.  The theory is
@@ -1015,11 +1004,15 @@ def noether_drift_check(
     member states up to ``_DRIFT_BLOCK_BYTES`` of states (at least one
     record per call), so several records of a small state share one sweep
     per sample map, and each record's terms are still the means of its own
-    rows.  At every record the two formulations (``theory_grad`` from the
-    loss's Hessian-vector products, ``theory_trace`` from the charge's
-    Hessian) must agree to 1e-8 relative, else CheckFailure names the record.
+    rows.  At every record the two formulations (``theory_grad`` =
+    -(sigma^2/2) <grad C, d(Tr Sigma)/dtheta> from the loss's Hessian-vector
+    products, ``theory_trace`` = sigma^2 Tr(Sigma hess C) from the charge's
+    Hessian) are equal by algebra for a symmetry charge, so they must agree
+    to 1e-8 relative, else CheckFailure names the record.
     ``rel_residual`` is |empirical - theory_trace| over the allowance
-    3 SE + bias_budget, so ``passed`` means the drift matches within it.
+    3 SE + bias_budget (the computed Euler--Maruyama per-step bias plus an
+    O(dt^2) slop), so ``passed``, rel_residual <= 1, means the drift matches
+    within it.  The context holds these six numbers and the run's law.
 
     ``noise`` must be the run's: its mode, and in ``exact_sde`` its sigma,
     must equal the ensemble's ``meta``, else InvalidParams.
@@ -1081,21 +1074,16 @@ def noether_drift_check(
     slop = _BIAS_SAFETY * dt * dt * max(abs(theory_trace) / max(dt, 1e-300), 1.0)
     bias_budget = abs(em_bias) + slop
     rel = abs(empirical - theory_trace) / max(3.0 * std_error + bias_budget, 1e-300)
-    return DriftReport(
-        empirical=empirical,
-        std_error=std_error,
-        theory_grad=theory_grad,
-        theory_trace=theory_trace,
-        bias_budget=float(bias_budget),
-        n_trajectories=len(ensemble),
-        rel_residual=rel, passed=bool(rel <= 1.0),
-        context={
-            "sigma_eff_sq": sigma_sq, "dt": dt, "span": span,
-            "charge": charge.name, "mode": noise.mode,
-            "em_bias": em_bias, "n_theory_members": n_members,
-            "n_theory_records": int(rec_idx.size),
-        },
-    )
+    # rel is the gap over its allowance, so the drift matches when rel <= 1
+    return _verdict("noether_drift", rel, 1.0, {
+        "empirical": empirical, "std_error": std_error,
+        "theory_grad": theory_grad, "theory_trace": theory_trace,
+        "bias_budget": float(bias_budget), "n_trajectories": len(ensemble),
+        "sigma_eff_sq": sigma_sq, "dt": dt, "span": span,
+        "charge": charge.name, "mode": noise.mode,
+        "em_bias": em_bias, "n_theory_members": n_members,
+        "n_theory_records": int(rec_idx.size),
+    })
 
 
 # ---------------------------------------------------------------------------

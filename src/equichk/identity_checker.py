@@ -190,9 +190,17 @@ CHECK_REGISTRY: Dict[str, PlanCheck] = {row.name: row for row in (
                                                    seed=p.seed ^ 0x5DEECE66D, **p.kw)),
 )}
 
-#: public check entry points and the statement each one exercises
+#: the checks no plan entry lists: each one's anchor and the experiment that runs it
+_EXPERIMENT_CHECKS: Dict[str, Tuple[str, str]] = {
+    "stationary_null_count": ("§5.4", "stationary_spectrum"),
+    "gf_charge_conservation": ("Cor. 2", "flow"),
+    "norm_growth": ("§4.2", "flow"),
+    "noether_drift": ("Cor. 2", "sgf_drift"),
+}
+
+#: every check name a report carries, and the statement each one exercises
 CHECK_ANCHORS = {row.function: row.anchor for row in CHECK_REGISTRY.values()}
-CHECK_ANCHORS["stationary_null_count"] = "§5.4"  # run by the stationary_spectrum experiment
+CHECK_ANCHORS.update((name, anchor) for name, (anchor, _) in _EXPERIMENT_CHECKS.items())
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,6 @@ from . import diff_engine as de
 from .errors import (
     IndexOutOfRange,
     InvalidParams,
-    NonFiniteResult,
     SizeMismatch,
     UnknownSpec,
 )
@@ -378,8 +377,7 @@ def build_model(spec: ModelSpec) -> Model:
 def forward(model: Model, theta) -> np.ndarray:
     """Evaluate the model at a flat parameter vector, with validation."""
     out = np.asarray(model.func(_point(theta, model.d, "theta")), dtype=float)
-    if not np.isfinite(out).all():
-        raise NonFiniteResult("model output contains NaN or Inf")
+    de._check_finite(out, "model output")
     return out
 
 

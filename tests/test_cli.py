@@ -102,6 +102,36 @@ def test_catalog_filter_plain_and_sectioned(capsys):
     assert "unknown section 'modle'" in err and "model, loss, transform, check" in err
 
 
+_EXPERIMENT_CHECKS = {"gf_charge_conservation": ("Cor. 2", "flow"), "norm_growth": ("§4.2", "flow"),
+                      "noether_drift": ("Cor. 2", "sgf_drift"),
+                      "stationary_null_count": ("§5.4", "stationary_spectrum")}
+
+
+def test_catalog_lists_each_experiment_check_with_its_experiment(capsys):
+    assert cli.main(["catalog"]) == 0
+    out = capsys.readouterr().out
+    for name, (anchor, experiment) in _EXPERIMENT_CHECKS.items():
+        assert f"{name} ⇠ {anchor}" in out
+        line = next(row for row in out.splitlines() if f" {name} ⇠" in row)
+        assert line.startswith("  - ") and line.endswith(f"[{experiment} experiment]")
+    assert cli.main(["catalog", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert set(data["experiments"]) == set(cli.EXPERIMENTS)
+    for name, (anchor, experiment) in _EXPERIMENT_CHECKS.items():
+        assert data["checks"][name] == anchor
+        assert [e for e, checks in data["experiments"].items() if name in checks] == [experiment]
+    # a check_suite runs exactly the plan checks
+    assert data["experiments"]["check_suite"] == [row.function for row in ic.CHECK_REGISTRY.values()]
+
+
+def test_catalog_filter_finds_the_drift_check(capsys):
+    assert cli.main(["catalog", "--filter", "check=drift"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "checks (plan name, check ⇠ anchor, needs):",
+        "  -                 noether_drift ⇠ Cor. 2                           [sgf_drift experiment]",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # run: exit codes
 # ---------------------------------------------------------------------------
@@ -330,6 +360,8 @@ def _reparam(width, blocks):
      "model.name"),
     (_misfit({"name": "linear_probe", "params": [1.0, 2.0]}, _PROBE_LOSS, _SCALING,
              ["first_order"]), "model.params"),
+    # a check name the registry does not hold (ic.entry_misfits)
+    (_misfit(_PROBE, _PROBE_LOSS, _SCALING, ["first_ordr"]), "checks[0]"),
 ], ids=["first_order+sign_flip", "discrete_first+scaling", "homogeneity+vector_head",
         "first_order+no_transform", "last_layer+deep_linear", "mirror+permutation",
         "tolerance_key_typo", "mutation_callback_typo", "mutation_scale_not_number",
@@ -351,7 +383,8 @@ def _reparam(width, blocks):
         "checks_empty", "tolerance_nan", "tolerances_list", "mutation_without_scale",
         "square_target_true", "square_target_str", "exponential_label_str",
         "probe_x_bool_and_str", "mirror_columns_true", "mirror_columns_nan", "reparam_A_str",
-        "checks_missing", "checks_not_list", "model_name_unknown", "model_params_not_object"])
+        "checks_missing", "checks_not_list", "model_name_unknown", "model_params_not_object",
+        "check_name_unknown"])
 def test_run_misfit_entry_exit_2_before_sampling(tmp_path, capsys, entry, where):
     cfg = {"experiment": "check_suite", "output_dir": str(tmp_path / "out"), "plan": [entry]}
     assert cli.main(["run", str(_write(tmp_path, "misfit.json", cfg))]) == 2
@@ -467,6 +500,9 @@ def _bundled(name, **edits):
     (_bundled("stationary_spectrum", transforms=[]), "config.transforms"),
     ({"experiment": "check_suite", "plan": []}, "config.plan"),
     ({"experiment": "check_suite", "plan": {"model": _PROBE}}, "config.plan"),
+    # numbers the JSON checks pass, but weights Dataset refuses
+    (_bundled("sgf_drift", weights=[0.7, 0.7]), "config.dataset"),
+    (_bundled("sgf_drift", weights=[-0.5, 1.5]), "config.dataset"),
 ], ids=["flow_tolerance_key_typo", "flow_tolerance_not_number", "flow_tolerance_negative",
         "stationary_tolerance_key_typo", "weights_not_numbers", "weights_not_list",
         "x_not_numbers", "flow_theta0_length", "stationary_theta0_length", "sgf_theta0_length",
@@ -483,7 +519,7 @@ def _bundled(name, **edits):
         "stationary_square_two_targets", "flow_label_true", "stationary_target_str",
         "sgf_target_bool", "flow_theta0_not_list", "flow_tolerances_not_object",
         "sample_without_target", "samples_empty", "stationary_transforms_empty",
-        "suite_plan_empty", "suite_plan_not_list"])
+        "suite_plan_empty", "suite_plan_not_list", "weights_sum_not_1", "weights_negative"])
 def test_run_dynamics_config_errors_exit_2(tmp_path, capsys, cfg, where):
     cfg = dict(cfg, output_dir=str(tmp_path / "out"))
     assert cli.main(["run", str(_write(tmp_path, "bad.json", cfg))]) == 2
@@ -630,8 +666,7 @@ def test_cli_writes_the_library_drift_residual(tmp_path, capsys, monkeypatch):
     assert cli.main(["run", str(_write(tmp_path, "sgf.json", cfg))]) == 0
     capsys.readouterr()
     [report], [row] = kept, _written(tmp_path / "out", "noether_drift")
-    assert row["rel_residual"] == report.rel_residual
-    assert row["pass"] == report.passed
+    assert row == report.to_json_dict()
 
 
 @pytest.mark.parametrize("shrink", [False, True], ids=["growing", "settled_then_shrinking"])
@@ -652,10 +687,10 @@ def test_cli_writes_the_library_norm_growth_residual(tmp_path, capsys, monkeypat
     assert cli.main(["run", str(_write(tmp_path, "flow.json", cfg))]) == int(shrink)
     capsys.readouterr()
     [report], [row] = kept, _written(tmp_path / "out", "norm_growth")
-    assert row["rel_residual"] == report.rel_residual
-    assert row["pass"] == report.passed == (not shrink)
+    assert row == report.to_json_dict()
+    assert report.passed == (not shrink)
     if shrink:
-        assert report.status == "ok" and not report.monotone
+        assert report.context["status"] == "ok" and not report.context["monotone"]
         assert report.rel_residual == float("inf")
 
 
@@ -873,6 +908,7 @@ def test_run_bundled_config(tmp_path, capsys, monkeypatch, name):
     for r in rows:
         checks.setdefault(r["check_name"], [0, 0])[not r["pass"]] += 1
         assert r["pass"] == (r["rel_residual"] <= r["tolerance"]), r["check_name"]
+        assert r["check_name"] in ic.CHECK_ANCHORS
     assert checks == golden["checks"]
     if _LEDGER["environment"] == _environment():
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()

@@ -671,10 +671,10 @@ def test_norm_growth_after_first_correct_classification():
     loss = make_loss("exponential", label=1)
     trj = dyn.gradient_flow(probe, loss, np.array([-0.15, -0.1]), T=6.0, dt=0.01)
     rep = dyn.norm_growth_check(probe, loss, trj)
-    assert rep.status == "ok"
-    assert rep.passed and rep.monotone
-    assert rep.t0 is not None and 0.0 < rep.t0 < 6.0
-    assert rep.euler_max_rel_gap <= 1e-7
+    assert rep.context["status"] == "ok"
+    assert rep.passed and rep.context["monotone"]
+    assert rep.context["t0"] is not None and 0.0 < rep.context["t0"] < 6.0
+    assert rep.rel_residual <= 1e-7  # the Euler gap, as the run is monotone
 
 
 def test_norm_growth_t0_follows_the_last_misclassified_record():
@@ -693,8 +693,8 @@ def test_norm_growth_t0_follows_the_last_misclassified_record():
         rep = dyn.norm_growth_check(
             probe, loss, dataclasses.replace(trj, diagnostics=dict(trj.diagnostics, f=f)))
         want = next((i for i in range(n) if np.all(correct[i:])), None)
-        assert rep.t0 == (None if want is None else trj.times[want])
-        assert rep.status == ("never_correctly_classified" if want is None else "ok")
+        assert rep.context["t0"] == (None if want is None else trj.times[want])
+        assert rep.context["status"] == ("never_correctly_classified" if want is None else "ok")
 
 
 def test_norm_growth_reads_the_run_and_sweeps_nothing(monkeypatch):
@@ -709,7 +709,7 @@ def test_norm_growth_reads_the_run_and_sweeps_nothing(monkeypatch):
 
     monkeypatch.setattr(de, "gradient_at_points", refuse)
     rep = dyn.norm_growth_check(dataclasses.replace(probe, func=refuse), loss, trj)
-    assert rep.status == "ok" and rep.passed
+    assert rep.context["status"] == "ok" and rep.passed
     with pytest.raises(InvalidParams, match="recorded outputs and gradients"):
         dyn.norm_growth_check(probe, loss, dataclasses.replace(trj, grads=None))
 
@@ -719,8 +719,16 @@ def test_norm_growth_short_run_never_classifies():
     loss = make_loss("exponential", label=1)
     trj = dyn.gradient_flow(probe, loss, np.array([-0.15, -0.1]), T=0.05, dt=0.01)
     rep = dyn.norm_growth_check(probe, loss, trj)
-    assert rep.status == "never_correctly_classified"
+    assert rep.context["status"] == "never_correctly_classified"
     assert rep.passed  # Euler relation still holds everywhere
+
+
+def _euler_gap(model, trj):
+    """The largest relative gap of <theta, gradL> = m l'(y) y over the records of ``trj``."""
+    inner = np.einsum("kd,kd->k", trj.states, trj.grads)
+    rhs = float(model.homogeneity_degree) * trj.output_grads[:, 0] * trj.diagnostics["f"]
+    scale = np.maximum(np.maximum(np.abs(inner), np.abs(rhs)), 1e-12)
+    return float(np.max(np.abs(inner - rhs) / scale))
 
 
 def test_norm_growth_residual_is_the_euler_gap_or_infinite_once_a_settled_norm_shrinks():
@@ -729,15 +737,14 @@ def test_norm_growth_residual_is_the_euler_gap_or_infinite_once_a_settled_norm_s
     for T in (0.05, 6.0):  # never classified, then settled and growing
         trj = dyn.gradient_flow(probe, loss, np.array([-0.15, -0.1]), T=T, dt=0.01)
         rep = dyn.norm_growth_check(probe, loss, trj)
-        assert rep.rel_residual == rep.euler_max_rel_gap
+        assert rep.rel_residual == _euler_gap(probe, trj)
         assert rep.passed == (rep.rel_residual <= dyn._EULER_TOL)
     sq = trj.diagnostics["theta_sq"].copy()
     sq[-1] = 0.5 * sq[-2]
     shrunk = dataclasses.replace(trj, diagnostics=dict(trj.diagnostics, theta_sq=sq))
     rep = dyn.norm_growth_check(probe, loss, shrunk)
-    assert rep.status == "ok" and not rep.monotone
+    assert rep.context["status"] == "ok" and not rep.context["monotone"]
     assert rep.rel_residual == math.inf and not rep.passed
-    assert rep.euler_max_rel_gap <= dyn._EULER_TOL
 
 
 def test_norm_growth_requires_scalar_output():
@@ -746,6 +753,50 @@ def test_norm_growth_requires_scalar_output():
     trj = dyn.gradient_flow(model, loss, np.array([1.0, 0.0]), T=0.1, dt=0.05)
     with pytest.raises(InvalidParams):
         dyn.norm_growth_check(model, loss, trj)
+
+
+# ---------------------------------------------------------------------------
+# charge conservation, and the tolerance rule of the flow verdicts
+# ---------------------------------------------------------------------------
+
+def test_charge_conservation_reports_each_charge_of_the_run(uv_model):
+    t = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, uv_model)
+    trj = dyn.stationary_flow(uv_model, make_loss("square", target=0.3), np.array([1.2, 0.6]),
+                              T=2.0, dt=0.01, chargelist=[t, t])
+    reports = dyn.charge_conservation_check(trj)
+    assert [r.context["charge"] for r in reports] == list(trj.charges)
+    for rep, series in zip(reports, trj.charges.values()):
+        c0 = float(series[0])
+        assert isinstance(rep, IdentityReport)
+        assert (rep.check_name, rep.paper_anchor, rep.tolerance) == ("gf_charge_conservation",
+                                                                     "Cor. 2", 1e-8)
+        assert rep.context == {"charge": rep.context["charge"], "C0": c0, "T": 2.0, "dt": 0.01}
+        assert rep.rel_residual == float(np.max(np.abs(series - c0))) / (1.0 + abs(c0))
+        assert rep.passed
+    assert all(r.tolerance == 2e-9 for r in dyn.charge_conservation_check(trj, tolerance=2e-9))
+    assert dyn.charge_conservation_check(dataclasses.replace(trj, charges={})) == []
+
+
+def test_charge_conservation_is_checked_along_a_flow_only(uv_model, square_family,
+                                                           two_sample_dataset):
+    t = build_transform("layer_rescaling", {"blocks": ["W1", "W2"]}, uv_model)
+    ens = dyn.sgf(uv_model, square_family, two_sample_dataset, np.array([1.2, 0.6]),
+                  dyn.NoiseModel(mode="exact_sde", sigma=0.1, seed=7), T=0.01, dt=1e-3,
+                  ensemble=2, chargelist=[t])
+    with pytest.raises(InvalidParams, match="along a gradient flow, not a 'sgf' run"):
+        dyn.charge_conservation_check(ens[0])
+
+
+@pytest.mark.parametrize("tolerance", [True, float("nan"), float("inf"), 0.0, -1e-8, "1e-8"])
+def test_flow_verdicts_refuse_a_tolerance_that_is_no_positive_number(tolerance):
+    probe = build_model(ModelSpec("linear_probe", {"x": [1.0, 2.0]}, seed=0))
+    loss = make_loss("exponential", label=1)
+    trj = dyn.gradient_flow(probe, loss, np.array([-0.15, -0.1]), T=0.05, dt=0.01)
+    with pytest.raises(InvalidParams, match="tolerance must be a finite positive number"):
+        dyn.norm_growth_check(probe, loss, trj, tolerance=tolerance)
+    with pytest.raises(InvalidParams, match="tolerance must be a finite positive number"):
+        dyn.charge_conservation_check(trj, tolerance=tolerance)
+    assert dyn.norm_growth_check(probe, loss, trj, tolerance=3).tolerance == 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -1032,6 +1083,16 @@ def test_sgf_zero_noise_tracks_deterministic_flow(uv_model, square_family, two_s
     assert np.linalg.norm(ens[0].states[-1] - ref.states[-1]) <= 1e-4
 
 
+def test_sgf_refuses_a_state_that_overflows(uv_model, square_family, two_sample_dataset):
+    # the per-sample gradients at theta0 are finite (about 1e12 apart), but a
+    # kick of sigma = 1e300 along their spread overflows the first state
+    noise = dyn.NoiseModel(mode="exact_sde", sigma=1e300, seed=7)
+    with (np.errstate(over="ignore", invalid="ignore"),
+          pytest.raises(NonFiniteResult, match="SGF step 1 produced NaN or Inf")):
+        dyn.sgf(uv_model, square_family, two_sample_dataset, np.array([1e4, 1e4]), noise,
+                T=0.002, dt=0.001, ensemble=4)
+
+
 def test_sgf_zero_noise_draws_nothing_and_is_euler(monkeypatch, uv_model, square_family,
                                                    two_sample_dataset):
     def no_stream(*args, **kwargs):
@@ -1058,10 +1119,11 @@ def test_drift_check_exact_sde(uv_model, square_family, two_sample_dataset):
     ens = dyn.sgf(uv_model, square_family, two_sample_dataset, np.array([1.2, 0.6]),
                   noise, T=0.2, dt=1e-3, ensemble=400, chargelist=[t])
     rep = dyn.noether_drift_check(ens, t, uv_model, square_family, two_sample_dataset, noise)
+    ctx = rep.context
     assert rep.passed
-    assert abs(rep.empirical - rep.theory_trace) <= 3 * rep.std_error + rep.bias_budget
+    assert abs(ctx["empirical"] - ctx["theory_trace"]) <= 3 * ctx["std_error"] + ctx["bias_budget"]
     # the charge leaks, and at this sigma the theory says it leaks downward
-    assert rep.theory_trace < 0
+    assert ctx["theory_trace"] < 0
 
 
 def test_drift_residual_is_the_gap_over_the_allowance(uv_model, square_family, two_sample_dataset):
@@ -1070,8 +1132,9 @@ def test_drift_residual_is_the_gap_over_the_allowance(uv_model, square_family, t
     ens = dyn.sgf(uv_model, square_family, two_sample_dataset, np.array([1.2, 0.6]),
                   noise, T=0.05, dt=1e-3, ensemble=100, chargelist=[t])
     rep = dyn.noether_drift_check(ens, t, uv_model, square_family, two_sample_dataset, noise)
-    allowance = 3.0 * rep.std_error + rep.bias_budget
-    assert rep.rel_residual == abs(rep.empirical - rep.theory_trace) / allowance
+    ctx = rep.context
+    allowance = 3.0 * ctx["std_error"] + ctx["bias_budget"]
+    assert rep.rel_residual == abs(ctx["empirical"] - ctx["theory_trace"]) / allowance
     assert rep.passed == (rep.rel_residual <= 1.0)
 
 
@@ -1107,7 +1170,7 @@ def test_drift_check_fails_on_a_charge_hessian_off_by_a_millionth(uv_model, squa
     ens = dyn.sgf(uv_model, square_family, two_sample_dataset, np.array([1.2, 0.6]),
                   noise, T=0.01, dt=1e-3, ensemble=100, chargelist=[t])
     args = (ens, t.charge, uv_model, square_family, two_sample_dataset, noise)
-    assert dyn.noether_drift_check(*args).theory_trace != 0.0
+    assert dyn.noether_drift_check(*args).context["theory_trace"] != 0.0
     off = dataclasses.replace(t.charge, hess=lambda th: (1.0 + 1e-6) * t.charge.hess(th))
     with pytest.raises(CheckFailure, match="drift formulations disagree at record 0:"):
         dyn.noether_drift_check(ens, off, *args[2:])
@@ -1244,8 +1307,8 @@ def test_drift_check_equals_per_member_reference(monkeypatch, mode, sigma, uv_mo
         sizes.clear()
         rep = dyn.noether_drift_check(ens, t, uv_model, square_family, two_sample_dataset, noise)
         assert sizes == blocks
-        assert {k: getattr(rep, k) for k in ref} == ref
-        assert rep.n_trajectories == 150
+        assert {k: rep.context[k] for k in ref} == ref
+        assert rep.context["n_trajectories"] == 150
 
 
 def test_drift_check_names_the_disagreeing_record_of_a_later_block(monkeypatch, uv_model,
@@ -1303,7 +1366,7 @@ def test_drift_theory_and_noise_covariance_sweep_no_hessian(monkeypatch, uv_mode
                   noise, T=0.01, dt=1e-3, ensemble=100, chargelist=[t])
     monkeypatch.setattr(de, "hessians_at_points", lambda *args: pytest.fail("Hessian sweep"))
     rep = dyn.noether_drift_check(ens, t, uv_model, square_family, two_sample_dataset, noise)
-    assert rep.n_trajectories == 100
+    assert rep.context["n_trajectories"] == 100
     cov = dyn.noise_covariance(uv_model, square_family, two_sample_dataset, np.array([1.2, 0.6]))
     assert cov.grad_trace.shape == (2,)
 

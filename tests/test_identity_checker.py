@@ -1054,4 +1054,5 @@ def test_anchor_table_is_complete():
         "check_homogeneity_specialization", "check_eigen_alignment",
         "sharpness_bound", "check_discrete_first", "check_discrete_second",
         "check_mirror", "check_last_layer_alignment", "stationary_null_count",
+        "gf_charge_conservation", "norm_growth", "noether_drift",
     }

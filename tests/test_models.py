@@ -11,7 +11,8 @@ from equichk import identity_checker as ic
 from equichk import models
 from equichk import transforms as tr
 from equichk import spectral
-from equichk.errors import InvalidParams, NonFiniteEntry, SizeMismatch, UnknownSpec
+from equichk.errors import (InvalidParams, NonFiniteEntry, NonFiniteResult, SizeMismatch,
+                            UnknownSpec)
 from equichk.models import (
     Dataset,
     ModelSpec,
@@ -62,6 +63,13 @@ def test_forward_shape_and_with_input(relu_mlp):
     assert not np.array_equal(y, y2)
     with pytest.raises(SizeMismatch):
         relu_mlp.with_input(np.array([1.0, 2.0, 3.0]))
+
+
+def test_forward_refuses_an_output_that_overflows():
+    # every entry of theta is finite, but the product of two 1e200 weights is not
+    model = build_model(ModelSpec("deep_linear", {"widths": [1, 1, 1]}, seed=0))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteResult, match="model output"):
+        forward(model, np.full(model.d, 1e200))
 
 
 @pytest.mark.parametrize("spec, key", [
