@@ -58,7 +58,7 @@ from .errors import (
 from .models import (Loss, Model, ModelSpec, _head_margins, _head_scalars, _is_integer,
                      _is_real, _json_value, _rayleigh_bound, _reals, _require_fit,
                      _scalar_homogeneous, build_model, forward, make_loss, random_params)
-from .spectral import SpectralSummary, jacobi_eigh, spectral_summary
+from .spectral import SpectralSummary, _certified_eigh, spectral_summary
 from .tensor_core import _finite, _point, compose, compose_k
 from .transforms import (
     MUTABLE_CALLBACKS,
@@ -171,6 +171,7 @@ CHECK_REGISTRY: Dict[str, PlanCheck] = {row.name: row for row in (
               lambda p: check_second_action(p.model, p.loss, p.transform, p.theta, p.lam, **p.kw)),
     PlanCheck("second_quadratic", "check_second_quadratic", "Thm 1 (iii)", "continuous transform",
               lambda p: check_second_quadratic(p.model, p.loss, p.transform, p.theta, p.lam, **p.kw)),
+    # its two reports carry the halves of this anchor, "Eq. (6)" and "Eq. (7)"
     PlanCheck("homogeneity", "check_homogeneity_specialization", "Eq. (6)/(7)", "scalar homogeneous head",
               lambda p: check_homogeneity_specialization(p.model, p.loss, p.theta, **p.kw),
               n_reports=2),
@@ -1125,7 +1126,7 @@ def stationary_null_count(
     if rows:
         stacked = np.vstack(rows)
         gram = stacked @ stacked.T
-        evals, _ = jacobi_eigh(gram)
+        evals, _ = _certified_eigh(gram)
         sing = np.sqrt(np.clip(evals, 0.0, None))
         smax = float(sing.max()) if sing.size else 0.0
         rank = int(np.sum(sing > rank_tol * max(smax, _FLOOR)))

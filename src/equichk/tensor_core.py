@@ -102,8 +102,11 @@ def _point(v, n: Optional[int], what: str) -> np.ndarray:
     arr = v.reshape(-1)
     if n is not None and arr.size != n:
         raise SizeMismatch(f"{what} has {arr.size} entries, {n} expected")
-    # ndarray.all's own reduction, without its dispatch
-    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
+    # a finite sum of squares means finite entries, and one vdot costs less
+    # than numpy's elementwise dispatch; the sum is not finite when an entry
+    # is NaN or Inf or when squares overflow (vdot, unlike dot, raises no
+    # overflow warning), and only then is each entry checked
+    if not math.isfinite(np.vdot(arr, arr)) and not np.isfinite(arr).all():
         raise NonFiniteEntry(f"{what} contains NaN or Inf")
     return arr
 

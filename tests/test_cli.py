@@ -908,7 +908,13 @@ def test_run_bundled_config(tmp_path, capsys, monkeypatch, name):
     for r in rows:
         checks.setdefault(r["check_name"], [0, 0])[not r["pass"]] += 1
         assert r["pass"] == (r["rel_residual"] <= r["tolerance"]), r["check_name"]
-        assert r["check_name"] in ic.CHECK_ANCHORS
+        # every report carries its check's catalog anchor, but the
+        # homogeneity check's two carry its halves, "Eq. (6)" and "Eq. (7)"
+        anchor = ic.CHECK_ANCHORS[r["check_name"]]
+        if r["check_name"] == "check_homogeneity_specialization":
+            assert anchor == "Eq. (6)/(7)" and r["paper_anchor"] in ("Eq. (6)", "Eq. (7)")
+        else:
+            assert r["paper_anchor"] == anchor, r["check_name"]
     assert checks == golden["checks"]
     if _LEDGER["environment"] == _environment():
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()

@@ -1,5 +1,7 @@
-"""Hand-rolled symmetric eigensolvers, cross-checked against numpy (numpy is
-allowed here as a test oracle only — the solvers themselves are dependency-free)."""
+"""Symmetric eigensolvers, cross-checked against numpy.  The Jacobi and power
+iterations are written from scratch; the spectrum the checks read starts from
+LAPACK's proposed eigenbasis, which Jacobi certifies, and a bad proposal
+leaves Jacobi to compute the spectrum from the identity as before."""
 
 import numpy as np
 import pytest
@@ -177,3 +179,84 @@ def test_jacobi_reproduces_the_per_rotation_arithmetic(a):
         np.testing.assert_array_equal(got, want)
         assert got.flags.c_contiguous == want.flags.c_contiguous
         assert got.flags.f_contiguous == want.flags.f_contiguous
+
+
+# ---------------------------------------------------------------------------
+# _certified_eigh: LAPACK proposes the basis, Jacobi certifies it
+# ---------------------------------------------------------------------------
+
+def _off(b):
+    return float(np.linalg.norm(b - np.diag(b.diagonal())))
+
+
+def _spy_jacobi(monkeypatch):
+    """Record every matrix the certified start hands to Jacobi."""
+    seen, cold = [], spectral.jacobi_eigh
+
+    def spy(a):
+        seen.append(np.array(a))
+        return cold(a)
+
+    monkeypatch.setattr(spectral, "jacobi_eigh", spy)
+    return seen
+
+
+@pytest.mark.parametrize("n", [2, 5, 9, 23])
+def test_certified_start_rotates_a_wrong_orthogonal_basis_to_the_cold_result(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((n, n))
+    A = 0.5 * (m + m.T)
+    cold_vals, _ = jacobi_eigh(A)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    monkeypatch.setattr(spectral.np.linalg, "eigh", lambda a: (None, q))
+    seen = _spy_jacobi(monkeypatch)
+    vals, vecs = spectral._certified_eigh(A)
+    # Jacobi got q^T A q, far from diagonal, so it had to rotate
+    (b,) = seen
+    assert _off(b) > 100.0 * np.finfo(float).eps * np.linalg.norm(b)
+    scale = np.linalg.norm(A)
+    assert np.max(np.abs(vals - cold_vals)) <= 1e-14 * scale
+    assert np.max(np.abs(A @ vecs - vecs * vals)) <= 1e-14 * scale
+    np.testing.assert_allclose(vecs.T @ vecs, np.eye(n), atol=1e-14)
+
+
+@pytest.mark.parametrize("proposal", ["scaled", "sheared", "nan", "lapack_error"])
+def test_certified_start_drops_a_bad_proposal_for_the_cold_start(monkeypatch, proposal):
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((6, 6))
+    A = 0.5 * (m + m.T)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    bad = {"scaled": (1.0 + 1e-12) * q,
+           "sheared": q + 1e-9 * np.triu(np.ones((6, 6)), 1),
+           "nan": np.where(np.eye(6) > 0, np.nan, q)}
+
+    def eigh(a):
+        if proposal == "lapack_error":
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return None, bad[proposal]
+
+    monkeypatch.setattr(spectral.np.linalg, "eigh", eigh)
+    want = jacobi_eigh(A)
+    seen = _spy_jacobi(monkeypatch)
+    got = spectral._certified_eigh(A)
+    (b,) = seen
+    np.testing.assert_array_equal(b, A)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("a", [a for _, a in _jacobi_cases()], ids=[k for k, _ in _jacobi_cases()])
+def test_certified_start_agrees_with_the_cold_jacobi(a):
+    vals, vecs = spectral._certified_eigh(a)
+    cold_vals, _ = jacobi_eigh(a)
+    n, scale = a.shape[0], max(float(np.linalg.norm(a)), 1.0)
+    assert np.all(np.diff(vals) <= 0.0)
+    assert np.max(np.abs(vals - cold_vals)) <= 1e-14 * scale
+    assert np.max(np.abs(a @ vecs - vecs * vals)) <= 1e-14 * scale
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(n))) <= 10.0 * n * np.finfo(float).eps
+
+
+def test_certified_start_one_by_one():
+    vals, vecs = spectral._certified_eigh(np.array([[7.5]]))
+    np.testing.assert_array_equal(vals, [7.5])
+    np.testing.assert_array_equal(vecs, [[1.0]])

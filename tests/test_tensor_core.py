@@ -175,7 +175,18 @@ def test_point_takes_a_float_array_as_it_is_and_flattens_it():
     ([1.0, float("nan")], 2, InvalidParams),   # a non-array goes through the number rule
     (["0.5", True], 2, InvalidParams),
     (np.array([1, 2], dtype=np.float32), 3, SizeMismatch),
+    (np.array([[-np.inf, 0.0]]), None, NonFiniteEntry),
+    (np.array([0.5, np.nan, 1e200]), 3, NonFiniteEntry),
 ])
 def test_point_refuses_a_wrong_length_or_a_non_finite_entry(v, n, error):
     with pytest.raises(error, match="^y"):
         _point(v, n, "y")
+
+
+def test_point_accepts_finite_entries_whose_squares_overflow():
+    # the fast finiteness test, a sum of squares, overflows here without a
+    # warning (which this suite turns into an error); each entry is then
+    # checked on its own
+    v = np.array([1e200, -1e200])
+    assert np.shares_memory(_point(v, 2, "theta"), v)
+    np.testing.assert_array_equal(_point([1e308, 1e308], None, "y"), [1e308, 1e308])
