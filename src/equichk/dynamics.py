@@ -126,6 +126,12 @@ class _Objective:
     def value_and_grad(self, theta: np.ndarray) -> Tuple[float, np.ndarray]:
         """The loss at ``theta`` and its gradient, from one sweep per map,
         each summed in map order; a sweep's value is the plain forward's."""
+        if len(self.maps) == 1:   # the same sums, without the accumulator
+            (w, mp), = self.maps
+            v, g = de.gradient_at_points(mp, theta[None, :])
+            grad = w * g[0]
+            grad += 0.0   # as 0.0 + w g: a -0.0 entry reads +0.0
+            return 0.0 + w * float(v[0]), grad
         value, grad = 0.0, np.zeros(self.d)
         for w, mp in self.maps:
             v, g = de.gradient_at_points(mp, theta[None, :])

@@ -64,18 +64,27 @@ def jacobi_eigh(a):
 
     ``A`` and the accumulated rotations ``V`` are stacked as ``W = [A; V]``,
     so one rotation is one column-pair update of ``W`` followed by the two
-    mirrored rows of ``A`` and the closed-form 2x2 block.
+    mirrored rows of ``A`` and the closed-form 2x2 block.  An input that
+    already meets the stop rule returns before ``W`` is built, with the
+    result and memory layout a run with no rotation gives.
     """
     A = _as_symmetric(a)
     n = A.shape[0]
     if n == 1:
         return A.diagonal().copy(), np.eye(1)
 
+    frob = max(float(np.linalg.norm(A)), 1e-300)
+    eps = float(np.finfo(float).eps)
+    if float(np.linalg.norm(A - np.diag(A.diagonal()))) <= 100.0 * eps * frob:
+        # diagonal to the stop rule already, as a certified VᵀAV is: the
+        # loop's first test would stop before any rotation
+        vals = A.diagonal().copy()
+        order = np.argsort(-vals, kind="stable")
+        return vals[order], np.eye(n)[:, order]
+
     W = np.concatenate([A, np.eye(n)])
     A, item = W[:n], W.item
     cols, rows = [W[:, j] for j in range(n)], [W[j] for j in range(n)]
-    frob = max(float(np.linalg.norm(A)), 1e-300)
-    eps = float(np.finfo(float).eps)
     prev_off = np.inf
     for _ in range(_MAX_SWEEPS):
         off = float(np.linalg.norm(A - np.diag(A.diagonal())))

@@ -92,6 +92,24 @@ def _reals(v, what: str) -> np.ndarray:
     raise InvalidParams(f"{what}: expected finite numbers, got {v!r}")
 
 
+#: the longest array whose finiteness one BLAS dot settles: a BLAS may split
+#: a longer dot over threads (OpenBLAS does past 10,000 entries; the bound
+#: leaves room for others), and on a 2-core Xeon with threads not pinned that
+#: cost up to 12 ms a call in a 2000-member SGF run
+_DOT_MAX = 1024
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether every entry of ``arr`` is finite.  Up to ``_DOT_MAX`` entries
+    a finite sum of squares settles it: one ``np.vdot``, which costs less
+    than numpy's elementwise dispatch and, unlike ``@`` and ``dot``, raises
+    no overflow warning.  A sum that is not finite (an entry NaN or Inf, or
+    squares that overflow) and a longer array have each entry checked."""
+    if arr.size <= _DOT_MAX and math.isfinite(np.vdot(arr, arr)):
+        return True
+    return bool(np.isfinite(arr).all())
+
+
 def _point(v, n: Optional[int], what: str) -> np.ndarray:
     """A point ``v`` (theta, lam or y) as a flat float64 array: a float64
     array as it is, not copied, anything else through :func:`_reals`.
@@ -102,11 +120,7 @@ def _point(v, n: Optional[int], what: str) -> np.ndarray:
     arr = v.reshape(-1)
     if n is not None and arr.size != n:
         raise SizeMismatch(f"{what} has {arr.size} entries, {n} expected")
-    # a finite sum of squares means finite entries, and one vdot costs less
-    # than numpy's elementwise dispatch; the sum is not finite when an entry
-    # is NaN or Inf or when squares overflow (vdot, unlike dot, raises no
-    # overflow warning), and only then is each entry checked
-    if not math.isfinite(np.vdot(arr, arr)) and not np.isfinite(arr).all():
+    if not _all_finite(arr):
         raise NonFiniteEntry(f"{what} contains NaN or Inf")
     return arr
 

@@ -20,7 +20,8 @@ import equichk
 from equichk import diff_engine as de
 from equichk.diff_engine import fd_oracle, jacobian, second_derivative
 from equichk import identity_checker as ic
-from equichk.errors import IndexOutOfRange, InvalidParams
+from equichk import tensor_core
+from equichk.errors import AxisMismatch, IndexOutOfRange, InvalidParams, NonFiniteResult
 from equichk.identity_checker import default_suite
 from equichk.models import ModelSpec, build_model, forward, make_loss
 from equichk.tensor_core import compose
@@ -200,11 +201,39 @@ def test_generic_helpers_on_arrays_and_hyper_duals(name):
     np.testing.assert_allclose(grad_only.d1, first(v, u), rtol=1e-14, atol=1e-15)
     assert _is_absent(grad_only.d2) and _is_absent(grad_only.d12)
 
+    # a single-point gradient sweep stacks the value and d1 as rows of one
+    # array: the same bytes row by row
+    stacked = fn(de._Stacked(np.stack([v, u])))
+    assert type(stacked) is de._Stacked
+    for got, want in zip(stacked.stack, (grad_only.value, grad_only.d1)):
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
     full = fn(de.HyperDual(v, u, w, c))
     assert np.array_equal(full.value, numpy_expr(v))
     np.testing.assert_allclose(full.d1, first(v, u), rtol=1e-14, atol=1e-15)
     np.testing.assert_allclose(full.d2, first(v, w), rtol=1e-14, atol=1e-15)
     np.testing.assert_allclose(full.d12, second(v, u, w) + first(v, c), rtol=1e-14, atol=1e-15)
+
+
+def test_check_finite_sums_squares_before_it_checks_entries(monkeypatch):
+    # the squares of these finite entries overflow the sum, which is then
+    # not finite: each entry is checked, and no overflow warning is raised
+    # (this suite turns warnings into errors)
+    de._check_finite(np.array([[1e200, -1e200], [1e308, 3.0]]), "big")
+    # a BLAS dot sums squares up to _DOT_MAX entries and never past it, where
+    # a BLAS may start threads; either way a NaN or an Inf is found
+    sizes, vdot = [], np.vdot
+    monkeypatch.setattr(np, "vdot", lambda a, b: sizes.append(a.size) or vdot(a, b))
+    dot_max = tensor_core._DOT_MAX
+    for n in (4, dot_max, dot_max + 1, 4 * dot_max):
+        de._check_finite(np.full((n, 1), 1e200), "long")
+        for bad in (np.nan, np.inf, -np.inf):
+            arr = np.full((n, 1), 2.0)
+            arr[n // 2, 0] = bad
+            with pytest.raises(NonFiniteResult, match=re.escape("bad produced NaN or Inf")):
+                de._check_finite(arr, "bad")
+    assert sizes == [4] * 4 + [dot_max] * 4
 
 
 def test_hyper_dual_slots_default_to_absent():
@@ -239,6 +268,31 @@ def test_gradient_at_points_broadcasts_a_batch_constant_tangent():
     for p, v, g in zip(pts, values, grads):
         assert v == float(scalar(p))
         np.testing.assert_array_equal(g, jacobian(scalar, p, EXACT))
+
+
+def test_first_order_sweeps_stack_one_point_and_keep_hyper_duals_for_a_batch():
+    probe, scalar = _probe_scalar()
+    seen = []
+
+    def recording(th):
+        seen.append(type(th))
+        return scalar(th)
+
+    x = probe.init_params
+    de.gradient_at_points(recording, x[None])
+    jacobian(recording, x, EXACT)
+    de.gradient_at_points(recording, np.stack([x, x]))
+    de.hessians_at_points(recording, x[None])
+    assert seen == [de._Stacked, de._Stacked, de.HyperDual, de.HyperDual]
+
+
+@pytest.mark.parametrize("sweep", [de.gradient_at_points, de.hessians_at_points],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("shape", [(3,), (1, 1, 3)], ids=["1d", "3d"])
+def test_batched_sweeps_refuse_a_batch_that_is_not_2d(sweep, shape):
+    _, scalar = _probe_scalar()
+    with pytest.raises(AxisMismatch, match=re.escape(f"got shape {shape}")):
+        sweep(scalar, np.zeros(shape))
 
 
 _MODULES = [importlib.import_module(f"equichk.{m.name}")
@@ -438,6 +492,35 @@ def test_batched_sweeps_equal_pointwise_references(spec, loss_spec):
 
 
 SUITE_ENTRIES = default_suite().entries
+
+
+#: every suite entry's model and loss, and two more heads: a softmax on a ReLU
+#: net and a logistic loss on a tanh-featured factored head
+STACKED_CASES = [(e.model, e.loss, dict(e.loss_params)) for e in SUITE_ENTRIES] + [
+    (ModelSpec("homogeneous_relu_mlp", {"widths": [2, 4, 3]}, seed=8),
+     "softmax_xent", {"n_classes": 3, "label": 2}),
+    (ModelSpec("factored_last_layer", {"c": 1, "s": 3, "hidden": [2]}, seed=9),
+     "logistic", {"label": 1.0}),
+]
+
+
+@pytest.mark.parametrize("spec, loss_name, loss_params", STACKED_CASES,
+                         ids=[f"{i}-{m.name}-{n}" for i, (m, n, _) in enumerate(STACKED_CASES)])
+def test_single_point_sweep_equals_row_0_of_a_batch_sweep(spec, loss_name, loss_params):
+    # one point takes the stacked path, the batch [x, x] the HyperDual one
+    model = build_model(spec)
+    loss = make_loss(loss_name, **loss_params)
+    mp = de._loss_map(model, loss)
+    x = model.init_params + 0.1 * np.random.default_rng(spec.seed).standard_normal(model.d)
+    pair = np.stack([x, x])
+    for got, want in zip(de.gradient_at_points(mp, x[None]), de.gradient_at_points(mp, pair)):
+        _assert_same_bytes(got, want[:1])
+        assert got.flags.c_contiguous
+    # the model alone, and joined to its loss by _append_last
+    for map_fn in (model.func, de._landscape_map(model, loss)):
+        jac = jacobian(map_fn, x, EXACT)
+        _assert_same_bytes(jac, de._sweep(map_fn, pair, False)[1][0])
+        assert jac.flags.c_contiguous
 
 
 @pytest.mark.parametrize("entry", SUITE_ENTRIES,
@@ -663,6 +746,11 @@ def test_hessian_sweep_of_a_constant_map():
     np.testing.assert_array_equal(values, np.full(4, 2.5))
     np.testing.assert_array_equal(grads, np.zeros((4, 3)))
     np.testing.assert_array_equal(hvps, np.zeros((4, 3)))
+    # and so does a first-order sweep of one point, and of a batch
+    for n in (1, 4):
+        values, grads = de.gradient_at_points(lambda th: 2.5, pts[:n])
+        np.testing.assert_array_equal(values, np.full(n, 2.5))
+        np.testing.assert_array_equal(grads, np.zeros((n, 3)))
 
 
 def test_sweeps_are_one_map_call_and_blocks_do_not_change_bits(monkeypatch):
@@ -751,11 +839,15 @@ def _seeded(points, order):
         return points
     if order == 1:
         return de.HyperDual(points, d1=first_seed)
+    if order == "stacked":   # the value as row 0 of the d1 stack
+        tangent = np.broadcast_to(first_seed, (d,) + points.shape)
+        return de._Stacked(np.concatenate((points[None], tangent)))
     x = de.HyperDual(points, d1=d1_seed, d2=d2_seed)
     return x * x
 
 
-@pytest.mark.parametrize("order", [0, 1, 2], ids=["plain", "first_order", "second_order"])
+@pytest.mark.parametrize("order", [0, 1, 2, "stacked"],
+                         ids=["plain", "first_order", "second_order", "stacked"])
 @pytest.mark.parametrize("m", [1, 4])
 def test_helpers_equal_numpy_dispatch_byte_for_byte(order, m):
     # theta holds a (3, 4) block and a 4-vector; take_last and the reshape of

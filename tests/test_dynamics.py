@@ -652,14 +652,17 @@ def test_sweep_value_is_the_plain_loss(entry):
 
 
 def test_value_and_grad_equals_value_and_grad_bitwise(uv_model, square_family, two_sample_dataset):
-    obj = dyn._Objective(uv_model, (square_family, two_sample_dataset))
-    for th in np.random.default_rng(4).normal(size=(20, 2)):
-        value, grad = obj.value_and_grad(th)
-        assert value == _plain_loss(obj, th)
-        expected = np.zeros(2)
-        for w, mp in obj.maps:   # one batch-1 sweep per map, summed in map order
-            expected += w * de.gradient_at_points(mp, th[None, :])[1][0]
-        np.testing.assert_array_equal(grad, expected)
+    # a dataset sums two maps; a single loss is one map, summed without the
+    # accumulator, to the same bits
+    for obj in (dyn._Objective(uv_model, (square_family, two_sample_dataset)),
+                dyn._Objective(uv_model, make_loss("exponential", label=1))):
+        for th in np.random.default_rng(4).normal(size=(20, 2)):
+            value, grad = obj.value_and_grad(th)
+            assert value == _plain_loss(obj, th)
+            expected = np.zeros(2)
+            for w, mp in obj.maps:   # one batch-1 sweep per map, summed in map order
+                expected += w * de.gradient_at_points(mp, th[None, :])[1][0]
+            assert grad.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

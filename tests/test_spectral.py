@@ -158,13 +158,17 @@ def _per_rotation_jacobi(a):
 
 
 def _jacobi_cases():
-    # random, diagonal, zero, all-ones and repeated-eigenvalue matrices; the
-    # suite's Hessians are 2x2 to 23x23
+    # random, diagonal, zero, all-ones and repeated-eigenvalue matrices, and
+    # a random one in LAPACK's eigenbasis (VᵀAV, diagonal but for rounding,
+    # as the certified solve hands it over); the suite's Hessians are 2x2 to
+    # 23x23
     rng = np.random.default_rng(23)
     for n in list(range(1, 11)) + [16, 23, 40, 60]:
         m = rng.standard_normal((n, n))
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         yield f"random{n}", 0.5 * (m + m.T)
+        v = np.linalg.eigh(0.5 * (m + m.T))[1]
+        yield f"certified{n}", v.T @ (0.5 * (m + m.T)) @ v
         yield f"diagonal{n}", np.diag(rng.standard_normal(n))
         yield f"zero{n}", np.zeros((n, n))
         yield f"ones{n}", np.ones((n, n))
